@@ -28,56 +28,24 @@ from pathlib import Path
 
 from conftest import emit
 
-from repro.dns.records import RecordType
-from repro.experiments import ExperimentRunner, TestbedConfig, build_testbed
-
-#: Digest of the downgrade sweep at seeds 1..8 across the three policy
-#: stacks, pinned at its introduction (PR 4).
-DOWNGRADE_SWEEP_DIGEST = (
-    "3434dd5189891d0cbc2d03a413e63d6df70c15c7ef8f2fef54d44d83c6205711")
+from repro.experiments import ExperimentRunner, run_scenario
+from repro.experiments.pins import DOWNGRADE_SWEEP_DIGEST
+from repro.experiments.scenarios import TRANSPORT_PROFILES
 
 SEED_COUNT = int(os.environ.get("TRANSPORT_SEED_COUNT", "8"))
 QUERIES = int(os.environ.get("TRANSPORT_QUERY_COUNT", "50"))
 
-TRANSPORT_CONFIGS = {
-    "udp": {},
-    "tcp": {"udp_limit": 512},          # every answer truncates -> TCP retry
-    "dot": {"defenses": ("encrypted_transport",)},
-    "doh": {"defenses": ("encrypted_transport_doh",)},
-}
-
 
 def resolve_many(label, queries):
-    """Resolve ``queries`` cache-missing lookups; returns timing figures."""
-    overrides = TRANSPORT_CONFIGS[label]
-    config = TestbedConfig(
-        seed=42,
-        benign_server_count=50,
-        records_per_response=30,
-        nameserver_udp_payload_limit=overrides.get("udp_limit"),
-        nameserver_transports=("tcp",) if label == "tcp" else (),
-        defenses=overrides.get("defenses", ()),
-        with_attacker=False,
-    )
-    testbed = build_testbed(config)
-    answer_times = []
-
+    """Resolve ``queries`` cache-missing lookups through the
+    ``transport_overhead`` scenario; returns timing figures."""
     started = time.perf_counter()
-    for index in range(queries):
-        at = index * 10.0
-        # trigger_lookup bypasses the cache, so every query reaches the
-        # nameserver; the inserted_at >= at check proves *this* query was
-        # answered (peek would happily return the previous query's entry).
-        testbed.simulator.schedule_at(
-            at, lambda: testbed.resolver.trigger_lookup("pool.ntp.org"))
-        testbed.simulator.run(until=at + 9.0)
-        entry = testbed.resolver.cache.peek("pool.ntp.org", RecordType.A)
-        assert entry is not None and entry.inserted_at >= at, (
-            f"{label}: query {index} went unanswered")
-        answer_times.append(entry.inserted_at - at)
+    metrics = run_scenario("transport_overhead", 42,
+                           {"transport": label, "queries": queries})
     wall = time.perf_counter() - started
+    assert metrics["unanswered"] == 0, f"{label}: {metrics['unanswered']} unanswered"
     return {
-        "simulated_time_to_answer": sum(answer_times) / len(answer_times),
+        "simulated_time_to_answer": metrics["mean_time_to_answer"],
         "wall_seconds_per_query": wall / queries,
     }
 
@@ -85,19 +53,13 @@ def resolve_many(label, queries):
 def test_encrypted_transport_gates(benchmark):
     def workload():
         timings = {label: resolve_many(label, QUERIES)
-                   for label in TRANSPORT_CONFIGS}
-        sequential = ExperimentRunner(
+                   for label in TRANSPORT_PROFILES}
+        sequential, parallel = (ExperimentRunner(
             "downgrade", seeds=range(1, SEED_COUNT + 1),
             param_sets=[{"defenses": ()},
                         {"defenses": ("encrypted_transport",)},
                         {"defenses": ("encrypted_transport_opportunistic",)}],
-            workers=1).run()
-        parallel = ExperimentRunner(
-            "downgrade", seeds=range(1, SEED_COUNT + 1),
-            param_sets=[{"defenses": ()},
-                        {"defenses": ("encrypted_transport",)},
-                        {"defenses": ("encrypted_transport_opportunistic",)}],
-            workers=4).run()
+            workers=workers).run() for workers in (1, 4))
         return timings, sequential, parallel
 
     timings, sequential, parallel = benchmark.pedantic(workload, rounds=1,

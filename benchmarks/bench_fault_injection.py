@@ -17,6 +17,7 @@ import json
 
 from conftest import emit
 
+from repro.experiments.pins import CHAOS_GRID_DIGEST
 from repro.experiments.runner import ExperimentSpec
 from repro.experiments.scheduler import SweepScheduler
 from repro.faults import FaultInjector, FaultPlan, LinkLoss
@@ -35,10 +36,6 @@ CHAOS_FAULTS = (
     {"kind": "duplicate", "probability": 0.1, "delay": 0.02,
      "start": 0.0, "end": 9e9},
 )
-
-#: Same pin as tests/test_faults.py: the contract that faulted sweeps are
-#: deterministic across releases, worker counts, and backends.
-CHAOS_GRID_DIGEST = "b7789500e91733242db1daea42721960e4a8d69f050c929523a52d83243c2178"
 
 
 class _Sink(Host):

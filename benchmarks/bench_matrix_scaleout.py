@@ -1,28 +1,19 @@
 """E-scaleout: the matrix sweep-execution layer as a perf + determinism gate.
 
-Four runs of the default 6-attack × 12-stack grid, plus one run of the
-PR-2/PR-3 legacy sub-grid:
+Three runs of the default 6-attack × 12-stack grid:
 
-1. **per-row** — the legacy path (one ``ExperimentRunner`` and one pool per
-   attack row, full barrier between rows) at ``workers=4``;
-2. **shared** — all rows flattened into one task stream on a single shared
+1. **pooled** — all rows flattened into one task stream on a single shared
    pool at ``workers=4``;
-3. **cold** — shared scheduler writing a fresh persistent run cache;
-4. **warm** — the same sweep replayed entirely from that cache;
-5. **legacy** — the pre-transport rows/columns only, whose digest must
-   still equal the PR-2 baseline.
+2. **cold** — inline, writing a fresh persistent run cache;
+3. **warm** — the same sweep replayed entirely from that cache.
 
 Gates:
 
-* the four full-grid digests are byte-identical and equal to the pinned
-  PR-4 value at seeds ``(1, 2)``, and the legacy sub-grid digest equals the
-  pinned PR-2 baseline — neither the execution-layer refactors nor the
-  encrypted-transport subsystem are visible in the output;
+* the three digests are byte-identical and, at seeds ``(1, 2)``, equal to
+  the pinned full-grid digest (:mod:`repro.experiments.pins`) — the pool,
+  the cache replay path and the hot-path work are invisible in the output;
 * warm ≥ 10× faster than cold (``SCALEOUT_MIN_CACHE_SPEEDUP``) — the cache
-  actually makes re-runs incremental;
-* on hosts with ≥ 4 usable CPUs, shared ≥ 1.3× faster than per-row
-  (``SCALEOUT_MIN_POOL_SPEEDUP``) — eliminating per-row pool spawns and
-  inter-row barriers is worth real wall-clock.
+  actually makes re-runs incremental.
 
 The measured numbers are also written to ``BENCH_matrix_scaleout.json``
 (path override: ``SCALEOUT_JSON``) so CI can archive the run.  Reduced CI
@@ -39,22 +30,8 @@ from pathlib import Path
 
 from conftest import emit, usable_cpus
 
-from repro.experiments import (
-    LEGACY_ATTACKS,
-    LEGACY_STACKS,
-    RunCache,
-    run_defense_matrix,
-)
-
-#: Digest of the PR-2/PR-3 grid (now the LEGACY_* sub-grid) at seeds (1, 2)
-#: as produced by the PR-2 per-row implementation — pinned so neither the
-#: shared scheduler, the cache replay path, the hot-path work, nor the
-#: encrypted-transport subsystem can drift the earlier science.
-PR2_BASELINE_DIGEST = "8fd76ec98cd658b56371cb3f35fb48bf040423c0b4b819d05a6b8377f4bbe0de"
-#: Digest of the full default grid — legacy rows/columns plus the
-#: ``downgrade`` row and the ``dot_strict``/``dot_opportunistic`` columns —
-#: at seeds (1, 2), pinned at its introduction (PR 4).
-PR4_FULL_DIGEST = "7ae32a72cca2adb6b2b62fbf2dd6cd30e97e0eb27a678b975502e7dda9c8d4b4"
+from repro.experiments import RunCache, run_defense_matrix
+from repro.experiments.pins import FULL_GRID_DIGEST
 
 SEEDS = tuple(range(1, int(os.environ.get("SCALEOUT_SEED_COUNT", "2")) + 1))
 WORKERS = 4
@@ -66,33 +43,22 @@ def _timed(**kwargs):
     return matrix, time.perf_counter() - start
 
 
-def run_quartet(cache_dir):
-    per_row, per_row_s = _timed(workers=WORKERS, shared_scheduler=False)
-    shared, shared_s = _timed(workers=WORKERS)
-    cold, cold_s = _timed(workers=1, cache=RunCache(cache_dir))
-    warm, warm_s = _timed(workers=1, cache=RunCache(cache_dir))
-    legacy, legacy_s = _timed(attacks=LEGACY_ATTACKS, stacks=LEGACY_STACKS,
-                              workers=WORKERS)
+def run_trio(cache_dir):
     return {
-        "per_row": (per_row, per_row_s),
-        "shared": (shared, shared_s),
-        "cold": (cold, cold_s),
-        "warm": (warm, warm_s),
-        "legacy": (legacy, legacy_s),
+        "pooled": _timed(workers=WORKERS),
+        "cold": _timed(workers=1, cache=RunCache(cache_dir)),
+        "warm": _timed(workers=1, cache=RunCache(cache_dir)),
     }
 
 
 def test_matrix_scaleout_gates(benchmark, tmp_path):
-    runs = benchmark.pedantic(run_quartet, args=(tmp_path / "run-cache",),
+    runs = benchmark.pedantic(run_trio, args=(tmp_path / "run-cache",),
                               rounds=1, iterations=1)
     timings = {name: seconds for name, (_, seconds) in runs.items()}
     digests = {name: matrix.digest() for name, (matrix, _) in runs.items()}
-    legacy_digest = digests.pop("legacy")
-    pool_speedup = timings["per_row"] / max(timings["shared"], 1e-9)
     cache_speedup = timings["cold"] / max(timings["warm"], 1e-9)
     warm_stats = runs["warm"][0].sweep_stats
     cpus = usable_cpus()
-    min_pool = float(os.environ.get("SCALEOUT_MIN_POOL_SPEEDUP", "1.3"))
     min_cache = float(os.environ.get("SCALEOUT_MIN_CACHE_SPEEDUP", "10.0"))
     pinnable = SEEDS == (1, 2)
 
@@ -101,13 +67,10 @@ def test_matrix_scaleout_gates(benchmark, tmp_path):
         "workers": WORKERS,
         "usable_cpus": cpus,
         "timings_seconds": {name: round(seconds, 4) for name, seconds in timings.items()},
-        "pool_speedup": round(pool_speedup, 3),
         "cache_speedup": round(cache_speedup, 3),
         "warm_cache": {"hits": warm_stats.cache_hits, "executed": warm_stats.executed},
-        "digest": digests["shared"],
-        "legacy_digest": legacy_digest,
-        "pr2_baseline_digest": PR2_BASELINE_DIGEST if pinnable else None,
-        "pr4_full_digest": PR4_FULL_DIGEST if pinnable else None,
+        "digest": digests["pooled"],
+        "full_grid_digest": FULL_GRID_DIGEST if pinnable else None,
         "digests_identical": len(set(digests.values())) == 1,
     }
     json_path = os.environ.get("SCALEOUT_JSON", "BENCH_matrix_scaleout.json")
@@ -116,41 +79,28 @@ def test_matrix_scaleout_gates(benchmark, tmp_path):
 
     emit("E-scaleout — shared scheduler + persistent run cache on the "
          f"6-attack × 12-stack grid, seeds={list(SEEDS)}", [
-             f"per-row pools (workers={WORKERS}): {timings['per_row']:.2f}s",
-             f"shared pool   (workers={WORKERS}): {timings['shared']:.2f}s "
-             f"(speedup {pool_speedup:.2f}x on {cpus} usable CPUs)",
-             f"cold cache    (workers=1): {timings['cold']:.2f}s",
-             f"warm cache    (workers=1): {timings['warm']:.3f}s "
+             f"shared pool (workers={WORKERS}): {timings['pooled']:.2f}s "
+             f"on {cpus} usable CPUs",
+             f"cold cache  (workers=1): {timings['cold']:.2f}s",
+             f"warm cache  (workers=1): {timings['warm']:.3f}s "
              f"(speedup {cache_speedup:.1f}x, "
              f"{warm_stats.cache_hits} hits / {warm_stats.executed} executed)",
-             f"legacy sub-grid (workers={WORKERS}): {timings['legacy']:.2f}s",
              f"digests identical: {report['digests_identical']}",
-             f"PR-2 legacy digest match: "
-             f"{legacy_digest == PR2_BASELINE_DIGEST if pinnable else 'n/a'}",
-             f"PR-4 full-grid digest match: "
-             f"{digests['shared'] == PR4_FULL_DIGEST if pinnable else 'n/a'}",
+             f"full-grid digest match: "
+             f"{digests['pooled'] == FULL_GRID_DIGEST if pinnable else 'n/a'}",
              f"report: {json_path}",
          ])
 
-    # Gate (c): the refactor is invisible in the output.
+    # Gate (a): the execution layer is invisible in the output.
     assert len(set(digests.values())) == 1, f"digests diverged: {digests}"
     if pinnable:
-        assert legacy_digest == PR2_BASELINE_DIGEST, (
-            "legacy-grid digest drifted from the PR-2 baseline: "
-            f"{legacy_digest} != {PR2_BASELINE_DIGEST}")
-        assert digests["shared"] == PR4_FULL_DIGEST, (
-            "full-grid digest drifted from its PR-4 pin: "
-            f"{digests['shared']} != {PR4_FULL_DIGEST}")
-    # Gate (a): warm replay computed nothing and is an order of magnitude
+        assert digests["pooled"] == FULL_GRID_DIGEST, (
+            "full-grid digest drifted from its pin: "
+            f"{digests['pooled']} != {FULL_GRID_DIGEST}")
+    # Gate (b): warm replay computed nothing and is an order of magnitude
     # faster than the cold run.
     assert warm_stats.executed == 0
     assert warm_stats.cache_hits == warm_stats.tasks_total
     assert cache_speedup >= min_cache, (
         f"expected warm-cache re-run >= {min_cache}x faster than cold, "
         f"got {cache_speedup:.2f}x")
-    # Gate (b): the shared pool beats per-row pools where parallelism exists.
-    if cpus >= 4:
-        assert pool_speedup >= min_pool, (
-            f"expected shared scheduler >= {min_pool}x faster than per-row "
-            f"pools with {WORKERS} workers on {cpus} usable CPUs, "
-            f"got {pool_speedup:.2f}x")

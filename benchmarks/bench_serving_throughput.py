@@ -36,12 +36,7 @@ from repro.defenses.transport import EncryptedTransport
 from repro.dns.records import RecordType
 from repro.experiments import AttackSpec, TestbedConfig, build_testbed, run_scenario
 from repro.experiments.matrix import SERVING_ATTACKS, SERVING_STACKS, run_defense_matrix
-
-#: Digest of the serving matrix (sustained_load + downgrade rows ×
-#: rrl / rrl_plus_dot / rrl_plus_dot_opp columns) at seeds (1, 2), pinned
-#: at its introduction.
-SERVING_MATRIX_DIGEST = (
-    "39aa4ded83c452642a3bb727802460a26475c0cb8a00574d0a8ac5cb32041927")
+from repro.experiments.pins import SERVING_MATRIX_DIGEST
 
 SEED_COUNT = int(os.environ.get("SERVING_SEED_COUNT", "2"))
 QUERIES = int(os.environ.get("SERVING_QUERY_COUNT", "50"))

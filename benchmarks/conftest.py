@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates the rows/series behind one of the paper's
-experiments (see DESIGN.md, experiment index E1-E9) and prints them, so a
-``pytest benchmarks/ --benchmark-only -s`` run doubles as the reproduction
-report.  Printing goes through :func:`emit` so the output stays readable when
+experiments (E1-E9, see the README's "Benchmarks / reproduction report"
+section) and prints them, so a ``pytest benchmarks/ --benchmark-only -s``
+run doubles as the reproduction report.  Printing goes through :func:`emit` so the output stays readable when
 pytest captures it.
 """
 

@@ -5,7 +5,7 @@ The paper's attack rests on a companion measurement of how fragile the DNS
 ecosystem around pool.ntp.org is: how many nameservers fragment responses
 (and skip DNSSEC), how many resolvers accept fragments, and how many can be
 made to issue queries by a third party.  The populations here are synthetic
-(see DESIGN.md for the substitution rationale), but the probe/classify/
+(an Internet measurement cannot be re-run offline), but the probe/classify/
 aggregate pipeline is the same one a live measurement would run.
 
 The study is registered as the ``dns_measurement`` scenario, so this example

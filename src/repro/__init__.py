@@ -13,8 +13,8 @@ The package is organised by subsystem:
 * :mod:`repro.attacks` — the DNS-poisoning vectors and the pool attack of
   the paper, plus time-shift execution;
 * :mod:`repro.measurement` — the §II DNS measurement statistics;
-* :mod:`repro.analysis` — per-experiment sweeps and tables (see DESIGN.md
-  for the experiment index);
+* :mod:`repro.analysis` — per-experiment sweeps and tables (experiments
+  E1–E9, see the README);
 * :mod:`repro.experiments` — declarative testbeds, the scenario registry,
   and the parallel multi-seed experiment runner.
 

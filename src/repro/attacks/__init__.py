@@ -42,8 +42,8 @@ from .frag_poisoning import (
     FragPoisoningConfig,
     FragPoisoningResult,
     FragPoisoningScenario,
+    FragRaceWorld,
     fragmentation_attack_success_probability,
-    model_benign_response,
 )
 from .ntp_shift import (
     OfflineShiftModel,
@@ -87,8 +87,8 @@ __all__ = [
     "FragPoisoningConfig",
     "FragPoisoningResult",
     "FragPoisoningScenario",
+    "FragRaceWorld",
     "fragmentation_attack_success_probability",
-    "model_benign_response",
     "OfflineShiftModel",
     "ShiftOutcome",
     "chronos_round_offset",

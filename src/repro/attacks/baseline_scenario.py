@@ -21,7 +21,7 @@ from typing import Optional
 
 from ..defenses.stack import DefenseSpec
 from ..dns.nameserver import POOL_NTP_ORG_TTL, POOL_RECORDS_PER_RESPONSE
-from ..experiments.testbed import Testbed, TestbedConfig, build_testbed
+from ..experiments.testbed import Testbed, build_testbed, testbed_config
 from ..ntp.client import TraditionalNTPClient
 
 
@@ -73,20 +73,8 @@ class TraditionalClientAttackScenario:
     def __init__(self, config: Optional[BaselineAttackConfig] = None) -> None:
         self.config = config or BaselineAttackConfig()
         self.testbed = build_testbed(
-            TestbedConfig(
-                seed=self.config.seed,
-                zone=self.config.zone,
-                latency=self.config.latency,
-                benign_server_count=self.config.benign_server_count,
-                benign_address_block="10.20.0.0/16",
-                records_per_response=self.config.records_per_response,
-                benign_ttl=self.config.benign_ttl,
-                attacker_record_count=self.config.attacker_record_count,
-                malicious_ttl=self.config.malicious_ttl,
-                attacker_nameserver_address="198.51.100.254",
-                defenses=self.config.defenses,
-                faults=self.config.faults,
-            ),
+            testbed_config(self.config, benign_address_block="10.20.0.0/16",
+                           attacker_nameserver_address="198.51.100.254"),
             victim_factory=self._build_client,
         )
         self.simulator = self.testbed.simulator

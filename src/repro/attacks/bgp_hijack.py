@@ -17,7 +17,7 @@ from typing import Optional
 from ..defenses.stack import DefenseSpec
 from ..dns.records import RecordType
 from ..dns.resolver import RecursiveResolver
-from ..experiments.testbed import DEFAULT_ZONE, TestbedConfig, build_testbed
+from ..experiments.testbed import DEFAULT_ZONE, build_testbed, testbed_config
 from ..netsim.network import Network
 from .attacker import DEFAULT_MALICIOUS_TTL, AttackerInfrastructure, ImpersonatingNameserver
 
@@ -150,17 +150,8 @@ class BGPHijackScenario:
 
     def __init__(self, config: Optional[BGPHijackConfig] = None) -> None:
         self.config = config or BGPHijackConfig()
-        self.testbed = build_testbed(TestbedConfig(
-            seed=self.config.seed,
-            zone=self.config.zone,
-            latency=self.config.latency,
-            benign_server_count=self.config.benign_server_count,
-            benign_address_block="10.30.0.0/16",
-            attacker_record_count=self.config.attacker_record_count,
-            malicious_ttl=self.config.malicious_ttl,
-            defenses=self.config.defenses,
-            faults=self.config.faults,
-        ))
+        self.testbed = build_testbed(
+            testbed_config(self.config, benign_address_block="10.30.0.0/16"))
         self.simulator = self.testbed.simulator
         self.network = self.testbed.network
         self.nameserver = self.testbed.nameserver

@@ -30,7 +30,7 @@ from ..core.selection import ChronosConfig
 from ..defenses.stack import DefenseSpec
 from ..dns.nameserver import POOL_NTP_ORG_TTL, POOL_RECORDS_PER_RESPONSE
 from ..dns.resolver import ResolverPolicy
-from ..experiments.testbed import DEFAULT_ZONE, Testbed, TestbedConfig, build_testbed
+from ..experiments.testbed import DEFAULT_ZONE, Testbed, build_testbed, testbed_config
 
 
 @dataclass
@@ -115,20 +115,7 @@ class ChronosPoolAttackScenario:
     def __init__(self, config: Optional[PoolAttackConfig] = None) -> None:
         self.config = config or PoolAttackConfig()
         self.testbed = build_testbed(
-            TestbedConfig(
-                seed=self.config.seed,
-                zone=self.config.zone,
-                latency=self.config.latency,
-                benign_server_count=self.config.benign_server_count,
-                benign_address_block="10.10.0.0/16",
-                records_per_response=self.config.records_per_response,
-                benign_ttl=self.config.benign_ttl,
-                resolver_policy=self.config.resolver_policy,
-                defenses=self.config.defenses,
-                faults=self.config.faults,
-                attacker_record_count=self.config.attacker_record_count,
-                malicious_ttl=self.config.malicious_ttl,
-            ),
+            testbed_config(self.config, benign_address_block="10.10.0.0/16"),
             victim_factory=self._build_client,
         )
         self.simulator = self.testbed.simulator

@@ -33,16 +33,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..defenses.stack import DefenseSpec
-from ..dns.message import DNSMessage
-from ..dns.records import RecordType
-from ..dns.resolver import ResolverPolicy
 from ..dns.transport import DOH_PORT, DOT_PORT
-from ..experiments.testbed import DEFAULT_ZONE, TestbedConfig, build_testbed
+from ..experiments.testbed import DEFAULT_ZONE
 from ..netsim.network import Network
 from ..netsim.packets import PROTO_TCP, IPPacket
 from ..netsim.transport import DEFAULT_BACKLOG, FLAG_SYN, TCPSegment
 from .attacker import DEFAULT_MALICIOUS_TTL
-from .frag_poisoning import FragmentationPoisoner, model_benign_response
+from .frag_poisoning import FragRaceWorld
 
 #: TEST-NET-3: spoofed SYN sources.  Nothing is registered there, so the
 #: nameserver's SYN-ACKs go nowhere and the half-open entries sit out their
@@ -156,56 +153,20 @@ class DowngradeResult:
         return self.cache_poisoned
 
 
-class DowngradeScenario:
+class DowngradeScenario(FragRaceWorld):
     """SYN-flood downgrade of opportunistic encrypted DNS, then the classic
     fragmentation race — registry-runnable as ``downgrade``."""
 
+    config: DowngradeConfig
+
     def __init__(self, config: Optional[DowngradeConfig] = None) -> None:
-        self.config = config or DowngradeConfig()
-        self.testbed = build_testbed(TestbedConfig(
-            seed=self.config.seed,
-            zone=self.config.zone,
-            latency=self.config.latency,
-            benign_server_count=self.config.benign_server_count,
-            benign_address_block="10.50.0.0/16",
-            records_per_response=self.config.records_per_response,
-            nameserver_min_mtu=self.config.nameserver_min_mtu,
-            resolver_policy=ResolverPolicy(accept_fragmented_responses=True),
-            defenses=self.config.defenses,
-            faults=self.config.faults,
-            attacker_record_count=self.config.attacker_record_count,
-            malicious_ttl=self.config.malicious_ttl,
-            with_hijacker=False,
-        ))
-        self.simulator = self.testbed.simulator
-        self.network = self.testbed.network
-        self.nameserver = self.testbed.nameserver
-        self.resolver = self.testbed.resolver
-        self.attacker = self.testbed.attacker
+        super().__init__(config or DowngradeConfig(), "10.50.0.0/16")
         self.flooder = SynFloodDowngrader(self.network, self.nameserver.address)
-        self.poisoner = FragmentationPoisoner(
-            self.network,
-            self.attacker,
-            self.resolver,
-            self.nameserver,
-            zone_name=self.config.zone,
-            ipid_window=self.config.ipid_window,
-            checksum_oracle=self.config.checksum_oracle,
-        )
 
     def _syns_per_port(self) -> int:
         if self.config.syns_per_port is not None:
             return self.config.syns_per_port
         return 4 * DEFAULT_BACKLOG
-
-    def expected_response(self) -> DNSMessage:
-        """The attacker's off-path model of the benign (post-downgrade UDP)
-        response — the same shape-only model the fragmentation row uses
-        (:func:`repro.attacks.frag_poisoning.model_benign_response`)."""
-        return model_benign_response(
-            self.config.zone, self.nameserver, self.resolver,
-            self.config.records_per_response, self.nameserver.ttl,
-            self.testbed.config.zone_key)
 
     def run(self) -> DowngradeResult:
         cfg = self.config
@@ -225,9 +186,7 @@ class DowngradeScenario:
         poisoned = self.poisoner.verify_poisoning()
         transport = self.resolver.upstream_transport
         report = self.poisoner.reports[-1] if self.poisoner.reports else None
-        entry = self.resolver.cache.peek(cfg.zone, RecordType.A)
-        attacker_addresses = set(self.attacker.ntp_addresses)
-        cached = list(entry.records) if entry is not None else []
+        _, poisoned_cached = self.cached_records()
         return DowngradeResult(
             cache_poisoned=poisoned,
             downgraded=(transport.downgraded_queries > 0
@@ -238,6 +197,5 @@ class DowngradeScenario:
             syns_dropped=(self.nameserver.tcp.syns_dropped
                           if self.nameserver._tcp is not None else 0),
             planted_fragments=report.planted_fragments if report else 0,
-            poisoned_records_cached=sum(1 for record in cached
-                                        if record.rdata in attacker_addresses),
+            poisoned_records_cached=poisoned_cached,
         )

@@ -27,7 +27,7 @@ in the trailing fragment(s).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Any, Optional
 
 from ..defenses.hardening import DNSCookies
 from ..defenses.stack import DefenseSpec
@@ -35,7 +35,7 @@ from ..dns.message import DNSMessage
 from ..dns.nameserver import DNS_PORT, POOL_NTP_ORG_TTL, PoolNTPNameserver
 from ..dns.records import RecordType, a_record, signature_record
 from ..dns.resolver import RecursiveResolver, ResolverPolicy
-from ..experiments.testbed import DEFAULT_ZONE, TestbedConfig, build_testbed
+from ..experiments.testbed import DEFAULT_ZONE, build_testbed, testbed_config
 from ..netsim.fragmentation import fragment_datagram
 from ..netsim.network import Network
 from ..netsim.packets import IPPacket, UDPDatagram
@@ -254,29 +254,70 @@ def fragmentation_attack_success_probability(conditions: FragmentationAttackCond
     return 1.0 - (1.0 - per_attempt) ** max(attempts, 1)
 
 
-def model_benign_response(zone: str, nameserver: PoolNTPNameserver,
-                          resolver: RecursiveResolver, record_count: int,
-                          benign_ttl: int, zone_key: Optional[str]) -> DNSMessage:
-    """The attacker's off-path model of the benign response (shape only).
+class FragRaceWorld:
+    """The world every fragmentation-splice race runs in.
 
-    Only the shape matters (record count and fixed A-record encoding); the
-    attacker cannot observe which concrete addresses the nameserver rotates
-    into the real answer.  Deployed hardenings are *observable* shape too —
-    an attacker probing the resolver/zone sees cookies and signature
-    records on the wire — so the model mirrors their byte layout with
-    placeholder values: the real cookie sits in the genuine first fragment,
-    and the forged signature value is simply wrong (the attacker holds no
-    zone key).  Shared by the fragmentation and downgrade scenarios so the
-    two rows model the same attacker.
+    A testbed without a BGP hijacker, built from the scenario config's
+    shared :class:`~repro.experiments.testbed.TestbedConfig` fields, plus
+    the :class:`FragmentationPoisoner` aimed at its resolver.  The
+    ``frag_poisoning`` and ``downgrade`` scenarios both race here, so the
+    two rows model the same attacker in the same world.  ``config`` must
+    carry ``zone``, ``records_per_response``, ``ipid_window`` and
+    ``checksum_oracle``.
     """
-    addresses = nameserver.pool_servers[:record_count]
-    answers = [a_record(zone, address, benign_ttl) for address in addresses]
-    if zone_key is not None:
-        answers.append(signature_record("attacker-forged-key", zone, answers))
-    message = DNSMessage.query(0, zone).make_response(answers)
-    if any(isinstance(defense, DNSCookies) for defense in resolver.defenses):
-        message = replace(message, cookie=0)
-    return message
+
+    def __init__(self, config: Any, address_block: str,
+                 accept_fragments: bool = True) -> None:
+        self.config = config
+        self.testbed = build_testbed(testbed_config(
+            config,
+            benign_address_block=address_block,
+            resolver_policy=ResolverPolicy(accept_fragmented_responses=accept_fragments),
+            with_hijacker=False,
+        ))
+        self.simulator = self.testbed.simulator
+        self.network = self.testbed.network
+        self.nameserver = self.testbed.nameserver
+        self.resolver = self.testbed.resolver
+        self.attacker = self.testbed.attacker
+        self.poisoner = FragmentationPoisoner(
+            self.network,
+            self.attacker,
+            self.resolver,
+            self.nameserver,
+            zone_name=config.zone,
+            ipid_window=config.ipid_window,
+            checksum_oracle=config.checksum_oracle,
+        )
+
+    def expected_response(self) -> DNSMessage:
+        """The attacker's off-path model of the benign (UDP) response.
+
+        Only the shape matters (record count and fixed A-record encoding);
+        the attacker cannot observe which concrete addresses the nameserver
+        rotates into the real answer.  Deployed hardenings are *observable*
+        shape too — an attacker probing the resolver/zone sees cookies and
+        signature records on the wire — so the model mirrors their byte
+        layout with placeholder values: the real cookie sits in the genuine
+        first fragment, and the forged signature value is simply wrong (the
+        attacker holds no zone key).
+        """
+        zone = self.config.zone
+        addresses = self.nameserver.pool_servers[:self.config.records_per_response]
+        answers = [a_record(zone, address, self.nameserver.ttl) for address in addresses]
+        if self.testbed.config.zone_key is not None:
+            answers.append(signature_record("attacker-forged-key", zone, answers))
+        message = DNSMessage.query(0, zone).make_response(answers)
+        if any(isinstance(defense, DNSCookies) for defense in self.resolver.defenses):
+            message = replace(message, cookie=0)
+        return message
+
+    def cached_records(self) -> tuple[int, int]:
+        """(records the resolver caches for the zone, how many are the attacker's)."""
+        entry = self.resolver.cache.peek(self.config.zone, RecordType.A)
+        cached = list(entry.records) if entry is not None else []
+        attacker_addresses = set(self.attacker.ntp_addresses)
+        return len(cached), sum(1 for record in cached if record.rdata in attacker_addresses)
 
 
 @dataclass
@@ -334,62 +375,23 @@ class FragPoisoningResult:
         return self.cache_poisoned
 
 
-class FragPoisoningScenario:
+class FragPoisoningScenario(FragRaceWorld):
     """The §II.A fragmentation vector as a self-contained, registry-runnable
     scenario: plant spoofed trailing fragments, trigger the query, check the
     victim resolver's cache."""
 
+    config: FragPoisoningConfig
+
     def __init__(self, config: Optional[FragPoisoningConfig] = None) -> None:
-        self.config = config or FragPoisoningConfig()
-        self.testbed = build_testbed(TestbedConfig(
-            seed=self.config.seed,
-            zone=self.config.zone,
-            latency=self.config.latency,
-            benign_server_count=self.config.benign_server_count,
-            benign_address_block="10.40.0.0/16",
-            records_per_response=self.config.records_per_response,
-            benign_ttl=self.config.benign_ttl,
-            nameserver_min_mtu=self.config.nameserver_min_mtu,
-            resolver_policy=ResolverPolicy(
-                accept_fragmented_responses=self.config.accept_fragments),
-            defenses=self.config.defenses,
-            faults=self.config.faults,
-            attacker_record_count=self.config.attacker_record_count,
-            malicious_ttl=self.config.malicious_ttl,
-            with_hijacker=False,
-        ))
-        self.simulator = self.testbed.simulator
-        self.network = self.testbed.network
-        self.nameserver = self.testbed.nameserver
-        self.resolver = self.testbed.resolver
-        self.attacker = self.testbed.attacker
-        self.poisoner = FragmentationPoisoner(
-            self.network,
-            self.attacker,
-            self.resolver,
-            self.nameserver,
-            zone_name=self.config.zone,
-            ipid_window=self.config.ipid_window,
-            checksum_oracle=self.config.checksum_oracle,
-        )
-
-    def expected_response(self) -> DNSMessage:
-        """The attacker's off-path model of the benign response.
-
-        See :func:`model_benign_response` — shape is public knowledge,
-        concrete addresses are not.
-        """
-        return model_benign_response(
-            self.config.zone, self.nameserver, self.resolver,
-            self.config.records_per_response, self.config.benign_ttl,
-            self.testbed.config.zone_key)
+        config = config or FragPoisoningConfig()
+        super().__init__(config, "10.40.0.0/16", accept_fragments=config.accept_fragments)
 
     def run(self) -> FragPoisoningResult:
         if self.config.trigger_count <= 1:
             # The classic single-shot race, kept event-for-event identical
             # to the pre-sustained-load scenario (pinned digests).
-            report = self.poisoner.plant_fragments(self.expected_response(),
-                                                   starting_ipid=self.config.starting_ipid)
+            self.poisoner.plant_fragments(self.expected_response(),
+                                          starting_ipid=self.config.starting_ipid)
             self.resolver.trigger_lookup(self.config.zone)
             self.simulator.run(until=self.simulator.now + 10.0)
             poisoned = self.poisoner.verify_poisoning()
@@ -423,15 +425,12 @@ class FragPoisoningScenario:
 
     def _result(self, reports: list[FragmentationAttackReport], poisoned: bool,
                 races_run: int, races_poisoned: int) -> FragPoisoningResult:
-        entry = self.resolver.cache.peek(self.config.zone, RecordType.A)
-        attacker_addresses = set(self.attacker.ntp_addresses)
-        cached = list(entry.records) if entry is not None else []
+        records_cached, poisoned_cached = self.cached_records()
         return FragPoisoningResult(
             planted_fragments=sum(report.planted_fragments for report in reports),
             cache_poisoned=poisoned,
-            poisoned_records_cached=sum(1 for record in cached
-                                        if record.rdata in attacker_addresses),
-            records_cached=len(cached),
+            poisoned_records_cached=poisoned_cached,
+            records_cached=records_cached,
             races_run=races_run,
             races_poisoned=races_poisoned,
         )

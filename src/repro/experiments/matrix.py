@@ -28,7 +28,7 @@ from typing import Any, Optional
 
 from .cache import RunCache
 from .results import ConfidenceInterval, ExperimentResult
-from .runner import ExperimentRunner, ExperimentSpec
+from .runner import ExperimentSpec
 from .scheduler import ProgressCallback, SweepScheduler, SweepStats
 
 #: Seconds of hijack that blanket the whole 24-hour generation window.
@@ -58,10 +58,10 @@ class DefenseStackSpec:
     description: str = ""
 
 
-#: The PR-2/PR-3 attack rows, kept as a stable sub-grid: their per-cell
-#: records — and therefore the digest of a matrix run over exactly these
-#: rows and :data:`LEGACY_STACKS` — are pinned by the scale-out benchmark,
-#: so transport-era changes cannot silently drift the earlier science.
+#: The pre-transport attack rows, kept as a stable sub-grid: the full-grid
+#: pin (:data:`repro.experiments.pins.FULL_GRID_DIGEST`) hashes every one of
+#: their cells in order, so transport-era changes cannot silently drift the
+#: earlier science.
 #: ``chronos_24h_hijack`` is the §V residual threat model: the hijack
 #: blankets the whole generation window and the attacker mimics the zone's
 #: published profile (4 records, short TTL) — the strongest attacker the
@@ -201,10 +201,10 @@ class DefenseMatrixResult:
     attacks: tuple[AttackSpec, ...]
     stacks: tuple[DefenseStackSpec, ...]
     cells: dict[tuple[str, str], MatrixCell]
+    #: Execution accounting from the shared scheduler; deliberately
+    #: excluded from :meth:`digest`.
+    sweep_stats: SweepStats
     elapsed_seconds: float = 0.0
-    #: Execution accounting from the shared scheduler (``None`` when the
-    #: legacy per-row path ran); deliberately excluded from :meth:`digest`.
-    sweep_stats: Optional[SweepStats] = None
 
     def cell(self, attack: str, stack: str) -> MatrixCell:
         try:
@@ -284,39 +284,28 @@ def run_defense_matrix(attacks: Sequence[AttackSpec] = DEFAULT_ATTACKS,
                        seeds: Sequence[int] = (1, 2),
                        workers: int = 1,
                        cache: Optional[RunCache] = None,
-                       shared_scheduler: bool = True,
                        on_progress: Optional[ProgressCallback] = None,
                        collect_metrics: bool = False) -> DefenseMatrixResult:
     """Run every attack under every defense stack and aggregate per cell.
 
     One :class:`ExperimentSpec` per attack row with the stacks as that row's
-    explicit ``param_sets`` sweep.  By default all rows execute as one task
-    stream on a single shared worker pool; ``shared_scheduler=False`` keeps
-    the legacy one-:class:`ExperimentRunner`-per-row behaviour (a fresh pool
-    and a full barrier per row), retained for benchmarking the difference.
-    Either way the cell records — and therefore :meth:`DefenseMatrixResult.
-    digest` — are byte-identical across worker counts, across the two
-    execution paths, and across cold and warm ``cache`` runs.
+    explicit ``param_sets`` sweep; all rows execute as one task stream on a
+    single shared worker pool.  The cell records — and therefore
+    :meth:`DefenseMatrixResult.digest` — are byte-identical across worker
+    counts and across cold and warm ``cache`` runs.
 
     ``on_progress`` and ``collect_metrics`` pass straight to the shared
-    scheduler (ignored on the legacy path): the former streams ``(done,
-    total)`` as cells complete, the latter folds every cell's metrics into
-    ``sweep_stats.metrics``.  Neither can move the digest.
+    scheduler: the former streams ``(done, total)`` as cells complete, the
+    latter folds every cell's metrics into ``sweep_stats.metrics``.  Neither
+    can move the digest.
     """
     attacks = tuple(attacks)
     stacks = tuple(stacks)
     seeds = tuple(seeds)
     start = time.perf_counter()
-    specs = matrix_specs(attacks, stacks, seeds)
-    stats: Optional[SweepStats] = None
-    if shared_scheduler:
-        scheduler = SweepScheduler(workers=workers, cache=cache,
-                                   on_progress=on_progress,
-                                   collect_metrics=collect_metrics)
-        row_results, stats = scheduler.run_specs(specs)
-    else:
-        row_results = [ExperimentRunner(spec=spec, workers=workers, cache=cache).run()
-                       for spec in specs]
+    scheduler = SweepScheduler(workers=workers, cache=cache, on_progress=on_progress,
+                               collect_metrics=collect_metrics)
+    row_results, stats = scheduler.run_specs(matrix_specs(attacks, stacks, seeds))
     cells: dict[tuple[str, str], MatrixCell] = {}
     per_stack = len(seeds)
     for attack, row_result in zip(attacks, row_results):

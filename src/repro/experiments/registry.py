@@ -3,9 +3,10 @@
 The registry decouples *what* an experiment runs from *how* it is swept:
 :class:`repro.experiments.runner.ExperimentRunner` only ever sees a scenario
 name, a seed and a parameter dict, all of which are picklable and travel to
-multiprocessing workers by value.  The built-in scenarios (the four attack
-scenarios of the paper) live in :mod:`repro.experiments.scenarios` and are
-loaded lazily on first lookup, which keeps this module free of imports from
+multiprocessing workers by value.  The built-in scenarios (the five attack
+scenarios plus the measurement scenarios) live in
+:mod:`repro.experiments.scenarios` and :mod:`repro.population.scenario` and
+are loaded lazily on first lookup, which keeps this module free of imports from
 the attacks layer and thereby breaks the ``attacks -> experiments.testbed``
 / ``experiments -> attacks`` cycle.
 """

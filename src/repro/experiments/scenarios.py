@@ -2,7 +2,12 @@
 
 Each adapter translates a flat, picklable parameter dict into the scenario's
 config dataclass, runs the scenario, and flattens the outcome into a metrics
-dict.  Conventions shared by all adapters so sweeps aggregate uniformly:
+dict.  The config dataclass is the one place an attack's parameters and
+their defaults are declared: an adapter names the fields it exposes (plus
+any explicit default overrides and the run-phase knobs that are not config
+fields), and both ``default_params()`` and the config construction are
+derived from the dataclass fields.  Conventions shared by all adapters so
+sweeps aggregate uniformly:
 
 * ``attack_succeeded`` — the scenario's headline success criterion (bool);
 * ``achieved_shift`` — the clock error reached on the victim, where the
@@ -19,7 +24,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from typing import Any
+from dataclasses import fields
+from typing import Any, ClassVar
 
 from ..attacks.baseline_scenario import BaselineAttackConfig, TraditionalClientAttackScenario
 from ..attacks.bgp_hijack import BGPHijackConfig, BGPHijackScenario
@@ -36,10 +42,14 @@ from .registry import merge_params, register_scenario
 #: cache keys — are byte-identical to the pre-fault-subsystem era.
 ATTACK_OPTIONAL_PARAMS: tuple[str, ...] = ("faults",)
 
+#: The :class:`PoolGenerationPolicy` fields the pool-attack adapter exposes.
+POOL_POLICY_PARAMS = ("dedupe", "max_addresses_per_response", "max_accepted_ttl")
 
-def _fault_spec(p: Mapping[str, Any]) -> tuple:
-    """The normalised fault plan of a parameter dict (absent = none)."""
-    return tuple(p.get("faults") or ())
+
+def field_defaults(config_class: type, names: tuple[str, ...]) -> dict[str, Any]:
+    """The dataclass defaults of the named fields of ``config_class``."""
+    defaults = config_class()
+    return {name: getattr(defaults, name) for name in names}
 
 
 def defense_rejections(*stacks: DefenseStack) -> dict[str, int]:
@@ -55,53 +65,73 @@ def defense_rejections(*stacks: DefenseStack) -> dict[str, int]:
     return dict(sorted(total.items()))
 
 
+class AttackAdapter:
+    """An adapter whose parameter schema is its scenario's config dataclass.
+
+    ``params`` names the config fields the adapter exposes; their defaults
+    come from the dataclass unless ``overrides`` says otherwise.
+    ``run_params`` are the run-phase knobs with their defaults: they are
+    not config fields.  Optional keys (``faults`` plus any the adapter adds)
+    take the dataclass default when absent, and never appear in
+    ``default_params()``.
+    """
+
+    config_class: ClassVar[type]
+    params: ClassVar[tuple[str, ...]]
+    overrides: ClassVar[Mapping[str, Any]] = {}
+    run_params: ClassVar[Mapping[str, Any]] = {}
+    optional: ClassVar[tuple[str, ...]] = ATTACK_OPTIONAL_PARAMS
+
+    def __init__(self) -> None:
+        self._defaults = {**field_defaults(self.config_class, self.params),
+                          **self.overrides, **self.run_params}
+        self._config_fields = frozenset(spec.name for spec in fields(self.config_class))
+
+    def default_params(self) -> dict[str, Any]:
+        return dict(self._defaults)
+
+    def optional_params(self) -> tuple[str, ...]:
+        return self.optional
+
+    def resolve(self, params: Mapping[str, Any]) -> dict[str, Any]:
+        """The defaults overlaid with ``params`` (unknown keys rejected)."""
+        return merge_params(self._defaults, params, optional=self.optional)
+
+    def build_config(self, seed: int, p: Mapping[str, Any], **extra: Any) -> Any:
+        """The config dataclass for resolved params ``p``.
+
+        Every resolved key that names a config field is passed through;
+        ``extra`` supplies fields the adapter derives from run-phase knobs.
+        """
+        values = {name: value for name, value in p.items() if name in self._config_fields}
+        values["defenses"] = tuple(values["defenses"])
+        if "faults" in values:
+            values["faults"] = tuple(values["faults"] or ())
+        return self.config_class(seed=seed, **values, **extra)
+
+
 @register_scenario
-class ChronosPoolAttackExperiment:
+class ChronosPoolAttackExperiment(AttackAdapter):
     """Figure 1 end to end: poison the pool generation, then shift the clock."""
 
     name = "chronos_pool_attack"
     description = ("DNS poisoning of Chronos' 24-query pool generation "
                    "followed by the time-shifting phase (§IV)")
-
-    def default_params(self) -> dict[str, Any]:
-        return {
-            "poison_at_query": 3,
-            "benign_server_count": 200,
-            "attacker_record_count": None,
-            "malicious_ttl": 2 * 86400,
-            "hijack_duration": 600.0,
-            "dedupe": True,
-            "max_addresses_per_response": None,
-            "max_accepted_ttl": None,
-            "run_time_shift": True,
-            "target_shift": 600.0,
-            "update_rounds": 5,
-            "defenses": (),
-        }
-
-    def optional_params(self) -> tuple[str, ...]:
-        return ATTACK_OPTIONAL_PARAMS
+    config_class = PoolAttackConfig
+    params = ("poison_at_query", "benign_server_count", "attacker_record_count",
+              "malicious_ttl", "hijack_duration", "defenses")
+    overrides = {"poison_at_query": 3}
+    run_params = {
+        **field_defaults(PoolGenerationPolicy, POOL_POLICY_PARAMS),
+        "run_time_shift": True,
+        "target_shift": 600.0,
+        "update_rounds": 5,
+    }
 
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        p = merge_params(self.default_params(), params,
-                         optional=self.optional_params())
-        policy = PoolGenerationPolicy(
-            dedupe=p["dedupe"],
-            max_addresses_per_response=p["max_addresses_per_response"],
-            max_accepted_ttl=p["max_accepted_ttl"],
-        )
-        config = PoolAttackConfig(
-            seed=seed,
-            faults=_fault_spec(p),
-            poison_at_query=p["poison_at_query"],
-            benign_server_count=p["benign_server_count"],
-            attacker_record_count=p["attacker_record_count"],
-            malicious_ttl=p["malicious_ttl"],
-            hijack_duration=p["hijack_duration"],
-            pool_policy=policy,
-            defenses=tuple(p["defenses"]),
-        )
-        scenario = ChronosPoolAttackScenario(config)
+        p = self.resolve(params)
+        policy = PoolGenerationPolicy(**{name: p[name] for name in POOL_POLICY_PARAMS})
+        scenario = ChronosPoolAttackScenario(self.build_config(seed, p, pool_policy=policy))
         pool = scenario.run_pool_generation()
         metrics: dict[str, Any] = {
             "defense_rejections": defense_rejections(scenario.resolver.defenses,
@@ -127,42 +157,20 @@ class ChronosPoolAttackExperiment:
 
 
 @register_scenario
-class TraditionalClientAttackExperiment:
+class TraditionalClientAttackExperiment(AttackAdapter):
     """The baseline comparison: poison a plain NTP client's one DNS lookup."""
 
     name = "traditional_client_attack"
     description = ("DNS poisoning of a traditional NTP client's start-up "
                    "resolution followed by time shifting (E6/E9 baseline)")
-
-    def default_params(self) -> dict[str, Any]:
-        return {
-            "poison_startup_lookup": True,
-            "benign_server_count": 50,
-            "attacker_record_count": 4,
-            "malicious_ttl": 2 * 86400,
-            "max_servers": 4,
-            "target_shift": 600.0,
-            "poll_rounds": 4,
-            "defenses": (),
-        }
-
-    def optional_params(self) -> tuple[str, ...]:
-        return ATTACK_OPTIONAL_PARAMS
+    config_class = BaselineAttackConfig
+    params = ("poison_startup_lookup", "benign_server_count", "attacker_record_count",
+              "malicious_ttl", "max_servers", "defenses")
+    run_params = {"target_shift": 600.0, "poll_rounds": 4}
 
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        p = merge_params(self.default_params(), params,
-                         optional=self.optional_params())
-        config = BaselineAttackConfig(
-            seed=seed,
-            faults=_fault_spec(p),
-            poison_startup_lookup=p["poison_startup_lookup"],
-            benign_server_count=p["benign_server_count"],
-            attacker_record_count=p["attacker_record_count"],
-            malicious_ttl=p["malicious_ttl"],
-            max_servers=p["max_servers"],
-            defenses=tuple(p["defenses"]),
-        )
-        scenario = TraditionalClientAttackScenario(config)
+        p = self.resolve(params)
+        scenario = TraditionalClientAttackScenario(self.build_config(seed, p))
         result = scenario.run(p["target_shift"], poll_rounds=p["poll_rounds"])
         return {
             "attack_succeeded": result.attack_succeeded,
@@ -176,42 +184,18 @@ class TraditionalClientAttackExperiment:
 
 
 @register_scenario
-class BGPHijackExperiment:
+class BGPHijackExperiment(AttackAdapter):
     """The prefix-hijack poisoning vector on its own (§II)."""
 
     name = "bgp_hijack"
     description = ("cache poisoning of the victim resolver via a BGP "
                    "more-specific hijack of the nameserver prefix (§II)")
-
-    def default_params(self) -> dict[str, Any]:
-        return {
-            "benign_server_count": 60,
-            "attacker_record_count": None,
-            "malicious_ttl": 2 * 86400,
-            "hijack_start": 0.0,
-            "hijack_duration": 30.0,
-            "lookup_time": 5.0,
-            "defenses": (),
-        }
-
-    def optional_params(self) -> tuple[str, ...]:
-        return ATTACK_OPTIONAL_PARAMS
+    config_class = BGPHijackConfig
+    params = ("benign_server_count", "attacker_record_count", "malicious_ttl",
+              "hijack_start", "hijack_duration", "lookup_time", "defenses")
 
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        p = merge_params(self.default_params(), params,
-                         optional=self.optional_params())
-        config = BGPHijackConfig(
-            seed=seed,
-            faults=_fault_spec(p),
-            benign_server_count=p["benign_server_count"],
-            attacker_record_count=p["attacker_record_count"],
-            malicious_ttl=p["malicious_ttl"],
-            hijack_start=p["hijack_start"],
-            hijack_duration=p["hijack_duration"],
-            lookup_time=p["lookup_time"],
-            defenses=tuple(p["defenses"]),
-        )
-        scenario = BGPHijackScenario(config)
+        scenario = BGPHijackScenario(self.build_config(seed, self.resolve(params)))
         result = scenario.run()
         return {
             "attack_succeeded": result.attack_succeeded,
@@ -225,53 +209,24 @@ class BGPHijackExperiment:
 
 
 @register_scenario
-class FragPoisoningExperiment:
+class FragPoisoningExperiment(AttackAdapter):
     """The defragmentation-cache injection poisoning vector (§II.A)."""
 
     name = "frag_poisoning"
     description = ("cache poisoning via spoofed trailing IPv4 fragments "
                    "spliced into the nameserver's fragmented response (§II.A)")
-
-    def default_params(self) -> dict[str, Any]:
-        return {
-            "benign_server_count": 60,
-            "records_per_response": 40,
-            "nameserver_min_mtu": 548,
-            "accept_fragments": True,
-            "checksum_oracle": True,
-            "ipid_window": 16,
-            "starting_ipid": None,
-            "attacker_record_count": None,
-            "malicious_ttl": 2 * 86400,
-            "defenses": (),
-        }
-
-    def optional_params(self) -> tuple[str, ...]:
-        # trigger_count/trigger_interval opt into the sustained-load profile
-        # (the ``sustained_load`` matrix row); leaving them out keeps the
-        # classic single-race run — and its pinned digests — untouched.
-        return (*ATTACK_OPTIONAL_PARAMS, "trigger_count", "trigger_interval")
+    config_class = FragPoisoningConfig
+    params = ("benign_server_count", "records_per_response", "nameserver_min_mtu",
+              "accept_fragments", "checksum_oracle", "ipid_window", "starting_ipid",
+              "attacker_record_count", "malicious_ttl", "defenses")
+    # trigger_count/trigger_interval opt into the sustained-load profile
+    # (the ``sustained_load`` matrix row); leaving them out keeps the
+    # classic single-race run — and its pinned digests — untouched.
+    optional = (*ATTACK_OPTIONAL_PARAMS, "trigger_count", "trigger_interval")
 
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        p = merge_params(self.default_params(), params,
-                         optional=self.optional_params())
-        config = FragPoisoningConfig(
-            seed=seed,
-            faults=_fault_spec(p),
-            benign_server_count=p["benign_server_count"],
-            records_per_response=p["records_per_response"],
-            nameserver_min_mtu=p["nameserver_min_mtu"],
-            accept_fragments=p["accept_fragments"],
-            checksum_oracle=p["checksum_oracle"],
-            ipid_window=p["ipid_window"],
-            starting_ipid=p["starting_ipid"],
-            attacker_record_count=p["attacker_record_count"],
-            malicious_ttl=p["malicious_ttl"],
-            defenses=tuple(p["defenses"]),
-            trigger_count=int(p.get("trigger_count", 1)),
-            trigger_interval=float(p.get("trigger_interval", 0.25)),
-        )
-        scenario = FragPoisoningScenario(config)
+        p = self.resolve(params)
+        scenario = FragPoisoningScenario(self.build_config(seed, p))
         result = scenario.run()
         metrics = {
             "attack_succeeded": result.attack_succeeded,
@@ -293,52 +248,20 @@ class FragPoisoningExperiment:
 
 
 @register_scenario
-class DowngradeAttackExperiment:
+class DowngradeAttackExperiment(AttackAdapter):
     """The encrypted-transport downgrade vector: force plaintext, then poison."""
 
     name = "downgrade"
     description = ("SYN-flood downgrade of opportunistic encrypted DNS "
                    "followed by the classic fragmentation poisoning race")
-
-    def default_params(self) -> dict[str, Any]:
-        return {
-            "benign_server_count": 60,
-            "records_per_response": 40,
-            "nameserver_min_mtu": 548,
-            "syns_per_port": None,
-            "flood_bursts": 3,
-            "flood_interval": 5.0,
-            "lookup_time": 1.0,
-            "ipid_window": 16,
-            "checksum_oracle": True,
-            "attacker_record_count": None,
-            "malicious_ttl": 2 * 86400,
-            "defenses": (),
-        }
-
-    def optional_params(self) -> tuple[str, ...]:
-        return ATTACK_OPTIONAL_PARAMS
+    config_class = DowngradeConfig
+    params = ("benign_server_count", "records_per_response", "nameserver_min_mtu",
+              "syns_per_port", "flood_bursts", "flood_interval", "lookup_time",
+              "ipid_window", "checksum_oracle", "attacker_record_count",
+              "malicious_ttl", "defenses")
 
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        p = merge_params(self.default_params(), params,
-                         optional=self.optional_params())
-        config = DowngradeConfig(
-            seed=seed,
-            faults=_fault_spec(p),
-            benign_server_count=p["benign_server_count"],
-            records_per_response=p["records_per_response"],
-            nameserver_min_mtu=p["nameserver_min_mtu"],
-            syns_per_port=p["syns_per_port"],
-            flood_bursts=p["flood_bursts"],
-            flood_interval=p["flood_interval"],
-            lookup_time=p["lookup_time"],
-            ipid_window=p["ipid_window"],
-            checksum_oracle=p["checksum_oracle"],
-            attacker_record_count=p["attacker_record_count"],
-            malicious_ttl=p["malicious_ttl"],
-            defenses=tuple(p["defenses"]),
-        )
-        scenario = DowngradeScenario(config)
+        scenario = DowngradeScenario(self.build_config(seed, self.resolve(params)))
         result = scenario.run()
         return {
             "attack_succeeded": result.attack_succeeded,

@@ -18,7 +18,7 @@ builds from the same config are identical event-for-event.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..defenses.stack import DefenseSpec, DefenseStack
@@ -259,3 +259,21 @@ def build_testbed(config: Optional[TestbedConfig] = None,
                   victim_factory: Optional[VictimFactory] = None) -> Testbed:
     """One-call convenience wrapper around :class:`TestbedBuilder`."""
     return TestbedBuilder(config).build(victim_factory)
+
+
+_TESTBED_FIELDS = frozenset(spec.name for spec in fields(TestbedConfig))
+
+
+def testbed_config(scenario_config: Any, **world: Any) -> TestbedConfig:
+    """The :class:`TestbedConfig` of an attack scenario's config dataclass.
+
+    Every field the scenario config shares by name with :class:`TestbedConfig`
+    (seed, zone, latency, population sizes, attacker records, defenses,
+    faults, ...) is copied over; ``world`` supplies the per-scenario knobs
+    that are not config fields (address block, hijacker, resolver policy).
+    Values are read with ``getattr``, not ``dataclasses.asdict``, which
+    would deep-copy nested policy objects.
+    """
+    shared = {spec.name: getattr(scenario_config, spec.name)
+              for spec in fields(scenario_config) if spec.name in _TESTBED_FIELDS}
+    return TestbedConfig(**shared, **world)

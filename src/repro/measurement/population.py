@@ -10,9 +10,9 @@ Insecurity on Time") for three statistics:
 * for 14 % of the resolvers used by web clients, the attacker can trigger
   queries via SMTP servers or open resolvers.
 
-We cannot re-run an Internet measurement, so — per the substitution rule in
-DESIGN.md — the populations here are synthetic: attribute distributions are
-seeded so that the *marginals* match the published numbers, while the study
+We cannot re-run an Internet measurement, so the populations here are
+synthetic: attribute distributions are seeded so that the *marginals* match
+the published numbers above, while the study
 code in :mod:`repro.measurement.nameserver_study` and
 :mod:`repro.measurement.resolver_study` computes the statistics from the
 population exactly the way a measurement script would (probe, classify,

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 from repro.attacks.downgrade import DowngradeConfig, DowngradeScenario
 from repro.dns.records import RecordType
-from repro.experiments import run_scenario
+from repro.experiments import ExperimentRunner, run_scenario
+from repro.experiments.pins import DOWNGRADE_SWEEP_DIGEST
+
+#: The downgrade sweep's policy axis: plaintext, strict DoT, opportunistic DoT.
+POLICY_PARAM_SETS = ({"defenses": ()},
+                     {"defenses": ("encrypted_transport",)},
+                     {"defenses": ("encrypted_transport_opportunistic",)})
 
 
 def run_config(defenses=(), **overrides):
@@ -61,6 +67,12 @@ def test_downgrade_scenario_via_registry_is_deterministic():
     assert first == second
     assert first["attack_succeeded"] and first["downgraded"]
     assert first["syns_sent"] > 0 and first["syns_dropped"] > 0
+
+
+def test_downgrade_sweep_digest_is_pinned():
+    sweep = ExperimentRunner("downgrade", seeds=range(1, 9),
+                             param_sets=POLICY_PARAM_SETS).run()
+    assert sweep.digest() == DOWNGRADE_SWEEP_DIGEST
 
 
 def test_downgrade_blocked_by_content_authentication():

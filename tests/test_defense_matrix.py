@@ -1,9 +1,10 @@
 """Tests for the attack × defense matrix and its §V reproduction.
 
 The expensive full-grid properties (every attack × every stack, §V analytic
-agreement, residual-hijack rate) run once on a single seed; determinism is
-checked on a trimmed grid across worker counts, which must be byte-identical
-because the matrix inherits the runner's ordering guarantees.
+agreement, residual-hijack rate, the pinned full-grid digest) run once on
+the pinned seeds; determinism is checked on a trimmed grid across worker
+counts, which must be byte-identical because the matrix inherits the
+runner's ordering guarantees.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.experiments import (
     DefenseStackSpec,
     run_defense_matrix,
 )
+from repro.experiments.pins import FULL_GRID_DIGEST, TRIMMED_GRID_DIGEST
 
 #: A cheap grid for determinism checks: both poisoning vectors under three
 #: stacks with tiny populations.
@@ -31,17 +33,14 @@ TRIMMED_STACKS = (
     DefenseStackSpec("multi_vantage", ("multi_vantage",)),
 )
 
-#: Digest of the trimmed legacy grid at seeds (1, 2) as produced by the
-#: PR-3 code, pinned so the encrypted-transport subsystem (and anything
-#: after it) provably leaves the pre-transport cells byte-identical.  The
-#: full-grid PR-2 pin lives in benchmarks/bench_matrix_scaleout.py.
-TRIMMED_LEGACY_DIGEST = "dc79b9c580fe3132cbce6a489bd2745dd291c73e9ff73e04a5611b5f08e39fde"
-
-
 @pytest.fixture(scope="module")
 def full_matrix():
-    """The default 5-attack × 10-stack grid, one seed, run once per module."""
-    return run_defense_matrix(seeds=(1,), workers=2)
+    """The default grid at the pinned seeds (1, 2), run once per module."""
+    return run_defense_matrix(seeds=(1, 2), workers=2)
+
+
+def test_full_grid_digest_is_pinned(full_matrix):
+    assert full_matrix.digest() == FULL_GRID_DIGEST
 
 
 def test_attack_spec_rejects_a_defenses_param():
@@ -57,7 +56,7 @@ def test_default_grid_covers_all_attacks_and_enough_stacks(full_matrix):
     assert len(full_matrix.cells) == len(DEFAULT_ATTACKS) * len(DEFAULT_STACKS)
     for attack in DEFAULT_ATTACKS:
         for stack in DEFAULT_STACKS:
-            assert full_matrix.cell(attack.label, stack.name).runs == 1
+            assert full_matrix.cell(attack.label, stack.name).runs == 2
 
 
 def test_default_grid_extends_the_legacy_grid_in_place():
@@ -149,8 +148,8 @@ def test_trimmed_matrix_is_byte_identical_across_worker_counts():
     for key in sequential.cells:
         assert sequential.cells[key].result.records == parallel.cells[key].result.records
     # The transport subsystem is invisible to pre-transport cells: the
-    # trimmed legacy grid still digests to its pinned PR-3 value.
-    assert sequential.digest() == TRIMMED_LEGACY_DIGEST
+    # trimmed legacy grid still digests to its pinned value.
+    assert sequential.digest() == TRIMMED_GRID_DIGEST
 
 
 def test_matrix_cell_addressing_and_reporting():

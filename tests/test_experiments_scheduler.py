@@ -210,23 +210,14 @@ def test_interrupted_sweep_persists_completed_records(tmp_path):
 
 # -- matrix wiring -------------------------------------------------------------
 
-def test_matrix_shared_scheduler_matches_legacy_per_row_path():
-    shared = run_defense_matrix(TRIMMED_ATTACKS, TRIMMED_STACKS, seeds=(1, 2))
-    legacy = run_defense_matrix(TRIMMED_ATTACKS, TRIMMED_STACKS, seeds=(1, 2),
-                                shared_scheduler=False)
-    assert shared.digest() == legacy.digest()
-    assert shared.success_table() == legacy.success_table()
-    assert shared.sweep_stats is not None
-    assert shared.sweep_stats.tasks_total == len(TRIMMED_ATTACKS) * len(TRIMMED_STACKS) * 2
-    assert legacy.sweep_stats is None
-
-
 def test_matrix_warm_cache_run_is_byte_identical_and_computes_nothing(tmp_path):
     cold = run_defense_matrix(TRIMMED_ATTACKS, TRIMMED_STACKS, seeds=(1, 2),
                               cache=RunCache(tmp_path / "rc"))
     warm = run_defense_matrix(TRIMMED_ATTACKS, TRIMMED_STACKS, seeds=(1, 2),
                               cache=RunCache(tmp_path / "rc"))
+    assert cold.sweep_stats.tasks_total == len(TRIMMED_ATTACKS) * len(TRIMMED_STACKS) * 2
     assert cold.digest() == warm.digest()
+    assert cold.success_table() == warm.success_table()
     assert warm.sweep_stats.executed == 0
     assert warm.sweep_stats.cache_hits == cold.sweep_stats.tasks_total
 

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.experiments.pins import CHAOS_GRID_DIGEST
 from repro.experiments.runner import ExperimentSpec
 from repro.experiments.scheduler import SweepScheduler
 from repro.faults import (
@@ -339,14 +340,6 @@ CHAOS_FAULTS = (
     {"kind": "duplicate", "probability": 0.1, "delay": 0.02,
      "start": 0.0, "end": 9e9},
 )
-
-#: Digest of the pinned chaos grid below.  This hex is the contract that
-#: faulted sweeps are deterministic *across releases*, not just within one
-#: process: worker counts, chunk orders and population backends must all
-#: reproduce it.  If a deliberate semantic change to the fault subsystem
-#: moves it, re-pin with the value from the failure message.
-CHAOS_GRID_DIGEST = "b7789500e91733242db1daea42721960e4a8d69f050c929523a52d83243c2178"
-
 
 def chaos_grid_specs():
     return [

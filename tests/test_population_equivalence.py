@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.pins import FLEET_GATE_DIGEST as GATE_DIGEST
 from repro.population.equivalence import (
     GATE_CLIENTS,
     equivalence_digests,
@@ -25,11 +26,6 @@ from repro.population.rng import BACKEND_ENV, numpy_or_none
 numpy = numpy_or_none()
 
 GATE_SEEDS = tuple(range(1, 9))
-
-#: Pinned digest of the 8-seed gate (packet side == fleet side == this).
-#: Drift means either the packet testbed or the engine changed behaviour —
-#: deliberate changes must re-pin it on both paths.
-GATE_DIGEST = "d5c792a72f16d29abfccaa10eeb054f646c3d863be7be670c0997aceaa8cd517"
 
 
 def test_gate_population_spans_every_poison_index():

@@ -18,13 +18,14 @@ from repro.defenses.transport import EncryptedTransport
 from repro.dns.nameserver import ResponseRateLimiter
 from repro.dns.records import RecordType
 from repro.dns.transport import DNSFrameDecoder, PooledConnection, frame_dns
-from repro.experiments import TestbedConfig, build_testbed, run_scenario
+from repro.experiments import AttackSpec, TestbedConfig, build_testbed, run_scenario
 from repro.experiments.matrix import (
     DEFAULT_STACKS,
     SERVING_ATTACKS,
     SERVING_STACKS,
     run_defense_matrix,
 )
+from repro.experiments.pins import SERVING_MATRIX_DIGEST
 from repro.netsim.network import Host, LinkProperties, Network
 from repro.netsim.packets import PROTO_TCP, IPPacket
 from repro.netsim.simulator import Simulator
@@ -430,20 +431,15 @@ def test_rrl_throttles_sustained_races_but_not_single_shot():
 
 
 def test_serving_matrix_policy_table_and_worker_determinism():
+    attacks = (*SERVING_ATTACKS, AttackSpec("downgrade", "downgrade", {}))
     results = {
-        workers: run_defense_matrix(attacks=SERVING_ATTACKS,
-                                    stacks=SERVING_STACKS,
-                                    seeds=(1,), workers=workers)
+        workers: run_defense_matrix(attacks=attacks, stacks=SERVING_STACKS,
+                                    seeds=(1, 2), workers=workers)
         for workers in (1, 2)
     }
-    assert results[1].digest() == results[2].digest()
-    table = results[1].success_table()["sustained_load"]
-    assert table["rrl_plus_dot"] == 0.0
-    downgrade = {
-        stack.name: run_scenario("downgrade", seed=1,
-                                 params={"defenses": stack.defenses})
-        for stack in SERVING_STACKS
-    }
-    assert downgrade["rrl"]["attack_succeeded"]
-    assert not downgrade["rrl_plus_dot"]["attack_succeeded"]
-    assert downgrade["rrl_plus_dot_opp"]["attack_succeeded"]
+    assert results[1].digest() == results[2].digest() == SERVING_MATRIX_DIGEST
+    table = results[1].success_table()
+    assert table["sustained_load"]["rrl_plus_dot"] == 0.0
+    assert table["downgrade"]["rrl"] == 1.0
+    assert table["downgrade"]["rrl_plus_dot"] == 0.0
+    assert table["downgrade"]["rrl_plus_dot_opp"] == 1.0
