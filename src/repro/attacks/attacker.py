@@ -25,6 +25,7 @@ from typing import Optional
 from ..dns.message import MAX_UNFRAGMENTED_UDP_PAYLOAD, DNSMessage, max_a_records_for_payload
 from ..dns.nameserver import DNS_PORT, AuthoritativeNameserver
 from ..dns.records import SECONDS_PER_DAY, RecordType, ResourceRecord, a_record
+from ..dns.wire import WireFormatError, note_malformed
 from ..netsim.addresses import AddressAllocator
 from ..netsim.network import Network
 from ..netsim.packets import UDPDatagram
@@ -77,7 +78,8 @@ class ImpersonatingNameserver(AuthoritativeNameserver):
             return
         try:
             query = DNSMessage.decode(datagram.payload)
-        except Exception:
+        except WireFormatError:
+            note_malformed(self.network.simulator.obs, "attacker")
             return
         if query.is_response or query.question.qtype != RecordType.A:
             return

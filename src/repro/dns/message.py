@@ -12,10 +12,19 @@ non-fragmented DNS response".
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import struct
+from dataclasses import dataclass
 from typing import Optional
 
-from .records import RecordClass, RecordType, ResourceRecord, opt_record
+from .records import (
+    RecordClass,
+    RecordType,
+    ResourceRecord,
+    decode_records,
+    encode_records,
+    opt_record,
+    record_type,
+)
 from .wire import (
     WireFormatError,
     apply_case_pattern,
@@ -23,8 +32,6 @@ from .wire import (
     encode_name,
     extract_case_pattern,
     normalise_name,
-    pack_uint16,
-    unpack_uint16,
 )
 
 DNS_HEADER_SIZE = 12
@@ -44,6 +51,11 @@ OPT_RECORD_SIZE = 11
 #: pointer (2) + type (2) + class (2) + TTL (4) + RDLENGTH (2) + address (4).
 COMPRESSED_A_RECORD_SIZE = 16
 
+#: ID, flags, QDCOUNT, ANCOUNT, NSCOUNT, ARCOUNT.
+_HEADER = struct.Struct(">6H")
+#: QTYPE and QCLASS after the question name.
+_QUESTION_TAIL = struct.Struct(">HH")
+
 
 class ResponseCode(enum.IntEnum):
     """DNS RCODE values (subset)."""
@@ -53,6 +65,9 @@ class ResponseCode(enum.IntEnum):
     SERVFAIL = 2
     NXDOMAIN = 3
     REFUSED = 5
+
+
+_RESPONSE_CODES = {member.value: member for member in ResponseCode}
 
 
 class Opcode(enum.IntEnum):
@@ -129,18 +144,19 @@ class DNSMessage:
                       rcode: ResponseCode = ResponseCode.NOERROR,
                       authoritative: bool = True,
                       edns_payload: int = 4096) -> DNSMessage:
-        """Build a response to this query, echoing id and question."""
-        additional = (opt_record(edns_payload),) if edns_payload else ()
-        return replace(
-            self,
-            is_response=True,
-            answers=tuple(answers),
-            authority=(),
-            additional=additional,
-            rcode=rcode,
-            authoritative=authoritative,
-            recursion_available=True,
-        )
+        """Build a response to this query, echoing id and question.
+
+        Copies this (already validated) query, except its memoised wire
+        form, and sets the response fields.
+        """
+        response = object.__new__(type(self))
+        state = response.__dict__
+        state.update(self.__dict__)
+        state.pop("_wire", None)
+        state.update(is_response=True, answers=tuple(answers), authority=(),
+                     additional=(opt_record(edns_payload),) if edns_payload else (),
+                     rcode=rcode, authoritative=authoritative, recursion_available=True)
+        return response
 
     # -- convenience ---------------------------------------------------------
     @property
@@ -184,27 +200,25 @@ class DNSMessage:
         cached = self.__dict__.get("_wire")
         if cached is not None:
             return cached
-        out = bytearray()
-        out += pack_uint16(self.transaction_id)
-        out += pack_uint16(self.flags())
-        out += pack_uint16(1)
-        out += pack_uint16(len(self.answers))
-        out += pack_uint16(len(self.authority))
-        out += pack_uint16(len(self.additional))
-        compression: dict = {}
-        name_start = len(out)
-        out += encode_name(self.question.name, compression, len(out))
-        if self.case_nonce:
-            # The compression map is keyed on the canonical lower-case name;
-            # only the emitted bytes change case, so pointers still resolve.
-            out[name_start:] = apply_case_pattern(bytes(out[name_start:]), self.case_nonce)
-        out += pack_uint16(int(self.question.qtype))
-        out += pack_uint16(int(self.question.qclass))
+        question = self.question
+        try:
+            out = bytearray(_HEADER.pack(self.transaction_id, self.flags(), 1, len(self.answers),
+                                         len(self.authority), len(self.additional)))
+            compression: dict = {}
+            name = encode_name(question.name, compression, DNS_HEADER_SIZE)
+            if self.case_nonce:
+                # The compression map is keyed on the canonical lower-case
+                # name; only the emitted bytes change case, so pointers
+                # still resolve.
+                name = apply_case_pattern(name, self.case_nonce)
+            out += name
+            out += _QUESTION_TAIL.pack(question.qtype, question.qclass)
+        except struct.error as exc:
+            raise WireFormatError(f"header field out of range: {exc}") from None
         if self.cookie is not None:
             out += self.cookie.to_bytes(COOKIE_SIZE, "big")
-        for section in (self.answers, self.authority, self.additional):
-            for record in section:
-                out += record.encode(compression, len(out))
+        out += encode_records(self.answers + self.authority + self.additional, compression,
+                              len(out))
         wire = bytes(out)
         object.__setattr__(self, "_wire", wire)
         return wire
@@ -217,43 +231,43 @@ class DNSMessage:
     @classmethod
     def decode(cls, data: bytes) -> DNSMessage:
         """Parse wire bytes back into a message (single-question only)."""
-        if len(data) < DNS_HEADER_SIZE:
-            raise WireFormatError("truncated DNS header")
-        transaction_id = unpack_uint16(data, 0)
-        flags = unpack_uint16(data, 2)
-        qdcount = unpack_uint16(data, 4)
-        ancount = unpack_uint16(data, 6)
-        nscount = unpack_uint16(data, 8)
-        arcount = unpack_uint16(data, 10)
+        try:
+            transaction_id, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data)
+        except struct.error:
+            raise WireFormatError("truncated DNS header") from None
         if qdcount != 1:
             raise WireFormatError(f"unsupported question count: {qdcount}")
-        offset = DNS_HEADER_SIZE
-        qname, offset = decode_name(data, offset)
+        qname, offset = decode_name(data, DNS_HEADER_SIZE)
         nonce, _ = extract_case_pattern(data[DNS_HEADER_SIZE:offset])
-        qtype = RecordType(unpack_uint16(data, offset))
-        qclass = unpack_uint16(data, offset + 2)
+        try:
+            qtype, qclass = _QUESTION_TAIL.unpack_from(data, offset)
+        except struct.error:
+            raise WireFormatError("truncated question") from None
         offset += 4
+        rcode = _RESPONSE_CODES.get(flags & 0x000F)
+        if rcode is None:
+            raise WireFormatError(f"unknown response code {flags & 0x000F}")
         cookie: Optional[int] = None
         if flags & COOKIE_FLAG:
             if offset + COOKIE_SIZE > len(data):
                 raise WireFormatError("truncated cookie block")
             cookie = int.from_bytes(data[offset:offset + COOKIE_SIZE], "big")
             offset += COOKIE_SIZE
-        sections: list[list[ResourceRecord]] = []
-        for count in (ancount, nscount, arcount):
-            records: list[ResourceRecord] = []
-            for _ in range(count):
-                record, offset = ResourceRecord.decode(data, offset)
-                records.append(record)
-            sections.append(records)
+        question = Question(name=qname, qtype=record_type(qtype), qclass=qclass)
+        # Answers point back at the question name: seed the owner-name table
+        # with it so that none of them decodes a name at all.
+        owners = {DNS_HEADER_SIZE: question.name}
+        answers, offset = decode_records(data, offset, ancount, owners)
+        authority, offset = decode_records(data, offset, nscount, owners)
+        additional, _ = decode_records(data, offset, arcount, owners)
         return cls(
             transaction_id=transaction_id,
-            question=Question(name=qname, qtype=qtype, qclass=qclass),
+            question=question,
             is_response=bool(flags & 0x8000),
-            answers=tuple(sections[0]),
-            authority=tuple(sections[1]),
-            additional=tuple(sections[2]),
-            rcode=ResponseCode(flags & 0x000F),
+            answers=answers,
+            authority=authority,
+            additional=additional,
+            rcode=rcode,
             recursion_desired=bool(flags & 0x0100),
             recursion_available=bool(flags & 0x0080),
             authoritative=bool(flags & 0x0400),

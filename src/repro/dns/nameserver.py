@@ -24,7 +24,7 @@ from ..netsim.network import Host, Network
 from ..netsim.packets import UDPDatagram
 from .message import DNSMessage, ResponseCode
 from .records import RecordType, a_record, signature_record
-from .wire import normalise_name
+from .wire import WireFormatError, normalise_name, note_malformed
 
 DNS_PORT = 53
 #: TTL used by the real pool.ntp.org zone for A records.
@@ -168,7 +168,8 @@ class AuthoritativeNameserver(Host):
             return
         try:
             query = DNSMessage.decode(datagram.payload)
-        except Exception:
+        except WireFormatError:
+            note_malformed(self.network.simulator.obs, "nameserver")
             return
         if query.is_response:
             return

@@ -9,20 +9,13 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from collections.abc import Sequence
+import struct
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..netsim.addresses import int_to_ip, ip_to_int
-from .wire import (
-    WireFormatError,
-    decode_name,
-    encode_name,
-    normalise_name,
-    pack_uint16,
-    pack_uint32,
-    unpack_uint16,
-    unpack_uint32,
-)
+from .wire import POINTER_FLAG, WireFormatError, decode_name, encode_name, normalise_name
 
 
 class RecordType(enum.IntEnum):
@@ -45,6 +38,32 @@ class RecordClass(enum.IntEnum):
 #: Seconds in a day; the attack sets TTLs *above* this so that every
 #: subsequent hourly Chronos query is served from cache.
 SECONDS_PER_DAY = 86400
+#: Largest TTL a record may carry (RFC 2181 §8: a 31-bit value).
+MAX_TTL = 0x7FFFFFFF
+
+#: The fixed part of an RR after its owner name: TYPE, CLASS, TTL, RDLENGTH.
+_RR_HEADER = struct.Struct(">HHIH")
+_POINTER = struct.Struct(">H")
+_RECORD_TYPES = {member.value: member for member in RecordType}
+
+
+def record_type(value: int) -> RecordType:
+    """The :class:`RecordType` for a wire TYPE value; unknown ones are malformed."""
+    member = _RECORD_TYPES.get(value)
+    if member is None:
+        raise WireFormatError(f"unknown record type {value}")
+    return member
+
+
+@lru_cache(maxsize=1 << 16)
+def _a_text(raw: bytes) -> str:
+    """Dotted-quad text of four A-record RDATA bytes (memoised)."""
+    return int_to_ip(int.from_bytes(raw, "big"))
+
+
+def _check_ttl(ttl: int) -> None:
+    if ttl < 0 or ttl > MAX_TTL:
+        raise WireFormatError(f"TTL out of range: {ttl}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +85,7 @@ class ResourceRecord:
     rclass: int = RecordClass.IN
 
     def __post_init__(self) -> None:
-        if self.ttl < 0 or self.ttl > 0x7FFFFFFF:
-            raise WireFormatError(f"TTL out of range: {self.ttl}")
+        _check_ttl(self.ttl)
         object.__setattr__(self, "name", normalise_name(self.name))
 
     # -- helpers -----------------------------------------------------------
@@ -76,67 +94,141 @@ class ResourceRecord:
         return self.rtype == RecordType.A
 
     def with_ttl(self, ttl: int) -> ResourceRecord:
-        """Copy of this record with a different TTL (cache decrementing)."""
-        return ResourceRecord(self.name, self.rtype, ttl, self.rdata, self.rclass)
+        """Copy of this record with a different TTL (cache decrementing).
+
+        The copy skips ``__post_init__`` (the name is already normalised) but
+        keeps the TTL check, and shares this record's RDATA wire bytes: a
+        resolver answering from cache re-encodes the same (up to 89-record)
+        answer on every hit.
+        """
+        _check_ttl(ttl)
+        copy = object.__new__(ResourceRecord)
+        state = copy.__dict__
+        state.update(self.__dict__)
+        state["ttl"] = ttl
+        return copy
 
     # -- wire format -------------------------------------------------------
     def rdata_bytes(self) -> bytes:
-        """Encode the RDATA portion for this record type."""
+        """Encode the RDATA portion for this record type.
+
+        Computed once per record: records are frozen, so the bytes never
+        change, and copies made by :meth:`with_ttl` inherit them.
+        """
+        wire = self.__dict__.get("_rdata_wire")
+        if wire is not None:
+            return wire
         if self.rtype == RecordType.A:
-            return ip_to_int(self.rdata).to_bytes(4, "big")
-        if self.rtype in (RecordType.NS, RecordType.CNAME):
+            wire = ip_to_int(self.rdata).to_bytes(4, "big")
+        elif self.rtype in (RecordType.NS, RecordType.CNAME):
             # Name compression inside RDATA is legal but not used here; the
             # size impact is irrelevant for the experiments (NS answers are
             # never the large ones).
-            return encode_name(self.rdata)
-        if self.rtype == RecordType.TXT:
+            wire = encode_name(self.rdata)
+        elif self.rtype == RecordType.TXT:
             text = self.rdata.encode("ascii")
             if len(text) > 255:
                 raise WireFormatError("TXT string too long")
-            return bytes([len(text)]) + text
-        if self.rtype == RecordType.OPT:
-            return b""
-        raise WireFormatError(f"unsupported record type {self.rtype}")
+            wire = bytes([len(text)]) + text
+        elif self.rtype == RecordType.OPT:
+            wire = b""
+        else:
+            raise WireFormatError(f"unsupported record type {self.rtype}")
+        self.__dict__["_rdata_wire"] = wire
+        return wire
 
     def encode(self, compression: dict, offset: int) -> bytes:
-        """Encode the full RR, updating the compression map."""
-        out = bytearray()
-        out += encode_name(self.name, compression, offset)
-        out += pack_uint16(int(self.rtype))
-        out += pack_uint16(int(self.rclass))
-        out += pack_uint32(self.ttl)
-        rdata = self.rdata_bytes()
-        out += pack_uint16(len(rdata))
-        out += rdata
-        return bytes(out)
+        """Encode the full RR at wire ``offset``, updating the compression map."""
+        return encode_records((self,), compression, offset)
 
     @classmethod
-    def decode(cls, data: bytes, offset: int) -> tuple["ResourceRecord", int]:
+    def decode(cls, data: bytes, offset: int) -> tuple[ResourceRecord, int]:
         """Decode one RR starting at ``offset``; returns (record, next_offset)."""
-        name, offset = decode_name(data, offset)
-        rtype = RecordType(unpack_uint16(data, offset))
-        rclass = unpack_uint16(data, offset + 2)
-        ttl = unpack_uint32(data, offset + 4)
-        rdlength = unpack_uint16(data, offset + 8)
+        records, offset = decode_records(data, offset, 1, {})
+        return records[0], offset
+
+
+def encode_records(records: Iterable[ResourceRecord], compression: dict, offset: int) -> bytes:
+    """Encode consecutive RRs starting at wire ``offset``, updating ``compression``.
+
+    An owner name already in the map (every answer after the question, in
+    the common case) is written as a pointer without splitting it; the RDATA
+    comes from each record's memo.
+    """
+    out = bytearray()
+    for record in records:
+        pointer = compression.get(record.name)
+        if pointer is None:
+            out += encode_name(record.name, compression, offset + len(out))
+        else:
+            out += _POINTER.pack(POINTER_FLAG << 8 | pointer)
+        rdata = record.rdata_bytes()
+        try:
+            out += _RR_HEADER.pack(record.rtype, record.rclass, record.ttl, len(rdata))
+        except struct.error as exc:
+            raise WireFormatError(f"RR header field out of range: {exc}") from None
+        out += rdata
+    return bytes(out)
+
+
+def decode_records(data: bytes, offset: int, count: int,
+                   owners: dict[int, str]) -> tuple[tuple[ResourceRecord, ...], int]:
+    """Decode ``count`` consecutive RRs; returns (records, next_offset).
+
+    ``owners`` is the message's owner-name table: normalised names keyed by
+    the offset they were decoded from.  An owner written as a pointer to a
+    known offset is taken from the table instead of decoded again, so the 89
+    answers of a pool flood decode their owner name once.  Records are built
+    without ``__post_init__`` (the names are already normalised); only the
+    TTL range check remains.
+    """
+    records = []
+    size = len(data)
+    for _ in range(count):
+        if offset + 1 < size and data[offset] >= POINTER_FLAG:
+            target = (data[offset] & 0x3F) << 8 | data[offset + 1]
+            name = owners.get(target)
+            if name is None:
+                name = owners[target] = normalise_name(decode_name(data, offset)[0])
+            offset += 2
+        else:
+            raw_name, offset = decode_name(data, offset)
+            name = normalise_name(raw_name)
+        try:
+            type_value, rclass, ttl, rdlength = _RR_HEADER.unpack_from(data, offset)
+        except struct.error:
+            raise WireFormatError("truncated RR header") from None
         rdata_start = offset + 10
-        rdata_end = rdata_start + rdlength
-        if rdata_end > len(data):
+        offset = rdata_start + rdlength
+        if offset > size:
             raise WireFormatError("truncated RDATA")
-        raw = data[rdata_start:rdata_end]
-        if rtype == RecordType.A:
+        raw = data[rdata_start:offset]
+        rtype = _RECORD_TYPES.get(type_value)
+        if rtype is RecordType.A:
             if rdlength != 4:
                 raise WireFormatError("A record RDATA must be 4 bytes")
-            rdata = int_to_ip(int.from_bytes(raw, "big"))
-        elif rtype in (RecordType.NS, RecordType.CNAME):
+            rdata = _a_text(raw)
+        elif rtype is RecordType.NS or rtype is RecordType.CNAME:
             rdata, _ = decode_name(data, rdata_start)
-        elif rtype == RecordType.TXT:
-            rdata = raw[1:1 + raw[0]].decode("ascii") if raw else ""
-        elif rtype == RecordType.OPT:
+        elif rtype is RecordType.TXT:
+            try:
+                rdata = raw[1:1 + raw[0]].decode("ascii") if raw else ""
+            except UnicodeDecodeError:
+                raise WireFormatError("non-ASCII byte in TXT string") from None
+        elif rtype is RecordType.OPT:
             rdata = ""
         else:
-            raise WireFormatError(f"unsupported record type {rtype}")
-        record = cls(name=name or ".", rtype=rtype, ttl=ttl, rdata=rdata, rclass=rclass)
-        return record, rdata_end
+            raise WireFormatError(f"unsupported record type {type_value}")
+        if ttl > MAX_TTL:  # unsigned on the wire, so never negative
+            raise WireFormatError(f"TTL out of range: {ttl}")
+        record = object.__new__(ResourceRecord)
+        record.__dict__.update(name=name, rtype=rtype, ttl=ttl, rdata=rdata, rclass=rclass)
+        if rtype is RecordType.A:
+            # Only A RDATA is canonical as received: a decoded name or TXT
+            # string may re-encode to other bytes (case, pointers, padding).
+            record.__dict__["_rdata_wire"] = raw
+        records.append(record)
+    return tuple(records), offset
 
 
 def rrset_signature(zone_key: str, name: str, records: Sequence[ResourceRecord]) -> str:

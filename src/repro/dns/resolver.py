@@ -38,7 +38,7 @@ from .cache import DNSCache
 from .message import DNSMessage, ResponseCode
 from .nameserver import DNS_PORT
 from .records import RecordType
-from .wire import normalise_name
+from .wire import WireFormatError, normalise_name, note_malformed
 
 #: Callback invoked with the answer addresses (possibly empty on failure).
 LookupCallback = Callable[[list[str]], None]
@@ -228,7 +228,8 @@ class RecursiveResolver(Host):
     def handle_datagram(self, datagram: UDPDatagram) -> None:
         try:
             message = DNSMessage.decode(datagram.payload)
-        except Exception:
+        except WireFormatError:
+            note_malformed(self._obs, "resolver")
             return
         if message.is_response:
             self._handle_upstream_response(datagram, message)
@@ -582,7 +583,8 @@ class DNSStub:
             return False
         try:
             response = DNSMessage.decode(datagram.payload)
-        except Exception:
+        except WireFormatError:
+            note_malformed(self.host.network.simulator.obs, "stub")
             return False
         if not response.is_response:
             return False

@@ -65,7 +65,7 @@ from ..netsim.transport import (
 )
 from .message import DNSMessage
 from .nameserver import DNS_PORT, AuthoritativeNameserver
-from .wire import normalise_name
+from .wire import WireFormatError, normalise_name, note_malformed
 
 if TYPE_CHECKING:
     from .resolver import PendingUpstreamQuery, RecursiveResolver
@@ -216,7 +216,8 @@ class DNSServerTransport:
             for wire in decoder.feed(data):
                 try:
                     query = DNSMessage.decode(wire)
-                except Exception:  # noqa: PERF203 — per-frame garbage tolerance
+                except WireFormatError:  # noqa: PERF203 — per-frame garbage tolerance
+                    note_malformed(self.nameserver.network.simulator.obs, "server_stream")
                     continue
                 if query.is_response:
                     continue
@@ -338,7 +339,8 @@ class PooledConnection:
         for wire in self.decoder.feed(data):
             try:
                 response = DNSMessage.decode(wire)
-            except Exception:  # noqa: PERF203 — per-frame garbage tolerance
+            except WireFormatError:  # noqa: PERF203 — per-frame garbage tolerance
+                note_malformed(self.transport._simulator.obs, "upstream_pool")
                 continue
             key = (response.transaction_id,
                    normalise_name(response.question.name))
@@ -606,7 +608,8 @@ class ResolverUpstreamTransport:
             for wire in decoder.feed(data):
                 try:
                     response = DNSMessage.decode(wire)
-                except Exception:  # noqa: PERF203 — per-frame garbage tolerance
+                except WireFormatError:  # noqa: PERF203 — per-frame garbage tolerance
+                    note_malformed(self._simulator.obs, "upstream_stream")
                     continue
                 socket.close()
                 self._deliver(pending, response, wire)

@@ -23,7 +23,17 @@ POINTER_FLAG = 0xC0
 
 
 class WireFormatError(ValueError):
-    """Raised when encoding or decoding malformed DNS wire data."""
+    """Raised when encoding or decoding malformed DNS wire data.
+
+    The only error :meth:`~repro.dns.message.DNSMessage.decode` raises, so
+    receivers catch exactly this and count the drop (:func:`note_malformed`).
+    """
+
+
+def note_malformed(obs, site: str) -> None:
+    """Count a datagram or stream frame dropped because it did not decode."""
+    if obs.enabled:
+        obs.metrics.counter("dns.malformed", site=site).inc()
 
 
 def normalise_name(name: str) -> str:
@@ -99,14 +109,6 @@ def _plain_name_wire(name: str) -> bytes:
     return bytes(out)
 
 
-def encoded_name_length(name: str, compressed: bool) -> int:
-    """Length in bytes of an encoded name (2 when a compression pointer is used)."""
-    if compressed:
-        return 2
-    labels = name_to_labels(name)
-    return sum(len(label) + 1 for label in labels) + 1
-
-
 def decode_name(data: bytes, offset: int) -> tuple[str, int]:
     """Decode a (possibly compressed) name starting at ``offset``.
 
@@ -114,7 +116,7 @@ def decode_name(data: bytes, offset: int) -> tuple[str, int]:
     past the name *in the original position* (pointers do not advance it
     beyond the 2 pointer bytes).
     """
-    labels: list[str] = []
+    labels: list[bytes] = []
     position = offset
     jumped = False
     next_offset = offset
@@ -144,9 +146,12 @@ def decode_name(data: bytes, offset: int) -> tuple[str, int]:
             break
         if position + length > len(data):
             raise WireFormatError("truncated label")
-        labels.append(data[position:position + length].decode("ascii"))
+        labels.append(data[position:position + length])
         position += length
-    return ".".join(labels), next_offset
+    try:
+        return b".".join(labels).decode("ascii"), next_offset
+    except UnicodeDecodeError:
+        raise WireFormatError("non-ASCII byte in name") from None
 
 
 def apply_case_pattern(name_bytes: bytes, nonce: int) -> bytes:
@@ -198,27 +203,3 @@ def extract_case_pattern(name_bytes: bytes) -> tuple[int, int]:
 def letter_count(name: str) -> int:
     """Number of alphabetic characters in a name (the 0x20 entropy in bits)."""
     return sum(1 for char in normalise_name(name) if char.isalpha())
-
-
-def pack_uint16(value: int) -> bytes:
-    if not 0 <= value <= 0xFFFF:
-        raise WireFormatError(f"uint16 out of range: {value}")
-    return value.to_bytes(2, "big")
-
-
-def pack_uint32(value: int) -> bytes:
-    if not 0 <= value <= 0xFFFFFFFF:
-        raise WireFormatError(f"uint32 out of range: {value}")
-    return value.to_bytes(4, "big")
-
-
-def unpack_uint16(data: bytes, offset: int) -> int:
-    if offset + 2 > len(data):
-        raise WireFormatError("truncated uint16")
-    return int.from_bytes(data[offset:offset + 2], "big")
-
-
-def unpack_uint32(data: bytes, offset: int) -> int:
-    if offset + 4 > len(data):
-        raise WireFormatError("truncated uint32")
-    return int.from_bytes(data[offset:offset + 4], "big")

@@ -10,14 +10,26 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class AddressError(ValueError):
     """Raised for malformed IPv4 addresses or prefixes."""
 
 
+#: Bound on each conversion memo.  A cold grid touches a few thousand
+#: distinct addresses; the bound only stops an adversarial sweep from
+#: growing the tables without limit.
+_MEMO_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def ip_to_int(address: str) -> int:
-    """Convert a dotted-quad IPv4 address to its 32-bit integer value."""
+    """Convert a dotted-quad IPv4 address to its 32-bit integer value.
+
+    Memoised: DNS A records, checksums and prefix matches convert the same
+    few thousand addresses over and over.
+    """
     parts = address.split(".")
     if len(parts) != 4:
         raise AddressError(f"malformed IPv4 address: {address!r}")
@@ -32,8 +44,9 @@ def ip_to_int(address: str) -> int:
     return value
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def int_to_ip(value: int) -> str:
-    """Convert a 32-bit integer to a dotted-quad IPv4 address."""
+    """Convert a 32-bit integer to a dotted-quad IPv4 address (memoised)."""
     if not 0 <= value <= 0xFFFFFFFF:
         raise AddressError(f"value out of IPv4 range: {value}")
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))

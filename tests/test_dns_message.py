@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dns.message import (
     COMPRESSED_A_RECORD_SIZE,
@@ -15,7 +19,7 @@ from repro.dns.message import (
     max_a_records_for_payload,
     response_size_for_a_records,
 )
-from repro.dns.records import RecordType, a_record
+from repro.dns.records import RecordType, ResourceRecord, a_record, opt_record
 from repro.dns.wire import WireFormatError
 
 
@@ -179,3 +183,74 @@ def test_encoded_89_record_response_decodes_back():
     decoded = DNSMessage.decode(response.encode())
     assert len(decoded.answers) == 89
     assert decoded.answer_addresses[0] == "198.51.100.1"
+
+
+# -- a total decoder ------------------------------------------------------------------
+
+
+def _fuzz_corpus() -> list[bytes]:
+    """Encoded messages covering every record type, cookies, DNS-0x20 and TC."""
+    query = DNSMessage.query(0xBEEF, "2.Pool.ntp.org")
+    pool_flood = [a_record("2.pool.ntp.org", f"203.0.113.{i + 1}", 172800) for i in range(89)]
+    mixed = [
+        a_record("2.pool.ntp.org", "10.0.0.1", 60),
+        ResourceRecord("2.pool.ntp.org", RecordType.CNAME, 60, "pool.ntp.org"),
+        ResourceRecord("ntp.org", RecordType.NS, 3600, "ns1.ntp.org"),
+        ResourceRecord("2.pool.ntp.org", RecordType.TXT, 0, "sig:0123456789abcdef"),
+        a_record("", "192.0.2.1", 0),
+    ]
+    messages = [
+        query,
+        replace(query, cookie=0x0123456789ABCDEF, case_nonce=0b1011),
+        query.make_response(pool_flood),
+        replace(query.make_response(mixed), cookie=7, case_nonce=0x3FF),
+        replace(query.make_response([]), truncated=True, rcode=ResponseCode.SERVFAIL),
+        replace(query.make_response(mixed[:2]), authority=(mixed[2],),
+                additional=(mixed[3], opt_record(1232))),
+    ]
+    return [message.encode() for message in messages]
+
+
+FUZZ_CORPUS = _fuzz_corpus()
+
+
+@settings(max_examples=400, deadline=None)
+@given(wire=st.sampled_from(FUZZ_CORPUS), data=st.data())
+def test_decode_raises_only_wire_format_error_on_mutated_wire(wire, data):
+    mutated = bytearray(wire)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        position = data.draw(st.integers(min_value=0, max_value=len(mutated) - 1))
+        mutated[position] = data.draw(st.integers(min_value=0, max_value=255))
+    mutated = mutated[:data.draw(st.integers(min_value=0, max_value=len(mutated)))]
+    try:
+        DNSMessage.decode(bytes(mutated))
+    except WireFormatError:
+        pass
+
+
+@pytest.mark.parametrize("wire", [
+    b"\x00\x01\x01\x00\x00\x01\x00\x00\x00\x00\x00\x00\x03p\xe9l\x00\x00\x01\x00\x01",
+    b"\x00\x01\x01\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x63\x00\x01",
+    b"\x00\x01\x81\x0f\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x01",
+    b"\x00\x01\x81\x00\x00\x01\x00\x01\x00\x00\x00\x00\x00\x00\x01\x00\x01"
+    b"\x00\x00\x10\x00\x01\x00\x00\x00\x00\x00\x02\x01\xff",
+], ids=["non-ascii-label", "unknown-qtype", "unknown-rcode", "non-ascii-txt"])
+def test_decode_leaks_no_other_error(wire):
+    with pytest.raises(WireFormatError):
+        DNSMessage.decode(wire)
+
+
+# -- the root owner ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("record", [
+    opt_record(1232),
+    a_record(".", "192.0.2.1", 60),
+    ResourceRecord("", RecordType.TXT, 60, "root text"),
+], ids=["opt", "a", "txt"])
+def test_root_owned_records_decode_to_the_empty_name(record):
+    assert record.name == ""
+    decoded, _ = ResourceRecord.decode(record.encode({}, 0), 0)
+    assert decoded.name == ""
+    assert decoded == record
+    response = make_query().make_response([record])
+    assert DNSMessage.decode(response.encode()) == response

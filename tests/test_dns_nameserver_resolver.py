@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro import obs
 from repro.dns.message import DNSMessage
 from repro.dns.nameserver import DNS_PORT, AuthoritativeNameserver, PoolNTPNameserver
 from repro.dns.records import RecordType
@@ -141,6 +142,24 @@ def test_resolver_rejects_response_from_wrong_source():
     simulator.run(until=5.0)
     assert resolver.responses_rejected >= 1
     assert resolver.cache.peek("pool.ntp.org", RecordType.A) is not None  # benign answer cached
+
+
+def test_malformed_datagrams_are_dropped_and_counted():
+    with obs.capture() as ob:
+        simulator, network, nameserver, resolver, client = build_world()
+        answers = []
+        client.dns.lookup("pool.ntp.org", answers.append)
+        garbage = DNSMessage.query(7, "pool.ntp.org").encode()[:14] + b"\xff\xfe"
+        for target in (resolver.address, nameserver.address):
+            network.send_datagram(UDPDatagram("198.51.100.9", target, 33333, DNS_PORT, garbage))
+        network.send_datagram(UDPDatagram("198.51.100.9", client.address, DNS_PORT, 33333,
+                                          garbage))
+        simulator.run(until=5.0)
+        snapshot = ob.metrics.snapshot()
+    assert len(answers) == 1 and len(answers[0]) == 4  # the real lookup still resolves
+    for site in ("resolver", "nameserver", "stub"):
+        assert snapshot.counter("dns.malformed", site=site) == 1
+    assert snapshot.counter_total("dns.malformed") == 3
 
 
 def test_resolver_timeout_reports_failure_to_client():

@@ -9,7 +9,6 @@ from repro.dns.wire import (
     WireFormatError,
     decode_name,
     encode_name,
-    encoded_name_length,
     name_to_labels,
     normalise_name,
 )
@@ -46,7 +45,8 @@ def test_empty_label_rejected():
 def test_encode_name_uncompressed_layout():
     encoded = encode_name("pool.ntp.org")
     assert encoded == b"\x04pool\x03ntp\x03org\x00"
-    assert len(encoded) == encoded_name_length("pool.ntp.org", compressed=False)
+    # One length byte per label plus the root byte: len(name) + 2.
+    assert len(encoded) == len("pool.ntp.org") + 2
 
 
 def test_encode_root_name():
