@@ -180,6 +180,9 @@ def test_serving_throughput_gates(benchmark):
         f"0-RTT not within 1.5x of UDP: {zero_rtt_time} vs {udp_time}")
     # Gate (b): the counters prove the paths actually ran — one connection
     # serving every reused query, one resumption per 0-RTT query.
+    # Per-query DoT opens one stream per query and never hits the pool.
+    assert timings["dot_cold"]["connections_opened"] == QUERIES
+    assert timings["dot_cold"]["connections_reused"] == 0
     assert timings["dot_reused"]["connections_opened"] == 1
     assert timings["dot_reused"]["connections_reused"] == QUERIES - 1
     assert timings["dot_0rtt"]["zero_rtt_queries"] == QUERIES - 1

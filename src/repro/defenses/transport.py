@@ -51,23 +51,13 @@ class EncryptedTransport(Defense):
     protocol = "dot"
     strict = True
 
-    def __init__(self, connect_timeout: float = 1.0, holddown: float = 600.0,
-                 reuse_connections: bool = False, idle_timeout: float = 30.0,
-                 zero_rtt: bool = False) -> None:
-        #: Seconds before an unanswered encrypted connection attempt fails.
-        #: Kept well under the resolver's query timeout so an opportunistic
-        #: fallback still answers the original query in time.
-        self.connect_timeout = connect_timeout
-        #: Opportunistic only: seconds a failed nameserver stays plaintext.
-        self.holddown = holddown
-        #: Keep established streams open and pipeline queries over them
-        #: (RFC 7766 §6.2) instead of paying the handshake per query.
-        self.reuse_connections = reuse_connections
-        #: Seconds an idle pooled connection survives before closing.
-        self.idle_timeout = idle_timeout
-        #: Resume later connections from session tickets and send the query
-        #: as 0-RTT early data in the first flight (implies pooling).
-        self.zero_rtt = zero_rtt
+    def __init__(self, **knobs) -> None:
+        #: The knobs (``connect_timeout``, ``holddown``,
+        #: ``reuse_connections``, ``idle_timeout``, ``zero_rtt``) and their
+        #: defaults are declared once, on the policy; unknown keywords
+        #: raise ``TypeError`` there.
+        self.policy = EncryptedTransportPolicy(
+            protocol=self.protocol, strict=self.strict, **knobs)
 
     def configure_testbed(self, config: TestbedConfig) -> None:
         if config.transport_cert_key is None:
@@ -75,22 +65,13 @@ class EncryptedTransport(Defense):
         wanted = ("tcp", self.protocol)
         config.nameserver_transports = tuple(
             dict.fromkeys((*config.nameserver_transports, *wanted)))
-        if self.zero_rtt:
+        if self.policy.zero_rtt:
             config.nameserver_session_resumption = True
 
     def attach_testbed(self, testbed: Testbed) -> None:
-        policy = EncryptedTransportPolicy(
-            protocol=self.protocol,
-            strict=self.strict,
-            connect_timeout=self.connect_timeout,
-            holddown=self.holddown,
-            reuse_connections=self.reuse_connections,
-            idle_timeout=self.idle_timeout,
-            zero_rtt=self.zero_rtt,
-        )
         testbed.resolver.use_upstream_transport(ResolverUpstreamTransport(
             testbed.resolver,
-            policy=policy,
+            policy=self.policy,
             trust_anchor=testbed.config.transport_cert_key,
             expected_identity=testbed.config.zone,
         ))

@@ -14,44 +14,56 @@ the cost of a changed trust model.  This module provides both halves:
   entire point of the TC bit.
 * **resolver side** — :class:`ResolverUpstreamTransport` manages how a
   recursive resolver reaches its upstream nameservers: plain UDP (the
-  default, and the paper's attack surface), a one-shot plain-TCP retry when
-  a UDP response comes back truncated, or an
-  :class:`EncryptedTransportPolicy` that routes queries over DoT/DoH —
-  *strict* (never fall back; resolution fails rather than degrade) or
-  *opportunistic* (fall back to plaintext UDP when the encrypted transport
-  fails, remembering the failure for ``holddown`` seconds).  Opportunistic
-  mode is deliberately exploitable: an attacker who can make the encrypted
-  connection fail — a spoofed-source SYN flood on the nameserver's
-  listeners, or a hijack that blackholes port 853 — pushes the resolver
-  back onto UDP and then runs the classic poisoning race.  See
-  :mod:`repro.attacks.downgrade`.
+  default, and the paper's attack surface), a plain-TCP retry when a UDP
+  response comes back truncated, or an :class:`EncryptedTransportPolicy`
+  that routes queries over DoT/DoH — *strict* (never fall back; resolution
+  fails rather than degrade) or *opportunistic* (fall back to plaintext UDP
+  when the encrypted transport fails, remembering the failure for
+  ``holddown`` seconds).  Opportunistic mode is deliberately exploitable:
+  an attacker who can make the encrypted connection fail — a
+  spoofed-source SYN flood on the nameserver's listeners, or a hijack that
+  blackholes port 853 — pushes the resolver back onto UDP and then runs
+  the classic poisoning race.  See :mod:`repro.attacks.downgrade`.
 
 Framing is the real wire format: stream DNS messages carry the RFC 1035
 two-byte length prefix; DoH wraps the same wire bytes in a minimal HTTP/1.1
-exchange.  By default one connection serves one query — the handshake cost
-per query is exactly what ``benchmarks/bench_encrypted_transport.py``
-measures against the UDP baseline.  The high-QPS serving layer is opt-in
-via :class:`EncryptedTransportPolicy` knobs:
+exchange.
 
-* ``reuse_connections`` keeps a per-(nameserver, protocol) pool of live
-  streams with RFC 7766 §6.2 out-of-order pipelining — responses are
-  demultiplexed by message ID + question name, so many queries share one
-  handshake and answers may return in any order (:class:`PooledConnection`).
-  An idle timeout closes quiet streams; a mid-pipeline reset re-dispatches
-  the orphaned queries over a fresh connection (bounded retries), which is
-  what keeps fault-plan runs honest.
-* ``zero_rtt`` adds QUIC-flavoured session resumption: the first handshake
-  yields a ticket, later connections put the resumption hello *and* the
-  encrypted query on the SYN itself (TFO-style), collapsing DoT's extra
-  round trips to UDP parity on warm paths — at the faithful cost that
-  0-RTT early data is replayable unless the server burns tickets.
+Every upstream stream — DoT, DoH and the TC retry's plain TCP — is a
+:class:`PooledConnection` opened by one method,
+:meth:`ResolverUpstreamTransport._open_stream`.  The connection owns
+framing, demultiplexing by message ID + question name, the failure path,
+its lifetime trace span, and the ``connections_opened`` count.  It lives
+one of two lifecycles:
 
-``benchmarks/bench_serving_throughput.py`` measures all three paths.
+* **single use** — the TC retry, and any encrypted policy that neither
+  reuses connections nor resumes.  The stream closes after its first
+  answer, so every query pays the handshake that
+  ``benchmarks/bench_encrypted_transport.py`` measures against the UDP
+  baseline.  A failed DoT/DoH stream goes straight to the policy's
+  strict-or-downgrade decision; a failed TC retry leaves the query to the
+  resolver's timeout.
+* **pooled** — the high-QPS serving layer, opted into with
+  :class:`EncryptedTransportPolicy` knobs.  ``reuse_connections`` keeps a
+  per-(nameserver, protocol) pool of live streams with RFC 7766 §6.2
+  out-of-order pipelining, so many queries share one handshake and answers
+  may return in any order.  An idle timeout closes quiet streams; a
+  mid-pipeline reset re-dispatches the orphaned queries over a fresh
+  connection (bounded retries), which is what keeps fault-plan runs
+  honest.  ``zero_rtt`` adds QUIC-flavoured session resumption: the first
+  handshake yields a ticket, and later connections put the resumption
+  hello *and* the encrypted query on the SYN itself (TFO-style).  That
+  collapses DoT's extra round trips to UDP parity on warm paths, at the
+  faithful cost that 0-RTT early data is replayable unless the server
+  burns tickets.
+
+``benchmarks/bench_serving_throughput.py`` measures per-query, pooled and
+0-RTT streams side by side.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..netsim.packets import UDPDatagram
@@ -233,8 +245,7 @@ class DNSServerTransport:
 
 
 # -- resolver side -------------------------------------------------------------
-
-
+@dataclass(frozen=True)
 class EncryptedTransportPolicy:
     """How a resolver uses encrypted upstream transports.
 
@@ -244,25 +255,31 @@ class EncryptedTransportPolicy:
     on failure, remembering the failed nameserver for ``holddown`` seconds —
     the RFC 7435 trade-off whose downgrade-ability
     :mod:`repro.attacks.downgrade` makes measurable.
+
+    This is the only declaration of the knobs: the ``encrypted_transport``
+    defenses take them as keywords and hold one policy.
     """
 
-    def __init__(self, protocol: str = "dot", strict: bool = True,
-                 connect_timeout: float = 1.0, holddown: float = 600.0,
-                 reuse_connections: bool = False, idle_timeout: float = 30.0,
-                 zero_rtt: bool = False) -> None:
-        if protocol not in ("dot", "doh"):
-            raise ValueError(f"unknown encrypted protocol {protocol!r}")
-        self.protocol = protocol
-        self.strict = strict
-        self.connect_timeout = connect_timeout
-        self.holddown = holddown
-        #: RFC 7766 §6.2 — keep upstream streams open and pipeline queries.
-        self.reuse_connections = reuse_connections
-        #: Seconds a pooled stream may sit with nothing in flight.
-        self.idle_timeout = idle_timeout
-        #: Resume with a session ticket and send the query as 0-RTT early
-        #: data on the SYN (requires the nameserver to enable resumption).
-        self.zero_rtt = zero_rtt
+    protocol: str = "dot"
+    strict: bool = True
+    #: Seconds before an unanswered encrypted connection attempt fails.
+    #: Kept well under the resolver's query timeout so an opportunistic
+    #: fallback still answers the original query in time.
+    connect_timeout: float = 1.0
+    #: Opportunistic only: seconds a failed nameserver stays plaintext.
+    holddown: float = 600.0
+    #: RFC 7766 §6.2 — keep upstream streams open and pipeline queries
+    #: instead of paying the handshake per query.
+    reuse_connections: bool = False
+    #: Seconds a pooled stream may sit with nothing in flight.
+    idle_timeout: float = 30.0
+    #: Resume with a session ticket and send the query as 0-RTT early data
+    #: on the SYN (implies pooling; the nameserver must enable resumption).
+    zero_rtt: bool = False
+
+    def __post_init__(self) -> None:
+        if self.protocol not in ("dot", "doh"):
+            raise ValueError(f"unknown encrypted protocol {self.protocol!r}")
 
     @property
     def port(self) -> int:
@@ -275,19 +292,26 @@ class EncryptedTransportPolicy:
 
 
 class PooledConnection:
-    """One reusable upstream stream carrying pipelined queries.
+    """One upstream stream: framing, demultiplexing, lifetime, failure.
 
     RFC 7766 §6.2: multiple queries may be in flight on one connection and
     the server may answer them in any order, so responses are matched back
     to their query by message ID + question name rather than by arrival
-    order.  The connection closes itself after ``idle_timeout`` seconds with
-    nothing in flight; a reset or failure hands the in-flight queries back
-    to the transport for re-dispatch over a fresh connection.
+    order.  A stream has one of two lifecycles:
+
+    * **pooled** (``idle_timeout`` in seconds) — reused by later queries,
+      closed after ``idle_timeout`` seconds with nothing in flight; a reset,
+      failure or peer close hands the in-flight queries back to the
+      transport for re-dispatch over a fresh connection.
+    * **single use** (``idle_timeout=None``) — closed as soon as its one
+      query is answered, before the answer is delivered.  A failure is
+      reported to the transport but never re-dispatched; a peer close
+      leaves the query to the resolver's timeout.
     """
 
     def __init__(self, transport: ResolverUpstreamTransport, address: str,
                  protocol: str, socket: StreamSocket,
-                 idle_timeout: float) -> None:
+                 idle_timeout: Optional[float]) -> None:
         self.transport = transport
         self.address = address
         self.protocol = protocol
@@ -307,10 +331,19 @@ class PooledConnection:
         self._idle_deadline: Optional[float] = None
         socket.on_ready = self._flush
         socket.on_data = self._on_data
-        socket.on_close = lambda: self._lost("closed by peer")
+        socket.on_close = self._peer_closed
         socket.on_failure = self._lost
 
+    @property
+    def single_use(self) -> bool:
+        return self.idle_timeout is None
+
     # -- sending ---------------------------------------------------------------
+    def request(self, pending: PendingUpstreamQuery) -> bytes:
+        """The framed wire bytes that carry ``pending`` on this stream."""
+        wire = pending.upstream_query.encode()
+        return doh_request(wire) if self.protocol == "doh" else frame_dns(wire)
+
     def adopt(self, key: tuple[int, str], pending: PendingUpstreamQuery) -> None:
         """Track a query whose bytes already left (the 0-RTT first flight)."""
         self._idle_deadline = None
@@ -321,9 +354,7 @@ class PooledConnection:
     def send_query(self, key: tuple[int, str],
                    pending: PendingUpstreamQuery) -> None:
         self.adopt(key, pending)
-        wire = pending.upstream_query.encode()
-        request = (doh_request(wire) if self.protocol == "doh"
-                   else frame_dns(wire))
+        request = self.request(pending)
         if self.socket.ready:
             self.socket.send(request)
         else:
@@ -347,11 +378,15 @@ class PooledConnection:
             pending = self.in_flight.pop(key, None)
             if pending is None:
                 continue  # not ours (stale or duplicate) — keep the stream
+            if self.single_use:
+                self.close("answered")
+                self.transport._deliver(pending, response, wire)
+                return
             if not self.in_flight:
                 self._arm_idle_timer()
             self.transport._deliver(pending, response, wire)
 
-    # -- idle lifecycle ----------------------------------------------------------
+    # -- lifecycle ---------------------------------------------------------------
     def _arm_idle_timer(self) -> None:
         deadline = self.transport._simulator.now + self.idle_timeout
         self._idle_deadline = deadline
@@ -369,15 +404,21 @@ class PooledConnection:
         if self.closed:
             return
         self.closed = True
-        self.transport._connection_gone(self, reason, redispatch=False)
+        self.transport._connection_gone(self, reason, failed=False)
         self.socket.close()
 
-    def _lost(self, reason: str = "connection lost") -> None:
+    def _peer_closed(self) -> None:
+        if self.single_use:
+            self.close("closed by peer")
+        else:
+            self._lost("closed by peer")
+
+    def _lost(self, reason: str) -> None:
         """The stream died under us — possibly with queries in flight."""
         if self.closed:
             return
         self.closed = True
-        self.transport._connection_gone(self, reason, redispatch=True)
+        self.transport._connection_gone(self, reason, failed=True)
 
 
 class ResolverUpstreamTransport:
@@ -386,7 +427,8 @@ class ResolverUpstreamTransport:
     Every resolver owns one (created lazily for the TC-bit retry); the
     ``encrypted_transport`` defense attaches one with an
     :class:`EncryptedTransportPolicy` so upstream queries travel over
-    DoT/DoH instead of UDP.
+    DoT/DoH instead of UDP.  Every upstream stream is a
+    :class:`PooledConnection` opened by :meth:`_open_stream`.
     """
 
     def __init__(self, resolver: RecursiveResolver,
@@ -410,7 +452,8 @@ class ResolverUpstreamTransport:
         self.downgraded_queries = 0
         #: Plain-TCP retries triggered by truncated UDP responses.
         self.tcp_retries = 0
-        # Connection-churn accounting: the reuse win in numbers.
+        # Connection-churn accounting: every stream opened (DoT, DoH and
+        # the TC retry's plain TCP), and pool hits that opened none.
         self.connections_opened = 0
         self.connections_reused = 0
         #: Fresh connections opened to replace one that died mid-pipeline.
@@ -437,106 +480,92 @@ class ResolverUpstreamTransport:
     def dispatch(self, key: tuple[int, str], pending: PendingUpstreamQuery) -> None:
         """Send one upstream query per the policy (called by the resolver)."""
         if self.uses_encrypted(pending.nameserver_address):
-            if self.policy.pooled:
-                self._send_pooled(key, pending)
-            else:
-                self._send_encrypted(key, pending)
+            self.encrypted_queries += 1
+            self._send_over_policy(key, pending)
             return
         if self.policy is not None:
             # An opportunistic policy in its hold-down window: plaintext.
             self.downgraded_queries += 1
         self.resolver._send_upstream_datagram(pending)
 
-    def _send_encrypted(self, key: tuple[int, str], pending: PendingUpstreamQuery) -> None:
-        policy = self.policy
-        self.encrypted_queries += 1
+    def retry_over_tcp(self, key: tuple[int, str], pending: PendingUpstreamQuery) -> None:
+        """Re-ask one truncated query over plain DNS-over-TCP (RFC 7766)."""
+        self.tcp_retries += 1
         pending.sent_via = "stream"
-        connection = self.resolver.tcp.connect(
-            pending.nameserver_address, policy.port, timeout=policy.connect_timeout)
-        channel = SecureChannel.client(
-            connection, self._simulator.rng,
-            expected_identity=self.expected_identity or "",
-            trust_anchor=self.trust_anchor or "")
-        framing = policy.protocol
-        wire = pending.upstream_query.encode()
-        request = doh_request(wire) if framing == "doh" else frame_dns(wire)
-        channel.on_ready = lambda: channel.send(request)
-        channel.on_data = self._receiver(channel, pending, framing)
-        channel.on_failure = lambda reason: self._on_encrypted_failure(key, pending, reason)
+        self._open_stream(key, pending, "tcp")
 
-    def _on_encrypted_failure(self, key: tuple[int, str],
-                              pending: PendingUpstreamQuery, reason: str) -> None:
-        self.encrypted_failures += 1
-        if key not in self.resolver._pending:
-            return  # already answered or timed out
-        if self.policy.strict:
-            # Strict: fail closed.  The pending query runs into the
-            # resolver's timeout and the client sees SERVFAIL — resolution
-            # degrades to *unavailable*, never to *unauthenticated*.
+    def _send_over_policy(self, key: tuple[int, str],
+                          pending: PendingUpstreamQuery) -> None:
+        """Send over DoT/DoH: a live pooled stream if any, else a new one."""
+        pending.sent_via = "stream"
+        policy = self.policy
+        pooled = self._pool.get((pending.nameserver_address, policy.protocol))
+        if pooled is None or pooled.closed:
+            self._open_stream(key, pending, policy.protocol)
             return
-        # Opportunistic: fall back to plaintext for this query and remember
-        # the failure.  This is the downgrade the attack scenario exploits.
-        self._plaintext_until[pending.nameserver_address] = (
-            self._simulator.now + self.policy.holddown)
-        self.downgraded_queries += 1
-        self.resolver._send_upstream_datagram(pending)
-
-    # -- pooled dispatch ---------------------------------------------------------
-    def _send_pooled(self, key: tuple[int, str],
-                     pending: PendingUpstreamQuery) -> None:
-        """Send over the connection pool: reuse, else resume, else cold."""
-        policy = self.policy
-        address = pending.nameserver_address
-        self.encrypted_queries += 1
-        pending.sent_via = "stream"
+        self.connections_reused += 1
         obs = self._simulator.obs
-        pool_key = (address, policy.protocol)
-        pooled = self._pool.get(pool_key)
-        if pooled is not None and not pooled.closed:
-            self.connections_reused += 1
-            if obs.enabled:
-                obs.metrics.counter("dns.pool.connections_reused",
-                                    protocol=policy.protocol).inc()
-            pooled.send_query(key, pending)
-            self._note_in_flight(pooled, obs)
-            return
+        if obs.enabled:
+            obs.metrics.counter("dns.pool.connections_reused",
+                                protocol=policy.protocol).inc()
+        pooled.send_query(key, pending)
+        self._note_in_flight(pooled, obs)
+
+    def _open_stream(self, key: tuple[int, str], pending: PendingUpstreamQuery,
+                     protocol: str) -> None:
+        """Open one upstream stream for ``pending``: the only place the
+        resolver connects.  Plain TCP (the TC retry) and non-pooling
+        policies get a single-use stream; pooling policies a pooled one,
+        resumed with 0-RTT early data when a ticket is cached."""
+        address = pending.nameserver_address
         self.connections_opened += 1
+        obs = self._simulator.obs
         if obs.enabled:
             obs.metrics.counter("dns.pool.connections_opened",
-                                protocol=policy.protocol).inc()
-        ticket = self._tickets.get(address) if policy.zero_rtt else None
+                                protocol=protocol).inc()
         stack = self.resolver.tcp
-        if ticket is not None:
-            # 0-RTT: compose the first flight before the SYN leaves so the
-            # resumption hello and the encrypted query ride the SYN itself.
-            connection = stack.create_connection(
-                address, policy.port, timeout=policy.connect_timeout)
+        policy = self.policy
+        ticket = None
+        if protocol == "tcp":
+            # On failure (no TCP listener, timeout) the query stays pending
+            # and the resolver's own timeout answers SERVFAIL: a truncated
+            # response is never accepted, with or without a working
+            # fallback path.
+            socket = PlainStreamSocket(stack.connect(address, DNS_PORT))
+            idle_timeout = None
         else:
-            connection = stack.connect(
-                address, policy.port, timeout=policy.connect_timeout)
-        channel = SecureChannel.client(
-            connection, self._simulator.rng,
-            expected_identity=self.expected_identity or "",
-            trust_anchor=self.trust_anchor or "",
-            ticket=ticket,
-            on_ticket=lambda t, address=address: self._cache_ticket(address, t))
-        pooled = PooledConnection(self, address, policy.protocol, channel,
-                                  idle_timeout=policy.idle_timeout)
-        self._pool[pool_key] = pooled
+            ticket = self._tickets.get(address) if policy.zero_rtt else None
+            if ticket is not None:
+                # 0-RTT: compose the first flight before the SYN leaves so
+                # the resumption hello and the encrypted query ride the SYN.
+                connection = stack.create_connection(
+                    address, policy.port, timeout=policy.connect_timeout)
+            else:
+                connection = stack.connect(
+                    address, policy.port, timeout=policy.connect_timeout)
+            socket = SecureChannel.client(
+                connection, self._simulator.rng,
+                expected_identity=self.expected_identity or "",
+                trust_anchor=self.trust_anchor or "",
+                ticket=ticket,
+                on_ticket=lambda t, address=address: self._cache_ticket(address, t))
+            idle_timeout = policy.idle_timeout if policy.pooled else None
+        stream = PooledConnection(self, address, protocol, socket, idle_timeout)
+        if stream.single_use:
+            stream.send_query(key, pending)
+            return
+        self._pool[(address, protocol)] = stream
         if ticket is not None:
-            pooled.resumed = True
+            stream.resumed = True
             self.zero_rtt_queries += 1
             if obs.enabled:
                 obs.metrics.counter("dns.pool.zero_rtt_queries",
-                                    protocol=policy.protocol).inc()
-            wire = pending.upstream_query.encode()
-            request = (doh_request(wire) if policy.protocol == "doh"
-                       else frame_dns(wire))
-            pooled.adopt(key, pending)
-            connection.open(channel.first_flight(request))
+                                    protocol=protocol).inc()
+            stream.adopt(key, pending)
+            connection.open(socket.first_flight(stream.request(pending)))
         else:
-            pooled.send_query(key, pending)
-        self._note_in_flight(pooled, obs)
+            stream.send_query(key, pending)
+        self._note_in_flight(stream, obs)
 
     def _cache_ticket(self, address: str, ticket: SessionTicket) -> None:
         self._tickets[address] = ticket
@@ -549,74 +578,59 @@ class ResolverUpstreamTransport:
                               nameserver=pooled.address
                               ).track_max(len(pooled.in_flight))
 
-    def _connection_gone(self, pooled: PooledConnection, reason: str,
-                         redispatch: bool) -> None:
-        """A pooled stream closed or died; re-home its in-flight queries."""
-        pool_key = (pooled.address, pooled.protocol)
-        if self._pool.get(pool_key) is pooled:
+    # -- failure -------------------------------------------------------------------
+    def _connection_gone(self, stream: PooledConnection, reason: str,
+                         failed: bool) -> None:
+        """A stream closed or died; decide the fate of its in-flight queries."""
+        pool_key = (stream.address, stream.protocol)
+        if self._pool.get(pool_key) is stream:
             del self._pool[pool_key]
         obs = self._simulator.obs
         if obs.enabled:
-            obs.trace.complete("dns.pool.connection", start=pooled.opened_at,
-                               category="dns", nameserver=pooled.address,
-                               protocol=pooled.protocol,
-                               queries=pooled.queries_sent,
-                               max_in_flight=pooled.max_in_flight,
-                               resumed=pooled.resumed, reason=reason)
+            obs.trace.complete("dns.pool.connection", start=stream.opened_at,
+                               category="dns", nameserver=stream.address,
+                               protocol=stream.protocol,
+                               queries=stream.queries_sent,
+                               max_in_flight=stream.max_in_flight,
+                               resumed=stream.resumed, reason=reason)
         if reason == "unknown session ticket":
             # The server no longer honours our ticket (expired, or burned by
             # a single-use anti-replay store): next open is a full handshake.
-            self._tickets.pop(pooled.address, None)
-        orphans = list(pooled.in_flight.items())
-        pooled.in_flight.clear()
-        if not redispatch:
+            self._tickets.pop(stream.address, None)
+        orphans = list(stream.in_flight.items())
+        stream.in_flight.clear()
+        if not failed or stream.protocol == "tcp":
             return
+        pending = self.resolver._pending
         for key, orphan in orphans:
-            if key not in self.resolver._pending:
-                continue  # already answered or timed out
-            if orphan.pool_redispatches < 2:
-                # Reconnect-on-reset: two fresh attempts (enough to cover a
-                # failed resumption falling back to a cold handshake) before
-                # the policy's failure handling decides strict-vs-downgrade.
-                orphan.pool_redispatches += 1
-                self.reconnects += 1
-                self.encrypted_queries -= 1  # re-dispatch, not a new query
-                self._send_pooled(key, orphan)
-            else:
-                self._on_encrypted_failure(key, orphan, reason)
-
-    # -- TC-bit fallback -----------------------------------------------------------
-    def retry_over_tcp(self, key: tuple[int, str], pending: PendingUpstreamQuery) -> None:
-        """Re-ask one truncated query over plain DNS-over-TCP (RFC 7766)."""
-        self.tcp_retries += 1
-        pending.sent_via = "stream"
-        connection = self.resolver.tcp.connect(pending.nameserver_address, DNS_PORT)
-        socket = PlainStreamSocket(connection)
-        wire = pending.upstream_query.encode()
-        socket.on_ready = lambda: socket.send(frame_dns(wire))
-        socket.on_data = self._receiver(socket, pending, "tcp")
-        # On failure (no TCP listener, timeout): the query stays pending and
-        # the resolver's own timeout answers SERVFAIL — a truncated response
-        # is never accepted, with or without a working fallback path.
+            live = key in pending  # neither answered nor timed out yet
+            if not stream.single_use:
+                if not live:
+                    continue
+                if orphan.pool_redispatches < 2:
+                    # Reconnect-on-reset: two fresh attempts (enough to cover
+                    # a failed resumption falling back to a cold handshake)
+                    # before the policy decides strict-vs-downgrade.
+                    orphan.pool_redispatches += 1
+                    self.reconnects += 1
+                    self._send_over_policy(key, orphan)
+                    continue
+            self.encrypted_failures += 1
+            if not live or self.policy.strict:
+                # Strict: fail closed.  The pending query runs into the
+                # resolver's timeout and the client sees SERVFAIL —
+                # resolution degrades to *unavailable*, never to
+                # *unauthenticated*.
+                continue
+            # Opportunistic: fall back to plaintext for this query and
+            # remember the failure.  This is the downgrade the attack
+            # scenario exploits.
+            self._plaintext_until[orphan.nameserver_address] = (
+                self._simulator.now + self.policy.holddown)
+            self.downgraded_queries += 1
+            self.resolver._send_upstream_datagram(orphan)
 
     # -- response delivery -----------------------------------------------------------
-    def _receiver(self, socket: StreamSocket, pending: PendingUpstreamQuery,
-                  framing: str) -> Callable[[bytes], None]:
-        decoder = DoHMessageDecoder() if framing == "doh" else DNSFrameDecoder()
-
-        def on_data(data: bytes) -> None:
-            for wire in decoder.feed(data):
-                try:
-                    response = DNSMessage.decode(wire)
-                except WireFormatError:  # noqa: PERF203 — per-frame garbage tolerance
-                    note_malformed(self._simulator.obs, "upstream_stream")
-                    continue
-                socket.close()
-                self._deliver(pending, response, wire)
-                return
-
-        return on_data
-
     def _deliver(self, pending: PendingUpstreamQuery, response: DNSMessage,
                  wire: bytes) -> None:
         # The stream endpoint *is* the provenance: the connection was opened

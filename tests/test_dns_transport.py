@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
+from repro import obs
+from repro.defenses.transport import (
+    EncryptedTransport,
+    EncryptedTransportDoH,
+    OpportunisticEncryptedTransport,
+)
 from repro.dns.message import DNSMessage
 from repro.dns.records import RecordType
 from repro.dns.transport import (
     DNSFrameDecoder,
     DNSServerTransport,
     DoHMessageDecoder,
+    EncryptedTransportPolicy,
     doh_request,
     doh_response,
     frame_dns,
@@ -80,6 +89,10 @@ def test_truncated_response_is_never_cached_without_fallback_path():
     testbed.simulator.run(until=20.0)
     assert cached_records(testbed) is None
     assert testbed.resolver.timeouts == 1
+    # A failed TC retry is not an encrypted failure and never downgrades.
+    transport = testbed.resolver.upstream_transport
+    assert transport.downgraded_queries == 0
+    assert transport.encrypted_failures == 0
 
 
 def test_small_responses_stay_untruncated_under_a_limit():
@@ -96,6 +109,8 @@ def test_tc_triggers_tcp_retry_and_full_answer():
     testbed.simulator.run(until=5.0)
     transport = testbed.resolver.upstream_transport
     assert transport is not None and transport.tcp_retries == 1
+    assert transport.connections_opened == 1
+    assert transport.encrypted_failures == 0
     assert testbed.nameserver.stream_transport.queries_answered["tcp"] == 1
     # The stream answer is complete: all 40 records, no truncation.
     assert len(cached_records(testbed)) == 40
@@ -111,21 +126,42 @@ def test_server_transport_rejects_unknown_and_keyless_encrypted():
         DNSServerTransport(testbed.nameserver, transports=("dot",))
 
 
+def test_encrypted_transport_knobs_live_on_one_frozen_policy():
+    defense = EncryptedTransport(zero_rtt=True, idle_timeout=5.0)
+    assert defense.policy == EncryptedTransportPolicy(zero_rtt=True, idle_timeout=5.0)
+    assert defense.policy.pooled
+    doh = EncryptedTransportDoH(reuse_connections=True, idle_timeout=60.0)
+    assert (doh.policy.protocol, doh.policy.strict) == ("doh", True)
+    assert OpportunisticEncryptedTransport().policy.strict is False
+    with pytest.raises(TypeError):
+        EncryptedTransport(idle_timout=5.0)
+    with pytest.raises(ValueError, match="unknown encrypted protocol"):
+        EncryptedTransportPolicy(protocol="quic")
+    with pytest.raises(FrozenInstanceError):
+        defense.policy.zero_rtt = False
+
+
 @pytest.mark.parametrize("defense,label", [
     (("encrypted_transport",), "dot"),
     (("encrypted_transport_doh",), "doh"),
 ])
 def test_encrypted_transport_resolves_over_tls(defense, label):
-    testbed = build(defenses=defense)
-    assert label in testbed.config.nameserver_transports
-    testbed.resolver.trigger_lookup(ZONE)
-    testbed.simulator.run(until=5.0)
+    with obs.capture() as ob:
+        testbed = build(defenses=defense)
+        assert label in testbed.config.nameserver_transports
+        testbed.resolver.trigger_lookup(ZONE)
+        testbed.simulator.run(until=5.0)
     assert len(cached_records(testbed)) == 40
     assert testbed.nameserver.stream_transport.queries_answered[label] == 1
     transport = testbed.resolver.upstream_transport
     assert transport.encrypted_queries == 1
     assert transport.encrypted_failures == 0
     assert transport.downgraded_queries == 0
+    # A per-query stream is still a connection, and no pool hit.
+    assert transport.connections_opened == 1
+    assert transport.connections_reused == 0
+    counters = ob.metrics.snapshot().counters
+    assert counters[("dns.pool.connections_opened", (("protocol", label),))] == 1
 
 
 def test_encrypted_transport_payload_opaque_on_the_wire():
@@ -154,6 +190,9 @@ def test_strict_policy_fails_closed_when_listener_missing():
     transport = testbed.resolver.upstream_transport
     assert transport.encrypted_failures == 1
     assert transport.downgraded_queries == 0
+    # The one per-query stream failed without a re-dispatch.
+    assert transport.reconnects == 0
+    assert transport.connections_opened == 1
     assert testbed.nameserver.queries_received == 0  # no plaintext leaked
 
 
@@ -164,6 +203,8 @@ def test_opportunistic_policy_falls_back_and_holds_down():
     testbed.simulator.run(until=10.0)
     transport = testbed.resolver.upstream_transport
     assert transport.downgraded_queries == 1
+    assert transport.reconnects == 0
+    assert transport.connections_opened == 1
     assert len(cached_records(testbed)) == 40  # answered over plaintext UDP
     # Within the hold-down window the next query goes straight to UDP
     # without a new encrypted attempt.

@@ -242,8 +242,8 @@ class FakeTransport:
     def _deliver(self, pending, response, wire):
         self.delivered.append((pending, response))
 
-    def _connection_gone(self, pooled, reason, redispatch):
-        self.gone.append((reason, redispatch))
+    def _connection_gone(self, pooled, reason, failed):
+        self.gone.append((reason, failed))
 
 
 def pool_pending(txid, qname):
@@ -287,6 +287,34 @@ def test_unmatched_response_keeps_stream_alive():
     pooled._on_data(frame_dns(stray.encode()))
     assert transport.delivered == []
     assert not pooled.closed and (7, ZONE) in pooled.in_flight
+
+
+def test_single_use_stream_closes_before_delivering_its_one_answer():
+    with obs.capture() as ob:
+        transport = FakeTransport()
+        socket = FakeSocket()
+        stream = PooledConnection(transport, "192.0.2.53", "tcp", socket,
+                                  idle_timeout=None)
+        pending = pool_pending(7, ZONE)
+        stream.send_query((7, ZONE), pending)
+        closed_at_delivery = []
+        transport._deliver = lambda *_: closed_at_delivery.append(socket.closed)
+        answer = frame_dns(pending.upstream_query.make_response([]).encode())
+        stream._on_data(frame_dns(b"\xff" * 5) + answer + answer)
+    assert closed_at_delivery == [True]
+    assert transport.gone == [("answered", False)]
+    counters = ob.metrics.snapshot().counters
+    assert counters[("dns.malformed", (("site", "upstream_pool"),))] == 1
+    stream._lost("connection reset by peer")  # already closed: no second fate
+    assert transport.gone == [("answered", False)]
+
+    # A peer close before the answer is no failure: the query is left to
+    # the resolver's timeout.
+    quiet = PooledConnection(transport, "192.0.2.53", "dot", FakeSocket(),
+                             idle_timeout=None)
+    quiet.send_query((8, ZONE), pool_pending(8, ZONE))
+    quiet.socket.on_close()
+    assert transport.gone[-1] == ("closed by peer", False)
 
 
 def test_connection_reuse_collapses_per_query_round_trips():
