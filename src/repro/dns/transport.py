@@ -600,7 +600,7 @@ class ResolverUpstreamTransport:
         orphans = list(stream.in_flight.items())
         stream.in_flight.clear()
         if not failed or stream.protocol == "tcp":
-            return
+            return  # a failed TC retry is left to the resolver's timeout
         pending = self.resolver._pending
         for key, orphan in orphans:
             live = key in pending  # neither answered nor timed out yet
