@@ -213,10 +213,6 @@ class ChronosClient(Host):
 
     # -- reporting ---------------------------------------------------------------
     @property
-    def applied_updates(self) -> list[ChronosUpdateRecord]:
-        return [record for record in self.update_history if record.applied_offset is not None]
-
-    @property
     def clock_error(self) -> float:
         """Current signed error of the victim clock versus true time."""
         return self.clock.error

@@ -159,11 +159,6 @@ class ChronosPoolGenerator:
         self._started_at = self._now()
         self._issue_query(0)
 
-    @property
-    def partial_pool(self) -> list[str]:
-        """Servers accumulated so far (useful for mid-run inspection)."""
-        return list(self._servers)
-
     # -- internals ------------------------------------------------------------
     def _now(self) -> float:
         return self.dns.host.network.simulator.now

@@ -130,7 +130,12 @@ def doh_response(wire: bytes) -> bytes:
 
 
 class DoHMessageDecoder:
-    """Extracts DNS message bodies from a stream of HTTP/1.1 messages."""
+    """Extracts DNS message bodies from a stream of HTTP/1.1 messages.
+
+    :meth:`feed` raises :class:`~repro.dns.wire.WireFormatError` when a
+    header's ``content-length`` is not a decimal integer in 0..65535 (the
+    largest DNS message): the framing is lost, so the stream must be closed.
+    """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
@@ -147,7 +152,10 @@ class DoHMessageDecoder:
             for line in head.split("\r\n")[1:]:
                 name, _, value = line.partition(":")
                 if name.strip().lower() == "content-length":
-                    length = int(value.strip())
+                    value = value.strip()
+                    if not value.isdigit() or len(value) > 5 or int(value) > 0xFFFF:
+                        raise WireFormatError(f"bad DoH content-length {value[:16]!r}")
+                    length = int(value)
             body_start = head_end + 4
             if len(self._buffer) < body_start + length:
                 break
@@ -225,7 +233,13 @@ class DNSServerTransport:
         decoder = DoHMessageDecoder() if label == "doh" else DNSFrameDecoder()
 
         def on_data(data: bytes, socket=socket, decoder=decoder, label=label):
-            for wire in decoder.feed(data):
+            try:
+                wires = decoder.feed(data)
+            except WireFormatError:
+                note_malformed(self.nameserver.network.simulator.obs, "doh_header")
+                socket.close()
+                return
+            for wire in wires:
                 try:
                     query = DNSMessage.decode(wire)
                 except WireFormatError:  # noqa: PERF203 — per-frame garbage tolerance
@@ -367,7 +381,13 @@ class PooledConnection:
 
     # -- receiving -------------------------------------------------------------
     def _on_data(self, data: bytes) -> None:
-        for wire in self.decoder.feed(data):
+        try:
+            wires = self.decoder.feed(data)
+        except WireFormatError:
+            note_malformed(self.transport._simulator.obs, "doh_header")
+            self.close("malformed DoH header")
+            return
+        for wire in wires:
             try:
                 response = DNSMessage.decode(wire)
             except WireFormatError:  # noqa: PERF203 — per-frame garbage tolerance

@@ -40,11 +40,19 @@ that does not terminate TCP for the impersonated address.
 Determinism: every random draw (ISNs, ephemeral ports, TLS randoms, DH
 exponents) comes from the simulator-owned RNG, so connection-oriented runs
 remain a pure function of the seed.
+
+Cost: a channel draws its DH exponent when it is built, but computes its
+public share only when a ClientHello or ServerHello first sends it, so a
+resumed (0-RTT) channel never computes one.  The share comes from a
+fixed-base table of generator powers (32 rows × 256 entries, built on the
+first handshake), and records XOR their keystream as one integer.  None of
+this changes a byte on the wire.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -651,6 +659,40 @@ class PlainStreamSocket(StreamSocket):
 DH_PRIME = 2**256 - 2**32 - 977
 DH_GENERATOR = 5
 
+
+@functools.cache
+def _generator_table() -> tuple[tuple[int, ...], ...]:
+    """Fixed-base table: row ``i`` holds ``g^(b·256^i) mod p`` for ``b`` in 0..255.
+
+    32 rows cover any exponent below ``2**256``.  Built on the first
+    handshake rather than at import, so runs without a secure channel never
+    pay for it.
+    """
+    rows = []
+    base = DH_GENERATOR
+    for _ in range(32):
+        row, power = [], 1
+        for _ in range(256):
+            row.append(power)
+            power = power * base % DH_PRIME
+        rows.append(tuple(row))
+        base = power
+    return tuple(rows)
+
+
+def _generator_pow(exponent: int) -> int:
+    """``pow(DH_GENERATOR, exponent, DH_PRIME)`` for ``0 <= exponent < 2**256``.
+
+    One table multiply per non-zero exponent byte instead of a square-and-
+    multiply ladder.
+    """
+    result = 1
+    for row, byte in zip(_generator_table(), exponent.to_bytes(32, "little")):
+        if byte:
+            result = result * row[byte] % DH_PRIME
+    return result
+
+
 _REC_CLIENT_HELLO = 1
 _REC_SERVER_HELLO = 2
 _REC_TICKET = 4
@@ -724,6 +766,20 @@ def _frame_record(record_type: int, body: bytes) -> bytes:
     return bytes([record_type]) + len(body).to_bytes(2, "big") + body
 
 
+def _keystream(key: bytes, label: bytes, counter: int, length: int) -> bytes:
+    """``length`` bytes of SHA-256 counter-mode keystream for one record."""
+    prefix = key + label + counter.to_bytes(8, "big")
+    blocks = b"".join(hashlib.sha256(prefix + block.to_bytes(4, "big")).digest()
+                      for block in range((length + 31) // 32))
+    return blocks[:length]
+
+
+def _xor(data: bytes, keystream: bytes) -> bytes:
+    """``data`` XOR an equally long ``keystream``, as one integer operation."""
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(keystream, "big")).to_bytes(len(data), "big")
+
+
 class _RecordDecoder:
     """Reassembles ``type | len16 | body`` records from stream chunks."""
 
@@ -787,8 +843,9 @@ class SecureChannel(StreamSocket):
         self.resumed = False
         self._rng = rng
         self._decoder = _RecordDecoder()
+        # Both draws happen here, in this order, whether or not the share is
+        # ever sent: the seeded RNG sequence must not depend on resumption.
         self._secret = rng.getrandbits(255) | 1
-        self._share = pow(DH_GENERATOR, self._secret, DH_PRIME)
         self._random = rng.getrandbits(256).to_bytes(32, "big")
         self._key: Optional[bytes] = None
         self._send_counter = 0
@@ -830,6 +887,11 @@ class SecureChannel(StreamSocket):
     @property
     def ready(self) -> bool:
         return self.handshake_complete and self.connection.established
+
+    @functools.cached_property
+    def _share(self) -> int:
+        """The ephemeral DH public share, computed when a hello first sends it."""
+        return _generator_pow(self._secret)
 
     # -- handshake -------------------------------------------------------------
     def _send_client_hello(self) -> None:
@@ -912,10 +974,10 @@ class SecureChannel(StreamSocket):
                  + self._random)
         flight = _frame_record(_REC_RESUME_HELLO, hello)
         if early_data:
-            keystream = self._early_keystream(self._early_send_counter,
-                                              len(early_data))
+            keystream = _keystream(self._early_key, b"early",
+                                   self._early_send_counter, len(early_data))
             self._early_send_counter += 1
-            ciphertext = bytes(a ^ b for a, b in zip(early_data, keystream))
+            ciphertext = _xor(early_data, keystream)
             flight += _frame_record(_REC_EARLY_DATA, ciphertext)
         return flight
 
@@ -962,24 +1024,14 @@ class SecureChannel(StreamSocket):
         self.handshake_complete = True
         self._fire_ready()
 
-    def _early_keystream(self, counter: int, length: int) -> bytes:
-        assert self._early_key is not None
-        stream = bytearray()
-        block = 0
-        while len(stream) < length:
-            stream += hashlib.sha256(
-                self._early_key + b"early" + counter.to_bytes(8, "big")
-                + block.to_bytes(4, "big")).digest()
-            block += 1
-        return bytes(stream[:length])
-
     def _handle_early_data(self, body: bytes) -> None:
         if self.is_client or self._early_key is None:
             self._abort("early data without a resumed session")
             return
-        keystream = self._early_keystream(self._early_recv_counter, len(body))
+        keystream = _keystream(self._early_key, b"early",
+                               self._early_recv_counter, len(body))
         self._early_recv_counter += 1
-        plaintext = bytes(a ^ b for a, b in zip(body, keystream))
+        plaintext = _xor(body, keystream)
         if self.on_data is not None:
             self.on_data(plaintext)
 
@@ -996,24 +1048,14 @@ class SecureChannel(StreamSocket):
         self._fire_failure(reason)
 
     # -- application data --------------------------------------------------------
-    def _keystream(self, direction: bytes, counter: int, length: int) -> bytes:
-        assert self._key is not None
-        stream = bytearray()
-        block = 0
-        while len(stream) < length:
-            stream += hashlib.sha256(
-                self._key + direction + counter.to_bytes(8, "big")
-                + block.to_bytes(4, "big")).digest()
-            block += 1
-        return bytes(stream[:length])
-
     def send(self, data: bytes) -> None:
         if not self.ready:
             raise TransportError("secure channel is not ready")
         direction = b"c2s" if self.is_client else b"s2c"
-        keystream = self._keystream(direction, self._send_counter, len(data))
+        assert self._key is not None
+        keystream = _keystream(self._key, direction, self._send_counter, len(data))
         self._send_counter += 1
-        ciphertext = bytes(a ^ b for a, b in zip(data, keystream))
+        ciphertext = _xor(data, keystream)
         self.connection.send(_frame_record(_REC_APP_DATA, ciphertext))
 
     def _handle_app_data(self, body: bytes) -> None:
@@ -1021,9 +1063,9 @@ class SecureChannel(StreamSocket):
             self._abort("application data before handshake")
             return
         direction = b"s2c" if self.is_client else b"c2s"
-        keystream = self._keystream(direction, self._recv_counter, len(body))
+        keystream = _keystream(self._key, direction, self._recv_counter, len(body))
         self._recv_counter += 1
-        plaintext = bytes(a ^ b for a, b in zip(body, keystream))
+        plaintext = _xor(body, keystream)
         if self.on_data is not None:
             self.on_data(plaintext)
 

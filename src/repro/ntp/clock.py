@@ -70,11 +70,6 @@ class SystemClock:
         delta = offset - (self._offset + self._current_drift())
         self.adjust(delta, source=source)
 
-    def freeze_drift(self) -> None:
-        """Fold accumulated drift into the explicit offset (after discipline)."""
-        self._accumulated_drift = self._current_drift()
-        self._drift_reference = self.simulator.now
-
 
 @dataclass
 class ClockErrorTrace:

@@ -18,13 +18,20 @@ NTP_VERSION = 4
 
 
 class NTPMode(enum.IntEnum):
-    """NTP association modes (subset used by client/server operation)."""
+    """The eight RFC 5905 association modes.
 
+    Every 3-bit value has a member, so decoding never fails on the mode;
+    clients and servers drop the modes they do not speak.
+    """
+
+    RESERVED = 0
     SYMMETRIC_ACTIVE = 1
     SYMMETRIC_PASSIVE = 2
     CLIENT = 3
     SERVER = 4
     BROADCAST = 5
+    CONTROL = 6
+    PRIVATE = 7
 
 
 class LeapIndicator(enum.IntEnum):
@@ -35,7 +42,11 @@ class LeapIndicator(enum.IntEnum):
 
 
 class PacketFormatError(ValueError):
-    """Raised when decoding malformed NTP packets."""
+    """Raised when decoding malformed NTP packets.
+
+    The only error :meth:`NTPPacket.decode` raises, and only for input
+    shorter than 48 bytes.
+    """
 
 
 @dataclass(frozen=True)

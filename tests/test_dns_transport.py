@@ -15,6 +15,7 @@ from repro.defenses.transport import (
 from repro.dns.message import DNSMessage
 from repro.dns.records import RecordType
 from repro.dns.transport import (
+    DOH_PORT,
     DNSFrameDecoder,
     DNSServerTransport,
     DoHMessageDecoder,
@@ -23,7 +24,9 @@ from repro.dns.transport import (
     doh_response,
     frame_dns,
 )
+from repro.dns.wire import WireFormatError
 from repro.experiments import TestbedConfig, build_testbed
+from repro.netsim.transport import SecureChannel
 
 ZONE = "pool.ntp.org"
 
@@ -71,6 +74,37 @@ def test_doh_codec_round_trip():
     assert DoHMessageDecoder().feed(doh_response(wire) * 2) == [wire, wire]
     assert b"POST /dns-query" in doh_request(wire)
     assert b"200 OK" in doh_response(wire)
+
+
+BAD_LENGTHS = ("abc", "-5", "", "1_0", "65536",
+               pytest.param("0" * 5000, id="5000-digits"))
+
+
+@pytest.mark.parametrize("length", BAD_LENGTHS)
+def test_doh_decoder_rejects_unusable_content_length(length):
+    head = f"POST /dns-query HTTP/1.1\r\ncontent-length: {length}\r\n\r\n"
+    with pytest.raises(WireFormatError):
+        DoHMessageDecoder().feed(head.encode() + b"x" * 16)
+
+
+@pytest.mark.parametrize("length", BAD_LENGTHS[:2])
+def test_doh_server_drops_and_counts_a_bad_header(length):
+    with obs.capture() as ob:
+        testbed = build(defenses=("encrypted_transport_doh",))
+        server = testbed.nameserver.stream_transport
+        conn = testbed.resolver.tcp.connect(testbed.nameserver.address, DOH_PORT)
+        channel = SecureChannel.client(conn, testbed.simulator.rng,
+                                       expected_identity=server.identity or ZONE,
+                                       trust_anchor=server.cert_key)
+        head = f"POST /dns-query HTTP/1.1\r\ncontent-length: {length}\r\n\r\n"
+        channel.on_ready = lambda: channel.send(head.encode())
+        closed = []
+        channel.on_close = lambda: closed.append(testbed.simulator.now)
+        testbed.simulator.run(until=2.0)
+    counters = ob.metrics.snapshot().counters
+    assert counters[("dns.malformed", (("site", "doh_header"),))] == 1
+    assert len(closed) == 1
+    assert server.queries_answered["doh"] == 0
 
 
 # -- nameserver truncation (TC bit) ---------------------------------------------

@@ -2,20 +2,33 @@
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.netsim.network import Host, LinkProperties, Network
 from repro.netsim.packets import PROTO_TCP, IPPacket
 from repro.netsim.simulator import Simulator
 from repro.netsim.transport import (
+    DH_GENERATOR,
+    DH_PRIME,
     FLAG_ACK,
     FLAG_RST,
     FLAG_SYN,
     ConnectionState,
     PlainStreamSocket,
+    ResumptionTicketStore,
     SecureChannel,
     TCPSegment,
     TransportError,
+    _generator_pow,
+    _xor,
 )
 
 
@@ -321,3 +334,78 @@ def test_secure_channel_deterministic_per_seed():
 
     assert transcript(5) == transcript(5)
     assert transcript(5) != transcript(6)
+
+
+# -- handshake kernel --------------------------------------------------------------
+
+@given(exponent=st.integers(min_value=0, max_value=2**256 - 1))
+@example(exponent=1)
+@example(exponent=2**255 - 1)
+@example(exponent=0x01_00_00_FF_00_00_00_02)
+@example(exponent=1 << 248)
+def test_fixed_base_table_matches_pow(exponent):
+    assert _generator_pow(exponent) == pow(DH_GENERATOR, exponent, DH_PRIME)
+
+
+def test_fixed_base_table_is_not_built_at_import():
+    probe = ("import repro.netsim.transport as t; "
+             "print(t._generator_table.cache_info().currsize)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "0"
+
+
+def test_integer_xor_matches_bytewise_reference():
+    rng = random.Random(3)
+    for length in range(101):
+        data = rng.randbytes(length)
+        keystream = rng.randbytes(length)
+        assert _xor(data, keystream) == bytes(a ^ b for a, b in zip(data, keystream))
+
+
+def test_channel_construction_draws_secret_then_random():
+    simulator, network, client, server = make_pair()
+    server.tcp.listen(853, lambda conn: None)
+    rng = random.Random(99)
+    twin = random.Random(99)
+    SecureChannel.client(client.tcp.connect("10.0.0.2", 853), rng,
+                         expected_identity="pool.ntp.org", trust_anchor="k")
+    twin.getrandbits(255)
+    twin.getrandbits(256)
+    assert rng.getstate() == twin.getstate()
+
+
+def test_resumed_channels_never_compute_a_share():
+    simulator, network, client, server = make_pair()
+    store = ResumptionTicketStore()
+    server_channels = []
+
+    def on_connection(conn):
+        channel = SecureChannel.server(conn, simulator.rng, identity="pool.ntp.org",
+                                       cert_key="k", ticket_store=store)
+        channel.on_data = lambda data, channel=channel: channel.send(b"re:" + data)
+        server_channels.append(channel)
+    server.tcp.listen(853, on_connection, fast_open=True)
+
+    tickets = []
+    conn = client.tcp.connect("10.0.0.2", 853)
+    cold = SecureChannel.client(conn, simulator.rng, expected_identity="pool.ntp.org",
+                                trust_anchor="k", on_ticket=tickets.append)
+    simulator.run(until=1.0)
+    conn.close()
+    simulator.run(until=2.0)
+    assert len(tickets) == 1
+    assert "_share" in vars(cold) and "_share" in vars(server_channels[0])
+
+    conn = client.tcp.create_connection("10.0.0.2", 853)
+    resumed = SecureChannel.client(conn, simulator.rng, expected_identity="pool.ntp.org",
+                                   trust_anchor="k", ticket=tickets[0])
+    replies = []
+    resumed.on_data = replies.append
+    conn.open(resumed.first_flight(b"q"))
+    simulator.run(until=3.0)
+    assert replies == [b"re:q"]
+    assert resumed.resumed and server_channels[1].resumed
+    assert "_share" not in vars(resumed)
+    assert "_share" not in vars(server_channels[1])

@@ -7,9 +7,11 @@ import pytest
 from repro.dns.nameserver import PoolNTPNameserver
 from repro.dns.resolver import RecursiveResolver, ResolverPolicy
 from repro.netsim.network import Host, LinkProperties, Network
+from repro.netsim.packets import UDPDatagram
 from repro.netsim.simulator import Simulator
 from repro.ntp.client import TraditionalNTPClient
 from repro.ntp.clock import SystemClock
+from repro.ntp.packet import NTP_PORT
 from repro.ntp.query import NTPQuerier
 from repro.ntp.server import MaliciousNTPServer, NTPServer
 
@@ -46,6 +48,24 @@ def test_honest_server_sample_offset_near_zero():
     assert abs(samples[0].offset) < 0.01
     assert samples[0].delay == pytest.approx(0.04, abs=0.01)
     assert samples[0].server == server.address
+
+
+def test_unspoken_modes_are_dropped_inside_the_simulator():
+    simulator, network = build()
+    server = NTPServer(network, "10.0.0.1")
+    client = QuerierHost(network, "192.0.2.100")
+    samples = []
+    client.querier.query(server.address, samples.append)
+    # Mode 0 (all zeros), 6 (control) and 7 (private) to both ends.
+    for first_byte in (0x00, 0x26, 0x27):
+        payload = bytes([first_byte]) + bytes(47)
+        network.send_datagram(UDPDatagram("198.51.100.9", server.address,
+                                          40000, NTP_PORT, payload))
+        network.send_datagram(UDPDatagram("198.51.100.9", client.address,
+                                          NTP_PORT, 40000, payload))
+    simulator.run(until=5.0)
+    assert server.requests_received == 1
+    assert len(samples) == 1 and samples[0] is not None
 
 
 def test_server_with_clock_error_reports_that_offset():

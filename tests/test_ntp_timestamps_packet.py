@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.ntp.packet import NTP_PACKET_SIZE, LeapIndicator, NTPMode, NTPPacket, PacketFormatError
 from repro.ntp.timestamps import (
@@ -174,3 +176,9 @@ def test_kiss_of_death_detection():
     normal = NTPPacket(mode=NTPMode.SERVER, stratum=2)
     assert kod.kiss_of_death
     assert not normal.kiss_of_death
+
+
+@given(payload=st.binary(min_size=NTP_PACKET_SIZE, max_size=NTP_PACKET_SIZE))
+def test_every_48_byte_payload_decodes(payload):
+    """Decode raises nothing but ``PacketFormatError``, which needs < 48 bytes."""
+    assert NTPPacket.decode(payload).mode == payload[0] & 0x7

@@ -317,6 +317,23 @@ def test_single_use_stream_closes_before_delivering_its_one_answer():
     assert transport.gone[-1] == ("closed by peer", False)
 
 
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_upstream_doh_stream_closes_on_a_bad_header(length):
+    with obs.capture() as ob:
+        transport = FakeTransport()
+        socket = FakeSocket()
+        stream = PooledConnection(transport, "192.0.2.53", "doh", socket,
+                                  idle_timeout=30.0)
+        stream.send_query((7, ZONE), pool_pending(7, ZONE))
+        head = f"HTTP/1.1 200 OK\r\ncontent-length: {length}\r\n\r\n"
+        stream._on_data(head.encode() + b"x" * 16)
+    assert stream.closed and socket.closed
+    assert transport.gone == [("malformed DoH header", False)]
+    assert transport.delivered == []
+    counters = ob.metrics.snapshot().counters
+    assert counters[("dns.malformed", (("site", "doh_header"),))] == 1
+
+
 def test_connection_reuse_collapses_per_query_round_trips():
     testbed = reuse_testbed(
         EncryptedTransport(reuse_connections=True, idle_timeout=60.0))
