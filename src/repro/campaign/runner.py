@@ -209,7 +209,6 @@ class CampaignRunner:
             outcomes.append(outcome)
             total = int(self._progress[step.name]["total"])
             self._step_progress(step.name, total, total, "done")
-        self._flush_progress(force=True)
         return CampaignResult(manifest=self.manifest, directory=self.directory,
                               outcomes=outcomes, report_dir=report_dir)
 
@@ -362,6 +361,18 @@ def _success_summary(matrix: DefenseMatrixResult) -> list[str]:
     return lines
 
 
+def _live_progress(path: Path) -> dict[str, dict[str, Any]]:
+    """The per-step entries of a progress file; empty if missing or damaged."""
+    try:
+        progress = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return {}
+    steps = progress.get("steps") if isinstance(progress, dict) else None
+    if isinstance(steps, dict) and all(isinstance(entry, dict) for entry in steps.values()):
+        return steps
+    return {}
+
+
 def campaign_status(directory: Path) -> str:
     """The ``campaign status`` text view: journal + live progress file.
 
@@ -375,12 +386,7 @@ def campaign_status(directory: Path) -> str:
     lines = [f"campaign {state_data.get('campaign')!r} "
              f"(fingerprint {str(state_data.get('fingerprint', ''))[:12]}, "
              f"runs={state_data.get('runs', 0)})"]
-    progress: dict[str, Any] = {}
-    try:
-        raw = (directory / "progress.json").read_text(encoding="utf-8")
-        progress = json.loads(raw).get("steps", {})
-    except (OSError, ValueError):
-        progress = {}
+    progress = _live_progress(directory / "progress.json")
     for name, entry in state_data.get("steps", {}).items():
         status = entry.get("status", "pending")
         live = progress.get(name) or {}

@@ -3,8 +3,10 @@
 The state file is a single JSON document written atomically (tmp file +
 ``Path.replace``) at every step transition, so a SIGKILL at any instant
 leaves either the previous or the next consistent journal on disk — never
-a torn one.  If the file *is* damaged some other way (disk corruption,
-manual edits), :meth:`CampaignState.load` degrades to a fresh journal and
+a torn one.  Each save re-encodes only the step entry that changed, and
+the bytes equal ``json.dumps(data, indent=2)``.  If the file *is* damaged
+some other way (disk corruption, manual edits, a wrongly shaped document),
+:meth:`CampaignState.load` degrades to a fresh journal and
 the campaign recomputes through the :class:`~repro.experiments.cache.RunCache`,
 which remains the cell-level source of truth.  Losing the journal costs
 bookkeeping, never results.
@@ -36,14 +38,16 @@ FAILED = "failed"
 STALE = "stale"
 
 
-def _atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
+def _atomic_write_json(path: Path, payload: dict[str, Any] | str) -> None:
     """Write *payload* so readers always see a complete JSON document.
 
+    A string is written as is: already the ``json.dumps(indent=2)`` text.
     Key order is preserved (steps stay in dependency order for human
     readers); the document is bookkeeping, not digest input.
     """
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    tmp.write_text(text, encoding="utf-8")
     tmp.replace(path)
 
 
@@ -51,7 +55,8 @@ class CampaignState:
     """The persisted journal for one campaign directory.
 
     All mutating helpers save immediately; the in-memory dict mirrors the
-    on-disk document at every step boundary.
+    on-disk document at every step boundary.  Step entries change only
+    through these helpers, which drop the entry's cached encoding.
     """
 
     def __init__(self, path: Path, name: str, fingerprint: str,
@@ -64,6 +69,8 @@ class CampaignState:
             loaded = {"version": STATE_VERSION, "campaign": name,
                       "fingerprint": fingerprint, "runs": 0, "steps": {}}
         self.data = loaded
+        #: Step name -> that entry's encoding, nested at its depth in the file.
+        self._step_texts: dict[str, str] = {}
         self._reconcile(name, fingerprint, step_names)
 
     # -- loading -------------------------------------------------------------
@@ -78,12 +85,18 @@ class CampaignState:
             data = json.loads(raw)
         except ValueError:
             return None
-        if not isinstance(data, dict) or "steps" not in data:
+        if not isinstance(data, dict) or data.get("version") != STATE_VERSION:
             return None
-        if data.get("version") != STATE_VERSION:
+        steps = data.get("steps")
+        if not (isinstance(steps, dict) and isinstance(data.get("runs"), int)
+                and isinstance(data.get("campaign"), str)
+                and isinstance(data.get("fingerprint"), str)):
             return None
-        if not isinstance(data.get("steps"), dict):
-            return None
+        for entry in steps.values():
+            history = entry.get("history", []) if isinstance(entry, dict) else None
+            if not (isinstance(history, list) and isinstance(entry.get("status"), str)
+                    and all(isinstance(item, dict) for item in history)):
+                return None
         return data
 
     def _reconcile(self, name: str, fingerprint: str,
@@ -104,7 +117,7 @@ class CampaignState:
         reconciled: dict[str, Any] = {}
         for step_name in step_names:
             entry = steps.get(step_name)
-            if not isinstance(entry, dict):
+            if entry is None:
                 entry = {"status": PENDING, "history": []}
             elif self.stale_checkpoint or entry.get("status") == RUNNING:
                 # A RUNNING step in a loaded journal means the process was
@@ -153,6 +166,7 @@ class CampaignState:
         return self.runs
 
     def step_started(self, name: str, total_tasks: int) -> None:
+        self._step_texts.pop(name, None)
         entry = self.step(name)
         entry["status"] = RUNNING
         entry["total_tasks"] = total_tasks
@@ -163,6 +177,7 @@ class CampaignState:
                        seeds: Optional[list[int]] = None,
                        metrics: Optional[dict[str, Any]] = None,
                        telemetry: Optional[dict[str, Any]] = None) -> None:
+        self._step_texts.pop(name, None)
         entry = self.step(name)
         entry["status"] = DONE
         entry["digest"] = digest
@@ -180,13 +195,32 @@ class CampaignState:
         self.save()
 
     def step_failed(self, name: str, error: str) -> None:
+        self._step_texts.pop(name, None)
         entry = self.step(name)
         entry["status"] = FAILED
         entry["error"] = error
         self.save()
 
     def save(self) -> None:
-        _atomic_write_json(self.path, self.data)
+        """Write ``json.dumps(self.data, indent=2) + "\\n"``, byte for byte.
+
+        Only entries changed since the last save are encoded.  ``json.dumps``
+        escapes newlines inside strings, so nesting a text is a replace.
+        """
+        steps, texts = self.data["steps"], self._step_texts
+        for name in steps.keys() - texts.keys():
+            texts[name] = (f"    {json.dumps(name)}: "
+                           + json.dumps(steps[name], indent=2).replace("\n", "\n    "))
+        members = []
+        for key, value in self.data.items():
+            if key != "steps":
+                text = json.dumps(value, indent=2).replace("\n", "\n  ")
+            elif steps:
+                text = "{\n" + ",\n".join(texts[name] for name in steps) + "\n  }"
+            else:
+                text = "{}"
+            members.append(f"  {json.dumps(key)}: {text}")
+        _atomic_write_json(self.path, "{\n" + ",\n".join(members) + "\n}\n")
 
     # -- summaries -----------------------------------------------------------
     def counts(self) -> dict[str, int]:

@@ -140,6 +140,33 @@ class TestState:
         assert state.recovered_from_corruption
         assert state.status("x") == "pending"
 
+    @pytest.mark.parametrize("top, step", [
+        ({}, {"history": {"a": 1}}),
+        ({}, {"history": [1, 2]}),
+        ({}, {"history": "x"}),
+        ({}, {"status": None}),
+        ({"steps": {"x": 5}}, {}),
+        ({"runs": "x"}, {}),
+        ({"campaign": 5}, {}),
+        ({"fingerprint": None}, {}),
+    ], ids=["history-dict", "history-ints", "history-str", "status-null",
+            "entry-int", "runs-str", "campaign-int", "fingerprint-null"])
+    def test_wrong_shape_journal_recovers_fresh(self, tmp_path, top, step):
+        path = tmp_path / "state.json"
+        entry = {"status": "done", "digest": "a" * 64,
+                 "history": [{"run": 1, "digest": "a" * 64,
+                              "fingerprint": "fp"}], **step}
+        journal = {"version": 1, "campaign": "c", "fingerprint": "fp",
+                   "runs": 1, "steps": {"x": entry}, **top}
+        path.write_text(json.dumps(journal), encoding="utf-8")
+        assert CampaignState.load(path) is None
+        state = CampaignState(path, "c", "fp", ["x"])
+        assert state.recovered_from_corruption
+        assert state.begin_run() == 1
+        state.step_started("x", 1)
+        state.step_completed("x", "b" * 64)
+        assert state.previous_digest("x") is None
+
     def test_fingerprint_drift_marks_steps_stale(self, tmp_path):
         path = tmp_path / "state.json"
         first = CampaignState(path, "c", "fp1", ["x"])
@@ -240,6 +267,44 @@ class TestCampaignEndToEnd:
 
     def test_status_on_missing_directory(self, tmp_path):
         assert "no readable campaign state" in campaign_status(tmp_path)
+
+    @pytest.mark.parametrize("progress", [
+        "[]", '{"steps": []}', '{"steps": {"sweep:grid": 5}}'],
+        ids=["list", "steps-list", "step-int"])
+    def test_status_reads_damaged_progress_as_no_progress(self, tmp_path,
+                                                          progress):
+        CampaignState(tmp_path / "state.json", "c", "fp",
+                      ["sweep:grid"]).begin_run()
+        without_progress = campaign_status(tmp_path)
+        (tmp_path / "progress.json").write_text(progress, encoding="utf-8")
+        assert campaign_status(tmp_path) == without_progress
+
+    def test_progress_file_written_once_per_forced_flush(self, tmp_path,
+                                                         monkeypatch):
+        import repro.campaign.runner as runner_module
+
+        directory = tmp_path / "c"
+        writes: list[str] = []
+        write = runner_module._atomic_write_json
+
+        def recording(path, payload):
+            if path == directory / "progress.json":
+                writes.append(json.dumps(payload, indent=2) + "\n")
+            write(path, payload)
+
+        monkeypatch.setattr(runner_module, "_atomic_write_json", recording)
+        # An infinite interval leaves only the forced flushes: the initial
+        # one and each step's "done".
+        runner = CampaignRunner(CampaignManifest.from_spec(TINY_SPEC),
+                                directory, progress_interval=float("inf"))
+        runner.run()
+        assert len(writes) == len(runner.steps) + 1
+        assert all(a != b for a, b in zip(writes, writes[1:]))
+        final = json.loads(writes[-1])
+        assert final["tasks_done"] == final["tasks_total"]
+        assert {entry["status"] for entry in final["steps"].values()} == {"done"}
+        assert (directory / "progress.json").read_text(
+            encoding="utf-8") == writes[-1]
 
     def test_pin_mismatch_is_highlighted(self, tmp_path):
         result = run_campaign(TINY_SPEC, tmp_path / "c")
