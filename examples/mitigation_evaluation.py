@@ -6,10 +6,11 @@ The paper recommends two changes to Chronos' pool generation — accept at most
 values — while noting that the DNS dependency itself remains exploitable by
 an attacker who keeps the victim's DNS hijacked for the full 24-hour window.
 
-This example prints the closed-form evaluation and then re-runs the
-packet-level scenario with each mitigation enabled; the packet-level table is
-an explicit ``param_sets`` sweep through the experiment runner (see
-:data:`repro.analysis.mitigations.MITIGATION_CASES`).
+This example prints the closed-form evaluation and then, with ``--simulate``,
+runs the defense-matrix cells that reproduce each row at packet level: the
+chronos rows × ``classic`` / ``address_cap`` / ``ttl_discard`` / ``section5``
+slice of the default grid (see
+:data:`repro.analysis.mitigations.SECTION5_MATRIX_CELLS`).
 
 Run with:  python examples/mitigation_evaluation.py [--simulate] [--workers N]
 """
@@ -18,7 +19,14 @@ from __future__ import annotations
 
 import sys
 
-from repro.analysis import MitigationRow, analytic_mitigation_table, simulated_mitigation_table
+from repro.analysis import (
+    SECTION5_ATTACKS,
+    SECTION5_STACKS,
+    MitigationRow,
+    analytic_mitigation_table,
+    section5_from_matrix,
+)
+from repro.experiments import run_defense_matrix
 
 
 def main(simulate: bool = False, workers: int = 1) -> None:
@@ -29,8 +37,9 @@ def main(simulate: bool = False, workers: int = 1) -> None:
 
     if simulate:
         print(f"\n== Packet-level mitigation evaluation (workers={workers}) ==")
-        print(MitigationRow.header())
-        for row in simulated_mitigation_table(workers=workers):
+        matrix = run_defense_matrix(SECTION5_ATTACKS, SECTION5_STACKS, seeds=(1,),
+                                    workers=workers)
+        for row in section5_from_matrix(matrix):
             print(row.formatted())
     else:
         print("\n(pass --simulate to also run the packet-level evaluation)")

@@ -12,13 +12,13 @@ from .effort import (
     shift_effort_table,
 )
 from .mitigations import (
-    MITIGATION_CASES,
+    SECTION5_ATTACKS,
     SECTION5_MATRIX_CELLS,
+    SECTION5_STACKS,
     MitigationRow,
     Section5CellComparison,
     analytic_mitigation_table,
     section5_from_matrix,
-    simulated_mitigation_table,
 )
 from .poisoning_vectors import (
     VectorFeasibilityRow,
@@ -32,7 +32,6 @@ from .pool_composition import (
     crossover_query_index,
     figure1_report,
     simulated_composition,
-    simulated_sweep,
 )
 from .response_capacity import (
     INTERESTING_PAYLOAD_LIMITS,
@@ -53,13 +52,13 @@ __all__ = [
     "fraction_sweep_table",
     "poisoning_success_probability",
     "shift_effort_table",
-    "MITIGATION_CASES",
+    "SECTION5_ATTACKS",
     "SECTION5_MATRIX_CELLS",
+    "SECTION5_STACKS",
     "MitigationRow",
     "Section5CellComparison",
     "analytic_mitigation_table",
     "section5_from_matrix",
-    "simulated_mitigation_table",
     "VectorFeasibilityRow",
     "feasibility_row",
     "mtu_sweep",
@@ -69,7 +68,6 @@ __all__ = [
     "crossover_query_index",
     "figure1_report",
     "simulated_composition",
-    "simulated_sweep",
     "INTERESTING_PAYLOAD_LIMITS",
     "CapacityRow",
     "capacity_row",

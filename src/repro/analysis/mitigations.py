@@ -9,7 +9,8 @@ The paper suggests two changes to Chronos' pool generation:
 It then notes that even with both mitigations the dependency on DNS remains:
 an attacker able to keep the victim's DNS hijacked for the whole 24-hour
 window still controls every address in the pool.  This module evaluates all
-of that, both in closed form and on the packet-level scenario.
+of that in closed form and lines it up against the defense-matrix cells that
+run the same cases at packet level — the only packet-level §V path.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from typing import Optional
 
 from ..core.pool_generation import PoolComposition
 from ..dns.nameserver import POOL_RECORDS_PER_RESPONSE
-from ..experiments.matrix import DefenseMatrixResult
-from ..experiments.runner import ExperimentRunner
+from ..experiments.matrix import DEFAULT_ATTACKS, DEFAULT_STACKS, DefenseMatrixResult
 
 
 @dataclass(frozen=True)
@@ -101,54 +101,6 @@ def analytic_mitigation_table(query_count: int = 24, poison_at_query: int = 1,
     return rows
 
 
-#: The five mitigation cases, as (row label, scenario parameter overlay).
-#: An explicit ``param_sets`` sweep because the cases are heterogeneous —
-#: a cartesian grid would run combinations the table does not report.
-#: Each mitigation is a :class:`~repro.defenses.base.Defense` by registry
-#: name, so this table and the closed form share one definition per
-#: mitigation (the analytic rows describe exactly what ``address_cap`` and
-#: ``ttl_discard`` implement).
-MITIGATION_CASES = (
-    ("no mitigation, single poisoning", {}),
-    ("max 4 addresses per response (alone)", {"defenses": ("address_cap",)}),
-    ("high-TTL responses discarded", {"defenses": ("ttl_discard",)}),
-    ("both mitigations (single poisoning)",
-     {"defenses": ("ttl_discard", "address_cap")}),
-    ("both mitigations, 24h DNS hijack (residual)",
-     {"defenses": ("ttl_discard", "address_cap"),
-      # Pinned to query 1 regardless of the table's poison_at_query: the
-      # residual attack's hijack window must cover the whole generation.
-      "poison_at_query": 1,
-      "hijack_duration": 24 * 3600.0 + 1200.0,
-      "malicious_ttl": 300}),
-)
-
-
-def simulated_mitigation_table(poison_at_query: int = 1, seed: int = 1,
-                               workers: int = 1) -> list[MitigationRow]:
-    """Packet-level evaluation of the mitigations (slower, used by the bench).
-
-    Driven through the experiment runner: one ``chronos_pool_attack`` run per
-    mitigation case, optionally in parallel.
-    """
-    result = ExperimentRunner(
-        "chronos_pool_attack",
-        seeds=[seed],
-        base_params={"poison_at_query": poison_at_query,
-                     "hijack_duration": 600.0,
-                     "run_time_shift": False},
-        param_sets=[overlay for _, overlay in MITIGATION_CASES],
-        workers=workers,
-    ).run()
-    return [
-        _row(label,
-             PoolComposition(benign=record.metrics["benign"],
-                             malicious=record.metrics["malicious"]),
-             "simulated")
-        for (label, _), record in zip(MITIGATION_CASES, result.records)
-    ]
-
-
 #: Analytic-table row label -> the defense-matrix cell reproducing it.
 SECTION5_MATRIX_CELLS = (
     ("no mitigation, poisoning at query 1", ("chronos_poisoning", "classic")),
@@ -157,6 +109,12 @@ SECTION5_MATRIX_CELLS = (
     ("both mitigations (single poisoning)", ("chronos_poisoning", "section5")),
     ("both mitigations, 24h DNS hijack (residual)", ("chronos_24h_hijack", "section5")),
 )
+
+#: The default-grid rows and columns those cells name, in grid order.
+SECTION5_ATTACKS = tuple(attack for attack in DEFAULT_ATTACKS
+                         if any(attack.label == cell[0] for _, cell in SECTION5_MATRIX_CELLS))
+SECTION5_STACKS = tuple(stack for stack in DEFAULT_STACKS
+                        if any(stack.name == cell[1] for _, cell in SECTION5_MATRIX_CELLS))
 
 
 @dataclass(frozen=True)

@@ -98,15 +98,6 @@ def simulated_composition(poison_at_query: Optional[int], seed: int = 1,
     return _row_from_composition(poison_at_query, composition, mode="simulated")
 
 
-def simulated_sweep(indices: Sequence[int], seed: int = 1,
-                    dedupe: bool = True) -> list[PoolCompositionRow]:
-    """Packet-level sweep over selected poisoning indices."""
-    rows = [simulated_composition(None, seed=seed, dedupe=dedupe)]
-    rows.extend(simulated_composition(index, seed=seed, dedupe=dedupe)
-                for index in indices)
-    return rows
-
-
 def figure1_report(poison_at_query: int = 1, seed: int = 1) -> dict:
     """The Figure-1 numbers: 4·11 = 44 benign versus 89 malicious.
 

@@ -47,11 +47,8 @@ from .frag_poisoning import (
 )
 from .ntp_shift import (
     OfflineShiftModel,
-    ShiftOutcome,
     chronos_round_offset,
     ntpd_round_offset,
-    shift_chronos_client,
-    shift_traditional_client,
 )
 from .query_trigger import QueryTrigger, SMTPTriggerServer, TriggerRecord
 
@@ -90,11 +87,8 @@ __all__ = [
     "FragRaceWorld",
     "fragmentation_attack_success_probability",
     "OfflineShiftModel",
-    "ShiftOutcome",
     "chronos_round_offset",
     "ntpd_round_offset",
-    "shift_chronos_client",
-    "shift_traditional_client",
     "QueryTrigger",
     "SMTPTriggerServer",
     "TriggerRecord",

@@ -1,11 +1,11 @@
-"""Time-shifting attacks executed on top of a compromised (or benign) setup.
+"""Closed-form models of one time-shift round under a given sample mix.
 
 Once the attacker's addresses are in the victim's server set — the entire set
 for a traditional client whose single DNS lookup was poisoned, or a two-thirds
 pool majority for Chronos after the §IV pool attack — the actual time shift is
-delivered by ordinary NTP responses carrying shifted timestamps.  These
-helpers configure the attacker servers and run the victim's update loop so
-experiments can measure the shift actually achieved on the victim clock.
+delivered by ordinary NTP responses carrying shifted timestamps.  The attack
+scenarios run that phase at packet level; these helpers answer, without a
+simulation, which offset a victim's selection algorithm adopts.
 """
 
 from __future__ import annotations
@@ -13,61 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.chronos_client import ChronosClient
 from ..core.selection import ChronosConfig, chronos_select
-from ..ntp.client import TraditionalNTPClient
 from ..ntp.query import TimeSample
 from ..ntp.selection import ntpd_select
-from .attacker import AttackerInfrastructure
-
-
-@dataclass(frozen=True)
-class ShiftOutcome:
-    """Result of a time-shift attempt against a victim client."""
-
-    victim: str
-    target_shift: float
-    achieved_error: float
-    updates: int
-
-    @property
-    def succeeded(self) -> bool:
-        if self.target_shift == 0:
-            return False
-        return abs(self.achieved_error) >= abs(self.target_shift) / 2
-
-
-def shift_traditional_client(client: TraditionalNTPClient, attacker: AttackerInfrastructure,
-                             target_shift: float, rounds: int = 4) -> ShiftOutcome:
-    """Run a traditional client for ``rounds`` polls with attacker servers shifted."""
-    attacker.set_time_shift(target_shift)
-    simulator = client.network.simulator
-    if not client.started:
-        client.start()
-    simulator.run_for(rounds * client.poll_interval + 30.0)
-    return ShiftOutcome(
-        victim="traditional-ntp",
-        target_shift=target_shift,
-        achieved_error=client.clock.error,
-        updates=len(client.poll_history),
-    )
-
-
-def shift_chronos_client(client: ChronosClient, attacker: AttackerInfrastructure,
-                         target_shift: float, rounds: int = 8) -> ShiftOutcome:
-    """Run a Chronos client for ``rounds`` update intervals under attack."""
-    attacker.set_time_shift(target_shift)
-    simulator = client.network.simulator
-    if client.pool is None:
-        raise RuntimeError("Chronos client has no pool; run pool generation first")
-    client.begin_updates()
-    simulator.run_for(rounds * client.config.poll_interval + 30.0)
-    return ShiftOutcome(
-        victim="chronos",
-        target_shift=target_shift,
-        achieved_error=client.clock.error,
-        updates=len(client.update_history),
-    )
 
 
 @dataclass(frozen=True)

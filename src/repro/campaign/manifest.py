@@ -58,6 +58,7 @@ from ..experiments.matrix import (
     SERVING_STACKS,
     AttackSpec,
     DefenseStackSpec,
+    require_unique_axes,
 )
 from ..experiments.registry import get_scenario
 
@@ -112,9 +113,12 @@ def _resolve_seeds(spec: Any, default: tuple[int, ...]) -> tuple[int, ...]:
             raise ValueError("seed budget must be at least 1")
         return tuple(range(1, spec + 1))
     if isinstance(spec, Sequence) and not isinstance(spec, str):
-        seeds = tuple(int(seed) for seed in spec)
+        seeds = tuple(spec)
         if not seeds:
             raise ValueError("an explicit seed list must not be empty")
+        if (any(isinstance(seed, bool) or not isinstance(seed, int) for seed in seeds)
+                or len(set(seeds)) != len(seeds)):
+            raise ValueError(f"explicit seeds must be distinct ints: {list(seeds)!r}")
         return seeds
     raise ValueError(f"unsupported seed budget: {spec!r}")
 
@@ -208,6 +212,9 @@ class MatrixSweep:
     seeds: tuple[int, ...]
 
     kind = "matrix"
+
+    def __post_init__(self) -> None:
+        require_unique_axes(self.attacks, self.stacks)
 
     @property
     def cell_count(self) -> int:

@@ -233,18 +233,6 @@ def cumulative_shift_bound(pool_size: int, malicious_servers: int, sample_size: 
     )
 
 
-@dataclass(frozen=True)
-class AttackComparison:
-    """Effort comparison used by experiment E6."""
-
-    scenario: str
-    dns_poisoning_opportunities: int
-    dns_successes_required: int
-    ntp_rounds_expected: float
-    expected_years: float
-    notes: str = ""
-
-
 def mitm_reference_bound(pool_size: int = 500, sample_size: int = 15,
                          poll_interval: float = 900.0,
                          malicious_fraction: float = 1.0 / 3.0 - 1e-9) -> ShiftAttackBound:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -264,6 +265,17 @@ class DefenseMatrixResult:
         return self.cell("chronos_24h_hijack", stack).success_rate
 
 
+def require_unique_axes(attacks: Sequence[AttackSpec],
+                        stacks: Sequence[DefenseStackSpec]) -> None:
+    """Raise ``ValueError`` naming any repeated attack label or stack name:
+    cells are keyed by both, so a repeat would silently collapse two cells."""
+    for axis, names in (("attack label", [attack.label for attack in attacks]),
+                        ("stack name", [stack.name for stack in stacks])):
+        repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+        if repeated:
+            raise ValueError(f"duplicate {axis}(s) in the matrix: {repeated}")
+
+
 def matrix_specs(attacks: Sequence[AttackSpec],
                  stacks: Sequence[DefenseStackSpec],
                  seeds: Sequence[int]) -> list[ExperimentSpec]:
@@ -302,6 +314,7 @@ def run_defense_matrix(attacks: Sequence[AttackSpec] = DEFAULT_ATTACKS,
     attacks = tuple(attacks)
     stacks = tuple(stacks)
     seeds = tuple(seeds)
+    require_unique_axes(attacks, stacks)
     start = time.perf_counter()
     scheduler = SweepScheduler(workers=workers, cache=cache, on_progress=on_progress,
                                collect_metrics=collect_metrics)

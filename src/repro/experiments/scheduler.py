@@ -33,9 +33,9 @@ Guarantees:
   everything it finished.
 * **Crash isolation** — a task whose scenario raises comes back as a
   :class:`TaskFailure` marker instead of poisoning its whole chunk; failed
-  tasks are retried inline (``task_retries`` attempts with exponential
-  backoff), and only permanent failures raise :class:`SweepError` — after
-  the rest of the stream has completed and been persisted.
+  tasks are retried inline (``task_retries`` immediate attempts), and only
+  permanent failures raise :class:`SweepError` — after the rest of the
+  stream has completed and been persisted.
 * **Pool-loss degradation** — a watchdog (``task_timeout`` seconds with no
   chunk completing) detects a lost pool (e.g. a SIGKILLed worker, whose
   in-flight chunk ``multiprocessing.Pool`` silently never redelivers); the
@@ -302,11 +302,6 @@ class SweepScheduler:
     task_retries:
         How many times a task whose scenario raised is re-attempted (inline,
         in the parent) before it counts as a permanent failure.
-    retry_backoff:
-        Base seconds slept before each retry attempt, doubled per attempt.
-        The default of ``0.0`` retries immediately — simulated scenarios are
-        deterministic, so backoff only matters for tasks touching shared
-        host state.
     task_timeout:
         Watchdog: seconds to wait for *any* chunk to complete before the
         pool is declared lost and the remaining chunks re-run inline.
@@ -317,7 +312,6 @@ class SweepScheduler:
     def __init__(self, workers: int = 1, cache: Optional[RunCache] = None,
                  on_progress: Optional[ProgressCallback] = None,
                  collect_metrics: bool = False, task_retries: int = 1,
-                 retry_backoff: float = 0.0,
                  task_timeout: Optional[float] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -328,7 +322,6 @@ class SweepScheduler:
         self.on_progress = on_progress
         self.collect_metrics = collect_metrics
         self.task_retries = task_retries
-        self.retry_backoff = retry_backoff
         self.task_timeout = task_timeout
         self._done = 0
         self._total = 0
@@ -543,10 +536,10 @@ class SweepScheduler:
                         ) -> None:
         """Re-attempt every :class:`TaskFailure` in ``results``, in place.
 
-        Retries run inline in the parent with exponential backoff between
-        attempts; a recovered task's record (and metrics snapshot) is
-        persisted exactly as a first-try success would have been.  Markers
-        that survive all attempts stay in the list for the caller to report.
+        Retries run inline in the parent, one immediately after another; a
+        recovered task's record (and metrics snapshot) is persisted exactly as
+        a first-try success would have been.  Markers that survive all
+        attempts stay in the list for the caller to report.
         """
         if self.task_retries == 0:
             return
@@ -554,9 +547,7 @@ class SweepScheduler:
             if not isinstance(outcome, TaskFailure):
                 continue
             failure = outcome
-            for attempt in range(self.task_retries):
-                if self.retry_backoff > 0.0:
-                    time.sleep(self.retry_backoff * 2 ** attempt)
+            for _ in range(self.task_retries):
                 stats.tasks_retried += 1
                 retried, duration, snapshot = _execute_task_guarded(
                     failure.task, self.collect_metrics)

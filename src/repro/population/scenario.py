@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
+from dataclasses import fields
 from typing import Any, Optional
 
 from ..core.selection import ChronosConfig
@@ -27,84 +28,47 @@ from .batch import FleetPolicy
 from .engine import FleetConfig, FleetEngine
 
 
+#: Config fields that are not flat scenario parameters (``clients`` is one,
+#: but has no dataclass default; ``seed`` comes from the task).
+NON_PARAM_FIELDS = frozenset({"clients", "seed", "explicit_starts", "policy",
+                              "chronos", "target_pool_size"})
+
+#: The scenario defaults that differ from the dataclasses.  Metrics are
+#: backend-independent; ``backend`` only selects the implementation.
+PARAM_OVERRIDES = {"clients": 1000, "resolvers": 32, "backend": "auto"}
+
+#: Every scenario parameter, grouped by the dataclass that declares it.
+_SCHEMA = {config_class: tuple(spec for spec in fields(config_class)
+                               if spec.name not in NON_PARAM_FIELDS)
+           for config_class in (FleetConfig, FleetPolicy, ChronosConfig)}
+_DEFAULTS = {**{spec.name: spec.default for specs in _SCHEMA.values() for spec in specs},
+             **PARAM_OVERRIDES}
+
+
 def fleet_config_from_params(seed: int, p: Mapping[str, Any]) -> FleetConfig:
     """Build a :class:`FleetConfig` from flat scenario parameters."""
-    policy = FleetPolicy(
-        query_count=p["query_count"],
-        query_interval=p["query_interval"],
-        benign_per_response=p["benign_per_response"],
-        attacker_records=p["attacker_records"],
-        benign_servers=p["benign_servers"],
-        benign_ttl=p["benign_ttl"],
-        malicious_ttl=p["malicious_ttl"],
-        dedupe=p["dedupe"],
-        max_addresses_per_response=p["max_addresses_per_response"],
-        max_accepted_ttl=p["max_accepted_ttl"],
-    )
-    chronos = ChronosConfig(
-        sample_size=p["sample_size"],
-        err=p["err"],
-        drift_ppm=p["drift_ppm"],
-        max_retries=p["max_retries"],
-        poll_interval=p["poll_interval"],
-    )
-    return FleetConfig(
-        clients=p["clients"],
-        resolvers=p["resolvers"],
-        client_offset=p["client_offset"],
-        population=p["population"],
-        seed=seed,
-        stagger_window=p["stagger_window"],
-        policy=policy,
-        chronos=chronos,
-        hijack_start=p["hijack_start"],
-        hijack_duration=p["hijack_duration"],
-        run_time_shift=p["run_time_shift"],
-        target_shift=p["target_shift"],
-        update_rounds=p["update_rounds"],
-        backend=p["backend"],
-    )
+    values = {config_class: {spec.name: p[spec.name] for spec in specs}
+              for config_class, specs in _SCHEMA.items()}
+    return FleetConfig(clients=p["clients"], seed=seed,
+                       policy=FleetPolicy(**values[FleetPolicy]),
+                       chronos=ChronosConfig(**values[ChronosConfig]),
+                       **values[FleetConfig])
 
 
 @register_scenario
 class PopulationSweepExperiment:
-    """Analytic fleet simulation of the §IV attack at population scale."""
+    """Analytic fleet simulation of the §IV attack at population scale.
+
+    Its parameters are the flattened fields of :class:`FleetConfig`,
+    :class:`FleetPolicy` and :class:`ChronosConfig` (see :data:`PARAM_OVERRIDES`).
+    """
 
     name = "population_sweep"
     description = ("vectorized Chronos fleet: staggered clients behind shared "
                    "resolvers, closed-form pools, two-point update rounds")
 
     def default_params(self) -> dict[str, Any]:
-        return {
-            "clients": 1000,
-            "client_offset": 0,
-            "population": None,       # None: client_offset + clients
-            "resolvers": 32,
-            "stagger_window": 86400.0,
-            "query_count": 24,
-            "query_interval": 3600.0,
-            "benign_per_response": 4,
-            "attacker_records": 89,
-            "benign_servers": 200,
-            "benign_ttl": 150,
-            "malicious_ttl": 2 * 86400,
-            "dedupe": False,
-            "max_addresses_per_response": None,
-            "max_accepted_ttl": None,
-            "sample_size": 15,
-            "err": 0.1,
-            "drift_ppm": 10.0,
-            "max_retries": 2,
-            "poll_interval": 3600.0 / 4,
-            "hijack_start": 90000.0,
-            "hijack_duration": 600.0,
-            "run_time_shift": True,
-            "target_shift": 600.0,
-            "update_rounds": 5,
-            # Metrics are backend-independent (bit-identical digests); the
-            # knob only selects the implementation.
-            "backend": "auto",
-        }
+        return dict(_DEFAULTS)
 
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
         p = merge_params(self.default_params(), params)

@@ -91,6 +91,30 @@ class TestManifest:
         assert CampaignManifest.from_spec(
             {**base, "seeds": [7, 9]}).sweep("grid").seeds == (7, 9)
 
+    @pytest.mark.parametrize("seeds, match", [
+        ([1.7, 2], "must be distinct ints"),
+        ([True, 2], "must be distinct ints"),
+        (["3"], "must be distinct ints"),
+        ([1, 1], "must be distinct ints"),
+        ([], "must not be empty"),
+    ])
+    def test_explicit_seed_lists_are_validated(self, seeds, match):
+        spec = json.loads(json.dumps(TINY_SPEC))
+        spec["seeds"] = seeds
+        with pytest.raises(ValueError, match=match):
+            CampaignManifest.from_spec(spec)
+        spec["seeds"] = 2
+        spec["sweeps"]["grid"]["seeds"] = seeds
+        with pytest.raises(ValueError, match=match):
+            CampaignManifest.from_spec(spec)
+
+    def test_duplicate_stack_names_are_rejected(self):
+        spec = json.loads(json.dumps(TINY_SPEC))
+        spec["sweeps"]["grid"]["stacks"] = [
+            "legacy", {"name": "classic", "defenses": ["response_signing"]}]
+        with pytest.raises(ValueError, match=r"duplicate stack name.*'classic'"):
+            CampaignManifest.from_spec(spec)
+
     @pytest.mark.parametrize("mutation, match", [
         ({"sweeps": {}}, "non-empty 'sweeps'"),
         ({"sweeps": {"g": {"kind": "nope"}}}, "unknown kind"),

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import section5_from_matrix
+from repro.analysis import SECTION5_ATTACKS, SECTION5_STACKS, section5_from_matrix
 from repro.experiments import (
     DEFAULT_ATTACKS,
     DEFAULT_STACKS,
     AttackSpec,
     DefenseStackSpec,
+    matrix_specs,
     run_defense_matrix,
 )
+from repro.experiments.cache import canonical_json
 from repro.experiments.pins import FULL_GRID_DIGEST, TRIMMED_GRID_DIGEST
+from repro.experiments.runner import resolve_spec_tasks
 
 #: A cheap grid for determinism checks: both poisoning vectors under three
 #: stacks with tiny populations.
@@ -164,3 +167,27 @@ def test_matrix_cell_addressing_and_reporting():
     assert "dnssec" in lines[0]
     interval = matrix.cell("frag_poisoning", "classic").success_interval
     assert interval.low <= 1.0 <= interval.high
+
+
+def test_section5_slice_is_a_subset_of_the_default_grid():
+    """E8's §V cells are grid cells, so they replay from a shared RunCache."""
+    def tasks(attacks, stacks):
+        return {(name, seed, canonical_json(params))
+                for spec in matrix_specs(attacks, stacks, (1, 2, 3))
+                for name, seed, params in resolve_spec_tasks(spec)}
+
+    section5 = tasks(SECTION5_ATTACKS, SECTION5_STACKS)
+    assert len(section5) == len(SECTION5_ATTACKS) * len(SECTION5_STACKS) * 3
+    assert section5 <= tasks(DEFAULT_ATTACKS, DEFAULT_STACKS)
+
+
+@pytest.mark.parametrize("attacks, stacks, duplicate", [
+    (TRIMMED_ATTACKS[:1],
+     (DefenseStackSpec("x", ()), DefenseStackSpec("x", ("response_signing",))),
+     "stack name"),
+    ((TRIMMED_ATTACKS[0], AttackSpec("bgp_hijack", "frag_poisoning")),
+     TRIMMED_STACKS[:1], "attack label"),
+])
+def test_duplicate_axis_names_are_rejected(attacks, stacks, duplicate):
+    with pytest.raises(ValueError, match=f"duplicate {duplicate}"):
+        run_defense_matrix(attacks, stacks, seeds=(1,))

@@ -42,6 +42,8 @@ CONFIG_ONLY = {
     "bgp_hijack": ("seed", "zone", "latency", "benign_ttl", "records_per_response"),
     "frag_poisoning": ("seed", "zone", "latency", "benign_ttl"),
     "downgrade": ("seed", "zone", "latency", "benign_ttl"),
+    "population_sweep": ("seed", "zone", "latency", "explicit_starts", "policy",
+                         "chronos", "target_pool_size"),
 }
 
 
