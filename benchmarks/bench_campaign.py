@@ -12,14 +12,13 @@ and the CI ``campaign`` job use) three ways in fresh directories:
 Gates: all three produce identical step digests and byte-identical
 ``report.md``/SVG artifacts; the interrupted run executes only the cells
 its primer did not persist; the warm run executes nothing and replays
-every cell from cache.  A JSON artifact (``BENCH_campaign.json``,
-override via ``CAMPAIGN_JSON``) records the numbers for CI archiving.
+every cell from cache.  A JSON artifact (``BENCH_campaign.json``)
+records the numbers for CI archiving.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -30,8 +29,8 @@ from repro.campaign import CampaignManifest, CampaignRunner
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "examples"))
 from campaign_study import reduced_manifest  # noqa: E402
 
-SEEDS = int(os.environ.get("CAMPAIGN_SEED_COUNT", "2"))
-PRIME_TASKS = int(os.environ.get("CAMPAIGN_PRIME_TASKS", "5"))
+SEEDS = 2
+PRIME_TASKS = 5
 
 
 def _run(directory: Path, manifest: CampaignManifest):
@@ -110,7 +109,7 @@ def test_campaign_gates(benchmark, tmp_path):
             sum(o.telemetry.get("wall_seconds", 0.0) for o in warm.outcomes), 3),
         "resumed_executed": grid_resumed["executed"],
     }
-    Path(os.environ.get("CAMPAIGN_JSON", "BENCH_campaign.json")).write_text(
+    Path("BENCH_campaign.json").write_text(
         json.dumps(report, indent=2) + "\n", encoding="utf-8")
     emit("E-campaign: resumable study gates", [
         f"cells total            : {report['cells_total']}",

@@ -15,14 +15,13 @@ Three measurements on the new connection-oriented path:
 3. **Policy table** — the one-line summary the subsystem exists for:
    strict DoT blocks the downgrade, opportunistic DoT does not.
 
-A JSON artifact (``BENCH_encrypted_transport.json``, override via
-``TRANSPORT_JSON``) records the numbers for CI archiving.
+A JSON artifact (``BENCH_encrypted_transport.json``) records the numbers
+for CI archiving.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -32,8 +31,8 @@ from repro.experiments import ExperimentRunner, run_scenario
 from repro.experiments.pins import DOWNGRADE_SWEEP_DIGEST
 from repro.experiments.scenarios import TRANSPORT_PROFILES
 
-SEED_COUNT = int(os.environ.get("TRANSPORT_SEED_COUNT", "8"))
-QUERIES = int(os.environ.get("TRANSPORT_QUERY_COUNT", "50"))
+SEED_COUNT = 8
+QUERIES = 50
 
 
 def resolve_many(label, queries):
@@ -91,7 +90,7 @@ def test_encrypted_transport_gates(benchmark):
         "digest_pinned": DOWNGRADE_SWEEP_DIGEST if SEED_COUNT == 8 else None,
         "workers_identical": sequential.digest() == parallel.digest(),
     }
-    json_path = os.environ.get("TRANSPORT_JSON", "BENCH_encrypted_transport.json")
+    json_path = "BENCH_encrypted_transport.json"
     with Path(json_path).open("w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
 

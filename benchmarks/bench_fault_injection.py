@@ -12,30 +12,15 @@ Two properties keep the fault layer honest:
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 from conftest import emit
 
-from repro.experiments.pins import CHAOS_GRID_DIGEST
-from repro.experiments.runner import ExperimentSpec
-from repro.experiments.scheduler import SweepScheduler
+from repro.experiments.pins import CHAOS_GRID_DIGEST, chaos_grid_digest
 from repro.faults import FaultInjector, FaultPlan, LinkLoss
 from repro.netsim.network import Host, LinkProperties, Network
 from repro.netsim.packets import UDPDatagram
 from repro.netsim.simulator import Simulator
 
 PACKETS = 3000
-
-CHAOS_FAULTS = (
-    {"kind": "link_loss", "loss_rate": 0.4, "src": "@nameserver",
-     "dst": "@resolver", "start": 0.0, "end": 9e9, "ramp": 30.0},
-    {"kind": "link_flap", "down_time": 3.0, "up_time": 11.0,
-     "src": "@resolver", "dst": "@nameserver", "start": 10.0, "end": 600.0},
-    {"kind": "reorder_jitter", "jitter": 0.05, "start": 0.0, "end": 9e9},
-    {"kind": "duplicate", "probability": 0.1, "delay": 0.02,
-     "start": 0.0, "end": 9e9},
-)
 
 
 class _Sink(Host):
@@ -59,24 +44,6 @@ def _pump(plan_events) -> int:
     return network.packets_sent
 
 
-def _chaos_digest() -> str:
-    specs = [
-        ExperimentSpec(scenario="frag_poisoning", seeds=(1, 2),
-                       base_params={"benign_server_count": 40},
-                       param_sets=({"faults": CHAOS_FAULTS}, {"faults": ()})),
-        ExperimentSpec(scenario="downgrade", seeds=(1,),
-                       param_sets=({"faults": CHAOS_FAULTS},)),
-        ExperimentSpec(scenario="population_sweep", seeds=(1,),
-                       base_params={"clients": 200, "update_rounds": 2}),
-    ]
-    results, _ = SweepScheduler(workers=1).run_specs(specs)
-    digest = hashlib.sha256()
-    for result in results:
-        for record in result.records:
-            digest.update(json.dumps(record.canonical(), sort_keys=True).encode())
-    return digest.hexdigest()
-
-
 def test_transmit_overhead_of_an_idle_fault_plan(benchmark):
     import timeit
 
@@ -98,8 +65,8 @@ def test_transmit_overhead_of_an_idle_fault_plan(benchmark):
 
 
 def test_faulted_sweep_digest_is_reproducible(benchmark):
-    first = benchmark.pedantic(_chaos_digest, rounds=1, iterations=1)
-    second = _chaos_digest()
+    first = benchmark.pedantic(chaos_grid_digest, rounds=1, iterations=1)
+    second = chaos_grid_digest()
     emit("fault injection — chaos grid determinism", [
         f"run 1: {first}",
         f"run 2: {second}",

@@ -21,7 +21,7 @@ Gates:
 * fleet totals are self-consistent (histogram sums to the population).
 
 The measurements are written to ``BENCH_population_scale.json``
-(override: ``POPULATION_JSON``) so CI can archive the run.  Reduced CI
+so CI can archive the run.  Reduced CI
 form: ``POPULATION_SCALE_CLIENTS`` / ``POPULATION_MIN_RATE``.  The numpy
 backend is required for the rate gate (the pure-python fallback is for
 digest parity, not speed) — the benchmark skips without it.
@@ -45,7 +45,7 @@ from repro.population.scenario import combine_cohort_metrics, population_specs
 CLIENTS = int(os.environ.get("POPULATION_SCALE_CLIENTS", "1000000"))
 COHORT = max(1, CLIENTS // 8)  # 8 cohorts: exercises the pooled path
 MIN_RATE = float(os.environ.get("POPULATION_MIN_RATE", "100000"))
-PACKET_RUNS = int(os.environ.get("POPULATION_PACKET_RUNS", "3"))
+PACKET_RUNS = 3
 SEED = 1
 
 FLEET_PARAMS = {
@@ -115,7 +115,7 @@ def test_population_scale(benchmark):
             "panic_rounds_total": fleet["panic_rounds_total"],
         },
     }
-    json_path = os.environ.get("POPULATION_JSON", "BENCH_population_scale.json")
+    json_path = "BENCH_population_scale.json"
     with Path(json_path).open("w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
 

@@ -19,8 +19,8 @@ Four measurements on the serving layer this subsystem added:
    the sustained race but only the *strict* DoT pairing stops the
    downgrade attacker.
 
-A JSON artifact (``BENCH_serving_throughput.json``, override via
-``SERVING_JSON``) records the numbers for CI archiving.
+A JSON artifact (``BENCH_serving_throughput.json``) records the numbers
+for CI archiving.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.experiments import AttackSpec, TestbedConfig, build_testbed, run_scen
 from repro.experiments.matrix import SERVING_ATTACKS, SERVING_STACKS, run_defense_matrix
 from repro.experiments.pins import SERVING_MATRIX_DIGEST
 
-SEED_COUNT = int(os.environ.get("SERVING_SEED_COUNT", "2"))
+SEED_COUNT = 2
 QUERIES = int(os.environ.get("SERVING_QUERY_COUNT", "50"))
 
 #: The timing worlds.  Queries are spaced 10 s apart, so the pooled config
@@ -151,7 +151,7 @@ def test_serving_throughput_gates(benchmark):
         "digest_pinned": SERVING_MATRIX_DIGEST if seeds == (1, 2) else None,
         "workers_identical": sequential.digest() == parallel.digest(),
     }
-    json_path = os.environ.get("SERVING_JSON", "BENCH_serving_throughput.json")
+    json_path = "BENCH_serving_throughput.json"
     with Path(json_path).open("w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
 

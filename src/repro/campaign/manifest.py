@@ -61,6 +61,7 @@ from ..experiments.matrix import (
     require_unique_axes,
 )
 from ..experiments.registry import get_scenario
+from ..experiments.runner import ExperimentSpec, require_valid_seeds
 
 #: Named attack-row groups a manifest may reference by string.
 ATTACK_GROUPS: dict[str, tuple[AttackSpec, ...]] = {
@@ -114,11 +115,7 @@ def _resolve_seeds(spec: Any, default: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(range(1, spec + 1))
     if isinstance(spec, Sequence) and not isinstance(spec, str):
         seeds = tuple(spec)
-        if not seeds:
-            raise ValueError("an explicit seed list must not be empty")
-        if (any(isinstance(seed, bool) or not isinstance(seed, int) for seed in seeds)
-                or len(set(seeds)) != len(seeds)):
-            raise ValueError(f"explicit seeds must be distinct ints: {list(seeds)!r}")
+        require_valid_seeds(seeds)
         return seeds
     raise ValueError(f"unsupported seed budget: {spec!r}")
 
@@ -155,8 +152,6 @@ def _resolve_attacks(spec: Any) -> tuple[AttackSpec, ...]:
                 params=dict(entry.get("params", {}))))
         else:
             raise ValueError(f"unsupported attack entry: {entry!r}")
-    if not attacks:
-        raise ValueError("a matrix sweep needs at least one attack row")
     return tuple(attacks)
 
 
@@ -190,8 +185,6 @@ def _resolve_stacks(spec: Any) -> tuple[DefenseStackSpec, ...]:
                 description=str(entry.get("description", ""))))
         else:
             raise ValueError(f"unsupported stack entry: {entry!r}")
-    if not stacks:
-        raise ValueError("a matrix sweep needs at least one defense stack")
     return tuple(stacks)
 
 
@@ -242,6 +235,13 @@ class GridSweep:
     seeds: tuple[int, ...]
 
     kind = "grid"
+
+    def __post_init__(self) -> None:
+        self.experiment_spec()  # rejects bad seeds and an empty expansion
+
+    def experiment_spec(self) -> ExperimentSpec:
+        return ExperimentSpec(scenario=self.scenario, seeds=self.seeds,
+                              base_params=self.base_params_dict, grid=self.grid_dict)
 
     @property
     def base_params_dict(self) -> dict[str, Any]:

@@ -33,7 +33,6 @@ from typing import Any, Optional
 from ..analysis.mitigations import section5_from_matrix
 from ..experiments.cache import RunCache
 from ..experiments.matrix import DefenseMatrixResult, run_defense_matrix
-from ..experiments.runner import ExperimentSpec
 from ..experiments.scheduler import SweepScheduler, SweepStats
 from .figures import (
     render_curve_svg,
@@ -229,21 +228,15 @@ class CampaignRunner:
                 on_progress=cell_progress, collect_metrics=True)
             stats = result.sweep_stats
         elif isinstance(sweep, GridSweep):
-            spec = ExperimentSpec(scenario=sweep.scenario, seeds=sweep.seeds,
-                                  base_params=sweep.base_params_dict,
-                                  grid=sweep.grid_dict)
             scheduler = SweepScheduler(workers=self.workers, cache=self.cache,
                                        on_progress=cell_progress,
                                        collect_metrics=True)
-            spec_results, stats = scheduler.run_specs([spec])
-            result = spec_results[0]
+            (result,), stats = scheduler.run_specs([sweep.experiment_spec()])
         else:  # pragma: no cover - manifest validation prevents this
             raise TypeError(f"unknown sweep payload: {sweep!r}")
         digest = result.digest()
         telemetry = _sweep_telemetry(stats, time.monotonic() - started)
-        metrics_dict = (stats.metrics.to_dict()
-                        if stats is not None and stats.metrics is not None
-                        else None)
+        metrics_dict = stats.metrics.to_dict()  # every campaign sweep collects metrics
         self.state.step_completed(step.name, digest, seeds=list(sweep.seeds),
                                   metrics=metrics_dict, telemetry=telemetry)
         results[step.name] = result
@@ -322,12 +315,9 @@ class CampaignRunner:
         return outcome, report_dir
 
 
-def _sweep_telemetry(stats: Optional[SweepStats],
-                     wall_seconds: float) -> dict[str, Any]:
-    telemetry: dict[str, Any] = {"wall_seconds": wall_seconds}
-    if stats is None:
-        return telemetry
-    telemetry.update({
+def _sweep_telemetry(stats: SweepStats, wall_seconds: float) -> dict[str, Any]:
+    return {
+        "wall_seconds": wall_seconds,
         "tasks": stats.tasks_total,
         "cache_hits": stats.cache_hits,
         "executed": stats.executed,
@@ -338,8 +328,7 @@ def _sweep_telemetry(stats: Optional[SweepStats],
         "cache_duplicate_lines": stats.cache_duplicate_lines,
         "metrics_missing": stats.metrics_missing,
         "task_seconds_total": stats.task_seconds_total,
-    })
-    return telemetry
+    }
 
 
 def _success_summary(matrix: DefenseMatrixResult) -> list[str]:

@@ -61,6 +61,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Fallback cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
 
+#: One loaded shard: key -> (the entry as stored, its parsed metrics sidecar).
+Shard = dict[str, tuple[dict, Optional[MetricsSnapshot]]]
+
 
 def canonical_json(value: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace, tuples as lists."""
@@ -144,7 +147,7 @@ class RunCache:
             path = os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
         self.path = Path(path)
         self.stats = CacheStats()
-        self._shards: dict[str, dict[str, dict]] = {}
+        self._shards: dict[str, Shard] = {}
         self._fingerprints: dict[str, str] = {}
         self._write_disabled = False
         try:
@@ -185,11 +188,11 @@ class RunCache:
     def _shard_path(self, shard: str) -> Path:
         return self.path / f"{self.SHARD_PREFIX}{shard}.jsonl"
 
-    def _load_shard(self, shard: str) -> dict[str, dict]:
+    def _load_shard(self, shard: str) -> Shard:
         loaded = self._shards.get(shard)
         if loaded is not None:
             return loaded
-        entries: dict[str, dict] = {}
+        entries: Shard = {}
         shard_path = self._shard_path(shard)
         try:
             raw = shard_path.read_bytes()
@@ -202,12 +205,16 @@ class RunCache:
                 entry = json.loads(line)
                 key = entry["key"]
                 record = entry["record"]
-                # Minimal shape check so a valid-JSON-but-wrong line cannot
-                # produce a broken RunRecord later.
-                if not isinstance(record["params"], dict):
-                    raise TypeError("params must be a dict")
-                if not isinstance(record["metrics"], dict):
-                    raise TypeError("metrics must be a dict")
+                # Shape check so a valid-JSON-but-wrong line cannot produce
+                # a broken RunRecord later.  The metrics sidecar is parsed
+                # here, once per load, rather than on every replay.
+                if not (isinstance(key, str) and isinstance(record["scenario"], str)
+                        and isinstance(record["seed"], int)
+                        and isinstance(record["params"], dict)
+                        and isinstance(record["metrics"], dict)):
+                    raise TypeError("malformed cache entry")
+                obs = entry.get("obs")
+                snapshot = MetricsSnapshot.from_dict(obs) if obs is not None else None
             except Exception:  # noqa: PERF203 — per-line corruption tolerance
                 # Torn write, truncation, or foreign garbage: the line is
                 # worth one recomputation, not a crash.
@@ -218,7 +225,7 @@ class RunCache:
             # so replay memory is bounded by distinct cells, not file lines.
             if key in entries:
                 self.stats.duplicate_lines += 1
-            entries[key] = entry
+            entries[key] = (entry, snapshot)
         self._shards[shard] = entries
         return entries
 
@@ -228,12 +235,6 @@ class RunCache:
             yield entry.name[len(prefix):-len(".jsonl")]
 
     # -- lookup / insert -----------------------------------------------------
-    def get(self, scenario_name: str, seed: int,
-            params: Mapping[str, Any]) -> Optional[RunRecord]:
-        """The cached record for a task, or ``None`` (a miss)."""
-        found = self.get_entry(scenario_name, seed, params)
-        return found[0] if found is not None else None
-
     def get_entry(self, scenario_name: str, seed: int, params: Mapping[str, Any]
                   ) -> Optional[tuple[RunRecord, Optional[MetricsSnapshot]]]:
         """The cached record *and* its metrics sidecar, or ``None`` (a miss).
@@ -244,14 +245,13 @@ class RunCache:
         "telemetry lost to an untelemetered earlier run", never as an error.
         """
         key = self.key_for(scenario_name, seed, params)
-        entry = self._load_shard(key[:2]).get(key)
-        if entry is None:
+        found = self._load_shard(key[:2]).get(key)
+        if found is None:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
+        entry, snapshot = found
         record = entry["record"]
-        obs = entry.get("obs")
-        snapshot = MetricsSnapshot.from_dict(obs) if obs is not None else None
         return (RunRecord(scenario=record["scenario"], seed=record["seed"],
                           params=record["params"], metrics=record["metrics"]),
                 snapshot)
@@ -273,6 +273,8 @@ class RunCache:
         }
         if metrics is not None and not metrics.is_empty():
             entry["obs"] = metrics.to_dict()
+        else:
+            metrics = None  # an empty sidecar is not stored
         # The leading newline makes appends self-healing: if the previous
         # write was torn (process killed mid-write, no trailing newline),
         # this write terminates the partial line instead of merging into it.
@@ -294,11 +296,11 @@ class RunCache:
         # disabled the shard is force-loaded first: a later lazy load from
         # disk would not contain this entry and must not displace it.
         if self._write_disabled:
-            self._load_shard(key[:2])[key] = entry
+            self._load_shard(key[:2])[key] = (entry, metrics)
         else:
             shard = self._shards.get(key[:2])
             if shard is not None:
-                shard[key] = entry
+                shard[key] = (entry, metrics)
 
     # -- maintenance ---------------------------------------------------------
     def invalidate_stale(self) -> int:
@@ -314,8 +316,8 @@ class RunCache:
         current: dict[str, Optional[str]] = {}
         for shard in list(self._shard_names_on_disk()):
             entries = self._load_shard(shard)
-            kept: dict[str, dict] = {}
-            for key, entry in entries.items():
+            kept: Shard = {}
+            for key, (entry, snapshot) in entries.items():
                 name = entry["record"]["scenario"]
                 if name not in current:
                     try:
@@ -323,14 +325,14 @@ class RunCache:
                     except KeyError:
                         current[name] = None
                 if entry.get("fingerprint") == current[name]:
-                    kept[key] = entry
+                    kept[key] = (entry, snapshot)
                 else:
                     removed += 1
             if len(kept) != len(entries):
                 shard_path = self._shard_path(shard)
                 tmp_path = shard_path.with_suffix(".jsonl.tmp")
                 payload = b"".join(canonical_json(entry).encode() + b"\n"
-                                   for entry in kept.values())
+                                   for entry, _ in kept.values())
                 tmp_path.write_bytes(payload)
                 tmp_path.replace(shard_path)
                 self._shards[shard] = kept

@@ -21,7 +21,6 @@ grid by a seed or a stack only computes the new cells.
 from __future__ import annotations
 
 import hashlib
-import time
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -267,10 +266,13 @@ class DefenseMatrixResult:
 
 def require_unique_axes(attacks: Sequence[AttackSpec],
                         stacks: Sequence[DefenseStackSpec]) -> None:
-    """Raise ``ValueError`` naming any repeated attack label or stack name:
-    cells are keyed by both, so a repeat would silently collapse two cells."""
+    """Raise ``ValueError`` on an empty axis (the matrix would have no
+    cells) or naming any repeated attack label or stack name: cells are
+    keyed by both, so a repeat would silently collapse two cells."""
     for axis, names in (("attack label", [attack.label for attack in attacks]),
                         ("stack name", [stack.name for stack in stacks])):
+        if not names:
+            raise ValueError(f"the matrix has no {axis}s: it would run no cells")
         repeated = sorted(name for name, count in Counter(names).items() if count > 1)
         if repeated:
             raise ValueError(f"duplicate {axis}(s) in the matrix: {repeated}")
@@ -315,7 +317,6 @@ def run_defense_matrix(attacks: Sequence[AttackSpec] = DEFAULT_ATTACKS,
     stacks = tuple(stacks)
     seeds = tuple(seeds)
     require_unique_axes(attacks, stacks)
-    start = time.perf_counter()
     scheduler = SweepScheduler(workers=workers, cache=cache, on_progress=on_progress,
                                collect_metrics=collect_metrics)
     row_results, stats = scheduler.run_specs(matrix_specs(attacks, stacks, seeds))
@@ -334,6 +335,6 @@ def run_defense_matrix(attacks: Sequence[AttackSpec] = DEFAULT_ATTACKS,
         attacks=attacks,
         stacks=stacks,
         cells=cells,
-        elapsed_seconds=time.perf_counter() - start,
+        elapsed_seconds=stats.elapsed_seconds,
         sweep_stats=stats,
     )

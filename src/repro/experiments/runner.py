@@ -12,7 +12,6 @@ byte-identical no matter how many workers executed it.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import product
@@ -46,14 +45,21 @@ def _execute_task(task: Task) -> RunRecord:
     return RunRecord(scenario=name, seed=seed, params=params, metrics=metrics)
 
 
+def require_valid_seeds(seeds: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless ``seeds`` are distinct non-bool ints."""
+    if not seeds:
+        raise ValueError("a seed list must not be empty")
+    if (any(isinstance(seed, bool) or not isinstance(seed, int) for seed in seeds)
+            or len(set(seeds)) != len(seeds)):
+        raise ValueError(f"seeds must be distinct ints: {list(seeds)!r}")
+
+
 def resolve_spec_tasks(spec: ExperimentSpec) -> list[Task]:
     """A spec's fully-resolved task list: defaults merged, unknown keys rejected.
 
     Resolving up-front (rather than in the worker) means every
     :class:`RunRecord` carries the complete effective configuration and a bad
-    parameter name fails fast, before any subprocess is spawned.  The single
-    definition is shared by :meth:`ExperimentRunner.tasks` and the scheduler's
-    multi-spec path so the two can never diverge.
+    parameter name fails fast, before any subprocess is spawned.
     """
     scenario = get_scenario(spec.scenario)
     defaults = scenario.default_params()
@@ -79,10 +85,11 @@ class ExperimentSpec:
     param_sets: Optional[tuple[Mapping[str, Any], ...]] = None
 
     def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ValueError("an experiment needs at least one seed")
+        require_valid_seeds(self.seeds)
         if self.grid is not None and self.param_sets is not None:
             raise ValueError("grid and param_sets are mutually exclusive")
+        if not self.parameter_sets():
+            raise ValueError("the sweep expands to zero parameter sets")
 
     def parameter_sets(self) -> list[dict[str, Any]]:
         """The ordered parameter overlays this spec expands to."""
@@ -142,18 +149,11 @@ class ExperimentRunner:
         self.workers = workers
         self.cache = cache
 
-    def tasks(self) -> list[Task]:
-        """Fully-resolved task list (see :func:`resolve_spec_tasks`)."""
-        return resolve_spec_tasks(self.spec)
-
     def run(self) -> ExperimentResult:
         # Imported here (not at module top) because the scheduler imports
         # this module for the picklable task/worker definitions.
         from .scheduler import SweepScheduler
 
         scheduler = SweepScheduler(workers=self.workers, cache=self.cache)
-        start = time.perf_counter()
-        records, _ = scheduler.run_tasks(self.tasks())
-        elapsed = time.perf_counter() - start
-        return ExperimentResult(scenario=self.spec.scenario, records=records,
-                                elapsed_seconds=elapsed)
+        (result,), _ = scheduler.run_specs([self.spec])
+        return result

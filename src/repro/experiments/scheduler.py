@@ -21,9 +21,11 @@ Guarantees:
   amortise IPC, late chunks shrink to single tasks so one slow scenario
   cannot leave the other workers idle at the end of the stream.
 * **No idle workers** — when the (post-cache) pending task count does not
-  exceed the worker count, execution falls back inline: forking a pool that
-  runs one task per worker costs more than the tasks themselves for the
-  packet-level scenarios in this reproduction.
+  exceed the worker count, no pool is forked: forking a pool that runs one
+  task per worker costs more than the tasks themselves for the
+  packet-level scenarios in this reproduction.  The stream then runs
+  inline as one-task chunks through the same loop that recovers a lost
+  pool's chunks.
 * **Incremental re-runs** — with a :class:`~repro.experiments.cache.RunCache`
   attached, previously-computed cells are replayed from disk and only the
   genuinely new ``(scenario, seed, params)`` combinations reach the pool;
@@ -40,8 +42,10 @@ Guarantees:
   chunk completing) detects a lost pool (e.g. a SIGKILLed worker, whose
   in-flight chunk ``multiprocessing.Pool`` silently never redelivers); the
   pool is torn down and every unfinished chunk re-runs inline in the
-  parent.  Tasks are pure functions of ``(scenario, seed, params)``, so
-  the degraded sweep reproduces the healthy sweep's records byte for byte.
+  parent — in the loop every inline sweep takes, so the recovery path is
+  the everyday path.  Tasks are pure functions of ``(scenario, seed,
+  params)``, so the degraded sweep reproduces the healthy sweep's records
+  byte for byte.
 """
 
 from __future__ import annotations
@@ -113,60 +117,51 @@ class SweepError(RuntimeError):
             f"{len(failures)} task(s) failed after retries: {preview}{more}")
 
 
-def _execute_task_timed(task: Task, collect_metrics: bool
-                        ) -> tuple[RunRecord, float, Optional[MetricsSnapshot]]:
+def _execute_task_guarded(task: Task, collect_metrics: bool
+                          ) -> tuple[RunRecord, float, Optional[MetricsSnapshot]]:
     """Run one task, measuring its wall-time and (optionally) its metrics.
 
     Metrics collection wraps the run in a metrics-only observability
     capture (no trace ring buffer) so the scenario's instrumented layers
     record into a registry this function snapshots afterwards.  The
     facade is out of band — it draws no RNG and schedules nothing — so
-    the returned :class:`RunRecord` is byte-identical either way.
+    the returned :class:`RunRecord` is byte-identical either way.  A
+    raising scenario yields a :class:`TaskFailure` in the record slot
+    instead of propagating.
     """
     begun = time.perf_counter()
-    if collect_metrics:
+    try:
+        if not collect_metrics:
+            return _execute_task(task), time.perf_counter() - begun, None
         with _obs_capture(trace=False) as ob:
             record = _execute_task(task)
-        snapshot = ob.metrics.snapshot()
-    else:
-        record = _execute_task(task)
-        snapshot = None
-    return record, time.perf_counter() - begun, snapshot
-
-
-def _execute_task_guarded(task: Task, collect_metrics: bool):
-    """Like :func:`_execute_task_timed`, but a raising scenario yields a
-    :class:`TaskFailure` in the record slot instead of propagating."""
-    try:
-        return _execute_task_timed(task, collect_metrics)
+        return record, time.perf_counter() - begun, ob.metrics.snapshot()
     except Exception as exc:  # noqa: BLE001 - isolation seam: anything a scenario raises
         return TaskFailure(task=task, error=f"{type(exc).__name__}: {exc}"), 0.0, None
 
 
 def _execute_chunk(job: tuple[int, list[Task], bool]
                    ) -> tuple[int, list[RunRecord], float,
-                              Optional[list[Optional[MetricsSnapshot]]]]:
+                              list[Optional[MetricsSnapshot]]]:
     """Worker entry point: run a chunk, tagged with its stream offset.
 
     Returns the chunk's records plus its telemetry: summed task wall-time
-    and (when requested) one metrics snapshot per task, aligned with the
-    record slots — kept per task (not folded) so the parent can persist
-    each task's snapshot beside its cache record and merge the stream in
-    deterministic task order.  A crashing task contributes a
-    :class:`TaskFailure` in its record slot; the rest of the chunk still
-    completes.
+    and one metrics snapshot slot per task (``None`` when metrics are
+    off), aligned with the record slots — kept per task (not folded) so
+    the parent can persist each task's snapshot beside its cache record
+    and merge the stream in deterministic task order.  A crashing task
+    contributes a :class:`TaskFailure` in its record slot; the rest of
+    the chunk still completes.
     """
     start, tasks, collect_metrics = job
     records: list[RunRecord] = []
+    snapshots: list[Optional[MetricsSnapshot]] = []
     task_seconds = 0.0
-    snapshots: Optional[list[Optional[MetricsSnapshot]]] = (
-        [] if collect_metrics else None)
     for task in tasks:
         record, duration, snapshot = _execute_task_guarded(task, collect_metrics)
         records.append(record)
+        snapshots.append(snapshot)
         task_seconds += duration
-        if snapshots is not None:
-            snapshots.append(snapshot)
     return start, records, task_seconds, snapshots
 
 
@@ -296,8 +291,8 @@ class SweepScheduler:
     collect_metrics:
         When True, every executed task runs under a metrics-only
         observability capture and the per-task snapshots are merged into
-        ``SweepStats.metrics`` (shipped back through the pool one folded
-        snapshot per chunk).  Records are byte-identical either way; the
+        ``SweepStats.metrics`` (shipped back through the pool one snapshot
+        per task).  Records are byte-identical either way; the
         default keeps the hot path free of the capture.
     task_retries:
         How many times a task whose scenario raised is re-attempted (inline,
@@ -325,7 +320,7 @@ class SweepScheduler:
         self.task_timeout = task_timeout
         self._done = 0
         self._total = 0
-        self._stats: Optional[SweepStats] = None
+        self._stats = SweepStats()
 
     # -- task-level API ------------------------------------------------------
     def run_tasks(self, tasks: Sequence[Task]) -> tuple[list[RunRecord], SweepStats]:
@@ -338,8 +333,7 @@ class SweepScheduler:
         start_time = time.perf_counter()
         stats = SweepStats(tasks_total=len(tasks), workers=self.workers)
         records: list[Optional[RunRecord]] = [None] * len(tasks)
-        snapshots: Optional[list[Optional[MetricsSnapshot]]] = (
-            [None] * len(tasks) if self.collect_metrics else None)
+        snapshots: list[Optional[MetricsSnapshot]] = [None] * len(tasks)
         self._done = 0
         self._total = len(tasks)
         self._stats = stats
@@ -350,37 +344,21 @@ class SweepScheduler:
             duplicates_before = self.cache.stats.duplicate_lines
 
         pending: list[tuple[int, Task]] = []
-        if self.cache is not None:
-            for index, task in enumerate(tasks):
-                if snapshots is not None:
-                    found = self.cache.get_entry(*task)
-                    if found is not None:
-                        records[index], snapshots[index] = found
-                    else:
-                        pending.append((index, task))
-                else:
-                    cached = self.cache.get(*task)
-                    if cached is not None:
-                        records[index] = cached
-                    else:
-                        pending.append((index, task))
-            stats.cache_hits = len(tasks) - len(pending)
-            self._report_progress(stats.cache_hits)
-        else:
-            pending = list(enumerate(tasks))
+        for index, task in enumerate(tasks):
+            found = self.cache.get_entry(*task) if self.cache is not None else None
+            if found is None:
+                pending.append((index, task))
+            else:
+                records[index], snapshots[index] = found
+        stats.cache_hits = len(tasks) - len(pending)
+        self._report_progress(stats.cache_hits)
 
         stats.executed = len(pending)
-        failures: list[TaskFailure] = []
         if pending:
-            computed, computed_snaps = self._execute(pending, stats)
-            for position, ((index, _), record) in enumerate(zip(pending, computed)):
-                if isinstance(record, TaskFailure):
-                    failures.append(record)
-                records[index] = record
-                if snapshots is not None and computed_snaps is not None:
-                    snapshots[index] = computed_snaps[position]
+            self._execute(pending, records, snapshots, stats)
+        failures = [record for record in records if isinstance(record, TaskFailure)]
 
-        if snapshots is not None:
+        if self.collect_metrics:
             # Task-stream order: the fold is deterministic no matter which
             # workers finished first or which cells replayed from the cache.
             stats.metrics = MetricsSnapshot.merge_all(snapshots)
@@ -406,134 +384,105 @@ class SweepScheduler:
             try:
                 self.on_progress(self._done, self._total)
             except Exception:  # noqa: BLE001 - observers must never abort the sweep
-                if self._stats is not None:
-                    self._stats.callback_errors += 1
+                self._stats.callback_errors += 1
 
     def _persist(self, records: Sequence[RunRecord],
-                 snapshots: Optional[Sequence[Optional[MetricsSnapshot]]] = None
-                 ) -> None:
+                 snapshots: Sequence[Optional[MetricsSnapshot]]) -> None:
         """Write freshly-computed records to the cache as they arrive.
 
-        Called from the execution loops (per task inline, per completed chunk
-        pooled) rather than after the whole stream, so an interrupted sweep
-        still resumes from everything it finished — the append-only store
-        tolerates the partial run.  Each record's metrics snapshot (when
-        collected) is persisted beside it in the same cache line, so the
-        resumed sweep replays the telemetry too.  :class:`TaskFailure`
-        markers are never persisted (a later fixed re-run must recompute
-        those cells).
+        Called per completed chunk rather than after the whole stream, so
+        an interrupted sweep still resumes from everything it finished —
+        the append-only store tolerates the partial run.  Each record's
+        metrics snapshot (when collected) is persisted beside it in the
+        same cache line, so the resumed sweep replays the telemetry too.
+        :class:`TaskFailure` markers are never persisted (a later fixed
+        re-run must recompute those cells).
         """
         if self.cache is not None:
-            for position, record in enumerate(records):
+            for record, snapshot in zip(records, snapshots):
                 if not isinstance(record, TaskFailure):
-                    snapshot = (snapshots[position]
-                                if snapshots is not None else None)
                     self.cache.put(record, metrics=snapshot)
 
-    def _execute(self, pending: list[tuple[int, Task]], stats: SweepStats
-                 ) -> tuple[list[RunRecord],
-                            Optional[list[Optional[MetricsSnapshot]]]]:
-        """Run the pending tasks, preserving their given order in the result.
+    def _execute(self, pending: list[tuple[int, Task]], records: list,
+                 snapshots: list[Optional[MetricsSnapshot]], stats: SweepStats) -> None:
+        """Run the pending ``(stream index, task)`` pairs into ``records``
+        and ``snapshots`` at their stream indices.
 
-        Returns the records plus (when collecting metrics) one snapshot per
-        task in the same order.  The record list may contain
-        :class:`TaskFailure` markers for tasks that still failed after the
-        retry pass; the caller decides whether that is fatal.
+        A slot may end up holding a :class:`TaskFailure` marker for a task
+        that still failed after the retry pass; the caller decides whether
+        that is fatal.
         """
         tasks = [task for _, task in pending]
-        snapshots: Optional[list[Optional[MetricsSnapshot]]] = (
-            [None] * len(tasks) if self.collect_metrics else None)
         # A pool only pays off when there are more tasks than workers;
-        # otherwise fork/teardown costs more than the tasks themselves.
-        if self.workers == 1 or len(tasks) <= self.workers:
-            stats.executed_inline = True
-            stats.chunks = len(tasks)
-            results_inline: list[RunRecord] = []
-            for position, task in enumerate(tasks):
-                record, duration, snapshot = _execute_task_guarded(
-                    task, self.collect_metrics)
-                stats.task_seconds_total += duration
-                stats.task_seconds_max = max(stats.task_seconds_max, duration)
-                if snapshots is not None:
-                    snapshots[position] = snapshot
-                self._persist((record,), (snapshot,))
-                results_inline.append(record)
-                self._report_progress(1)
-            self._retry_failures(results_inline, stats, snapshots)
-            return results_inline, snapshots
-
+        # otherwise fork/teardown costs more than the tasks themselves, and
+        # the stream runs inline as one-task chunks.
+        stats.executed_inline = self.workers == 1 or len(tasks) <= self.workers
+        sizes = ([1] * len(tasks) if stats.executed_inline
+                 else guided_chunk_sizes(len(tasks), self.workers))
         jobs: list[tuple[int, list[Task], bool]] = []
         offset = 0
-        for size in guided_chunk_sizes(len(tasks), self.workers):
+        for size in sizes:
             jobs.append((offset, tasks[offset:offset + size], self.collect_metrics))
             offset += size
         stats.chunks = len(jobs)
 
-        results: list[Optional[list[RunRecord]]] = [None] * len(jobs)
-        starts = {start: slot for slot, (start, _, _) in enumerate(jobs)}
+        finished: set[int] = set()
 
         def consume(result) -> None:
             start, chunk_records, task_seconds, chunk_snapshots = result
             self._persist(chunk_records, chunk_snapshots)
-            results[starts[start]] = chunk_records
+            chunk = pending[start:start + len(chunk_records)]
+            for (index, _), record, snapshot in zip(chunk, chunk_records, chunk_snapshots):
+                records[index] = record
+                snapshots[index] = snapshot
+            finished.add(start)
             stats.task_seconds_total += task_seconds
             stats.task_seconds_max = max(stats.task_seconds_max, task_seconds)
-            if snapshots is not None and chunk_snapshots is not None:
-                snapshots[start:start + len(chunk_records)] = chunk_snapshots
             self._report_progress(len(chunk_records))
 
         pool = None
-        try:
-            pool = multiprocessing.Pool(processes=self.workers)
-        except OSError:
-            # Could not even start the pool (fork/pipe exhaustion): the
-            # whole stream degrades to inline execution below.
-            stats.degraded_to_inline = True
+        if not stats.executed_inline:
+            try:
+                pool = multiprocessing.Pool(processes=self.workers)
+            except OSError:
+                # Could not even start the pool (fork/pipe exhaustion): the
+                # whole stream degrades to inline execution below.
+                stats.degraded_to_inline = True
         if pool is not None:
             try:
                 # Unordered completion + index-tagged chunks: fast workers
                 # move on to the next chunk immediately, determinism comes
-                # from the reassembly below rather than from dispatch order.
+                # from consume()'s reassembly rather than from dispatch order.
                 stream = pool.imap_unordered(_execute_chunk, jobs)
                 for _ in range(len(jobs)):
                     try:
                         consume(stream.next(timeout=self.task_timeout))
                     except StopIteration:  # noqa: PERF203 — watchdog needs per-chunk except
                         break
-                    except multiprocessing.TimeoutError:
-                        # No chunk completed within the watchdog window.  A
-                        # SIGKILLed pool worker loses its in-flight chunk
-                        # forever (the pool respawns the process but never
-                        # redelivers the chunk), so a silent stream is our
-                        # only signal.  Declare the pool lost.
-                        stats.pool_losses += 1
-                        stats.degraded_to_inline = True
-                        break
-                    except (OSError, EOFError):
-                        # The result pipe itself broke.
+                    except (multiprocessing.TimeoutError, OSError, EOFError):
+                        # No chunk completed within the watchdog window, or
+                        # the result pipe itself broke.  A SIGKILLed pool
+                        # worker loses its in-flight chunk forever (the pool
+                        # respawns the process but never redelivers the
+                        # chunk), so a silent stream is our only signal.
+                        # Declare the pool lost.
                         stats.pool_losses += 1
                         stats.degraded_to_inline = True
                         break
             finally:
                 pool.terminate()
                 pool.join()
-        # Degraded path: every chunk whose result never arrived re-runs
-        # inline.  Tasks are pure, so recomputing a lost chunk (even one a
-        # dead worker had partially finished) reproduces identical records.
-        for slot in range(len(jobs)):
-            if results[slot] is None:
-                consume(_execute_chunk(jobs[slot]))
-
-        flattened: list[RunRecord] = []
-        for chunk_records in results:
-            assert chunk_records is not None
-            flattened.extend(chunk_records)
-        self._retry_failures(flattened, stats, snapshots)
-        return flattened, snapshots
+        # Every chunk no pool delivered runs here in the parent: the whole
+        # stream when inline, the unfinished chunks after a pool loss.
+        # Tasks are pure, so recomputing a lost chunk (even one a dead
+        # worker had partially finished) reproduces identical records.
+        for job in jobs:
+            if job[0] not in finished:
+                consume(_execute_chunk(job))
+        self._retry_failures(records, stats, snapshots)
 
     def _retry_failures(self, results: list, stats: SweepStats,
-                        snapshots: Optional[list[Optional[MetricsSnapshot]]]
-                        ) -> None:
+                        snapshots: list[Optional[MetricsSnapshot]]) -> None:
         """Re-attempt every :class:`TaskFailure` in ``results``, in place.
 
         Retries run inline in the parent, one immediately after another; a
@@ -541,12 +490,9 @@ class SweepScheduler:
         a first-try success would have been.  Markers that survive all
         attempts stay in the list for the caller to report.
         """
-        if self.task_retries == 0:
-            return
-        for index, outcome in enumerate(results):
-            if not isinstance(outcome, TaskFailure):
+        for index, failure in enumerate(results):
+            if not isinstance(failure, TaskFailure):
                 continue
-            failure = outcome
             for _ in range(self.task_retries):
                 stats.tasks_retried += 1
                 retried, duration, snapshot = _execute_task_guarded(
@@ -556,8 +502,7 @@ class SweepScheduler:
                     failure = TaskFailure(failure.task, retried.error,
                                           attempts=failure.attempts + 1)
                     continue
-                if snapshots is not None:
-                    snapshots[index] = snapshot
+                snapshots[index] = snapshot
                 self._persist((retried,), (snapshot,))
                 results[index] = retried
                 break

@@ -108,6 +108,21 @@ class TestManifest:
         with pytest.raises(ValueError, match=match):
             CampaignManifest.from_spec(spec)
 
+    @pytest.mark.parametrize("sweep, match", [
+        ("overhead", "zero parameter sets"),
+        ("grid", "the matrix has no attack labels"),
+        ("grid", "the matrix has no stack names"),
+    ])
+    def test_sweeps_with_no_cells_fail_at_compile_time(self, sweep, match):
+        spec = json.loads(json.dumps(TINY_SPEC))
+        entry = spec["sweeps"][sweep]
+        if sweep == "overhead":
+            entry["grid"] = {"transport": []}
+        else:
+            entry["attacks" if "attack" in match else "stacks"] = []
+        with pytest.raises(ValueError, match=match):
+            CampaignManifest.from_spec(spec)
+
     def test_duplicate_stack_names_are_rejected(self):
         spec = json.loads(json.dumps(TINY_SPEC))
         spec["sweeps"]["grid"]["stacks"] = [

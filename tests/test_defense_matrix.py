@@ -191,3 +191,12 @@ def test_section5_slice_is_a_subset_of_the_default_grid():
 def test_duplicate_axis_names_are_rejected(attacks, stacks, duplicate):
     with pytest.raises(ValueError, match=f"duplicate {duplicate}"):
         run_defense_matrix(attacks, stacks, seeds=(1,))
+
+
+@pytest.mark.parametrize("attacks, stacks, axis", [
+    ((), TRIMMED_STACKS, "attack label"),
+    (TRIMMED_ATTACKS, (), "stack name"),
+])
+def test_empty_axis_is_rejected(attacks, stacks, axis):
+    with pytest.raises(ValueError, match=f"the matrix has no {axis}s"):
+        run_defense_matrix(attacks, stacks, seeds=(1,))

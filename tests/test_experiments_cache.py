@@ -15,8 +15,10 @@ import pytest
 
 from repro.experiments import (
     ExperimentRunner,
+    ExperimentSpec,
     RunCache,
     RunRecord,
+    SweepScheduler,
     register_scenario,
     scenario_fingerprint,
     task_key,
@@ -66,10 +68,10 @@ def cache(tmp_path, synthetic_scenario):
 
 def test_miss_then_hit_accounting(cache):
     record = make_record(seed=3)
-    assert cache.get("synthetic", 3, record.params) is None
+    assert cache.get_entry("synthetic", 3, record.params) is None
     cache.put(record)
-    replayed = cache.get("synthetic", 3, record.params)
-    assert replayed is not None
+    replayed, snapshot = cache.get_entry("synthetic", 3, record.params)
+    assert snapshot is None
     assert replayed.metrics == {"attack_succeeded": False, "achieved_shift": 3.0}
     assert (cache.stats.hits, cache.stats.misses, cache.stats.writes) == (1, 1, 1)
     assert cache.stats.hit_rate == 0.5
@@ -80,7 +82,7 @@ def test_replayed_record_is_digest_identical(cache):
     """The canonical JSON (the digest input) survives the disk round-trip."""
     record = make_record(seed=4)
     cache.put(record)
-    replayed = cache.get("synthetic", 4, record.params)
+    replayed, _ = cache.get_entry("synthetic", 4, record.params)
     canonical = json.dumps(record.canonical(), sort_keys=True, separators=(",", ":"))
     replay_canonical = json.dumps(replayed.canonical(), sort_keys=True,
                                   separators=(",", ":"))
@@ -89,8 +91,8 @@ def test_replayed_record_is_digest_identical(cache):
 
 def test_different_params_seed_and_scenario_do_not_collide(cache):
     cache.put(make_record(seed=1))
-    assert cache.get("synthetic", 2, {"knob": 2, "defenses": ()}) is None
-    assert cache.get("synthetic", 1, {"knob": 99, "defenses": ()}) is None
+    assert cache.get_entry("synthetic", 2, {"knob": 2, "defenses": ()}) is None
+    assert cache.get_entry("synthetic", 1, {"knob": 99, "defenses": ()}) is None
     fingerprint = scenario_fingerprint("synthetic")
     key_a = task_key("synthetic", 1, {"knob": 1}, fingerprint)
     key_b = task_key("synthetic", 1, {"knob": 2}, fingerprint)
@@ -100,7 +102,7 @@ def test_different_params_seed_and_scenario_do_not_collide(cache):
 def test_cache_persists_across_instances(cache, tmp_path):
     cache.put(make_record(seed=5))
     reopened = RunCache(tmp_path / "store")
-    assert reopened.get("synthetic", 5, make_record(seed=5).params) is not None
+    assert reopened.get_entry("synthetic", 5, make_record(seed=5).params) is not None
     assert len(reopened) == 1
 
 
@@ -109,11 +111,11 @@ def test_cache_persists_across_instances(cache, tmp_path):
 def test_fingerprint_change_invalidates_entries(cache, synthetic_scenario):
     record = make_record(seed=7)
     cache.put(record)
-    assert cache.get("synthetic", 7, record.params) is not None
+    assert cache.get_entry("synthetic", 7, record.params) is not None
 
     synthetic_scenario._defaults = {"knob": 0, "defenses": (), "new_knob": True}
     changed = RunCache(cache.path)  # fresh instance: no memoised fingerprint
-    assert changed.get("synthetic", 7, record.params) is None  # silent miss
+    assert changed.get_entry("synthetic", 7, record.params) is None  # silent miss
     assert len(changed) == 1  # the stale entry still occupies the store
     assert changed.invalidate_stale() == 1
     assert len(changed) == 0
@@ -139,7 +141,7 @@ def test_truncated_store_file_recomputes_instead_of_crashing(cache, tmp_path):
         shard.write_bytes(raw[: len(raw) - 7])
     damaged = RunCache(tmp_path / "store")
     # The torn tail line is skipped; earlier whole lines still hit.
-    outcomes = [damaged.get("synthetic", seed, make_record(seed=seed).params)
+    outcomes = [damaged.get_entry("synthetic", seed, make_record(seed=seed).params)
                 for seed in (9, 10)]
     assert damaged.stats.corrupt_lines >= 1
     assert any(outcome is None for outcome in outcomes) or damaged.stats.corrupt_lines
@@ -149,7 +151,7 @@ def test_truncated_store_file_recomputes_instead_of_crashing(cache, tmp_path):
             damaged.put(make_record(seed=seed))
     healed = RunCache(tmp_path / "store")
     for seed in (9, 10):
-        assert healed.get("synthetic", seed, make_record(seed=seed).params) is not None
+        assert healed.get_entry("synthetic", seed, make_record(seed=seed).params) is not None
 
 
 def test_foreign_garbage_lines_are_skipped(cache, tmp_path):
@@ -160,7 +162,7 @@ def test_foreign_garbage_lines_are_skipped(cache, tmp_path):
             handle.write(b"not json at all\n")
             handle.write(b'{"valid_json": "wrong shape"}\n')
     damaged = RunCache(tmp_path / "store")
-    assert damaged.get("synthetic", 11, record.params) is not None
+    assert damaged.get_entry("synthetic", 11, record.params) is not None
     assert damaged.stats.corrupt_lines == 2
 
 
@@ -174,8 +176,7 @@ def test_duplicated_lines_collapse_to_a_single_entry(cache, tmp_path):
     with shard_file.open("ab") as handle:
         handle.write(line + b"\n" + line + b"\n")
     reopened = RunCache(tmp_path / "store")
-    replayed = reopened.get("synthetic", 12, record.params)
-    assert replayed is not None
+    replayed, _ = reopened.get_entry("synthetic", 12, record.params)
     assert replayed.metrics == record.metrics
     assert len(reopened) == 1
     assert reopened.stats.duplicate_lines == 2
@@ -183,7 +184,48 @@ def test_duplicated_lines_collapse_to_a_single_entry(cache, tmp_path):
     # Distinct keys are unaffected by the accounting.
     cache.put(make_record(seed=13))
     fresh = RunCache(tmp_path / "store")
-    assert fresh.get("synthetic", 13, make_record(seed=13).params) is not None
+    assert fresh.get_entry("synthetic", 13, make_record(seed=13).params) is not None
+
+
+def _drop_seed(entry):
+    del entry["record"]["seed"]
+
+
+def _drop_scenario(entry):
+    del entry["record"]["scenario"]
+
+
+def _obs_garbage(entry):
+    entry["obs"] = "garbage"
+
+
+def _obs_number(entry):
+    entry["obs"] = 5
+
+
+def _obs_counters_number(entry):
+    entry["obs"] = {"counters": 5}
+
+
+@pytest.mark.parametrize("collect_metrics", [False, True])
+@pytest.mark.parametrize("damage", [_drop_seed, _drop_scenario, _obs_garbage,
+                                    _obs_number, _obs_counters_number])
+def test_wrongly_shaped_valid_json_line_costs_one_recomputation(
+        tmp_path, damage, collect_metrics):
+    spec = ExperimentSpec(scenario="bgp_hijack", seeds=(1,), base_params=CHEAP)
+    (cold,), _ = SweepScheduler(cache=RunCache(tmp_path / "rc"),
+                                collect_metrics=True).run_specs([spec])
+    (shard,) = (tmp_path / "rc").glob("runs-*.jsonl")
+    (line,) = [line for line in shard.read_bytes().splitlines() if line.strip()]
+    entry = json.loads(line)
+    damage(entry)
+    shard.write_bytes(json.dumps(entry).encode() + b"\n")
+    damaged = RunCache(tmp_path / "rc")
+    (warm,), stats = SweepScheduler(cache=damaged,
+                                    collect_metrics=collect_metrics).run_specs([spec])
+    assert damaged.stats.corrupt_lines == 1
+    assert stats.cache_hits == 0 and stats.executed == 1
+    assert warm.digest() == cold.digest()
 
 
 # -- concurrent writers --------------------------------------------------------
@@ -206,7 +248,7 @@ def test_parallel_writers_produce_a_consistent_store(cache, tmp_path):
     assert len(merged) == 100
     assert merged.stats.corrupt_lines == 0
     for seed in all_seeds:
-        assert merged.get("synthetic", seed, make_record(seed=seed).params) is not None
+        assert merged.get_entry("synthetic", seed, make_record(seed=seed).params) is not None
 
 
 # -- end-to-end through the runner ---------------------------------------------

@@ -130,6 +130,27 @@ def test_param_sets_and_grid_are_mutually_exclusive():
                        param_sets=({"lookup_time": 2.0},))
 
 
+@pytest.mark.parametrize("seeds, match", [
+    ((1, 1), "distinct ints"),
+    ((True,), "distinct ints"),
+    ((1.0, 2), "distinct ints"),
+    ((), "must not be empty"),
+])
+def test_runner_rejects_bad_seed_lists(seeds, match):
+    with pytest.raises(ValueError, match=match):
+        ExperimentRunner("bgp_hijack", seeds=seeds)
+
+
+@pytest.mark.parametrize("shape", [
+    {"grid": {"lookup_time": []}},
+    {"grid": {"lookup_time": [1.0], "benign_server_count": []}},
+    {"param_sets": []},
+])
+def test_sweep_expanding_to_zero_parameter_sets_is_rejected(shape):
+    with pytest.raises(ValueError, match="zero parameter sets"):
+        ExperimentRunner("bgp_hijack", seeds=(1,), **shape)
+
+
 def test_grid_grouping_by_parameter():
     result = ExperimentRunner(
         "bgp_hijack", seeds=(1, 2),

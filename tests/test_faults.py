@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import pytest
 
-from repro.experiments.pins import CHAOS_GRID_DIGEST
-from repro.experiments.runner import ExperimentSpec
-from repro.experiments.scheduler import SweepScheduler
+from repro.experiments.pins import CHAOS_GRID_DIGEST, chaos_grid_digest
 from repro.faults import (
     Duplicate,
     FaultInjector,
@@ -331,39 +328,6 @@ def test_scenario_rejects_unknown_params_but_accepts_faults():
         scenario.run(seed=1, params={"fautls": ()})
 
 
-CHAOS_FAULTS = (
-    {"kind": "link_loss", "loss_rate": 0.4, "src": "@nameserver",
-     "dst": "@resolver", "start": 0.0, "end": 9e9, "ramp": 30.0},
-    {"kind": "link_flap", "down_time": 3.0, "up_time": 11.0,
-     "src": "@resolver", "dst": "@nameserver", "start": 10.0, "end": 600.0},
-    {"kind": "reorder_jitter", "jitter": 0.05, "start": 0.0, "end": 9e9},
-    {"kind": "duplicate", "probability": 0.1, "delay": 0.02,
-     "start": 0.0, "end": 9e9},
-)
-
-def chaos_grid_specs():
-    return [
-        ExperimentSpec(scenario="frag_poisoning", seeds=(1, 2),
-                       base_params={"benign_server_count": 40},
-                       param_sets=({"faults": CHAOS_FAULTS}, {"faults": ()})),
-        ExperimentSpec(scenario="downgrade", seeds=(1,),
-                       param_sets=({"faults": CHAOS_FAULTS},)),
-        ExperimentSpec(scenario="population_sweep", seeds=(1,),
-                       base_params={"clients": 200, "update_rounds": 2}),
-    ]
-
-
-def chaos_grid_digest(workers, backend=None, monkeypatch=None):
-    if backend is not None:
-        monkeypatch.setenv("REPRO_POPULATION_BACKEND", backend)
-    results, _ = SweepScheduler(workers=workers).run_specs(chaos_grid_specs())
-    digest = hashlib.sha256()
-    for result in results:
-        for record in result.records:
-            digest.update(json.dumps(record.canonical(), sort_keys=True).encode())
-    return digest.hexdigest()
-
-
 def test_chaos_grid_digest_is_pinned_and_worker_count_independent():
     inline = chaos_grid_digest(workers=1)
     pooled = chaos_grid_digest(workers=4)
@@ -373,8 +337,8 @@ def test_chaos_grid_digest_is_pinned_and_worker_count_independent():
 
 
 def test_chaos_grid_digest_is_population_backend_independent(monkeypatch):
-    python = chaos_grid_digest(workers=1, backend="python", monkeypatch=monkeypatch)
-    assert python == CHAOS_GRID_DIGEST
+    monkeypatch.setenv("REPRO_POPULATION_BACKEND", "python")
+    assert chaos_grid_digest(workers=1) == CHAOS_GRID_DIGEST
 
 
 def test_faulted_scenario_differs_from_fault_free_run():

@@ -21,6 +21,8 @@ from typing import Any
 
 import pytest
 
+import repro.experiments.scheduler as scheduler_module
+from repro import obs
 from repro.experiments.cache import RunCache
 from repro.experiments.registry import merge_params, register_scenario
 from repro.experiments.runner import ExperimentSpec
@@ -73,6 +75,25 @@ class FlakyProbeScenario:
             marker.write_text("first attempt\n")
             raise RuntimeError(f"transient failure for seed {seed}")
         return {"ok": seed}
+
+
+@register_scenario
+class MeteredProbeScenario:
+    """Test-only: records seed-derived metrics into the ambient capture."""
+
+    name = "metered_probe"
+    description = "test-only scenario that records seed-derived metrics"
+
+    def default_params(self) -> dict[str, Any]:
+        return {"weight": 1}
+
+    def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
+        p = merge_params(self.default_params(), params)
+        observed = obs.current()
+        if observed.enabled:
+            observed.metrics.counter("probe.runs", parity=seed % 2).inc(p["weight"])
+            observed.metrics.histogram("probe.seed").observe(float(seed))
+        return {"value": seed * p["weight"] % 11}
 
 
 def records_digest(results) -> str:
@@ -173,16 +194,17 @@ def test_raising_progress_callback_is_counted_on_the_pooled_path():
 
 # -- pool-loss degradation ----------------------------------------------------
 
+class BrokenMP:
+    """Stands in for ``multiprocessing`` in the scheduler: no pool starts."""
+
+    TimeoutError = multiprocessing.TimeoutError
+
+    @staticmethod
+    def Pool(processes):
+        raise OSError("fork failed")
+
+
 def test_pool_start_failure_degrades_to_inline(monkeypatch):
-    import repro.experiments.scheduler as scheduler_module
-
-    class BrokenMP:
-        TimeoutError = multiprocessing.TimeoutError
-
-        @staticmethod
-        def Pool(processes):
-            raise OSError("fork failed")
-
     monkeypatch.setattr(scheduler_module, "multiprocessing", BrokenMP)
     spec = ExperimentSpec(scenario="sleep_probe", seeds=tuple(range(8)))
     results, stats = SweepScheduler(workers=2).run_specs([spec])
@@ -293,3 +315,106 @@ def test_healthy_cache_is_unaffected_by_the_degradation_seam(tmp_path):
     assert cache.stats.writes == 2
     survivor = RunCache(tmp_path / "rc")
     assert len(survivor) == 2
+
+
+# -- one execution path: inline, pooled and degraded are interchangeable -------
+
+def _stream_specs(marker_dir: Path, metered_seeds=tuple(range(1, 9)),
+                  flaky_seeds=(1, 2)) -> list[ExperimentSpec]:
+    return [ExperimentSpec(scenario="metered_probe", seeds=metered_seeds),
+            ExperimentSpec(scenario="flaky_probe", seeds=flaky_seeds,
+                           base_params={"marker_dir": str(marker_dir)})]
+
+
+def _reset_markers(marker_dir: Path) -> None:
+    marker_dir.mkdir(exist_ok=True)
+    for marker in marker_dir.glob("attempted-*"):
+        marker.unlink()
+
+
+def _cache_lines(path: Path) -> set[bytes]:
+    return {line for shard in path.glob("runs-*.jsonl")
+            for line in shard.read_bytes().splitlines() if line.strip()}
+
+
+def _observed_sweep(root: Path, marker_dir: Path, workers: int,
+                    collect_metrics: bool, cache_state: str, label: str):
+    """One sweep of the probe stream, plus everything it observably did."""
+    cache = None
+    if cache_state != "none":
+        cache = RunCache(root / f"cache-{label}")
+        # Half-warm replays cells written with metrics, warm replays cells
+        # written without them (so a metrics sweep counts them missing).
+        prefill = {"cold": None,
+                   "half_warm": (_stream_specs(marker_dir, (1, 3, 5, 7), (1,)), True),
+                   "warm": (_stream_specs(marker_dir), False)}[cache_state]
+        if prefill is not None:
+            _reset_markers(marker_dir)
+            SweepScheduler(workers=1, cache=cache,
+                           collect_metrics=prefill[1]).run_specs(prefill[0])
+    before = _cache_lines(cache.path) if cache is not None else set()
+    _reset_markers(marker_dir)
+    progress: list[tuple[int, int]] = []
+    scheduler = SweepScheduler(
+        workers=workers, cache=cache, collect_metrics=collect_metrics,
+        task_timeout=60.0, on_progress=lambda done, total: progress.append((done, total)))
+    results, stats = scheduler.run_specs(_stream_specs(marker_dir))
+    written = _cache_lines(cache.path) - before if cache is not None else set()
+    observed = {
+        "records": [record.canonical() for result in results for record in result.records],
+        "metrics": stats.metrics.to_dict() if stats.metrics is not None else None,
+        "metrics_missing": stats.metrics_missing,
+        "cache_hits": stats.cache_hits,
+        "executed": stats.executed,
+        "tasks_retried": stats.tasks_retried,
+        "written": written,
+    }
+    return observed, stats, progress
+
+
+@pytest.mark.parametrize("cache_state", ["none", "cold", "half_warm", "warm"])
+@pytest.mark.parametrize("collect_metrics", [False, True])
+def test_worker_count_metrics_and_cache_state_never_change_the_sweep(
+        tmp_path, monkeypatch, collect_metrics, cache_state):
+    """Refactor gate: inline, pooled and degraded execution are
+    indistinguishable.
+
+    Every observable outcome of a sweep — records, merged metrics, missing
+    metrics, cache hits, executed count, retries and the set of cache lines
+    written — must match across worker counts and when no pool can start,
+    with a transiently failing task in the stream.  Pooled chunks finish in
+    any order, so cache lines compare as a set.
+    """
+    marker_dir = tmp_path / "markers"
+    reference, reference_stats, progress = _observed_sweep(
+        tmp_path, marker_dir, 1, collect_metrics, cache_state, "inline")
+    total = len(reference["records"])
+    hits = reference["cache_hits"]
+    assert reference_stats.tasks_failed == 0
+    assert (reference_stats.metrics is not None) == collect_metrics
+    if cache_state == "none":
+        assert reference["written"] == set()
+    if cache_state == "warm":
+        assert reference["executed"] == 0
+        assert reference["metrics_missing"] == (total if collect_metrics else 0)
+    if cache_state == "half_warm" and collect_metrics:
+        # flaky_probe records no metrics, and an empty snapshot is not stored.
+        assert reference["metrics_missing"] == 1
+    if reference["executed"]:
+        assert reference_stats.executed_inline
+        assert reference_stats.chunks == reference["executed"]
+        assert progress == ([(hits, total)] if hits else []) + [
+            (done, total) for done in range(hits + 1, total + 1)]
+    if not collect_metrics:
+        assert all(b'"obs"' not in line for line in reference["written"])
+    for workers in (2, 4):
+        observed, stats, _ = _observed_sweep(
+            tmp_path, marker_dir, workers, collect_metrics, cache_state, f"w{workers}")
+        assert observed == reference, f"workers={workers} diverged"
+        if stats.executed > workers:
+            assert not stats.executed_inline
+    monkeypatch.setattr(scheduler_module, "multiprocessing", BrokenMP)
+    degraded, stats, _ = _observed_sweep(
+        tmp_path, marker_dir, 2, collect_metrics, cache_state, "degraded")
+    assert degraded == reference
+    assert stats.degraded_to_inline == (stats.executed > 2)
