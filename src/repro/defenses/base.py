@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Any, Optional
 if TYPE_CHECKING:  # only for annotations; keeps this module import-cycle-free
     import random
 
-    from ..dns.message import DNSMessage
+    from ..dns.message import DNSMessage, Question
     from ..dns.records import ResourceRecord
     from ..experiments.testbed import Testbed, TestbedConfig
     from ..netsim.packets import UDPDatagram
@@ -48,17 +48,21 @@ if TYPE_CHECKING:  # only for annotations; keeps this module import-cycle-free
 class QueryContext:
     """Mutable state of one upstream query as it leaves the resolver.
 
-    Defenses mutate ``query`` (via :func:`dataclasses.replace`),
-    ``transaction_id`` and ``source_port``; per-query verification state goes
-    into ``state`` and is available again when the response arrives.
+    Defenses set ``transaction_id``, ``source_port``, ``cookie`` and
+    ``case_nonce``; once every hook ran, the resolver builds ``query`` from
+    them.  Per-query verification state goes into ``state`` and is available
+    again when the response arrives.
     """
 
-    query: DNSMessage
+    question: Question
     transaction_id: int
     source_port: int
     nameserver_address: str
     rng: random.Random
+    cookie: Optional[int] = None
+    case_nonce: Optional[int] = None
     state: dict[str, Any] = field(default_factory=dict)
+    query: Optional[DNSMessage] = None
 
 
 @dataclass

@@ -17,7 +17,6 @@ vectors it blocks in the paper's analysis:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
 from ..dns.records import RecordType, rrset_signature
@@ -42,12 +41,12 @@ class DNS0x20Encoding(Defense):
     name = "dns_0x20"
 
     def on_outgoing_query(self, ctx: QueryContext) -> None:
-        letters = letter_count(ctx.query.question.name)
+        letters = letter_count(ctx.question.name)
         if letters == 0:
             return
         nonce = ctx.rng.getrandbits(letters)
         ctx.state[self.name] = nonce
-        ctx.query = replace(ctx.query, case_nonce=nonce or None)
+        ctx.case_nonce = nonce or None
 
     def on_incoming_response(self, ctx: ResponseContext) -> Optional[str]:
         expected = ctx.query.state.get(self.name)
@@ -86,7 +85,7 @@ class DNSCookies(Defense):
     def on_outgoing_query(self, ctx: QueryContext) -> None:
         cookie = self._cookie_for(ctx.nameserver_address)
         ctx.state[self.name] = cookie
-        ctx.query = replace(ctx.query, cookie=cookie)
+        ctx.cookie = cookie
 
     def on_incoming_response(self, ctx: ResponseContext) -> Optional[str]:
         expected = ctx.query.state.get(self.name)

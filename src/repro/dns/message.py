@@ -129,7 +129,8 @@ class DNSMessage:
     # -- constructors --------------------------------------------------------
     @classmethod
     def query(cls, transaction_id: int, name: str, qtype: RecordType = RecordType.A,
-              edns_payload: int = 4096, dnssec_ok: bool = False) -> DNSMessage:
+              edns_payload: int = 4096, dnssec_ok: bool = False,
+              cookie: Optional[int] = None, case_nonce: Optional[int] = None) -> DNSMessage:
         """Build a standard recursive query with an EDNS OPT record."""
         additional = (opt_record(edns_payload),) if edns_payload else ()
         return cls(
@@ -138,6 +139,8 @@ class DNSMessage:
             is_response=False,
             additional=additional,
             dnssec_ok=dnssec_ok,
+            cookie=cookie,
+            case_nonce=case_nonce,
         )
 
     def make_response(self, answers: list[ResourceRecord],

@@ -26,7 +26,7 @@ answer a query on their own.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..defenses.base import QueryContext, ResponseContext
@@ -306,18 +306,18 @@ class RecursiveResolver(Host):
         # Defaults an entirely defense-less resolver would use: sequential
         # transaction ids and a fixed source port.  The stack's hardening
         # hooks (random txid/port, 0x20 case, cookies) then rewrite them.
-        txid = self._next_sequential_txid()
+        question = client_query.question
         context = QueryContext(
-            query=DNSMessage.query(txid, client_query.question.name,
-                                   client_query.question.qtype),
-            transaction_id=txid,
+            question=question,
+            transaction_id=self._next_sequential_txid(),
             source_port=33333,
             nameserver_address=nameserver,
             rng=self.network.simulator.rng,
         )
         self.defenses.on_outgoing_query(context)
-        if context.query.transaction_id != context.transaction_id:
-            context.query = replace(context.query, transaction_id=context.transaction_id)
+        context.query = DNSMessage.query(context.transaction_id, question.name,
+                                         question.qtype, cookie=context.cookie,
+                                         case_nonce=context.case_nonce)
         pending = PendingUpstreamQuery(
             upstream_query=context.query,
             nameserver_address=nameserver,

@@ -45,8 +45,15 @@ Cost: a channel draws its DH exponent when it is built, but computes its
 public share only when a ClientHello or ServerHello first sends it, so a
 resumed (0-RTT) channel never computes one.  The share comes from a
 fixed-base table of generator powers (32 rows × 256 entries, built on the
-first handshake), and records XOR their keystream as one integer.  None of
-this changes a byte on the wire.
+first handshake), and records XOR their keystream as one integer.  The
+shared secret comes from the same table: every share a channel makes is
+``g^b``, so a module-private registry maps it back to ``b``, and the peer
+computes ``(g^b)^a`` as ``g^(a·b mod (p−1))``.  That is exact for every
+input, because the order of ``g`` divides ``p − 1``.  The peer pops the
+entry, so an honest handshake leaves nothing behind.  A share the
+simulation did not make, or whose entry is already consumed (a crafted,
+replayed or hijacked hello), falls back to the variable-base ``pow``.  None
+of this changes a byte on the wire.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
+import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -84,6 +92,9 @@ FLAG_RST = 0x04
 FLAG_ACK = 0x10
 
 _SEQ_MOD = 1 << 32
+#: Ports, seq, ack, data offset, flags and window; checksum and urgent
+#: pointer are carried as zero.
+_TCP_HEADER = struct.Struct(">HHIIBBH4x")
 
 
 class TransportError(RuntimeError):
@@ -108,32 +119,20 @@ class TCPSegment:
     payload: bytes = b""
 
     def encode(self) -> bytes:
-        header = (
-            self.src_port.to_bytes(2, "big")
-            + self.dst_port.to_bytes(2, "big")
-            + (self.seq % _SEQ_MOD).to_bytes(4, "big")
-            + (self.ack % _SEQ_MOD).to_bytes(4, "big")
-            + bytes([5 << 4, self.flags & 0x3F])
-            + RECEIVE_WINDOW.to_bytes(2, "big")
-            + b"\x00\x00\x00\x00"
-        )
-        return header + self.payload
+        return _TCP_HEADER.pack(self.src_port, self.dst_port, self.seq % _SEQ_MOD,
+                                self.ack % _SEQ_MOD, 5 << 4, self.flags & 0x3F,
+                                RECEIVE_WINDOW) + self.payload
 
     @classmethod
     def decode(cls, data: bytes) -> TCPSegment:
         if len(data) < TCP_HEADER_SIZE:
             raise PacketError("truncated TCP header")
-        offset = (data[12] >> 4) * 4
+        src_port, dst_port, seq, ack, offset, flags, _ = _TCP_HEADER.unpack_from(data)
+        offset = (offset >> 4) * 4
         if offset < TCP_HEADER_SIZE or offset > len(data):
             raise PacketError("invalid TCP data offset")
-        return cls(
-            src_port=int.from_bytes(data[0:2], "big"),
-            dst_port=int.from_bytes(data[2:4], "big"),
-            seq=int.from_bytes(data[4:8], "big"),
-            ack=int.from_bytes(data[8:12], "big"),
-            flags=data[13] & 0x3F,
-            payload=data[offset:],
-        )
+        return cls(src_port=src_port, dst_port=dst_port, seq=seq, ack=ack,
+                   flags=flags & 0x3F, payload=data[offset:])
 
     @property
     def wire_size(self) -> int:
@@ -465,6 +464,8 @@ class TCPStack:
         self.connections: dict[ConnectionKey, Connection] = {}
         self.segments_received = 0
         self.segments_rejected = 0
+        #: Segments dropped because they did not decode.
+        self.segments_malformed = 0
         self.syns_dropped = 0
 
     @property
@@ -552,6 +553,9 @@ class TCPStack:
         try:
             segment = TCPSegment.decode(packet.payload)
         except PacketError:
+            self.segments_malformed += 1
+            if self.obs.enabled:
+                self.obs.metrics.counter("tcp.malformed", site="segment").inc()
             return
         self.segments_received += 1
         connection = self.connections.get(
@@ -691,6 +695,13 @@ def _generator_pow(exponent: int) -> int:
         if byte:
             result = result * row[byte] % DH_PRIME
     return result
+
+
+#: ``share -> exponent`` for every share a channel in this process computed
+#: and no peer has consumed yet (a handshake that fails before the peer
+#: derives leaves its entry).  Private to the simulation, like a server's
+#: ``cert_key``: no attacker code reads it.
+_SHARE_EXPONENTS: dict[int, int] = {}
 
 
 _REC_CLIENT_HELLO = 1
@@ -891,7 +902,9 @@ class SecureChannel(StreamSocket):
     @functools.cached_property
     def _share(self) -> int:
         """The ephemeral DH public share, computed when a hello first sends it."""
-        return _generator_pow(self._secret)
+        share = _generator_pow(self._secret)
+        _SHARE_EXPONENTS[share] = self._secret
+        return share
 
     # -- handshake -------------------------------------------------------------
     def _send_client_hello(self) -> None:
@@ -1037,7 +1050,11 @@ class SecureChannel(StreamSocket):
 
     def _derive_key(self, peer_share: int, client_random: bytes,
                     server_random: bytes) -> None:
-        shared = pow(peer_share, self._secret, DH_PRIME)
+        peer_exponent = _SHARE_EXPONENTS.pop(peer_share, None)
+        if peer_exponent is None:
+            shared = pow(peer_share, self._secret, DH_PRIME)
+        else:
+            shared = _generator_pow(peer_exponent * self._secret % (DH_PRIME - 1))
         self._key = hashlib.sha256(
             shared.to_bytes(32, "big") + client_random + server_random).digest()
 

@@ -45,8 +45,15 @@ class PacketFormatError(ValueError):
     """Raised when decoding malformed NTP packets.
 
     The only error :meth:`NTPPacket.decode` raises, and only for input
-    shorter than 48 bytes.
+    shorter than 48 bytes; receivers catch exactly this and count the drop
+    (:func:`note_malformed`).
     """
+
+
+def note_malformed(obs, site: str) -> None:
+    """Count a datagram dropped because it did not decode as NTP."""
+    if obs.enabled:
+        obs.metrics.counter("ntp.malformed", site=site).inc()
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Optional
 from ..netsim.network import Host
 from ..netsim.packets import UDPDatagram
 from .clock import SystemClock
-from .packet import NTP_PORT, NTPMode, NTPPacket, PacketFormatError
+from .packet import NTP_PORT, NTPMode, NTPPacket, PacketFormatError, note_malformed
 from .timestamps import ExchangeTimestamps
 
 
@@ -153,6 +153,7 @@ class NTPQuerier:
         try:
             packet = NTPPacket.decode(datagram.payload)
         except PacketFormatError:
+            note_malformed(self.host.network.simulator.obs, "client")
             return False
         if packet.mode != NTPMode.SERVER:
             return False

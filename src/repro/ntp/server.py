@@ -15,7 +15,7 @@ from typing import Optional
 from ..netsim.network import Host, Network
 from ..netsim.packets import UDPDatagram
 from .clock import SystemClock
-from .packet import NTP_PORT, LeapIndicator, NTPMode, NTPPacket, PacketFormatError
+from .packet import NTP_PORT, LeapIndicator, NTPMode, NTPPacket, PacketFormatError, note_malformed
 
 #: Scripted shift: maps true time to the shift (seconds) the server applies.
 ShiftSchedule = Callable[[float], float]
@@ -49,6 +49,7 @@ class NTPServer(Host):
         try:
             request = NTPPacket.decode(datagram.payload)
         except PacketFormatError:
+            note_malformed(self.network.simulator.obs, "server")
             return
         if request.mode != NTPMode.CLIENT:
             return

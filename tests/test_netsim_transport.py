@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.defenses import EncryptedTransport
+from repro.dns.records import RecordType
+from repro.experiments import TestbedConfig, build_testbed, run_defense_matrix
+from repro.experiments.pins import FULL_GRID_DIGEST
+from repro.netsim import transport
 from repro.netsim.network import Host, LinkProperties, Network
-from repro.netsim.packets import PROTO_TCP, IPPacket
+from repro.netsim.packets import PROTO_TCP, IPPacket, PacketError
 from repro.netsim.simulator import Simulator
 from repro.netsim.transport import (
     DH_GENERATOR,
@@ -67,10 +76,78 @@ def test_segment_encode_decode_round_trip():
 
 
 def test_segment_decode_rejects_truncated_header():
-    from repro.netsim.packets import PacketError
-
     with pytest.raises(PacketError):
         TCPSegment.decode(b"\x00" * 10)
+
+
+def reference_encode(segment):
+    """The byte-at-a-time header encoder the ``struct`` one replaced."""
+    return (segment.src_port.to_bytes(2, "big")
+            + segment.dst_port.to_bytes(2, "big")
+            + (segment.seq % 2**32).to_bytes(4, "big")
+            + (segment.ack % 2**32).to_bytes(4, "big")
+            + bytes([5 << 4, segment.flags & 0x3F])
+            + (65535).to_bytes(2, "big")
+            + b"\x00\x00\x00\x00"
+            + segment.payload)
+
+
+segments = st.builds(
+    TCPSegment,
+    src_port=st.integers(min_value=0, max_value=0xFFFF),
+    dst_port=st.integers(min_value=0, max_value=0xFFFF),
+    seq=st.integers(min_value=0, max_value=2**32 - 1),
+    ack=st.integers(min_value=0, max_value=2**32 - 1),
+    flags=st.integers(min_value=0, max_value=0x3F),
+    payload=st.binary(max_size=64),
+)
+
+
+@given(segment=segments)
+@example(segment=TCPSegment(0, 0, 0, 0, 0))
+@example(segment=TCPSegment(0xFFFF, 0xFFFF, 2**32 - 1, 2**32 - 1, 0x3F, b"\xff"))
+def test_segment_round_trips_and_matches_reference_encoder(segment):
+    assert segment.encode() == reference_encode(segment)
+    assert TCPSegment.decode(segment.encode()) == segment
+
+
+@given(seq=st.integers(min_value=0, max_value=2**40),
+       ack=st.integers(min_value=0, max_value=2**40),
+       flags=st.integers(min_value=0, max_value=0xFF))
+def test_segment_encoder_reduces_seq_and_masks_flags_like_reference(seq, ack, flags):
+    segment = TCPSegment(1, 2, seq, ack, flags, b"x")
+    assert segment.encode() == reference_encode(segment)
+
+
+@given(data=st.binary(max_size=48))
+@example(data=bytes(20))                        # data offset 0
+@example(data=bytes(12) + b"\xf0" + bytes(7))    # offset 60 beyond 20 bytes
+def test_segment_decode_raises_only_packet_error(data):
+    try:
+        segment = TCPSegment.decode(data)
+    except PacketError:
+        return
+    offset = (data[12] >> 4) * 4
+    assert segment.encode()[:12] == data[:12]
+    assert segment.flags == data[13] & 0x3F
+    assert segment.payload == data[offset:]
+
+
+def test_undecodable_segment_is_dropped_and_counted():
+    with obs.capture() as observed:
+        simulator, network, client, server = make_pair()
+        serve_echo(server, 853, [])
+        garbage = bytearray(TCPSegment(40000, 853, 1, 0, FLAG_SYN).encode())
+        garbage[12] = 1 << 4  # a data offset of 4 bytes, inside the header
+        network.inject(IPPacket(src_ip="198.51.100.9", dst_ip="10.0.0.2", ip_id=7,
+                                payload=bytes(garbage), protocol=PROTO_TCP,
+                                spoofed=True))
+        simulator.run(until=1.0)
+        snapshot = observed.metrics.snapshot()
+    assert server.tcp.segments_malformed == 1
+    assert server.tcp.segments_received == 0
+    assert snapshot.counter("tcp.malformed", site="segment") == 1
+    assert snapshot.counter_total("tcp.malformed") == 1
 
 
 # -- handshake and data transfer ------------------------------------------------
@@ -409,3 +486,142 @@ def test_resumed_channels_never_compute_a_share():
     assert resumed.resumed and server_channels[1].resumed
     assert "_share" not in vars(resumed)
     assert "_share" not in vars(server_channels[1])
+
+
+# -- share registry: the DH key from the fixed-base table -------------------------
+
+CLIENT_RANDOM, SERVER_RANDOM = b"c" * 32, b"s" * 32
+
+
+def derived_key(secret, peer_share):
+    """The key ``SecureChannel._derive_key`` makes for a bare ``secret``."""
+    channel = SimpleNamespace(_secret=secret, _key=None)
+    SecureChannel._derive_key(channel, peer_share, CLIENT_RANDOM, SERVER_RANDOM)
+    return channel._key
+
+
+def pow_key(secret, peer_share, client_random=CLIENT_RANDOM, server_random=SERVER_RANDOM):
+    """The key by the variable-base ladder alone."""
+    shared = pow(peer_share, secret, DH_PRIME)
+    return hashlib.sha256(shared.to_bytes(32, "big") + client_random
+                          + server_random).digest()
+
+
+@contextlib.contextmanager
+def counted_pow():
+    """Record every base ``repro.netsim.transport`` passes to ``pow``."""
+    bases = []
+
+    def counting(base, exponent, modulus):
+        bases.append(base)
+        return pow(base, exponent, modulus)
+
+    transport.pow = counting
+    try:
+        yield bases
+    finally:
+        del transport.pow
+
+
+secrets = st.integers(min_value=1, max_value=2**255 - 1)
+
+
+@given(secret=secrets, peer_secret=secrets)
+@example(secret=1, peer_secret=1)
+@example(secret=2**255 - 1, peer_secret=2**255 - 1)
+@example(secret=(DH_PRIME - 1) // 2, peer_secret=2)  # product == p - 1
+@example(secret=1 << 254, peer_secret=3)
+def test_registry_key_equals_pow_key(secret, peer_secret):
+    share = SecureChannel._share.func(SimpleNamespace(_secret=peer_secret))
+    assert transport._SHARE_EXPONENTS[share] == peer_secret
+    with counted_pow() as bases:
+        key = derived_key(secret, share)
+    assert bases == []
+    assert share not in transport._SHARE_EXPONENTS
+    assert key == pow_key(secret, share)
+
+
+def test_foreign_share_falls_back_to_pow():
+    foreign = pow(DH_GENERATOR, 0xC0FFEE, DH_PRIME)  # no channel made this one
+    transport._SHARE_EXPONENTS.pop(foreign, None)
+    with counted_pow() as bases:
+        key = derived_key(7, foreign)
+    assert bases == [foreign]
+    assert key == pow_key(7, foreign)
+
+
+def test_replayed_server_hello_falls_back_to_pow():
+    simulator, network, client, server = make_pair()
+    hellos = []
+
+    def record_server_hellos(packet, now):
+        payload = TCPSegment.decode(packet.payload).payload
+        if packet.src_ip == "10.0.0.2" and payload[:1] == b"\x02":
+            hellos.append(payload)
+
+    network.add_tap(record_server_hellos)
+    secure_server(server, 853, "k", "pool.ntp.org", [])
+    honest = SecureChannel.client(client.tcp.connect("10.0.0.2", 853), simulator.rng,
+                                  expected_identity="pool.ntp.org", trust_anchor="k")
+    with counted_pow() as bases:
+        simulator.run(until=1.0)
+    assert honest.ready and bases == [] and len(hellos) == 1
+    server_random = hellos[0][3:35]
+    server_share = int.from_bytes(hellos[0][35:67], "big")
+    assert server_share not in transport._SHARE_EXPONENTS
+    assert honest._key == pow_key(honest._secret, server_share,
+                                  honest._random, server_random)
+
+    # The recorded hello, replayed to a fresh client: its entry is consumed.
+    replayed = SecureChannel.client(client.tcp.create_connection("10.0.0.2", 853),
+                                    simulator.rng, expected_identity="pool.ntp.org",
+                                    trust_anchor="k")
+    with counted_pow() as bases:
+        replayed._on_connection_data(hellos[0])
+    assert bases == [server_share]
+    assert replayed._key == pow_key(replayed._secret, server_share,
+                                    replayed._random, server_random)
+
+
+SERVING_TESTBEDS = {
+    "udp": (),
+    "dot_cold": ("encrypted_transport",),
+    "dot_reused": (EncryptedTransport(reuse_connections=True, idle_timeout=60.0),),
+    "dot_0rtt": (EncryptedTransport(zero_rtt=True, idle_timeout=5.0),),
+}
+
+
+@pytest.mark.parametrize("label", SERVING_TESTBEDS)
+def test_honest_serving_never_calls_variable_base_pow(label):
+    transport._SHARE_EXPONENTS.clear()
+    testbed = build_testbed(TestbedConfig(seed=1, defenses=SERVING_TESTBEDS[label],
+                                          with_attacker=False))
+    with counted_pow() as bases:
+        for index in range(20):
+            at = index * 10.0
+            testbed.simulator.schedule_at(
+                at, lambda: testbed.resolver.trigger_lookup("pool.ntp.org"))
+            testbed.simulator.run(until=at + 9.0)
+            entry = testbed.resolver.cache.peek("pool.ntp.org", RecordType.A)
+            assert entry is not None and entry.inserted_at >= at
+    assert bases == []
+    assert transport._SHARE_EXPONENTS == {}
+    if label == "dot_cold":
+        assert testbed.resolver.upstream_transport.connections_opened == 20
+
+
+def test_pinned_grid_window_leaves_the_registry_empty():
+    transport._SHARE_EXPONENTS.clear()
+    with counted_pow() as bases:
+        matrix = run_defense_matrix(seeds=(1, 2), workers=1)
+    assert matrix.digest() == FULL_GRID_DIGEST
+    assert bases == []
+    assert transport._SHARE_EXPONENTS == {}
+
+
+def test_no_attack_module_references_the_registry():
+    attacks = Path(transport.__file__).resolve().parent.parent / "attacks"
+    modules = sorted(attacks.glob("*.py"))
+    assert modules
+    for module in modules:
+        assert "_SHARE_EXPONENTS" not in module.read_text(), module.name

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.dns.nameserver import PoolNTPNameserver
 from repro.dns.resolver import RecursiveResolver, ResolverPolicy
 from repro.netsim.network import Host, LinkProperties, Network
@@ -66,6 +67,27 @@ def test_unspoken_modes_are_dropped_inside_the_simulator():
     simulator.run(until=5.0)
     assert server.requests_received == 1
     assert len(samples) == 1 and samples[0] is not None
+
+
+def test_undecodable_datagrams_are_dropped_and_counted():
+    with obs.capture() as observed:
+        simulator, network = build()
+        server = NTPServer(network, "10.0.0.1")
+        client = QuerierHost(network, "192.0.2.100")
+        samples = []
+        client.querier.query(server.address, samples.append)
+        garbage = b"\x23" * 47  # one byte short of an NTP header
+        network.send_datagram(UDPDatagram("198.51.100.9", server.address,
+                                          40000, NTP_PORT, garbage))
+        network.send_datagram(UDPDatagram("198.51.100.9", client.address,
+                                          NTP_PORT, 40000, garbage))
+        simulator.run(until=5.0)
+        snapshot = observed.metrics.snapshot()
+    assert server.requests_received == 1
+    assert len(samples) == 1 and samples[0] is not None
+    for site in ("server", "client"):
+        assert snapshot.counter("ntp.malformed", site=site) == 1
+    assert snapshot.counter_total("ntp.malformed") == 2
 
 
 def test_server_with_clock_error_reports_that_offset():
