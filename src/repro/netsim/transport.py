@@ -127,8 +127,8 @@ class TCPSegment:
     def decode(cls, data: bytes) -> TCPSegment:
         if len(data) < TCP_HEADER_SIZE:
             raise PacketError("truncated TCP header")
-        src_port, dst_port, seq, ack, offset, flags, _ = _TCP_HEADER.unpack_from(data)
-        offset = (offset >> 4) * 4
+        src_port, dst_port, seq, ack, offset_byte, flags, _ = _TCP_HEADER.unpack_from(data)
+        offset = (offset_byte >> 4) * 4
         if offset < TCP_HEADER_SIZE or offset > len(data):
             raise PacketError("invalid TCP data offset")
         return cls(src_port=src_port, dst_port=dst_port, seq=seq, ack=ack,
