@@ -3,7 +3,8 @@
 Three measurements on the new connection-oriented path:
 
 1. **Handshake overhead** — resolve the pool zone N times over plaintext
-   UDP, plain DNS-over-TCP, DoT and DoH in otherwise identical worlds, and
+   UDP, plain DNS-over-TCP, DoT and DoH in otherwise identical worlds (every
+   world of ``TRANSPORT_PROFILES``, so pooled and 0-RTT DoT too), and
    compare both the simulated time-to-answer of a single query (the
    protocol's round trips made visible: UDP 1 RTT, TCP +1 handshake RTT,
    DoT/DoH +1 more for the TLS hello exchange) and the wall-clock cost per

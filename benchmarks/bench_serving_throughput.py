@@ -4,7 +4,8 @@ Four measurements on the serving layer this subsystem added:
 
 1. **Per-query cost** — resolve the pool zone N times over plaintext UDP,
    cold-per-query strict DoT, pooled/reused DoT (RFC 7766 §6.2) and
-   0-RTT-resumed DoT, in otherwise identical worlds.  The gates assert the
+   0-RTT-resumed DoT: the ``udp``, ``dot``, ``dot_reused`` and ``dot_0rtt``
+   worlds of ``TRANSPORT_PROFILES``, timed by ``time_lookups``.  The gates assert the
    arithmetic the pooling exists for: a reused stream answers ≥ 2× faster
    (simulated) than a cold handshake per query, and a 0-RTT resumption
    lands within 1.5× of plaintext UDP.
@@ -32,53 +33,28 @@ from pathlib import Path
 
 from conftest import emit
 
-from repro.defenses.transport import EncryptedTransport
-from repro.dns.records import RecordType
-from repro.experiments import AttackSpec, TestbedConfig, build_testbed, run_scenario
+from repro.experiments import AttackSpec, run_scenario
 from repro.experiments.matrix import SERVING_ATTACKS, SERVING_STACKS, run_defense_matrix
 from repro.experiments.pins import SERVING_MATRIX_DIGEST
+from repro.experiments.scenarios import time_lookups
 
 SEED_COUNT = 2
 QUERIES = int(os.environ.get("SERVING_QUERY_COUNT", "50"))
 
-#: The timing worlds.  Queries are spaced 10 s apart, so the pooled config
-#: needs an idle timeout that outlives the gap, while the 0-RTT config uses
-#: a short one on purpose: every query finds the pool cold and must resume
-#: from its session ticket — the path being measured.
-SERVING_CONFIGS = {
-    "udp": (),
-    "dot_cold": ("encrypted_transport",),
-    "dot_reused": (EncryptedTransport(reuse_connections=True, idle_timeout=60.0),),
-    "dot_0rtt": (EncryptedTransport(zero_rtt=True, idle_timeout=5.0),),
-}
+#: The timing worlds: rows of ``TRANSPORT_PROFILES``, ``dot`` being a cold
+#: handshake per query.
+SERVING_PROFILES = ("udp", "dot", "dot_reused", "dot_0rtt")
 
 #: Offered-load sweep: seconds between sustained-load races.
 LOAD_INTERVALS = (2.0, 1.0, 0.5, 0.25)
 
 
-def resolve_many(label, queries):
-    """Resolve ``queries`` cache-missing lookups; returns timing figures."""
-    config = TestbedConfig(
-        seed=42,
-        benign_server_count=50,
-        records_per_response=30,
-        defenses=SERVING_CONFIGS[label],
-        with_attacker=False,
-    )
-    testbed = build_testbed(config)
-    answer_times = []
-
+def serve(label, queries):
+    """Time ``queries`` cache-missing lookups in one serving world."""
     started = time.perf_counter()
-    for index in range(queries):
-        at = index * 10.0
-        testbed.simulator.schedule_at(
-            at, lambda: testbed.resolver.trigger_lookup("pool.ntp.org"))
-        testbed.simulator.run(until=at + 9.0)
-        entry = testbed.resolver.cache.peek("pool.ntp.org", RecordType.A)
-        assert entry is not None and entry.inserted_at >= at, (
-            f"{label}: query {index} went unanswered")
-        answer_times.append(entry.inserted_at - at)
+    testbed, answer_times = time_lookups(label, 42, queries)
     wall = time.perf_counter() - started
+    assert None not in answer_times, f"{label}: unanswered queries {answer_times}"
     upstream = testbed.resolver.upstream_transport
     return {
         "simulated_time_to_answer": sum(answer_times) / len(answer_times),
@@ -113,8 +89,7 @@ def test_serving_throughput_gates(benchmark):
     attacks = (*SERVING_ATTACKS, AttackSpec("downgrade", "downgrade", {}))
 
     def workload():
-        timings = {label: resolve_many(label, QUERIES)
-                   for label in SERVING_CONFIGS}
+        timings = {label: serve(label, QUERIES) for label in SERVING_PROFILES}
         loads = offered_load_sweep()
         sequential = run_defense_matrix(attacks=attacks, stacks=SERVING_STACKS,
                                         seeds=seeds, workers=1)
@@ -127,7 +102,7 @@ def test_serving_throughput_gates(benchmark):
 
     downgrade = sequential.success_table()["downgrade"]
     udp_time = timings["udp"]["simulated_time_to_answer"]
-    cold_time = timings["dot_cold"]["simulated_time_to_answer"]
+    cold_time = timings["dot"]["simulated_time_to_answer"]
     reused_time = timings["dot_reused"]["simulated_time_to_answer"]
     zero_rtt_time = timings["dot_0rtt"]["simulated_time_to_answer"]
     report = {
@@ -181,8 +156,8 @@ def test_serving_throughput_gates(benchmark):
     # Gate (b): the counters prove the paths actually ran — one connection
     # serving every reused query, one resumption per 0-RTT query.
     # Per-query DoT opens one stream per query and never hits the pool.
-    assert timings["dot_cold"]["connections_opened"] == QUERIES
-    assert timings["dot_cold"]["connections_reused"] == 0
+    assert timings["dot"]["connections_opened"] == QUERIES
+    assert timings["dot"]["connections_reused"] == 0
     assert timings["dot_reused"]["connections_opened"] == 1
     assert timings["dot_reused"]["connections_reused"] == QUERIES - 1
     assert timings["dot_0rtt"]["zero_rtt_queries"] == QUERIES - 1

@@ -40,6 +40,7 @@ from repro.experiments import (
     build_testbed,
 )
 from repro.experiments.runner import resolve_spec_tasks
+from repro.experiments.scenarios import time_lookups
 
 ZONE = "pool.ntp.org"
 
@@ -118,29 +119,10 @@ def act_two_and_three(seed_count: int) -> None:
 
 def act_four(queries: int = 20) -> None:
     print("\n== 4. the handshake tax: cold vs reused vs 0-RTT ==")
-    from repro.defenses.transport import EncryptedTransport
-
-    configs = (
-        ("udp", ()),
-        ("dot cold", ("encrypted_transport",)),
-        ("dot reused", (EncryptedTransport(reuse_connections=True,
-                                           idle_timeout=60.0),)),
-        ("dot 0-rtt", (EncryptedTransport(zero_rtt=True, idle_timeout=5.0),)),
-    )
     print(f"{'transport':<12} {'mean answer':>12} {'conns':>6} "
           f"{'reused':>7} {'0-rtt':>6}")
-    for label, defenses in configs:
-        testbed = build_testbed(TestbedConfig(
-            seed=42, benign_server_count=50, records_per_response=30,
-            defenses=defenses, with_attacker=False))
-        times = []
-        for index in range(queries):
-            at = index * 10.0
-            testbed.simulator.schedule_at(
-                at, lambda: testbed.resolver.trigger_lookup(ZONE))
-            testbed.simulator.run(until=at + 9.0)
-            entry = testbed.resolver.cache.peek(ZONE, RecordType.A)
-            times.append(entry.inserted_at - at)
+    for label in ("udp", "dot", "dot_reused", "dot_0rtt"):
+        testbed, times = time_lookups(label, 42, queries)
         upstream = testbed.resolver.upstream_transport
         print(f"{label:<12} {sum(times) / len(times) * 1000:>10.1f}ms "
               f"{getattr(upstream, 'connections_opened', 0):>6} "

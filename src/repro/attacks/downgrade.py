@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..defenses.stack import DefenseSpec
-from ..dns.transport import DOH_PORT, DOT_PORT
+from ..dns.transport import STREAM_PORTS
 from ..experiments.testbed import DEFAULT_ZONE
 from ..netsim.network import Network
 from ..netsim.packets import PROTO_TCP, IPPacket
@@ -46,7 +46,7 @@ from .frag_poisoning import FragRaceWorld
 #: full timeout — which is what makes small floods effective.
 SYN_FLOOD_SOURCE_BLOCK = "203.0.113"
 #: Ports the flood covers: every stream listener a nameserver might run.
-DNS_STREAM_PORTS = (53, DOT_PORT, DOH_PORT)
+DNS_STREAM_PORTS = tuple(STREAM_PORTS.values())
 
 
 class SynFloodDowngrader:

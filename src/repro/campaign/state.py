@@ -230,28 +230,6 @@ class CampaignState:
             counts[status] = counts.get(status, 0) + 1
         return counts
 
-    def formatted(self) -> str:
-        """One status line per step, suitable for ``campaign status``."""
-        lines = [f"campaign {self.data['campaign']!r} "
-                 f"(fingerprint {self.data['fingerprint'][:12]}, "
-                 f"runs={self.runs})"]
-        for name, entry in self.data["steps"].items():
-            status = entry.get("status", PENDING)
-            parts = [f"  {name:<28} {status:<8}"]
-            if entry.get("digest"):
-                parts.append(f"digest={entry['digest'][:12]}")
-            telemetry = entry.get("telemetry") or {}
-            if "tasks" in telemetry:
-                parts.append(f"tasks={telemetry['tasks']}")
-            if "cache_hits" in telemetry:
-                parts.append(f"cache_hits={telemetry['cache_hits']}")
-            if "wall_seconds" in telemetry:
-                parts.append(f"wall={telemetry['wall_seconds']:.2f}s")
-            if entry.get("error"):
-                parts.append(f"error={entry['error']}")
-            lines.append(" ".join(parts))
-        return "\n".join(lines)
-
 
 def now() -> float:
     """Wall-clock for telemetry only — never feeds digests or reports."""

@@ -26,8 +26,9 @@ the cost of a changed trust model.  This module provides both halves:
   the classic poisoning race.  See :mod:`repro.attacks.downgrade`.
 
 Framing is the real wire format: stream DNS messages carry the RFC 1035
-two-byte length prefix; DoH wraps the same wire bytes in a minimal HTTP/1.1
-exchange.
+two-byte length prefix (split by :class:`~repro.netsim.transport.FrameDecoder`,
+which splits secure-channel records too); DoH wraps the same wire bytes in a
+minimal HTTP/1.1 exchange.  Both ends receive through :func:`stream_messages`.
 
 Every upstream stream — DoT, DoH and the TC retry's plain TCP — is a
 :class:`PooledConnection` opened by one method,
@@ -63,12 +64,14 @@ one of two lifecycles:
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..netsim.packets import UDPDatagram
 from ..netsim.transport import (
     Connection,
+    FrameDecoder,
     PlainStreamSocket,
     ResumptionTicketStore,
     SecureChannel,
@@ -87,8 +90,10 @@ DOT_PORT = 853
 #: RFC 8484: DNS-over-HTTPS port.
 DOH_PORT = 443
 
+#: Stream transport name -> the nameserver port it listens on.
+STREAM_PORTS = {"tcp": DNS_PORT, "dot": DOT_PORT, "doh": DOH_PORT}
 #: Transport names accepted by :class:`DNSServerTransport` and the testbed.
-STREAM_TRANSPORTS = ("tcp", "dot", "doh")
+STREAM_TRANSPORTS = tuple(STREAM_PORTS)
 
 
 def frame_dns(wire: bytes) -> bytes:
@@ -96,37 +101,31 @@ def frame_dns(wire: bytes) -> bytes:
     return len(wire).to_bytes(2, "big") + wire
 
 
-class DNSFrameDecoder:
-    """Reassembles length-prefixed DNS messages from stream chunks."""
+class DNSFrameDecoder(FrameDecoder):
+    """Reassembles RFC 1035 length-prefixed DNS messages from stream chunks."""
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
+        super().__init__(prefix=0)
 
-    def feed(self, data: bytes) -> list[bytes]:
-        self._buffer += data
-        messages: list[bytes] = []
-        while len(self._buffer) >= 2:
-            length = int.from_bytes(self._buffer[:2], "big")
-            if len(self._buffer) < 2 + length:
-                break
-            messages.append(bytes(self._buffer[2:2 + length]))
-            del self._buffer[:2 + length]
-        return messages
+    # Bound in this class body so that a per-class method wrapper (the
+    # perfbench layer table times ``DNSFrameDecoder.feed``) finds it here.
+    feed = FrameDecoder.feed
+
+
+def _dns_http(start_line: str, wire: bytes) -> bytes:
+    header = (f"{start_line}\r\n"
+              f"content-type: application/dns-message\r\n"
+              f"content-length: {len(wire)}\r\n\r\n")
+    return header.encode("ascii") + wire
 
 
 def doh_request(wire: bytes) -> bytes:
     """A minimal RFC 8484 POST carrying one DNS message."""
-    header = (f"POST /dns-query HTTP/1.1\r\n"
-              f"content-type: application/dns-message\r\n"
-              f"content-length: {len(wire)}\r\n\r\n")
-    return header.encode("ascii") + wire
+    return _dns_http("POST /dns-query HTTP/1.1", wire)
 
 
 def doh_response(wire: bytes) -> bytes:
-    header = (f"HTTP/1.1 200 OK\r\n"
-              f"content-type: application/dns-message\r\n"
-              f"content-length: {len(wire)}\r\n\r\n")
-    return header.encode("ascii") + wire
+    return _dns_http("HTTP/1.1 200 OK", wire)
 
 
 class DoHMessageDecoder:
@@ -164,6 +163,35 @@ class DoHMessageDecoder:
         return messages
 
 
+def stream_decoder(protocol: str) -> DNSFrameDecoder | DoHMessageDecoder:
+    """A fresh DNS message decoder for one ``tcp``/``dot``/``doh`` stream."""
+    return DoHMessageDecoder() if protocol == "doh" else DNSFrameDecoder()
+
+
+def stream_messages(decoder: DNSFrameDecoder | DoHMessageDecoder, data: bytes, obs,
+                    site: str, close: Callable[[], None]) -> Iterator[tuple[DNSMessage, bytes]]:
+    """The one DNS-over-stream receive loop: feed ``data`` to the decoder and
+    yield each decoded ``(message, wire)``.
+
+    A bad DoH header loses the framing: it counts
+    ``dns.malformed{site=doh_header}``, calls ``close`` and yields nothing.
+    An undecodable frame counts ``dns.malformed{site=<site>}`` and is skipped.
+    """
+    try:
+        wires = decoder.feed(data)
+    except WireFormatError:
+        note_malformed(obs, "doh_header")
+        close()
+        return
+    for wire in wires:
+        try:
+            message = DNSMessage.decode(wire)
+        except WireFormatError:  # noqa: PERF203 — per-frame garbage tolerance
+            note_malformed(obs, site)
+            continue
+        yield message, wire
+
+
 # -- server side ---------------------------------------------------------------
 
 
@@ -190,7 +218,6 @@ class DNSServerTransport:
         if ("dot" in transports or "doh" in transports) and cert_key is None:
             raise ValueError("encrypted transports need a certificate key")
         self.nameserver = nameserver
-        self.transports = tuple(transports)
         self.cert_key = cert_key
         self.identity = identity
         #: Session cache for 0-RTT resumption; ``None`` keeps the handshake
@@ -200,60 +227,37 @@ class DNSServerTransport:
                              if session_resumption else None)
         self.queries_answered: dict[str, int] = {name: 0 for name in transports}
         kwargs = {} if backlog is None else {"backlog": backlog}
-        secure_kwargs = dict(kwargs, fast_open=session_resumption)
-        stack = nameserver.tcp
-        if "tcp" in transports:
-            self.tcp_listener = stack.listen(
-                DNS_PORT, lambda conn: self._serve_plain(conn, "tcp"), **kwargs)
-        if "dot" in transports:
-            self.dot_listener = stack.listen(
-                DOT_PORT, lambda conn: self._serve_secure(conn, "dot"),
-                **secure_kwargs)
-        if "doh" in transports:
-            self.doh_listener = stack.listen(
-                DOH_PORT, lambda conn: self._serve_secure(conn, "doh"),
-                **secure_kwargs)
+        for label, port in STREAM_PORTS.items():
+            if label in transports:
+                nameserver.tcp.listen(
+                    port, lambda conn, label=label: self._serve(conn, label),
+                    fast_open=session_resumption and label != "tcp", **kwargs)
         nameserver.stream_transport = self
 
-    def _rng(self):
-        return self.nameserver.network.simulator.rng
+    def _serve(self, connection: Connection, label: str) -> None:
+        """Answer DNS queries on one accepted ``label`` connection."""
+        if label == "tcp":
+            socket: StreamSocket = PlainStreamSocket(connection)
+        else:
+            socket = SecureChannel.server(
+                connection, self.nameserver.network.simulator.rng,
+                identity=self.identity or self.nameserver.name,
+                cert_key=self.cert_key,
+                ticket_store=self.ticket_store)
+        decoder = stream_decoder(label)
+        frame = doh_response if label == "doh" else frame_dns
 
-    def _serve_plain(self, connection: Connection, label: str) -> None:
-        self._attach(PlainStreamSocket(connection), label)
-
-    def _serve_secure(self, connection: Connection, label: str) -> None:
-        channel = SecureChannel.server(
-            connection, self._rng(),
-            identity=self.identity or self.nameserver.name,
-            cert_key=self.cert_key,
-            ticket_store=self.ticket_store)
-        self._attach(channel, label)
-
-    def _attach(self, socket: StreamSocket, label: str) -> None:
-        decoder = DoHMessageDecoder() if label == "doh" else DNSFrameDecoder()
-
-        def on_data(data: bytes, socket=socket, decoder=decoder, label=label):
-            try:
-                wires = decoder.feed(data)
-            except WireFormatError:
-                note_malformed(self.nameserver.network.simulator.obs, "doh_header")
-                socket.close()
-                return
-            for wire in wires:
-                try:
-                    query = DNSMessage.decode(wire)
-                except WireFormatError:  # noqa: PERF203 — per-frame garbage tolerance
-                    note_malformed(self.nameserver.network.simulator.obs, "server_stream")
-                    continue
+        def on_data(data: bytes) -> None:
+            nameserver = self.nameserver
+            for query, _ in stream_messages(decoder, data, nameserver.network.simulator.obs,
+                                            "server_stream", socket.close):
                 if query.is_response:
                     continue
-                self.nameserver.queries_received += 1
-                response = self.nameserver.answer_query(query)
-                self.nameserver.responses_sent += 1
+                nameserver.queries_received += 1
+                response = nameserver.answer_query(query)
+                nameserver.responses_sent += 1
                 self.queries_answered[label] += 1
-                encoded = response.encode()
-                socket.send(doh_response(encoded) if label == "doh"
-                            else frame_dns(encoded))
+                socket.send(frame(response.encode()))
 
         socket.on_data = on_data
 
@@ -331,8 +335,7 @@ class PooledConnection:
         self.protocol = protocol
         self.socket = socket
         self.idle_timeout = idle_timeout
-        self.decoder = (DoHMessageDecoder() if protocol == "doh"
-                        else DNSFrameDecoder())
+        self.decoder = stream_decoder(protocol)
         #: (transaction id, qname) -> pending query awaiting its response.
         self.in_flight: dict[tuple[int, str], PendingUpstreamQuery] = {}
         self._send_queue: list[bytes] = []
@@ -381,18 +384,9 @@ class PooledConnection:
 
     # -- receiving -------------------------------------------------------------
     def _on_data(self, data: bytes) -> None:
-        try:
-            wires = self.decoder.feed(data)
-        except WireFormatError:
-            note_malformed(self.transport._simulator.obs, "doh_header")
-            self.close("malformed DoH header")
-            return
-        for wire in wires:
-            try:
-                response = DNSMessage.decode(wire)
-            except WireFormatError:  # noqa: PERF203 — per-frame garbage tolerance
-                note_malformed(self.transport._simulator.obs, "upstream_pool")
-                continue
+        for response, wire in stream_messages(
+                self.decoder, data, self.transport._simulator.obs, "upstream_pool",
+                lambda: self.close("malformed DoH header")):
             key = (response.transaction_id,
                    normalise_name(response.question.name))
             pending = self.in_flight.pop(key, None)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import fields
-from typing import Any, ClassVar
+from typing import Any, ClassVar, Optional
 
 from ..attacks.baseline_scenario import BaselineAttackConfig, TraditionalClientAttackScenario
 from ..attacks.bgp_hijack import BGPHijackConfig, BGPHijackScenario
@@ -34,7 +34,10 @@ from ..attacks.downgrade import DowngradeConfig, DowngradeScenario
 from ..attacks.frag_poisoning import FragPoisoningConfig, FragPoisoningScenario
 from ..core.pool_generation import PoolGenerationPolicy
 from ..defenses.stack import DefenseStack
+from ..defenses.transport import EncryptedTransport
+from ..dns.records import RecordType
 from .registry import merge_params, register_scenario
+from .testbed import Testbed, TestbedConfig, build_testbed
 
 #: The opt-in parameter every attack adapter accepts without defaulting:
 #: a fault-plan spec (see :mod:`repro.faults`).  Declared optional so a
@@ -329,15 +332,51 @@ class DNSMeasurementExperiment:
         }
 
 
-#: Transport label -> testbed overrides for the overhead measurement.
+#: The one table of serving worlds: transport label -> testbed overrides.
 #: ``tcp`` forces truncation so every lookup retries over the stream path;
-#: the encrypted transports are provisioned by their defense.
+#: the encrypted transports are provisioned by their defense.  Lookups are
+#: 10 s apart, so ``dot_reused``'s idle timeout outlives the gap, while
+#: ``dot_0rtt``'s short one makes every lookup resume from its ticket.
 TRANSPORT_PROFILES: dict[str, dict[str, Any]] = {
     "udp": {},
-    "tcp": {"udp_limit": 512},
+    "tcp": {"nameserver_udp_payload_limit": 512, "nameserver_transports": ("tcp",)},
     "dot": {"defenses": ("encrypted_transport",)},
     "doh": {"defenses": ("encrypted_transport_doh",)},
+    "dot_reused": {"defenses": (EncryptedTransport(reuse_connections=True,
+                                                   idle_timeout=60.0),)},
+    "dot_0rtt": {"defenses": (EncryptedTransport(zero_rtt=True, idle_timeout=5.0),)},
 }
+
+
+def time_lookups(transport: str, seed: int, queries: int,
+                 benign_server_count: int = 50,
+                 records_per_response: int = 30) -> tuple[Testbed, list[Optional[float]]]:
+    """Build the attacker-free world for ``transport`` and time ``queries``
+    cache-bypassing pool lookups, 10 simulated seconds apart.  Returns the
+    testbed and each lookup's time from trigger to cache insertion (``None``
+    when unanswered within 9 s)."""
+    try:
+        overrides = TRANSPORT_PROFILES[transport]
+    except KeyError:
+        raise ValueError(f"unknown transport {transport!r}; one of "
+                         f"{sorted(TRANSPORT_PROFILES)}") from None
+    testbed = build_testbed(TestbedConfig(
+        seed=seed, benign_server_count=benign_server_count,
+        records_per_response=records_per_response, with_attacker=False,
+        **overrides))
+    resolver, simulator = testbed.resolver, testbed.simulator
+    answer_times: list[Optional[float]] = []
+    for index in range(queries):
+        at = index * 10.0
+        # trigger_lookup bypasses the cache, so every query reaches the
+        # nameserver; inserted_at >= at proves *this* query was answered
+        # (peek would happily serve the previous query's entry).
+        simulator.schedule_at(at, lambda: resolver.trigger_lookup("pool.ntp.org"))
+        simulator.run(until=at + 9.0)
+        entry = resolver.cache.peek("pool.ntp.org", RecordType.A)
+        answered = entry is not None and entry.inserted_at >= at
+        answer_times.append(entry.inserted_at - at if answered else None)
+    return testbed, answer_times
 
 
 @register_scenario
@@ -345,12 +384,10 @@ class TransportOverheadExperiment:
     """Per-transport time-to-answer of cache-missing pool lookups.
 
     Not an attack: the measurement behind the report's transport-overhead
-    curve.  Each run builds an attacker-free world, schedules ``queries``
-    cache-bypassing lookups ten simulated seconds apart and measures the
-    simulated time from trigger to cache insertion — making the protocol's
-    round trips visible (UDP one RTT; TCP one handshake more; DoT/DoH one
-    TLS hello exchange on top).  Purely simulated-time figures, so the
-    metrics are deterministic per ``(seed, params)`` and safe to digest.
+    curve.  :func:`time_lookups` times ``queries`` lookups in one world of
+    :data:`TRANSPORT_PROFILES`, making the protocol's round trips visible
+    (UDP one RTT; TCP one handshake more; DoT/DoH one TLS hello exchange on
+    top).  Simulated-time figures: deterministic per ``(seed, params)``.
     """
 
     name = "transport_overhead"
@@ -366,48 +403,19 @@ class TransportOverheadExperiment:
         }
 
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        from ..dns.records import RecordType
-        from .testbed import TestbedConfig, build_testbed
-
         p = merge_params(self.default_params(), params)
-        transport = p["transport"]
-        try:
-            overrides = TRANSPORT_PROFILES[transport]
-        except KeyError:
-            raise ValueError(f"unknown transport {transport!r}; one of "
-                             f"{sorted(TRANSPORT_PROFILES)}") from None
-        config = TestbedConfig(
-            seed=seed,
+        testbed, times = time_lookups(
+            p["transport"], seed, p["queries"],
             benign_server_count=p["benign_server_count"],
-            records_per_response=p["records_per_response"],
-            nameserver_udp_payload_limit=overrides.get("udp_limit"),
-            nameserver_transports=("tcp",) if transport == "tcp" else (),
-            defenses=overrides.get("defenses", ()),
-            with_attacker=False,
-        )
-        testbed = build_testbed(config)
-        answer_times: list[float] = []
-        unanswered = 0
-        for index in range(p["queries"]):
-            at = index * 10.0
-            # trigger_lookup bypasses the cache, so every query reaches the
-            # nameserver; inserted_at >= at proves *this* query was answered
-            # (peek would happily serve the previous query's entry).
-            testbed.simulator.schedule_at(
-                at, lambda: testbed.resolver.trigger_lookup("pool.ntp.org"))
-            testbed.simulator.run(until=at + 9.0)
-            entry = testbed.resolver.cache.peek("pool.ntp.org", RecordType.A)
-            if entry is not None and entry.inserted_at >= at:
-                answer_times.append(entry.inserted_at - at)
-            else:
-                unanswered += 1
+            records_per_response=p["records_per_response"])
+        answer_times = [time for time in times if time is not None]
         mean = (sum(answer_times) / len(answer_times)) if answer_times else 0.0
         return {
-            "transport": transport,
+            "transport": p["transport"],
             "queries": p["queries"],
-            "unanswered": unanswered,
+            "unanswered": len(times) - len(answer_times),
             "mean_time_to_answer": mean,
             "max_time_to_answer": max(answer_times, default=0.0),
             # RTT multiples strip the latency constant out of the figure.
-            "round_trips": mean / (2 * config.latency) if mean else 0.0,
+            "round_trips": mean / (2 * testbed.config.latency) if mean else 0.0,
         }

@@ -27,7 +27,9 @@ Three layers, each usable on its own:
   signing (the key is secret by convention — no attacker code reads it),
   and XOR-keystream record encryption, so application bytes on the wire are
   ciphertext: opaque to :data:`~repro.netsim.network.Tap` observers and to
-  anything that diverts the packets.
+  anything that diverts the packets.  :class:`FrameDecoder`, the one
+  length-prefixed framer (DNS streams use it too), splits the records;
+  dispatch stops at the first record that closes the connection.
 
 Simplifications, stated up front: there is no retransmission (experiments
 run stream transports over lossless links), no flow control, and closing is
@@ -791,22 +793,30 @@ def _xor(data: bytes, keystream: bytes) -> bytes:
             ^ int.from_bytes(keystream, "big")).to_bytes(len(data), "big")
 
 
-class _RecordDecoder:
-    """Reassembles ``type | len16 | body`` records from stream chunks."""
+class FrameDecoder:
+    """Reassembles ``prefix | len16 | body`` frames from stream chunks.
 
-    def __init__(self) -> None:
+    ``prefix`` is 1 for a secure-channel record (the byte is its type) and 0
+    for an RFC 1035 stream DNS message.  :meth:`feed` returns ``(type, body)``
+    pairs with a prefix and bare bodies without one.
+    """
+
+    def __init__(self, prefix: int) -> None:
         self._buffer = bytearray()
+        self._prefix = prefix
 
-    def feed(self, data: bytes) -> list[tuple[int, bytes]]:
-        self._buffer += data
-        records: list[tuple[int, bytes]] = []
-        while len(self._buffer) >= 3:
-            length = int.from_bytes(self._buffer[1:3], "big")
-            if len(self._buffer) < 3 + length:
+    def feed(self, data: bytes) -> list:
+        buffer, prefix = self._buffer, self._prefix
+        buffer += data
+        frames = []
+        while len(buffer) >= prefix + 2:
+            end = prefix + 2 + int.from_bytes(buffer[prefix:prefix + 2], "big")
+            if len(buffer) < end:
                 break
-            records.append((self._buffer[0], bytes(self._buffer[3:3 + length])))
-            del self._buffer[:3 + length]
-        return records
+            body = bytes(buffer[prefix + 2:end])
+            frames.append((buffer[0], body) if prefix else body)
+            del buffer[:end]
+        return frames
 
 
 class SecureChannel(StreamSocket):
@@ -853,7 +863,7 @@ class SecureChannel(StreamSocket):
         #: True once this channel completed a ticket resumption (either side).
         self.resumed = False
         self._rng = rng
-        self._decoder = _RecordDecoder()
+        self._decoder = FrameDecoder(prefix=1)
         # Both draws happen here, in this order, whether or not the share is
         # ever sent: the seeded RNG sequence must not depend on resumption.
         self._secret = rng.getrandbits(255) | 1
@@ -914,6 +924,9 @@ class SecureChannel(StreamSocket):
     def _handle_client_hello(self, body: bytes) -> None:
         if len(body) != 64 or self.is_client:
             self._abort("malformed ClientHello")
+            return
+        if self.handshake_complete:
+            self._abort("repeated ClientHello")
             return
         client_random = body[:32]
         client_share = int.from_bytes(body[32:64], "big")
@@ -1089,6 +1102,8 @@ class SecureChannel(StreamSocket):
     # -- record dispatch -----------------------------------------------------------
     def _on_connection_data(self, data: bytes) -> None:
         for record_type, body in self._decoder.feed(data):
+            if self.connection.state is ConnectionState.CLOSED:
+                return  # an abort, an alert or the application closed it
             if record_type == _REC_CLIENT_HELLO:
                 self._handle_client_hello(body)
             elif record_type == _REC_SERVER_HELLO:

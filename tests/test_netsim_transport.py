@@ -16,10 +16,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.defenses import EncryptedTransport
-from repro.dns.records import RecordType
 from repro.experiments import TestbedConfig, build_testbed, run_defense_matrix
 from repro.experiments.pins import FULL_GRID_DIGEST
+from repro.experiments.scenarios import time_lookups
 from repro.netsim import transport
 from repro.netsim.network import Host, LinkProperties, Network
 from repro.netsim.packets import PROTO_TCP, IPPacket, PacketError
@@ -583,30 +582,15 @@ def test_replayed_server_hello_falls_back_to_pow():
                                     replayed._random, server_random)
 
 
-SERVING_TESTBEDS = {
-    "udp": (),
-    "dot_cold": ("encrypted_transport",),
-    "dot_reused": (EncryptedTransport(reuse_connections=True, idle_timeout=60.0),),
-    "dot_0rtt": (EncryptedTransport(zero_rtt=True, idle_timeout=5.0),),
-}
-
-
-@pytest.mark.parametrize("label", SERVING_TESTBEDS)
+@pytest.mark.parametrize("label", ("udp", "dot", "dot_reused", "dot_0rtt"))
 def test_honest_serving_never_calls_variable_base_pow(label):
     transport._SHARE_EXPONENTS.clear()
-    testbed = build_testbed(TestbedConfig(seed=1, defenses=SERVING_TESTBEDS[label],
-                                          with_attacker=False))
     with counted_pow() as bases:
-        for index in range(20):
-            at = index * 10.0
-            testbed.simulator.schedule_at(
-                at, lambda: testbed.resolver.trigger_lookup("pool.ntp.org"))
-            testbed.simulator.run(until=at + 9.0)
-            entry = testbed.resolver.cache.peek("pool.ntp.org", RecordType.A)
-            assert entry is not None and entry.inserted_at >= at
+        testbed, answer_times = time_lookups(label, 42, 20)
+    assert None not in answer_times
     assert bases == []
     assert transport._SHARE_EXPONENTS == {}
-    if label == "dot_cold":
+    if label == "dot":
         assert testbed.resolver.upstream_transport.connections_opened == 20
 
 
@@ -625,3 +609,62 @@ def test_no_attack_module_references_the_registry():
     assert modules
     for module in modules:
         assert "_SHARE_EXPONENTS" not in module.read_text(), module.name
+
+
+# -- records after an abort --------------------------------------------------------
+
+def record(name, body):
+    """One secure-channel record of type ``transport._REC_<name>``."""
+    return transport._frame_record(getattr(transport, f"_REC_{name}"), body)
+
+
+def probe_dot_listener(payload):
+    """Send ``payload`` in one segment from a fresh host to the nameserver's
+    DoT port; returns the prober's connection and the bytes it received."""
+    testbed = build_testbed(TestbedConfig(seed=1, defenses=("encrypted_transport",),
+                                          with_attacker=False))
+    prober = Node(testbed.network, "203.0.113.7")
+    conn = prober.tcp.connect(testbed.config.nameserver_address, 853)
+    conn.on_established = lambda: conn.send(payload)
+    received = []
+    conn.on_data = received.append
+    testbed.simulator.run(until=5.0)
+    return conn, b"".join(received)
+
+
+@pytest.mark.parametrize(("first", "reason"), [
+    (record("APP_DATA", b"x"), b"application data before handshake"),
+    (record("CLIENT_HELLO", b"\x01" * 3), b"malformed ClientHello"),
+], ids=["app_data", "short_hello"])
+def test_records_after_an_abort_are_not_dispatched(first, reason):
+    # The valid ClientHello behind the aborting record used to be answered
+    # on the closed connection, raising TransportError out of the run.
+    conn, received = probe_dot_listener(
+        first + record("CLIENT_HELLO", b"\x01" * 64))
+    assert received == record("ALERT", reason)
+    assert conn.state is ConnectionState.CLOSED
+
+
+def test_a_repeated_client_hello_aborts_the_server_channel():
+    simulator, network, client, server = make_pair()
+    server_hellos = []
+
+    def record_server_hellos(packet, now):
+        payload = TCPSegment.decode(packet.payload).payload
+        if packet.src_ip == "10.0.0.2" and payload[:1] == b"\x02":
+            server_hellos.append(payload)
+
+    network.add_tap(record_server_hellos)
+    secure_server(server, 853, "k", "pool.ntp.org", [])
+    channel = SecureChannel.client(client.tcp.connect("10.0.0.2", 853), simulator.rng,
+                                   expected_identity="pool.ntp.org", trust_anchor="k")
+    failures = []
+    channel.on_failure = failures.append
+    simulator.run(until=1.0)
+    assert channel.ready
+    hello = channel._random + channel._share.to_bytes(32, "big")
+    channel.connection.send(record("CLIENT_HELLO", hello))
+    simulator.run(until=2.0)
+    assert len(server_hellos) == 1
+    assert failures == ["repeated ClientHello"]
+    assert not channel.connection.established
