@@ -61,8 +61,7 @@ def _prime_partial(directory: Path, manifest: CampaignManifest) -> int:
 
 def _artifact_bytes(result) -> dict[str, bytes]:
     return {path.name: path.read_bytes()
-            for path in sorted(result.report_dir.iterdir())
-            if path.name != "telemetry.json"}
+            for path in sorted(result.report_dir.iterdir())}
 
 
 def test_campaign_gates(benchmark, tmp_path):

@@ -7,13 +7,12 @@ fragment-rejection stacks, with the §V mitigation columns so the section5
 analysis applies) and a transport-overhead grid over udp/tcp/dot/doh.
 The campaign directory accumulates everything observable:
 
-* ``state.json`` — the atomic checkpoint journal (step status, digests,
-  merged metrics, telemetry, digest history);
-* ``progress.json`` — live machine-readable progress, updated while the
-  campaign runs;
+* ``state.json`` — the atomic checkpoint journal and the campaign's only
+  machine-readable record (step status, live ``done``/``total_tasks``
+  progress, digests, merged metrics, per-step telemetry, digest history);
 * ``cache/`` — the content-addressed run cache that makes resume exact;
-* ``report/`` — the self-contained report (markdown, SVG figures,
-  telemetry appendix).
+* ``report/`` — the self-contained report (markdown and SVG figures),
+  byte-identical across runs.
 
 Kill the process at any point — including with SIGKILL — and re-run the
 same command: the campaign resumes from the checkpoint, computes only the

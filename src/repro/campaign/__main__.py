@@ -2,8 +2,8 @@
 
 ``run`` executes (or resumes) a manifest JSON file in a campaign
 directory and prints the per-step digest summary; ``status`` renders the
-live text view from the checkpoint journal and progress file, usable
-while another process is mid-run and after a kill.
+live text view from the checkpoint journal (``state.json``), usable while
+another process is mid-run and after a kill.
 """
 
 from __future__ import annotations

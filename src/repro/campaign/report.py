@@ -11,24 +11,18 @@ Every campaign run ends by emitting ``<dir>/report/``:
 ``<figure>.svg``
     Zero-dependency figures referenced from the markdown, also
     byte-deterministic.
-``progress.json``
-    A machine-readable completion snapshot (step → status/digest), also
-    deterministic.
-``telemetry.json``
-    The run-specific appendix: per-step wall-clock, cache hits, executed
-    counts, run number.  This file is *expected* to differ between runs;
-    keeping it out of ``report.md`` is what lets everything else be
-    byte-identical.
+
+The whole directory is byte-identical across runs.  Run-specific
+telemetry (per-step wall-clock, cache hits, executed counts) lives only in
+the checkpoint journal, ``<dir>/state.json``.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from ..obs.metrics import MetricsSnapshot
-from .state import CampaignState, _atomic_write_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .manifest import CampaignManifest
@@ -128,6 +122,8 @@ def build_report_markdown(manifest: CampaignManifest,
             lines.append("```")
             lines.append("")
 
+    # Kept verbatim so the report bytes and the report step's digest do not
+    # move; the telemetry it points to now lives in state.json.
     lines.append("Per-step wall-clock and cache telemetry: `telemetry.json` "
                  "(run-specific, intentionally outside this document).")
     lines.append("")
@@ -135,8 +131,7 @@ def build_report_markdown(manifest: CampaignManifest,
 
 
 def emit_report(directory: Path, manifest: CampaignManifest,
-                outcomes: list[StepOutcome],
-                state: CampaignState) -> tuple[Path, str]:
+                outcomes: list[StepOutcome]) -> tuple[Path, str]:
     """Write the report directory; returns ``(report_dir, report_md)``."""
     report_dir = Path(directory) / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
@@ -145,22 +140,4 @@ def emit_report(directory: Path, manifest: CampaignManifest,
             (report_dir / filename).write_text(content, encoding="utf-8")
     report_md = build_report_markdown(manifest, outcomes)
     (report_dir / "report.md").write_text(report_md, encoding="utf-8")
-
-    completion: dict[str, Any] = {
-        "campaign": manifest.name,
-        "fingerprint": manifest.fingerprint(),
-        "steps": {outcome.name: {"status": outcome.status,
-                                 "digest": outcome.digest}
-                  for outcome in outcomes},
-    }
-    _atomic_write_json(report_dir / "progress.json", completion)
-
-    telemetry: dict[str, Any] = {
-        "campaign": manifest.name,
-        "run": state.runs,
-        "steps": {outcome.name: outcome.telemetry for outcome in outcomes},
-    }
-    (report_dir / "telemetry.json").write_text(
-        json.dumps(telemetry, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
     return report_dir, report_md

@@ -15,15 +15,13 @@ produces byte-identical step digests, analyses, figures, and report body
 to an uninterrupted run.  That holds because records come from the cache
 (content-addressed), merged metrics replay from the cache's observability
 sidecar in task-stream order, and everything the report derives from is
-one of those two.  Wall-clock only ever flows into the journal, the
-progress file, and ``telemetry.json`` — never into a digest or the
-report body.
+one of those two.  Wall-clock only ever flows into the journal — never
+into a digest or the report.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -42,7 +40,7 @@ from .figures import (
 )
 from .manifest import CampaignManifest, GridSweep, MatrixSweep, Step
 from .report import emit_report
-from .state import CampaignState, _atomic_write_json
+from .state import CampaignState
 
 #: ``on_progress(step_name, done, total)`` — the campaign-level mirror of
 #: the scheduler's PR-5 ``(done, total)`` callback.
@@ -123,7 +121,13 @@ def _text_digest(lines: list[str]) -> str:
 
 
 class CampaignRunner:
-    """Drive one campaign directory: state journal, cache, progress file."""
+    """Drive one campaign directory: state journal, cache and report.
+
+    :meth:`run` is the only place a step changes state in the journal.
+    A running sweep's live ``done`` count is saved at most every
+    ``progress_interval`` seconds, so ``campaign status`` in another
+    process can follow it.
+    """
 
     def __init__(self, manifest: CampaignManifest, directory: Path,
                  workers: int = 1,
@@ -136,55 +140,28 @@ class CampaignRunner:
         self.on_progress = on_progress
         self.progress_interval = progress_interval
         self.steps: list[Step] = manifest.steps()
-        self._fingerprint = manifest.fingerprint()
         self.state = CampaignState(self.directory / "state.json",
-                                   manifest.name, self._fingerprint,
+                                   manifest.name, manifest.fingerprint(),
                                    [step.name for step in self.steps])
         self.cache = RunCache(self.directory / "cache")
-        self.progress_path = self.directory / "progress.json"
-        self._progress: dict[str, dict[str, int | str]] = {}
-        self._last_flush = 0.0
+        self._saved_at = 0.0
 
-    # -- live progress surface ----------------------------------------------
-    def _flush_progress(self, force: bool = False) -> None:
-        nowish = time.monotonic()
-        if not force and nowish - self._last_flush < self.progress_interval:
-            return
-        self._last_flush = nowish
-        done = sum(int(entry.get("done", 0)) for entry in self._progress.values())
-        total = sum(int(entry.get("total", 0)) for entry in self._progress.values())
-        _atomic_write_json(self.progress_path, {
-            "campaign": self.manifest.name,
-            "fingerprint": self._fingerprint,
-            "run": self.state.runs,
-            "tasks_done": done,
-            "tasks_total": total,
-            "steps": self._progress,
-        })
-
-    def _step_progress(self, step_name: str, done: int, total: int,
-                       status: str) -> None:
-        self._progress[step_name] = {"status": status, "done": done,
-                                     "total": total}
-        self._flush_progress(force=status != "running")
+    def _report_progress(self, step_name: str, done: int, total: int) -> None:
         if self.on_progress is not None:
             self.on_progress(step_name, done, total)
 
     # -- execution -----------------------------------------------------------
     def run(self) -> CampaignResult:
-        self.state.begin_run()
-        self._progress = {
-            step.name: {"status": "pending", "done": 0,
-                        "total": step.payload.cell_count
-                        if step.kind == "sweep" else 1}
-            for step in self.steps
-        }
-        self._flush_progress(force=True)
+        state = self.state
+        state.begin_run()
         results: dict[str, Any] = {}
         outcomes: list[StepOutcome] = []
         report_dir: Optional[Path] = None
         for step in self.steps:
-            started = time.monotonic()
+            total = step.payload.cell_count if step.kind == "sweep" else 1
+            state.step_started(step.name, total)
+            started = self._saved_at = time.monotonic()
+            self._report_progress(step.name, 0, total)
             try:
                 if step.kind == "sweep":
                     outcome = self._run_sweep(step, results)
@@ -195,32 +172,32 @@ class CampaignRunner:
                 else:  # report
                     outcome, report_dir = self._run_report(step, outcomes)
             except Exception as exc:
-                self.state.step_failed(step.name, f"{type(exc).__name__}: {exc}")
-                self._step_progress(step.name,
-                                    int(self._progress[step.name]["done"]),
-                                    int(self._progress[step.name]["total"]),
-                                    "failed")
+                state.step_failed(step.name, f"{type(exc).__name__}: {exc}")
+                self._report_progress(step.name, state.step(step.name)["done"], total)
                 raise CampaignError(step.name, exc) from exc
-            outcome.telemetry.setdefault("wall_seconds",
-                                         time.monotonic() - started)
-            outcome.previous_digest = self.state.previous_digest(step.name)
+            outcome.telemetry["wall_seconds"] = time.monotonic() - started
+            state.step_completed(
+                step.name, outcome.digest, metrics=outcome.metrics,
+                seeds=step.payload.seeds if step.kind == "sweep" else None,
+                telemetry=outcome.telemetry)
+            outcome.previous_digest = state.previous_digest(step.name)
             outcome.expected_digest = self.manifest.expected_digest(step.name)
             outcomes.append(outcome)
-            total = int(self._progress[step.name]["total"])
-            self._step_progress(step.name, total, total, "done")
+            self._report_progress(step.name, total, total)
         return CampaignResult(manifest=self.manifest, directory=self.directory,
                               outcomes=outcomes, report_dir=report_dir)
 
     def _run_sweep(self, step: Step, results: dict[str, Any]) -> StepOutcome:
         sweep = step.payload
-        total = sweep.cell_count
-        self.state.step_started(step.name, total)
-        self._step_progress(step.name, 0, total, "running")
 
         def cell_progress(done: int, _total: int) -> None:
-            self._step_progress(step.name, done, total, "running")
+            self.state.step_progress(step.name, done)
+            moment = time.monotonic()
+            if moment - self._saved_at >= self.progress_interval:
+                self._saved_at = moment
+                self.state.save()
+            self._report_progress(step.name, done, sweep.cell_count)
 
-        started = time.monotonic()
         if isinstance(sweep, MatrixSweep):
             result: Any = run_defense_matrix(
                 attacks=sweep.attacks, stacks=sweep.stacks, seeds=sweep.seeds,
@@ -234,20 +211,14 @@ class CampaignRunner:
             (result,), stats = scheduler.run_specs([sweep.experiment_spec()])
         else:  # pragma: no cover - manifest validation prevents this
             raise TypeError(f"unknown sweep payload: {sweep!r}")
-        digest = result.digest()
-        telemetry = _sweep_telemetry(stats, time.monotonic() - started)
-        metrics_dict = stats.metrics.to_dict()  # every campaign sweep collects metrics
-        self.state.step_completed(step.name, digest, seeds=list(sweep.seeds),
-                                  metrics=metrics_dict, telemetry=telemetry)
         results[step.name] = result
+        # Every campaign sweep collects metrics.
         return StepOutcome(name=step.name, kind="sweep", status="done",
-                           digest=digest, telemetry=telemetry,
-                           metrics=metrics_dict)
+                           digest=result.digest(), telemetry=_sweep_telemetry(stats),
+                           metrics=stats.metrics.to_dict())
 
     def _run_analysis(self, step: Step, results: dict[str, Any]) -> StepOutcome:
         analysis = step.payload
-        self.state.step_started(step.name, 1)
-        self._step_progress(step.name, 0, 1, "running")
         matrix = results[f"sweep:{analysis.sweep}"]
         if analysis.kind == "section5":
             comparisons = section5_from_matrix(matrix)
@@ -257,16 +228,12 @@ class CampaignRunner:
             lines.append(f"all rows agree with closed form: {agree}")
         else:  # success_summary
             lines = _success_summary(matrix)
-        digest = _text_digest(lines)
-        self.state.step_completed(step.name, digest)
         results[step.name] = lines
         return StepOutcome(name=step.name, kind="analysis", status="done",
-                           digest=digest, lines=lines)
+                           digest=_text_digest(lines), lines=lines)
 
     def _run_figure(self, step: Step, results: dict[str, Any]) -> StepOutcome:
         figure = step.payload
-        self.state.step_started(step.name, 1)
-        self._step_progress(step.name, 0, 1, "running")
         sweep = self.manifest.sweep(figure.sweep)
         result = results[f"sweep:{figure.sweep}"]
         artifacts: dict[str, str] = {}
@@ -297,27 +264,19 @@ class CampaignRunner:
             svg = render_curve_svg(title, figure.x, figure.y,
                                    [(figure.y, points)])
             artifacts[f"{figure.name}.svg"] = svg
-        digest = svg_digest(svg)
-        self.state.step_completed(step.name, digest)
         return StepOutcome(name=step.name, kind="figure", status="done",
-                           digest=digest, lines=lines, artifacts=artifacts)
+                           digest=svg_digest(svg), lines=lines, artifacts=artifacts)
 
     def _run_report(self, step: Step, outcomes: list[StepOutcome]
                     ) -> tuple[StepOutcome, Path]:
-        self.state.step_started(step.name, 1)
-        self._step_progress(step.name, 0, 1, "running")
-        report_dir, report_md = emit_report(self.directory, self.manifest,
-                                            outcomes, self.state)
+        report_dir, report_md = emit_report(self.directory, self.manifest, outcomes)
         digest = hashlib.sha256(report_md.encode("utf-8")).hexdigest()
-        self.state.step_completed(step.name, digest)
-        outcome = StepOutcome(name=step.name, kind="report", status="done",
-                              digest=digest)
-        return outcome, report_dir
+        return StepOutcome(name=step.name, kind="report", status="done",
+                           digest=digest), report_dir
 
 
-def _sweep_telemetry(stats: SweepStats, wall_seconds: float) -> dict[str, Any]:
+def _sweep_telemetry(stats: SweepStats) -> dict[str, Any]:
     return {
-        "wall_seconds": wall_seconds,
         "tasks": stats.tasks_total,
         "cache_hits": stats.cache_hits,
         "executed": stats.executed,
@@ -350,41 +309,26 @@ def _success_summary(matrix: DefenseMatrixResult) -> list[str]:
     return lines
 
 
-def _live_progress(path: Path) -> dict[str, dict[str, Any]]:
-    """The per-step entries of a progress file; empty if missing or damaged."""
-    try:
-        progress = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    steps = progress.get("steps") if isinstance(progress, dict) else None
-    if isinstance(steps, dict) and all(isinstance(entry, dict) for entry in steps.values()):
-        return steps
-    return {}
-
-
 def campaign_status(directory: Path) -> str:
-    """The ``campaign status`` text view: journal + live progress file.
+    """The ``campaign status`` text view of the checkpoint journal.
 
-    Works while a campaign is running in another process (both files are
+    Works while a campaign is running in another process (the journal is
     written atomically) and after it finished or died.
     """
     directory = Path(directory)
     state_data = CampaignState.load(directory / "state.json")
     if state_data is None:
         return f"no readable campaign state under {directory}"
-    lines = [f"campaign {state_data.get('campaign')!r} "
-             f"(fingerprint {str(state_data.get('fingerprint', ''))[:12]}, "
-             f"runs={state_data.get('runs', 0)})"]
-    progress = _live_progress(directory / "progress.json")
-    for name, entry in state_data.get("steps", {}).items():
-        status = entry.get("status", "pending")
-        live = progress.get(name) or {}
-        parts = [f"  {name:<28} {status:<8}"]
-        if live.get("total"):
-            parts.append(f"{live.get('done', 0)}/{live['total']} tasks")
+    lines = [f"campaign {state_data['campaign']!r} "
+             f"(fingerprint {state_data['fingerprint'][:12]}, "
+             f"runs={state_data['runs']})"]
+    for name, entry in state_data["steps"].items():
+        parts = [f"  {name:<28} {entry['status']:<8}"]
+        if "done" in entry and "total_tasks" in entry:
+            parts.append(f"{entry['done']}/{entry['total_tasks']} tasks")
         if entry.get("digest"):
             parts.append(f"digest={entry['digest'][:12]}")
-        telemetry = entry.get("telemetry") or {}
+        telemetry = entry.get("telemetry", {})
         if "cache_hits" in telemetry:
             parts.append(f"cache_hits={telemetry['cache_hits']}")
         if "wall_seconds" in telemetry:

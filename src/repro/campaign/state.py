@@ -11,11 +11,13 @@ the campaign recomputes through the :class:`~repro.experiments.cache.RunCache`,
 which remains the cell-level source of truth.  Losing the journal costs
 bookkeeping, never results.
 
-Per step the journal records status, the digest and seed range it
-completed with, the merged :class:`~repro.obs.metrics.MetricsSnapshot`
-(JSON round-trip exact), wall-clock and cache-hit telemetry, and a digest
-*history* across runs — the raw material for the report ledger's drift
-highlighting.  The manifest fingerprint is pinned in the journal; resuming
+Per step the journal records status, live ``done``/``total_tasks``
+progress, the digest and seed range it completed with, the merged
+:class:`~repro.obs.metrics.MetricsSnapshot` (JSON round-trip exact),
+wall-clock and cache-hit telemetry, and a digest *history* across runs —
+the raw material for the report ledger's drift highlighting.  It is the
+campaign's only machine-readable record: ``campaign status`` reads
+nothing else.  The manifest fingerprint is pinned in the journal; resuming
 with an edited manifest marks affected checkpoints stale instead of
 trusting them.
 """
@@ -23,7 +25,6 @@ trusting them.
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 from typing import Any, Optional
 
@@ -54,9 +55,10 @@ def _atomic_write_json(path: Path, payload: dict[str, Any] | str) -> None:
 class CampaignState:
     """The persisted journal for one campaign directory.
 
-    All mutating helpers save immediately; the in-memory dict mirrors the
-    on-disk document at every step boundary.  Step entries change only
-    through these helpers, which drop the entry's cached encoding.
+    Every transition saves immediately, so the in-memory dict mirrors the
+    on-disk document at every step boundary; :meth:`step_progress` leaves
+    the save to the caller's throttle.  Step entries change only through
+    these helpers, which drop the entry's cached encoding.
     """
 
     def __init__(self, path: Path, name: str, fingerprint: str,
@@ -92,12 +94,7 @@ class CampaignState:
                 and isinstance(data.get("campaign"), str)
                 and isinstance(data.get("fingerprint"), str)):
             return None
-        for entry in steps.values():
-            history = entry.get("history", []) if isinstance(entry, dict) else None
-            if not (isinstance(history, list) and isinstance(entry.get("status"), str)
-                    and all(isinstance(item, dict) for item in history)):
-                return None
-        return data
+        return data if all(_valid_step(entry) for entry in steps.values()) else None
 
     def _reconcile(self, name: str, fingerprint: str,
                    step_names: list[str]) -> None:
@@ -141,9 +138,6 @@ class CampaignState:
     def status(self, name: str) -> str:
         return self.step(name).get("status", PENDING)
 
-    def digest(self, name: str) -> Optional[str]:
-        return self.step(name).get("digest")
-
     def previous_digest(self, name: str) -> Optional[str]:
         """The most recent *comparable* digest from an earlier run, if any.
 
@@ -159,7 +153,7 @@ class CampaignState:
                 return entry.get("digest")
         return None
 
-    # -- transitions (each saves atomically) ---------------------------------
+    # -- transitions ---------------------------------------------------------
     def begin_run(self) -> int:
         self.data["runs"] = self.runs + 1
         self.save()
@@ -170,8 +164,14 @@ class CampaignState:
         entry = self.step(name)
         entry["status"] = RUNNING
         entry["total_tasks"] = total_tasks
+        entry["done"] = 0
         entry.pop("error", None)
         self.save()
+
+    def step_progress(self, name: str, done: int) -> None:
+        """Record a running step's completed-task count; the caller saves."""
+        self._step_texts.pop(name, None)
+        self.step(name)["done"] = done
 
     def step_completed(self, name: str, digest: str, *,
                        seeds: Optional[list[int]] = None,
@@ -181,6 +181,8 @@ class CampaignState:
         entry = self.step(name)
         entry["status"] = DONE
         entry["digest"] = digest
+        if "total_tasks" in entry:
+            entry["done"] = entry["total_tasks"]
         if seeds is not None:
             entry["seeds"] = list(seeds)
         if metrics is not None:
@@ -222,15 +224,23 @@ class CampaignState:
             members.append(f"  {json.dumps(key)}: {text}")
         _atomic_write_json(self.path, "{\n" + ",\n".join(members) + "\n}\n")
 
-    # -- summaries -----------------------------------------------------------
-    def counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for entry in self.data["steps"].values():
-            status = entry.get("status", PENDING)
-            counts[status] = counts.get(status, 0) + 1
-        return counts
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def now() -> float:
-    """Wall-clock for telemetry only — never feeds digests or reports."""
-    return time.monotonic()
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _valid_step(entry: Any) -> bool:
+    """Whether a loaded step entry has the shape every reader relies on."""
+    if not (isinstance(entry, dict) and isinstance(entry.get("status"), str)):
+        return False
+    history = entry.get("history", [])
+    telemetry = entry.get("telemetry", {})
+    return (isinstance(history, list) and all(isinstance(item, dict) for item in history)
+            and all(isinstance(entry.get(key, ""), str) for key in ("digest", "error"))
+            and all(_is_int(entry.get(key, 0)) for key in ("total_tasks", "done"))
+            and isinstance(telemetry, dict)
+            and all(_is_number(telemetry.get(key, 0)) for key in ("wall_seconds", "cache_hits")))

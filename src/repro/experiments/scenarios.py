@@ -6,8 +6,10 @@ dict.  The config dataclass is the one place an attack's parameters and
 their defaults are declared: an adapter names the fields it exposes (plus
 any explicit default overrides and the run-phase knobs that are not config
 fields), and both ``default_params()`` and the config construction are
-derived from the dataclass fields.  Conventions shared by all adapters so
-sweeps aggregate uniformly:
+derived from the dataclass fields.  The two measurement scenarios
+(``dns_measurement``, ``transport_overhead``) derive theirs the same way,
+from every field of their config.  Conventions shared by the attack
+adapters so sweeps aggregate uniformly:
 
 * ``attack_succeeded`` — the scenario's headline success criterion (bool);
 * ``achieved_shift`` — the clock error reached on the victim, where the
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import fields
+from dataclasses import asdict, dataclass, fields
 from typing import Any, ClassVar, Optional
 
 from ..attacks.baseline_scenario import BaselineAttackConfig, TraditionalClientAttackScenario
@@ -279,8 +281,35 @@ class DowngradeAttackExperiment(AttackAdapter):
         }
 
 
+class MeasurementAdapter:
+    """A non-attack scenario whose parameters are the fields of its config.
+
+    ``default_params()`` is derived from the dataclass defaults, as the
+    attack adapters' is.  No key is optional, so ``faults`` is rejected.
+    """
+
+    config_class: ClassVar[type]
+
+    def default_params(self) -> dict[str, Any]:
+        return asdict(self.config_class())
+
+    def build_config(self, params: Mapping[str, Any]) -> Any:
+        return self.config_class(**merge_params(self.default_params(), params))
+
+
+@dataclass(frozen=True)
+class DNSMeasurementConfig:
+    """Population sizes of one §II measurement run."""
+
+    nameserver_total: int = 30
+    nameserver_fragmenting: int = 16
+    resolver_total: int = 5000
+    #: Resolvers paired with every nameserver for the vulnerable-pair fraction.
+    pair_sample: int = 200
+
+
 @register_scenario
-class DNSMeasurementExperiment:
+class DNSMeasurementExperiment(MeasurementAdapter):
     """The §II DNS ecosystem study (E4) as a registry experiment.
 
     Not an attack: one run generates a synthetic nameserver + resolver
@@ -292,14 +321,7 @@ class DNSMeasurementExperiment:
     name = "dns_measurement"
     description = ("the §II companion measurement: nameserver fragmentation/"
                    "DNSSEC and resolver fragment-acceptance statistics (E4)")
-
-    def default_params(self) -> dict[str, Any]:
-        return {
-            "nameserver_total": 30,
-            "nameserver_fragmenting": 16,
-            "resolver_total": 5000,
-            "pair_sample": 200,
-        }
+    config_class = DNSMeasurementConfig
 
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
         # Imported here: the measurement layer is independent of the attack
@@ -312,11 +334,11 @@ class DNSMeasurementExperiment:
         )
         from ..measurement.resolver_study import run_resolver_study
 
-        p = merge_params(self.default_params(), params)
+        config = self.build_config(params)
         nameservers = generate_nameserver_population(
-            seed=seed, total=p["nameserver_total"],
-            fragmenting=p["nameserver_fragmenting"])
-        resolvers = generate_resolver_population(seed=seed, total=p["resolver_total"])
+            seed=seed, total=config.nameserver_total,
+            fragmenting=config.nameserver_fragmenting)
+        resolvers = generate_resolver_population(seed=seed, total=config.resolver_total)
         ns_report = run_nameserver_study(nameservers)
         resolver_report = run_resolver_study(resolvers)
         return {
@@ -328,7 +350,7 @@ class DNSMeasurementExperiment:
             "triggerable_fraction": resolver_report.triggerable_fraction,
             "trigger_methods": dict(sorted(resolver_report.by_trigger_method.items())),
             "vulnerable_pair_fraction": vulnerable_pair_fraction(
-                nameservers, resolvers[: p["pair_sample"]]),
+                nameservers, resolvers[: config.pair_sample]),
         }
 
 
@@ -379,8 +401,18 @@ def time_lookups(transport: str, seed: int, queries: int,
     return testbed, answer_times
 
 
+@dataclass(frozen=True)
+class TransportOverheadConfig:
+    """One world of :data:`TRANSPORT_PROFILES` and the lookups timed in it."""
+
+    transport: str = "udp"
+    queries: int = 5
+    benign_server_count: int = 50
+    records_per_response: int = 30
+
+
 @register_scenario
-class TransportOverheadExperiment:
+class TransportOverheadExperiment(MeasurementAdapter):
     """Per-transport time-to-answer of cache-missing pool lookups.
 
     Not an attack: the measurement behind the report's transport-overhead
@@ -393,26 +425,19 @@ class TransportOverheadExperiment:
     name = "transport_overhead"
     description = ("time-to-answer of cache-missing lookups per DNS "
                    "transport (udp/tcp/dot/doh handshake overhead)")
-
-    def default_params(self) -> dict[str, Any]:
-        return {
-            "transport": "udp",
-            "queries": 5,
-            "benign_server_count": 50,
-            "records_per_response": 30,
-        }
+    config_class = TransportOverheadConfig
 
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        p = merge_params(self.default_params(), params)
+        config = self.build_config(params)
         testbed, times = time_lookups(
-            p["transport"], seed, p["queries"],
-            benign_server_count=p["benign_server_count"],
-            records_per_response=p["records_per_response"])
+            config.transport, seed, config.queries,
+            benign_server_count=config.benign_server_count,
+            records_per_response=config.records_per_response)
         answer_times = [time for time in times if time is not None]
         mean = (sum(answer_times) / len(answer_times)) if answer_times else 0.0
         return {
-            "transport": p["transport"],
-            "queries": p["queries"],
+            "transport": config.transport,
+            "queries": config.queries,
             "unanswered": len(times) - len(answer_times),
             "mean_time_to_answer": mean,
             "max_time_to_answer": max(answer_times, default=0.0),

@@ -54,6 +54,28 @@ TINY_SPEC = {
 }
 
 
+#: The ``on_progress`` sequences of a cold and a warm TINY_SPEC run: each
+#: step reports ``(0, total)`` at its start and ``(total, total)`` at its end.
+TINY_COLD_PROGRESS = [
+    ("sweep:grid", 0, 4), ("sweep:grid", 1, 4), ("sweep:grid", 2, 4),
+    ("sweep:grid", 3, 4), ("sweep:grid", 4, 4), ("sweep:grid", 4, 4),
+    ("sweep:overhead", 0, 2), ("sweep:overhead", 1, 2),
+    ("sweep:overhead", 2, 2), ("sweep:overhead", 2, 2),
+    ("analysis:summary", 0, 1), ("analysis:summary", 1, 1),
+    ("figure:heatmap", 0, 1), ("figure:heatmap", 1, 1),
+    ("figure:overhead", 0, 1), ("figure:overhead", 1, 1),
+    ("report", 0, 1), ("report", 1, 1),
+]
+TINY_WARM_PROGRESS = [
+    ("sweep:grid", 0, 4), ("sweep:grid", 4, 4), ("sweep:grid", 4, 4),
+    ("sweep:overhead", 0, 2), ("sweep:overhead", 2, 2), ("sweep:overhead", 2, 2),
+    ("analysis:summary", 0, 1), ("analysis:summary", 1, 1),
+    ("figure:heatmap", 0, 1), ("figure:heatmap", 1, 1),
+    ("figure:overhead", 0, 1), ("figure:overhead", 1, 1),
+    ("report", 0, 1), ("report", 1, 1),
+]
+
+
 # -- manifest ----------------------------------------------------------------
 class TestManifest:
     def test_roundtrip_preserves_fingerprint(self):
@@ -188,8 +210,20 @@ class TestState:
         ({"runs": "x"}, {}),
         ({"campaign": 5}, {}),
         ({"fingerprint": None}, {}),
+        # Step values of a type campaign_status cannot format or count on.
+        ({}, {"telemetry": {"wall_seconds": "x"}}),
+        ({}, {"telemetry": 5}),
+        ({}, {"digest": 7}),
+        ({}, {"error": ["boom"]}),
+        ({}, {"total_tasks": "4"}),
+        ({}, {"total_tasks": True}),
+        ({}, {"done": 1.5}),
+        ({}, {"telemetry": {"cache_hits": None}}),
+        ({}, {"telemetry": {"cache_hits": False}}),
     ], ids=["history-dict", "history-ints", "history-str", "status-null",
-            "entry-int", "runs-str", "campaign-int", "fingerprint-null"])
+            "entry-int", "runs-str", "campaign-int", "fingerprint-null",
+            "wall-str", "telemetry-int", "digest-int", "error-list",
+            "total-str", "total-bool", "done-float", "hits-null", "hits-bool"])
     def test_wrong_shape_journal_recovers_fresh(self, tmp_path, top, step):
         path = tmp_path / "state.json"
         entry = {"status": "done", "digest": "a" * 64,
@@ -199,12 +233,39 @@ class TestState:
                    "runs": 1, "steps": {"x": entry}, **top}
         path.write_text(json.dumps(journal), encoding="utf-8")
         assert CampaignState.load(path) is None
+        assert campaign_status(tmp_path) == (
+            f"no readable campaign state under {tmp_path}")
         state = CampaignState(path, "c", "fp", ["x"])
         assert state.recovered_from_corruption
         assert state.begin_run() == 1
         state.step_started("x", 1)
         state.step_completed("x", "b" * 64)
         assert state.previous_digest("x") is None
+
+    def test_journal_without_done_still_loads(self, tmp_path):
+        # Journals written before live progress moved into state.json
+        # carry total_tasks but no done.
+        path = tmp_path / "state.json"
+        entry = {"status": "done", "digest": "a" * 64, "total_tasks": 4,
+                 "telemetry": {"wall_seconds": 0.5, "cache_hits": 4},
+                 "history": [{"run": 1, "digest": "a" * 64, "fingerprint": "fp"}]}
+        path.write_text(json.dumps({"version": 1, "campaign": "c", "fingerprint": "fp",
+                                    "runs": 1, "steps": {"x": entry}}), encoding="utf-8")
+        assert CampaignState.load(path) is not None
+        assert campaign_status(tmp_path).splitlines()[1].split() == [
+            "x", "done", "digest=aaaaaaaaaaaa", "cache_hits=4", "wall=0.50s"]
+
+    def test_step_progress_records_done_without_saving(self, tmp_path):
+        path = tmp_path / "state.json"
+        state = CampaignState(path, "c", "fp", ["x"])
+        state.begin_run()
+        state.step_started("x", 4)
+        state.step_progress("x", 3)
+        assert json.loads(path.read_text(encoding="utf-8"))["steps"]["x"]["done"] == 0
+        state.save()
+        assert json.loads(path.read_text(encoding="utf-8"))["steps"]["x"]["done"] == 3
+        state.step_completed("x", "d" * 64)
+        assert state.step("x")["done"] == 4
 
     def test_fingerprint_drift_marks_steps_stale(self, tmp_path):
         path = tmp_path / "state.json"
@@ -279,7 +340,6 @@ class TestCampaignEndToEnd:
         assert "DRIFT" not in report
         assert (report_dir / "heatmap.svg").exists()
         assert (report_dir / "overhead.svg").exists()
-        assert (report_dir / "telemetry.json").exists()
 
         # Warm replay: identical digests and report bytes, zero executions.
         again = run_campaign(TINY_SPEC, tmp_path / "c")
@@ -292,58 +352,68 @@ class TestCampaignEndToEnd:
         # Replayed metrics come back from the cache's sidecar, bit-exact.
         assert grid.metrics == result.outcome("sweep:grid").metrics
 
-    def test_progress_surface_and_status_view(self, tmp_path):
+    def test_campaign_directory_holds_journal_cache_and_report_only(self, tmp_path):
+        directory = tmp_path / "c"
+        for _ in range(2):  # cold, then warm
+            run_campaign(TINY_SPEC, directory)
+            assert {path.name for path in directory.iterdir()} == {
+                "state.json", "cache", "report"}
+            assert {path.name for path in (directory / "report").iterdir()} == {
+                "report.md", "heatmap.svg", "overhead.svg"}
+
+    def test_progress_sequence_and_journal(self, tmp_path):
+        directory = tmp_path / "c"
         seen: list[tuple[str, int, int]] = []
-        run_campaign(TINY_SPEC, tmp_path / "c", on_progress=lambda *a:
-                     seen.append(a))
-        assert any(step == "sweep:grid" and done == total == 4
-                   for step, done, total in seen)
-        progress = json.loads((tmp_path / "c" / "progress.json").read_text(
-            encoding="utf-8"))
-        assert progress["tasks_done"] == progress["tasks_total"]
-        status = campaign_status(tmp_path / "c")
-        assert "sweep:grid" in status and "done" in status
+        run_campaign(TINY_SPEC, directory, on_progress=lambda *a: seen.append(a))
+        assert seen == TINY_COLD_PROGRESS
+        seen.clear()
+        run_campaign(TINY_SPEC, directory, on_progress=lambda *a: seen.append(a))
+        assert seen == TINY_WARM_PROGRESS
+        journal = json.loads((directory / "state.json").read_text(encoding="utf-8"))
+        for entry in journal["steps"].values():
+            assert entry["status"] == "done"
+            assert entry["done"] == entry["total_tasks"]
+            assert entry["telemetry"]["wall_seconds"] >= 0
+        status = campaign_status(directory)
+        assert "sweep:grid" in status and "done" in status and "4/4 tasks" in status
+
+    def test_status_shows_live_progress_mid_sweep(self, tmp_path):
+        directory = tmp_path / "c"
+        mid_sweep: list[str] = []
+
+        def watch(step: str, done: int, total: int) -> None:
+            if step == "sweep:grid" and done == 2:
+                mid_sweep.append(campaign_status(directory))
+
+        CampaignRunner(CampaignManifest.from_spec(TINY_SPEC), directory,
+                       on_progress=watch, progress_interval=0.0).run()
+        (status,) = mid_sweep
+        line = next(line for line in status.splitlines() if "sweep:grid" in line)
+        assert line.split() == ["sweep:grid", "running", "2/4", "tasks"]
 
     def test_status_on_missing_directory(self, tmp_path):
         assert "no readable campaign state" in campaign_status(tmp_path)
 
-    @pytest.mark.parametrize("progress", [
-        "[]", '{"steps": []}', '{"steps": {"sweep:grid": 5}}'],
-        ids=["list", "steps-list", "step-int"])
-    def test_status_reads_damaged_progress_as_no_progress(self, tmp_path,
-                                                          progress):
-        CampaignState(tmp_path / "state.json", "c", "fp",
-                      ["sweep:grid"]).begin_run()
-        without_progress = campaign_status(tmp_path)
-        (tmp_path / "progress.json").write_text(progress, encoding="utf-8")
-        assert campaign_status(tmp_path) == without_progress
-
-    def test_progress_file_written_once_per_forced_flush(self, tmp_path,
-                                                         monkeypatch):
-        import repro.campaign.runner as runner_module
+    def test_journal_is_the_only_file_written_atomically(self, tmp_path, monkeypatch):
+        import repro.campaign.state as state_module
 
         directory = tmp_path / "c"
-        writes: list[str] = []
-        write = runner_module._atomic_write_json
+        writes: list = []
+        write = state_module._atomic_write_json
 
         def recording(path, payload):
-            if path == directory / "progress.json":
-                writes.append(json.dumps(payload, indent=2) + "\n")
+            writes.append(path)
             write(path, payload)
 
-        monkeypatch.setattr(runner_module, "_atomic_write_json", recording)
-        # An infinite interval leaves only the forced flushes: the initial
-        # one and each step's "done".
-        runner = CampaignRunner(CampaignManifest.from_spec(TINY_SPEC),
-                                directory, progress_interval=float("inf"))
-        runner.run()
-        assert len(writes) == len(runner.steps) + 1
-        assert all(a != b for a, b in zip(writes, writes[1:]))
-        final = json.loads(writes[-1])
-        assert final["tasks_done"] == final["tasks_total"]
-        assert {entry["status"] for entry in final["steps"].values()} == {"done"}
-        assert (directory / "progress.json").read_text(
-            encoding="utf-8") == writes[-1]
+        monkeypatch.setattr(state_module, "_atomic_write_json", recording)
+        # An infinite interval leaves only the transitions: one run start,
+        # then each step's start and completion.
+        for _ in range(2):  # cold, then warm
+            writes.clear()
+            runner = CampaignRunner(CampaignManifest.from_spec(TINY_SPEC),
+                                    directory, progress_interval=float("inf"))
+            runner.run()
+            assert writes == [directory / "state.json"] * (1 + 2 * len(runner.steps))
 
     def test_pin_mismatch_is_highlighted(self, tmp_path):
         result = run_campaign(TINY_SPEC, tmp_path / "c")

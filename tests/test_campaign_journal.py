@@ -2,8 +2,8 @@
 
 ``CampaignState.save`` re-encodes only the step entries a transition
 changed and splices them into one document.  On random transition
-sequences -- runs, starts, completions with arbitrary JSON metrics and
-telemetry, failures, history trimming, reopening under the same or an
+sequences -- runs, starts, live progress, completions with arbitrary JSON
+metrics and telemetry, failures, history trimming, reopening under the same or an
 edited fingerprint, hostile step names -- the bytes on disk after every
 save must equal ``json.dumps(data, indent=2) + "\\n"``.
 """
@@ -37,6 +37,7 @@ index = st.integers(min_value=0, max_value=7)
 transitions = st.one_of(
     st.tuples(st.just("begin")),
     st.tuples(st.just("start"), index, st.integers(min_value=0, max_value=10 ** 6)),
+    st.tuples(st.just("progress"), index, st.integers(min_value=0, max_value=10 ** 6)),
     st.tuples(st.just("complete"), index, st.text(max_size=64),
               st.none() | st.lists(st.integers(), max_size=4),
               json_objects, json_objects),
@@ -54,7 +55,10 @@ def assert_on_disk(state: CampaignState) -> None:
 
 
 def apply(state: CampaignState, op: tuple) -> None:
-    """Run one transition (each saves exactly once) and check the file."""
+    """Run one transition (each saves exactly once) and check the file.
+
+    ``step_progress`` does not save; the runner's throttle does, so the
+    op saves right after it."""
     kind = op[0]
     if kind == "begin":
         state.begin_run()
@@ -64,6 +68,9 @@ def apply(state: CampaignState, op: tuple) -> None:
     name = names[op[1] % len(names)]
     if kind == "start":
         state.step_started(name, op[2])
+    elif kind == "progress":
+        state.step_progress(name, op[2])
+        state.save()
     elif kind == "complete":
         _, _, digest, seeds, metrics, telemetry = op
         state.step_completed(name, digest, seeds=seeds, metrics=metrics,

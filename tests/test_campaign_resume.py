@@ -70,16 +70,13 @@ def _run_study(tmp_path: Path, directory: Path, *extra: str
 
 
 def _report_bytes(directory: Path) -> dict[str, bytes]:
-    report_dir = directory / "report"
     return {path.name: path.read_bytes()
-            for path in sorted(report_dir.iterdir())
-            if path.name != "telemetry.json"}  # run-specific by design
+            for path in sorted((directory / "report").iterdir())}
 
 
 def _telemetry(directory: Path, step: str) -> dict:
-    data = json.loads((directory / "report" / "telemetry.json").read_text(
-        encoding="utf-8"))
-    return data["steps"][step]
+    data = json.loads((directory / "state.json").read_text(encoding="utf-8"))
+    return data["steps"][step]["telemetry"]
 
 
 class TestSigkillResume:

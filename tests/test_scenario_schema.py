@@ -28,6 +28,8 @@ FINGERPRINTS = {
     "transport_overhead": "825a6fa80b97829b",
 }
 
+MEASUREMENTS = ("dns_measurement", "transport_overhead")
+
 ATTACKS = ("bgp_hijack", "chronos_pool_attack", "downgrade", "frag_poisoning",
            "traditional_client_attack")
 
@@ -68,3 +70,12 @@ def test_attack_schema_is_a_subset_of_its_config_plus_run_knobs(name):
     # accepted is a declared run-phase knob.
     assert accepted & config_fields == set(adapter.params) | set(adapter.optional)
     assert accepted - config_fields == set(adapter.run_params)
+
+
+@pytest.mark.parametrize("name", MEASUREMENTS)
+def test_measurement_schema_is_exactly_its_config(name):
+    adapter = get_scenario(name)
+    assert list(adapter.default_params()) == [spec.name for spec in fields(adapter.config_class)]
+    assert optional_params(adapter) == ()
+    with pytest.raises(ValueError, match="unknown scenario parameter"):
+        run_scenario(name, 1, {"faults": ()})
