@@ -2,9 +2,10 @@
 
 A *campaign* is a declarative study — named sweeps over scenarios ×
 defense stacks × seed budgets, plus the analyses and figures derived from
-them — compiled into a dependency-ordered step graph and executed
-incrementally over :class:`~repro.experiments.scheduler.SweepScheduler`
-and :class:`~repro.experiments.cache.RunCache`.  The package adds the
+them — compiled into a fixed pipeline (sweeps, analyses, figures, then
+the report) and executed incrementally over
+:class:`~repro.experiments.scheduler.SweepScheduler` and
+:class:`~repro.experiments.cache.RunCache`.  The package adds the
 layer the cell-level substrate lacks: an atomic checkpoint journal, a
 live status surface, and a self-contained report artifact, with the
 guarantee that a SIGKILLed campaign resumes where it stopped and
@@ -30,7 +31,6 @@ from .manifest import (
     GridSweep,
     MatrixSweep,
     Step,
-    dependency_order,
 )
 from .report import build_report_markdown, emit_report
 from .runner import (
@@ -58,7 +58,6 @@ __all__ = [
     "StepOutcome",
     "build_report_markdown",
     "campaign_status",
-    "dependency_order",
     "emit_report",
     "run_campaign",
 ]

@@ -1,4 +1,4 @@
-"""Declarative campaign manifests compiled into dependency-ordered steps.
+"""Declarative campaign manifests compiled into a fixed pipeline of steps.
 
 A campaign is a *study*: several named sweeps (attack × defense matrix
 grids and/or parameter-grid sweeps) plus the analyses and figures derived
@@ -31,22 +31,25 @@ disk) so studies are diffable, versionable and shareable:
 Attack and stack axes name the registered groups from
 :mod:`repro.experiments.matrix` (``"legacy"``, ``"default"``,
 ``"serving"``, ...) and/or inline dicts, so a manifest can reproduce the
-pinned grids or define brand-new ones.  :meth:`CampaignManifest.steps`
-compiles the manifest into a topologically-ordered step list (sweeps,
-then the analyses/figures that consume them, then the report), and
-:meth:`CampaignManifest.fingerprint` hashes the canonical spec — the
-checkpoint journal stores it, so a drifted manifest is detected instead
-of silently resuming the wrong study.
+pinned grids or define brand-new ones; grid values may be any JSON lists.
+The compiled manifest is plain data.  :meth:`CampaignManifest.steps` is
+its fixed pipeline (every sweep, then the analyses, then the figures,
+then the report), and :meth:`CampaignManifest.fingerprint` hashes the
+canonical spec — the checkpoint journal stores it, so a drifted manifest
+is detected instead of silently resuming the wrong study.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+import math
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Optional
 
 from ..analysis.mitigations import SECTION5_MATRIX_CELLS
+from ..defenses.registry import available_defenses
 from ..experiments.cache import canonical_json
 from ..experiments.matrix import (
     DEFAULT_ATTACKS,
@@ -58,10 +61,11 @@ from ..experiments.matrix import (
     SERVING_STACKS,
     AttackSpec,
     DefenseStackSpec,
+    matrix_specs,
     require_unique_axes,
 )
-from ..experiments.registry import get_scenario
-from ..experiments.runner import ExperimentSpec, require_valid_seeds
+from ..experiments.registry import available_scenarios
+from ..experiments.runner import ExperimentSpec, require_valid_seeds, resolve_spec_tasks
 
 #: Named attack-row groups a manifest may reference by string.
 ATTACK_GROUPS: dict[str, tuple[AttackSpec, ...]] = {
@@ -84,25 +88,6 @@ FIGURE_KINDS = ("heatmap", "curve")
 STEP_REPORT = "report"
 
 
-def _freeze(value: Any) -> Any:
-    """Recursively hashable form of a JSON-ish value (dicts -> item tuples)."""
-    if isinstance(value, Mapping):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    return value
-
-
-def _thaw(value: Any) -> Any:
-    """Inverse of :func:`_freeze` for the dict/list shapes it produces."""
-    if isinstance(value, tuple):
-        if all(isinstance(item, tuple) and len(item) == 2
-               and isinstance(item[0], str) for item in value):
-            return {k: _thaw(v) for k, v in value}
-        return [_thaw(v) for v in value]
-    return value
-
-
 def _resolve_seeds(spec: Any, default: tuple[int, ...]) -> tuple[int, ...]:
     """A seed budget: ``None`` inherits, ``n`` means 1..n, a list is explicit."""
     if spec is None:
@@ -120,79 +105,61 @@ def _resolve_seeds(spec: Any, default: tuple[int, ...]) -> tuple[int, ...]:
     raise ValueError(f"unsupported seed budget: {spec!r}")
 
 
-def _resolve_attacks(spec: Any) -> tuple[AttackSpec, ...]:
-    """Attack rows from a group name, inline dicts, or a mixed list."""
+def _resolve_axis(spec: Any, groups: Mapping[str, tuple[Any, ...]], cls: type,
+                  build: Callable[[Mapping[str, Any]], Any], what: str
+                  ) -> tuple[Any, ...]:
+    """Matrix rows or columns from a group name, inline dicts, or a mixed list."""
     if isinstance(spec, str):
         try:
-            return ATTACK_GROUPS[spec]
+            return groups[spec]
         except KeyError:
-            raise ValueError(f"unknown attack group {spec!r}; known: "
-                             f"{sorted(ATTACK_GROUPS)}") from None
+            raise ValueError(f"unknown {what} group {spec!r}; known: "
+                             f"{sorted(groups)}") from None
     if isinstance(spec, Mapping):
         spec = [spec]
     if not isinstance(spec, Sequence):
-        raise ValueError(f"unsupported attacks spec: {spec!r}")
-    attacks: list[AttackSpec] = []
+        raise ValueError(f"unsupported {what}s spec: {spec!r}")
+    items: list[Any] = []
     for entry in spec:
         if isinstance(entry, str):
-            attacks.extend(_resolve_attacks(entry))
-        elif isinstance(entry, AttackSpec):
-            attacks.append(entry)
+            items.extend(_resolve_axis(entry, groups, cls, build, what))
         elif isinstance(entry, Mapping):
-            unknown = set(entry) - {"label", "scenario", "params"}
+            unknown = set(entry) - {f.name for f in fields(cls)}
             if unknown:
-                raise ValueError(f"unknown attack keys: {sorted(unknown)}")
-            scenario = entry.get("scenario")
-            if not scenario:
-                raise ValueError(f"attack entry needs a 'scenario': {entry!r}")
-            _require_scenario(scenario)
-            attacks.append(AttackSpec(
-                label=str(entry.get("label", scenario)),
-                scenario=str(scenario),
-                params=dict(entry.get("params", {}))))
+                raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+            items.append(build(entry))
         else:
-            raise ValueError(f"unsupported attack entry: {entry!r}")
-    return tuple(attacks)
+            raise ValueError(f"unsupported {what} entry: {entry!r}")
+    return tuple(items)
 
 
-def _resolve_stacks(spec: Any) -> tuple[DefenseStackSpec, ...]:
-    """Defense columns from a group name, inline dicts, or a mixed list."""
-    if isinstance(spec, str):
-        try:
-            return STACK_GROUPS[spec]
-        except KeyError:
-            raise ValueError(f"unknown stack group {spec!r}; known: "
-                             f"{sorted(STACK_GROUPS)}") from None
-    if isinstance(spec, Mapping):
-        spec = [spec]
-    if not isinstance(spec, Sequence):
-        raise ValueError(f"unsupported stacks spec: {spec!r}")
-    stacks: list[DefenseStackSpec] = []
-    for entry in spec:
-        if isinstance(entry, str):
-            stacks.extend(_resolve_stacks(entry))
-        elif isinstance(entry, DefenseStackSpec):
-            stacks.append(entry)
-        elif isinstance(entry, Mapping):
-            unknown = set(entry) - {"name", "defenses", "description"}
-            if unknown:
-                raise ValueError(f"unknown stack keys: {sorted(unknown)}")
-            if "name" not in entry:
-                raise ValueError(f"stack entry needs a 'name': {entry!r}")
-            stacks.append(DefenseStackSpec(
-                name=str(entry["name"]),
-                defenses=tuple(entry.get("defenses", ())),
-                description=str(entry.get("description", ""))))
-        else:
-            raise ValueError(f"unsupported stack entry: {entry!r}")
-    return tuple(stacks)
+def _attack(entry: Mapping[str, Any]) -> AttackSpec:
+    scenario = entry.get("scenario")
+    if not scenario:
+        raise ValueError(f"attack entry needs a 'scenario': {entry!r}")
+    _require_scenario(scenario)
+    params = entry.get("params", {})
+    if not isinstance(params, Mapping):
+        raise ValueError(f"attack {scenario!r}: 'params' must be a mapping")
+    return AttackSpec(label=str(entry.get("label", scenario)), scenario=scenario,
+                      params=dict(params))
 
 
-def _require_scenario(name: str) -> None:
-    try:
-        get_scenario(name)
-    except KeyError:
-        raise ValueError(f"unknown scenario {name!r}") from None
+def _stack(entry: Mapping[str, Any]) -> DefenseStackSpec:
+    if "name" not in entry:
+        raise ValueError(f"stack entry needs a 'name': {entry!r}")
+    defenses, registered = entry.get("defenses", ()), available_defenses()
+    if isinstance(defenses, str) or not isinstance(defenses, Sequence) or not all(
+            isinstance(name, str) and name in registered for name in defenses):
+        raise ValueError(f"stack {entry['name']!r}: 'defenses' must list "
+                         f"registered defenses, got {defenses!r}")
+    return DefenseStackSpec(name=str(entry["name"]), defenses=tuple(defenses),
+                            description=str(entry.get("description", "")))
+
+
+def _require_scenario(name: Any) -> None:
+    if not isinstance(name, str) or name not in available_scenarios():
+        raise ValueError(f"unknown scenario {name!r}")
 
 
 @dataclass(frozen=True)
@@ -208,20 +175,12 @@ class MatrixSweep:
 
     def __post_init__(self) -> None:
         require_unique_axes(self.attacks, self.stacks)
+        for spec in matrix_specs(self.attacks, self.stacks, self.seeds):
+            resolve_spec_tasks(spec)  # rejects params a scenario does not accept
 
     @property
     def cell_count(self) -> int:
         return len(self.attacks) * len(self.stacks) * len(self.seeds)
-
-    def to_spec(self) -> dict[str, Any]:
-        return {
-            "kind": "matrix",
-            "attacks": [{"label": a.label, "scenario": a.scenario,
-                         "params": dict(a.params)} for a in self.attacks],
-            "stacks": [{"name": s.name, "defenses": list(s.defenses),
-                        "description": s.description} for s in self.stacks],
-            "seeds": list(self.seeds),
-        }
 
 
 @dataclass(frozen=True)
@@ -230,42 +189,22 @@ class GridSweep:
 
     name: str
     scenario: str
-    base_params: Any  # frozen mapping (see _freeze)
-    grid: Any  # frozen mapping of param -> value list
+    base_params: Mapping[str, Any]
+    grid: Mapping[str, list[Any]]
     seeds: tuple[int, ...]
 
     kind = "grid"
 
     def __post_init__(self) -> None:
-        self.experiment_spec()  # rejects bad seeds and an empty expansion
+        resolve_spec_tasks(self.experiment_spec())  # bad seeds, no cells, unknown params
 
     def experiment_spec(self) -> ExperimentSpec:
         return ExperimentSpec(scenario=self.scenario, seeds=self.seeds,
-                              base_params=self.base_params_dict, grid=self.grid_dict)
-
-    @property
-    def base_params_dict(self) -> dict[str, Any]:
-        return _thaw(self.base_params) if self.base_params else {}
-
-    @property
-    def grid_dict(self) -> dict[str, list[Any]]:
-        return _thaw(self.grid) if self.grid else {}
+                              base_params=self.base_params, grid=self.grid)
 
     @property
     def cell_count(self) -> int:
-        points = 1
-        for values in self.grid_dict.values():
-            points *= len(values)
-        return points * len(self.seeds)
-
-    def to_spec(self) -> dict[str, Any]:
-        return {
-            "kind": "grid",
-            "scenario": self.scenario,
-            "base_params": self.base_params_dict,
-            "grid": self.grid_dict,
-            "seeds": list(self.seeds),
-        }
+        return math.prod(map(len, self.grid.values())) * len(self.seeds)
 
 
 @dataclass(frozen=True)
@@ -275,9 +214,6 @@ class AnalysisSpec:
     name: str
     kind: str
     sweep: str
-
-    def to_spec(self) -> dict[str, Any]:
-        return {"kind": self.kind, "sweep": self.sweep}
 
 
 @dataclass(frozen=True)
@@ -291,50 +227,27 @@ class FigureSpec:
     y: str = ""
     title: str = ""
 
-    def to_spec(self) -> dict[str, Any]:
-        spec: dict[str, Any] = {"kind": self.kind, "sweep": self.sweep}
-        if self.x:
-            spec["x"] = self.x
-        if self.y:
-            spec["y"] = self.y
-        if self.title:
-            spec["title"] = self.title
-        return spec
-
 
 @dataclass(frozen=True)
 class Step:
-    """One node of the campaign's dependency-ordered execution graph."""
+    """One stage of the campaign's fixed pipeline."""
 
     name: str
     kind: str  # "sweep" | "analysis" | "figure" | "report"
-    depends: tuple[str, ...]
     payload: Optional[object] = None
 
 
-def dependency_order(steps: Sequence[Step]) -> list[Step]:
-    """Kahn's topological sort, stable on the given order; cycles raise.
-
-    The compiler only emits backward edges, so this is a validation pass —
-    but hand-built step lists (tests, future extensions) go through the
-    same gate.
-    """
-    by_name = {step.name: step for step in steps}
-    missing = {dep for step in steps for dep in step.depends} - set(by_name)
-    if missing:
-        raise ValueError(f"steps depend on unknown steps: {sorted(missing)}")
-    remaining = {step.name: set(step.depends) for step in steps}
-    ordered: list[Step] = []
-    while remaining:
-        ready = [name for name, deps in remaining.items() if not deps]
-        if not ready:
-            raise ValueError(f"dependency cycle among: {sorted(remaining)}")
-        for name in ready:
-            ordered.append(by_name[name])
-            del remaining[name]
-        for deps in remaining.values():
-            deps.difference_update(ready)
-    return ordered
+def _spec(item: Any) -> dict[str, Any]:
+    """A sweep, analysis or figure as its manifest entry: the ``kind`` and
+    every field but ``name``, empty strings omitted, axes as field dicts."""
+    spec: dict[str, Any] = {"kind": item.kind}
+    for key, value in vars(item).items():
+        if key == "name" or value == "":
+            continue
+        if isinstance(value, tuple) and value and is_dataclass(value[0]):
+            value = [dict(vars(entry)) for entry in value]
+        spec[key] = value
+    return spec
 
 
 @dataclass(frozen=True)
@@ -345,7 +258,7 @@ class CampaignManifest:
     sweeps: tuple[Any, ...]  # MatrixSweep | GridSweep, in manifest order
     analyses: tuple[AnalysisSpec, ...] = ()
     figures: tuple[FigureSpec, ...] = ()
-    expected_digests: Any = ()  # frozen mapping of step name -> digest
+    expected_digests: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         names = [sweep.name for sweep in self.sweeps]
@@ -358,54 +271,58 @@ class CampaignManifest:
         """Validate a plain dict/JSON manifest; raises ``ValueError`` early.
 
         Fail-fast matters here: a campaign may run for hours, so a typo'd
-        scenario name or a figure referencing a missing sweep must die at
-        compile time, not at step 7.
+        scenario name or parameter, or a figure referencing a missing sweep,
+        must die at compile time, not at step 7.  Nested values are copied,
+        so later edits to *spec* cannot change the manifest.
         """
-        unknown = set(spec) - {"name", "seeds", "sweeps", "analyses",
-                               "figures", "expected_digests"}
+        if not isinstance(spec, Mapping):
+            raise ValueError(f"a manifest must be a mapping, got {spec!r}")
+        spec = copy.deepcopy(spec)
+        unknown = set(spec) - {f.name for f in fields(cls)} - {"seeds"}
         if unknown:
             raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
         name = spec.get("name")
         if not name or not isinstance(name, str):
             raise ValueError("manifest needs a non-empty string 'name'")
         default_seeds = _resolve_seeds(spec.get("seeds"), (1, 2))
-        sweeps_spec = spec.get("sweeps")
-        if not isinstance(sweeps_spec, Mapping) or not sweeps_spec:
+        sweep_entries = _entries(spec, "sweeps", "sweep")
+        if not sweep_entries:
             raise ValueError("manifest needs a non-empty 'sweeps' mapping")
 
         sweeps: list[Any] = []
-        for sweep_name, entry in sweeps_spec.items():
+        for sweep_name, entry in sweep_entries:
             kind = entry.get("kind", "matrix")
             seeds = _resolve_seeds(entry.get("seeds"), default_seeds)
             if kind == "matrix":
-                unknown = set(entry) - {"kind", "attacks", "stacks", "seeds"}
-                if unknown:
-                    raise ValueError(f"sweep {sweep_name!r}: unknown keys "
-                                     f"{sorted(unknown)}")
+                _require_keys(entry, MatrixSweep, f"sweep {sweep_name!r}")
                 sweeps.append(MatrixSweep(
-                    name=str(sweep_name),
-                    attacks=_resolve_attacks(entry.get("attacks", "default")),
-                    stacks=_resolve_stacks(entry.get("stacks", "default")),
+                    name=sweep_name,
+                    attacks=_resolve_axis(entry.get("attacks", "default"),
+                                          ATTACK_GROUPS, AttackSpec, _attack, "attack"),
+                    stacks=_resolve_axis(entry.get("stacks", "default"),
+                                         STACK_GROUPS, DefenseStackSpec, _stack, "stack"),
                     seeds=seeds))
             elif kind == "grid":
-                unknown = set(entry) - {"kind", "scenario", "base_params",
-                                        "grid", "seeds"}
-                if unknown:
-                    raise ValueError(f"sweep {sweep_name!r}: unknown keys "
-                                     f"{sorted(unknown)}")
+                _require_keys(entry, GridSweep, f"sweep {sweep_name!r}")
                 scenario = entry.get("scenario")
                 if not scenario:
                     raise ValueError(f"grid sweep {sweep_name!r} needs a 'scenario'")
                 _require_scenario(scenario)
-                grid = entry.get("grid", {})
-                if not isinstance(grid, Mapping):
+                base_params, grid = entry.get("base_params", {}), entry.get("grid", {})
+                if not isinstance(base_params, Mapping):
+                    raise ValueError(f"grid sweep {sweep_name!r}: 'base_params' "
+                                     f"must be a mapping")
+                if not isinstance(grid, Mapping) or any(
+                        isinstance(values, str) or not isinstance(values, Sequence)
+                        for values in grid.values()):
                     raise ValueError(f"grid sweep {sweep_name!r}: 'grid' must "
                                      f"map params to value lists")
                 sweeps.append(GridSweep(
-                    name=str(sweep_name),
-                    scenario=str(scenario),
-                    base_params=_freeze(dict(entry.get("base_params", {}))),
-                    grid=_freeze({k: list(v) for k, v in grid.items()}),
+                    name=sweep_name, scenario=scenario,
+                    base_params=dict(base_params),
+                    # Key-sorted: the fingerprint hashes the spec with sorted
+                    # keys, so the expansion order must not depend on theirs.
+                    grid={key: list(grid[key]) for key in sorted(grid)},
                     seeds=seeds))
             else:
                 raise ValueError(f"sweep {sweep_name!r}: unknown kind {kind!r} "
@@ -413,7 +330,8 @@ class CampaignManifest:
         by_name = {sweep.name: sweep for sweep in sweeps}
 
         analyses: list[AnalysisSpec] = []
-        for analysis_name, entry in (spec.get("analyses") or {}).items():
+        for analysis_name, entry in _entries(spec, "analyses", "analysis"):
+            _require_keys(entry, AnalysisSpec, f"analysis {analysis_name!r}")
             kind = entry.get("kind")
             if kind not in ANALYSIS_KINDS:
                 raise ValueError(f"analysis {analysis_name!r}: unknown kind "
@@ -424,60 +342,61 @@ class CampaignManifest:
                                  f"sweep, got {sweep.kind!r}")
             if kind == "section5":
                 _validate_section5_cells(sweep, analysis_name)
-            analyses.append(AnalysisSpec(name=str(analysis_name), kind=kind,
+            analyses.append(AnalysisSpec(name=analysis_name, kind=kind,
                                          sweep=sweep.name))
 
         figures: list[FigureSpec] = []
-        for figure_name, entry in (spec.get("figures") or {}).items():
+        for figure_name, entry in _entries(spec, "figures", "figure"):
+            _require_keys(entry, FigureSpec, f"figure {figure_name!r}")
             kind = entry.get("kind")
             if kind not in FIGURE_KINDS:
                 raise ValueError(f"figure {figure_name!r}: unknown kind "
                                  f"{kind!r} (one of {FIGURE_KINDS})")
             sweep = _require_sweep(by_name, entry.get("sweep"), figure_name)
+            x = y = ""
             if kind == "heatmap":
                 if not isinstance(sweep, MatrixSweep):
                     raise ValueError(f"figure {figure_name!r}: heatmaps need a "
                                      f"matrix sweep, got {sweep.kind!r}")
-                figures.append(FigureSpec(name=str(figure_name), kind=kind,
-                                          sweep=sweep.name,
-                                          title=str(entry.get("title", ""))))
             else:  # curve
                 if not isinstance(sweep, GridSweep):
                     raise ValueError(f"figure {figure_name!r}: curves need a "
                                      f"grid sweep, got {sweep.kind!r}")
                 x, y = entry.get("x"), entry.get("y")
-                if not x or not y:
+                if not (x and y and isinstance(x, str) and isinstance(y, str)):
                     raise ValueError(f"figure {figure_name!r}: curves need "
                                      f"'x' (a grid param) and 'y' (a metric)")
-                if x not in sweep.grid_dict:
+                if x not in sweep.grid:
                     raise ValueError(f"figure {figure_name!r}: x={x!r} is not "
                                      f"a grid param of sweep {sweep.name!r} "
-                                     f"({sorted(sweep.grid_dict)})")
-                figures.append(FigureSpec(name=str(figure_name), kind=kind,
-                                          sweep=sweep.name, x=str(x), y=str(y),
-                                          title=str(entry.get("title", ""))))
+                                     f"({sorted(sweep.grid)})")
+            figures.append(FigureSpec(name=figure_name, kind=kind, sweep=sweep.name,
+                                      x=x, y=y, title=str(entry.get("title", ""))))
 
-        expected = spec.get("expected_digests") or {}
-        if not isinstance(expected, Mapping):
+        expected = spec.get("expected_digests", {})
+        if not isinstance(expected, Mapping) or not all(
+                isinstance(digest, str) for digest in expected.values()):
             raise ValueError("'expected_digests' must map step names to digests")
         return cls(name=name, sweeps=tuple(sweeps), analyses=tuple(analyses),
-                   figures=tuple(figures),
-                   expected_digests=_freeze(dict(expected)))
+                   figures=tuple(figures), expected_digests=dict(expected))
 
     # -- canonical encoding --------------------------------------------------
     def to_spec(self) -> dict[str, Any]:
-        """The canonical plain-dict form (round-trips via :meth:`from_spec`)."""
+        """The canonical plain-dict form (round-trips via :meth:`from_spec`).
+
+        Built shallowly, because every run fingerprints the manifest: nested
+        values are the manifest's own, so copy them before editing.
+        """
         spec: dict[str, Any] = {
             "name": self.name,
-            "sweeps": {sweep.name: sweep.to_spec() for sweep in self.sweeps},
+            "sweeps": {sweep.name: _spec(sweep) for sweep in self.sweeps},
         }
         if self.analyses:
-            spec["analyses"] = {a.name: a.to_spec() for a in self.analyses}
+            spec["analyses"] = {a.name: _spec(a) for a in self.analyses}
         if self.figures:
-            spec["figures"] = {f.name: f.to_spec() for f in self.figures}
-        expected = _thaw(self.expected_digests) if self.expected_digests else {}
-        if expected:
-            spec["expected_digests"] = expected
+            spec["figures"] = {f.name: _spec(f) for f in self.figures}
+        if self.expected_digests:
+            spec["expected_digests"] = dict(self.expected_digests)
         return spec
 
     def fingerprint(self) -> str:
@@ -501,33 +420,40 @@ class CampaignManifest:
         raise KeyError(f"no sweep named {name!r}")
 
     def steps(self) -> list[Step]:
-        """The dependency-ordered execution plan, report last."""
-        steps = [Step(name=f"sweep:{sweep.name}", kind="sweep", depends=(),
-                      payload=sweep)
-                 for sweep in self.sweeps]
-        steps += [Step(name=f"analysis:{analysis.name}", kind="analysis",
-                       depends=(f"sweep:{analysis.sweep}",), payload=analysis)
-                  for analysis in self.analyses]
-        steps += [Step(name=f"figure:{figure.name}", kind="figure",
-                       depends=(f"sweep:{figure.sweep}",), payload=figure)
-                  for figure in self.figures]
-        steps.append(Step(name=STEP_REPORT, kind=STEP_REPORT,
-                          depends=tuple(step.name for step in steps)))
-        return dependency_order(steps)
-
-    def expected_digest(self, step_name: str) -> Optional[str]:
-        for key, value in (self.expected_digests or ()):
-            if key == step_name:
-                return value
-        return None
+        """The fixed pipeline: sweeps, analyses, figures, then the report."""
+        return ([Step(f"sweep:{sweep.name}", "sweep", sweep) for sweep in self.sweeps]
+                + [Step(f"analysis:{analysis.name}", "analysis", analysis)
+                   for analysis in self.analyses]
+                + [Step(f"figure:{figure.name}", "figure", figure)
+                   for figure in self.figures]
+                + [Step(STEP_REPORT, STEP_REPORT)])
 
     @property
     def cell_count(self) -> int:
         return sum(sweep.cell_count for sweep in self.sweeps)
 
 
+def _entries(spec: Mapping[str, Any], section: str, owner: str
+             ) -> list[tuple[str, Mapping[str, Any]]]:
+    """The ``(name, entry)`` pairs of one manifest section, all mappings."""
+    entries = spec.get(section, {})
+    if not isinstance(entries, Mapping):
+        raise ValueError(f"{section!r} must map names to entries, got {entries!r}")
+    for name, entry in entries.items():
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"{owner} {name!r} must be a mapping, got {entry!r}")
+    return [(str(name), entry) for name, entry in entries.items()]
+
+
+def _require_keys(entry: Mapping[str, Any], cls: type, owner: str) -> None:
+    """Reject keys that name no field of *cls* (``name`` is the entry's key)."""
+    unknown = set(entry) - ({f.name for f in fields(cls)} - {"name"}) - {"kind"}
+    if unknown:
+        raise ValueError(f"{owner}: unknown keys {sorted(unknown)}")
+
+
 def _require_sweep(by_name: Mapping[str, Any], ref: Any, owner: str) -> Any:
-    if not ref or ref not in by_name:
+    if not isinstance(ref, str) or ref not in by_name:
         raise ValueError(f"{owner!r} references unknown sweep {ref!r}; "
                          f"known: {sorted(by_name)}")
     return by_name[ref]

@@ -122,9 +122,7 @@ def build_report_markdown(manifest: CampaignManifest,
             lines.append("```")
             lines.append("")
 
-    # Kept verbatim so the report bytes and the report step's digest do not
-    # move; the telemetry it points to now lives in state.json.
-    lines.append("Per-step wall-clock and cache telemetry: `telemetry.json` "
+    lines.append("Per-step wall-clock and cache telemetry: `state.json` "
                  "(run-specific, intentionally outside this document).")
     lines.append("")
     return "\n".join(lines)

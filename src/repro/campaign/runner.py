@@ -1,6 +1,6 @@
 """Incremental campaign execution over the scheduler/cache substrate.
 
-The runner walks the manifest's dependency-ordered steps and *always*
+The runner walks the manifest's fixed pipeline of steps and *always*
 re-runs every step — which is cheap, because sweep steps stream their
 cells through the shared :class:`~repro.experiments.cache.RunCache`: a
 step that already completed replays entirely from cache (verified, not
@@ -38,7 +38,7 @@ from .figures import (
     render_heatmap_svg,
     svg_digest,
 )
-from .manifest import CampaignManifest, GridSweep, MatrixSweep, Step
+from .manifest import CampaignManifest, MatrixSweep, Step
 from .report import emit_report
 from .state import CampaignState
 
@@ -181,7 +181,7 @@ class CampaignRunner:
                 seeds=step.payload.seeds if step.kind == "sweep" else None,
                 telemetry=outcome.telemetry)
             outcome.previous_digest = state.previous_digest(step.name)
-            outcome.expected_digest = self.manifest.expected_digest(step.name)
+            outcome.expected_digest = self.manifest.expected_digests.get(step.name)
             outcomes.append(outcome)
             self._report_progress(step.name, total, total)
         return CampaignResult(manifest=self.manifest, directory=self.directory,
@@ -204,13 +204,11 @@ class CampaignRunner:
                 workers=self.workers, cache=self.cache,
                 on_progress=cell_progress, collect_metrics=True)
             stats = result.sweep_stats
-        elif isinstance(sweep, GridSweep):
+        else:  # GridSweep
             scheduler = SweepScheduler(workers=self.workers, cache=self.cache,
                                        on_progress=cell_progress,
                                        collect_metrics=True)
             (result,), stats = scheduler.run_specs([sweep.experiment_spec()])
-        else:  # pragma: no cover - manifest validation prevents this
-            raise TypeError(f"unknown sweep payload: {sweep!r}")
         results[step.name] = result
         # Every campaign sweep collects metrics.
         return StepOutcome(name=step.name, kind="sweep", status="done",
@@ -251,10 +249,10 @@ class CampaignRunner:
             lines = render_heatmap_markdown(rows, cols, values).splitlines()
         else:  # curve
             title = figure.title or f"{figure.y} by {figure.x}"
-            ticks = [str(value) for value in sweep.grid_dict[figure.x]]
+            ticks = [str(value) for value in sweep.grid[figure.x]]
             groups = result.group_by(figure.x)
             points: list[tuple[str, float]] = []
-            for value, tick in zip(sweep.grid_dict[figure.x], ticks):
+            for value, tick in zip(sweep.grid[figure.x], ticks):
                 group = groups.get((value,))
                 numbers = group.numeric_values(figure.y) if group else []
                 mean = sum(numbers) / len(numbers) if numbers else 0.0

@@ -43,7 +43,7 @@ def _atomic_write_json(path: Path, payload: dict[str, Any] | str) -> None:
     """Write *payload* so readers always see a complete JSON document.
 
     A string is written as is: already the ``json.dumps(indent=2)`` text.
-    Key order is preserved (steps stay in dependency order for human
+    Key order is preserved (steps stay in pipeline order for human
     readers); the document is bookkeeping, not digest input.
     """
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"

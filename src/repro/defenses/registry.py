@@ -4,32 +4,28 @@ Experiment configs carry defenses as plain name tuples (picklable, hashable,
 JSON-encodable), and the testbed builder materialises fresh instances per
 run via :func:`build_defense` — defenses hold per-run state (verification
 nonces, rejection counts), so instances are never shared across runs.  The
-built-in modules are imported lazily on first lookup, mirroring the scenario
-registry, so this module stays import-cycle-free.
+built-in modules are imported lazily on first lookup, through the same
+:class:`~repro.lazy_registry.LazyRegistry` as the scenario registry, so this
+module stays import-cycle-free.
 """
 
 from __future__ import annotations
 
-import importlib
-import sys
 from collections.abc import Callable
 
+from ..lazy_registry import LazyRegistry
 from .base import Defense
 
 DefenseFactory = Callable[[], Defense]
 
-_REGISTRY: dict[str, DefenseFactory] = {}
-
-#: Modules imported on first lookup; importing them registers the builtins.
-_BUILTIN_MODULES = (
+_REGISTRY = LazyRegistry("defense", (
     "repro.defenses.classic",
     "repro.defenses.hardening",
     "repro.defenses.pool",
     "repro.defenses.resilience",
     "repro.defenses.rrl",
     "repro.defenses.transport",
-)
-_builtins_loaded = False
+))
 
 
 def register_defense(factory: DefenseFactory) -> DefenseFactory:
@@ -42,49 +38,17 @@ def register_defense(factory: DefenseFactory) -> DefenseFactory:
     name = getattr(factory, "name", None)
     if not isinstance(name, str) or not name:
         raise ValueError(f"defense factory {factory!r} needs a class-level name")
-    if name in _REGISTRY:
-        raise ValueError(f"defense {name!r} is already registered")
-    _REGISTRY[name] = factory
+    _REGISTRY.register(name, factory)
     return factory
-
-
-def _load_builtins() -> None:
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    snapshot = dict(_REGISTRY)
-    already_imported = {module for module in _BUILTIN_MODULES if module in sys.modules}
-    try:
-        for module in _BUILTIN_MODULES:
-            importlib.import_module(module)
-    except BaseException:
-        # Unwind partial registration so a retried import does not trip the
-        # duplicate-name check (same contract as the scenario registry).
-        # Only modules *this* attempt imported are evicted: modules already
-        # in sys.modules (e.g. classic, imported eagerly by the resolver)
-        # kept their snapshot entries and must not re-execute on retry.
-        _REGISTRY.clear()
-        _REGISTRY.update(snapshot)
-        for module in _BUILTIN_MODULES:
-            if module not in already_imported:
-                sys.modules.pop(module, None)
-        raise
-    _builtins_loaded = True
 
 
 def build_defense(name: str) -> Defense:
     """Construct a fresh instance of the named defense."""
-    _load_builtins()
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown defense {name!r}; available: "
-                       f"{', '.join(sorted(_REGISTRY))}") from None
-    return factory()
+    return _REGISTRY.lookup(name)()
 
 
 def available_defenses() -> dict[str, str]:
     """Mapping of every registered defense name to its docstring headline."""
-    _load_builtins()
+    _REGISTRY.load()
     return {name: (factory.__doc__ or "").strip().splitlines()[0]
             for name, factory in sorted(_REGISTRY.items())}

@@ -13,10 +13,10 @@ the attacks layer and thereby breaks the ``attacks -> experiments.testbed``
 
 from __future__ import annotations
 
-import importlib
-import sys
 from collections.abc import Mapping, Sequence
 from typing import Any, Protocol, runtime_checkable
+
+from ..lazy_registry import LazyRegistry
 
 
 @runtime_checkable
@@ -40,11 +40,8 @@ class Scenario(Protocol):
         ...
 
 
-_REGISTRY: dict[str, Scenario] = {}
-
-#: Modules imported on first lookup; importing them registers the builtins.
-_BUILTIN_MODULES = ("repro.experiments.scenarios", "repro.population.scenario")
-_builtins_loaded = False
+_REGISTRY = LazyRegistry("scenario", ("repro.experiments.scenarios",
+                                      "repro.population.scenario"))
 
 
 def register_scenario(scenario: Any) -> Any:
@@ -54,46 +51,18 @@ def register_scenario(scenario: Any) -> Any:
     singletons because scenarios are stateless adapters.
     """
     instance = scenario() if isinstance(scenario, type) else scenario
-    name = instance.name
-    if name in _REGISTRY:
-        raise ValueError(f"scenario {name!r} is already registered")
-    _REGISTRY[name] = instance
+    _REGISTRY.register(instance.name, instance)
     return scenario
-
-
-def _load_builtins() -> None:
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    # A failed import must surface again on the next lookup: the loaded flag
-    # is only set after every import succeeded, and partial registrations are
-    # unwound so the retried module re-executes without duplicate-name errors.
-    snapshot = dict(_REGISTRY)
-    try:
-        for module in _BUILTIN_MODULES:
-            importlib.import_module(module)
-    except BaseException:
-        _REGISTRY.clear()
-        _REGISTRY.update(snapshot)
-        for module in _BUILTIN_MODULES:
-            sys.modules.pop(module, None)
-        raise
-    _builtins_loaded = True
 
 
 def get_scenario(name: str) -> Scenario:
     """Look up a scenario by its registry name."""
-    _load_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown scenario {name!r}; available: "
-                       f"{', '.join(sorted(_REGISTRY))}") from None
+    return _REGISTRY.lookup(name)
 
 
 def available_scenarios() -> dict[str, str]:
     """Mapping of every registered scenario name to its description."""
-    _load_builtins()
+    _REGISTRY.load()
     return {name: _REGISTRY[name].description for name in sorted(_REGISTRY)}
 
 

@@ -10,9 +10,7 @@ from repro.campaign import (
     CampaignManifest,
     CampaignRunner,
     CampaignState,
-    Step,
     campaign_status,
-    dependency_order,
     run_campaign,
 )
 from repro.campaign.figures import (
@@ -164,6 +162,31 @@ class TestManifest:
         ({"figures": {"f": {"kind": "curve", "sweep": "overhead",
                             "x": "not_a_param", "y": "whatever"}}},
          "not a grid param"),
+        # Every section and entry is a mapping.
+        ({"sweeps": {"g": "matrix"}}, "sweep 'g' must be a mapping"),
+        ({"figures": ["heatmap"]}, "'figures' must map names to entries"),
+        ({"analyses": {"a": None}}, "analysis 'a' must be a mapping"),
+        ({"expected_digests": {"report": 7}},
+         "'expected_digests' must map step names to digests"),
+        # Unknown keys are rejected for all four entry kinds.
+        ({"figures": {"f": {"kind": "heatmap", "sweep": "grid", "titel": "t"}}},
+         r"figure 'f': unknown keys \['titel'\]"),
+        ({"analyses": {"a": {"kind": "success_summary", "sweep": "grid",
+                             "seeds": 3}}},
+         r"analysis 'a': unknown keys \['seeds'\]"),
+        # Scenario parameters and defense names are checked at compile time.
+        ({"sweeps": {"g": {"kind": "grid", "scenario": "transport_overhead",
+                           "base_params": {"no_such_knob": 1}}}},
+         "unknown scenario parameter.*no_such_knob"),
+        ({"sweeps": {"g": {"kind": "grid", "scenario": "transport_overhead",
+                           "grid": {"no_such_knob": [1, 2]}}}},
+         "unknown scenario parameter.*no_such_knob"),
+        ({"sweeps": {"g": {"kind": "matrix", "attacks": [
+            {"scenario": "frag_poisoning", "params": {"no_such_knob": 1}}]}}},
+         "unknown scenario parameter.*no_such_knob"),
+        ({"sweeps": {"g": {"kind": "matrix", "stacks": [
+            {"name": "s", "defenses": ["no_such_defense"]}]}}},
+         "'defenses' must list registered defenses"),
     ])
     def test_validation_fails_fast(self, mutation, match):
         spec = json.loads(json.dumps(TINY_SPEC))
@@ -177,19 +200,13 @@ class TestManifest:
         with pytest.raises(ValueError, match="section5 needs cell"):
             CampaignManifest.from_spec(spec)
 
-    def test_steps_are_dependency_ordered_report_last(self):
+    def test_steps_are_the_fixed_pipeline(self):
         steps = CampaignManifest.from_spec(TINY_SPEC).steps()
-        names = [step.name for step in steps]
-        assert names[-1] == "report"
-        for step in steps:
-            for dep in step.depends:
-                assert names.index(dep) < names.index(step.name)
-
-    def test_dependency_cycle_detected(self):
-        loop = [Step(name="a", kind="sweep", depends=("b",)),
-                Step(name="b", kind="sweep", depends=("a",))]
-        with pytest.raises(ValueError, match="cycle"):
-            dependency_order(loop)
+        assert [(step.name, step.kind) for step in steps] == [
+            ("sweep:grid", "sweep"), ("sweep:overhead", "sweep"),
+            ("analysis:summary", "analysis"), ("figure:heatmap", "figure"),
+            ("figure:overhead", "figure"), ("report", "report")]
+        assert steps[-1].payload is None
 
 
 # -- state journal -----------------------------------------------------------

@@ -11,7 +11,13 @@ The two contracts the engine guarantees:
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.experiments import (
     ExperimentResult,
@@ -65,6 +71,39 @@ def test_registry_rejects_unknown_scenario_and_parameter():
         get_scenario("no_such_attack")
     with pytest.raises(ValueError, match="unknown scenario parameter"):
         run_scenario("bgp_hijack", 1, {"no_such_knob": 1})
+
+
+#: Registers the experiments' built-ins by import, fails the first lookup's
+#: import of the population module once, then looks up again.
+_FAILED_IMPORT_PROBE = """
+import importlib
+import repro.experiments.scenarios
+from repro.experiments.registry import get_scenario
+
+real_import = importlib.import_module
+
+def import_failing_once(name, *args):
+    if name == "repro.population.scenario":
+        importlib.import_module = real_import
+        raise ImportError("injected")
+    return real_import(name, *args)
+
+importlib.import_module = import_failing_once
+try:
+    get_scenario("chronos_pool_attack")
+except ImportError:
+    pass
+print(get_scenario("chronos_pool_attack").name)
+"""
+
+
+def test_registry_recovers_from_a_failed_builtin_import():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n"
+         + _FAILED_IMPORT_PROBE], capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == ["chronos_pool_attack"]
 
 
 def test_every_scenario_runs_by_name_with_a_config_dict():
