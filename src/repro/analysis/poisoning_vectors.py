@@ -26,7 +26,7 @@ class VectorFeasibilityRow:
     """Feasibility of the fragmentation vector for one nameserver/resolver pair."""
 
     nameserver_min_mtu: int
-    nameserver_dnssec: bool
+    nameserver_has_dnssec: bool
     resolver_accepts_fragments: bool
     response_size: int
     feasible: bool
@@ -38,7 +38,7 @@ class VectorFeasibilityRow:
                 f"{'feasible':>9} {'P(success)':>11}")
 
     def formatted(self) -> str:
-        return (f"{self.nameserver_min_mtu:>10} {str(self.nameserver_dnssec):>7} "
+        return (f"{self.nameserver_min_mtu:>10} {str(self.nameserver_has_dnssec):>7} "
                 f"{str(self.resolver_accepts_fragments):>9} {self.response_size:>7} "
                 f"{str(self.feasible):>9} {self.success_probability:>11.3f}")
 
@@ -57,7 +57,7 @@ def feasibility_row(nameserver: NameserverProfile, resolver: ResolverProfile,
     )
     return VectorFeasibilityRow(
         nameserver_min_mtu=nameserver.min_fragmentation_mtu,
-        nameserver_dnssec=nameserver.supports_dnssec,
+        nameserver_has_dnssec=nameserver.supports_dnssec,
         resolver_accepts_fragments=resolver.accepts_any_fragments,
         response_size=response_size,
         feasible=conditions.feasible,

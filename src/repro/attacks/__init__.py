@@ -2,7 +2,6 @@
 
 from .attacker import (
     DEFAULT_MALICIOUS_TTL,
-    AttackerCapabilities,
     AttackerInfrastructure,
     ImpersonatingNameserver,
     build_attacker_infrastructure,
@@ -54,7 +53,6 @@ from .query_trigger import QueryTrigger, SMTPTriggerServer, TriggerRecord
 
 __all__ = [
     "DEFAULT_MALICIOUS_TTL",
-    "AttackerCapabilities",
     "AttackerInfrastructure",
     "ImpersonatingNameserver",
     "build_attacker_infrastructure",

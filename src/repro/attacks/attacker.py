@@ -36,21 +36,6 @@ from ..ntp.server import MaliciousNTPServer
 DEFAULT_MALICIOUS_TTL = 2 * SECONDS_PER_DAY
 
 
-@dataclass(frozen=True)
-class AttackerCapabilities:
-    """Which capabilities a particular attacker instance is granted.
-
-    The defaults describe the paper's off-path attacker.  Experiments that
-    want to model weaker or stronger attackers (e.g. the pure MitM of the
-    original Chronos analysis) toggle these flags.
-    """
-
-    can_spoof_source: bool = True
-    can_hijack_bgp: bool = True
-    can_observe_victim_traffic: bool = False
-    controls_ntp_servers: bool = True
-
-
 class ImpersonatingNameserver(AuthoritativeNameserver):
     """An attacker nameserver that answers with a forged source address.
 
@@ -113,13 +98,17 @@ class ImpersonatingNameserver(AuthoritativeNameserver):
 
 @dataclass
 class AttackerInfrastructure:
-    """The attacker's own servers inside the simulation."""
+    """The attacker's own servers inside the simulation.
+
+    ``can_hijack_bgp=False`` models an attacker without BGP reach: its
+    :class:`~repro.attacks.bgp_hijack.BGPHijackPoisoner` refuses to announce.
+    """
 
     network: Network
     ntp_servers: list[MaliciousNTPServer] = field(default_factory=list)
     nameserver: Optional[ImpersonatingNameserver] = None
     malicious_ttl: int = DEFAULT_MALICIOUS_TTL
-    capabilities: AttackerCapabilities = field(default_factory=AttackerCapabilities)
+    can_hijack_bgp: bool = True
 
     @property
     def ntp_addresses(self) -> list[str]:
@@ -140,7 +129,6 @@ def build_attacker_infrastructure(network: Network, qname: str = "pool.ntp.org",
                                   server_count: Optional[int] = None,
                                   time_shift: float = 0.0,
                                   malicious_ttl: int = DEFAULT_MALICIOUS_TTL,
-                                  capabilities: Optional[AttackerCapabilities] = None,
                                   ) -> AttackerInfrastructure:
     """Create the attacker's NTP servers (and nothing else yet).
 
@@ -158,5 +146,4 @@ def build_attacker_infrastructure(network: Network, qname: str = "pool.ntp.org",
         network=network,
         ntp_servers=servers,
         malicious_ttl=malicious_ttl,
-        capabilities=capabilities or AttackerCapabilities(),
     )

@@ -64,7 +64,7 @@ class BGPHijackPoisoner:
         """Start the hijack: divert the nameserver's traffic to the attacker."""
         if self._active:
             return
-        if not self.attacker.capabilities.can_hijack_bgp:
+        if not self.attacker.can_hijack_bgp:
             raise PermissionError("attacker model does not include BGP hijacking")
         self.network.routing_table.announce(self.hijack_prefix(), self.nameserver.address,
                                             legitimate=False)

@@ -29,7 +29,6 @@ from ..core.pool_generation import GeneratedPool, PoolComposition, PoolGeneratio
 from ..core.selection import ChronosConfig
 from ..defenses.stack import DefenseSpec
 from ..dns.nameserver import POOL_NTP_ORG_TTL, POOL_RECORDS_PER_RESPONSE
-from ..dns.resolver import ResolverPolicy
 from ..experiments.testbed import DEFAULT_ZONE, Testbed, build_testbed, testbed_config
 
 
@@ -60,8 +59,6 @@ class PoolAttackConfig:
     chronos: ChronosConfig = field(default_factory=ChronosConfig)
     #: Pool-generation policy (enable the §V mitigations here).
     pool_policy: PoolGenerationPolicy = field(default_factory=PoolGenerationPolicy)
-    #: Resolver-side policy (TTL caps, record caps, fragment acceptance).
-    resolver_policy: ResolverPolicy = field(default_factory=ResolverPolicy)
     #: Extra countermeasures (registry names and/or instances) stacked on the
     #: resolver, the pool generation and the NTP sampling.
     defenses: DefenseSpec = ()

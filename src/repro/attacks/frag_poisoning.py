@@ -29,12 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
+from ..defenses.classic import FragmentedResponseRejection
 from ..defenses.hardening import DNSCookies
 from ..defenses.stack import DefenseSpec
 from ..dns.message import DNSMessage
 from ..dns.nameserver import DNS_PORT, POOL_NTP_ORG_TTL, PoolNTPNameserver
 from ..dns.records import RecordType, a_record, signature_record
-from ..dns.resolver import RecursiveResolver, ResolverPolicy
+from ..dns.resolver import RecursiveResolver
 from ..experiments.testbed import DEFAULT_ZONE, build_testbed, testbed_config
 from ..netsim.fragmentation import fragment_datagram
 from ..netsim.network import Network
@@ -263,18 +264,17 @@ class FragRaceWorld:
     ``frag_poisoning`` and ``downgrade`` scenarios both race here, so the
     two rows model the same attacker in the same world.  ``config`` must
     carry ``zone``, ``records_per_response``, ``ipid_window`` and
-    ``checksum_oracle``.
+    ``checksum_oracle``.  A resolver that does not ``accept_fragments``
+    runs the ``fragment_rejection`` defense ahead of the config's own.
     """
 
     def __init__(self, config: Any, address_block: str,
                  accept_fragments: bool = True) -> None:
         self.config = config
-        self.testbed = build_testbed(testbed_config(
-            config,
-            benign_address_block=address_block,
-            resolver_policy=ResolverPolicy(accept_fragmented_responses=accept_fragments),
-            with_hijacker=False,
-        ))
+        world = testbed_config(config, benign_address_block=address_block, with_hijacker=False)
+        if not accept_fragments:
+            world.defenses = (FragmentedResponseRejection(), *world.defenses)
+        self.testbed = build_testbed(world)
         self.simulator = self.testbed.simulator
         self.network = self.testbed.network
         self.nameserver = self.testbed.nameserver

@@ -249,12 +249,13 @@ class CampaignRunner:
             lines = render_heatmap_markdown(rows, cols, values).splitlines()
         else:  # curve
             title = figure.title or f"{figure.y} by {figure.x}"
-            ticks = [str(value) for value in sweep.grid[figure.x]]
-            groups = result.group_by(figure.x)
             points: list[tuple[str, float]] = []
-            for value, tick in zip(sweep.grid[figure.x], ticks):
-                group = groups.get((value,))
-                numbers = group.numeric_values(figure.y) if group else []
+            for value in sweep.grid[figure.x]:
+                # Matched by equality: list- and map-valued ticks are unhashable.
+                numbers = [float(record.metrics[figure.y]) for record in result.records
+                           if record.params.get(figure.x) == value
+                           and record.metrics.get(figure.y) is not None]
+                tick = str(value)
                 mean = sum(numbers) / len(numbers) if numbers else 0.0
                 points.append((tick, mean))
                 lines.append(f"{figure.x}={tick}: mean {figure.y} = {mean:.6g} "

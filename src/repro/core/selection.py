@@ -55,8 +55,6 @@ class ChronosConfig:
     max_retries: int = 2
     #: Interval between Chronos updates (seconds).
     poll_interval: float = 3600.0 / 4
-    #: Target pool size the pool-generation phase aims for.
-    target_pool_size: int = 96
 
     def __post_init__(self) -> None:
         if self.sample_size < 3:

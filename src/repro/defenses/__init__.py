@@ -53,7 +53,6 @@ from .classic import (
     RandomTransactionID,
     ResponseMatching,
     ResponseRecordCap,
-    default_resolver_defenses,
 )
 from .hardening import DNS0x20Encoding, DNSCookies, PMTUFloor, ResponseSigning
 from .pool import (
@@ -82,7 +81,6 @@ __all__ = [
     "RandomTransactionID",
     "ResponseMatching",
     "ResponseRecordCap",
-    "default_resolver_defenses",
     "DNS0x20Encoding",
     "DNSCookies",
     "PMTUFloor",

@@ -3,22 +3,17 @@
 These are the protections the paper's §II takes as *given* — and then goes
 around: random transaction ids and source ports (RFC 5452), response
 matching (source address + question echo), and the resolver-side caps some
-operators add on top.  Before the defense subsystem existed they were inline
-code in :class:`repro.dns.resolver.RecursiveResolver`; now they are stack
-members, and :func:`default_resolver_defenses` translates a
-:class:`~repro.dns.resolver.ResolverPolicy` into the equivalent stack prefix
-so existing policy-driven configurations behave exactly as before.
+operators add on top.  :class:`repro.dns.resolver.RecursiveResolver` starts
+every stack with ``random_txid``, ``random_source_port`` and
+``response_matching``; the rest are named in an experiment's ``defenses``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .base import Defense, QueryContext, ResponseContext
 from .registry import register_defense
-
-if TYPE_CHECKING:
-    from ..dns.resolver import ResolverPolicy
 
 
 @register_defense
@@ -53,13 +48,10 @@ class ResponseMatching(Defense):
 
     name = "response_matching"
 
-    def __init__(self, check_source_address: bool = True) -> None:
-        self.check_source_address = check_source_address
-
     def on_incoming_response(self, ctx: ResponseContext) -> Optional[str]:
         if ctx.datagram.dst_port != ctx.query.source_port:
             return "destination port does not match the query's source port"
-        if self.check_source_address and ctx.datagram.src_ip != ctx.query.nameserver_address:
+        if ctx.datagram.src_ip != ctx.query.nameserver_address:
             return "source address is not the queried nameserver"
         if not ctx.response.matches_query(ctx.query.query):
             return "transaction id or question mismatch"
@@ -116,22 +108,3 @@ class CacheTTLCap(Defense):
                        else record.with_ttl(self.max_ttl)
                        for record in ctx.answers]
 
-
-def default_resolver_defenses(policy: ResolverPolicy) -> list[Defense]:
-    """The stack prefix equivalent to a :class:`ResolverPolicy`.
-
-    Ordering is load-bearing twice over: the transaction id is drawn before
-    the source port (preserving the RNG stream of the pre-refactor resolver,
-    so seeded experiments reproduce bit-for-bit), and response matching runs
-    before any capping defense.
-    """
-    defenses: list[Defense] = []
-    if policy.randomise_source_port:
-        defenses.append(RandomTransactionID())
-        defenses.append(RandomSourcePort())
-    defenses.append(ResponseMatching(check_source_address=policy.check_source_address))
-    if not policy.accept_fragmented_responses:
-        defenses.append(FragmentedResponseRejection())
-    if policy.max_records_per_response is not None:
-        defenses.append(ResponseRecordCap(policy.max_records_per_response))
-    return defenses

@@ -134,7 +134,6 @@ class ResponseSigning(Defense):
     def configure_testbed(self, config: TestbedConfig) -> None:
         if config.zone_key is None:
             config.zone_key = f"zsk|{config.zone}|{config.seed}"
-        config.nameserver_dnssec = True
         self._zone_key = config.zone_key
 
     def attach_testbed(self, testbed: Testbed) -> None:

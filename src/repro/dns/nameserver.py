@@ -109,13 +109,12 @@ class AuthoritativeNameserver(Host):
     """A simple authoritative server answering A queries from a static zone."""
 
     def __init__(self, network: Network, address: str, zone: dict[str, list[str]],
-                 ttl: int = 300, name: Optional[str] = None, dnssec: bool = False,
+                 ttl: int = 300, name: Optional[str] = None,
                  zone_key: Optional[str] = None,
                  udp_payload_limit: Optional[int] = None) -> None:
         super().__init__(network, address, name=name or f"ns-{address}")
         self.zone = {normalise_name(owner): list(addresses) for owner, addresses in zone.items()}
         self.ttl = ttl
-        self.dnssec = dnssec
         #: When set, every answer RRset is signed (appended signature record);
         #: provisioned by the ``response_signing`` defense via the testbed.
         self.zone_key = zone_key
@@ -234,13 +233,12 @@ class PoolNTPNameserver(AuthoritativeNameserver):
                  records_per_response: int = POOL_RECORDS_PER_RESPONSE,
                  ttl: int = POOL_NTP_ORG_TTL,
                  name: Optional[str] = None,
-                 dnssec: bool = False,
                  min_supported_mtu: int = 1500,
                  zone_key: Optional[str] = None,
                  udp_payload_limit: Optional[int] = None) -> None:
         zone = {zone_name: list(pool_servers)}
         super().__init__(network, address, zone=zone, ttl=ttl,
-                         name=name or f"pool-ns-{address}", dnssec=dnssec,
+                         name=name or f"pool-ns-{address}",
                          zone_key=zone_key, udp_payload_limit=udp_payload_limit)
         self.zone_name = normalise_name(zone_name)
         self.pool_servers = list(pool_servers)

@@ -3,8 +3,8 @@
 The recursive resolver is the victim of the cache-poisoning attack.  Its
 protections are a :class:`~repro.defenses.stack.DefenseStack`: the classic
 off-path defences — random transaction id, random source port, and
-source-address/question matching on responses — form the policy-derived
-prefix of the stack, and experiments append hardening defenses (DNS-0x20,
+source-address/question matching on responses — open every stack, and
+experiments append hardening defenses (fragment rejection, DNS-0x20,
 cookies, signing validation, vantage cross-checks) on top.  The paper's
 attacker goes *around* the classic set: the spoofed content arrives in the
 second IPv4 fragment while all the validated fields live in the genuine
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..defenses.base import QueryContext, ResponseContext
-from ..defenses.classic import default_resolver_defenses
+from ..defenses.classic import RandomSourcePort, RandomTransactionID, ResponseMatching
 from ..defenses.stack import DefenseStack
 from ..netsim.network import Host, Network
 from ..netsim.packets import UDPDatagram
@@ -81,21 +81,13 @@ class PendingUpstreamQuery:
 
 @dataclass
 class ResolverPolicy:
-    """Validation and caching policy knobs relevant to the experiments."""
+    """Caching, retry and reachability knobs (validation is the defense stack)."""
 
-    #: Drop responses whose UDP source address is not the queried nameserver.
-    check_source_address: bool = True
     #: Randomise the resolver's source port per query (RFC 5452).
     randomise_source_port: bool = True
-    #: Accept reassembled (fragmented) responses at all.  The companion
-    #: measurement found 90% of resolvers do; hardened ones do not.
-    accept_fragmented_responses: bool = True
     #: Cap applied to TTLs of cached entries (None = no cap).  A cap below
     #: 24 h is one of the §V mitigations.
     max_cache_ttl: Optional[int] = None
-    #: Maximum number of A records accepted from a single response
-    #: (None = unlimited).  Limiting to 4 is the other §V mitigation.
-    max_records_per_response: Optional[int] = None
     #: Whether this resolver answers queries from any client (an "open
     #: resolver"), which is one of the query-triggering avenues in §II.
     open_resolver: bool = False
@@ -129,10 +121,10 @@ class ResolverPolicy:
 class RecursiveResolver(Host):
     """A caching recursive resolver whose validation is a defense stack.
 
-    The stack is composed deterministically: the policy-derived classic
-    defenses first (so legacy :class:`ResolverPolicy` configurations behave
-    exactly as before the refactor), then whatever extra defenses the
-    experiment supplied via ``defenses``.
+    The stack is ``random_txid`` then ``random_source_port`` (both absent
+    for the pre-RFC 5452 resolver without source-port randomisation), then
+    ``response_matching``, then the experiment's ``defenses``, in order:
+    seeded RNG streams and matching-before-capping depend on it.
     """
 
     def __init__(self, network: Network, address: str,
@@ -154,8 +146,9 @@ class RecursiveResolver(Host):
                                 if self.policy.serve_stale else 0.0),
         )
         self.allowed_clients = set(allowed_clients) if allowed_clients else None
-        extra = list(defenses) if defenses is not None else []
-        self.defenses = DefenseStack([*default_resolver_defenses(self.policy), *extra])
+        randomised = ([RandomTransactionID(), RandomSourcePort()]
+                      if self.policy.randomise_source_port else [])
+        self.defenses = DefenseStack([*randomised, ResponseMatching(), *(defenses or ())])
         self._pending: dict[tuple[int, str], PendingUpstreamQuery] = {}
         self._next_txid = 1
         #: Stream/encrypted upstream transport manager; ``None`` until the
@@ -439,8 +432,7 @@ class RecursiveResolver(Host):
             # (source address + destination port) before it is honoured:
             # otherwise a blind spoofer could burn the one-shot retry — or
             # force plaintext TCP — knowing only the 16-bit transaction id.
-            if ((self.policy.check_source_address
-                 and datagram.src_ip != pending.nameserver_address)
+            if (datagram.src_ip != pending.nameserver_address
                     or datagram.dst_port != pending.source_port):
                 self.responses_rejected += 1
                 if obs.enabled:

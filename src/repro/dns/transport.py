@@ -209,8 +209,7 @@ class DNSServerTransport:
                  cert_key: Optional[str] = None,
                  identity: Optional[str] = None,
                  backlog: Optional[int] = None,
-                 session_resumption: bool = False,
-                 single_use_tickets: bool = False) -> None:
+                 session_resumption: bool = False) -> None:
         unknown = set(transports) - set(STREAM_TRANSPORTS)
         if unknown:
             raise ValueError(f"unknown stream transport(s): {sorted(unknown)}; "
@@ -223,8 +222,7 @@ class DNSServerTransport:
         #: Session cache for 0-RTT resumption; ``None`` keeps the handshake
         #: path (and its RNG draws) exactly as before, which is what holds
         #: the pinned digests with the serving layer merged.
-        self.ticket_store = (ResumptionTicketStore(single_use=single_use_tickets)
-                             if session_resumption else None)
+        self.ticket_store = ResumptionTicketStore() if session_resumption else None
         self.queries_answered: dict[str, int] = {name: 0 for name in transports}
         kwargs = {} if backlog is None else {"backlog": backlog}
         for label, port in STREAM_PORTS.items():

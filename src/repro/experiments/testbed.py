@@ -67,7 +67,6 @@ class TestbedConfig:
     #: Smallest MTU the nameserver fragments responses to (< 1500 also sets
     #: the path MTU, enabling the fragmentation poisoning vector).
     nameserver_min_mtu: int = DEFAULT_MTU
-    nameserver_dnssec: bool = False
     #: Largest UDP response payload the nameserver sends; anything bigger
     #: goes out truncated with TC=1 (``None`` = no limit, the legacy
     #: behaviour every fragmentation experiment relies on).
@@ -89,7 +88,7 @@ class TestbedConfig:
 
     # -- defenses --------------------------------------------------------------
     #: Extra countermeasures, by registry name and/or instance; composed (in
-    #: order) on top of the policy-derived classic defenses.  The stack's
+    #: order) on top of the resolver's classic defenses.  The stack's
     #: ``configure_testbed`` hooks may rewrite other fields of this config
     #: (on the builder's private copy) before the world is materialised.
     defenses: DefenseSpec = ()
@@ -194,7 +193,6 @@ class TestbedBuilder:
             pool_servers=[server.address for server in benign_servers],
             records_per_response=cfg.records_per_response,
             ttl=cfg.benign_ttl,
-            dnssec=cfg.nameserver_dnssec,
             min_supported_mtu=cfg.nameserver_min_mtu,
             zone_key=cfg.zone_key,
             udp_payload_limit=cfg.nameserver_udp_payload_limit,
@@ -270,7 +268,7 @@ def testbed_config(scenario_config: Any, **world: Any) -> TestbedConfig:
     Every field the scenario config shares by name with :class:`TestbedConfig`
     (seed, zone, latency, population sizes, attacker records, defenses,
     faults, ...) is copied over; ``world`` supplies the per-scenario knobs
-    that are not config fields (address block, hijacker, resolver policy).
+    that are not config fields (address block, hijacker).
     Values are read with ``getattr``, not ``dataclasses.asdict``, which
     would deep-copy nested policy objects.
     """

@@ -1072,6 +1072,10 @@ class SecureChannel(StreamSocket):
             shared.to_bytes(32, "big") + client_random + server_random).digest()
 
     def _abort(self, reason: str) -> None:
+        # No reason label: a reason can quote a peer-chosen certificate subject.
+        obs = self.connection.stack.obs
+        if obs.enabled:
+            obs.metrics.counter("tls.aborts", side="client" if self.is_client else "server").inc()
         if self.connection.established:
             self.connection.send(_frame_record(_REC_ALERT, reason.encode()))
         self.connection.close()
@@ -1121,3 +1125,5 @@ class SecureChannel(StreamSocket):
             elif record_type == _REC_ALERT:
                 self.connection.close()
                 self._fire_failure(body.decode("utf-8", errors="replace"))
+            elif self.connection.stack.obs.enabled:  # an unknown type: dropped
+                self.connection.stack.obs.metrics.counter("tls.malformed", site="record").inc()

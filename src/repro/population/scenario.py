@@ -30,8 +30,7 @@ from .engine import FleetConfig, FleetEngine
 
 #: Config fields that are not flat scenario parameters (``clients`` is one,
 #: but has no dataclass default; ``seed`` comes from the task).
-NON_PARAM_FIELDS = frozenset({"clients", "seed", "explicit_starts", "policy",
-                              "chronos", "target_pool_size"})
+NON_PARAM_FIELDS = frozenset({"clients", "seed", "explicit_starts", "policy", "chronos"})
 
 #: The scenario defaults that differ from the dataclasses.  Metrics are
 #: backend-independent; ``backend`` only selects the implementation.

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacks.attacker import (
-    DEFAULT_MALICIOUS_TTL,
-    AttackerCapabilities,
-    build_attacker_infrastructure,
-)
+from repro.attacks.attacker import DEFAULT_MALICIOUS_TTL, build_attacker_infrastructure
 from repro.attacks.bgp_hijack import BGPHijackPoisoner
 from repro.attacks.frag_poisoning import (
     FragmentationAttackConditions,
@@ -16,6 +12,7 @@ from repro.attacks.frag_poisoning import (
     fragmentation_attack_success_probability,
 )
 from repro.attacks.query_trigger import QueryTrigger, SMTPTriggerServer
+from repro.defenses import DefenseStack, FragmentedResponseRejection
 from repro.dns.message import DNSMessage
 from repro.dns.nameserver import PoolNTPNameserver
 from repro.dns.records import RecordType, a_record
@@ -25,7 +22,7 @@ from repro.netsim.simulator import Simulator
 
 
 def build_world(resolver_policy=None, nameserver_mtu=1500, records_per_response=4,
-                attacker_servers=None, seed=17):
+                attacker_servers=None, seed=17, defenses=None):
     simulator = Simulator(seed=seed)
     network = Network(simulator, default_link=LinkProperties(latency=0.01))
     pool_servers = [f"10.0.0.{i + 1}" for i in range(60)]
@@ -37,7 +34,8 @@ def build_world(resolver_policy=None, nameserver_mtu=1500, records_per_response=
         network.set_path_mtu(nameserver.address, nameserver_mtu)
     resolver = RecursiveResolver(network, "192.0.2.1",
                                  nameserver_map={"pool.ntp.org": nameserver.address},
-                                 policy=resolver_policy or ResolverPolicy())
+                                 policy=resolver_policy or ResolverPolicy(),
+                                 defenses=defenses)
     attacker = build_attacker_infrastructure(network, server_count=attacker_servers)
     return simulator, network, nameserver, resolver, attacker
 
@@ -66,7 +64,7 @@ def test_attacker_time_shift_applies_to_all_servers():
 
 def test_capabilities_gate_bgp_hijack():
     simulator, network, nameserver, resolver, attacker = build_world()
-    attacker.capabilities = AttackerCapabilities(can_hijack_bgp=False)
+    attacker.can_hijack_bgp = False
     hijacker = BGPHijackPoisoner(network, attacker, target_nameserver=nameserver.address,
                                  attacker_nameserver_address="198.51.100.200")
     with pytest.raises(PermissionError):
@@ -151,11 +149,11 @@ def test_fragmentation_success_probability_model():
     assert more_attempts > randomised
 
 
-def frag_world(checksum_oracle=True, resolver_policy=None):
+def frag_world(checksum_oracle=True, defenses=None):
     # A nameserver that fragments (548-byte path MTU) and returns enough
     # records (40) that the trailing fragments carry answer records.
     return build_world(nameserver_mtu=548, records_per_response=40,
-                       resolver_policy=resolver_policy), checksum_oracle
+                       defenses=defenses), checksum_oracle
 
 
 def test_fragmentation_poisoning_end_to_end():
@@ -195,8 +193,8 @@ def test_fragmentation_poisoning_fails_without_checksum_fix():
 
 
 def test_fragmentation_poisoning_fails_when_resolver_rejects_fragments():
-    policy = ResolverPolicy(accept_fragmented_responses=False)
-    (simulator, network, nameserver, resolver, attacker), _ = frag_world(resolver_policy=policy)
+    stack = DefenseStack([FragmentedResponseRejection()])
+    (simulator, network, nameserver, resolver, attacker), _ = frag_world(defenses=stack)
     poisoner = FragmentationPoisoner(network, attacker, resolver, nameserver,
                                      checksum_oracle=True)
     expected = DNSMessage.query(0, "pool.ntp.org").make_response(
@@ -205,6 +203,7 @@ def test_fragmentation_poisoning_fails_when_resolver_rejects_fragments():
     resolver.trigger_lookup("pool.ntp.org")
     simulator.run(until=10.0)
     assert not poisoner.verify_poisoning()
+    assert resolver.defenses.rejections == {"fragment_rejection": 1}
 
 
 def test_fragmentation_poisoning_misses_with_wrong_ipid():

@@ -369,6 +369,18 @@ class TestCampaignEndToEnd:
         # Replayed metrics come back from the cache's sidecar, bit-exact.
         assert grid.metrics == result.outcome("sweep:grid").metrics
 
+    def test_curve_over_list_valued_grid_values(self, tmp_path):
+        spec = {"name": "lists", "seeds": 1,
+                "sweeps": {"g": {"kind": "grid", "scenario": "bgp_hijack",
+                                 "grid": {"defenses": [[], ["dns_0x20"]]}}},
+                "figures": {"c": {"kind": "curve", "sweep": "g", "x": "defenses",
+                                  "y": "attack_succeeded"}}}
+        lines = run_campaign(spec, tmp_path / "c").outcome("figure:c").lines
+        assert lines == [
+            "defenses=[]: mean attack_succeeded = 1 over 1 run(s)",
+            "defenses=['dns_0x20']: mean attack_succeeded = 1 over 1 run(s)",
+        ]
+
     def test_campaign_directory_holds_journal_cache_and_report_only(self, tmp_path):
         directory = tmp_path / "c"
         for _ in range(2):  # cold, then warm

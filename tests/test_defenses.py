@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.attacks import FragPoisoningConfig, FragPoisoningScenario
 from repro.defenses import (
     DefenseStack,
     HighTTLDiscard,
@@ -32,7 +33,13 @@ from repro.dns.message import DNSMessage
 from repro.dns.nameserver import DNS_PORT, PoolNTPNameserver
 from repro.dns.records import RecordType, a_record
 from repro.dns.resolver import RecursiveResolver, ResolverPolicy
-from repro.experiments import TestbedConfig, build_testbed, get_scenario, run_scenario
+from repro.experiments import (
+    ExperimentRunner,
+    TestbedConfig,
+    build_testbed,
+    get_scenario,
+    run_scenario,
+)
 from repro.netsim.network import LinkProperties, Network
 from repro.netsim.packets import UDPDatagram
 from repro.netsim.simulator import Simulator
@@ -75,6 +82,32 @@ def test_stack_builds_fresh_instances_and_preserves_order():
     assert first.defenses[0] is not second.defenses[0]
     mixed = DefenseStack.from_spec((PerResponseAddressCap(limit=2), "ttl_discard"))
     assert mixed.names == ("address_cap", "ttl_discard")
+
+
+CLASSIC = ("random_txid", "random_source_port", "response_matching")
+
+
+def test_every_resolver_stack_opens_with_the_classic_defenses():
+    network = Network(Simulator(seed=1))
+    assert RecursiveResolver(network, "192.0.2.1", {}).defenses.names == CLASSIC
+    predictable = RecursiveResolver(network, "192.0.2.2", {},
+                                    policy=ResolverPolicy(randomise_source_port=False))
+    assert predictable.defenses.names == ("response_matching",)
+    scenario = FragPoisoningScenario(FragPoisoningConfig(accept_fragments=False,
+                                                         defenses=("dns_0x20",)))
+    assert scenario.resolver.defenses.names == (*CLASSIC, "fragment_rejection", "dns_0x20")
+
+
+def test_fragment_acceptance_sweep_is_pinned():
+    # accept_fragments=False is the fragment_rejection defense; every run's
+    # record (rejection counts included) is pinned.
+    result = ExperimentRunner("frag_poisoning", seeds=(1, 2, 3, 4), param_sets=[
+        {"accept_fragments": False},
+        {"accept_fragments": False, "defenses": ("dns_0x20", "ttl_discard")},
+        {"accept_fragments": True},
+    ]).run()
+    assert result.digest() == ("3b654327378e263c3f1d1727478df81e75ae544ff4770ed64d"
+                               "1057261a343488")
 
 
 def test_stack_pool_hooks_run_in_order_and_account_rejections():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro import obs
+from repro.defenses import DefenseStack, ResponseRecordCap
 from repro.dns.message import DNSMessage
 from repro.dns.nameserver import DNS_PORT, AuthoritativeNameserver, PoolNTPNameserver
 from repro.dns.records import RecordType
@@ -23,7 +24,8 @@ class StubHost(Host):
         self.dns.handle_datagram(datagram)
 
 
-def build_world(records_per_response=4, server_count=20, policy=None, seed=5):
+def build_world(records_per_response=4, server_count=20, policy=None, seed=5,
+                defenses=None):
     simulator = Simulator(seed=seed)
     network = Network(simulator, default_link=LinkProperties(latency=0.01))
     pool_servers = [f"10.0.0.{i + 1}" for i in range(server_count)]
@@ -32,7 +34,7 @@ def build_world(records_per_response=4, server_count=20, policy=None, seed=5):
                                    records_per_response=records_per_response)
     resolver = RecursiveResolver(network, "192.0.2.1",
                                  nameserver_map={"pool.ntp.org": nameserver.address},
-                                 policy=policy or ResolverPolicy())
+                                 policy=policy or ResolverPolicy(), defenses=defenses)
     client = StubHost(network, "192.0.2.100", resolver.address)
     return simulator, network, nameserver, resolver, client
 
@@ -203,9 +205,9 @@ def test_resolver_refuses_disallowed_clients():
     assert got_outsider == [[]]
 
 
-def test_max_records_per_response_policy_caps_cache():
-    policy = ResolverPolicy(max_records_per_response=2)
-    simulator, _, _, resolver, client = build_world(records_per_response=4, policy=policy)
+def test_response_record_cap_defense_caps_cache():
+    stack = DefenseStack([ResponseRecordCap(2)])
+    simulator, _, _, resolver, client = build_world(records_per_response=4, defenses=stack)
     answers = []
     client.dns.lookup("pool.ntp.org", answers.append)
     simulator.run(until=5.0)

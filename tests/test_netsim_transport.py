@@ -632,17 +632,26 @@ def probe_dot_listener(payload):
     return conn, b"".join(received)
 
 
-@pytest.mark.parametrize(("first", "reason"), [
-    (record("APP_DATA", b"x"), b"application data before handshake"),
-    (record("CLIENT_HELLO", b"\x01" * 3), b"malformed ClientHello"),
-], ids=["app_data", "short_hello"])
-def test_records_after_an_abort_are_not_dispatched(first, reason):
+@pytest.mark.parametrize(("first", "reason", "malformed"), [
+    (record("APP_DATA", b"x"), b"application data before handshake", 0),
+    (record("CLIENT_HELLO", b"\x01" * 3), b"malformed ClientHello", 0),
+    (transport._frame_record(99, b"?") + record("APP_DATA", b"x"),
+     b"application data before handshake", 1),
+], ids=["app_data", "short_hello", "unknown_type"])
+def test_records_after_an_abort_are_not_dispatched(first, reason, malformed):
     # The valid ClientHello behind the aborting record used to be answered
-    # on the closed connection, raising TransportError out of the run.
-    conn, received = probe_dot_listener(
-        first + record("CLIENT_HELLO", b"\x01" * 64))
+    # on the closed connection, raising TransportError out of the run.  A
+    # record of unknown type ahead of the abort is dropped and counted.
+    with obs.capture() as observed:
+        conn, received = probe_dot_listener(
+            first + record("CLIENT_HELLO", b"\x01" * 64))
+        snapshot = observed.metrics.snapshot()
     assert received == record("ALERT", reason)
     assert conn.state is ConnectionState.CLOSED
+    assert snapshot.counter("tls.aborts", side="server") == 1
+    assert snapshot.counter_total("tls.aborts") == 1
+    assert snapshot.counter("tls.malformed", site="record") == malformed
+    assert snapshot.counter_total("tls.malformed") == malformed
 
 
 def test_a_repeated_client_hello_aborts_the_server_channel():
