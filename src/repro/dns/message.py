@@ -7,6 +7,12 @@ class + TTL + RDLENGTH + 4 address bytes) and an 11-byte EDNS OPT record.
 :func:`max_a_records_for_payload` inverts that layout to compute how many A
 records fit under a payload budget — the paper's "up to 89 for a single
 non-fragmented DNS response".
+
+The codec is memoized process-wide on everything but the transaction id (a
+sweep's stack columns replay the same seeded world), in two LRU caches of
+4096 entries: :func:`_decoded_fields` and :func:`_encoded_body`.  A failure
+raises before it can be stored, so garbage raises on every call and every
+drop is counted.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .records import (
@@ -149,13 +156,11 @@ class DNSMessage:
                       edns_payload: int = 4096) -> DNSMessage:
         """Build a response to this query, echoing id and question.
 
-        Copies this (already validated) query, except its memoised wire
-        form, and sets the response fields.
+        Copies this (already validated) query and sets the response fields.
         """
         response = object.__new__(type(self))
         state = response.__dict__
         state.update(self.__dict__)
-        state.pop("_wire", None)
         state.update(is_response=True, answers=tuple(answers), authority=(),
                      additional=(opt_record(edns_payload),) if edns_payload else (),
                      rcode=rcode, authoritative=authoritative, recursion_available=True)
@@ -196,35 +201,12 @@ class DNSMessage:
     def encode(self) -> bytes:
         """Serialise to wire bytes with name compression.
 
-        The wire form is memoised on the instance: the message is frozen, so
-        its bytes never change, and attack hot paths (spoofed-response
-        bursts, repeated hijack answers) encode the same message many times.
+        The bytes after the transaction id come from :func:`_encoded_body`,
+        a 4096-entry LRU keyed on every other field the encoder reads.
         """
-        cached = self.__dict__.get("_wire")
-        if cached is not None:
-            return cached
-        question = self.question
-        try:
-            out = bytearray(_HEADER.pack(self.transaction_id, self.flags(), 1, len(self.answers),
-                                         len(self.authority), len(self.additional)))
-            compression: dict = {}
-            name = encode_name(question.name, compression, DNS_HEADER_SIZE)
-            if self.case_nonce:
-                # The compression map is keyed on the canonical lower-case
-                # name; only the emitted bytes change case, so pointers
-                # still resolve.
-                name = apply_case_pattern(name, self.case_nonce)
-            out += name
-            out += _QUESTION_TAIL.pack(question.qtype, question.qclass)
-        except struct.error as exc:
-            raise WireFormatError(f"header field out of range: {exc}") from None
-        if self.cookie is not None:
-            out += self.cookie.to_bytes(COOKIE_SIZE, "big")
-        out += encode_records(self.answers + self.authority + self.additional, compression,
-                              len(out))
-        wire = bytes(out)
-        object.__setattr__(self, "_wire", wire)
-        return wire
+        return self.transaction_id.to_bytes(2, "big") + _encoded_body(
+            self.flags(), self.question, self.cookie, self.case_nonce,
+            self.answers, self.authority, self.additional)
 
     @property
     def wire_size(self) -> int:
@@ -233,53 +215,84 @@ class DNSMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> DNSMessage:
-        """Parse wire bytes back into a message (single-question only)."""
-        try:
-            transaction_id, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data)
-        except struct.error:
-            raise WireFormatError("truncated DNS header") from None
-        if qdcount != 1:
-            raise WireFormatError(f"unsupported question count: {qdcount}")
-        qname, offset = decode_name(data, DNS_HEADER_SIZE)
-        nonce, _ = extract_case_pattern(data[DNS_HEADER_SIZE:offset])
-        try:
-            qtype, qclass = _QUESTION_TAIL.unpack_from(data, offset)
-        except struct.error:
-            raise WireFormatError("truncated question") from None
-        offset += 4
-        rcode = _RESPONSE_CODES.get(flags & 0x000F)
-        if rcode is None:
-            raise WireFormatError(f"unknown response code {flags & 0x000F}")
-        cookie: Optional[int] = None
-        if flags & COOKIE_FLAG:
-            if offset + COOKIE_SIZE > len(data):
-                raise WireFormatError("truncated cookie block")
-            cookie = int.from_bytes(data[offset:offset + COOKIE_SIZE], "big")
-            offset += COOKIE_SIZE
-        question = Question(name=qname, qtype=record_type(qtype), qclass=qclass)
-        # Answers point back at the question name: seed the owner-name table
-        # with it so that none of them decodes a name at all.
-        owners = {DNS_HEADER_SIZE: question.name}
-        answers, offset = decode_records(data, offset, ancount, owners)
-        authority, offset = decode_records(data, offset, nscount, owners)
-        additional, _ = decode_records(data, offset, arcount, owners)
-        return cls(
-            transaction_id=transaction_id,
-            question=question,
-            is_response=bool(flags & 0x8000),
-            answers=answers,
-            authority=authority,
-            additional=additional,
-            rcode=rcode,
-            recursion_desired=bool(flags & 0x0100),
-            recursion_available=bool(flags & 0x0080),
-            authoritative=bool(flags & 0x0400),
-            truncated=bool(flags & 0x0200),
-            cookie=cookie,
-            # All-lowercase decodes to None so that cookie-less, case-less
-            # messages round-trip to objects equal to their originals.
-            case_nonce=nonce or None,
-        )
+        """Parse wire bytes back into a message (single-question only).
+
+        Each call returns a fresh instance: the id read from ``data``, the
+        other fields copied from :func:`_decoded_fields` of the bytes after it
+        (a 4096-entry LRU; a failure raises, so it is never stored).
+        """
+        message = object.__new__(cls)
+        message.__dict__.update(transaction_id=int.from_bytes(data[:2], "big"),
+                                **_decoded_fields(data[2:]))
+        return message
+
+
+@lru_cache(maxsize=4096)
+def _encoded_body(flags, question, cookie, case_nonce, answers, authority, additional) -> bytes:
+    """A message's wire after its transaction id.  Memoizing it is exact:
+    record equality covers every field the record encoder reads."""
+    try:
+        out = bytearray(_HEADER.pack(0, flags, 1, len(answers), len(authority), len(additional)))
+        compression: dict = {}
+        name = encode_name(question.name, compression, DNS_HEADER_SIZE)
+        if case_nonce:
+            # The compression map is keyed on the canonical lower-case name;
+            # only the emitted bytes change case, so pointers still resolve.
+            name = apply_case_pattern(name, case_nonce)
+        out += name
+        out += _QUESTION_TAIL.pack(question.qtype, question.qclass)
+    except struct.error as exc:
+        raise WireFormatError(f"header field out of range: {exc}") from None
+    if cookie is not None:
+        out += cookie.to_bytes(COOKIE_SIZE, "big")
+    out += encode_records(answers + authority + additional, compression, len(out))
+    return bytes(out[2:])
+
+
+@lru_cache(maxsize=4096)
+def _decoded_fields(body: bytes) -> dict:
+    """The fields of a message whose wire after its transaction id is ``body``.
+    Only ever copied into a fresh instance, so the cached dict never changes."""
+    data = b"\0\0" + body
+    try:
+        _, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data)
+    except struct.error:
+        raise WireFormatError("truncated DNS header") from None
+    if qdcount != 1:
+        raise WireFormatError(f"unsupported question count: {qdcount}")
+    qname, offset = decode_name(data, DNS_HEADER_SIZE)
+    nonce, _ = extract_case_pattern(data[DNS_HEADER_SIZE:offset])
+    try:
+        qtype, qclass = _QUESTION_TAIL.unpack_from(data, offset)
+    except struct.error:
+        raise WireFormatError("truncated question") from None
+    offset += 4
+    rcode = _RESPONSE_CODES.get(flags & 0x000F)
+    if rcode is None:
+        raise WireFormatError(f"unknown response code {flags & 0x000F}")
+    cookie: Optional[int] = None
+    if flags & COOKIE_FLAG:
+        if offset + COOKIE_SIZE > len(data):
+            raise WireFormatError("truncated cookie block")
+        cookie = int.from_bytes(data[offset:offset + COOKIE_SIZE], "big")
+        offset += COOKIE_SIZE
+    question = Question(name=qname, qtype=record_type(qtype), qclass=qclass)
+    # Answers point back at the question name: seed the owner-name table
+    # with it so that none of them decodes a name at all.
+    owners = {DNS_HEADER_SIZE: question.name}
+    answers, offset = decode_records(data, offset, ancount, owners)
+    authority, offset = decode_records(data, offset, nscount, owners)
+    additional, _ = decode_records(data, offset, arcount, owners)
+    # In field order, laid out as the constructor lays out ``__dict__``.
+    return dict(question=question, is_response=bool(flags & 0x8000), answers=answers,
+                authority=authority, additional=additional, rcode=rcode,
+                recursion_desired=bool(flags & 0x0100),
+                recursion_available=bool(flags & 0x0080),
+                authoritative=bool(flags & 0x0400), truncated=bool(flags & 0x0200),
+                dnssec_ok=False, cookie=cookie,
+                # All-lowercase decodes to None so that cookie-less, case-less
+                # messages round-trip to objects equal to their originals.
+                case_nonce=nonce or None)
 
 
 def response_size_for_a_records(qname: str, record_count: int, with_edns: bool = True) -> int:

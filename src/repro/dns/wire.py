@@ -114,7 +114,8 @@ def decode_name(data: bytes, offset: int) -> tuple[str, int]:
 
     Returns ``(name, next_offset)`` where ``next_offset`` is the offset just
     past the name *in the original position* (pointers do not advance it
-    beyond the 2 pointer bytes).
+    beyond the 2 pointer bytes).  A name :func:`encode_name` rejects (an empty
+    label, over 255 bytes) is malformed, so a decoded message re-encodes.
     """
     labels: list[bytes] = []
     position = offset
@@ -149,9 +150,11 @@ def decode_name(data: bytes, offset: int) -> tuple[str, int]:
         labels.append(data[position:position + length])
         position += length
     try:
-        return b".".join(labels).decode("ascii"), next_offset
+        name = b".".join(labels).decode("ascii")
     except UnicodeDecodeError:
         raise WireFormatError("non-ASCII byte in name") from None
+    _validated_labels(normalise_name(name))
+    return name, next_offset
 
 
 def apply_case_pattern(name_bytes: bytes, nonce: int) -> bytes:

@@ -10,19 +10,35 @@ live codec must
 * decode the reference's wire to an equal object, which re-encodes to the
   same bytes, and
 * on mutated or truncated wire, raise exactly :class:`WireFormatError`
-  whenever the reference raised anything, and otherwise agree with it.
+  whenever the reference raised anything, and otherwise agree with it —
+  except that the live decoder also rejects a name the encoder would
+  reject, which the reference decoded.
+
+The codec memo is gated here too: one body under many transaction ids,
+fresh instances per decode, garbage raising on every call, bounded caches
+and the pinned grid digest with the memo cold and warm.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import _reference_codec as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dns.message import DNSMessage, Question, ResponseCode
+from repro.dns.message import (
+    DNSMessage,
+    Question,
+    ResponseCode,
+    _decoded_fields,
+    _encoded_body,
+)
 from repro.dns.records import RecordType, ResourceRecord, a_record
 from repro.dns.wire import WireFormatError
+from repro.experiments.matrix import run_defense_matrix
+from repro.experiments.pins import FULL_GRID_DIGEST
 
 # -- strategies ----------------------------------------------------------------
 
@@ -177,7 +193,58 @@ def test_mutated_wire_fails_exactly_where_the_reference_failed(spec, data):
         else:
             mutated[position] ^= 0x20  # flips the case of a letter, keeps it decodable
     cut = data.draw(st.integers(min_value=0, max_value=len(mutated)))
-    assert_same_decoding(bytes(mutated[:cut]))
+    wire = bytes(mutated[:cut])
+    ref_kind, ref_message = outcome(lambda: ref.DNSMessage.decode(wire))
+    if ref_kind == "ok" and unencodable_names(ref_message):
+        assert_rejects_unencodable_name(wire)
+    else:
+        assert_same_decoding(wire)
+
+
+def unencodable_names(message) -> list[str]:
+    """The names of a reference-decoded message that ``name_to_labels`` rejects."""
+    names = [message.question.name]
+    for rr in message.answers + message.authority + message.additional:
+        names.append(rr.name)
+        if rr.rtype in (ref.RecordType.NS, ref.RecordType.CNAME):
+            names.append(rr.rdata)
+    rejected = []
+    for name in names:
+        try:
+            ref.name_to_labels(name)
+        except ref.WireFormatError:  # noqa: PERF203 - one verdict per name
+            rejected.append(name)
+    return rejected
+
+
+def assert_rejects_unencodable_name(wire: bytes) -> None:
+    """The one accepted divergence: the reference decodes a name its own
+    encoder rejects; the live decoder raises :class:`WireFormatError`."""
+    with pytest.raises(WireFormatError):
+        DNSMessage.decode(wire)
+    with pytest.raises(ref.WireFormatError):
+        ref.DNSMessage.decode(wire).encode()
+
+
+def _query_naming(raw_name: bytes) -> bytes:
+    return ref.DNSMessage.query(7, "a", edns_payload=0).encode()[:12] + raw_name + b"\0\1\0\1"
+
+
+UNENCODABLE_NAME_WIRES = {
+    "name-over-255-bytes": _query_naming(b"".join(b"\x3f" + b"a" * 63 for _ in range(5))
+                                         + b"\x00"),
+    "dot-inside-a-label": _query_naming(b"\x02a.\x03org\x00"),
+    "dot-inside-ns-rdata": ref.DNSMessage.query(7, "ntp.org", edns_payload=0).make_response(
+        [ref.ResourceRecord("ntp.org", ref.RecordType.NS, 60, "ab.org")], edns_payload=0,
+    ).encode().replace(b"\x02ab\x03org", b"\x02a.\x03org"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNENCODABLE_NAME_WIRES))
+def test_name_the_encoder_rejects_is_malformed_where_the_reference_decoded_it(name):
+    wire = UNENCODABLE_NAME_WIRES[name]
+    assert unencodable_names(ref.DNSMessage.decode(wire))
+    assert_rejects_unencodable_name(wire)
 
 
 def _non_canonical_wires() -> dict[str, bytes]:
@@ -224,3 +291,88 @@ def test_wire_ttl_edges_decode_like_the_reference(ttl):
     assert_same_decoding(wire)
     if ttl < 2 ** 31:
         assert DNSMessage.decode(wire).answers[0].ttl == ttl
+
+
+# -- the codec memo ----------------------------------------------------------------
+
+transaction_ids = st.lists(st.integers(min_value=0, max_value=0xFFFF), min_size=2, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=messages(), ids=transaction_ids)
+def test_one_body_decodes_like_the_reference_under_every_transaction_id(spec, ids):
+    kind, wire = outcome(build("ref", spec).encode)
+    if kind == "raised":
+        return
+    decoded = []
+    for transaction_id in ids:
+        variant = transaction_id.to_bytes(2, "big") + wire[2:]
+        live = DNSMessage.decode(variant)
+        assert live.transaction_id == transaction_id
+        assert canon(live) == canon(ref.DNSMessage.decode(variant))
+        decoded.append(live)
+    assert len({id(message) for message in decoded}) == len(decoded)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=messages())
+def test_decoded_instances_are_fresh_and_encoding_one_changes_no_later_decode(spec):
+    kind, wire = outcome(build("ref", spec).encode)
+    if kind == "raised":
+        return
+    first = DNSMessage.decode(wire)
+    state = dict(vars(first))
+    # Laid out as the constructor would have: every field, in field order.
+    assert list(state) == [field.name for field in fields(DNSMessage)]
+    assert first.encode() == wire
+    second = DNSMessage.decode(wire)
+    assert second is not first
+    assert vars(first) == state and vars(second) == state
+    assert list(vars(second)) == list(state)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=messages(), ids=transaction_ids)
+def test_messages_equal_but_for_their_id_encode_like_the_reference(spec, ids):
+    for transaction_id in ids:
+        variant = dict(spec, transaction_id=transaction_id)
+        assert_same_encoding(build("live", variant), build("ref", variant))
+
+
+GARBAGE = {
+    "empty": b"",
+    "one-byte": b"\x07",
+    "short-header": b"\x12\x34\x01\x00\x00",
+    "trailing-junk-name": DNSMessage.query(7, "pool.ntp.org").encode()[:14] + b"\xff\xfe",
+    **UNENCODABLE_NAME_WIRES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GARBAGE))
+def test_garbage_raises_on_every_call_and_is_never_cached(name):
+    before = _decoded_fields.cache_info()
+    for _ in range(3):
+        with pytest.raises(WireFormatError):
+            DNSMessage.decode(GARBAGE[name])
+    after = _decoded_fields.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 3)
+    assert after.currsize == before.currsize
+
+
+def test_codec_memos_stay_bounded():
+    bound = _decoded_fields.cache_info().maxsize
+    assert bound == _encoded_body.cache_info().maxsize == 4096
+    for cookie in range(bound + 50):
+        DNSMessage.decode(DNSMessage.query(cookie & 0xFFFF, "pool.ntp.org", cookie=cookie).encode())
+    for memo in (_decoded_fields, _encoded_body):
+        assert memo.cache_info().currsize == bound
+
+
+def test_pinned_grid_digest_with_the_codec_memo_cold_then_warm():
+    _decoded_fields.cache_clear()
+    _encoded_body.cache_clear()
+    cold = run_defense_matrix(seeds=(1, 2), workers=1).digest()
+    warm_hits = _decoded_fields.cache_info().hits
+    warm = run_defense_matrix(seeds=(1, 2), workers=1).digest()
+    assert cold == warm == FULL_GRID_DIGEST
+    assert _decoded_fields.cache_info().hits > warm_hits

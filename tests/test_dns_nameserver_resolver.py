@@ -152,16 +152,20 @@ def test_malformed_datagrams_are_dropped_and_counted():
         answers = []
         client.dns.lookup("pool.ntp.org", answers.append)
         garbage = DNSMessage.query(7, "pool.ntp.org").encode()[:14] + b"\xff\xfe"
-        for target in (resolver.address, nameserver.address):
-            network.send_datagram(UDPDatagram("198.51.100.9", target, 33333, DNS_PORT, garbage))
-        network.send_datagram(UDPDatagram("198.51.100.9", client.address, DNS_PORT, 33333,
-                                          garbage))
+        # Three identical copies count three times: the codec memo must
+        # never store a failure.
+        for _ in range(3):
+            for target in (resolver.address, nameserver.address):
+                network.send_datagram(UDPDatagram("198.51.100.9", target, 33333, DNS_PORT,
+                                                  garbage))
+            network.send_datagram(UDPDatagram("198.51.100.9", client.address, DNS_PORT, 33333,
+                                              garbage))
         simulator.run(until=5.0)
         snapshot = ob.metrics.snapshot()
     assert len(answers) == 1 and len(answers[0]) == 4  # the real lookup still resolves
     for site in ("resolver", "nameserver", "stub"):
-        assert snapshot.counter("dns.malformed", site=site) == 1
-    assert snapshot.counter_total("dns.malformed") == 3
+        assert snapshot.counter("dns.malformed", site=site) == 3
+    assert snapshot.counter_total("dns.malformed") == 9
 
 
 def test_resolver_timeout_reports_failure_to_client():
