@@ -57,7 +57,7 @@ class PoolAttackConfig:
     malicious_ttl: int = 2 * 86400
     #: Chronos algorithm parameters.
     chronos: ChronosConfig = field(default_factory=ChronosConfig)
-    #: Pool-generation policy (enable the §V mitigations here).
+    #: Pool-generation policy (the §V mitigations are ``defenses``).
     pool_policy: PoolGenerationPolicy = field(default_factory=PoolGenerationPolicy)
     #: Extra countermeasures (registry names and/or instances) stacked on the
     #: resolver, the pool generation and the NTP sampling.

@@ -14,19 +14,19 @@ that a single success is enough when the poisoned response
 * has a TTL longer than the remaining generation window, so every later
   hourly query is answered from cache and adds no further benign servers.
 
-:class:`PoolGenerationPolicy` also exposes the two §V mitigations (cap the
-number of accepted addresses per response, reject high TTLs) so their
-effect can be measured.
+The two §V mitigations (cap the number of accepted addresses per response,
+reject high TTLs) are the ``address_cap`` and ``ttl_discard`` defenses of
+:mod:`repro.defenses.pool`; they act on the pool through the experiment's
+defense stack, like every other pool-side countermeasure.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
-from ..defenses.base import HIGH_TTL_REASON, PoolAcceptContext
-from ..defenses.pool import pool_policy_defenses
+from ..defenses.base import PoolAcceptContext
 from ..defenses.stack import DefenseStack
 from ..dns.message import DNSMessage
 from ..dns.records import RecordType
@@ -37,10 +37,22 @@ DEFAULT_QUERY_COUNT = 24
 #: Interval between pool-generation queries (one hour).
 DEFAULT_QUERY_INTERVAL = 3600.0
 
+#: The retired §V pool knobs of the ``chronos_pool_attack`` and
+#: ``population_sweep`` scenarios, now the ``address_cap`` and ``ttl_discard``
+#: defenses.  Pinned digests hash resolved params, so the keys stay at ``None``.
+RETIRED_POOL_PARAMS = ("max_addresses_per_response", "max_accepted_ttl")
+
+
+def reject_retired_pool_params(p: Mapping[str, Any]) -> None:
+    """Raise :class:`ValueError` if resolved params set a retired pool knob."""
+    if any(p[name] is not None for name in RETIRED_POOL_PARAMS):
+        raise ValueError(f"{RETIRED_POOL_PARAMS} are retired: pass the §V mitigations "
+                         "as defenses ('address_cap', 'ttl_discard')")
+
 
 @dataclass(frozen=True)
 class PoolGenerationPolicy:
-    """Knobs of the pool-generation procedure and its §V mitigations."""
+    """Knobs of the pool-generation procedure (its §V mitigations are defenses)."""
 
     #: Total number of DNS queries (the paper and NDSS'18 use 24).
     query_count: int = DEFAULT_QUERY_COUNT
@@ -49,12 +61,6 @@ class PoolGenerationPolicy:
     #: Keep only unique addresses (the Chronos design de-duplicates; the
     #: paper's 44-vs-89 arithmetic counts addresses, so both are supported).
     dedupe: bool = True
-    #: Mitigation 1 (§V): accept at most this many addresses from a single
-    #: response (``None`` disables the cap; the paper recommends 4).
-    max_addresses_per_response: Optional[int] = None
-    #: Mitigation 2 (§V): discard responses whose minimum TTL exceeds this
-    #: many seconds (``None`` disables the check).
-    max_accepted_ttl: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.query_count < 1:
@@ -72,7 +78,8 @@ class PoolQueryRecord:
     addresses: list[str] = field(default_factory=list)
     accepted_addresses: list[str] = field(default_factory=list)
     min_ttl: Optional[int] = None
-    rejected_high_ttl: bool = False
+    #: The defense that discarded the whole response, if one did.
+    rejected_by: Optional[str] = None
     failed: bool = False
 
 
@@ -124,11 +131,9 @@ PoolCallback = Callable[[GeneratedPool], None]
 class ChronosPoolGenerator:
     """Runs the 24-hourly-query pool generation over a host's DNS stub.
 
-    Response acceptance is a defense pipeline: the experiment's configured
-    stack first (so cross-checking defenses see the raw response), then the
-    policy's §V mitigation knobs — which are materialised as the *same*
-    :class:`~repro.defenses.base.Defense` classes, keeping the analytic
-    mitigation table and the packet-level simulation on one definition.
+    What each response contributes passes the experiment's defense stack
+    (``on_pool_accept``, in stack order) — the one place the §V mitigations
+    and every other pool-side countermeasure act.
     """
 
     def __init__(self, dns: DNSStub, hostname: str = "pool.ntp.org",
@@ -138,7 +143,6 @@ class ChronosPoolGenerator:
         self.hostname = hostname
         self.policy = policy or PoolGenerationPolicy()
         self.defenses = defenses
-        self._policy_defenses = DefenseStack(pool_policy_defenses(self.policy))
         self.queries: list[PoolQueryRecord] = []
         self._servers: list[str] = []
         self._seen = set()
@@ -184,9 +188,7 @@ class ChronosPoolGenerator:
                                         response=response)
             if self.defenses is not None:
                 self.defenses.on_pool_accept(context)
-            if context.rejected_by is None:
-                self._policy_defenses.on_pool_accept(context)
-            record.rejected_high_ttl = context.rejected_reason == HIGH_TTL_REASON
+            record.rejected_by = context.rejected_by
             record.accepted_addresses = list(context.addresses)
             self._absorb(record.accepted_addresses)
         next_index = index + 1

@@ -27,8 +27,10 @@ The built-in defenses span both protocol layers:
 ``dns_cookies``           RFC 7873-style cookie echo verification
 ``pmtu_floor``            nameserver refuses to fragment responses
 ``response_signing``      DNSSEC-style RRset signing + validation
-``address_cap``           §V mitigation 1: ≤4 addresses per response (pool)
-``ttl_discard``           §V mitigation 2: discard high-TTL responses (pool)
+``address_cap``           §V mitigation 1: ≤4 addresses per response (pool;
+                          the fleet engine's closed form accepts it too)
+``ttl_discard``           §V mitigation 2: discard high-TTL responses (pool;
+                          the fleet engine's closed form accepts it too)
 ``multi_vantage``         cross-check responses/pool/samples against vantage
                           observations of the zone profile and true time
 ``encrypted_transport``   strict DNS-over-TLS upstream (fail closed)
@@ -39,13 +41,7 @@ The built-in defenses span both protocol layers:
 ========================  =====================================================
 """
 
-from .base import (
-    HIGH_TTL_REASON,
-    Defense,
-    PoolAcceptContext,
-    QueryContext,
-    ResponseContext,
-)
+from .base import Defense, PoolAcceptContext, QueryContext, ResponseContext
 from .classic import (
     CacheTTLCap,
     FragmentedResponseRejection,
@@ -55,12 +51,7 @@ from .classic import (
     ResponseRecordCap,
 )
 from .hardening import DNS0x20Encoding, DNSCookies, PMTUFloor, ResponseSigning
-from .pool import (
-    HighTTLDiscard,
-    MultiVantageCrossCheck,
-    PerResponseAddressCap,
-    pool_policy_defenses,
-)
+from .pool import HighTTLDiscard, MultiVantageCrossCheck, PerResponseAddressCap
 from .registry import available_defenses, build_defense, register_defense
 from .stack import DefenseSpec, DefenseStack
 from .transport import (
@@ -70,7 +61,6 @@ from .transport import (
 )
 
 __all__ = [
-    "HIGH_TTL_REASON",
     "Defense",
     "PoolAcceptContext",
     "QueryContext",
@@ -88,7 +78,6 @@ __all__ = [
     "HighTTLDiscard",
     "MultiVantageCrossCheck",
     "PerResponseAddressCap",
-    "pool_policy_defenses",
     "available_defenses",
     "build_defense",
     "register_defense",

@@ -81,11 +81,6 @@ class ResponseContext:
     answers: list[ResourceRecord]
 
 
-#: Reason string used by high-TTL discards; the pool generator translates it
-#: into the ``rejected_high_ttl`` flag of its per-query record.
-HIGH_TTL_REASON = "high-ttl"
-
-
 @dataclass
 class PoolAcceptContext:
     """One pool-generation response on its way into the Chronos pool."""

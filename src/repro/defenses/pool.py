@@ -2,11 +2,11 @@
 
 The paper's §V proposes two changes to Chronos' pool generation — accept at
 most 4 addresses from any single DNS response, and discard responses whose
-TTL is suspiciously high.  Both are :class:`Defense` instances here, and the
-legacy :class:`~repro.core.pool_generation.PoolGenerationPolicy` knobs are
-translated into the *same* instances by :func:`pool_policy_defenses`, so the
-analytic mitigation table and the packet-level simulation share one
-definition of each mitigation.
+TTL is suspiciously high.  Each is one :class:`Defense` here, switched on by
+its registry name (``address_cap``, ``ttl_discard``) or passed as a
+parameterised instance.  The packet-level pool generator and the fleet's
+closed form (:meth:`repro.population.batch.FleetPolicy.accepted`) run the
+same instances, so both engines share one definition of each mitigation.
 
 :class:`MultiVantageCrossCheck` goes further than §V: it validates responses
 (and pool admissions, and NTP samples) against what independent vantage
@@ -22,11 +22,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..dns.records import RecordType
-from .base import HIGH_TTL_REASON, Defense, PoolAcceptContext, ResponseContext
+from .base import Defense, PoolAcceptContext, ResponseContext
 from .registry import register_defense
 
 if TYPE_CHECKING:
-    from ..core.pool_generation import PoolGenerationPolicy
     from ..experiments.testbed import Testbed
     from ..ntp.query import TimeSample
 
@@ -60,7 +59,7 @@ class HighTTLDiscard(Defense):
 
     def on_pool_accept(self, ctx: PoolAcceptContext) -> None:
         if ctx.min_ttl is not None and ctx.min_ttl > self.max_ttl:
-            ctx.discard(self.name, HIGH_TTL_REASON)
+            ctx.discard(self.name, "high-ttl")
 
 
 @register_defense
@@ -142,16 +141,3 @@ class MultiVantageCrossCheck(Defense):
                     f"vantage reference clocks")
         return None
 
-
-def pool_policy_defenses(policy: PoolGenerationPolicy) -> list[Defense]:
-    """The defense instances equivalent to a policy's §V mitigation knobs.
-
-    TTL discard runs before the address cap, preserving the acceptance
-    order of the pre-refactor pool generator.
-    """
-    defenses: list[Defense] = []
-    if policy.max_accepted_ttl is not None:
-        defenses.append(HighTTLDiscard(policy.max_accepted_ttl))
-    if policy.max_addresses_per_response is not None:
-        defenses.append(PerResponseAddressCap(policy.max_addresses_per_response))
-    return defenses

@@ -53,13 +53,6 @@ class DefenseStack:
     def names(self) -> tuple[str, ...]:
         return tuple(defense.name for defense in self.defenses)
 
-    def has(self, name: str) -> bool:
-        return name in self.names
-
-    def extended(self, defenses: Iterable[Defense]) -> DefenseStack:
-        """A new stack with ``defenses`` appended (rejection counters fresh)."""
-        return DefenseStack([*self.defenses, *defenses])
-
     # -- lifecycle dispatch -----------------------------------------------------
     def configure_testbed(self, config: TestbedConfig) -> None:
         for defense in self.defenses:

@@ -55,15 +55,13 @@ class CacheStats:
 class DNSCache:
     """A per-resolver cache keyed by (normalised name, record type).
 
-    ``max_ttl`` models the TTL cap some resolvers apply (and one of the
-    mitigations §V discusses for Chronos itself — a cap below 24 h removes
-    the "answer everything from cache" amplification).
+    An entry lives for the minimum TTL of its records.  A resolver-side TTL
+    cap (a §V direction: below 24 h it ends the "answer everything from
+    cache" amplification) is the ``cache_ttl_cap`` defense, which rewrites
+    the TTLs before they are cached.
     """
 
-    def __init__(self, max_ttl: Optional[int] = None, min_ttl: int = 0,
-                 serve_stale_window: float = 0.0) -> None:
-        self.max_ttl = max_ttl
-        self.min_ttl = min_ttl
+    def __init__(self, serve_stale_window: float = 0.0) -> None:
         #: RFC 8767: how long past expiry an entry remains retrievable via
         #: :meth:`lookup_stale` (0 = classic immediate-eviction behaviour).
         self.serve_stale_window = serve_stale_window
@@ -80,14 +78,11 @@ class DNSCache:
                now: float, poisoned: bool = False) -> CacheEntry:
         """Cache the records of one response under (name, rtype).
 
-        The entry TTL is the minimum record TTL, clamped to [min_ttl, max_ttl].
+        The entry TTL is the minimum record TTL.
         """
         if not records:
             raise ValueError("cannot cache an empty record set")
         ttl = min(record.ttl for record in records)
-        if self.max_ttl is not None:
-            ttl = min(ttl, self.max_ttl)
-        ttl = max(ttl, self.min_ttl)
         entry = CacheEntry(records=list(records), inserted_at=now, ttl=ttl, poisoned=poisoned)
         self._entries[self._key(name, rtype)] = entry
         self.stats.insertions += 1

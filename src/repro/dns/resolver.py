@@ -85,9 +85,6 @@ class ResolverPolicy:
 
     #: Randomise the resolver's source port per query (RFC 5452).
     randomise_source_port: bool = True
-    #: Cap applied to TTLs of cached entries (None = no cap).  A cap below
-    #: 24 h is one of the §V mitigations.
-    max_cache_ttl: Optional[int] = None
     #: Whether this resolver answers queries from any client (an "open
     #: resolver"), which is one of the query-triggering avenues in §II.
     open_resolver: bool = False
@@ -140,11 +137,8 @@ class RecursiveResolver(Host):
         #: zone suffix (normalised) -> authoritative nameserver address
         self.nameserver_map = {normalise_name(zone): ns for zone, ns in nameserver_map.items()}
         self.policy = policy or ResolverPolicy()
-        self.cache = DNSCache(
-            max_ttl=self.policy.max_cache_ttl,
-            serve_stale_window=(self.policy.serve_stale_window
-                                if self.policy.serve_stale else 0.0),
-        )
+        self.cache = DNSCache(serve_stale_window=(self.policy.serve_stale_window
+                                                  if self.policy.serve_stale else 0.0))
         self.allowed_clients = set(allowed_clients) if allowed_clients else None
         randomised = ([RandomTransactionID(), RandomSourcePort()]
                       if self.policy.randomise_source_port else [])

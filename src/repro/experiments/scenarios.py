@@ -34,7 +34,11 @@ from ..attacks.bgp_hijack import BGPHijackConfig, BGPHijackScenario
 from ..attacks.chronos_pool_attack import ChronosPoolAttackScenario, PoolAttackConfig
 from ..attacks.downgrade import DowngradeConfig, DowngradeScenario
 from ..attacks.frag_poisoning import FragPoisoningConfig, FragPoisoningScenario
-from ..core.pool_generation import PoolGenerationPolicy
+from ..core.pool_generation import (
+    RETIRED_POOL_PARAMS,
+    PoolGenerationPolicy,
+    reject_retired_pool_params,
+)
 from ..defenses.stack import DefenseStack
 from ..defenses.transport import EncryptedTransport
 from ..dns.records import RecordType
@@ -48,7 +52,7 @@ from .testbed import Testbed, TestbedConfig, build_testbed
 ATTACK_OPTIONAL_PARAMS: tuple[str, ...] = ("faults",)
 
 #: The :class:`PoolGenerationPolicy` fields the pool-attack adapter exposes.
-POOL_POLICY_PARAMS = ("dedupe", "max_addresses_per_response", "max_accepted_ttl")
+POOL_POLICY_PARAMS = ("dedupe",)
 
 
 def field_defaults(config_class: type, names: tuple[str, ...]) -> dict[str, Any]:
@@ -128,6 +132,7 @@ class ChronosPoolAttackExperiment(AttackAdapter):
     overrides = {"poison_at_query": 3}
     run_params = {
         **field_defaults(PoolGenerationPolicy, POOL_POLICY_PARAMS),
+        **dict.fromkeys(RETIRED_POOL_PARAMS),
         "run_time_shift": True,
         "target_shift": 600.0,
         "update_rounds": 5,
@@ -135,6 +140,7 @@ class ChronosPoolAttackExperiment(AttackAdapter):
 
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
         p = self.resolve(params)
+        reject_retired_pool_params(p)
         policy = PoolGenerationPolicy(**{name: p[name] for name in POOL_POLICY_PARAMS})
         scenario = ChronosPoolAttackScenario(self.build_config(seed, p, pool_policy=policy))
         pool = scenario.run_pool_generation()

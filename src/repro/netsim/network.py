@@ -103,9 +103,12 @@ class Host:
         if packet.protocol == PROTO_TCP:
             # Stream transports bypass the defragmentation path entirely:
             # segments are MSS-sized and never fragment.  Hosts with no TCP
-            # stack drop segments silently (no RST — see netsim.transport).
+            # stack drop segments without a RST (see netsim.transport).
             if self._tcp is not None:
                 self._tcp.handle_packet(packet)
+            elif self.network.simulator.obs.enabled:
+                self.network.simulator.obs.metrics.counter(
+                    "tcp.dropped", reason="no_stack").inc()
             return
         obs = self.network.simulator.obs
         result = self.reassembly.add_fragment(packet, self.network.simulator.now)

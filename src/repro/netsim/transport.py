@@ -403,7 +403,10 @@ class Listener:
     def handle_syn(self, src_ip: str, segment: TCPSegment) -> None:
         key = (src_ip, segment.src_port, self.port)
         if key in self.stack.connections:
-            return  # duplicate SYN for an in-progress or established flow
+            # A duplicate SYN for an in-progress or established flow.
+            if self.stack.obs.enabled:
+                self.stack.obs.metrics.counter("tcp.dropped", reason="duplicate_syn").inc()
+            return
         if len(self.half_open) >= self.backlog:
             self.syns_dropped += 1
             self.stack.syns_dropped += 1
@@ -569,7 +572,9 @@ class TCPStack:
         if (listener is not None and segment.flags & FLAG_SYN
                 and not segment.flags & FLAG_ACK):
             listener.handle_syn(packet.src_ip, segment)
-        # Anything else is dropped silently (see module docstring).
+        elif self.obs.enabled:
+            # Anything else is dropped without a RST (see module docstring).
+            self.obs.metrics.counter("tcp.dropped", reason="no_flow").inc()
 
     def promote(self, connection: Connection) -> None:
         if self.obs.enabled:

@@ -9,11 +9,11 @@ Two pieces of the packet-level model vectorize exactly:
   the poisoned query contributes the attacker records, and every later query
   within the malicious TTL is a cache hit that re-delivers (and re-absorbs)
   the same records.  :func:`batch_pool_composition` evaluates that form for a
-  whole population at once, including the §V mitigations (address cap, TTL
-  discard) and the TTL-expiry regime.  The deduplicating mode is the one
-  place the batch layer is *approximate* (an expected-distinct estimate);
-  the equivalence gate therefore runs ``dedupe=False``, where the closed
-  form is packet-exact.
+  whole population at once, including the TTL-expiry regime and the §V
+  defenses the packet pool generator runs (:meth:`FleetPolicy.accepted`).
+  The deduplicating mode is the one place the batch layer is *approximate*
+  (an expected-distinct estimate); the equivalence gate therefore runs
+  ``dedupe=False``, where the closed form is packet-exact.
 
 * **Selection.**  :func:`batch_chronos_select` applies the Chronos rule to a
   batch of offset rows.  Trimming and the spread check are pure order
@@ -28,17 +28,25 @@ Two pieces of the packet-level model vectorize exactly:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from statistics import mean
 from typing import Any, Optional
 
 from ..core.selection import ChronosConfig, SelectionStatus
+from ..defenses.base import PoolAcceptContext
+from ..defenses.pool import HighTTLDiscard, PerResponseAddressCap
+from ..defenses.stack import DefenseSpec, DefenseStack
 
 #: Defaults mirroring the packet-level testbed (see ``experiments.testbed``).
 DEFAULT_BENIGN_PER_RESPONSE = 4
 DEFAULT_ATTACKER_RECORDS = 89
 DEFAULT_BENIGN_TTL = 150
+
+#: The defenses the closed form models; the others act on packets or, like
+#: ``multi_vantage``, need a built testbed.
+CLOSED_FORM_DEFENSES = (PerResponseAddressCap, HighTTLDiscard)
 
 
 @dataclass(frozen=True)
@@ -57,10 +65,9 @@ class FleetPolicy:
     #: ``True`` mirrors the NDSS design (unique addresses, approximated);
     #: ``False`` mirrors the paper's address-counting arithmetic (exact).
     dedupe: bool = False
-    #: §V mitigation 1: accept at most this many addresses per response.
-    max_addresses_per_response: Optional[int] = None
-    #: §V mitigation 2: discard responses whose TTL exceeds this bound.
-    max_accepted_ttl: Optional[int] = None
+    #: Pool-side countermeasures, a spec like ``TestbedConfig.defenses`` but
+    #: of :data:`CLOSED_FORM_DEFENSES` only (others raise ``ValueError``).
+    defenses: DefenseSpec = ()
 
     def __post_init__(self) -> None:
         if self.query_count < 1:
@@ -69,13 +76,17 @@ class FleetPolicy:
             raise ValueError("query_interval must be positive")
         if self.benign_per_response < 0 or self.attacker_records < 0:
             raise ValueError("record counts cannot be negative")
+        unmodelled = [defense.name for defense in DefenseStack.from_spec(self.defenses)
+                      if not isinstance(defense, CLOSED_FORM_DEFENSES)]
+        if unmodelled:
+            raise ValueError(f"the fleet's closed form cannot model defenses {unmodelled}")
 
-    def accepted_per_response(self, records: int) -> int:
-        cap = self.max_addresses_per_response
-        return records if cap is None else min(cap, records)
-
-    def ttl_rejected(self, ttl: int) -> bool:
-        return self.max_accepted_ttl is not None and ttl > self.max_accepted_ttl
+    def accepted(self, records: int, ttl: int) -> int:
+        """How many of one response's ``records`` addresses, all under
+        ``ttl``, the pool-side defenses let into the pool."""
+        context = PoolAcceptContext(addresses=list(map(str, range(records))), min_ttl=ttl)
+        DefenseStack.from_spec(self.defenses).on_pool_accept(context)
+        return len(context.addresses)
 
     def cached_hit_count(self, poison_at_query: int) -> int:
         """How many of the later queries the poisoned entry answers from cache.
@@ -91,19 +102,20 @@ class FleetPolicy:
             return remaining
         return min(remaining, int(self.malicious_ttl // self.query_interval))
 
-    def expected_distinct_benign(self, benign_queries: int) -> int:
-        """Expected distinct servers over ``benign_queries`` rotations.
+    def benign_pool_size(self, benign_queries: int, accepted: int) -> int:
+        """Benign servers in the pool after ``benign_queries`` responses that
+        each let ``accepted`` addresses in.
 
-        The deduplicating approximation: drawing ``r`` of ``B`` servers per
-        query, the expected number of distinct servers after ``q`` queries is
-        ``B * (1 - (1 - r/B)^q)``; rounded half-up so both backends agree.
+        Address counting is exact.  Deduplicating is the approximation:
+        drawing ``r`` of ``B`` servers per query, the expected number of
+        distinct servers after ``q`` queries is ``B * (1 - (1 - r/B)^q)``;
+        rounded half-up so both backends agree.
         """
-        if benign_queries <= 0 or self.benign_per_response <= 0:
+        if not self.dedupe:
+            return benign_queries * accepted
+        if benign_queries <= 0 or accepted <= 0:
             return 0
-        accepted = self.accepted_per_response(self.benign_per_response)
         ratio = 1.0 - accepted / self.benign_servers
-        import math
-
         expected = self.benign_servers * (1.0 - ratio ** benign_queries)
         return int(math.floor(expected + 0.5))
 
@@ -137,29 +149,18 @@ class ClientComposition:
 
 def compose_client(policy: FleetPolicy, poison_at_query: int) -> ClientComposition:
     """The closed-form composition for one client (``0`` = never poisoned)."""
-    benign_accept = policy.accepted_per_response(policy.benign_per_response)
-    if policy.ttl_rejected(policy.benign_ttl):
-        benign_accept = 0
+    benign_accept = policy.accepted(policy.benign_per_response, policy.benign_ttl)
     if poison_at_query <= 0 or poison_at_query > policy.query_count:
-        if policy.dedupe:
-            benign = policy.expected_distinct_benign(policy.query_count)
-        else:
-            benign = policy.query_count * benign_accept
+        benign = policy.benign_pool_size(policy.query_count, benign_accept)
         return ClientComposition(0, benign, 0, 0, 0)
 
     k = poison_at_query
     hits = policy.cached_hit_count(k)
-    benign_queries = (k - 1) + (policy.query_count - k - hits)
-    if policy.dedupe:
-        benign = policy.expected_distinct_benign(benign_queries)
-    else:
-        benign = benign_queries * benign_accept
-    if policy.ttl_rejected(policy.malicious_ttl):
-        # The poisoned entry still occupies the resolver cache (the resolver
-        # enforces no TTL policy here) so the cache hits happen — but the
-        # client-side mitigation rejects every poisoned response.
-        return ClientComposition(k, benign, 0, hits, 0)
-    accepted = policy.accepted_per_response(policy.attacker_records)
+    benign = policy.benign_pool_size((k - 1) + (policy.query_count - k - hits),
+                                     benign_accept)
+    # The poisoned entry occupies the resolver cache whatever the client's
+    # defenses let into the pool, so the cache hits happen either way.
+    accepted = policy.accepted(policy.attacker_records, policy.malicious_ttl)
     deliveries = 1 + hits
     malicious = accepted if policy.dedupe else accepted * deliveries
     poisoned_count = deliveries if accepted > 0 else 0

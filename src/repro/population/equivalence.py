@@ -37,6 +37,7 @@ from collections.abc import Mapping, Sequence
 from typing import Any, Optional
 
 from ..core.selection import ChronosConfig
+from ..defenses.stack import DefenseSpec
 from ..experiments.runner import run_scenario
 from .batch import FleetPolicy
 from .engine import FleetConfig, FleetEngine
@@ -64,11 +65,11 @@ def expected_gate_poison_query(client: int) -> Optional[int]:
 
 def gate_fleet_config(seed: int, *, clients: int = GATE_CLIENTS,
                       malicious_ttl: int = 2 * 86400,
-                      max_addresses_per_response: Optional[int] = None,
-                      max_accepted_ttl: Optional[int] = None,
+                      defenses: DefenseSpec = (),
                       target_shift: float = 600.0, update_rounds: int = 5,
                       backend: Optional[str] = None) -> FleetConfig:
-    """The gate population: deterministic starts, one resolver per client."""
+    """The gate population: deterministic starts, one resolver per client;
+    ``defenses`` reach the packet clients too (:func:`packet_gate_records`)."""
     if clients > 64:
         raise ValueError("the equivalence gate is meant for <=64 clients")
     policy = FleetPolicy(
@@ -76,8 +77,7 @@ def gate_fleet_config(seed: int, *, clients: int = GATE_CLIENTS,
         query_interval=GATE_INTERVAL,
         malicious_ttl=malicious_ttl,
         dedupe=False,
-        max_addresses_per_response=max_addresses_per_response,
-        max_accepted_ttl=max_accepted_ttl,
+        defenses=defenses,
     )
     return FleetConfig(
         clients=clients,
@@ -158,8 +158,7 @@ def packet_gate_records(seed: int, fleet_records: Sequence[Mapping[str, Any]],
             "malicious_ttl": config.policy.malicious_ttl,
             "hijack_duration": config.hijack_duration,
             "dedupe": False,
-            "max_addresses_per_response": config.policy.max_addresses_per_response,
-            "max_accepted_ttl": config.policy.max_accepted_ttl,
+            "defenses": config.policy.defenses,
             "run_time_shift": with_shift,
             "target_shift": config.target_shift,
             "update_rounds": config.update_rounds,

@@ -21,6 +21,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import fields
 from typing import Any, Optional
 
+from ..core.pool_generation import RETIRED_POOL_PARAMS, reject_retired_pool_params
 from ..core.selection import ChronosConfig
 from ..experiments.registry import merge_params, register_scenario
 from ..experiments.runner import ExperimentSpec
@@ -30,7 +31,11 @@ from .engine import FleetConfig, FleetEngine
 
 #: Config fields that are not flat scenario parameters (``clients`` is one,
 #: but has no dataclass default; ``seed`` comes from the task).
-NON_PARAM_FIELDS = frozenset({"clients", "seed", "explicit_starts", "policy", "chronos"})
+NON_PARAM_FIELDS = frozenset({"clients", "seed", "explicit_starts", "policy", "chronos",
+                              "defenses"})
+
+#: Opt-in like an attack's ``faults``, so sweeps without it keep their digests.
+OPTIONAL_PARAMS = ("defenses",)
 
 #: The scenario defaults that differ from the dataclasses.  Metrics are
 #: backend-independent; ``backend`` only selects the implementation.
@@ -41,7 +46,7 @@ _SCHEMA = {config_class: tuple(spec for spec in fields(config_class)
                                if spec.name not in NON_PARAM_FIELDS)
            for config_class in (FleetConfig, FleetPolicy, ChronosConfig)}
 _DEFAULTS = {**{spec.name: spec.default for specs in _SCHEMA.values() for spec in specs},
-             **PARAM_OVERRIDES}
+             **PARAM_OVERRIDES, **dict.fromkeys(RETIRED_POOL_PARAMS)}
 
 
 def fleet_config_from_params(seed: int, p: Mapping[str, Any]) -> FleetConfig:
@@ -49,7 +54,8 @@ def fleet_config_from_params(seed: int, p: Mapping[str, Any]) -> FleetConfig:
     values = {config_class: {spec.name: p[spec.name] for spec in specs}
               for config_class, specs in _SCHEMA.items()}
     return FleetConfig(clients=p["clients"], seed=seed,
-                       policy=FleetPolicy(**values[FleetPolicy]),
+                       policy=FleetPolicy(**values[FleetPolicy],
+                                          defenses=tuple(p.get("defenses", ()))),
                        chronos=ChronosConfig(**values[ChronosConfig]),
                        **values[FleetConfig])
 
@@ -59,7 +65,8 @@ class PopulationSweepExperiment:
     """Analytic fleet simulation of the §IV attack at population scale.
 
     Its parameters are the flattened fields of :class:`FleetConfig`,
-    :class:`FleetPolicy` and :class:`ChronosConfig` (see :data:`PARAM_OVERRIDES`).
+    :class:`FleetPolicy` and :class:`ChronosConfig` (see :data:`PARAM_OVERRIDES`),
+    plus ``defenses``, a tuple of the pool defenses the closed form models.
     """
 
     name = "population_sweep"
@@ -69,8 +76,12 @@ class PopulationSweepExperiment:
     def default_params(self) -> dict[str, Any]:
         return dict(_DEFAULTS)
 
+    def optional_params(self) -> tuple[str, ...]:
+        return OPTIONAL_PARAMS
+
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        p = merge_params(self.default_params(), params)
+        p = merge_params(self.default_params(), params, optional=OPTIONAL_PARAMS)
+        reject_retired_pool_params(p)
         return FleetEngine(fleet_config_from_params(seed, p)).run()
 
 

@@ -12,7 +12,7 @@ from repro.attacks.chronos_pool_attack import (
     minimum_queries_for_attacker_majority,
 )
 from repro.attacks.ntp_shift import OfflineShiftModel, chronos_round_offset, ntpd_round_offset
-from repro.core.pool_generation import PoolGenerationPolicy
+from repro.defenses import HighTTLDiscard, PerResponseAddressCap
 
 
 # -- the closed-form arithmetic of §IV ------------------------------------------------------
@@ -133,31 +133,28 @@ def test_max_records_mitigation_alone_still_leaves_attacker_majority():
     """The record cap limits the flood to 4 addresses, but the poisoned
     entry's >24 h TTL still starves every later query from cache, so the
     tiny pool remains attacker-dominated — the cap alone is insufficient."""
-    policy = PoolGenerationPolicy(max_addresses_per_response=4)
-    _, result = run_scenario(1, pool_policy=policy)
+    _, result = run_scenario(1, defenses=(PerResponseAddressCap(4),))
     assert result.composition.malicious <= 4
     assert result.composition.benign == 0
     assert result.attack_succeeded
 
 
 def test_both_mitigations_block_single_poisoning():
-    policy = PoolGenerationPolicy(max_addresses_per_response=4, max_accepted_ttl=3600)
-    _, result = run_scenario(1, pool_policy=policy)
+    _, result = run_scenario(1, defenses=(HighTTLDiscard(3600), PerResponseAddressCap(4)))
     assert result.composition.malicious == 0
     assert not result.attack_succeeded
 
 
 def test_ttl_mitigation_blocks_single_poisoning():
-    policy = PoolGenerationPolicy(max_accepted_ttl=3600)
-    _, result = run_scenario(1, pool_policy=policy)
+    _, result = run_scenario(1, defenses=(HighTTLDiscard(3600),))
     assert result.composition.malicious == 0
     assert not result.attack_succeeded
 
 
 def test_full_day_hijack_defeats_both_mitigations():
     """The §V residual attack: mitigations do not help against a 24 h hijack."""
-    policy = PoolGenerationPolicy(max_addresses_per_response=4, max_accepted_ttl=3600)
-    config = PoolAttackConfig(seed=5, poison_at_query=1, pool_policy=policy,
+    config = PoolAttackConfig(seed=5, poison_at_query=1,
+                              defenses=(HighTTLDiscard(3600), PerResponseAddressCap(4)),
                               hijack_duration=24 * 3600.0 + 1200.0, malicious_ttl=300)
     scenario = ChronosPoolAttackScenario(config)
     result = scenario.run_pool_generation()

@@ -7,6 +7,7 @@ import pytest
 from repro.core.chronos_client import ChronosClient, UpdateOutcome
 from repro.core.pool_generation import PoolComposition, PoolGenerationPolicy
 from repro.core.selection import ChronosConfig
+from repro.defenses import DefenseStack, HighTTLDiscard, PerResponseAddressCap
 from repro.dns.nameserver import PoolNTPNameserver
 from repro.dns.resolver import RecursiveResolver, ResolverPolicy
 from repro.netsim.addresses import AddressAllocator
@@ -16,7 +17,7 @@ from repro.ntp.server import NTPServer
 
 
 def build_world(server_count=100, policy=None, chronos_config=None, seed=9,
-                records_per_response=4):
+                records_per_response=4, defenses=()):
     simulator = Simulator(seed=seed)
     network = Network(simulator, default_link=LinkProperties(latency=0.01))
     allocator = AddressAllocator("10.50.0.0/16")
@@ -29,7 +30,7 @@ def build_world(server_count=100, policy=None, chronos_config=None, seed=9,
                                  policy=ResolverPolicy())
     client = ChronosClient(network, "192.0.2.100", resolver_address=resolver.address,
                            config=chronos_config or ChronosConfig(),
-                           pool_policy=policy)
+                           pool_policy=policy, defenses=DefenseStack(defenses))
     return simulator, network, nameserver, resolver, client
 
 
@@ -101,10 +102,9 @@ def test_pool_generation_with_small_zone_dedupes_hard():
     assert pools[0].size <= 10
 
 
-def test_max_addresses_per_response_cap():
-    policy = PoolGenerationPolicy(max_addresses_per_response=2)
-    simulator, _, _, _, client = build_world(server_count=400, policy=policy,
-                                             records_per_response=4)
+def test_address_cap_defense_limits_each_response():
+    simulator, _, _, _, client = build_world(server_count=400, records_per_response=4,
+                                             defenses=[PerResponseAddressCap(2)])
     pools = []
     client.pool_generator.generate(pools.append)
     simulator.run(until=24 * 3600 + 300)
@@ -114,14 +114,14 @@ def test_max_addresses_per_response_cap():
 
 
 def test_high_ttl_filter_rejects_responses():
-    policy = PoolGenerationPolicy(max_accepted_ttl=100)  # below the zone's 150 s TTL
-    simulator, _, _, _, client = build_world(policy=policy)
+    # 100 s is below the zone's 150 s TTL.
+    simulator, _, _, _, client = build_world(defenses=[HighTTLDiscard(100)])
     pools = []
     client.pool_generator.generate(pools.append)
     simulator.run(until=24 * 3600 + 300)
     pool = pools[0]
     assert pool.size == 0
-    assert all(record.rejected_high_ttl for record in pool.queries if record.addresses)
+    assert all(record.rejected_by == "ttl_discard" for record in pool.queries if record.addresses)
 
 
 def test_query_records_capture_ttl_and_addresses():

@@ -8,9 +8,8 @@ Three contracts:
   says it blocks (0x20/cookies stop classic blind spoofing but neither the
   hijack nor the fragmentation vector; fragment rejection stops only the
   splice; multi-vantage degrades the hijack vector; signing stops both);
-* **equivalence** — the §V mitigations behave identically whether they are
-  configured through the legacy policy knobs or as stack members, because
-  both paths run the same Defense instances.
+* **equivalence** — the §V mitigations as defenses reproduce, metric for
+  metric, what the retired pool-policy knobs produced.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.defenses import (
     PoolAcceptContext,
     available_defenses,
     build_defense,
-    pool_policy_defenses,
 )
 from repro.defenses.registry import register_defense
 from repro.dns.message import DNSMessage
@@ -125,15 +123,11 @@ def test_stack_pool_hooks_run_in_order_and_account_rejections():
     assert benign.rejected_by is None
 
 
-def test_policy_knobs_translate_to_the_same_defense_instances():
-    from repro.core.pool_generation import PoolGenerationPolicy
-
-    policy = PoolGenerationPolicy(max_addresses_per_response=4, max_accepted_ttl=3600)
-    defenses = pool_policy_defenses(policy)
+def test_section5_defense_names_build_the_paper_parameters():
+    defenses = list(DefenseStack.from_spec(("ttl_discard", "address_cap")))
     assert [type(d) for d in defenses] == [HighTTLDiscard, PerResponseAddressCap]
     assert defenses[0].max_ttl == 3600
     assert defenses[1].limit == 4
-    assert pool_policy_defenses(PoolGenerationPolicy()) == []
 
 
 def test_every_scenario_accepts_a_defenses_key():
@@ -253,24 +247,73 @@ def test_multi_vantage_also_catches_the_spliced_high_ttl_records():
     assert not frag_poisoning_succeeds(("multi_vantage",))
 
 
-# -- §V equivalence: policy knobs vs. stack members -----------------------------------
+# -- §V equivalence: the retired pool knobs vs. the defenses --------------------------
 
 CHRONOS_BASE = {"poison_at_query": 1, "run_time_shift": False,
                 "benign_server_count": 30}
 
 
-def test_section5_mitigations_same_result_via_policy_or_stack():
-    by_policy = run_scenario("chronos_pool_attack", 5,
-                             {**CHRONOS_BASE,
-                              "max_addresses_per_response": 4,
-                              "max_accepted_ttl": 3600})
-    by_stack = run_scenario("chronos_pool_attack", 5,
-                            {**CHRONOS_BASE,
-                             "defenses": ("ttl_discard", "address_cap")})
-    for key in ("attack_succeeded", "benign", "malicious", "pool_size"):
-        assert by_policy[key] == by_stack[key]
-    assert not by_stack["attack_succeeded"]
-    assert by_stack["defense_rejections"] == {"ttl_discard": 24}
+def pool_metrics(benign, malicious, shift, panic_rounds, poisoned=()):
+    """A ``chronos_pool_attack`` metric dict at the default parameters."""
+    pool_size = benign + malicious
+    return {"defense_rejections": {}, "attack_succeeded": False,
+            "attacker_fraction": malicious / pool_size, "benign": benign,
+            "malicious": malicious, "pool_size": pool_size, "cache_hits": 21,
+            "poisoned_queries": list(poisoned), "achieved_shift": shift,
+            "shift_achieved": False, "updates_run": 6, "panic_rounds": panic_rounds}
+
+
+CAP_RECORDS = [pool_metrics(8, 4, 0.007300615310668945, 0, range(3, 25)),
+               pool_metrics(7, 4, 0.006688117980957031, 0, range(3, 25)),
+               pool_metrics(8, 4, 0.0014832019805908203, 0, range(3, 25))]
+TTL_RECORDS = [pool_metrics(8, 0, 0.00028705596923828125, 6),
+               pool_metrics(7, 0, 0.003780364990234375, 6),
+               pool_metrics(8, 0, -0.0023956298828125, 6)]
+
+#: ``run_scenario("chronos_pool_attack", seed, knobs)`` for seeds 1-3 as the
+#: pool-policy knobs produced it (cap 4 and/or TTL 3600) before they became
+#: these defenses; "both" equalled the TTL discard alone.  The knobs ran on a
+#: private stack whose vetoes went uncounted, so ``defense_rejections`` is
+#: the one metric that moves: each lists its new value.
+KNOB_RECORDS = {
+    ("address_cap",): (CAP_RECORDS, {}),
+    ("ttl_discard",): (TTL_RECORDS, {"ttl_discard": 22}),
+    ("ttl_discard", "address_cap"): (TTL_RECORDS, {"ttl_discard": 22}),
+}
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("defenses", list(KNOB_RECORDS))
+def test_section5_defenses_reproduce_the_retired_pool_knobs(defenses, seed):
+    records, rejections = KNOB_RECORDS[defenses]
+    metrics = run_scenario("chronos_pool_attack", seed, {"defenses": defenses})
+    assert metrics == {**records[seed - 1], "defense_rejections": rejections}
+
+
+def test_section5_defenses_reproduce_the_retired_knobs_under_a_full_day_hijack():
+    metrics = run_scenario("chronos_pool_attack", 5, {
+        "poison_at_query": 1, "hijack_duration": 24 * 3600.0 + 1200.0,
+        "malicious_ttl": 300, "defenses": ("ttl_discard", "address_cap")})
+    assert metrics == {
+        "defense_rejections": {}, "attack_succeeded": True, "attacker_fraction": 1.0,
+        "benign": 0, "malicious": 4, "pool_size": 4, "cache_hits": 0,
+        "poisoned_queries": list(range(1, 25)), "achieved_shift": 600.0,
+        "shift_achieved": True, "updates_run": 6, "panic_rounds": 6}
+
+
+@pytest.mark.parametrize("knob", [{"max_addresses_per_response": 4},
+                                  {"max_accepted_ttl": 3600}])
+def test_retired_pool_knobs_are_rejected(knob):
+    with pytest.raises(ValueError, match="retired"):
+        run_scenario("chronos_pool_attack", 5, {**CHRONOS_BASE, **knob})
+
+
+def test_section5_mitigations_block_a_single_poisoning():
+    metrics = run_scenario("chronos_pool_attack", 5,
+                           {**CHRONOS_BASE, "defenses": ("ttl_discard", "address_cap")})
+    assert not metrics["attack_succeeded"]
+    assert (metrics["benign"], metrics["malicious"], metrics["pool_size"]) == (0, 0, 0)
+    assert metrics["defense_rejections"] == {"ttl_discard": 24}
 
 
 def test_address_cap_alone_leaves_attacker_majority():

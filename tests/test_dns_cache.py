@@ -58,13 +58,6 @@ def test_remaining_ttl_decreases_with_time():
     assert entry.remaining_ttl(now=200.0) == 0
 
 
-def test_max_ttl_cap_applies():
-    cache = DNSCache(max_ttl=3600)
-    entry = cache.insert("pool.ntp.org", RecordType.A, records(ttl=2 * 86400), now=0.0)
-    assert entry.ttl == 3600
-    assert cache.lookup("pool.ntp.org", RecordType.A, now=3601.0) is None
-
-
 def test_high_ttl_entry_survives_24h_without_cap():
     """The attack's amplifier: a >24h TTL keeps serving for the whole window."""
     cache = DNSCache()
@@ -131,9 +124,3 @@ def test_peek_does_not_touch_stats():
     before = (cache.stats.hits, cache.stats.misses)
     assert cache.peek("pool.ntp.org", RecordType.A) is not None
     assert (cache.stats.hits, cache.stats.misses) == before
-
-
-def test_min_ttl_floor():
-    cache = DNSCache(min_ttl=30)
-    entry = cache.insert("pool.ntp.org", RecordType.A, records(ttl=5), now=0.0)
-    assert entry.ttl == 30

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro import obs
-from repro.defenses import DefenseStack, ResponseRecordCap
+from repro.defenses import CacheTTLCap, DefenseStack, ResponseRecordCap
 from repro.dns.message import DNSMessage
 from repro.dns.nameserver import DNS_PORT, AuthoritativeNameserver, PoolNTPNameserver
 from repro.dns.records import RecordType
@@ -220,11 +220,13 @@ def test_response_record_cap_defense_caps_cache():
     assert len(entry.records) == 2
 
 
-def test_max_cache_ttl_policy_caps_entry_lifetime():
-    policy = ResolverPolicy(max_cache_ttl=60)
-    simulator, _, nameserver, resolver, client = build_world(policy=policy)
-    client.dns.lookup("pool.ntp.org", lambda a: None)
+def test_cache_ttl_cap_caps_entry_lifetime():
+    simulator, _, nameserver, resolver, client = build_world(defenses=[CacheTTLCap(60)])
+    answers = []
+    client.dns.lookup_message("pool.ntp.org", answers.append)
     simulator.run(until=5.0)
+    assert answers[0].answers
+    assert all(record.ttl <= 60 for record in answers[0].answers)  # zone TTL is 150 s
     simulator.run(until=120.0)
     client.dns.lookup("pool.ntp.org", lambda a: None)
     simulator.run(until=125.0)

@@ -9,9 +9,9 @@ from repro.attacks import (
     TraditionalClientAttackScenario,
     analytic_pool_composition,
 )
-from repro.core.pool_generation import PoolGenerationPolicy
 from repro.core.security_analysis import cumulative_shift_bound, shift_attack_bound
 from repro.core.selection import ChronosConfig
+from repro.defenses import HighTTLDiscard, PerResponseAddressCap
 
 
 def test_paper_narrative_end_to_end():
@@ -65,14 +65,14 @@ def test_dns_attack_easier_against_chronos_than_plain_ntp():
 
 def test_mitigated_chronos_survives_single_poisoning_but_not_full_hijack():
     """E8 in executable form."""
-    mitigated = PoolGenerationPolicy(max_addresses_per_response=4, max_accepted_ttl=3600)
+    mitigated = (HighTTLDiscard(3600), PerResponseAddressCap(4))
     single = ChronosPoolAttackScenario(PoolAttackConfig(seed=33, poison_at_query=1,
-                                                        pool_policy=mitigated))
+                                                        defenses=mitigated))
     single_result = single.run_pool_generation()
     assert not single_result.attack_succeeded
 
     full = ChronosPoolAttackScenario(PoolAttackConfig(seed=33, poison_at_query=1,
-                                                      pool_policy=mitigated,
+                                                      defenses=mitigated,
                                                       hijack_duration=24 * 3600.0 + 1200.0,
                                                       malicious_ttl=300))
     full_result = full.run_pool_generation()

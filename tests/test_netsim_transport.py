@@ -149,6 +149,33 @@ def test_undecodable_segment_is_dropped_and_counted():
     assert snapshot.counter_total("tcp.malformed") == 1
 
 
+def test_silent_drops_are_counted_by_reason():
+    def inject(dst, segment):
+        network.inject(IPPacket(src_ip="198.51.100.9", dst_ip=dst, ip_id=7,
+                                payload=segment.encode(), protocol=PROTO_TCP,
+                                spoofed=True))
+
+    with obs.capture() as observed:
+        simulator, network, client, server = make_pair()
+        listener = serve_echo(server, 853, [])
+        syn = TCPSegment(40000, 853, 1, 0, FLAG_SYN)
+        inject("10.0.0.1", syn)  # the client never opened a TCP stack
+        inject("10.0.0.2", TCPSegment(40001, 853, 1, 0, FLAG_ACK))  # no such flow
+        inject("10.0.0.2", TCPSegment(40002, 854, 1, 0, FLAG_SYN))  # no listener
+        inject("10.0.0.2", syn)
+        simulator.run(until=1.0)
+        # The stack hands a flow's later segments to its half-open
+        # connection, so only a direct call shows the listener's own guard.
+        listener.handle_syn("198.51.100.9", syn)
+        snapshot = observed.metrics.snapshot()
+    assert client._tcp is None
+    assert len(listener.half_open) == 1
+    assert snapshot.counter("tcp.dropped", reason="no_stack") == 1
+    assert snapshot.counter("tcp.dropped", reason="no_flow") == 2
+    assert snapshot.counter("tcp.dropped", reason="duplicate_syn") == 1
+    assert snapshot.counter_total("tcp.dropped") == 4
+
+
 # -- handshake and data transfer ------------------------------------------------
 
 def test_three_way_handshake_and_echo():

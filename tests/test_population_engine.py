@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import ExperimentSpec, SweepScheduler
-from repro.experiments.registry import get_scenario, merge_params
+from repro.experiments.registry import get_scenario, merge_params, optional_params
 from repro.experiments.runner import run_scenario
 from repro.population.batch import FleetPolicy
 from repro.population.engine import (
@@ -182,6 +182,22 @@ def test_population_scenario_runs_by_name():
     assert metrics["clients"] == 50
     assert metrics["population"] == 50
     assert sum(metrics["poison_histogram"]) == 50
+
+
+def test_population_scenario_takes_defenses_like_every_attack():
+    scenario = get_scenario("population_sweep")
+    assert "defenses" not in scenario.default_params()
+    assert optional_params(scenario) == ("defenses",)
+    base = {"clients": 50, "resolvers": 7, "update_rounds": 2, "backend": "python"}
+    undefended = run_scenario("population_sweep", 5, base)
+    assert undefended["pool_malicious_total"] > 0
+    defended = run_scenario("population_sweep", 5, {**base, "defenses": ["ttl_discard"]})
+    assert defended["pool_malicious_total"] == 0
+    assert defended["clients_attacker_two_thirds"] == 0
+    with pytest.raises(ValueError, match="cannot model"):
+        run_scenario("population_sweep", 5, {**base, "defenses": ("multi_vantage",)})
+    with pytest.raises(ValueError, match="retired"):
+        run_scenario("population_sweep", 5, {**base, "max_accepted_ttl": 3600})
 
 
 def test_population_specs_cover_the_fleet_in_cohorts():

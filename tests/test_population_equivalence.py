@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.defenses import PerResponseAddressCap
 from repro.experiments.pins import FLEET_GATE_DIGEST as GATE_DIGEST
 from repro.population.equivalence import (
     GATE_CLIENTS,
@@ -74,8 +75,9 @@ def test_backend_env_variable_controls_the_fleet_path(monkeypatch):
 
 @pytest.mark.parametrize("variant", [
     {"malicious_ttl": 9000},             # entry expires after 2 cache hits
-    {"max_addresses_per_response": 64},  # §V response-size cap
-    {"max_accepted_ttl": 3600},          # §V TTL discard
+    {"defenses": (PerResponseAddressCap(64),)},    # §V response-size cap
+    {"defenses": ("ttl_discard",)},                # §V TTL discard
+    {"defenses": ("ttl_discard", "address_cap")},  # both, as the paper proposes
 ])
 def test_equivalence_holds_under_mitigations_and_expiry(variant):
     packet, fleet = equivalence_digests([1], backend="python", **variant)
@@ -94,8 +96,8 @@ def test_expiry_variant_matches_the_closed_form():
 
 
 def test_ttl_discard_defeats_the_attack_on_both_paths():
-    fleet = fleet_gate_records(1, max_accepted_ttl=3600, backend="python")
-    packet = packet_gate_records(1, fleet, max_accepted_ttl=3600)
+    fleet = fleet_gate_records(1, defenses=("ttl_discard",), backend="python")
+    packet = packet_gate_records(1, fleet, defenses=("ttl_discard",))
     assert fleet == packet
     assert all(r["malicious"] == 0 for r in fleet)
     assert not any(r["attack_succeeded"] for r in fleet)

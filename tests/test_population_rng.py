@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.selection import ChronosConfig, chronos_select, panic_select
+from repro.defenses import HighTTLDiscard
 from repro.population.batch import (
     FleetPolicy,
     batch_chronos_select,
@@ -139,6 +140,27 @@ def test_batch_composition_expands_distinct_indices():
     assert comps[1] == comps[2] == compose_client(policy, 3)
     assert comps[0] == comps[3] == compose_client(policy, 0)  # 25 > Q: never
     assert comps[4].benign == 0 and comps[4].malicious == 89 * 24
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_dedupe_pool_under_ttl_discard_admits_no_benign_server(k):
+    # The zone's 150 s TTL is above the bound, so the packet path admits no
+    # response at all (test_high_ttl_filter_rejects_responses).
+    policy = FleetPolicy(dedupe=True, defenses=(HighTTLDiscard(100),))
+    assert compose_client(policy, k).benign == 0
+
+
+def test_fleet_defenses_are_the_pool_defenses_by_name_or_instance():
+    policy = FleetPolicy(defenses=("address_cap", HighTTLDiscard(3600)))
+    assert policy.accepted(89, 150) == 4
+    assert policy.accepted(89, 3601) == 0
+    assert FleetPolicy().accepted(89, 2 * 86400) == 89
+
+
+@pytest.mark.parametrize("name", ["multi_vantage", "fragment_rejection"])
+def test_fleet_rejects_defenses_the_closed_form_cannot_model(name):
+    with pytest.raises(ValueError, match=name):
+        FleetPolicy(defenses=(name,))
 
 
 # -- batched selection vs the scalar rule (property tests) -------------------
