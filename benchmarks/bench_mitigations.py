@@ -35,7 +35,7 @@ def test_mitigations(benchmark):
     emit("E8 — mitigation evaluation and residual attack", lines)
 
     for row in simulated:
-        assert row.verdict_agrees and row.fraction_agrees, row.formatted()
+        assert row.verdict_agrees and row.counts_agree, row.formatted()
     analytic_by = {row.scenario: row for row in analytic}
     simulated_by = {row.label: row for row in simulated}
     assert not analytic_by["both mitigations (single poisoning)"].attacker_has_two_thirds

@@ -10,7 +10,11 @@ This example prints the closed-form evaluation and then, with ``--simulate``,
 runs the defense-matrix cells that reproduce each row at packet level: the
 chronos rows × ``classic`` / ``address_cap`` / ``ttl_discard`` / ``section5``
 slice of the default grid (see
-:data:`repro.analysis.mitigations.SECTION5_MATRIX_CELLS`).
+:data:`repro.analysis.mitigations.SECTION5_MATRIX_CELLS`).  Both sides give
+the same counts.  The TTL discard stops the 2/3 majority, but behind a caching
+resolver it leaves the pool empty: the discarded entry stays cached and
+answers every later query, so the client is denied service rather than
+handed a refilled benign pool.
 
 Run with:  python examples/mitigation_evaluation.py [--simulate] [--workers N]
 """

@@ -17,6 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
+from ..attacks.chronos_pool_attack import SECTION4_POLICY
 from ..core.security_analysis import (
     CumulativeShiftBound,
     ShiftAttackBound,
@@ -24,6 +25,7 @@ from ..core.security_analysis import (
     shift_attack_bound,
     sweep_malicious_fraction,
 )
+from .pool_composition import crossover_composition
 
 
 @dataclass(frozen=True)
@@ -68,13 +70,15 @@ def chronos_security_bound_table(pool_size: int = 96, sample_size: int = 15,
     years-to-decades regime the Chronos paper claims; the post-DNS-attack row
     (two thirds) should collapse to a round or two.
     """
+    figure1 = crossover_composition()
     rows: list[EffortRow] = []
     scenarios = [
         ("MitM, 10% of pool corrupted", 0.10),
         ("MitM, 25% of pool corrupted", 0.25),
         ("MitM, just under 1/3 (Chronos bound)", 1.0 / 3.0 - 1e-9),
         ("After DNS pool attack (2/3 of pool)", 2.0 / 3.0),
-        ("After DNS pool attack (89 of 133)", 89.0 / 133.0),
+        (f"After DNS pool attack ({figure1.malicious} of {figure1.total})",
+         figure1.malicious_fraction),
     ]
     for label, fraction in scenarios:
         malicious = int(fraction * pool_size)
@@ -142,18 +146,19 @@ def shift_effort_table(target_shift: float = 0.1, per_round_shift: float = 0.025
     (two thirds of the pool, including the exact 89-of-133 composition from
     Figure 1) collapse to under an hour.
     """
+    figure1 = crossover_composition()
     scenarios = [
         ("MitM, 10% of pool corrupted", int(0.10 * pool_size)),
         ("MitM, 25% of pool corrupted", int(0.25 * pool_size)),
         ("MitM, just under 1/3 (Chronos bound)", pool_size // 3),
         ("After DNS pool attack (2/3 of pool)", (2 * pool_size) // 3 + 1),
-        ("After DNS pool attack (89 of 133)", None),
+        (f"After DNS pool attack ({figure1.malicious} of {figure1.total})", None),
     ]
     rows: list[ShiftEffortRow] = []
     for label, malicious in scenarios:
         size = pool_size
         if malicious is None:
-            size, malicious = 133, 89
+            size, malicious = figure1.total, figure1.malicious
         bound = cumulative_shift_bound(size, malicious, sample_size,
                                        target_shift=target_shift,
                                        per_round_shift=per_round_shift,
@@ -184,16 +189,16 @@ class DNSAttackComparisonRow:
                 f"{self.window_hours:>10.1f}  {self.resulting_control}")
 
 
-def dns_attack_comparison(query_count: int = 24,
-                          latest_winning_query: int = 12) -> list[DNSAttackComparisonRow]:
+def dns_attack_comparison() -> list[DNSAttackComparisonRow]:
     """E6: the paper's argument that Chronos is the easier DNS target.
 
     A traditional client resolves the pool name once (one chance, and the
     poisoning must win that exact race); Chronos resolves it 24 times, and
-    *any* success during the first ``latest_winning_query`` queries hands the
-    attacker a two-thirds pool majority — strictly more opportunities for a
-    strictly stronger outcome.
+    *any* success up to the §IV crossover query hands the attacker a
+    two-thirds pool majority — strictly more opportunities for a strictly
+    stronger outcome.
     """
+    latest_winning_query = crossover_composition().poison_at_query
     return [
         DNSAttackComparisonRow(
             client="traditional NTP",
@@ -205,7 +210,7 @@ def dns_attack_comparison(query_count: int = 24,
         ),
         DNSAttackComparisonRow(
             client="Chronos",
-            dns_queries_observable=query_count,
+            dns_queries_observable=SECTION4_POLICY.query_count,
             poisonings_required=1,
             poisoning_opportunities=latest_winning_query,
             window_hours=float(latest_winning_query - 1),
@@ -222,14 +227,15 @@ def poisoning_success_probability(per_query_success: float, opportunities: int) 
 
 
 def end_to_end_success_table(per_query_success_rates: Sequence[float] = (0.05, 0.1, 0.3, 0.7),
-                             chronos_opportunities: int = 12) -> list[dict]:
+                             ) -> list[dict]:
     """E6 extension: end-to-end success probability vs per-race success rate.
 
     For every per-race poisoning success probability, compare the overall
     probability that the DNS stage of the attack succeeds against a
-    traditional client (one race) and against Chronos (``chronos_opportunities``
-    races, any one of which suffices).
+    traditional client (one race) and against Chronos (one race per query up
+    to the §IV crossover, any one of which suffices).
     """
+    chronos_opportunities = crossover_composition().poison_at_query
     return [{
         "per_query_success": rate,
         "traditional_overall": poisoning_success_probability(rate, 1),

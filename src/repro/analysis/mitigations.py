@@ -3,8 +3,8 @@
 The paper suggests two changes to Chronos' pool generation:
 
 * accept **at most 4 addresses** from any single DNS response, and
-* **discard responses with high TTL values** (so a poisoned entry cannot
-  silently absorb the remaining hourly queries from cache).
+* **discard responses with high TTL values** (a poisoned entry outlives
+  the remaining hourly queries; no such response should enter the pool).
 
 It then notes that even with both mitigations the dependency on DNS remains:
 an attacker able to keep the victim's DNS hijacked for the whole 24-hour
@@ -15,23 +15,27 @@ run the same cases at packet level — the only packet-level §V path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from ..core.pool_generation import PoolComposition
-from ..dns.nameserver import POOL_RECORDS_PER_RESPONSE
-from ..experiments.matrix import DEFAULT_ATTACKS, DEFAULT_STACKS, DefenseMatrixResult
+from ..experiments.matrix import (
+    DEFAULT_ATTACKS,
+    DEFAULT_STACKS,
+    AttackSpec,
+    DefenseMatrixResult,
+    DefenseStackSpec,
+)
+from ..experiments.registry import get_scenario
+from ..population.batch import FleetPolicy, compose_client
 
 
 @dataclass(frozen=True)
-class MitigationRow:
+class MitigationRow(PoolComposition):
     """One row of the mitigation-evaluation table."""
 
     scenario: str
-    benign: int
-    malicious: int
-    malicious_fraction: float
-    attacker_has_two_thirds: bool
     mode: str
 
     @staticmethod
@@ -45,60 +49,50 @@ class MitigationRow:
                 f"{self.mode:>10}")
 
 
-def _row(scenario: str, composition: PoolComposition, mode: str) -> MitigationRow:
-    return MitigationRow(
-        scenario=scenario,
-        benign=composition.benign,
-        malicious=composition.malicious,
-        malicious_fraction=composition.malicious_fraction,
-        attacker_has_two_thirds=composition.attacker_has_two_thirds,
-        mode=mode,
+def _cell_composition(attack: AttackSpec, stack: DefenseStackSpec) -> PoolComposition:
+    """The closed-form pool of one §V cell, from the cell's own inputs."""
+    p = {**get_scenario(attack.scenario).default_params(), **attack.params}
+    records = p["attacker_record_count"]
+    policy = FleetPolicy(
+        benign_servers=p["benign_server_count"],
+        attacker_records=FleetPolicy.attacker_records if records is None else records,
+        malicious_ttl=p["malicious_ttl"],
+        dedupe=p["dedupe"],
+        defenses=stack.defenses,
     )
+    if p["hijack_duration"] >= policy.query_count * policy.query_interval:
+        # The hijack spans the whole generation window: every response is
+        # the attacker's, and the pool holds what the defenses let through.
+        return PoolComposition(0, policy.accepted(policy.attacker_records,
+                                                  policy.malicious_ttl))
+    return compose_client(policy, p["poison_at_query"])
 
 
-def analytic_mitigation_table(query_count: int = 24, poison_at_query: int = 1,
-                              attacker_records: int = 89,
-                              benign_per_response: int = POOL_RECORDS_PER_RESPONSE,
-                              ) -> list[MitigationRow]:
-    """Closed-form evaluation of each mitigation against a single poisoning.
+@functools.cache
+def analytic_mitigation_table() -> tuple[MitigationRow, ...]:
+    """Closed-form evaluation of every §V cell (:data:`SECTION5_MATRIX_CELLS`).
 
     * No mitigation: one poisoned response floods the pool (the §IV attack).
     * Max-4-addresses alone: the poisoned response contributes only 4
       addresses, but its huge TTL still starves the remaining queries from
       cache — the pool stays tiny and attacker-dominated, so the cap alone is
       *not* sufficient.
-    * TTL filter: the poisoned response is rejected outright; later queries
-      reach the benign servers again, so the attacker gains no pool members.
+    * TTL filter: the poisoned response is discarded, but its entry stays in
+      the resolver cache and answers every later query, which is discarded
+      too — the attacker gains no pool members, and the client gets no pool
+      at all (a denial of service, not a refilled pool).
     * Both mitigations plus a 24-hour hijack: every response during the whole
       generation window is attacker-controlled, so the pool is 100 % malicious
       regardless of the caps — the residual risk §V concedes.
     """
-    rows: list[MitigationRow] = []
-
-    benign_before = (poison_at_query - 1) * benign_per_response
-
-    unmitigated = PoolComposition(benign=benign_before, malicious=attacker_records)
-    rows.append(_row("no mitigation, poisoning at query "
-                     f"{poison_at_query}", unmitigated, "analytic"))
-
-    # Record cap alone: the poisoned entry's >24 h TTL still absorbs every
-    # later query, so no further benign servers are added.
-    capped_malicious = min(attacker_records, benign_per_response)
-    benign_after = (query_count - poison_at_query) * benign_per_response
-    capped = PoolComposition(benign=benign_before, malicious=capped_malicious)
-    rows.append(_row("max 4 addresses per response (alone)", capped, "analytic"))
-
-    ttl_filtered = PoolComposition(benign=benign_before + benign_after, malicious=0)
-    rows.append(_row("high-TTL responses discarded", ttl_filtered, "analytic"))
-
-    # With both mitigations the TTL filter already rejects the poisoned
-    # response, so the record cap adds nothing for a single poisoning.
-    both = PoolComposition(benign=benign_before + benign_after, malicious=0)
-    rows.append(_row("both mitigations (single poisoning)", both, "analytic"))
-
-    full_hijack = PoolComposition(benign=0, malicious=query_count * benign_per_response)
-    rows.append(_row("both mitigations, 24h DNS hijack (residual)", full_hijack, "analytic"))
-    return rows
+    attacks = {attack.label: attack for attack in SECTION5_ATTACKS}
+    stacks = {stack.name: stack for stack in SECTION5_STACKS}
+    rows = []
+    for label, (attack, stack) in SECTION5_MATRIX_CELLS:
+        composition = _cell_composition(attacks[attack], stacks[stack])
+        rows.append(MitigationRow(composition.benign, composition.malicious,
+                                  scenario=label, mode="analytic"))
+    return tuple(rows)
 
 
 #: Analytic-table row label -> the defense-matrix cell reproducing it.
@@ -124,8 +118,7 @@ class Section5CellComparison:
     label: str
     attack: str
     stack: str
-    analytic_two_thirds: bool
-    analytic_fraction: float
+    analytic: PoolComposition
     simulated_success_rate: float
     simulated_fraction: Optional[float]
     simulated_benign: Optional[float]
@@ -134,28 +127,21 @@ class Section5CellComparison:
     @property
     def verdict_agrees(self) -> bool:
         """Whether simulation and closed form agree on the 2/3 outcome."""
-        return self.analytic_two_thirds == (self.simulated_success_rate > 0.5)
+        return self.analytic.attacker_has_two_thirds == (self.simulated_success_rate > 0.5)
 
     @property
-    def fraction_agrees(self) -> bool:
-        """Whether the malicious pool fractions coincide.
-
-        They do for every §V row: where cache starvation makes the simulated
-        *counts* smaller than the analytic credit (the TTL-filter rows leave
-        the pool empty rather than refilled), the fraction still matches
-        because both sides agree on who controls the pool.
-        """
-        if self.simulated_fraction is None:
-            return False
-        return abs(self.analytic_fraction - self.simulated_fraction) < 1e-9
+    def counts_agree(self) -> bool:
+        """Whether the cell's mean benign/malicious counts are the closed form's."""
+        return (self.simulated_benign == self.analytic.benign
+                and self.simulated_malicious == self.analytic.malicious)
 
     def formatted(self) -> str:
         fraction = (f"{self.simulated_fraction:.2f}"
                     if self.simulated_fraction is not None else "--")
         return (f"{self.label:<46} cell=({self.attack}, {self.stack}) "
-                f"analytic>=2/3={str(self.analytic_two_thirds):<5} "
+                f"analytic>=2/3={str(self.analytic.attacker_has_two_thirds):<5} "
                 f"simulated rate={self.simulated_success_rate:.2f} "
-                f"frac={fraction} agree={self.verdict_agrees and self.fraction_agrees}")
+                f"frac={fraction} agree={self.verdict_agrees and self.counts_agree}")
 
 
 def section5_from_matrix(matrix: DefenseMatrixResult) -> list[Section5CellComparison]:
@@ -163,25 +149,19 @@ def section5_from_matrix(matrix: DefenseMatrixResult) -> list[Section5CellCompar
 
     The matrix must contain the ``chronos_poisoning`` / ``chronos_24h_hijack``
     rows and the ``classic`` / ``address_cap`` / ``ttl_discard`` / ``section5``
-    stacks (all present in the default grid).  The analytic side is evaluated
-    under the same threat model the default matrix rows run (poisoning at
-    query 1, the 89-record flood).  Every returned row agrees with the closed
-    form on both the two-thirds verdict and the malicious pool fraction —
-    including the residual ≈ 1.0 success of the sustained hijack.
+    stacks (all present in the default grid).  Every returned row agrees with
+    the closed form on the two-thirds verdict and on the benign and malicious
+    counts — including the residual ≈ 1.0 success of the sustained hijack.
     """
-    analytic = {row.scenario: row
-                for row in analytic_mitigation_table(poison_at_query=1,
-                                                     attacker_records=89)}
     comparisons = []
-    for label, (attack, stack) in SECTION5_MATRIX_CELLS:
-        row = analytic[label]
+    for row, (label, (attack, stack)) in zip(analytic_mitigation_table(),
+                                             SECTION5_MATRIX_CELLS):
         cell = matrix.cell(attack, stack)
         comparisons.append(Section5CellComparison(
             label=label,
             attack=attack,
             stack=stack,
-            analytic_two_thirds=row.attacker_has_two_thirds,
-            analytic_fraction=row.malicious_fraction,
+            analytic=row,
             simulated_success_rate=cell.success_rate,
             simulated_fraction=cell.mean("attacker_fraction"),
             simulated_benign=cell.mean("benign"),

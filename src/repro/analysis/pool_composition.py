@@ -16,20 +16,17 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-from ..attacks.chronos_pool_attack import analytic_pool_composition
+from ..attacks.chronos_pool_attack import SECTION4_POLICY, analytic_pool_composition
 from ..core.pool_generation import PoolComposition
 from ..experiments.runner import run_scenario
+from ..population.batch import FleetPolicy
 
 
 @dataclass(frozen=True)
-class PoolCompositionRow:
+class PoolCompositionRow(PoolComposition):
     """One row of the E2 sweep."""
 
     poison_at_query: Optional[int]
-    benign: int
-    malicious: int
-    malicious_fraction: float
-    attacker_has_two_thirds: bool
     mode: str
 
     @staticmethod
@@ -44,33 +41,16 @@ class PoolCompositionRow:
                 f"{self.mode:>10}")
 
 
-def _row_from_composition(poison_at_query: Optional[int], composition: PoolComposition,
-                          mode: str) -> PoolCompositionRow:
-    return PoolCompositionRow(
-        poison_at_query=poison_at_query,
-        benign=composition.benign,
-        malicious=composition.malicious,
-        malicious_fraction=composition.malicious_fraction,
-        attacker_has_two_thirds=composition.attacker_has_two_thirds,
-        mode=mode,
-    )
-
-
-def analytic_sweep(query_count: int = 24, benign_per_response: int = 4,
-                   attacker_records: int = 89,
+def analytic_sweep(policy: FleetPolicy = SECTION4_POLICY,
                    indices: Optional[Sequence[int]] = None) -> list[PoolCompositionRow]:
     """Closed-form sweep over every candidate poisoning index (plus no attack)."""
     if indices is None:
-        indices = range(1, query_count + 1)
-    rows = [_row_from_composition(None,
-                                  analytic_pool_composition(None, query_count,
-                                                            benign_per_response,
-                                                            attacker_records),
-                                  mode="analytic")]
-    for index in indices:
-        composition = analytic_pool_composition(index, query_count, benign_per_response,
-                                                attacker_records)
-        rows.append(_row_from_composition(index, composition, mode="analytic"))
+        indices = range(1, policy.query_count + 1)
+    rows = []
+    for index in (None, *indices):
+        composition = analytic_pool_composition(index, policy)
+        rows.append(PoolCompositionRow(composition.benign, composition.malicious,
+                                       poison_at_query=index, mode="analytic"))
     return rows
 
 
@@ -79,6 +59,13 @@ def crossover_query_index(rows: Sequence[PoolCompositionRow]) -> Optional[int]:
     winning = [row.poison_at_query for row in rows
                if row.poison_at_query is not None and row.attacker_has_two_thirds]
     return max(winning) if winning else None
+
+
+def crossover_composition() -> PoolCompositionRow:
+    """The §IV sweep's row at its crossover: 44 benign versus 89 malicious."""
+    rows = analytic_sweep()
+    crossover = crossover_query_index(rows)
+    return next(row for row in rows if row.poison_at_query == crossover)
 
 
 def simulated_composition(poison_at_query: Optional[int], seed: int = 1,
@@ -93,9 +80,8 @@ def simulated_composition(poison_at_query: Optional[int], seed: int = 1,
         "dedupe": dedupe,
         "run_time_shift": False,
     })
-    composition = PoolComposition(benign=metrics["benign"],
-                                  malicious=metrics["malicious"])
-    return _row_from_composition(poison_at_query, composition, mode="simulated")
+    return PoolCompositionRow(metrics["benign"], metrics["malicious"],
+                              poison_at_query=poison_at_query, mode="simulated")
 
 
 def figure1_report(poison_at_query: int = 1, seed: int = 1) -> dict:
@@ -106,12 +92,12 @@ def figure1_report(poison_at_query: int = 1, seed: int = 1) -> dict:
     index reproduces the 44-vs-89 arithmetic, while the simulated scenario
     reproduces the same outcome on the wire.
     """
-    analytic_at_12 = analytic_pool_composition(12)
+    at_crossover = crossover_composition()
     simulated = simulated_composition(poison_at_query, seed=seed, dedupe=False)
     return {
-        "analytic_benign_at_query_12": analytic_at_12.benign,
-        "analytic_malicious": analytic_at_12.malicious,
-        "analytic_fraction": analytic_at_12.malicious_fraction,
+        "analytic_benign_at_query_12": at_crossover.benign,
+        "analytic_malicious": at_crossover.malicious,
+        "analytic_fraction": at_crossover.malicious_fraction,
         "simulated_benign": simulated.benign,
         "simulated_malicious": simulated.malicious,
         "simulated_fraction": simulated.malicious_fraction,

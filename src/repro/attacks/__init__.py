@@ -25,7 +25,6 @@ from .chronos_pool_attack import (
     PoolAttackResult,
     TimeShiftResult,
     analytic_pool_composition,
-    minimum_queries_for_attacker_majority,
 )
 from .downgrade import (
     DNS_STREAM_PORTS,
@@ -70,7 +69,6 @@ __all__ = [
     "PoolAttackResult",
     "TimeShiftResult",
     "analytic_pool_composition",
-    "minimum_queries_for_attacker_majority",
     "DNS_STREAM_PORTS",
     "DowngradeConfig",
     "DowngradeResult",

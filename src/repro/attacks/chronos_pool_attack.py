@@ -30,6 +30,11 @@ from ..core.selection import ChronosConfig
 from ..defenses.stack import DefenseSpec
 from ..dns.nameserver import POOL_NTP_ORG_TTL, POOL_RECORDS_PER_RESPONSE
 from ..experiments.testbed import DEFAULT_ZONE, Testbed, build_testbed, testbed_config
+from ..population.batch import FleetPolicy, compose_client
+
+#: The §IV threat model: the packet testbed's zone and the 89-record flood
+#: under a 2-day TTL, with address-counted benign responses.
+SECTION4_POLICY = FleetPolicy()
 
 
 @dataclass
@@ -197,48 +202,19 @@ class ChronosPoolAttackScenario:
 
 
 def analytic_pool_composition(poison_at_query: Optional[int],
-                              query_count: int = 24,
-                              benign_per_response: int = POOL_RECORDS_PER_RESPONSE,
-                              attacker_records: int = 89,
-                              malicious_ttl: int = 2 * 86400,
-                              query_interval: float = 3600.0) -> PoolComposition:
+                              policy: FleetPolicy = SECTION4_POLICY) -> PoolComposition:
     """The paper's closed-form pool arithmetic (§IV).
 
     If the poisoning lands at query ``k`` (1-indexed), the first ``k - 1``
-    queries contributed ``benign_per_response`` benign addresses each, the
-    poisoned query contributes ``attacker_records`` malicious addresses, and —
-    because the malicious TTL exceeds the remaining generation window — every
-    later query is a cache hit contributing nothing new.
+    queries contributed ``policy.benign_per_response`` benign addresses each,
+    the poisoned query contributes the attacker records its defenses accept,
+    counted once, and every later query within the malicious TTL is a cache
+    hit contributing nothing new.  The benign side and the TTL expiry are
+    :func:`compose_client`'s.
     """
-    if poison_at_query is None or poison_at_query > query_count:
-        return PoolComposition(benign=query_count * benign_per_response, malicious=0)
-    if poison_at_query < 1:
+    if poison_at_query is not None and poison_at_query < 1:
         raise ValueError("poison_at_query must be >= 1")
-    benign_queries = poison_at_query - 1
-    remaining_window = (query_count - poison_at_query) * query_interval
-    if malicious_ttl >= remaining_window:
-        benign = benign_queries * benign_per_response
-    else:
-        # The poisoned entry expires before generation ends; later queries
-        # reach the benign nameserver again.
-        expired_after = int(malicious_ttl // query_interval)
-        later_benign_queries = max(0, query_count - poison_at_query - expired_after)
-        benign = (benign_queries + later_benign_queries) * benign_per_response
-    return PoolComposition(benign=benign, malicious=attacker_records)
-
-
-def minimum_queries_for_attacker_majority(query_count: int = 24,
-                                          benign_per_response: int = POOL_RECORDS_PER_RESPONSE,
-                                          attacker_records: int = 89) -> int:
-    """Latest poisoning query index that still yields a 2/3 attacker majority.
-
-    Evaluates the closed form for every k and returns the largest k whose
-    composition satisfies the two-thirds bound — the paper states this is 12.
-    """
-    latest = 0
-    for k in range(1, query_count + 1):
-        composition = analytic_pool_composition(k, query_count, benign_per_response,
-                                                attacker_records)
-        if composition.attacker_has_two_thirds:
-            latest = k
-    return latest
+    client = compose_client(policy, poison_at_query or 0)
+    malicious = (policy.accepted(policy.attacker_records, policy.malicious_ttl)
+                 if client.poison_at_query else 0)
+    return PoolComposition(benign=client.benign, malicious=malicious)

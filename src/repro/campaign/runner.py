@@ -221,7 +221,7 @@ class CampaignRunner:
         if analysis.kind == "section5":
             comparisons = section5_from_matrix(matrix)
             lines = [comparison.formatted() for comparison in comparisons]
-            agree = all(c.verdict_agrees and c.fraction_agrees
+            agree = all(c.verdict_agrees and c.counts_agree
                         for c in comparisons)
             lines.append(f"all rows agree with closed form: {agree}")
         else:  # success_summary

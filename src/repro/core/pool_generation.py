@@ -58,8 +58,8 @@ class PoolGenerationPolicy:
     query_count: int = DEFAULT_QUERY_COUNT
     #: Seconds between queries (hourly).
     query_interval: float = DEFAULT_QUERY_INTERVAL
-    #: Keep only unique addresses (the Chronos design de-duplicates; the
-    #: paper's 44-vs-89 arithmetic counts addresses, so both are supported).
+    #: Keep only unique addresses (the Chronos design de-duplicates).
+    #: ``False`` counts every delivered address, cache-hit repeats included.
     dedupe: bool = True
 
     def __post_init__(self) -> None:

@@ -401,12 +401,6 @@ class Listener:
         self.syns_dropped = 0
 
     def handle_syn(self, src_ip: str, segment: TCPSegment) -> None:
-        key = (src_ip, segment.src_port, self.port)
-        if key in self.stack.connections:
-            # A duplicate SYN for an in-progress or established flow.
-            if self.stack.obs.enabled:
-                self.stack.obs.metrics.counter("tcp.dropped", reason="duplicate_syn").inc()
-            return
         if len(self.half_open) >= self.backlog:
             self.syns_dropped += 1
             self.stack.syns_dropped += 1
@@ -417,6 +411,7 @@ class Listener:
                                   host=self.stack.host.address, port=self.port,
                                   src=src_ip)
             return
+        key = (src_ip, segment.src_port, self.port)
         connection = Connection(
             self.stack,
             local_port=self.port,

@@ -3,14 +3,17 @@
 Two pieces of the packet-level model vectorize exactly:
 
 * **Pool composition.**  With address-counting pool generation
-  (``dedupe=False``, the paper's §IV arithmetic), the composition a client
-  ends up with is a *closed form* of the query index ``k`` at which the
-  poisoning landed: the first ``k - 1`` queries contribute benign addresses,
-  the poisoned query contributes the attacker records, and every later query
-  within the malicious TTL is a cache hit that re-delivers (and re-absorbs)
-  the same records.  :func:`batch_pool_composition` evaluates that form for a
-  whole population at once, including the TTL-expiry regime and the §V
-  defenses the packet pool generator runs (:meth:`FleetPolicy.accepted`).
+  (``dedupe=False``: every delivered address counts, repeats included), the
+  composition a client ends up with is a *closed form* of the query index
+  ``k`` at which the poisoning landed: the first ``k - 1`` queries contribute
+  benign addresses, the poisoned query contributes the attacker records, and
+  every later query within the malicious TTL is a cache hit that re-delivers
+  (and re-absorbs) the same records.  This is the one declaration of the
+  pool arithmetic: the §IV sweep counts the flood once on top of it, and the
+  §V table evaluates it per defense-matrix cell.
+  :func:`batch_pool_composition` evaluates that form for a whole population
+  at once, including the TTL-expiry regime and the §V defenses the packet
+  pool generator runs (:meth:`FleetPolicy.accepted`).
   The deduplicating mode is the one place the batch layer is *approximate*
   (an expected-distinct estimate); the equivalence gate therefore runs
   ``dedupe=False``, where the closed form is packet-exact.
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 from statistics import mean
 from typing import Any, Optional
 
+from ..core.pool_generation import PoolComposition
 from ..core.selection import ChronosConfig, SelectionStatus
 from ..defenses.base import PoolAcceptContext
 from ..defenses.pool import HighTTLDiscard, PerResponseAddressCap
@@ -63,7 +67,8 @@ class FleetPolicy:
     benign_ttl: int = DEFAULT_BENIGN_TTL
     malicious_ttl: int = 2 * 86400
     #: ``True`` mirrors the NDSS design (unique addresses, approximated);
-    #: ``False`` mirrors the paper's address-counting arithmetic (exact).
+    #: ``False`` counts every delivered address, so each cache hit re-counts
+    #: the flood (exact, but its 2/3 crossover is query 23, not §IV's 12).
     dedupe: bool = False
     #: Pool-side countermeasures, a spec like ``TestbedConfig.defenses`` but
     #: of :data:`CLOSED_FORM_DEFENSES` only (others raise ``ValueError``).
@@ -121,22 +126,12 @@ class FleetPolicy:
 
 
 @dataclass(frozen=True)
-class ClientComposition:
+class ClientComposition(PoolComposition):
     """Closed-form pool outcome of one client (ints only — backend-neutral)."""
 
     poison_at_query: int  # 0 = never poisoned
-    benign: int
-    malicious: int
     cache_hits: int
     poisoned_query_count: int
-
-    @property
-    def pool_size(self) -> int:
-        return self.benign + self.malicious
-
-    @property
-    def attacker_has_two_thirds(self) -> bool:
-        return self.pool_size > 0 and self.malicious * 3 >= self.pool_size * 2
 
     def poisoned_queries(self) -> list[int]:
         """1-indexed query indices whose accepted records include attacker
@@ -152,7 +147,8 @@ def compose_client(policy: FleetPolicy, poison_at_query: int) -> ClientCompositi
     benign_accept = policy.accepted(policy.benign_per_response, policy.benign_ttl)
     if poison_at_query <= 0 or poison_at_query > policy.query_count:
         benign = policy.benign_pool_size(policy.query_count, benign_accept)
-        return ClientComposition(0, benign, 0, 0, 0)
+        return ClientComposition(benign, 0, poison_at_query=0, cache_hits=0,
+                                 poisoned_query_count=0)
 
     k = poison_at_query
     hits = policy.cached_hit_count(k)
@@ -164,7 +160,8 @@ def compose_client(policy: FleetPolicy, poison_at_query: int) -> ClientCompositi
     deliveries = 1 + hits
     malicious = accepted if policy.dedupe else accepted * deliveries
     poisoned_count = deliveries if accepted > 0 else 0
-    return ClientComposition(k, benign, malicious, hits, poisoned_count)
+    return ClientComposition(benign, malicious, poison_at_query=k, cache_hits=hits,
+                             poisoned_query_count=poisoned_count)
 
 
 def batch_pool_composition(policy: FleetPolicy,

@@ -301,7 +301,7 @@ def _run_group_shift(config: FleetConfig, comp: ClientComposition,
     """Run the update rounds for every client sharing one composition."""
     chronos = config.chronos
     members = len(gids)
-    pool = comp.pool_size
+    pool = comp.total
     if pool == 0:
         # The packet client never starts updates on an empty pool.
         return _GroupShift([0.0] * members, [0] * members, 0)
@@ -444,8 +444,8 @@ class FleetEngine:
             cache_hits_total += comp.cache_hits * count
             if comp.attacker_has_two_thirds:
                 two_thirds += count
-            if comp.pool_size:
-                fraction_terms.append(count * (comp.malicious / comp.pool_size))
+            if comp.total:
+                fraction_terms.append(count * comp.malicious_fraction)
 
         clients = config.clients
         metrics: dict[str, Any] = {
@@ -525,7 +525,7 @@ class FleetEngine:
                 "poison_at_query": k or None,
                 "benign": comp.benign,
                 "malicious": comp.malicious,
-                "pool_size": comp.pool_size,
+                "pool_size": comp.total,
                 "cache_hits": comp.cache_hits,
                 "poisoned_queries": comp.poisoned_queries(),
                 "attacker_two_thirds": comp.attacker_has_two_thirds,

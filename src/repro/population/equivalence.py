@@ -9,7 +9,8 @@ client*.  This module pins that overlap:
   hijack window placed so the effective poison query spans ``k = 24 .. 2``
   (clients 2..24), hits ``k = 1`` (client 25) and leaves four clients
   unpoisoned (0, 1, 26, 27).  ``dedupe=False`` puts both paths in the
-  paper's address-counting regime, where composition is exactly closed-form.
+  address-counting regime (every cache hit re-counts the flood), where
+  composition is exactly closed-form.
 * :func:`fleet_gate_records` runs the population through the engine;
   :func:`packet_gate_records` replays *every client* as its own
   ``chronos_pool_attack`` run (the packet testbed simulates one victim at a
@@ -64,7 +65,7 @@ def expected_gate_poison_query(client: int) -> Optional[int]:
 
 
 def gate_fleet_config(seed: int, *, clients: int = GATE_CLIENTS,
-                      malicious_ttl: int = 2 * 86400,
+                      malicious_ttl: int = FleetPolicy.malicious_ttl,
                       defenses: DefenseSpec = (),
                       target_shift: float = 600.0, update_rounds: int = 5,
                       backend: Optional[str] = None) -> FleetConfig:

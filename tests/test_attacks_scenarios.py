@@ -9,13 +9,44 @@ from repro.attacks.chronos_pool_attack import (
     ChronosPoolAttackScenario,
     PoolAttackConfig,
     analytic_pool_composition,
-    minimum_queries_for_attacker_majority,
 )
 from repro.attacks.ntp_shift import OfflineShiftModel, chronos_round_offset, ntpd_round_offset
+from repro.core.pool_generation import PoolComposition
 from repro.defenses import HighTTLDiscard, PerResponseAddressCap
+from repro.population.batch import FleetPolicy
 
 
 # -- the closed-form arithmetic of §IV ------------------------------------------------------
+
+
+def reference_pool_composition(poison_at_query, query_count=24, benign_per_response=4,
+                               attacker_records=89, malicious_ttl=2 * 86400,
+                               query_interval=3600.0):
+    """The §IV arithmetic as written out before it moved onto
+    ``compose_client``: a frozen oracle for the differential test below."""
+    if poison_at_query is None or poison_at_query > query_count:
+        return PoolComposition(benign=query_count * benign_per_response, malicious=0)
+    if poison_at_query < 1:
+        raise ValueError("poison_at_query must be >= 1")
+    benign_queries = poison_at_query - 1
+    remaining_window = (query_count - poison_at_query) * query_interval
+    if malicious_ttl >= remaining_window:
+        benign = benign_queries * benign_per_response
+    else:
+        expired_after = int(malicious_ttl // query_interval)
+        later_benign_queries = max(0, query_count - poison_at_query - expired_after)
+        benign = (benign_queries + later_benign_queries) * benign_per_response
+    return PoolComposition(benign=benign, malicious=attacker_records)
+
+
+@pytest.mark.parametrize("records", [4, 89])
+@pytest.mark.parametrize("malicious_ttl", [300, 3600, 5 * 3600, 10 * 3600, 86400, 2 * 86400])
+def test_analytic_composition_matches_the_reference_arithmetic(records, malicious_ttl):
+    policy = FleetPolicy(attacker_records=records, malicious_ttl=malicious_ttl)
+    for k in (None, *range(1, 26)):
+        expected = reference_pool_composition(k, attacker_records=records,
+                                              malicious_ttl=malicious_ttl)
+        assert analytic_pool_composition(k, policy) == expected, k
 
 def test_analytic_composition_no_attack():
     composition = analytic_pool_composition(None)
@@ -36,10 +67,6 @@ def test_analytic_composition_query_13_fails():
     assert not composition.attacker_has_two_thirds
 
 
-def test_crossover_is_query_12():
-    assert minimum_queries_for_attacker_majority() == 12
-
-
 def test_analytic_composition_poisoning_first_query_is_best_case():
     composition = analytic_pool_composition(1)
     assert composition.benign == 0
@@ -48,8 +75,8 @@ def test_analytic_composition_poisoning_first_query_is_best_case():
 
 
 def test_analytic_composition_low_ttl_lets_benign_servers_return():
-    short_ttl = analytic_pool_composition(1, malicious_ttl=3600)
-    long_ttl = analytic_pool_composition(1, malicious_ttl=2 * 86400)
+    short_ttl = analytic_pool_composition(1, FleetPolicy(malicious_ttl=3600))
+    long_ttl = analytic_pool_composition(1, FleetPolicy(malicious_ttl=2 * 86400))
     assert short_ttl.benign > long_ttl.benign
     assert not short_ttl.attacker_has_two_thirds
 
@@ -57,7 +84,7 @@ def test_analytic_composition_low_ttl_lets_benign_servers_return():
 def test_analytic_composition_fewer_attacker_records():
     # Poisoning late with only 4 attacker records cannot reach two-thirds
     # against the benign servers accumulated before the poisoning.
-    capped = analytic_pool_composition(12, attacker_records=4)
+    capped = analytic_pool_composition(12, FleetPolicy(attacker_records=4))
     assert capped.malicious == 4
     assert capped.benign == 44
     assert not capped.attacker_has_two_thirds
@@ -66,6 +93,8 @@ def test_analytic_composition_fewer_attacker_records():
 def test_analytic_composition_rejects_bad_index():
     with pytest.raises(ValueError):
         analytic_pool_composition(0)
+    with pytest.raises(ValueError):
+        reference_pool_composition(0)
 
 
 # -- the packet-level Chronos pool attack ---------------------------------------------------

@@ -134,10 +134,10 @@ def test_matrix_reproduces_the_section5_analytic_table(full_matrix):
     ]
     for comparison in comparisons:
         assert comparison.verdict_agrees, comparison.formatted()
-        assert comparison.fraction_agrees, comparison.formatted()
-    # The unmitigated and cap-alone cells match the analytic counts exactly.
+        # Every cell's mean counts over seeds (1, 2) are the closed form's.
+        assert comparison.simulated_benign == comparison.analytic.benign
+        assert comparison.simulated_malicious == comparison.analytic.malicious
     assert comparisons[0].simulated_malicious == 89
-    assert comparisons[0].simulated_benign == 0
     assert comparisons[1].simulated_malicious == 4
     assert full_matrix.residual_hijack_rate() == 1.0
 

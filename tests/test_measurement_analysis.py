@@ -282,6 +282,16 @@ def test_vulnerable_pair_fraction_bounds():
 
 def test_analytic_mitigation_table_shapes():
     rows = analytic_mitigation_table()
+    counts = {row.scenario: (row.benign, row.malicious) for row in rows}
+    assert counts == {
+        "no mitigation, poisoning at query 1": (0, 89),
+        "max 4 addresses per response (alone)": (0, 4),
+        # The discarded entry stays cached and starves every later query:
+        # no attacker majority, and no pool either.
+        "high-TTL responses discarded": (0, 0),
+        "both mitigations (single poisoning)": (0, 0),
+        "both mitigations, 24h DNS hijack (residual)": (0, 4),
+    }
     by_scenario = {row.scenario: row for row in rows}
     assert by_scenario["no mitigation, poisoning at query 1"].attacker_has_two_thirds
     assert by_scenario["max 4 addresses per response (alone)"].attacker_has_two_thirds

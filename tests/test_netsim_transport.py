@@ -163,17 +163,17 @@ def test_silent_drops_are_counted_by_reason():
         inject("10.0.0.2", TCPSegment(40001, 853, 1, 0, FLAG_ACK))  # no such flow
         inject("10.0.0.2", TCPSegment(40002, 854, 1, 0, FLAG_SYN))  # no listener
         inject("10.0.0.2", syn)
+        # The stack hands a repeated SYN to the flow's half-open connection,
+        # which rejects it as an out-of-window injection.
+        inject("10.0.0.2", syn)
         simulator.run(until=1.0)
-        # The stack hands a flow's later segments to its half-open
-        # connection, so only a direct call shows the listener's own guard.
-        listener.handle_syn("198.51.100.9", syn)
         snapshot = observed.metrics.snapshot()
     assert client._tcp is None
     assert len(listener.half_open) == 1
     assert snapshot.counter("tcp.dropped", reason="no_stack") == 1
     assert snapshot.counter("tcp.dropped", reason="no_flow") == 2
-    assert snapshot.counter("tcp.dropped", reason="duplicate_syn") == 1
-    assert snapshot.counter_total("tcp.dropped") == 4
+    assert snapshot.counter_total("tcp.dropped") == 3
+    assert snapshot.counter("tcp.injections_rejected") == 1
 
 
 # -- handshake and data transfer ------------------------------------------------
