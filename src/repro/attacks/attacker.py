@@ -25,6 +25,7 @@ from typing import Optional
 from ..dns.message import MAX_UNFRAGMENTED_UDP_PAYLOAD, DNSMessage, max_a_records_for_payload
 from ..dns.nameserver import DNS_PORT, AuthoritativeNameserver
 from ..dns.records import SECONDS_PER_DAY, RecordType, ResourceRecord, a_record
+from ..dns.resolver import RecursiveResolver
 from ..dns.wire import WireFormatError, note_malformed
 from ..netsim.addresses import AddressAllocator
 from ..netsim.network import Network
@@ -100,28 +101,46 @@ class ImpersonatingNameserver(AuthoritativeNameserver):
 class AttackerInfrastructure:
     """The attacker's own servers inside the simulation.
 
+    The malicious NTP servers are a pool on ``network``: each is built on its
+    first packet, serving the infrastructure's ``time_shift`` of that moment.
     ``can_hijack_bgp=False`` models an attacker without BGP reach: its
     :class:`~repro.attacks.bgp_hijack.BGPHijackPoisoner` refuses to announce.
     """
 
     network: Network
-    ntp_servers: list[MaliciousNTPServer] = field(default_factory=list)
-    nameserver: Optional[ImpersonatingNameserver] = None
+    #: One malicious NTP server per injected A record.
+    ntp_addresses: tuple[str, ...] = ()
     malicious_ttl: int = DEFAULT_MALICIOUS_TTL
     can_hijack_bgp: bool = True
+    #: The shift every malicious server serves, built or not.
+    time_shift: float = 0.0
+    _built: list[MaliciousNTPServer] = field(default_factory=list, init=False, repr=False)
 
-    @property
-    def ntp_addresses(self) -> list[str]:
-        return [server.address for server in self.ntp_servers]
+    def __post_init__(self) -> None:
+        self.network.add_pool(self.ntp_addresses, self._build_server, pool="malicious")
+
+    def _build_server(self, address: str) -> MaliciousNTPServer:
+        server = MaliciousNTPServer(self.network, address, time_shift=self.time_shift)
+        assert server.clock.drift_ppm == 0  # drift would count from the build
+        self._built.append(server)
+        return server
 
     def set_time_shift(self, shift_seconds: float) -> None:
         """Make every attacker NTP server serve time shifted by ``shift_seconds``."""
-        for server in self.ntp_servers:
+        self.time_shift = shift_seconds
+        for server in self._built:
             server.time_shift = shift_seconds
 
     def malicious_answer_records(self, qname: str) -> list[ResourceRecord]:
         """The A records the attacker injects for ``qname``."""
         return [a_record(qname, address, self.malicious_ttl) for address in self.ntp_addresses]
+
+    def cached_records(self, resolver: RecursiveResolver, zone: str) -> tuple[int, int]:
+        """(A records ``resolver`` caches for ``zone``, how many are the attacker's)."""
+        entry = resolver.cache.peek(zone, RecordType.A)
+        records = entry.records if entry is not None else ()
+        malicious = set(self.ntp_addresses)
+        return len(records), sum(record.rdata in malicious for record in records)
 
 
 def build_attacker_infrastructure(network: Network, qname: str = "pool.ntp.org",
@@ -130,20 +149,16 @@ def build_attacker_infrastructure(network: Network, qname: str = "pool.ntp.org",
                                   time_shift: float = 0.0,
                                   malicious_ttl: int = DEFAULT_MALICIOUS_TTL,
                                   ) -> AttackerInfrastructure:
-    """Create the attacker's NTP servers (and nothing else yet).
+    """Register the attacker's NTP servers (and nothing else yet).
 
     ``server_count`` defaults to the maximum number of A records that fit in
     a single unfragmented DNS response for ``qname`` — the 89 of §IV.
     """
     if server_count is None:
         server_count = max_a_records_for_payload(qname, MAX_UNFRAGMENTED_UDP_PAYLOAD)
-    allocator = AddressAllocator(address_block)
-    servers = [
-        MaliciousNTPServer(network, allocator.allocate(), time_shift=time_shift)
-        for _ in range(server_count)
-    ]
     return AttackerInfrastructure(
         network=network,
-        ntp_servers=servers,
+        ntp_addresses=tuple(AddressAllocator(address_block).allocate_many(server_count)),
         malicious_ttl=malicious_ttl,
+        time_shift=time_shift,
     )

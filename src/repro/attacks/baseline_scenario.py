@@ -78,9 +78,6 @@ class TraditionalClientAttackScenario:
             victim_factory=self._build_client,
         )
         self.simulator = self.testbed.simulator
-        self.network = self.testbed.network
-        self.benign_servers = self.testbed.benign_servers
-        self.nameserver = self.testbed.nameserver
         self.resolver = self.testbed.resolver
         self.client: TraditionalNTPClient = self.testbed.victim
         self.attacker = self.testbed.attacker

@@ -50,7 +50,6 @@ class BGPHijackPoisoner:
             zone_name=zone_name,
             records=records,
         )
-        attacker.nameserver = self.nameserver
 
     @property
     def active(self) -> bool:
@@ -98,11 +97,7 @@ class BGPHijackPoisoner:
 
     def poisoning_succeeded(self, resolver: RecursiveResolver) -> bool:
         """Whether the resolver currently caches attacker addresses for the zone."""
-        entry = resolver.cache.peek(self.zone_name, RecordType.A)
-        if entry is None:
-            return False
-        attacker_addresses = set(self.attacker.ntp_addresses)
-        return any(record.rdata in attacker_addresses for record in entry.records)
+        return self.attacker.cached_records(resolver, self.zone_name)[1] > 0
 
 
 @dataclass
@@ -153,7 +148,6 @@ class BGPHijackScenario:
         self.testbed = build_testbed(
             testbed_config(self.config, benign_address_block="10.30.0.0/16"))
         self.simulator = self.testbed.simulator
-        self.network = self.testbed.network
         self.nameserver = self.testbed.nameserver
         self.resolver = self.testbed.resolver
         self.attacker = self.testbed.attacker
@@ -168,12 +162,9 @@ class BGPHijackScenario:
         horizon = cfg.hijack_start + cfg.hijack_duration + cfg.lookup_time + 30.0
         self.simulator.run(until=horizon)
         entry = self.resolver.cache.peek(cfg.zone, RecordType.A)
-        attacker_addresses = set(self.attacker.ntp_addresses)
-        cached = list(entry.records) if entry is not None else []
-        malicious_cached = sum(1 for record in cached
-                               if record.rdata in attacker_addresses)
+        _, malicious_cached = self.attacker.cached_records(self.resolver, cfg.zone)
         return BGPHijackResult(
-            cache_poisoned=self.hijacker.poisoning_succeeded(self.resolver),
+            cache_poisoned=malicious_cached > 0,
             malicious_records_cached=malicious_cached,
             cached_ttl=entry.ttl if entry is not None else None,
             legitimate_queries_answered=self.nameserver.queries_received,

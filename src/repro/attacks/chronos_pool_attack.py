@@ -121,9 +121,6 @@ class ChronosPoolAttackScenario:
             victim_factory=self._build_client,
         )
         self.simulator = self.testbed.simulator
-        self.network = self.testbed.network
-        self.benign_servers = self.testbed.benign_servers
-        self.nameserver = self.testbed.nameserver
         self.resolver = self.testbed.resolver
         self.client: ChronosClient = self.testbed.victim
         self.attacker = self.testbed.attacker
@@ -167,10 +164,11 @@ class ChronosPoolAttackScenario:
         pool = completed[0]
         self.client.pool = pool
         composition = pool.composition(self.attacker.ntp_addresses)
+        malicious = set(self.attacker.ntp_addresses)
         poisoned_queries = [
             record.index + 1
             for record in pool.queries
-            if set(record.accepted_addresses) & set(self.attacker.ntp_addresses)
+            if not malicious.isdisjoint(record.accepted_addresses)
         ]
         self.pool_result = PoolAttackResult(
             pool=pool,

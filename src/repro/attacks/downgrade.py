@@ -186,7 +186,7 @@ class DowngradeScenario(FragRaceWorld):
         poisoned = self.poisoner.verify_poisoning()
         transport = self.resolver.upstream_transport
         report = self.poisoner.reports[-1] if self.poisoner.reports else None
-        _, poisoned_cached = self.cached_records()
+        _, poisoned_cached = self.attacker.cached_records(self.resolver, cfg.zone)
         return DowngradeResult(
             cache_poisoned=poisoned,
             downgraded=(transport.downgraded_queries > 0

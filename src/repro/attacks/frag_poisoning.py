@@ -26,7 +26,7 @@ in the trailing fragment(s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from ..defenses.classic import FragmentedResponseRejection
@@ -90,7 +90,6 @@ class FragmentationAttackReport:
     ipid_hit: bool = False
     checksum_valid: bool = False
     cache_poisoned: bool = False
-    injected_addresses: list[str] = field(default_factory=list)
 
 
 class FragmentationPoisoner:
@@ -200,7 +199,6 @@ class FragmentationPoisoner:
             for fragment in fragments:
                 self.network.inject(fragment)
                 report.planted_fragments += 1
-        report.injected_addresses = self.attacker.ntp_addresses[: len(expected_response.answers)]
         obs = self.network.simulator.obs
         if obs.enabled:
             obs.metrics.counter("attack.frag_bursts").inc()
@@ -225,13 +223,7 @@ class FragmentationPoisoner:
 
     def verify_poisoning(self) -> bool:
         """Check whether the resolver now caches attacker addresses for the zone."""
-        from ..dns.records import RecordType
-
-        entry = self.resolver.cache.peek(self.zone_name, RecordType.A)
-        if entry is None:
-            return False
-        attacker_addresses = set(self.attacker.ntp_addresses)
-        poisoned = any(record.rdata in attacker_addresses for record in entry.records)
+        poisoned = self.attacker.cached_records(self.resolver, self.zone_name)[1] > 0
         if self.reports:
             self.reports[-1].cache_poisoned = poisoned
         return poisoned
@@ -311,13 +303,6 @@ class FragRaceWorld:
         if any(isinstance(defense, DNSCookies) for defense in self.resolver.defenses):
             message = replace(message, cookie=0)
         return message
-
-    def cached_records(self) -> tuple[int, int]:
-        """(records the resolver caches for the zone, how many are the attacker's)."""
-        entry = self.resolver.cache.peek(self.config.zone, RecordType.A)
-        cached = list(entry.records) if entry is not None else []
-        attacker_addresses = set(self.attacker.ntp_addresses)
-        return len(cached), sum(1 for record in cached if record.rdata in attacker_addresses)
 
 
 @dataclass
@@ -425,7 +410,8 @@ class FragPoisoningScenario(FragRaceWorld):
 
     def _result(self, reports: list[FragmentationAttackReport], poisoned: bool,
                 races_run: int, races_poisoned: int) -> FragPoisoningResult:
-        records_cached, poisoned_cached = self.cached_records()
+        records_cached, poisoned_cached = self.attacker.cached_records(self.resolver,
+                                                                       self.config.zone)
         return FragPoisoningResult(
             planted_fragments=sum(report.planted_fragments for report in reports),
             cache_poisoned=poisoned,

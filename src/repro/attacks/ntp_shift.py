@@ -40,8 +40,7 @@ def chronos_round_offset(model: OfflineShiftModel, config: Optional[ChronosConfi
     honest = model.sample_size - model.malicious_samples
     offsets = [model.honest_jitter * ((i % 3) - 1) for i in range(honest)]
     offsets += [model.shift] * model.malicious_samples
-    result = chronos_select(offsets, config) if enforce_checks else \
-        chronos_select(offsets, config, enforce_checks=False)
+    result = chronos_select(offsets, config, enforce_checks=enforce_checks)
     return result.offset if result.accepted else None
 
 

@@ -51,7 +51,6 @@ class ChronosUpdateRecord:
     outcome: Optional[UpdateOutcome] = None
     applied_offset: Optional[float] = None
     selection: Optional[ChronosSelectionResult] = None
-    panic_used: bool = False
 
 
 class ChronosClient(Host):
@@ -134,7 +133,6 @@ class ChronosClient(Host):
 
     def _start_panic(self, record: ChronosUpdateRecord) -> None:
         self._in_panic = True
-        record.panic_used = True
         self.panic_count += 1
         obs = self.network.simulator.obs
         if obs.enabled:

@@ -12,7 +12,11 @@ scenario only adds its victim on top.
 Randomness discipline: the only random draws during construction are the
 benign servers' clock errors, taken from the simulator-owned
 ``random.Random`` — so a testbed is a pure function of its config, and two
-builds from the same config are identical event-for-event.
+builds from the same config are identical event-for-event.  The errors are
+drawn now, in address order; every NTP server (benign and malicious) is a
+pool host, built on its first packet with its error already drawn
+(:meth:`~repro.netsim.network.Network.add_pool`), and building one neither
+draws nor schedules anything.
 """
 
 from __future__ import annotations
@@ -124,7 +128,9 @@ class Testbed:
     config: TestbedConfig
     simulator: Simulator
     network: Network
-    benign_servers: list[NTPServer]
+    #: Benign server address -> its drawn clock error, in allocation order;
+    #: ``network.host_for(address)`` returns (building) the server.
+    benign_clock_errors: dict[str, float]
     nameserver: PoolNTPNameserver
     resolver: RecursiveResolver
     #: The configured defense stack (shared by the resolver and the victim's
@@ -181,16 +187,22 @@ class TestbedBuilder:
             ).arm()
 
         allocator = AddressAllocator(cfg.benign_address_block)
-        benign_servers = [
-            NTPServer(network, allocator.allocate(),
-                      clock_error=simulator.rng.gauss(0.0, cfg.benign_clock_error_stddev))
+        benign_clock_errors = {
+            allocator.allocate(): simulator.rng.gauss(0.0, cfg.benign_clock_error_stddev)
             for _ in range(cfg.benign_server_count)
-        ]
+        }
+
+        def build_benign(address: str) -> NTPServer:
+            server = NTPServer(network, address, clock_error=benign_clock_errors[address])
+            assert server.clock.drift_ppm == 0  # drift would count from the build
+            return server
+
+        network.add_pool(benign_clock_errors, build_benign, pool="benign")
         nameserver = PoolNTPNameserver(
             network,
             cfg.nameserver_address,
             zone_name=cfg.zone,
-            pool_servers=[server.address for server in benign_servers],
+            pool_servers=list(benign_clock_errors),
             records_per_response=cfg.records_per_response,
             ttl=cfg.benign_ttl,
             min_supported_mtu=cfg.nameserver_min_mtu,
@@ -223,7 +235,7 @@ class TestbedBuilder:
             config=cfg,
             simulator=simulator,
             network=network,
-            benign_servers=benign_servers,
+            benign_clock_errors=benign_clock_errors,
             nameserver=nameserver,
             resolver=resolver,
             defenses=stack,

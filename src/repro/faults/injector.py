@@ -40,8 +40,6 @@ if TYPE_CHECKING:
 #: (drop reason or None, extra one-way latency, duplicate delay or None).
 TransmitVerdict = tuple[Optional[str], float, Optional[float]]
 
-_NO_FAULT: TransmitVerdict = (None, 0.0, None)
-
 
 def _match(spec: str, address: str) -> bool:
     return spec == "*" or spec == address

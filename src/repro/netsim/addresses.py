@@ -8,7 +8,6 @@ benign and attacker NTP-server addresses.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -133,7 +132,3 @@ class AddressAllocator:
     def allocate_many(self, count: int) -> list[str]:
         """Allocate ``count`` consecutive addresses."""
         return [self.allocate() for _ in range(count)]
-
-    def __iter__(self) -> Iterator[str]:
-        while True:
-            yield self.allocate()

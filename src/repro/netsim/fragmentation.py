@@ -165,7 +165,6 @@ class ReassemblyBuffer:
         self._entries: dict[tuple, _ReassemblyEntry] = {}
         self.completed = 0
         self.expired = 0
-        self.overlaps_seen = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -230,7 +229,6 @@ class ReassemblyBuffer:
         for existing_offset, existing in entry.chunks.items():
             if offset < existing_offset + len(existing) and existing_offset < offset + len(fragment.payload):
                 overlap = True
-                self.overlaps_seen += 1
                 break
         if overlap and self.overlap_policy is OverlapPolicy.FIRST_WINS:
             # Keep existing bytes; only store the non-overlapping tail/head.

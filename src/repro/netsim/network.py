@@ -1,8 +1,10 @@
 """The simulated network: hosts, links and packet delivery.
 
 Hosts register with a :class:`Network` under one or more IPv4 addresses and
-exchange UDP datagrams.  Delivery goes through three stages that mirror what
-the attacks care about:
+exchange UDP datagrams.  A pool of addresses (:meth:`Network.add_pool`) gets
+its hosts built on their first packet, so a world costs only the hosts its
+run touches.  Delivery goes through three stages that mirror what the
+attacks care about:
 
 1. *Routing* — normally straight to the host owning the destination address,
    but a :class:`repro.netsim.bgp.RoutingTable` can divert a prefix to a
@@ -22,7 +24,7 @@ needs.  On-path attackers are modelled with taps.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -58,7 +60,9 @@ class Host:
 
     Subclasses override :meth:`handle_datagram`.  Each host owns a
     defragmentation cache; its overlap policy is an experiment knob because
-    the fragmentation-poisoning vector depends on it.
+    the fragmentation-poisoning vector depends on it.  A pool host
+    (:meth:`Network.add_pool`) is built on its first packet, so its state
+    must not depend on when it is built.
     """
 
     def __init__(self, network: Network, address: str, name: Optional[str] = None,
@@ -158,6 +162,8 @@ class Network:
         self.default_link = default_link or LinkProperties()
         self.routing_table = routing_table or RoutingTable()
         self._hosts: dict[str, Host] = {}
+        #: Pool addresses not built yet: address -> (builder, pool name).
+        self._pending: dict[str, tuple[Callable[[str], Host], str]] = {}
         self._links: dict[tuple[str, str], LinkProperties] = {}
         self._path_mtu: dict[str, int] = {}
         self._taps: list[Tap] = []
@@ -174,16 +180,33 @@ class Network:
     # -- topology ----------------------------------------------------------
     def register(self, host: Host) -> None:
         """Register a host under its address (called by ``Host.__init__``)."""
-        if host.address in self._hosts:
+        if host.address in self._hosts or host.address in self._pending:
             raise NetworkError(f"address {host.address} already registered")
         self._hosts[host.address] = host
 
+    def add_pool(self, addresses: Iterable[str], build: Callable[[str], Host],
+                 pool: str) -> None:
+        """Register ``addresses`` as hosts ``build(address)`` makes (and
+        registers) when :meth:`host_for` first asks for one, whether a packet
+        is addressed or BGP-diverted there; ``pool`` labels ``net.hosts_built``."""
+        for address in addresses:
+            if address in self._hosts or address in self._pending:
+                raise NetworkError(f"address {address} already registered")
+            self._pending[address] = (build, pool)
+
     def host_for(self, address: str) -> Optional[Host]:
-        """The host owning ``address``, honouring any BGP hijack in effect."""
+        """The host owning ``address`` (built now if it is a pool host),
+        honouring any BGP hijack in effect."""
         diverted = self.routing_table.lookup(address)
-        if diverted is not None and diverted in self._hosts:
-            return self._hosts[diverted]
-        return self._hosts.get(address)
+        if diverted is not None and (diverted in self._hosts or diverted in self._pending):
+            address = diverted
+        host = self._hosts.get(address)
+        if host is None and address in self._pending:
+            build, pool = self._pending.pop(address)
+            host = build(address)
+            if self._obs.enabled:
+                self._obs.metrics.counter("net.hosts_built", pool=pool).inc()
+        return host
 
     def set_link(self, src: str, dst: str, properties: LinkProperties) -> None:
         """Configure link behaviour for the (src, dst) direction."""

@@ -257,7 +257,3 @@ class Simulator:
     def run_for(self, duration: float, max_events: Optional[int] = None) -> None:
         """Run for ``duration`` simulated seconds from the current time."""
         self.run(until=self._now + duration, max_events=max_events)
-
-    def advance(self, duration: float) -> None:
-        """Alias of :meth:`run_for`; reads naturally in experiment scripts."""
-        self.run_for(duration)

@@ -176,8 +176,6 @@ class Connection:
         #: Next in-order sequence number we expect from the peer.
         self.rcv_nxt: Optional[int] = None
         self._out_of_order: dict[int, bytes] = {}
-        self.bytes_sent = 0
-        self.bytes_received = 0
         #: Segments that failed the sequence/ack checks — blind injections.
         self.injections_rejected = 0
         self.on_established: Optional[Callable[[], None]] = None
@@ -239,7 +237,6 @@ class Connection:
             advance += 1
         if not flags & FLAG_SYN:
             self.snd_nxt = (self.snd_nxt + advance) % _SEQ_MOD
-        self.bytes_sent += len(payload)
         self.stack.transmit(self, segment)
 
     def close(self) -> None:
@@ -354,7 +351,6 @@ class Connection:
         while self.rcv_nxt in self._out_of_order:
             chunk = self._out_of_order.pop(self.rcv_nxt)
             self.rcv_nxt = (self.rcv_nxt + len(chunk)) % _SEQ_MOD
-            self.bytes_received += len(chunk)
             if self.on_data is not None:
                 self.on_data(chunk)
 
@@ -393,7 +389,6 @@ class Listener:
         #: the listener cannot tell a replayed SYN+flight from a fresh one.
         self.fast_open = fast_open
         self.half_open: dict[ConnectionKey, Connection] = {}
-        self.connections_accepted = 0
         #: Connections accepted with data on the SYN (fast-open path).
         self.fast_opens_accepted = 0
         #: SYNs dropped because every backlog slot was occupied — the
@@ -431,7 +426,6 @@ class Listener:
             connection.state = ConnectionState.ESTABLISHED
             self.fast_opens_accepted += 1
             self.stack.promote(connection)
-            connection.bytes_received += len(first_flight)
             if connection.on_data is not None:
                 connection.on_data(first_flight)
             return
@@ -444,7 +438,6 @@ class Listener:
 
     def _promoted(self, connection: Connection) -> None:
         self.half_open.pop(connection.key, None)
-        self.connections_accepted += 1
         self.on_connection(connection)
 
     def _forgotten(self, connection: Connection) -> None:
@@ -564,8 +557,10 @@ class TCPStack:
             connection.handle_segment(segment)
             return
         listener = self.listeners.get(segment.dst_port)
-        if (listener is not None and segment.flags & FLAG_SYN
-                and not segment.flags & FLAG_ACK):
+        # RFC 793 (LISTEN): a reset is ignored and an ACK refused before a
+        # SYN is looked at, so only a SYN without either opens a connection.
+        if (listener is not None
+                and segment.flags & (FLAG_SYN | FLAG_ACK | FLAG_RST) == FLAG_SYN):
             listener.handle_syn(packet.src_ip, segment)
         elif self.obs.enabled:
             # Anything else is dropped without a RST (see module docstring).

@@ -75,7 +75,6 @@ class NTPQuerier:
         self.retry_jitter = retry_jitter
         self._pending: dict[tuple[str, int], _PendingQuery] = {}
         self.queries_sent = 0
-        self.responses_received = 0
         self.timeouts = 0
         self.retries_sent = 0
         self.invalid_responses = 0
@@ -188,7 +187,6 @@ class NTPQuerier:
             root_dispersion=packet.root_dispersion,
             completed_at=self.host.network.simulator.now,
         )
-        self.responses_received += 1
         obs = self.host.network.simulator.obs
         if obs.enabled:
             obs.metrics.counter("ntp.samples_collected").inc()

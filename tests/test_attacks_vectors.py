@@ -19,6 +19,7 @@ from repro.dns.records import RecordType, a_record
 from repro.dns.resolver import RecursiveResolver, ResolverPolicy
 from repro.netsim.network import LinkProperties, Network
 from repro.netsim.simulator import Simulator
+from repro.ntp.server import MaliciousNTPServer
 
 
 def build_world(resolver_policy=None, nameserver_mtu=1500, records_per_response=4,
@@ -43,9 +44,10 @@ def build_world(resolver_policy=None, nameserver_mtu=1500, records_per_response=
 # -- attacker infrastructure ------------------------------------------------------------
 
 def test_default_attacker_has_89_ntp_servers():
-    _, _, _, _, attacker = build_world()
-    assert len(attacker.ntp_servers) == 89
-    assert len(set(attacker.ntp_addresses)) == 89
+    _, network, _, _, attacker = build_world()
+    assert len(set(attacker.ntp_addresses)) == len(attacker.ntp_addresses) == 89
+    assert all(isinstance(network.host_for(address), MaliciousNTPServer)
+               for address in attacker.ntp_addresses)
 
 
 def test_attacker_record_set_uses_high_ttl():
@@ -57,9 +59,12 @@ def test_attacker_record_set_uses_high_ttl():
 
 
 def test_attacker_time_shift_applies_to_all_servers():
-    _, _, _, _, attacker = build_world(attacker_servers=5)
+    _, network, _, _, attacker = build_world(attacker_servers=5)
+    built_before = network.host_for(attacker.ntp_addresses[0])
     attacker.set_time_shift(123.0)
-    assert all(server.time_shift == 123.0 for server in attacker.ntp_servers)
+    assert built_before.time_shift == 123.0
+    assert all(network.host_for(address).time_shift == 123.0
+               for address in attacker.ntp_addresses)
 
 
 def test_capabilities_gate_bgp_hijack():

@@ -242,13 +242,12 @@ def test_wilson_interval_properties():
 def test_testbed_builder_is_deterministic():
     first = build_testbed(TestbedConfig(seed=9, benign_server_count=12))
     second = build_testbed(TestbedConfig(seed=9, benign_server_count=12))
-    assert [s.address for s in first.benign_servers] == \
-        [s.address for s in second.benign_servers]
-    assert [s.clock.error for s in first.benign_servers] == \
-        [s.clock.error for s in second.benign_servers]
+    assert list(first.benign_clock_errors.items()) == \
+        list(second.benign_clock_errors.items())
     other_seed = build_testbed(TestbedConfig(seed=10, benign_server_count=12))
-    assert [s.clock.error for s in first.benign_servers] != \
-        [s.clock.error for s in other_seed.benign_servers]
+    assert list(first.benign_clock_errors) == list(other_seed.benign_clock_errors)
+    assert list(first.benign_clock_errors.values()) != \
+        list(other_seed.benign_clock_errors.values())
 
 
 def test_testbed_attacker_and_hijacker_are_optional():

@@ -8,7 +8,11 @@ Two gates:
 * hypothesis-drawn payloads at every UDP port of an attack testbed and of
   the default testbed: ``Simulator.run`` never raises, and
   ``dns.malformed`` + ``ntp.malformed`` rise by one exactly when the
-  receiver's codec rejects the payload.
+  receiver's codec rejects the payload;
+* hypothesis-drawn stream inputs at the nameserver's TCP 53, DoT 853 and
+  DoH 443 listeners (raw segments, secure-channel records, DNS frames and
+  DoH requests, sent in random chunks): ``Simulator.run`` never raises, and
+  a rejected input raises exactly one of the stream drop counters.
 """
 
 from __future__ import annotations
@@ -24,11 +28,19 @@ from repro import obs
 from repro.attacks.chronos_pool_attack import ChronosPoolAttackScenario
 from repro.dns.message import DNSMessage
 from repro.dns.records import a_record
-from repro.dns.transport import DOT_PORT, frame_dns
+from repro.dns.transport import DOH_PORT, DOT_PORT, doh_request, frame_dns
 from repro.dns.wire import WireFormatError
 from repro.experiments import TestbedConfig, build_testbed
-from repro.netsim.packets import UDPDatagram
-from repro.netsim.transport import SecureChannel
+from repro.netsim import transport
+from repro.netsim.packets import PROTO_TCP, IPPacket, PacketError, UDPDatagram
+from repro.netsim.transport import (
+    FLAG_ACK,
+    FLAG_FIN,
+    FLAG_RST,
+    FLAG_SYN,
+    SecureChannel,
+    TCPSegment,
+)
 from repro.ntp.packet import NTP_PORT, NTPPacket, PacketFormatError
 
 DNS_PORT = 53
@@ -136,7 +148,7 @@ def fuzz_world(kind: str):
             extra = []
     targets = [(testbed.resolver.address, 5353, DNS_PORT, DNSMessage.decode),
                (testbed.nameserver.address, 5353, DNS_PORT, DNSMessage.decode),
-               (testbed.benign_servers[0].address, 40000, NTP_PORT, NTPPacket.decode),
+               (next(iter(testbed.benign_clock_errors)), 40000, NTP_PORT, NTPPacket.decode),
                *extra]
     return testbed.simulator, testbed.network, observed, targets
 
@@ -162,3 +174,118 @@ def test_injected_udp_payloads_never_stop_the_simulation(kind, payload):
         network.send_datagram(UDPDatagram(OFF_PATH, address, src_port, dst_port, payload))
         simulator.run(until=simulator.now + 3.0)
         assert malformed(observed) - before == rejects(decode, payload), (address, dst_port)
+
+
+# -- system-level TCP-stream fuzz -------------------------------------------------------
+
+#: Every way a stream input can be dropped at the nameserver.
+STREAM_DROPS = ("dns.malformed", "tls.malformed", "tls.aborts", "tcp.malformed",
+                "tcp.dropped")
+STREAM_PORTS = (DNS_PORT, DOT_PORT, DOH_PORT)
+#: Secure-channel record types a server accepts before the handshake: a
+#: ClientHello (when it is 64 bytes) and an alert, which closes quietly.
+CLIENT_HELLO, ALERT = transport._REC_CLIENT_HELLO, transport._REC_ALERT
+KNOWN_RECORDS = (CLIENT_HELLO, transport._REC_SERVER_HELLO, transport._REC_TICKET,
+                 transport._REC_RESUME_HELLO, transport._REC_RESUME_ACK,
+                 transport._REC_EARLY_DATA, ALERT, transport._REC_APP_DATA)
+
+
+@st.composite
+def raw_segment(draw):
+    """A TCP segment to one of the listeners, with a few bytes changed, then cut."""
+    flags = draw(st.sampled_from([FLAG_SYN, FLAG_SYN | FLAG_ACK, FLAG_ACK,
+                                  FLAG_RST, FLAG_FIN | FLAG_ACK,
+                                  draw(st.integers(0, 0x3F))]))
+    wire = bytearray(TCPSegment(
+        src_port=draw(st.integers(1, 0xFFFF)), dst_port=draw(st.sampled_from(STREAM_PORTS)),
+        seq=draw(st.integers(0, 2**32 - 1)), ack=draw(st.integers(0, 2**32 - 1)),
+        flags=flags, payload=draw(st.binary(max_size=64))).encode())
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        wire[draw(st.integers(0, len(wire) - 1))] = draw(st.integers(0, 255))
+    cut = draw(st.one_of(st.just(len(wire)), st.integers(0, len(wire))))
+    return ("segment", None, bytes(wire[:cut]))
+
+
+@st.composite
+def channel_record(draw):
+    """One secure-channel record, sent without a handshake to 853 or 443."""
+    record_type = draw(st.one_of(st.sampled_from(KNOWN_RECORDS), st.integers(0, 255)))
+    size = draw(st.sampled_from([64, draw(st.integers(0, 200))]))
+    body = draw(st.binary(min_size=size, max_size=size))
+    return ("record", draw(st.sampled_from([DOT_PORT, DOH_PORT])),
+            transport._frame_record(record_type, body))
+
+
+@st.composite
+def dns_input(draw):
+    """A DNS message over plain TCP, DoT or DoH; a DoH header may be garbage."""
+    port = draw(st.sampled_from(STREAM_PORTS))
+    payload = draw(st.one_of(st.sampled_from(_valid_payloads()), payloads))
+    if port == DOH_PORT and draw(st.booleans()):
+        length = draw(st.sampled_from(["-1", "65536", "12x", "999999", ""]))
+        return ("doh_header", port,
+                f"POST /dns-query HTTP/1.1\r\ncontent-length: {length}\r\n\r\n".encode())
+    return ("dns", port, doh_request(payload) if port == DOH_PORT else frame_dns(payload))
+
+
+def expected_drop(kind: str, port, data: bytes):
+    """The one drop counter ``data`` should raise, or ``None`` if it is accepted."""
+    if kind == "segment":
+        try:
+            segment = TCPSegment.decode(data)
+        except PacketError:
+            return "tcp.malformed"
+        opens = segment.flags & (FLAG_SYN | FLAG_ACK | FLAG_RST) == FLAG_SYN
+        return None if opens and segment.dst_port in STREAM_PORTS else "tcp.dropped"
+    if kind == "record":
+        record_type, body = data[0], data[3:]
+        if record_type == ALERT or (record_type == CLIENT_HELLO and len(body) == 64):
+            return None
+        return "tls.aborts" if record_type in KNOWN_RECORDS else "tls.malformed"
+    if kind == "doh_header":
+        return "dns.malformed"
+    wire = data[data.index(b"\r\n\r\n") + 4:] if port == DOH_PORT else data[2:]
+    return "dns.malformed" if rejects(DNSMessage.decode, wire) else None
+
+
+def chunks(data: bytes, cuts: list[int]) -> list[bytes]:
+    edges = sorted({0, len(data), *(cut % (len(data) + 1) for cut in cuts)})
+    return [data[start:end] for start, end in zip(edges, edges[1:])]
+
+
+stream_inputs = st.one_of(raw_segment(), channel_record(), dns_input())
+#: RFC 793: a listener ignores a reset, so a SYN carrying RST opens nothing.
+SYN_WITH_RST = TCPSegment(1, DNS_PORT, 0, 0, FLAG_SYN | FLAG_RST).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit=stream_inputs, cuts=st.lists(st.integers(0, 1 << 16), max_size=4))
+@example(unit=("record", DOT_PORT, transport._frame_record(99, b"?")), cuts=[1])
+@example(unit=("segment", None, SYN_WITH_RST), cuts=[])
+@example(unit=("doh_header", DOH_PORT,
+               b"POST /dns-query HTTP/1.1\r\ncontent-length: x\r\n\r\n"), cuts=[9])
+def test_stream_inputs_never_stop_the_simulation(unit, cuts):
+    kind, port, data = unit
+    with obs.capture(trace=False) as observed:
+        testbed = build_testbed(TestbedConfig(seed=5, with_attacker=False,
+                                              defenses=("encrypted_transport",),
+                                              nameserver_transports=("doh",)))
+    nameserver, simulator = testbed.nameserver, testbed.simulator
+    pieces = chunks(data, cuts)
+    if kind == "segment":
+        testbed.network.inject(IPPacket(OFF_PATH, nameserver.address, ip_id=1,
+                                        payload=data, protocol=PROTO_TCP))
+    elif kind == "record" or port == DNS_PORT:
+        conn = testbed.resolver.tcp.connect(nameserver.address, port)
+        conn.on_established = lambda: [conn.send(piece) for piece in pieces]
+    else:
+        server = nameserver.stream_transport
+        conn = testbed.resolver.tcp.connect(nameserver.address, port)
+        channel = SecureChannel.client(conn, simulator.rng, expected_identity=ZONE,
+                                       trust_anchor=server.cert_key)
+        channel.on_ready = lambda: [channel.send(piece) for piece in pieces]
+    simulator.run(until=30.0)
+    snapshot = observed.metrics.snapshot()
+    raised = {name: snapshot.counter_total(name) for name in STREAM_DROPS}
+    expected = expected_drop(kind, port, data)
+    assert raised == {name: int(name == expected) for name in STREAM_DROPS}, (kind, port)
