@@ -39,10 +39,10 @@ def test_effort_comparison(benchmark):
                  for row in success)
     lines.append("")
     lines.append(f"end-to-end, poisoned traditional client: shift achieved = "
-                 f"{baseline.attack_succeeded} (err {baseline.achieved_error:.1f} s)")
+                 f"{baseline['attack_succeeded']} (err {baseline['achieved_shift']:.1f} s)")
     lines.append(f"end-to-end, poisoned Chronos client:     shift achieved = "
-                 f"{chronos_shift.shift_achieved} (err {chronos_shift.achieved_error:.1f} s, "
-                 f"pool {chronos_pool.composition.benign}/{chronos_pool.composition.malicious})")
+                 f"{chronos_shift['shift_achieved']} (err {chronos_shift['achieved_shift']:.1f} s, "
+                 f"pool {chronos_pool['benign']}/{chronos_pool['malicious']})")
     emit("E6 — attack-surface and effort comparison, plain NTP vs Chronos", lines)
     assert all(row["chronos_overall"] >= row["traditional_overall"] for row in success)
-    assert baseline.attack_succeeded and chronos_shift.shift_achieved
+    assert baseline["attack_succeeded"] and chronos_shift["shift_achieved"]

@@ -40,14 +40,14 @@ def main(trace_path: str | None = None) -> None:
     print("== 1. undefended: the spoofed fragments win the race ==")
     result, ob = traced_run(())
     print(format_races(ob.trace.events()))
-    print(f"\ncache poisoned: {result.cache_poisoned} "
-          f"({result.poisoned_records_cached}/{result.records_cached} cached "
+    print(f"\ncache poisoned: {result['cache_poisoned']} "
+          f"({result['poisoned_records_cached']}/{result['records_cached']} cached "
           f"records are the attacker's)")
 
     print("\n== 2. fragment_rejection: same burst, the defense referees ==")
     result, ob = traced_run(("fragment_rejection",))
     print(format_races(ob.trace.events()))
-    print(f"\ncache poisoned: {result.cache_poisoned}")
+    print(f"\ncache poisoned: {result['cache_poisoned']}")
 
     snapshot = ob.metrics.snapshot()
     print("\n== counters of the defended run ==")

@@ -1,4 +1,8 @@
-"""Attacker implementations: poisoning vectors, the Chronos pool attack, time shifting."""
+"""Attacker implementations: poisoning vectors, the Chronos pool attack, time shifting.
+
+Each attack scenario's ``run`` returns the metrics dict its registry
+experiment records (see :mod:`repro.experiments.scenarios`).
+"""
 
 from .attacker import (
     DEFAULT_MALICIOUS_TTL,
@@ -8,13 +12,11 @@ from .attacker import (
 )
 from .baseline_scenario import (
     BaselineAttackConfig,
-    BaselineAttackResult,
     TraditionalClientAttackScenario,
 )
 from .bgp_hijack import (
     BGPHijackConfig,
     BGPHijackPoisoner,
-    BGPHijackResult,
     BGPHijackScenario,
     HijackWindow,
 )
@@ -22,14 +24,11 @@ from .chronos_pool_attack import (
     DEFAULT_ZONE,
     ChronosPoolAttackScenario,
     PoolAttackConfig,
-    PoolAttackResult,
-    TimeShiftResult,
     analytic_pool_composition,
 )
 from .downgrade import (
     DNS_STREAM_PORTS,
     DowngradeConfig,
-    DowngradeResult,
     DowngradeScenario,
     SynFloodDowngrader,
 )
@@ -38,7 +37,6 @@ from .frag_poisoning import (
     FragmentationAttackReport,
     FragmentationPoisoner,
     FragPoisoningConfig,
-    FragPoisoningResult,
     FragPoisoningScenario,
     FragRaceWorld,
     fragmentation_attack_success_probability,
@@ -56,29 +54,23 @@ __all__ = [
     "ImpersonatingNameserver",
     "build_attacker_infrastructure",
     "BaselineAttackConfig",
-    "BaselineAttackResult",
     "TraditionalClientAttackScenario",
     "BGPHijackConfig",
     "BGPHijackPoisoner",
-    "BGPHijackResult",
     "BGPHijackScenario",
     "HijackWindow",
     "DEFAULT_ZONE",
     "ChronosPoolAttackScenario",
     "PoolAttackConfig",
-    "PoolAttackResult",
-    "TimeShiftResult",
     "analytic_pool_composition",
     "DNS_STREAM_PORTS",
     "DowngradeConfig",
-    "DowngradeResult",
     "DowngradeScenario",
     "SynFloodDowngrader",
     "FragmentationAttackConditions",
     "FragmentationAttackReport",
     "FragmentationPoisoner",
     "FragPoisoningConfig",
-    "FragPoisoningResult",
     "FragPoisoningScenario",
     "FragRaceWorld",
     "fragmentation_attack_success_probability",

@@ -11,15 +11,17 @@ directions:
   sufficing for a two-thirds pool majority.
 
 The scenario mirrors :class:`repro.attacks.chronos_pool_attack.ChronosPoolAttackScenario`
-but drives a :class:`repro.ntp.client.TraditionalNTPClient`.
+but drives a :class:`repro.ntp.client.TraditionalNTPClient`; its ``run``
+returns the ``traditional_client_attack`` registry metrics dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
-from ..defenses.stack import DefenseSpec
+from ..core.security_analysis import shift_reached
+from ..defenses.stack import DefenseSpec, defense_rejections
 from ..dns.nameserver import POOL_NTP_ORG_TTL, POOL_RECORDS_PER_RESPONSE
 from ..experiments.testbed import Testbed, build_testbed, testbed_config
 from ..ntp.client import TraditionalNTPClient
@@ -50,23 +52,6 @@ class BaselineAttackConfig:
     latency: float = 0.01
 
 
-@dataclass
-class BaselineAttackResult:
-    """Outcome of the baseline attack."""
-
-    servers_used: list[str]
-    malicious_servers_used: int
-    target_shift: float
-    achieved_error: float
-    polls_run: int
-
-    @property
-    def attack_succeeded(self) -> bool:
-        if self.target_shift == 0:
-            return False
-        return abs(self.achieved_error) >= abs(self.target_shift) / 2
-
-
 class TraditionalClientAttackScenario:
     """DNS poisoning followed by time shifting against a plain NTP client."""
 
@@ -94,8 +79,11 @@ class TraditionalClientAttackScenario:
             defenses=testbed.defenses,
         )
 
-    def run(self, target_shift: float, poll_rounds: int = 4) -> BaselineAttackResult:
-        """Run the start-up resolution (poisoned or not) and ``poll_rounds`` polls."""
+    def run(self, target_shift: float, poll_rounds: int = 4) -> dict[str, Any]:
+        """Run the start-up resolution (poisoned or not) and ``poll_rounds`` polls.
+
+        Returns the ``traditional_client_attack`` registry metrics dict.
+        """
         if self.config.poison_startup_lookup:
             # The attacker wins the single race: the hijack is active exactly
             # when the client resolves the pool name at start-up.
@@ -105,11 +93,13 @@ class TraditionalClientAttackScenario:
         self.client.start()
         self.simulator.run_for(poll_rounds * self.config.poll_interval + 30.0)
         malicious = set(self.attacker.ntp_addresses)
-        used = list(self.client.servers)
-        return BaselineAttackResult(
-            servers_used=used,
-            malicious_servers_used=sum(1 for server in used if server in malicious),
-            target_shift=target_shift,
-            achieved_error=self.client.clock.error,
-            polls_run=len(self.client.poll_history),
-        )
+        return {
+            "attack_succeeded": shift_reached(self.client.clock.error, target_shift),
+            "defense_rejections": defense_rejections(self.resolver.defenses,
+                                                     self.testbed.defenses),
+            "achieved_shift": self.client.clock.error,
+            "servers_used": len(self.client.servers),
+            "malicious_servers_used": sum(1 for server in self.client.servers
+                                          if server in malicious),
+            "polls_run": len(self.client.poll_history),
+        }

@@ -7,14 +7,15 @@ attacker, who answers with its malicious record set while spoofing the
 legitimate nameserver's source address.  From the resolver's point of view
 everything checks out — transaction id, port, question, source address — and
 the forged records (many addresses, huge TTL) enter the cache.
+:meth:`BGPHijackScenario.run` returns the ``bgp_hijack`` registry metrics dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
-from ..defenses.stack import DefenseSpec
+from ..defenses.stack import DefenseSpec, defense_rejections
 from ..dns.records import RecordType
 from ..dns.resolver import RecursiveResolver
 from ..experiments.testbed import DEFAULT_ZONE, build_testbed, testbed_config
@@ -123,22 +124,6 @@ class BGPHijackConfig:
     latency: float = 0.01
 
 
-@dataclass
-class BGPHijackResult:
-    """Outcome of one hijack-poisoning attempt."""
-
-    cache_poisoned: bool
-    malicious_records_cached: int
-    cached_ttl: Optional[int]
-    #: Queries the real nameserver saw (0 while the hijack diverts traffic).
-    legitimate_queries_answered: int
-    hijacked_queries_answered: int
-
-    @property
-    def attack_succeeded(self) -> bool:
-        return self.cache_poisoned
-
-
 class BGPHijackScenario:
     """The §II prefix-hijack vector as a self-contained, registry-runnable
     scenario: announce, trigger one resolver lookup, inspect the cache."""
@@ -153,7 +138,8 @@ class BGPHijackScenario:
         self.attacker = self.testbed.attacker
         self.hijacker = self.testbed.hijacker
 
-    def run(self) -> BGPHijackResult:
+    def run(self) -> dict[str, Any]:
+        """Returns the ``bgp_hijack`` registry metrics dict."""
         cfg = self.config
         if cfg.hijack_duration > 0:
             self.hijacker.schedule_window(cfg.hijack_start, cfg.hijack_duration)
@@ -163,10 +149,13 @@ class BGPHijackScenario:
         self.simulator.run(until=horizon)
         entry = self.resolver.cache.peek(cfg.zone, RecordType.A)
         _, malicious_cached = self.attacker.cached_records(self.resolver, cfg.zone)
-        return BGPHijackResult(
-            cache_poisoned=malicious_cached > 0,
-            malicious_records_cached=malicious_cached,
-            cached_ttl=entry.ttl if entry is not None else None,
-            legitimate_queries_answered=self.nameserver.queries_received,
-            hijacked_queries_answered=self.hijacker.nameserver.hijacked_queries_answered,
-        )
+        return {
+            "attack_succeeded": malicious_cached > 0,
+            "defense_rejections": defense_rejections(self.resolver.defenses),
+            "cache_poisoned": malicious_cached > 0,
+            "malicious_records_cached": malicious_cached,
+            "cached_ttl": entry.ttl if entry is not None else None,
+            # Queries the real nameserver saw (0 while the hijack diverts traffic).
+            "legitimate_queries_answered": self.nameserver.queries_received,
+            "hijacked_queries_answered": self.hijacker.nameserver.hijacked_queries_answered,
+        }

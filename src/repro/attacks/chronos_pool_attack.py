@@ -16,18 +16,21 @@ This module provides the end-to-end scenario of Figure 1 (§IV):
 
 Both the full packet-level simulation (:class:`ChronosPoolAttackScenario`)
 and the closed-form pool arithmetic (:func:`analytic_pool_composition`) are
-provided; the benchmarks cross-check one against the other.
+provided; the benchmarks cross-check one against the other.  The
+scenario's two phases return the two halves of the ``chronos_pool_attack``
+registry metrics dict (see :mod:`repro.experiments.scenarios`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from ..core.chronos_client import ChronosClient
 from ..core.pool_generation import GeneratedPool, PoolComposition, PoolGenerationPolicy
+from ..core.security_analysis import shift_reached
 from ..core.selection import ChronosConfig
-from ..defenses.stack import DefenseSpec
+from ..defenses.stack import DefenseSpec, defense_rejections
 from ..dns.nameserver import POOL_NTP_ORG_TTL, POOL_RECORDS_PER_RESPONSE
 from ..experiments.testbed import DEFAULT_ZONE, Testbed, build_testbed, testbed_config
 from ..population.batch import FleetPolicy, compose_client
@@ -73,44 +76,6 @@ class PoolAttackConfig:
     latency: float = 0.01
 
 
-@dataclass
-class PoolAttackResult:
-    """Outcome of the pool-generation phase of the attack."""
-
-    pool: GeneratedPool
-    composition: PoolComposition
-    poisoned_queries: list[int]
-    cache_hits_during_generation: int
-    config: PoolAttackConfig
-
-    @property
-    def attacker_fraction(self) -> float:
-        return self.composition.malicious_fraction
-
-    @property
-    def attack_succeeded(self) -> bool:
-        """The §IV success criterion: attacker holds at least 2/3 of the pool."""
-        return self.composition.attacker_has_two_thirds
-
-
-@dataclass
-class TimeShiftResult:
-    """Outcome of the time-shifting phase run on the generated pool."""
-
-    target_shift: float
-    achieved_error: float
-    updates_run: int
-    panic_rounds: int
-    applied_offsets: list[float]
-
-    @property
-    def shift_achieved(self) -> bool:
-        """Whether the victim clock moved at least half way to the target."""
-        if self.target_shift == 0:
-            return False
-        return abs(self.achieved_error) >= abs(self.target_shift) / 2
-
-
 class ChronosPoolAttackScenario:
     """Builds and runs the Figure-1 attack end to end on the simulator."""
 
@@ -125,7 +90,6 @@ class ChronosPoolAttackScenario:
         self.client: ChronosClient = self.testbed.victim
         self.attacker = self.testbed.attacker
         self.hijacker = self.testbed.hijacker
-        self.pool_result: Optional[PoolAttackResult] = None
 
     def _build_client(self, testbed: Testbed) -> ChronosClient:
         return ChronosClient(
@@ -151,8 +115,13 @@ class ChronosPoolAttackScenario:
         start = max(query_time - self.config.hijack_duration / 2.0, 0.0)
         self.hijacker.schedule_window(start, self.config.hijack_duration)
 
-    def run_pool_generation(self) -> PoolAttackResult:
-        """Run the 24-hour pool-generation window (with the attack, if any)."""
+    def run_pool_generation(self) -> dict[str, Any]:
+        """Run the 24-hour pool-generation window (with the attack, if any).
+
+        Returns the pool half of the ``chronos_pool_attack`` registry dict;
+        ``attack_succeeded`` is the §IV criterion (attacker holds at least
+        2/3 of the pool).
+        """
         self._schedule_poisoning()
         completed: list[GeneratedPool] = []
         self.client.pool_generator.generate(completed.append)
@@ -161,42 +130,40 @@ class ChronosPoolAttackScenario:
         self.simulator.run(until=total_window)
         if not completed:
             raise RuntimeError("pool generation did not complete within the window")
-        pool = completed[0]
-        self.client.pool = pool
+        pool = self.client.pool = completed[0]
         composition = pool.composition(self.attacker.ntp_addresses)
         malicious = set(self.attacker.ntp_addresses)
-        poisoned_queries = [
-            record.index + 1
-            for record in pool.queries
-            if not malicious.isdisjoint(record.accepted_addresses)
-        ]
-        self.pool_result = PoolAttackResult(
-            pool=pool,
-            composition=composition,
-            poisoned_queries=poisoned_queries,
-            cache_hits_during_generation=self.resolver.queries_answered_from_cache,
-            config=self.config,
-        )
-        return self.pool_result
+        return {
+            "defense_rejections": defense_rejections(self.resolver.defenses,
+                                                     self.testbed.defenses),
+            "attack_succeeded": composition.attacker_has_two_thirds,
+            "attacker_fraction": composition.malicious_fraction,
+            "benign": composition.benign,
+            "malicious": composition.malicious,
+            "pool_size": pool.size,
+            "cache_hits": self.resolver.queries_answered_from_cache,
+            "poisoned_queries": [record.index + 1 for record in pool.queries
+                                 if not malicious.isdisjoint(record.accepted_addresses)],
+        }
 
-    def run_time_shift(self, target_shift: float, update_rounds: int = 8) -> TimeShiftResult:
-        """Phase 2: attacker NTP servers serve shifted time; run Chronos updates."""
-        if self.pool_result is None:
+    def run_time_shift(self, target_shift: float, update_rounds: int = 8) -> dict[str, Any]:
+        """Phase 2: attacker NTP servers serve shifted time; run Chronos updates.
+
+        Returns the time-shift half of the ``chronos_pool_attack`` registry dict.
+        """
+        if self.client.pool is None:
             raise RuntimeError("run_pool_generation() must be called first")
         self.attacker.set_time_shift(target_shift)
         # Begin the Chronos update loop on the already-generated pool.
         self.client.begin_updates()
         duration = update_rounds * self.config.chronos.poll_interval + 60.0
         self.simulator.run_for(duration)
-        applied = [record.applied_offset for record in self.client.update_history
-                   if record.applied_offset is not None]
-        return TimeShiftResult(
-            target_shift=target_shift,
-            achieved_error=self.client.clock_error,
-            updates_run=len(self.client.update_history),
-            panic_rounds=self.client.panic_count,
-            applied_offsets=applied,
-        )
+        return {
+            "achieved_shift": self.client.clock_error,
+            "shift_achieved": shift_reached(self.client.clock_error, target_shift),
+            "updates_run": len(self.client.update_history),
+            "panic_rounds": self.client.panic_count,
+        }
 
 
 def analytic_pool_composition(poison_at_query: Optional[int],

@@ -24,15 +24,16 @@ the vulnerability) and fails against ``dot_strict`` (no plaintext to fall
 back to — resolution fails closed and the attacker gets nothing).  Against
 stacks with no encrypted transport at all the resolver was speaking
 plaintext anyway and the scenario degenerates to the fragmentation race.
+:meth:`DowngradeScenario.run` returns the ``downgrade`` registry metrics dict.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
-from ..defenses.stack import DefenseSpec
+from ..defenses.stack import DefenseSpec, defense_rejections
 from ..dns.transport import STREAM_PORTS
 from ..experiments.testbed import DEFAULT_ZONE
 from ..netsim.network import Network
@@ -133,26 +134,6 @@ class DowngradeConfig:
     latency: float = 0.01
 
 
-@dataclass
-class DowngradeResult:
-    """Outcome of one downgrade-then-poison attempt."""
-
-    cache_poisoned: bool
-    #: Whether the resolver actually fell back to plaintext UDP.
-    downgraded: bool
-    encrypted_failures: int
-    syns_sent: int
-    #: SYNs the nameserver dropped at a full backlog (0 when it runs no
-    #: stream listeners at all).
-    syns_dropped: int
-    planted_fragments: int
-    poisoned_records_cached: int
-
-    @property
-    def attack_succeeded(self) -> bool:
-        return self.cache_poisoned
-
-
 class DowngradeScenario(FragRaceWorld):
     """SYN-flood downgrade of opportunistic encrypted DNS, then the classic
     fragmentation race — registry-runnable as ``downgrade``."""
@@ -168,7 +149,8 @@ class DowngradeScenario(FragRaceWorld):
             return self.config.syns_per_port
         return 4 * DEFAULT_BACKLOG
 
-    def run(self) -> DowngradeResult:
+    def run(self) -> dict[str, Any]:
+        """Returns the ``downgrade`` registry metrics dict."""
         cfg = self.config
         # Phase 1: keep every stream-listener backlog full around the
         # victim's lookup; the first burst goes out immediately.
@@ -187,15 +169,20 @@ class DowngradeScenario(FragRaceWorld):
         transport = self.resolver.upstream_transport
         report = self.poisoner.reports[-1] if self.poisoner.reports else None
         _, poisoned_cached = self.attacker.cached_records(self.resolver, cfg.zone)
-        return DowngradeResult(
-            cache_poisoned=poisoned,
-            downgraded=(transport.downgraded_queries > 0
-                        if transport is not None else False),
-            encrypted_failures=(transport.encrypted_failures
-                                if transport is not None else 0),
-            syns_sent=self.flooder.syns_sent,
-            syns_dropped=(self.nameserver.tcp.syns_dropped
-                          if self.nameserver._tcp is not None else 0),
-            planted_fragments=report.planted_fragments if report else 0,
-            poisoned_records_cached=poisoned_cached,
-        )
+        return {
+            "attack_succeeded": poisoned,
+            "defense_rejections": defense_rejections(self.resolver.defenses),
+            "cache_poisoned": poisoned,
+            # Whether the resolver actually fell back to plaintext UDP.
+            "downgraded": (transport.downgraded_queries > 0
+                           if transport is not None else False),
+            "encrypted_failures": (transport.encrypted_failures
+                                   if transport is not None else 0),
+            "syns_sent": self.flooder.syns_sent,
+            # SYNs the nameserver dropped at a full backlog (0 when it runs
+            # no stream listeners at all).
+            "syns_dropped": (self.nameserver.tcp.syns_dropped
+                             if self.nameserver._tcp is not None else 0),
+            "planted_fragments": report.planted_fragments if report else 0,
+            "poisoned_records_cached": poisoned_cached,
+        }

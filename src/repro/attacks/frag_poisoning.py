@@ -21,7 +21,8 @@ response with the same question and record layout as the benign one, encodes
 it, and injects the bytes beyond the fragmentation boundary.  Because A
 records have a fixed encoded size, the spliced message parses correctly and
 differs from the benign response exactly in the records (and TTLs) that lie
-in the trailing fragment(s).
+in the trailing fragment(s).  :meth:`FragPoisoningScenario.run` returns the
+``frag_poisoning`` registry metrics dict.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Any, Optional
 
 from ..defenses.classic import FragmentedResponseRejection
 from ..defenses.hardening import DNSCookies
-from ..defenses.stack import DefenseSpec
+from ..defenses.stack import DefenseSpec, defense_rejections
 from ..dns.message import DNSMessage
 from ..dns.nameserver import DNS_PORT, POOL_NTP_ORG_TTL, PoolNTPNameserver
 from ..dns.records import RecordType, a_record, signature_record
@@ -332,32 +333,15 @@ class FragPoisoningConfig:
     #: Declarative fault plan injected into the network (see :mod:`repro.faults`).
     faults: tuple = ()
     latency: float = 0.01
-    #: Number of poisoning races to run back-to-back.  ``1`` is the classic
-    #: single-shot vector; larger values model a *sustained-load* attacker
-    #: re-racing at ``trigger_interval`` spacing — the offered-load profile
-    #: response-rate limiting is designed to throttle.
-    trigger_count: int = 1
+    #: Number of poisoning races to run back-to-back.  ``None`` is the
+    #: classic single-shot vector and its classic metrics; a count also
+    #: reports the sustained-load keys (``races_run``, ``races_poisoned``,
+    #: ``rrl_dropped``, ``rrl_slipped``), and a count above 1 models a
+    #: *sustained-load* attacker re-racing at ``trigger_interval`` spacing —
+    #: the offered-load profile response-rate limiting is designed to throttle.
+    trigger_count: Optional[int] = None
     #: Seconds between races when ``trigger_count > 1``.
     trigger_interval: float = 0.25
-
-
-@dataclass
-class FragPoisoningResult:
-    """Outcome of one defragmentation-poisoning attempt."""
-
-    planted_fragments: int
-    cache_poisoned: bool
-    poisoned_records_cached: int
-    records_cached: int
-    #: Sustained-load accounting: how many races ran and how many of them
-    #: left attacker records in the cache.  The classic single-shot run is
-    #: simply ``races_run == 1``.
-    races_run: int = 1
-    races_poisoned: int = 0
-
-    @property
-    def attack_succeeded(self) -> bool:
-        return self.cache_poisoned
 
 
 class FragPoisoningScenario(FragRaceWorld):
@@ -371,8 +355,10 @@ class FragPoisoningScenario(FragRaceWorld):
         config = config or FragPoisoningConfig()
         super().__init__(config, "10.40.0.0/16", accept_fragments=config.accept_fragments)
 
-    def run(self) -> FragPoisoningResult:
-        if self.config.trigger_count <= 1:
+    def run(self) -> dict[str, Any]:
+        """Returns the ``frag_poisoning`` registry metrics dict."""
+        count = self.config.trigger_count
+        if count is None or count <= 1:
             # The classic single-shot race, kept event-for-event identical
             # to the pre-sustained-load scenario (pinned digests).
             self.poisoner.plant_fragments(self.expected_response(),
@@ -380,12 +366,34 @@ class FragPoisoningScenario(FragRaceWorld):
             self.resolver.trigger_lookup(self.config.zone)
             self.simulator.run(until=self.simulator.now + 10.0)
             poisoned = self.poisoner.verify_poisoning()
-            return self._result(self.poisoner.reports, poisoned,
-                                races_run=1, races_poisoned=int(poisoned))
-        return self._run_sustained()
+            races_run, races_poisoned = 1, int(poisoned)
+        else:
+            races_run, races_poisoned = count, self._run_sustained(count)
+            poisoned = self.poisoner.verify_poisoning() or races_poisoned > 0
+        records_cached, poisoned_cached = self.attacker.cached_records(self.resolver,
+                                                                       self.config.zone)
+        metrics = {
+            "attack_succeeded": poisoned,
+            "defense_rejections": defense_rejections(self.resolver.defenses),
+            "cache_poisoned": poisoned,
+            "planted_fragments": sum(report.planted_fragments
+                                     for report in self.poisoner.reports),
+            "poisoned_records_cached": poisoned_cached,
+            "records_cached": records_cached,
+        }
+        if count is not None:
+            limiter = self.nameserver.rate_limiter
+            metrics.update({
+                "races_run": races_run,
+                "races_poisoned": races_poisoned,
+                "rrl_dropped": limiter.responses_dropped if limiter else 0,
+                "rrl_slipped": limiter.responses_slipped if limiter else 0,
+            })
+        return metrics
 
-    def _run_sustained(self) -> FragPoisoningResult:
-        """Re-race every ``trigger_interval`` seconds, ``trigger_count`` times.
+    def _run_sustained(self, count: int) -> int:
+        """Re-race every ``trigger_interval`` seconds, ``count`` times, and
+        return how many races left attacker records in the cache.
 
         Each race is independent: the previous cache entry is evicted so the
         trigger is a fresh cache-miss race against the *live* nameserver —
@@ -394,7 +402,7 @@ class FragPoisoningScenario(FragRaceWorld):
         back TC=1 (slip) and retries over TCP, where the splice cannot reach.
         """
         races_poisoned = 0
-        for _ in range(self.config.trigger_count):
+        for _ in range(count):
             self.resolver.cache.evict(self.config.zone, RecordType.A)
             self.poisoner.plant_fragments(self.expected_response(),
                                           starting_ipid=self.config.starting_ipid)
@@ -403,20 +411,4 @@ class FragPoisoningScenario(FragRaceWorld):
             if self.poisoner.verify_poisoning():
                 races_poisoned += 1
         self.simulator.run(until=self.simulator.now + 10.0)
-        poisoned = self.poisoner.verify_poisoning() or races_poisoned > 0
-        return self._result(self.poisoner.reports, poisoned,
-                            races_run=self.config.trigger_count,
-                            races_poisoned=races_poisoned)
-
-    def _result(self, reports: list[FragmentationAttackReport], poisoned: bool,
-                races_run: int, races_poisoned: int) -> FragPoisoningResult:
-        records_cached, poisoned_cached = self.attacker.cached_records(self.resolver,
-                                                                       self.config.zone)
-        return FragPoisoningResult(
-            planted_fragments=sum(report.planted_fragments for report in reports),
-            cache_poisoned=poisoned,
-            poisoned_records_cached=poisoned_cached,
-            records_cached=records_cached,
-            races_run=races_run,
-            races_poisoned=races_poisoned,
-        )
+        return races_poisoned

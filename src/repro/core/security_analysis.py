@@ -164,6 +164,12 @@ def panic_mode_controlled(pool_size: int, malicious_servers: int) -> bool:
     return malicious_servers >= pool_size - pool_size // 3
 
 
+def shift_reached(achieved: float, target: float) -> bool:
+    """The time-shift phase's success rule: the victim's clock error reached
+    at least half of a non-zero ``target`` shift (a zero target never does)."""
+    return target != 0 and abs(achieved) >= abs(target) / 2
+
+
 @dataclass(frozen=True)
 class CumulativeShiftBound:
     """Effort to accumulate a *target* shift, not just win one round.

@@ -93,3 +93,16 @@ class DefenseStack:
                 self.rejections[defense.name] += 1
                 return False
         return True
+
+
+def defense_rejections(*stacks: DefenseStack) -> dict[str, int]:
+    """Combined per-defense rejection counts across the given stacks.
+
+    The resolver counts its own (response-side) rejections while the testbed
+    stack counts pool-admission and NTP-sample vetoes; summing the two gives
+    the full picture of *which* defense blocked an attack.
+    """
+    total: Counter = Counter()
+    for stack in stacks:
+        total.update(stack.rejections)
+    return dict(sorted(total.items()))

@@ -175,6 +175,9 @@ def stream_messages(decoder: DNSFrameDecoder | DoHMessageDecoder, data: bytes, o
 
     A bad DoH header loses the framing: it counts
     ``dns.malformed{site=doh_header}``, calls ``close`` and yields nothing.
+    The close removes the flow at once, so each later segment the peer had
+    already sent is a packet for a flow that is gone and counts
+    ``tcp.dropped{reason=no_flow}``: one count per packet, each truthful.
     An undecodable frame counts ``dns.malformed{site=<site>}`` and is skipped.
     """
     try:

@@ -1,15 +1,15 @@
 """Registry adapters exposing the attack scenarios as named experiments.
 
 Each adapter translates a flat, picklable parameter dict into the scenario's
-config dataclass, runs the scenario, and flattens the outcome into a metrics
-dict.  The config dataclass is the one place an attack's parameters and
-their defaults are declared: an adapter names the fields it exposes (plus
-any explicit default overrides and the run-phase knobs that are not config
-fields), and both ``default_params()`` and the config construction are
-derived from the dataclass fields.  The two measurement scenarios
-(``dns_measurement``, ``transport_overhead``) derive theirs the same way,
-from every field of their config.  Conventions shared by the attack
-adapters so sweeps aggregate uniformly:
+config dataclass and runs the scenario, whose ``run`` returns the very
+metrics dict the registry records.  The config dataclass is the one place an
+attack's parameters and their defaults are declared: an adapter names the
+fields it exposes (plus any explicit default overrides and the run-phase
+knobs that are not config fields), and both ``default_params()`` and the
+config construction are derived from the dataclass fields.  The two
+measurement scenarios (``dns_measurement``, ``transport_overhead``) derive
+theirs the same way, from every field of their config.  Conventions shared
+by the attack scenarios' dicts so sweeps aggregate uniformly:
 
 * ``attack_succeeded`` — the scenario's headline success criterion (bool);
 * ``achieved_shift`` — the clock error reached on the victim, where the
@@ -24,7 +24,6 @@ first lookup.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from typing import Any, ClassVar, Optional
@@ -39,7 +38,6 @@ from ..core.pool_generation import (
     PoolGenerationPolicy,
     reject_retired_pool_params,
 )
-from ..defenses.stack import DefenseStack
 from ..defenses.transport import EncryptedTransport
 from ..dns.records import RecordType
 from .registry import merge_params, register_scenario
@@ -59,19 +57,6 @@ def field_defaults(config_class: type, names: tuple[str, ...]) -> dict[str, Any]
     """The dataclass defaults of the named fields of ``config_class``."""
     defaults = config_class()
     return {name: getattr(defaults, name) for name in names}
-
-
-def defense_rejections(*stacks: DefenseStack) -> dict[str, int]:
-    """Combined per-defense rejection counts across the given stacks.
-
-    The resolver counts its own (response-side) rejections while the testbed
-    stack counts pool-admission and NTP-sample vetoes; summing the two gives
-    the full picture of *which* defense blocked an attack.
-    """
-    total: Counter = Counter()
-    for stack in stacks:
-        total.update(stack.rejections)
-    return dict(sorted(total.items()))
 
 
 class AttackAdapter:
@@ -143,27 +128,10 @@ class ChronosPoolAttackExperiment(AttackAdapter):
         reject_retired_pool_params(p)
         policy = PoolGenerationPolicy(**{name: p[name] for name in POOL_POLICY_PARAMS})
         scenario = ChronosPoolAttackScenario(self.build_config(seed, p, pool_policy=policy))
-        pool = scenario.run_pool_generation()
-        metrics: dict[str, Any] = {
-            "defense_rejections": defense_rejections(scenario.resolver.defenses,
-                                                     scenario.testbed.defenses),
-            "attack_succeeded": pool.attack_succeeded,
-            "attacker_fraction": pool.attacker_fraction,
-            "benign": pool.composition.benign,
-            "malicious": pool.composition.malicious,
-            "pool_size": pool.pool.size,
-            "cache_hits": pool.cache_hits_during_generation,
-            "poisoned_queries": list(pool.poisoned_queries),
-        }
+        metrics = scenario.run_pool_generation()
         if p["run_time_shift"]:
-            shift = scenario.run_time_shift(p["target_shift"],
-                                            update_rounds=p["update_rounds"])
-            metrics.update(
-                achieved_shift=shift.achieved_error,
-                shift_achieved=shift.shift_achieved,
-                updates_run=shift.updates_run,
-                panic_rounds=shift.panic_rounds,
-            )
+            metrics.update(scenario.run_time_shift(p["target_shift"],
+                                                   update_rounds=p["update_rounds"]))
         return metrics
 
 
@@ -182,16 +150,7 @@ class TraditionalClientAttackExperiment(AttackAdapter):
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
         p = self.resolve(params)
         scenario = TraditionalClientAttackScenario(self.build_config(seed, p))
-        result = scenario.run(p["target_shift"], poll_rounds=p["poll_rounds"])
-        return {
-            "attack_succeeded": result.attack_succeeded,
-            "defense_rejections": defense_rejections(scenario.resolver.defenses,
-                                                     scenario.testbed.defenses),
-            "achieved_shift": result.achieved_error,
-            "servers_used": len(result.servers_used),
-            "malicious_servers_used": result.malicious_servers_used,
-            "polls_run": result.polls_run,
-        }
+        return scenario.run(p["target_shift"], poll_rounds=p["poll_rounds"])
 
 
 @register_scenario
@@ -206,17 +165,7 @@ class BGPHijackExperiment(AttackAdapter):
               "hijack_start", "hijack_duration", "lookup_time", "defenses")
 
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        scenario = BGPHijackScenario(self.build_config(seed, self.resolve(params)))
-        result = scenario.run()
-        return {
-            "attack_succeeded": result.attack_succeeded,
-            "defense_rejections": defense_rejections(scenario.resolver.defenses),
-            "cache_poisoned": result.cache_poisoned,
-            "malicious_records_cached": result.malicious_records_cached,
-            "cached_ttl": result.cached_ttl,
-            "legitimate_queries_answered": result.legitimate_queries_answered,
-            "hijacked_queries_answered": result.hijacked_queries_answered,
-        }
+        return BGPHijackScenario(self.build_config(seed, self.resolve(params))).run()
 
 
 @register_scenario
@@ -231,31 +180,12 @@ class FragPoisoningExperiment(AttackAdapter):
               "accept_fragments", "checksum_oracle", "ipid_window", "starting_ipid",
               "attacker_record_count", "malicious_ttl", "defenses")
     # trigger_count/trigger_interval opt into the sustained-load profile
-    # (the ``sustained_load`` matrix row); leaving them out keeps the
-    # classic single-race run — and its pinned digests — untouched.
+    # (the ``sustained_load`` matrix row) and its metrics; leaving them out
+    # keeps the classic single-race run — and its pinned digests — untouched.
     optional = (*ATTACK_OPTIONAL_PARAMS, "trigger_count", "trigger_interval")
 
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        p = self.resolve(params)
-        scenario = FragPoisoningScenario(self.build_config(seed, p))
-        result = scenario.run()
-        metrics = {
-            "attack_succeeded": result.attack_succeeded,
-            "defense_rejections": defense_rejections(scenario.resolver.defenses),
-            "cache_poisoned": result.cache_poisoned,
-            "planted_fragments": result.planted_fragments,
-            "poisoned_records_cached": result.poisoned_records_cached,
-            "records_cached": result.records_cached,
-        }
-        if "trigger_count" in p:
-            limiter = scenario.nameserver.rate_limiter
-            metrics.update({
-                "races_run": result.races_run,
-                "races_poisoned": result.races_poisoned,
-                "rrl_dropped": limiter.responses_dropped if limiter else 0,
-                "rrl_slipped": limiter.responses_slipped if limiter else 0,
-            })
-        return metrics
+        return FragPoisoningScenario(self.build_config(seed, self.resolve(params))).run()
 
 
 @register_scenario
@@ -272,19 +202,7 @@ class DowngradeAttackExperiment(AttackAdapter):
               "malicious_ttl", "defenses")
 
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        scenario = DowngradeScenario(self.build_config(seed, self.resolve(params)))
-        result = scenario.run()
-        return {
-            "attack_succeeded": result.attack_succeeded,
-            "defense_rejections": defense_rejections(scenario.resolver.defenses),
-            "cache_poisoned": result.cache_poisoned,
-            "downgraded": result.downgraded,
-            "encrypted_failures": result.encrypted_failures,
-            "syns_sent": result.syns_sent,
-            "syns_dropped": result.syns_dropped,
-            "planted_fragments": result.planted_fragments,
-            "poisoned_records_cached": result.poisoned_records_cached,
-        }
+        return DowngradeScenario(self.build_config(seed, self.resolve(params))).run()
 
 
 class MeasurementAdapter:

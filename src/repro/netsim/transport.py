@@ -356,7 +356,6 @@ class Connection:
 
     def _reject(self, segment: TCPSegment) -> None:
         self.injections_rejected += 1
-        self.stack.segments_rejected += 1
         obs = self.stack.obs
         if obs.enabled:
             obs.metrics.counter("tcp.injections_rejected").inc()
@@ -391,13 +390,9 @@ class Listener:
         self.half_open: dict[ConnectionKey, Connection] = {}
         #: Connections accepted with data on the SYN (fast-open path).
         self.fast_opens_accepted = 0
-        #: SYNs dropped because every backlog slot was occupied — the
-        #: observable footprint of a SYN flood.
-        self.syns_dropped = 0
 
     def handle_syn(self, src_ip: str, segment: TCPSegment) -> None:
         if len(self.half_open) >= self.backlog:
-            self.syns_dropped += 1
             self.stack.syns_dropped += 1
             obs = self.stack.obs
             if obs.enabled:
@@ -455,10 +450,8 @@ class TCPStack:
         self.obs = host.network.simulator.obs
         self.listeners: dict[int, Listener] = {}
         self.connections: dict[ConnectionKey, Connection] = {}
-        self.segments_received = 0
-        self.segments_rejected = 0
-        #: Segments dropped because they did not decode.
-        self.segments_malformed = 0
+        #: SYNs dropped because every backlog slot was occupied — the
+        #: observable footprint of a SYN flood.
         self.syns_dropped = 0
 
     @property
@@ -546,11 +539,9 @@ class TCPStack:
         try:
             segment = TCPSegment.decode(packet.payload)
         except PacketError:
-            self.segments_malformed += 1
             if self.obs.enabled:
                 self.obs.metrics.counter("tcp.malformed", site="segment").inc()
             return
-        self.segments_received += 1
         connection = self.connections.get(
             (packet.src_ip, segment.src_port, segment.dst_port))
         if connection is not None:

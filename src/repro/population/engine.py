@@ -47,10 +47,12 @@ the client's first poisoned query rather than the resolver's poison time
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from ..core.security_analysis import shift_reached
 from ..core.selection import ChronosConfig
 from ..obs import current as _current_obs
 from .batch import ClientComposition, FleetPolicy, compose_client
@@ -485,7 +487,6 @@ class FleetEngine:
             panic_total = 0
             updates_total = 0
             achieved_count = 0
-            threshold = abs(config.target_shift) / 2
             for k, indices in groups.items():
                 gids = [config.client_offset + i for i in indices]
                 outcome = _run_group_shift(config, compositions[k], gids, np)
@@ -493,8 +494,10 @@ class FleetEngine:
                 shift_values.extend(outcome.achieved)
                 panic_total += sum(outcome.panic_rounds)
                 updates_total += outcome.updates_run * len(indices)
+                # A group's clients share a handful of distinct shifts.
                 achieved_count += sum(
-                    1 for s in outcome.achieved if abs(s) >= threshold)
+                    count for shift, count in Counter(outcome.achieved).items()
+                    if shift_reached(shift, config.target_shift))
             metrics.update({
                 "updates_run_total": updates_total,
                 "panic_rounds_total": panic_total,
@@ -536,7 +539,7 @@ class FleetEngine:
                 achieved = outcome.achieved[pos]
                 record.update({
                     "achieved_shift": achieved,
-                    "shift_achieved": abs(achieved) >= abs(config.target_shift) / 2,
+                    "shift_achieved": shift_reached(achieved, config.target_shift),
                     "updates_run": outcome.updates_run,
                     "panic_rounds": outcome.panic_rounds[pos],
                 })

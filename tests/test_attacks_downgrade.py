@@ -21,29 +21,29 @@ def run_config(defenses=(), **overrides):
 
 def test_plaintext_resolver_falls_to_the_fragmentation_race():
     scenario, result = run_config()
-    assert result.attack_succeeded
-    assert not result.downgraded            # nothing to downgrade from
-    assert result.syns_dropped == 0         # no stream listeners to flood
-    assert result.poisoned_records_cached > 0
+    assert result["attack_succeeded"]
+    assert not result["downgraded"]            # nothing to downgrade from
+    assert result["syns_dropped"] == 0         # no stream listeners to flood
+    assert result["poisoned_records_cached"] > 0
 
 
 def test_strict_dot_fails_closed_under_the_flood():
     scenario, result = run_config(defenses=("encrypted_transport",))
-    assert not result.attack_succeeded
-    assert not result.downgraded
-    assert result.encrypted_failures == 1
-    assert result.syns_dropped > 0          # the flood did land...
-    assert result.poisoned_records_cached == 0  # ...but bought nothing
+    assert not result["attack_succeeded"]
+    assert not result["downgraded"]
+    assert result["encrypted_failures"] == 1
+    assert result["syns_dropped"] > 0          # the flood did land...
+    assert result["poisoned_records_cached"] == 0  # ...but bought nothing
     # Fail-closed means fail: the lookup produced no answer at all.
     assert scenario.resolver.cache.peek(scenario.config.zone, RecordType.A) is None
 
 
 def test_opportunistic_dot_downgrades_and_gets_poisoned():
     scenario, result = run_config(defenses=("encrypted_transport_opportunistic",))
-    assert result.attack_succeeded
-    assert result.downgraded
-    assert result.encrypted_failures == 1
-    assert result.poisoned_records_cached > 0
+    assert result["attack_succeeded"]
+    assert result["downgraded"]
+    assert result["encrypted_failures"] == 1
+    assert result["poisoned_records_cached"] > 0
 
 
 def test_without_the_flood_opportunistic_dot_stays_encrypted():
@@ -51,9 +51,9 @@ def test_without_the_flood_opportunistic_dot_stays_encrypted():
     # fragments never match anything, and the attack fails.
     scenario, result = run_config(defenses=("encrypted_transport_opportunistic",),
                                   flood_bursts=0)
-    assert not result.attack_succeeded
-    assert not result.downgraded
-    assert result.syns_sent == 0
+    assert not result["attack_succeeded"]
+    assert not result["downgraded"]
+    assert result["syns_sent"] == 0
     transport = scenario.resolver.upstream_transport
     assert transport.encrypted_queries == 1
     assert transport.encrypted_failures == 0

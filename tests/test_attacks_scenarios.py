@@ -12,6 +12,7 @@ from repro.attacks.chronos_pool_attack import (
 )
 from repro.attacks.ntp_shift import OfflineShiftModel, chronos_round_offset, ntpd_round_offset
 from repro.core.pool_generation import PoolComposition
+from repro.core.security_analysis import shift_reached
 from repro.defenses import HighTTLDiscard, PerResponseAddressCap
 from repro.population.batch import FleetPolicy
 
@@ -107,36 +108,36 @@ def run_scenario(poison_at_query, seed=5, **config_kwargs):
 
 def test_no_attack_pool_is_benign_and_near_96():
     _, result = run_scenario(None)
-    assert result.composition.malicious == 0
+    assert result["malicious"] == 0
     # 24 responses x 4 addresses = 96, minus duplicates from the zone rotation.
-    assert 60 <= result.pool.size <= 96
-    assert not result.attack_succeeded
+    assert 60 <= result["pool_size"] <= 96
+    assert not result["attack_succeeded"]
 
 
 def test_poisoning_at_query_1_floods_pool():
     _, result = run_scenario(1)
-    assert result.composition.malicious == 89
-    assert result.composition.benign == 0
-    assert result.attack_succeeded
-    assert result.poisoned_queries[0] == 1
+    assert result["malicious"] == 89
+    assert result["benign"] == 0
+    assert result["attack_succeeded"]
+    assert result["poisoned_queries"][0] == 1
 
 
 def test_poisoning_at_query_3_matches_figure1_shape():
     _, result = run_scenario(3)
-    assert result.composition.malicious == 89
-    assert result.composition.benign <= 8  # 2 benign responses, possibly deduped
-    assert result.attack_succeeded
+    assert result["malicious"] == 89
+    assert result["benign"] <= 8  # 2 benign responses, possibly deduped
+    assert result["attack_succeeded"]
     # Subsequent queries are served from the poisoned cache entry.
-    assert result.cache_hits_during_generation >= 20
+    assert result["cache_hits"] >= 20
 
 
 def test_poisoning_at_query_12_still_succeeds():
     """The paper's crossover claim, on the wire: a success at query 12 still
     leaves the attacker with at least two-thirds of the (de-duplicated) pool."""
     _, result = run_scenario(12, benign_server_count=400)
-    assert result.composition.malicious == 89
-    assert result.composition.benign <= 44
-    assert result.attack_succeeded
+    assert result["malicious"] == 89
+    assert result["benign"] <= 44
+    assert result["attack_succeeded"]
 
 
 def test_poisoning_at_query_13_adds_too_many_benign_servers_analytically():
@@ -148,8 +149,8 @@ def test_poisoning_at_query_13_adds_too_many_benign_servers_analytically():
     assert composition.benign == 48
     assert not composition.attacker_has_two_thirds
     _, result = run_scenario(13, benign_server_count=400)
-    assert result.composition.malicious == 89
-    assert result.composition.benign <= 48
+    assert result["malicious"] == 89
+    assert result["benign"] <= 48
 
 
 def test_poison_index_out_of_range_rejected():
@@ -163,21 +164,21 @@ def test_max_records_mitigation_alone_still_leaves_attacker_majority():
     entry's >24 h TTL still starves every later query from cache, so the
     tiny pool remains attacker-dominated — the cap alone is insufficient."""
     _, result = run_scenario(1, defenses=(PerResponseAddressCap(4),))
-    assert result.composition.malicious <= 4
-    assert result.composition.benign == 0
-    assert result.attack_succeeded
+    assert result["malicious"] <= 4
+    assert result["benign"] == 0
+    assert result["attack_succeeded"]
 
 
 def test_both_mitigations_block_single_poisoning():
     _, result = run_scenario(1, defenses=(HighTTLDiscard(3600), PerResponseAddressCap(4)))
-    assert result.composition.malicious == 0
-    assert not result.attack_succeeded
+    assert result["malicious"] == 0
+    assert not result["attack_succeeded"]
 
 
 def test_ttl_mitigation_blocks_single_poisoning():
     _, result = run_scenario(1, defenses=(HighTTLDiscard(3600),))
-    assert result.composition.malicious == 0
-    assert not result.attack_succeeded
+    assert result["malicious"] == 0
+    assert not result["attack_succeeded"]
 
 
 def test_full_day_hijack_defeats_both_mitigations():
@@ -187,8 +188,8 @@ def test_full_day_hijack_defeats_both_mitigations():
                               hijack_duration=24 * 3600.0 + 1200.0, malicious_ttl=300)
     scenario = ChronosPoolAttackScenario(config)
     result = scenario.run_pool_generation()
-    assert result.composition.benign == 0
-    assert result.attack_succeeded
+    assert result["benign"] == 0
+    assert result["attack_succeeded"]
 
 
 def test_time_shift_requires_pool_generation_first():
@@ -199,24 +200,39 @@ def test_time_shift_requires_pool_generation_first():
 
 def test_time_shift_succeeds_after_successful_pool_attack():
     scenario, result = run_scenario(2)
-    assert result.attack_succeeded
+    assert result["attack_succeeded"]
     shift = scenario.run_time_shift(target_shift=600.0, update_rounds=6)
-    assert shift.shift_achieved
-    assert abs(shift.achieved_error - 600.0) < 10.0
+    assert shift["shift_achieved"]
+    assert abs(shift["achieved_shift"] - 600.0) < 10.0
 
 
 def test_time_shift_fails_without_pool_attack():
     scenario, result = run_scenario(None)
     shift = scenario.run_time_shift(target_shift=600.0, update_rounds=4)
-    assert not shift.shift_achieved
-    assert abs(shift.achieved_error) < 1.0
+    assert not shift["shift_achieved"]
+    assert abs(shift["achieved_shift"]) < 1.0
+
+
+@pytest.mark.parametrize("achieved, target, reached", [
+    (300.0, 600.0, True), (-300.0, 600.0, True), (300.0, -600.0, True),
+    (299.9, 600.0, False), (0.0, 0.0, False), (5.0, 0.0, False)])
+def test_shift_reached_is_half_of_a_nonzero_target(achieved, target, reached):
+    assert shift_reached(achieved, target) is reached
+
+
+def test_zero_target_shift_is_never_achieved():
+    scenario, result = run_scenario(2)
+    assert result["attack_succeeded"]
+    shift = scenario.run_time_shift(target_shift=0.0, update_rounds=4)
+    assert abs(shift["achieved_shift"]) < 0.1
+    assert shift["shift_achieved"] is False
 
 
 def test_small_shift_on_benign_pool_also_filtered():
     scenario, _ = run_scenario(None, seed=8)
     shift = scenario.run_time_shift(target_shift=0.05, update_rounds=4)
     # 89 attacker servers exist but none are in the pool, so nothing moves.
-    assert abs(shift.achieved_error) < 0.02
+    assert abs(shift["achieved_shift"]) < 0.02
 
 
 # -- the baseline (traditional client) scenario -----------------------------------------------
@@ -224,17 +240,17 @@ def test_small_shift_on_benign_pool_also_filtered():
 def test_baseline_poisoned_client_follows_attacker():
     scenario = TraditionalClientAttackScenario(BaselineAttackConfig(seed=6))
     result = scenario.run(target_shift=600.0)
-    assert result.malicious_servers_used == len(result.servers_used) == 4
-    assert result.attack_succeeded
+    assert result["malicious_servers_used"] == result["servers_used"] == 4
+    assert result["attack_succeeded"]
 
 
 def test_baseline_unpoisoned_client_keeps_correct_time():
     scenario = TraditionalClientAttackScenario(
         BaselineAttackConfig(seed=6, poison_startup_lookup=False))
     result = scenario.run(target_shift=600.0)
-    assert result.malicious_servers_used == 0
-    assert not result.attack_succeeded
-    assert abs(result.achieved_error) < 0.1
+    assert result["malicious_servers_used"] == 0
+    assert not result["attack_succeeded"]
+    assert abs(result["achieved_shift"]) < 0.1
 
 
 # -- offline single-round shift models ---------------------------------------------------------

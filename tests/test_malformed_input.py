@@ -258,6 +258,10 @@ stream_inputs = st.one_of(raw_segment(), channel_record(), dns_input())
 SYN_WITH_RST = TCPSegment(1, DNS_PORT, 0, 0, FLAG_SYN | FLAG_RST).encode()
 
 
+# Each unit is the stream's last bytes.  A rejected input closes the flow, and
+# every segment sent after it is its own packet for a flow that is gone, which
+# also counts ``tcp.dropped{reason=no_flow}`` (pinned by the two tests below);
+# sending the unit last keeps the expected count at exactly one drop.
 @settings(max_examples=300, deadline=None)
 @given(unit=stream_inputs, cuts=st.lists(st.integers(0, 1 << 16), max_size=4))
 @example(unit=("record", DOT_PORT, transport._frame_record(99, b"?")), cuts=[1])
@@ -289,3 +293,45 @@ def test_stream_inputs_never_stop_the_simulation(unit, cuts):
     raised = {name: snapshot.counter_total(name) for name in STREAM_DROPS}
     expected = expected_drop(kind, port, data)
     assert raised == {name: int(name == expected) for name in STREAM_DROPS}, (kind, port)
+
+
+def encrypted_world():
+    with obs.capture(trace=False) as observed:
+        testbed = build_testbed(TestbedConfig(seed=5, with_attacker=False,
+                                              defenses=("encrypted_transport",),
+                                              nameserver_transports=("doh",)))
+    return observed, testbed
+
+
+def stream_drops(observed) -> dict[str, int]:
+    snapshot = observed.metrics.snapshot()
+    return {name: snapshot.counter_total(name) for name in STREAM_DROPS}
+
+
+def test_segments_after_a_bad_doh_header_count_once_each_as_no_flow():
+    observed, testbed = encrypted_world()
+    nameserver, simulator = testbed.nameserver, testbed.simulator
+    conn = testbed.resolver.tcp.connect(nameserver.address, DOH_PORT)
+    channel = SecureChannel.client(conn, simulator.rng, expected_identity=ZONE,
+                                   trust_anchor=nameserver.stream_transport.cert_key)
+    pieces = [b"POST /dns-query HTTP/1.1\r\ncontent-length: x\r\n\r\n",
+              bytes(30), bytes(30)]
+    channel.on_ready = lambda: [channel.send(piece) for piece in pieces]
+    simulator.run(until=30.0)
+    snapshot = observed.metrics.snapshot()
+    assert snapshot.counter("dns.malformed", site="doh_header") == 1
+    assert snapshot.counter("tcp.dropped", reason="no_flow") == 2
+    assert stream_drops(observed) == {**dict.fromkeys(STREAM_DROPS, 0),
+                                      "dns.malformed": 1, "tcp.dropped": 2}
+
+
+def test_records_after_a_tls_abort_count_once_each_as_no_flow():
+    observed, testbed = encrypted_world()
+    conn = testbed.resolver.tcp.connect(testbed.nameserver.address, DOT_PORT)
+    # Application data before any handshake aborts the channel.
+    records = [transport._frame_record(transport._REC_APP_DATA, b"?" * 10)] * 3
+    conn.on_established = lambda: [conn.send(record) for record in records]
+    testbed.simulator.run(until=30.0)
+    assert observed.metrics.snapshot().counter("tcp.dropped", reason="no_flow") == 2
+    assert stream_drops(observed) == {**dict.fromkeys(STREAM_DROPS, 0),
+                                      "tls.aborts": 1, "tcp.dropped": 2}

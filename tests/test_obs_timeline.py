@@ -82,7 +82,7 @@ def test_format_races_empty():
 def test_traced_frag_poisoning_yields_ordered_race():
     with obs.capture() as ob:
         result = FragPoisoningScenario(FragPoisoningConfig()).run()
-    assert result.cache_poisoned
+    assert result["cache_poisoned"]
     (race,) = poisoning_races(ob.trace.events())
 
     kinds = [entry.kind for entry in race.entries]
@@ -102,7 +102,7 @@ def test_traced_defended_run_names_the_deciding_defense():
     with obs.capture() as ob:
         result = FragPoisoningScenario(
             FragPoisoningConfig(defenses=("fragment_rejection",))).run()
-    assert not result.cache_poisoned
+    assert not result["cache_poisoned"]
     (race,) = poisoning_races(ob.trace.events())
     assert race.winner is None
     assert race.deciding_verdict.detail["defense"] == "fragment_rejection"

@@ -111,6 +111,20 @@ def test_poison_map_is_population_wide_not_cohort_wide():
     assert list(ks) == [12]
 
 
+@pytest.mark.parametrize("backend", ["python"] + (["numpy"] if numpy else []))
+def test_zero_target_shift_is_never_achieved(backend):
+    # The packet scenarios' rule: a zero target is never reached, even though
+    # every client's clock error (0) is trivially "at least half" of it.
+    config = config_with(STOCHASTIC, clients=50, target_shift=0.0, backend=backend)
+    metrics, records = FleetEngine(config).run_detailed()
+    assert metrics["clients_shift_achieved"] == 0
+    assert len(records) == 50
+    assert all(record["shift_achieved"] is False for record in records)
+    assert FleetEngine(config).run() == metrics
+    swept = run_scenario("population_sweep", 5, {"clients": 50, "target_shift": 0.0})
+    assert swept["clients_shift_achieved"] == 0
+
+
 # -- backend parity and cohort invariance ------------------------------------
 
 @pytest.mark.skipif(numpy is None, reason="numpy not installed")
