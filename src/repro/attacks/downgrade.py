@@ -38,7 +38,7 @@ from ..dns.transport import STREAM_PORTS
 from ..experiments.testbed import DEFAULT_ZONE
 from ..netsim.network import Network
 from ..netsim.packets import PROTO_TCP, IPPacket
-from ..netsim.transport import DEFAULT_BACKLOG, FLAG_SYN, TCPSegment
+from ..netsim.transport import DEFAULT_BACKLOG, FLAG_SYN, encode_tcp_header
 from .attacker import DEFAULT_MALICIOUS_TTL
 from .frag_poisoning import FragRaceWorld
 
@@ -46,6 +46,7 @@ from .frag_poisoning import FragRaceWorld
 #: nameserver's SYN-ACKs go nowhere and the half-open entries sit out their
 #: full timeout — which is what makes small floods effective.
 SYN_FLOOD_SOURCE_BLOCK = "203.0.113"
+_SPOOFED_SOURCES = tuple(f"{SYN_FLOOD_SOURCE_BLOCK}.{host}" for host in range(1, 255))
 #: Ports the flood covers: every stream listener a nameserver might run.
 DNS_STREAM_PORTS = tuple(STREAM_PORTS.values())
 
@@ -63,25 +64,21 @@ class SynFloodDowngrader:
     def flood_once(self, syns_per_port: int) -> None:
         """One burst: ``syns_per_port`` spoofed SYNs at every stream port."""
         rng = self.network.simulator.rng
+        inject = self.network.inject
         for port in self.ports:
             for index in range(syns_per_port):
-                source = f"{SYN_FLOOD_SOURCE_BLOCK}.{(index % 254) + 1}"
-                segment = TCPSegment(
-                    src_port=rng.randrange(1024, 0x10000),
-                    dst_port=port,
-                    seq=rng.getrandbits(32),
-                    ack=0,
-                    flags=FLAG_SYN,
-                )
-                self.network.inject(IPPacket(
-                    src_ip=source,
+                # Three draws per SYN, in this order: port, ISN, IP id.
+                header = encode_tcp_header(rng.randrange(1024, 0x10000), port,
+                                           rng.getrandbits(32), 0, FLAG_SYN)
+                inject(IPPacket(
+                    src_ip=_SPOOFED_SOURCES[index % 254],
                     dst_ip=self.nameserver_address,
                     ip_id=rng.randrange(0x10000),
-                    payload=segment.encode(),
+                    payload=header,
                     protocol=PROTO_TCP,
                     spoofed=True,
                 ))
-                self.syns_sent += 1
+        self.syns_sent += syns_per_port * len(self.ports)
         obs = self.network.simulator.obs
         if obs.enabled:
             obs.metrics.counter("attack.syn_floods").inc()

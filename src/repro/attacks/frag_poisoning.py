@@ -88,9 +88,6 @@ class FragmentationAttackReport:
     """What happened during one poisoning attempt."""
 
     planted_fragments: int = 0
-    ipid_hit: bool = False
-    checksum_valid: bool = False
-    cache_poisoned: bool = False
 
 
 class FragmentationPoisoner:
@@ -154,23 +151,11 @@ class FragmentationPoisoner:
             payload=forged.encode(),
         )
         fragments = fragment_datagram(forged_datagram, ip_id=ip_id, mtu=mtu)
-        return [
-            IPPacket(
-                src_ip=fragment.src_ip,
-                dst_ip=fragment.dst_ip,
-                ip_id=fragment.ip_id,
-                payload=fragment.payload,
-                fragment_offset=fragment.fragment_offset,
-                more_fragments=fragment.more_fragments,
-                spoofed=True,
-                # The published attack keeps the UDP checksum of the spliced
-                # datagram valid by choosing record contents with the same
-                # checksum contribution; the oracle flag models that step.
-                checksum_compensated=self.checksum_oracle,
-            )
-            for fragment in fragments
-            if not fragment.first_fragment()
-        ]
+        # The published attack keeps the UDP checksum of the spliced datagram
+        # valid by choosing record contents with the same checksum
+        # contribution; the oracle flag models that step.
+        return [replace(fragment, spoofed=True, checksum_compensated=self.checksum_oracle)
+                for fragment in fragments if not fragment.first_fragment()]
 
     # -- executing ----------------------------------------------------------------
     def plant_fragments(self, expected_response: DNSMessage, udp_src_port: int = DNS_PORT,
@@ -224,10 +209,7 @@ class FragmentationPoisoner:
 
     def verify_poisoning(self) -> bool:
         """Check whether the resolver now caches attacker addresses for the zone."""
-        poisoned = self.attacker.cached_records(self.resolver, self.zone_name)[1] > 0
-        if self.reports:
-            self.reports[-1].cache_poisoned = poisoned
-        return poisoned
+        return self.attacker.cached_records(self.resolver, self.zone_name)[1] > 0
 
 
 def fragmentation_attack_success_probability(conditions: FragmentationAttackConditions,

@@ -236,8 +236,9 @@ class RecursiveResolver(Host):
             self.queries_answered_from_cache += 1
             if self._obs.enabled:
                 self._obs.metrics.counter("dns.cache_hits").inc()
-            now = self.network.simulator.now
-            answers = [record.with_ttl(cached.remaining_ttl(now)) for record in cached.records]
+            # One TTL per RRset (RFC 2181 §5.2): the entry's, read once.
+            ttl = cached.remaining_ttl(self.network.simulator.now)
+            answers = [record.with_ttl(ttl) for record in cached.records]
             response = query.make_response(answers, authoritative=False)
             self._reply_to_client(datagram.src_ip, datagram.src_port, response)
             return

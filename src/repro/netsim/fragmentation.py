@@ -53,40 +53,16 @@ def fragment_datagram(datagram: UDPDatagram, ip_id: int, mtu: int) -> list[IPPac
     """
     if mtu < IPV4_HEADER_SIZE + 8:
         raise PacketError(f"MTU {mtu} too small to carry any IPv4 payload")
-    udp_bytes_length = UDP_HEADER_SIZE + len(datagram.payload)
-    max_ip_payload = mtu - IPV4_HEADER_SIZE
-    if udp_bytes_length <= max_ip_payload:
-        return [
-            IPPacket(
-                src_ip=datagram.src_ip,
-                dst_ip=datagram.dst_ip,
-                ip_id=ip_id,
-                payload=_udp_wire_bytes(datagram),
-                fragment_offset=0,
-                more_fragments=False,
-            )
-        ]
-
-    # Per-fragment payload must be a multiple of 8 bytes.
-    per_fragment = (max_ip_payload // 8) * 8
     wire = _udp_wire_bytes(datagram)
-    fragments: list[IPPacket] = []
-    offset = 0
-    while offset < len(wire):
-        chunk = wire[offset:offset + per_fragment]
-        more = offset + len(chunk) < len(wire)
-        fragments.append(
-            IPPacket(
-                src_ip=datagram.src_ip,
-                dst_ip=datagram.dst_ip,
-                ip_id=ip_id,
-                payload=chunk,
-                fragment_offset=offset,
-                more_fragments=more,
-            )
-        )
-        offset += len(chunk)
-    return fragments
+    max_ip_payload = mtu - IPV4_HEADER_SIZE
+    if len(wire) <= max_ip_payload:
+        return [IPPacket(src_ip=datagram.src_ip, dst_ip=datagram.dst_ip, ip_id=ip_id, payload=wire)]
+    # Per-fragment payload must be a multiple of 8 bytes.
+    step = max_ip_payload // 8 * 8
+    return [IPPacket(src_ip=datagram.src_ip, dst_ip=datagram.dst_ip, ip_id=ip_id,
+                     payload=wire[offset:offset + step], fragment_offset=offset,
+                     more_fragments=offset + step < len(wire))
+            for offset in range(0, len(wire), step)]
 
 
 def _udp_wire_bytes(datagram: UDPDatagram) -> bytes:

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from .bgp import RoutingTable
 from .fragmentation import OverlapPolicy, ReassemblyBuffer, fragment_datagram
 from .packets import DEFAULT_MTU, PROTO_TCP, IPPacket, UDPDatagram
-from .simulator import Simulator
+from .simulator import EventHandle, Simulator
 
 if TYPE_CHECKING:  # imported lazily at runtime; see Host.tcp
     from .transport import TCPStack
@@ -53,6 +54,12 @@ class LinkProperties:
 
 #: A tap sees (packet, simulated-time) for every packet traversing the network.
 Tap = Callable[[IPPacket, float], None]
+
+
+def _deliver_all(batch: list[tuple[Host, IPPacket]]) -> None:
+    """One delivery event: hand each packet to its host in transmit order."""
+    for destination, packet in batch:
+        destination.deliver_packet(packet)
 
 
 class Host:
@@ -172,6 +179,9 @@ class Network:
         self.packets_dropped = 0
         self.packets_injected = 0
         self.packets_duplicated = 0
+        #: The last delivery event and the (host, packet) pairs it carries.
+        self._batch: list[tuple[Host, IPPacket]] = []
+        self._batch_event: Optional[EventHandle] = None
         #: Optional :class:`~repro.faults.injector.FaultInjector`, attached
         #: by its ``arm()``.  ``None`` (the default) keeps the transmit path
         #: at a single attribute check.
@@ -273,7 +283,9 @@ class Network:
         """Inject a raw IP packet with an arbitrary (spoofed) source address.
 
         This is the off-path attacker's only capability: no observation, just
-        blind injection.
+        blind injection.  Each call is one packet to taps, faults and the
+        counters; a burst of injections due at one instant is delivered by
+        one simulator event (see :meth:`_deliver_after`).
         """
         self.packets_injected += 1
         if self._obs.enabled:
@@ -282,6 +294,7 @@ class Network:
         self._transmit(packet)
 
     def _transmit(self, packet: IPPacket) -> None:
+        """Taps, faults, loss and routing see one packet; then it is delivered."""
         self.packets_sent += 1
         obs = self._obs
         if obs.enabled:
@@ -296,39 +309,46 @@ class Network:
         if faults is not None:
             fault_reason, extra_latency, duplicate_delay = faults.on_transmit(packet)
             if fault_reason is not None:
-                self.packets_dropped += 1
-                if obs.enabled:
-                    obs.metrics.counter("net.packets_dropped",
-                                        reason=fault_reason).inc()
-                    obs.trace.instant("net.drop", category="net",
-                                      reason=fault_reason,
-                                      src=packet.src_ip, dst=packet.dst_ip)
+                self._drop(packet, fault_reason)
                 return
         link = self.link_for(packet.src_ip, packet.dst_ip)
         if link.loss_rate > 0 and self.simulator.rng.random() < link.loss_rate:
-            self.packets_dropped += 1
-            if obs.enabled:
-                obs.metrics.counter("net.packets_dropped", reason="loss").inc()
-                obs.trace.instant("net.drop", category="net", reason="loss",
-                                  src=packet.src_ip, dst=packet.dst_ip)
+            self._drop(packet, "loss")
             return
         destination = self.host_for(packet.dst_ip)
         if destination is None:
-            self.packets_dropped += 1
-            if obs.enabled:
-                obs.metrics.counter("net.packets_dropped", reason="no-host").inc()
-                obs.trace.instant("net.drop", category="net", reason="no-host",
-                                  src=packet.src_ip, dst=packet.dst_ip)
+            self._drop(packet, "no-host")
             return
         latency = link.latency + extra_latency
         if link.jitter > 0:
             latency += self.simulator.rng.uniform(0, link.jitter)
-        self.simulator.schedule(latency, lambda p=packet, d=destination: d.deliver_packet(p))
+        self._deliver_after(latency, destination, packet)
         if duplicate_delay is not None:
             self.packets_duplicated += 1
             if obs.enabled:
                 obs.metrics.counter("net.packets_duplicated").inc()
                 obs.trace.instant("net.duplicate", category="net",
                                   src=packet.src_ip, dst=packet.dst_ip)
-            self.simulator.schedule(latency + duplicate_delay,
-                                    lambda p=packet, d=destination: d.deliver_packet(p))
+            self._deliver_after(latency + duplicate_delay, destination, packet)
+
+    def _drop(self, packet: IPPacket, reason: str) -> None:
+        self.packets_dropped += 1
+        if self._obs.enabled:
+            self._obs.metrics.counter("net.packets_dropped", reason=reason).inc()
+            self._obs.trace.instant("net.drop", category="net", reason=reason,
+                                    src=packet.src_ip, dst=packet.dst_ip)
+
+    def _deliver_after(self, delay: float, destination: Host, packet: IPPacket) -> None:
+        """Deliver ``packet`` to ``destination`` in ``delay`` seconds.
+
+        When the last delivery event is due at that instant and nothing has
+        been scheduled since, the packet joins it: that event fires its
+        packets in transmit order, which is the order one event per packet
+        would fire them in, since no other event can fall between them.
+        """
+        event = self._batch_event
+        if event is not None and self.simulator.would_follow(event, delay):
+            self._batch.append((destination, packet))
+            return
+        self._batch = [(destination, packet)]
+        self._batch_event = self.simulator.schedule(delay, partial(_deliver_all, self._batch))

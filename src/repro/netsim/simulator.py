@@ -20,6 +20,9 @@ comparison, no per-comparison dataclass ``__lt__``) and the event objects are
 at the heap top and compacted in bulk once they outnumber half of the queue,
 so long sweeps with many timeout cancellations (every answered DNS query
 cancels its timeout) do not accumulate dead heap entries.
+
+One delivery event may carry several packets: packets due at one instant
+and transmitted back to back share it (:meth:`Simulator.would_follow`).
 """
 
 from __future__ import annotations
@@ -116,7 +119,11 @@ class Simulator:
         self._cancelled_pending = 0
         self.rng = random.Random(seed)
         self.seed = seed
+        #: Events fired so far.  One delivery event may carry several
+        #: packets due at one instant, so this is not a packet count.
         self.events_processed = 0
+        #: The event :meth:`schedule` pushed last (see :meth:`would_follow`).
+        self._last_event: Optional[_ScheduledEvent] = None
         #: Total not-yet-fired events that were cancelled (dead heap entries
         #: created); compaction and lazy pops reclaim exactly these.
         self.events_cancelled = 0
@@ -162,7 +169,16 @@ class Simulator:
             raise SimulationError(f"cannot schedule an event {delay}s in the past")
         event = _ScheduledEvent(self._now + delay, callback)
         heapq.heappush(self._queue, (event.time, next(self._sequence), event))
+        self._last_event = event
         return EventHandle(event, self)
+
+    def would_follow(self, handle: EventHandle, delay: float) -> bool:
+        """Whether an event scheduled now ``delay`` seconds ahead would fire
+        right after ``handle``'s: that one is due then, is the last one
+        scheduled, and has neither fired nor been cancelled."""
+        event = handle._event
+        return (event is self._last_event and not event.fired
+                and not event.cancelled and event.time == self._now + delay)
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute simulated time ``when``."""
@@ -227,7 +243,8 @@ class Simulator:
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` have been processed.
+        ``max_events`` have been processed.  ``max_events`` counts events,
+        and one delivery event may carry several packets due at one instant.
 
         ``until`` is inclusive: events scheduled exactly at ``until`` run.
         When the run stops because of ``until``, the clock is advanced to

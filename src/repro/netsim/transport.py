@@ -99,6 +99,14 @@ _SEQ_MOD = 1 << 32
 _TCP_HEADER = struct.Struct(">HHIIBBH4x")
 
 
+def encode_tcp_header(src_port: int, dst_port: int, seq: int, ack: int,
+                      flags: int) -> bytes:
+    """The 20-byte TCP header of :meth:`TCPSegment.encode`, for senders
+    (the SYN flood) that need the bytes but no segment object."""
+    return _TCP_HEADER.pack(src_port, dst_port, seq % _SEQ_MOD, ack % _SEQ_MOD,
+                            5 << 4, flags & 0x3F, RECEIVE_WINDOW)
+
+
 class TransportError(RuntimeError):
     """Raised when a stream transport is driven in an inconsistent way."""
 
@@ -121,9 +129,8 @@ class TCPSegment:
     payload: bytes = b""
 
     def encode(self) -> bytes:
-        return _TCP_HEADER.pack(self.src_port, self.dst_port, self.seq % _SEQ_MOD,
-                                self.ack % _SEQ_MOD, 5 << 4, self.flags & 0x3F,
-                                RECEIVE_WINDOW) + self.payload
+        return encode_tcp_header(self.src_port, self.dst_port, self.seq, self.ack,
+                                 self.flags) + self.payload
 
     @classmethod
     def decode(cls, data: bytes) -> TCPSegment:
