@@ -78,3 +78,10 @@ def chaos_grid_digest(workers: int = 1) -> str:
 #: (:mod:`repro.population.equivalence`); the packet and fleet sides must
 #: both reproduce it.
 FLEET_GATE_DIGEST = "d5c792a72f16d29abfccaa10eeb054f646c3d863be7be670c0997aceaa8cd517"
+
+#: ``population_sweep`` at seed 1 with 1024 resolvers, a one-day stagger and 5
+#: update rounds (perfbench's ``fleet``): the record digest of 10⁶ clients in
+#: 125,000-client cohorts on numpy, and the metrics-only digest of 10⁴ clients
+#: in 2,500-client cohorts, which both backends reproduce.
+FLEET_SWEEP_DIGEST = "e355f1e26b9450e075f15c87b4e8e81245857bb5acf194c9805b0e9e52c532f9"
+FLEET_SWEEP_METRICS_DIGEST = "13e16884e62e86ea36b0ead985a65a99a8080b1b9c12eeaf1f900784f8b82471"

@@ -31,10 +31,13 @@ event loop with three vectorizable stages:
 
 Backend parity: all randomness is counter-addressed
 (:class:`repro.population.rng.CounterRNG`, keyed by global client id so
-cohort sharding cannot change any draw), integer aggregates are exact, and
-float aggregates are reduced with :func:`math.fsum` (correctly rounded,
-order-independent) — the numpy and pure-python paths produce identical
-metrics, and so do different worker counts over the same cohorts.
+cohort sharding cannot change any draw), integer aggregates are exact, the
+shift sum is summed exactly over each group's ``(distinct shift, clients)``
+pairs and rounded once, and the per-group attacker-fraction terms go through
+:func:`math.fsum` — all order-independent, so the numpy and pure-python paths
+produce identical metrics, and so do different worker counts over the same
+cohorts.  The numpy path keeps clients in arrays: groups are slices of one
+sort, and a retry draws only for the clients it has not yet resolved.
 
 Deliberate simplifications versus the packet model (documented, and outside
 what the equivalence gate compares): the local-agreement bound uses elapsed
@@ -48,8 +51,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Optional
 
 from ..core.security_analysis import shift_reached
@@ -61,10 +64,6 @@ from .rng import CounterRNG, hypergeom_sampler, resolve_backend
 #: Counter-RNG stream ids (never reuse a stream for two purposes).
 STREAM_STAGGER = 1
 STREAM_SELECT = 2
-
-#: Attempts per update round: the initial sample plus ``max_retries``.
-def _attempts(config: ChronosConfig) -> int:
-    return config.max_retries + 1
 
 
 @dataclass(frozen=True)
@@ -285,86 +284,77 @@ def cohort_poison_queries(config: FleetConfig, np: Optional[Any]
 # Stage 3: batched update rounds (two-point offset model)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _GroupShift:
-    """Shift-phase outcome of one composition group (python lists)."""
-
-    achieved: list[float]
-    panic_rounds: list[int]
-    updates_run: int  # identical for every member of the group
-
-
-def _clamp(value: int, low: int, high: int) -> int:
-    return low if value < low else (high if value > high else value)
-
-
 def _run_group_shift(config: FleetConfig, comp: ClientComposition,
-                     gids: Sequence[int], np: Optional[Any]) -> _GroupShift:
-    """Run the update rounds for every client sharing one composition."""
+                     indices: Any, np: Optional[Any]) -> tuple[Any, Any, int]:
+    """Run the update rounds for the cohort clients at ``indices``, which share
+    one composition: ``(shifts, panic_rounds, updates_run)``, per-client arrays
+    on numpy and lists on python; ``updates_run`` is the same for every member.
+    """
     chronos = config.chronos
-    members = len(gids)
+    members = len(indices)
     pool = comp.total
     if pool == 0:
         # The packet client never starts updates on an empty pool.
-        return _GroupShift([0.0] * members, [0] * members, 0)
+        if np is None:
+            return [0.0] * members, [0] * members, 0
+        return np.zeros(members), np.zeros(members, dtype=np.int64), 0
 
     target = config.target_shift
     rounds = config.update_rounds + 1
-    attempts = _attempts(chronos)
+    attempts = chronos.max_retries + 1  # the initial sample plus the retries
     trim = chronos.trim_count
     m_eff = min(chronos.sample_size, pool)
     survivors = m_eff - 2 * trim
     too_few = m_eff < 2 * trim + 1
-    window = chronos.agreement_window
     # Panic: query the whole pool, trim a third each end, apply the mean.
     panic_trim = pool // 3
     panic_n = pool - 2 * panic_trim
-    panic_mal = _clamp(comp.malicious - panic_trim, 0, panic_n)
+    panic_mal = min(max(comp.malicious - panic_trim, 0), panic_n)
     panic_target = panic_mal * target / panic_n
-    mixed_fails = abs(target) > window
+    mixed_fails = abs(target) > chronos.agreement_window
 
     rng = CounterRNG(config.seed, STREAM_SELECT, backend=np)
-    sampler = None
-    if not too_few:
-        sampler = hypergeom_sampler(pool, comp.malicious, m_eff)
+    sampler = None if too_few else hypergeom_sampler(pool, comp.malicious, m_eff)
     degenerate = sampler is not None and sampler.low == sampler.high
+    # The trimmed mean and the spread verdict per malicious count.
+    survs = [min(max(mal - trim, 0), survivors)
+             for mal in range(0 if sampler is None else sampler.high + 1)]
+    gains = [surv * target / survivors for surv in survs]
+    spread_ok = [not mixed_fails or surv in (0, survivors) for surv in survs]
 
     if np is not None:
-        gid_arr = np.asarray(gids, dtype=np.int64)
-        base = (gid_arr * rounds) * attempts
-        shift = np.zeros(members, dtype=np.float64)
+        # Draw (gid, round, attempt) sits at counter (gid * rounds + round) *
+        # attempts + attempt; a retry draws only for the unresolved clients.
+        base = (indices + config.client_offset).astype(np.uint64) * (rounds * attempts)
+        gains, spread_ok = np.asarray(gains), np.asarray(spread_ok, dtype=bool)
+        shift = np.zeros(members)
         panic_count = np.zeros(members, dtype=np.int64)
         for rnd in range(rounds):
             bound = chronos.local_bound(0.0 if rnd == 0 else chronos.poll_interval)
-            active = np.ones(members, dtype=bool)
-            if not too_few:
-                for attempt in range(attempts):
-                    if not active.any():
-                        break
-                    if degenerate:
-                        mal = np.full(members, sampler.low, dtype=np.int64)
-                    else:
-                        counters = (base + rnd * attempts + attempt).astype(np.uint64)
-                        mal = sampler.sample_from(rng.uniforms(counters), np=np)
-                    surv = np.clip(mal - trim, 0, survivors)
-                    means = surv * target / survivors - shift
-                    ok = np.abs(means) <= bound
-                    if mixed_fails:
-                        ok &= (surv == 0) | (surv == survivors)
-                    take = active & ok
-                    shift = np.where(take, shift + means, shift)
-                    active &= ~take
-            if active.any():
-                shift = np.where(active, panic_target, shift)
-                panic_count += active
-        return _GroupShift(shift.tolist(), panic_count.tolist(), rounds)
+            active = np.arange(members)
+            for attempt in range(0 if too_few else attempts):
+                if not active.size:
+                    break
+                if degenerate:
+                    mal = sampler.low
+                else:
+                    counters = base[active] + (rnd * attempts + attempt)
+                    mal = sampler.sample_from(rng.uniforms(counters), np=np)
+                means = gains[mal] - shift[active]
+                ok = (np.abs(means) <= bound) & spread_ok[mal]
+                taken = active[ok]
+                shift[taken] += means[ok]
+                active = active[~ok]
+            shift[active] = panic_target
+            panic_count[active] += 1
+        return shift, panic_count, rounds
 
     shift_list = [0.0] * members
     panic_list = [0] * members
-    for index, gid in enumerate(gids):
+    for pos, index in enumerate(indices):
         shift = 0.0
         panics = 0
-        base = (gid * rounds) * attempts
+        base = ((config.client_offset + index) * rounds) * attempts
         for rnd in range(rounds):
             bound = chronos.local_bound(0.0 if rnd == 0 else chronos.poll_interval)
             resolved = False
@@ -375,20 +365,17 @@ def _run_group_shift(config: FleetConfig, comp: ClientComposition,
                     else:
                         uniform = rng.uniform_at(base + rnd * attempts + attempt)
                         mal = sampler.sample_from([uniform])[0]
-                    surv = _clamp(mal - trim, 0, survivors)
-                    means = surv * target / survivors - shift
-                    if mixed_fails and 0 < surv < survivors:
-                        continue
-                    if abs(means) <= bound:
+                    means = gains[mal] - shift
+                    if spread_ok[mal] and abs(means) <= bound:
                         shift += means
                         resolved = True
                         break
             if not resolved:
                 shift = panic_target
                 panics += 1
-        shift_list[index] = shift
-        panic_list[index] = panics
-    return _GroupShift(shift_list, panic_list, rounds)
+        shift_list[pos] = shift
+        panic_list[pos] = panics
+    return shift_list, panic_list, rounds
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +390,18 @@ class FleetEngine:
         self.np = resolve_backend(config.backend)
 
     # -- helpers -----------------------------------------------------------
-    def _group_indices(self, ks: Any) -> dict[int, list[int]]:
-        """Cohort indices grouped by poison query (hence by composition)."""
-        if self.np is not None:
-            np = self.np
-            return {int(k): np.nonzero(ks == k)[0].tolist()
-                    for k in np.unique(ks).tolist()}
+    def _group_indices(self, ks: Any) -> dict[int, Any]:
+        """Ascending cohort indices grouped by poison query (hence by
+        composition): slices of one stable sort on numpy, lists on python."""
+        np = self.np
+        if np is not None:
+            # The narrowest dtype that holds every k sorts by radix.
+            ks = ks.astype(np.min_scalar_type(self.config.policy.query_count))
+            order = np.argsort(ks, kind="stable")
+            values, firsts, counts = np.unique(ks[order], return_index=True,
+                                               return_counts=True)
+            return {k: order[first:first + count] for k, first, count
+                    in zip(values.tolist(), firsts.tolist(), counts.tolist())}
         groups: dict[int, list[int]] = {}
         for index, k in enumerate(ks):
             groups.setdefault(int(k), []).append(index)
@@ -417,8 +410,7 @@ class FleetEngine:
     # -- runs --------------------------------------------------------------
     def run(self) -> dict[str, Any]:
         """Aggregate metrics only — never materialises per-client records."""
-        metrics, _ = self._run(detailed=False)
-        return metrics
+        return self._run(detailed=False)[0]
 
     def run_detailed(self) -> tuple[dict[str, Any], list[dict[str, Any]]]:
         """Aggregates plus one record per client (gate / debugging sizes)."""
@@ -456,8 +448,7 @@ class FleetEngine:
             "population": config.total_population,
             "resolvers": config.resolvers,
             "poisoned_resolvers": len(poisoned),
-            "clients_poisoned": clients - len(groups.get(0, ())) if 0 in groups
-                                else clients,
+            "clients_poisoned": clients - len(groups.get(0, ())),
             "poison_histogram": histogram,
             "pool_benign_total": benign_total,
             "pool_malicious_total": malicious_total,
@@ -481,28 +472,28 @@ class FleetEngine:
                 metrics["clients_poisoned"])
             obs.metrics.counter("fleet.resolvers_poisoned").inc(len(poisoned))
 
-        shifts: dict[int, _GroupShift] = {}
+        shifts: dict[int, tuple[Any, Any, int]] = {}
         if config.run_time_shift:
-            shift_values: list[float] = []
+            tallies: list[tuple[float, int]] = []
             panic_total = 0
             updates_total = 0
-            achieved_count = 0
             for k, indices in groups.items():
-                gids = [config.client_offset + i for i in indices]
-                outcome = _run_group_shift(config, compositions[k], gids, np)
-                shifts[k] = outcome
-                shift_values.extend(outcome.achieved)
-                panic_total += sum(outcome.panic_rounds)
-                updates_total += outcome.updates_run * len(indices)
+                achieved, panics, updates = shifts[k] = _run_group_shift(
+                    config, compositions[k], indices, np)
                 # A group's clients share a handful of distinct shifts.
-                achieved_count += sum(
-                    count for shift, count in Counter(outcome.achieved).items()
-                    if shift_reached(shift, config.target_shift))
+                tallies.extend(Counter(achieved).items() if np is None else zip(
+                    *(column.tolist() for column in np.unique(achieved, return_counts=True))))
+                panic_total += int(panics.sum()) if np is not None else sum(panics)
+                updates_total += updates * len(indices)
             metrics.update({
                 "updates_run_total": updates_total,
                 "panic_rounds_total": panic_total,
-                "clients_shift_achieved": achieved_count,
-                "achieved_shift_sum": math.fsum(shift_values),
+                "clients_shift_achieved": sum(
+                    count for shift, count in tallies
+                    if shift_reached(shift, config.target_shift)),
+                # Exact, hence the correctly rounded sum of every client's shift.
+                "achieved_shift_sum": float(sum(Fraction(shift) * count
+                                                for shift, count in tallies)),
             })
             metrics["mean_achieved_shift"] = (
                 metrics["achieved_shift_sum"] / clients if clients else 0.0)
@@ -510,38 +501,35 @@ class FleetEngine:
         if not detailed:
             return metrics, []
 
-        start_list = starts.tolist() if np is not None else list(starts)
-        k_list = ks.tolist() if np is not None else list(ks)
-        records: list[dict[str, Any]] = []
-        # Map each cohort index back to its position within its group so the
-        # per-group shift outcomes can be read off.
-        group_pos: dict[int, int] = {index: pos
-                                     for indices in groups.values()
-                                     for pos, index in enumerate(indices)}
-        for index in range(clients):
-            k = int(k_list[index])
+        # Python scalars at the record boundary, scattered back by cohort index.
+        listed = (lambda values: values.tolist()) if np is not None else list
+        start_list = listed(starts)
+        records: list[dict[str, Any]] = [{}] * clients
+        for k, indices in groups.items():
             comp = compositions[k]
-            record: dict[str, Any] = {
-                "client": config.client_offset + index,
-                "start": start_list[index],
-                "resolver": (config.client_offset + index) % config.resolvers,
-                "poison_at_query": k or None,
-                "benign": comp.benign,
-                "malicious": comp.malicious,
-                "pool_size": comp.total,
-                "cache_hits": comp.cache_hits,
-                "poisoned_queries": comp.poisoned_queries(),
-                "attacker_two_thirds": comp.attacker_has_two_thirds,
-            }
             if config.run_time_shift:
-                outcome = shifts[k]
-                pos = group_pos[index]
-                achieved = outcome.achieved[pos]
-                record.update({
-                    "achieved_shift": achieved,
-                    "shift_achieved": shift_reached(achieved, config.target_shift),
-                    "updates_run": outcome.updates_run,
-                    "panic_rounds": outcome.panic_rounds[pos],
-                })
-            records.append(record)
+                achieved, panics, updates = shifts[k]
+                achieved, panics = listed(achieved), listed(panics)
+            for pos, index in enumerate(listed(indices)):
+                gid = config.client_offset + index
+                record: dict[str, Any] = {
+                    "client": gid,
+                    "start": start_list[index],
+                    "resolver": gid % config.resolvers,
+                    "poison_at_query": k or None,
+                    "benign": comp.benign,
+                    "malicious": comp.malicious,
+                    "pool_size": comp.total,
+                    "cache_hits": comp.cache_hits,
+                    "poisoned_queries": comp.poisoned_queries(),
+                    "attacker_two_thirds": comp.attacker_has_two_thirds,
+                }
+                if config.run_time_shift:
+                    record.update({
+                        "achieved_shift": achieved[pos],
+                        "shift_achieved": shift_reached(achieved[pos], config.target_shift),
+                        "updates_run": updates,
+                        "panic_rounds": panics[pos],
+                    })
+                records[index] = record
         return metrics, records

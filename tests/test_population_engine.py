@@ -9,9 +9,15 @@ worker counts.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
+from typing import Any
+
 import pytest
 
-from repro.experiments import ExperimentSpec, SweepScheduler
+from repro.experiments import SweepScheduler
+from repro.experiments.pins import FLEET_SWEEP_DIGEST, FLEET_SWEEP_METRICS_DIGEST
 from repro.experiments.registry import get_scenario, merge_params, optional_params
 from repro.experiments.runner import run_scenario
 from repro.population.batch import FleetPolicy
@@ -142,6 +148,102 @@ def test_backend_parity_on_detailed_records():
     np_detail = FleetEngine(config_with(STOCHASTIC, clients=64,
                                         backend="numpy")).run_detailed()
     assert py_detail == np_detail
+
+
+def typed(value: Any) -> Any:
+    """``value`` with every leaf tagged by its type and repr, so ``==`` also
+    compares types and the sign of a zero."""
+    if isinstance(value, dict):
+        return {key: typed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [typed(item) for item in value]
+    return type(value).__name__, repr(value)
+
+
+#: name -> overrides of ``STOCHASTIC`` for the backend differential.
+DIFFERENTIAL_CASES = {
+    "stochastic": {"clients": 120},
+    # Unpoisoned clients get an empty pool; late-poisoned ones a pool too
+    # small to sample (3, 6 or 9 addresses), so every round panics.
+    "empty_and_tiny_pools": {"policy": FleetPolicy(benign_per_response=0, attacker_records=3)},
+    "zero_target": {"clients": 120, "target_shift": 0.0},
+    "negative_target": {"clients": 120, "target_shift": -600.0},
+    # Inside the agreement window mixed samples pass too: seven distinct
+    # shifts, whose naive float sum is off by an ulp.
+    "small_negative_target": {"clients": 120, "seed": 3, "target_shift": -0.001},
+    # Two benign queries leave 8 servers: every round panics to -0.0.
+    "negative_target_signed_zeros": {"target_shift": -600.0,
+                                     "policy": FleetPolicy(query_count=2)},
+    "one_client_cohort": {"clients": 1, "client_offset": 37, "population": 300},
+    "offset_cohort": {"clients": 100, "client_offset": 150, "population": 300},
+    "no_clients": {"clients": 0, "population": 300},
+}
+
+
+@pytest.mark.skipif(numpy is None, reason="numpy not installed")
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_backends_agree_in_value_and_type(case):
+    python = config_with(STOCHASTIC, **DIFFERENTIAL_CASES[case])
+    vectorized = config_with(python, backend="numpy")
+    metrics, records = FleetEngine(python).run_detailed()
+    assert typed(FleetEngine(vectorized).run()) == typed(metrics)
+    assert typed(FleetEngine(vectorized).run_detailed()) == typed((metrics, records))
+    assert typed(FleetEngine(python).run()) == typed(metrics)
+    # The (value, count) fold is the correctly rounded sum of every shift.
+    assert repr(metrics["achieved_shift_sum"]) == repr(
+        math.fsum(record["achieved_shift"] for record in records))
+    assert len(records) == python.clients
+    assert [record["client"] for record in records] == list(
+        range(python.client_offset, python.client_offset + python.clients))
+
+
+def test_differential_cases_reach_the_edges_they_name():
+    def records(case):
+        return FleetEngine(config_with(STOCHASTIC, **DIFFERENTIAL_CASES[case])).run_detailed()
+
+    metrics, tiny = records("empty_and_tiny_pools")
+    assert {0, 3} <= {record["pool_size"] for record in tiny}
+    assert any(record["updates_run"] == 0 for record in tiny)
+    metrics, zeros = records("negative_target_signed_zeros")
+    assert all(math.copysign(1.0, record["achieved_shift"]) == -1.0 for record in zeros)
+    assert repr(metrics["achieved_shift_sum"]) == "0.0"  # math.fsum's zero, as before
+    metrics, _ = records("negative_target")
+    assert metrics["achieved_shift_sum"] < 0 and metrics["clients_shift_achieved"] > 0
+
+
+# -- pinned fleet sweeps ------------------------------------------------------
+
+#: perfbench's ``fleet`` parameters, less the backend.
+FLEET_SWEEP_PARAMS = {"resolvers": 1024, "stagger_window": 86400.0, "update_rounds": 5}
+
+
+def fleet_sweep(clients: int, cohort_size: int, backend: str):
+    specs = population_specs(clients=clients, cohort_size=cohort_size, seeds=(1,),
+                             base_params={**FLEET_SWEEP_PARAMS, "backend": backend})
+    (result,), _ = SweepScheduler(workers=1).run_specs(specs)
+    return result
+
+
+@pytest.mark.skipif(numpy is None, reason="numpy not installed")
+def test_million_client_fleet_sweep_is_pinned():
+    digest = fleet_sweep(1_000_000, 125_000, "numpy").digest()
+    assert digest == FLEET_SWEEP_DIGEST, (
+        f"fleet sweep digest moved: {digest} (pinned {FLEET_SWEEP_DIGEST})")
+
+
+@pytest.mark.parametrize("backend", ["python"] + (["numpy"] if numpy else []))
+def test_reduced_fleet_sweep_metrics_are_pinned_on_every_backend(backend):
+    result = fleet_sweep(10_000, 2_500, backend)
+    metrics = json.dumps([record.metrics for record in result.records], sort_keys=True)
+    assert hashlib.sha256(metrics.encode()).hexdigest() == FLEET_SWEEP_METRICS_DIGEST
+
+
+@pytest.mark.skipif(numpy is None, reason="numpy not installed")
+def test_fleet_sweep_records_differ_across_backends_only_in_the_backend_param():
+    python = fleet_sweep(10_000, 2_500, "python")
+    for record in python.records:
+        record.params["backend"] = "numpy"
+    assert python.digest() == fleet_sweep(10_000, 2_500, "numpy").digest()
 
 
 def test_cohort_sharding_is_invisible():
