@@ -33,6 +33,7 @@ from pathlib import Path
 
 from conftest import emit
 
+from repro import obs
 from repro.experiments import AttackSpec, run_scenario
 from repro.experiments.matrix import SERVING_ATTACKS, SERVING_STACKS, run_defense_matrix
 from repro.experiments.pins import SERVING_MATRIX_DIGEST
@@ -50,19 +51,22 @@ LOAD_INTERVALS = (2.0, 1.0, 0.5, 0.25)
 
 
 def serve(label, queries):
-    """Time ``queries`` cache-missing lookups in one serving world."""
+    """Time ``queries`` cache-missing lookups in one serving world, then
+    count the pool's work on an identical run with metrics on (so the wall
+    figures never include metrics collection)."""
     started = time.perf_counter()
-    testbed, answer_times = time_lookups(label, 42, queries)
+    _, answer_times = time_lookups(label, 42, queries)
     wall = time.perf_counter() - started
     assert None not in answer_times, f"{label}: unanswered queries {answer_times}"
-    upstream = testbed.resolver.upstream_transport
+    with obs.capture(trace=False) as observed:
+        time_lookups(label, 42, queries)
+    snapshot = observed.metrics.snapshot()
     return {
         "simulated_time_to_answer": sum(answer_times) / len(answer_times),
         "wall_seconds_per_query": wall / queries,
         "wall_qps": queries / wall,
-        "connections_opened": getattr(upstream, "connections_opened", 0),
-        "connections_reused": getattr(upstream, "connections_reused", 0),
-        "zero_rtt_queries": getattr(upstream, "zero_rtt_queries", 0),
+        **{name: snapshot.counter_total(f"dns.pool.{name}") for name in
+           ("connections_opened", "connections_reused", "zero_rtt_queries")},
     }
 
 

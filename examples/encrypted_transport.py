@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import sys
 
+from repro import obs
 from repro.dns.records import RecordType
 from repro.dns.wire import encode_name
 from repro.experiments import (
@@ -122,12 +123,13 @@ def act_four(queries: int = 20) -> None:
     print(f"{'transport':<12} {'mean answer':>12} {'conns':>6} "
           f"{'reused':>7} {'0-rtt':>6}")
     for label in ("udp", "dot", "dot_reused", "dot_0rtt"):
-        testbed, times = time_lookups(label, 42, queries)
-        upstream = testbed.resolver.upstream_transport
+        with obs.capture(trace=False) as observed:
+            _, times = time_lookups(label, 42, queries)
+        pool = observed.metrics.snapshot()
         print(f"{label:<12} {sum(times) / len(times) * 1000:>10.1f}ms "
-              f"{getattr(upstream, 'connections_opened', 0):>6} "
-              f"{getattr(upstream, 'connections_reused', 0):>7} "
-              f"{getattr(upstream, 'zero_rtt_queries', 0):>6}")
+              f"{pool.counter_total('dns.pool.connections_opened'):>6} "
+              f"{pool.counter_total('dns.pool.connections_reused'):>7} "
+              f"{pool.counter_total('dns.pool.zero_rtt_queries'):>6}")
     print("\na warm reused stream answers in 1 RTT — encrypted transport at")
     print("plaintext parity; 0-RTT buys the same without keeping streams open.")
 

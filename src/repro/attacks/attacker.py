@@ -69,7 +69,6 @@ class ImpersonatingNameserver(AuthoritativeNameserver):
             return
         if query.is_response or query.question.qtype != RecordType.A:
             return
-        self.queries_received += 1
         answers = self._answers_by_qname.get(query.question.name)
         if answers is None:
             answers = [ResourceRecord(name=query.question.name, rtype=RecordType.A,
@@ -78,7 +77,6 @@ class ImpersonatingNameserver(AuthoritativeNameserver):
             self._answers_by_qname[query.question.name] = answers
         response = query.make_response(answers)
         self.hijacked_queries_answered += 1
-        self.responses_sent += 1
         obs = self.network.simulator.obs
         if obs.enabled:
             obs.metrics.counter("attack.hijacked_queries_answered").inc()

@@ -67,21 +67,13 @@ class ResponseRateLimiter:
         self._buckets: dict[str, tuple[float, float]] = {}
         #: prefix -> suppressed-response count (drives slip/leak cadence)
         self._suppressed: dict[str, int] = {}
-        self.responses_allowed = 0
         self.responses_dropped = 0
         self.responses_slipped = 0
-        self.responses_leaked = 0
 
     def _prefix(self, address: str) -> str:
         octets = address.split(".")
         keep = max(1, min(len(octets), self.prefix_len // 8))
         return ".".join(octets[:keep]) + f"/{self.prefix_len}"
-
-    @property
-    def leak_ratio(self) -> float:
-        """Fraction of over-limit responses that escaped at full size."""
-        suppressed = self.responses_dropped + self.responses_slipped + self.responses_leaked
-        return self.responses_leaked / suppressed if suppressed else 0.0
 
     def check(self, address: str, now: float) -> str:
         """Classify one UDP response: ``"send"``, ``"slip"`` or ``"drop"``."""
@@ -90,13 +82,11 @@ class ResponseRateLimiter:
         tokens = min(self.burst, tokens + (now - last) * self.rate)
         if tokens >= 1.0:
             self._buckets[prefix] = (tokens - 1.0, now)
-            self.responses_allowed += 1
             return "send"
         self._buckets[prefix] = (tokens, now)
         count = self._suppressed.get(prefix, 0) + 1
         self._suppressed[prefix] = count
         if self.leak and count % self.leak == 0:
-            self.responses_leaked += 1
             return "send"
         if self.slip and count % self.slip == 0:
             self.responses_slipped += 1
@@ -129,8 +119,6 @@ class AuthoritativeNameserver(Host):
         #: ``response_rate_limit`` defense); ``None`` = unlimited.
         self.rate_limiter: Optional[ResponseRateLimiter] = None
         self.queries_received = 0
-        self.responses_sent = 0
-        self.truncated_responses = 0
 
     # -- zone management -----------------------------------------------------
     def records_for(self, owner: str) -> list[str]:
@@ -159,6 +147,19 @@ class AuthoritativeNameserver(Host):
             return query.make_response(answers)
         return query.make_response([], rcode=ResponseCode.NXDOMAIN)
 
+    # The one counting site of every transport: UDP here, the streams in
+    # :class:`~repro.dns.transport.DNSServerTransport`.
+    def note_query(self) -> None:
+        self.queries_received += 1
+        obs = self.network.simulator.obs
+        if obs.enabled:
+            obs.metrics.counter("ns.queries_received").inc()
+
+    def note_response(self, response: DNSMessage) -> None:
+        obs = self.network.simulator.obs
+        if obs.enabled:
+            obs.metrics.counter("ns.responses_sent", truncated=response.truncated).inc()
+
     def handle_datagram(self, datagram: UDPDatagram) -> None:
         if datagram.dst_port != DNS_PORT:
             return
@@ -169,10 +170,8 @@ class AuthoritativeNameserver(Host):
             return
         if query.is_response:
             return
-        self.queries_received += 1
+        self.note_query()
         obs = self.network.simulator.obs
-        if obs.enabled:
-            obs.metrics.counter("ns.queries_received").inc()
         response = self.answer_query(query)
         if (self.udp_payload_limit is not None
                 and response.wire_size > self.udp_payload_limit):
@@ -183,7 +182,6 @@ class AuthoritativeNameserver(Host):
             # response the splice needs.
             oversized = response.wire_size
             response = replace(response, answers=(), authority=(), truncated=True)
-            self.truncated_responses += 1
             if obs.enabled:
                 obs.metrics.counter("ns.responses_truncated").inc()
                 obs.trace.instant("ns.truncated", category="dns",
@@ -204,10 +202,7 @@ class AuthoritativeNameserver(Host):
                     return
                 response = replace(response, answers=(), authority=(),
                                    truncated=True)
-        self.responses_sent += 1
-        if obs.enabled:
-            obs.metrics.counter("ns.responses_sent",
-                                truncated=response.truncated).inc()
+        self.note_response(response)
         self.send_datagram(
             UDPDatagram(
                 src_ip=self.address,

@@ -149,14 +149,12 @@ class RecursiveResolver(Host):
         #: first truncated response (lazy plain-TCP fallback) or until the
         #: ``encrypted_transport`` defense attaches a policy-bearing one.
         self.upstream_transport = None
+        # Counters a result or the benchmark reads; every other event is
+        # counted in ``repro.obs`` only.  ``retries`` is the retry budget.
         self.queries_answered_from_cache = 0
         self.queries_forwarded = 0
         self.responses_rejected = 0
-        self.poisoned_responses_accepted = 0
-        self.truncated_responses = 0
-        self.timeouts = 0
         self.retries = 0
-        self.stale_answers = 0
 
     # -- helpers ---------------------------------------------------------------
     def nameserver_for(self, qname: str) -> Optional[str]:
@@ -249,7 +247,6 @@ class RecursiveResolver(Host):
                 # RFC 8767: answer now from the expired entry (clamped TTL),
                 # refresh in the background.  The poisoning tension is
                 # deliberate — a stale *poisoned* entry is prolonged too.
-                self.stale_answers += 1
                 if self._obs.enabled:
                     self._obs.metrics.counter("dns.stale_answers",
                                               poisoned=stale.poisoned).inc()
@@ -349,7 +346,6 @@ class RecursiveResolver(Host):
         pending = self._pending.get(key)
         if pending is None:
             return
-        self.timeouts += 1
         if self._obs.enabled:
             self._obs.metrics.counter("dns.query_timeouts").inc()
             self._obs.trace.instant("dns.query.timeout", category="dns",
@@ -436,7 +432,6 @@ class RecursiveResolver(Host):
                                            poisoned=self.last_datagram_poisoned,
                                            spoofed=True)
                 return
-            self.truncated_responses += 1
             if obs.enabled:
                 obs.metrics.counter("dns.responses_truncated").inc()
                 obs.trace.instant("dns.response.truncated", category="dns",
@@ -478,8 +473,6 @@ class RecursiveResolver(Host):
         if answers:
             self.cache.insert(response.question.name, response.question.qtype, answers,
                               self.network.simulator.now, poisoned=context.poisoned)
-            if context.poisoned:
-                self.poisoned_responses_accepted += 1
             if obs.enabled:
                 obs.metrics.counter("dns.cache_writes",
                                     poisoned=context.poisoned).inc()
@@ -519,8 +512,6 @@ class DNSStub:
         self.resolver_address = resolver_address
         self.query_timeout = query_timeout
         self._pending: dict[tuple[int, int], tuple[DNSMessage, Callable, object, bool]] = {}
-        self.lookups_issued = 0
-        self.lookups_failed = 0
 
     def lookup(self, name: str, callback: LookupCallback,
                qtype: RecordType = RecordType.A) -> None:
@@ -545,7 +536,6 @@ class DNSStub:
         handle = self.host.network.simulator.schedule(
             self.query_timeout, lambda key=(txid, port): self._on_timeout(key))
         self._pending[(txid, port)] = (query, callback, handle, wants_message)
-        self.lookups_issued += 1
         self.host.send_datagram(
             UDPDatagram(
                 src_ip=self.host.address,
@@ -561,7 +551,6 @@ class DNSStub:
         if entry is None:
             return
         _, callback, _, wants_message = entry
-        self.lookups_failed += 1
         callback(None if wants_message else [])
 
     def handle_datagram(self, datagram: UDPDatagram) -> bool:
@@ -583,7 +572,6 @@ class DNSStub:
         if handle is not None:
             handle.cancel()
         if not response.matches_query(query):
-            self.lookups_failed += 1
             callback(None if wants_message else [])
             return True
         callback(response if wants_message else response.answer_addresses)

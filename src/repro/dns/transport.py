@@ -226,7 +226,6 @@ class DNSServerTransport:
         #: path (and its RNG draws) exactly as before, which is what holds
         #: the pinned digests with the serving layer merged.
         self.ticket_store = ResumptionTicketStore() if session_resumption else None
-        self.queries_answered: dict[str, int] = {name: 0 for name in transports}
         kwargs = {} if backlog is None else {"backlog": backlog}
         for label, port in STREAM_PORTS.items():
             if label in transports:
@@ -254,10 +253,9 @@ class DNSServerTransport:
                                             "server_stream", socket.close):
                 if query.is_response:
                     continue
-                nameserver.queries_received += 1
+                nameserver.note_query()
                 response = nameserver.answer_query(query)
-                nameserver.responses_sent += 1
-                self.queries_answered[label] += 1
+                nameserver.note_response(response)
                 socket.send(frame(response.encode()))
 
         socket.on_data = on_data
@@ -461,22 +459,13 @@ class ResolverUpstreamTransport:
         self._pool: dict[tuple[str, str], PooledConnection] = {}
         #: nameserver address -> cached resumption ticket for 0-RTT opens.
         self._tickets: dict[str, SessionTicket] = {}
-        self.encrypted_queries = 0
+        # Counters a result or the benchmark reads (each also counted in
+        # ``repro.obs``): encrypted streams that failed, queries an
+        # opportunistic policy pushed back to plaintext UDP, and every
+        # stream opened (DoT, DoH and the TC retry's plain TCP).
         self.encrypted_failures = 0
-        #: Queries an opportunistic policy pushed back to plaintext UDP.
         self.downgraded_queries = 0
-        #: Plain-TCP retries triggered by truncated UDP responses.
-        self.tcp_retries = 0
-        # Connection-churn accounting: every stream opened (DoT, DoH and
-        # the TC retry's plain TCP), and pool hits that opened none.
         self.connections_opened = 0
-        self.connections_reused = 0
-        #: Fresh connections opened to replace one that died mid-pipeline.
-        self.reconnects = 0
-        #: Queries sent as 0-RTT early data on the SYN.
-        self.zero_rtt_queries = 0
-        #: High-water mark of pipelined queries in flight on one stream.
-        self.pipelined_max_in_flight = 0
 
     # -- helpers ---------------------------------------------------------------
     @property
@@ -495,17 +484,17 @@ class ResolverUpstreamTransport:
     def dispatch(self, key: tuple[int, str], pending: PendingUpstreamQuery) -> None:
         """Send one upstream query per the policy (called by the resolver)."""
         if self.uses_encrypted(pending.nameserver_address):
-            self.encrypted_queries += 1
+            self._count("dns.encrypted_queries")
             self._send_over_policy(key, pending)
             return
         if self.policy is not None:
             # An opportunistic policy in its hold-down window: plaintext.
-            self.downgraded_queries += 1
+            self._downgrade(pending)
+            return
         self.resolver._send_upstream_datagram(pending)
 
     def retry_over_tcp(self, key: tuple[int, str], pending: PendingUpstreamQuery) -> None:
         """Re-ask one truncated query over plain DNS-over-TCP (RFC 7766)."""
-        self.tcp_retries += 1
         pending.sent_via = "stream"
         self._open_stream(key, pending, "tcp")
 
@@ -518,7 +507,6 @@ class ResolverUpstreamTransport:
         if pooled is None or pooled.closed:
             self._open_stream(key, pending, policy.protocol)
             return
-        self.connections_reused += 1
         obs = self._simulator.obs
         if obs.enabled:
             obs.metrics.counter("dns.pool.connections_reused",
@@ -572,7 +560,6 @@ class ResolverUpstreamTransport:
         self._pool[(address, protocol)] = stream
         if ticket is not None:
             stream.resumed = True
-            self.zero_rtt_queries += 1
             if obs.enabled:
                 obs.metrics.counter("dns.pool.zero_rtt_queries",
                                     protocol=protocol).inc()
@@ -586,8 +573,6 @@ class ResolverUpstreamTransport:
         self._tickets[address] = ticket
 
     def _note_in_flight(self, pooled: PooledConnection, obs) -> None:
-        self.pipelined_max_in_flight = max(self.pipelined_max_in_flight,
-                                           len(pooled.in_flight))
         if obs.enabled:
             obs.metrics.gauge("dns.pool.pipelined_in_flight",
                               nameserver=pooled.address
@@ -627,10 +612,11 @@ class ResolverUpstreamTransport:
                     # a failed resumption falling back to a cold handshake)
                     # before the policy decides strict-vs-downgrade.
                     orphan.pool_redispatches += 1
-                    self.reconnects += 1
+                    self._count("dns.pool.reconnects")
                     self._send_over_policy(key, orphan)
                     continue
             self.encrypted_failures += 1
+            self._count("dns.encrypted_failures")
             if not live or self.policy.strict:
                 # Strict: fail closed.  The pending query runs into the
                 # resolver's timeout and the client sees SERVFAIL —
@@ -642,8 +628,18 @@ class ResolverUpstreamTransport:
             # scenario exploits.
             self._plaintext_until[orphan.nameserver_address] = (
                 self._simulator.now + self.policy.holddown)
-            self.downgraded_queries += 1
-            self.resolver._send_upstream_datagram(orphan)
+            self._downgrade(orphan)
+
+    def _downgrade(self, pending: PendingUpstreamQuery) -> None:
+        """Send ``pending`` over plaintext UDP under an opportunistic policy."""
+        self.downgraded_queries += 1
+        self._count("dns.downgraded_queries")
+        self.resolver._send_upstream_datagram(pending)
+
+    def _count(self, name: str) -> None:
+        obs = self._simulator.obs
+        if obs.enabled:
+            obs.metrics.counter(name).inc()
 
     # -- response delivery -----------------------------------------------------------
     def _deliver(self, pending: PendingUpstreamQuery, response: DNSMessage,

@@ -139,8 +139,6 @@ class ReassemblyBuffer:
         self.timeout = timeout
         self.capacity = capacity
         self._entries: dict[tuple, _ReassemblyEntry] = {}
-        self.completed = 0
-        self.expired = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -150,7 +148,6 @@ class ReassemblyBuffer:
         stale = [key for key, entry in self._entries.items() if now - entry.created_at > self.timeout]
         for key in stale:
             del self._entries[key]
-            self.expired += 1
 
     def add_fragment(self, fragment: IPPacket, now: float) -> ReassemblyResult:
         """Offer a fragment; returns a completed datagram when reassembly finishes.
@@ -246,5 +243,4 @@ class ReassemblyBuffer:
             return None
         src_ip, dst_ip, _, _ = key
         del self._entries[key]
-        self.completed += 1
         return parse_udp_wire(src_ip, dst_ip, bytes(buffer))

@@ -78,8 +78,6 @@ class Host:
         self.address = address
         self.name = name or f"host-{address}"
         self.reassembly = ReassemblyBuffer(overlap_policy=overlap_policy)
-        self.received_datagrams = 0
-        self.poisoned_datagrams = 0
         #: Whether the datagram currently being handled was assembled from a
         #: spoofed fragment; application layers (the DNS resolver) consult it
         #: to tag cache entries for experiment reporting.
@@ -134,9 +132,6 @@ class Host:
                 obs.trace.instant("net.drop", category="net", reason="checksum",
                                   src=packet.src_ip, dst=packet.dst_ip)
             return
-        self.received_datagrams += 1
-        if result.poisoned:
-            self.poisoned_datagrams += 1
         if obs.enabled:
             obs.metrics.counter("net.datagrams_delivered",
                                 poisoned=result.poisoned).inc()
@@ -175,10 +170,6 @@ class Network:
         self._path_mtu: dict[str, int] = {}
         self._taps: list[Tap] = []
         self._next_ip_id: dict[str, int] = {}
-        self.packets_sent = 0
-        self.packets_dropped = 0
-        self.packets_injected = 0
-        self.packets_duplicated = 0
         #: The last delivery event and the (host, packet) pairs it carries.
         self._batch: list[tuple[Host, IPPacket]] = []
         self._batch_event: Optional[EventHandle] = None
@@ -287,7 +278,6 @@ class Network:
         counters; a burst of injections due at one instant is delivered by
         one simulator event (see :meth:`_deliver_after`).
         """
-        self.packets_injected += 1
         if self._obs.enabled:
             self._obs.metrics.counter("net.packets_injected",
                                       spoofed=packet.spoofed).inc()
@@ -295,7 +285,6 @@ class Network:
 
     def _transmit(self, packet: IPPacket) -> None:
         """Taps, faults, loss and routing see one packet; then it is delivered."""
-        self.packets_sent += 1
         obs = self._obs
         if obs.enabled:
             obs.metrics.counter("net.packets_sent").inc()
@@ -324,7 +313,6 @@ class Network:
             latency += self.simulator.rng.uniform(0, link.jitter)
         self._deliver_after(latency, destination, packet)
         if duplicate_delay is not None:
-            self.packets_duplicated += 1
             if obs.enabled:
                 obs.metrics.counter("net.packets_duplicated").inc()
                 obs.trace.instant("net.duplicate", category="net",
@@ -332,7 +320,6 @@ class Network:
             self._deliver_after(latency + duplicate_delay, destination, packet)
 
     def _drop(self, packet: IPPacket, reason: str) -> None:
-        self.packets_dropped += 1
         if self._obs.enabled:
             self._obs.metrics.counter("net.packets_dropped", reason=reason).inc()
             self._obs.trace.instant("net.drop", category="net", reason=reason,

@@ -119,9 +119,6 @@ class Simulator:
         self._cancelled_pending = 0
         self.rng = random.Random(seed)
         self.seed = seed
-        #: Events fired so far.  One delivery event may carry several
-        #: packets due at one instant, so this is not a packet count.
-        self.events_processed = 0
         #: The event :meth:`schedule` pushed last (see :meth:`would_follow`).
         self._last_event: Optional[_ScheduledEvent] = None
         #: Total not-yet-fired events that were cancelled (dead heap entries
@@ -235,7 +232,6 @@ class Simulator:
             callback = event.callback
             event.callback = None  # free the closure promptly
             callback()
-            self.events_processed += 1
             if self._ctr_executed is not None:
                 self._ctr_executed.inc()
             return True

@@ -183,8 +183,6 @@ class Connection:
         #: Next in-order sequence number we expect from the peer.
         self.rcv_nxt: Optional[int] = None
         self._out_of_order: dict[int, bytes] = {}
-        #: Segments that failed the sequence/ack checks — blind injections.
-        self.injections_rejected = 0
         self.on_established: Optional[Callable[[], None]] = None
         self.on_data: Optional[Callable[[bytes], None]] = None
         self.on_close: Optional[Callable[[], None]] = None
@@ -362,7 +360,6 @@ class Connection:
                 self.on_data(chunk)
 
     def _reject(self, segment: TCPSegment) -> None:
-        self.injections_rejected += 1
         obs = self.stack.obs
         if obs.enabled:
             obs.metrics.counter("tcp.injections_rejected").inc()
@@ -395,8 +392,6 @@ class Listener:
         #: the listener cannot tell a replayed SYN+flight from a fresh one.
         self.fast_open = fast_open
         self.half_open: dict[ConnectionKey, Connection] = {}
-        #: Connections accepted with data on the SYN (fast-open path).
-        self.fast_opens_accepted = 0
 
     def handle_syn(self, src_ip: str, segment: TCPSegment) -> None:
         if len(self.half_open) >= self.backlog:
@@ -426,7 +421,6 @@ class Listener:
             # Fast open: promote before the final ACK so the application can
             # answer in the SYN-ACK's flight, then deliver the early bytes.
             connection.state = ConnectionState.ESTABLISHED
-            self.fast_opens_accepted += 1
             self.stack.promote(connection)
             if connection.on_data is not None:
                 connection.on_data(first_flight)
@@ -736,22 +730,13 @@ class ResumptionTicketStore:
     def __init__(self, single_use: bool = False) -> None:
         self.single_use = single_use
         self._tickets: dict[bytes, bytes] = {}
-        self.issued = 0
-        self.redeemed = 0
-        self.rejected = 0
 
     def issue(self, nonce: bytes, psk: bytes) -> None:
         self._tickets[nonce] = psk
-        self.issued += 1
 
     def redeem(self, nonce: bytes) -> Optional[bytes]:
-        psk = (self._tickets.pop(nonce, None) if self.single_use
-               else self._tickets.get(nonce))
-        if psk is None:
-            self.rejected += 1
-        else:
-            self.redeemed += 1
-        return psk
+        return (self._tickets.pop(nonce, None) if self.single_use
+                else self._tickets.get(nonce))
 
 
 def certificate_signature(cert_key: str, subject: str, share: int,

@@ -74,10 +74,6 @@ class NTPQuerier:
         self.retry_backoff_factor = retry_backoff_factor
         self.retry_jitter = retry_jitter
         self._pending: dict[tuple[str, int], _PendingQuery] = {}
-        self.queries_sent = 0
-        self.timeouts = 0
-        self.retries_sent = 0
-        self.invalid_responses = 0
 
     def query(self, server_address: str, callback: SampleCallback) -> None:
         """Send one request to ``server_address``; callback fires exactly once."""
@@ -103,7 +99,6 @@ class NTPQuerier:
             self.timeout, lambda k=key: self._on_timeout(k))
         self._pending[key] = _PendingQuery(server_address, origin_time, callback,
                                            handle, attempt=attempt)
-        self.queries_sent += 1
         obs = self.host.network.simulator.obs
         if obs.enabled:
             obs.metrics.counter("ntp.queries_sent").inc()
@@ -121,7 +116,6 @@ class NTPQuerier:
         pending = self._pending.pop(key, None)
         if pending is None:
             return
-        self.timeouts += 1
         obs = self.host.network.simulator.obs
         if obs.enabled:
             obs.metrics.counter("ntp.query_timeouts").inc()
@@ -132,7 +126,6 @@ class NTPQuerier:
             delay = self.retry_backoff * self.retry_backoff_factor ** pending.attempt
             if self.retry_jitter > 0.0:
                 delay += rng.uniform(0.0, self.retry_jitter)
-            self.retries_sent += 1
             if obs.enabled:
                 obs.metrics.counter("ntp.query_retries").inc()
                 obs.trace.instant("ntp.query.retry", category="ntp",
@@ -161,7 +154,6 @@ class NTPQuerier:
         if pending is None:
             return True
         if not packet.valid_server_reply_to(pending.origin_time):
-            self.invalid_responses += 1
             obs = self.host.network.simulator.obs
             if obs.enabled:
                 obs.metrics.counter("ntp.invalid_responses").inc()

@@ -31,8 +31,6 @@ class NTPServer(Host):
         self.clock = clock or SystemClock(network.simulator, offset=clock_error)
         self.stratum = stratum
         self.response_loss = response_loss
-        self.requests_received = 0
-        self.responses_sent = 0
 
     # -- behaviour hooks ------------------------------------------------------
     def served_time(self) -> float:
@@ -53,7 +51,9 @@ class NTPServer(Host):
             return
         if request.mode != NTPMode.CLIENT:
             return
-        self.requests_received += 1
+        obs = self.network.simulator.obs
+        if obs.enabled:
+            obs.metrics.counter("ntp.requests_received").inc()
         if self.response_loss and self.network.simulator.rng.random() < self.response_loss:
             return
         receive_time = self.served_time()
@@ -65,7 +65,6 @@ class NTPServer(Host):
             reference_time=receive_time - 1.0,
             leap=self.leap_indicator(),
         )
-        self.responses_sent += 1
         self.send_datagram(
             UDPDatagram(
                 src_ip=self.address,

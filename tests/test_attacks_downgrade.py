@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from _counters import count
+
+from repro import obs
 from repro.attacks.downgrade import DowngradeConfig, DowngradeScenario
 from repro.dns.records import RecordType
 from repro.experiments import ExperimentRunner, run_scenario
@@ -49,14 +52,14 @@ def test_opportunistic_dot_downgrades_and_gets_poisoned():
 def test_without_the_flood_opportunistic_dot_stays_encrypted():
     # Zero flood bursts: the encrypted connection succeeds, the planted
     # fragments never match anything, and the attack fails.
-    scenario, result = run_config(defenses=("encrypted_transport_opportunistic",),
-                                  flood_bursts=0)
+    with obs.capture(trace=False) as ob:
+        scenario, result = run_config(defenses=("encrypted_transport_opportunistic",),
+                                      flood_bursts=0)
     assert not result["attack_succeeded"]
     assert not result["downgraded"]
     assert result["syns_sent"] == 0
-    transport = scenario.resolver.upstream_transport
-    assert transport.encrypted_queries == 1
-    assert transport.encrypted_failures == 0
+    assert count(ob, "dns.encrypted_queries") == 1
+    assert scenario.resolver.upstream_transport.encrypted_failures == 0
 
 
 def test_downgrade_scenario_via_registry_is_deterministic():

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError
 
 import pytest
+from _counters import count
 
 from repro import obs
 from repro.defenses.transport import (
@@ -104,25 +105,27 @@ def test_doh_server_drops_and_counts_a_bad_header(length):
     counters = ob.metrics.snapshot().counters
     assert counters[("dns.malformed", (("site", "doh_header"),))] == 1
     assert len(closed) == 1
-    assert server.queries_answered["doh"] == 0
+    assert count(ob, "ns.queries_received") == 0
 
 
 # -- nameserver truncation (TC bit) ---------------------------------------------
 
 def test_nameserver_truncates_oversized_udp_responses():
-    testbed = build(udp_limit=512)
+    with obs.capture(trace=False) as ob:
+        testbed = build(udp_limit=512)
     testbed.resolver.trigger_lookup(ZONE)
     testbed.simulator.run(until=3.0)
-    assert testbed.nameserver.truncated_responses == 1
-    assert testbed.resolver.truncated_responses == 1
+    assert count(ob, "ns.responses_truncated") == 1
+    assert count(ob, "dns.responses_truncated") == 1
 
 
 def test_truncated_response_is_never_cached_without_fallback_path():
-    testbed = build(udp_limit=512)  # no stream listeners: retry cannot land
+    with obs.capture(trace=False) as ob:
+        testbed = build(udp_limit=512)  # no stream listeners: retry cannot land
     testbed.resolver.trigger_lookup(ZONE)
     testbed.simulator.run(until=20.0)
     assert cached_records(testbed) is None
-    assert testbed.resolver.timeouts == 1
+    assert count(ob, "dns.query_timeouts") == 1
     # A failed TC retry is not an encrypted failure and never downgrades.
     transport = testbed.resolver.upstream_transport
     assert transport.downgraded_queries == 0
@@ -130,22 +133,26 @@ def test_truncated_response_is_never_cached_without_fallback_path():
 
 
 def test_small_responses_stay_untruncated_under_a_limit():
-    testbed = build(udp_limit=1472, records_per_response=4)
+    with obs.capture(trace=False) as ob:
+        testbed = build(udp_limit=1472, records_per_response=4)
     testbed.resolver.trigger_lookup(ZONE)
     testbed.simulator.run(until=3.0)
-    assert testbed.nameserver.truncated_responses == 0
+    assert count(ob, "ns.responses_truncated") == 0
     assert len(cached_records(testbed)) == 4
 
 
 def test_tc_triggers_tcp_retry_and_full_answer():
-    testbed = build(transports=("tcp",), udp_limit=512)
+    with obs.capture(trace=False) as ob:
+        testbed = build(transports=("tcp",), udp_limit=512)
     testbed.resolver.trigger_lookup(ZONE)
     testbed.simulator.run(until=5.0)
     transport = testbed.resolver.upstream_transport
-    assert transport is not None and transport.tcp_retries == 1
-    assert transport.connections_opened == 1
+    assert transport is not None and transport.connections_opened == 1
+    assert count(ob, "dns.pool.connections_opened", protocol="tcp") == 1  # the retry
     assert transport.encrypted_failures == 0
-    assert testbed.nameserver.stream_transport.queries_answered["tcp"] == 1
+    # Asked over UDP (truncated answer), then once more over TCP.
+    assert count(ob, "ns.queries_received") == testbed.nameserver.queries_received == 2
+    assert count(ob, "ns.responses_sent", truncated=False) == 1
     # The stream answer is complete: all 40 records, no truncation.
     assert len(cached_records(testbed)) == 40
 
@@ -186,16 +193,16 @@ def test_encrypted_transport_resolves_over_tls(defense, label):
         testbed.resolver.trigger_lookup(ZONE)
         testbed.simulator.run(until=5.0)
     assert len(cached_records(testbed)) == 40
-    assert testbed.nameserver.stream_transport.queries_answered[label] == 1
+    # The one query reached the nameserver over the stream only.
+    assert count(ob, "ns.queries_received") == testbed.nameserver.queries_received == 1
     transport = testbed.resolver.upstream_transport
-    assert transport.encrypted_queries == 1
+    assert count(ob, "dns.encrypted_queries") == 1
     assert transport.encrypted_failures == 0
     assert transport.downgraded_queries == 0
     # A per-query stream is still a connection, and no pool hit.
     assert transport.connections_opened == 1
-    assert transport.connections_reused == 0
-    counters = ob.metrics.snapshot().counters
-    assert counters[("dns.pool.connections_opened", (("protocol", label),))] == 1
+    assert count(ob, "dns.pool.connections_reused") == 0
+    assert count(ob, "dns.pool.connections_opened", protocol=label) == 1
 
 
 def test_encrypted_transport_payload_opaque_on_the_wire():
@@ -215,7 +222,8 @@ def test_encrypted_transport_payload_opaque_on_the_wire():
 def test_strict_policy_fails_closed_when_listener_missing():
     # A strict resolver pointed at a nameserver with no DoT listener: the
     # query must fail (SERVFAIL via timeout), never fall back to UDP.
-    testbed = build(defenses=("encrypted_transport",))
+    with obs.capture(trace=False) as ob:
+        testbed = build(defenses=("encrypted_transport",))
     listener = testbed.nameserver.tcp.listeners.pop(853)
     assert listener is not None
     testbed.resolver.trigger_lookup(ZONE)
@@ -225,19 +233,20 @@ def test_strict_policy_fails_closed_when_listener_missing():
     assert transport.encrypted_failures == 1
     assert transport.downgraded_queries == 0
     # The one per-query stream failed without a re-dispatch.
-    assert transport.reconnects == 0
+    assert count(ob, "dns.pool.reconnects") == 0
     assert transport.connections_opened == 1
     assert testbed.nameserver.queries_received == 0  # no plaintext leaked
 
 
 def test_opportunistic_policy_falls_back_and_holds_down():
-    testbed = build(defenses=("encrypted_transport_opportunistic",))
+    with obs.capture(trace=False) as ob:
+        testbed = build(defenses=("encrypted_transport_opportunistic",))
     testbed.nameserver.tcp.listeners.pop(853)
     testbed.resolver.trigger_lookup(ZONE)
     testbed.simulator.run(until=10.0)
     transport = testbed.resolver.upstream_transport
     assert transport.downgraded_queries == 1
-    assert transport.reconnects == 0
+    assert count(ob, "dns.pool.reconnects") == 0
     assert transport.connections_opened == 1
     assert len(cached_records(testbed)) == 40  # answered over plaintext UDP
     # Within the hold-down window the next query goes straight to UDP
@@ -245,7 +254,7 @@ def test_opportunistic_policy_falls_back_and_holds_down():
     testbed.resolver.cache = type(testbed.resolver.cache)()
     testbed.resolver.trigger_lookup(ZONE)
     testbed.simulator.run(until=20.0)
-    assert transport.encrypted_queries == 1
+    assert count(ob, "dns.encrypted_queries") == 1
     assert transport.downgraded_queries == 2
 
 
@@ -292,7 +301,8 @@ def test_spoofed_tc_stub_cannot_burn_the_stream_retry():
     # A TC=1 stub that fails the provenance checks (wrong source address or
     # wrong destination port) must be rejected without consuming the
     # one-shot TCP retry or conjuring a plaintext connection.
-    testbed = build(transports=("tcp",), udp_limit=512, latency=0.5)
+    with obs.capture(trace=False) as ob:
+        testbed = build(transports=("tcp",), udp_limit=512, latency=0.5)
     testbed.resolver.trigger_lookup(ZONE)
     testbed.simulator.run(until=0.1)
     testbed.network.send_datagram(
@@ -301,12 +311,12 @@ def test_spoofed_tc_stub_cannot_burn_the_stream_retry():
         spoof_response_for_pending(testbed, dst_port=4444, truncated=True))
     testbed.simulator.run(until=0.8)  # spoofs delivered, genuine TC not yet
     assert testbed.resolver.responses_rejected == 2
-    assert testbed.resolver.truncated_responses == 0
+    assert count(ob, "dns.responses_truncated") == 0
     [(key, pending)] = testbed.resolver._pending.items()
     assert not pending.stream_retry
     # The genuine truncated response then drives the normal TCP fallback.
     testbed.simulator.run(until=20.0)
-    assert testbed.resolver.upstream_transport.tcp_retries == 1
+    assert count(ob, "dns.pool.connections_opened", protocol="tcp") == 1  # the retry
     assert len(cached_records(testbed)) == 40
 
 

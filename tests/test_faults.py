@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from _counters import count, observed_simulator
 
 from repro.experiments.pins import CHAOS_GRID_DIGEST, chaos_grid_digest
 from repro.faults import (
@@ -22,7 +23,6 @@ from repro.faults import (
 from repro.faults.plan import event_from_spec, event_to_spec, window_scale
 from repro.netsim.network import Host, LinkProperties, Network
 from repro.netsim.packets import UDPDatagram
-from repro.netsim.simulator import Simulator
 
 
 class Sink(Host):
@@ -37,7 +37,7 @@ class Sink(Host):
 
 
 def build_net(seed=1, latency=0.01):
-    sim = Simulator(seed=seed)
+    sim = observed_simulator(seed)
     net = Network(sim, default_link=LinkProperties(latency=latency))
     a = Sink(net, "10.0.0.1")
     b = Sink(net, "10.0.0.2")
@@ -141,7 +141,7 @@ def test_full_window_loss_drops_and_accounts_packets():
     assert len(a.delivered) == 1
     assert injector.stats.drops == {"loss": 5}
     assert injector.stats.packets_dropped == 5
-    assert net.packets_dropped == 5
+    assert count(sim, "net.packets_dropped", reason="loss") == 5
 
 
 def test_probabilistic_loss_is_reproducible_per_seed():
@@ -241,7 +241,7 @@ def test_duplicate_delivers_packet_twice():
     first, second = (t for t, _ in b.delivered)
     assert second - first == pytest.approx(0.5)
     assert injector.stats.packets_duplicated == 1
-    assert net.packets_duplicated == 1
+    assert count(sim, "net.packets_duplicated") == 1
 
 
 def test_latency_ramp_delays_matching_packets():

@@ -1,6 +1,6 @@
 """Off-path garbage never stops a simulation, and each drop is counted once.
 
-Two gates:
+Four gates:
 
 * names a query decodes but its reply could not encode (over 255 bytes, an
   empty label from a ``.`` byte inside a label) are malformed at decode, on
@@ -12,7 +12,13 @@ Two gates:
 * hypothesis-drawn stream inputs at the nameserver's TCP 53, DoT 853 and
   DoH 443 listeners (raw segments, secure-channel records, DNS frames and
   DoH requests, sent in random chunks): ``Simulator.run`` never raises, and
-  a rejected input raises exactly one of the stream drop counters.
+  a rejected input raises exactly one of the stream drop counters;
+* the same on the resolver's side: a fake upstream answers the ``tcp``,
+  ``dot``, ``doh``, ``dot_reused`` and ``dot_0rtt`` streams with a drawn
+  record sent raw in place of the handshake reply, or with a drawn DNS
+  payload or DoH header inside a valid channel (on a reused or 0-RTT
+  resumed stream where the world has one): each unit sent raises exactly
+  one stream drop counter when the resolver rejects it, and none otherwise.
 """
 
 from __future__ import annotations
@@ -28,9 +34,17 @@ from repro import obs
 from repro.attacks.chronos_pool_attack import ChronosPoolAttackScenario
 from repro.dns.message import DNSMessage
 from repro.dns.records import a_record
-from repro.dns.transport import DOH_PORT, DOT_PORT, doh_request, frame_dns
+from repro.dns.transport import (
+    DOH_PORT,
+    DOT_PORT,
+    doh_request,
+    doh_response,
+    frame_dns,
+    stream_decoder,
+)
 from repro.dns.wire import WireFormatError
 from repro.experiments import TestbedConfig, build_testbed
+from repro.experiments.scenarios import TRANSPORT_PROFILES
 from repro.netsim import transport
 from repro.netsim.packets import PROTO_TCP, IPPacket, PacketError, UDPDatagram
 from repro.netsim.transport import (
@@ -38,6 +52,7 @@ from repro.netsim.transport import (
     FLAG_FIN,
     FLAG_RST,
     FLAG_SYN,
+    PlainStreamSocket,
     SecureChannel,
     TCPSegment,
 )
@@ -97,7 +112,7 @@ def test_unencodable_name_is_dropped_on_the_dot_listener(kind):
         testbed.simulator.run(until=2.0)
     snapshot = observed.metrics.snapshot()
     assert snapshot.counter("dns.malformed", site="server_stream") == 1
-    assert server.queries_answered["dot"] == 0
+    assert snapshot.counter("ns.queries_received") == 0
 
 
 # -- system-level UDP fuzz ------------------------------------------------------------
@@ -335,3 +350,112 @@ def test_records_after_a_tls_abort_count_once_each_as_no_flow():
     assert observed.metrics.snapshot().counter("tcp.dropped", reason="no_flow") == 2
     assert stream_drops(observed) == {**dict.fromkeys(STREAM_DROPS, 0),
                                       "tls.aborts": 1, "tcp.dropped": 2}
+
+
+# -- client-side TCP-stream fuzz ----------------------------------------------------------
+
+#: The resolver's upstream stream worlds (``TRANSPORT_PROFILES``).
+CLIENT_PROFILES = ("tcp", "dot", "doh", "dot_reused", "dot_0rtt")
+
+
+@st.composite
+def upstream_input(draw):
+    """``(profile, kind, unit, payload)``: what a fake upstream answers with.
+
+    ``record`` is one secure-channel record sent raw, in place of the
+    handshake reply; ``dns`` a framed DNS payload and ``doh_header`` a
+    garbage DoH response header, both inside a valid channel (or plain TCP).
+    """
+    profile = draw(st.sampled_from(CLIENT_PROFILES))
+    if profile != "tcp" and draw(st.booleans()):
+        record_type = draw(st.one_of(st.sampled_from(KNOWN_RECORDS), st.integers(0, 255)))
+        return (profile, "record",
+                transport._frame_record(record_type, draw(st.binary(max_size=200))), None)
+    if profile == "doh" and draw(st.booleans()):
+        length = draw(st.sampled_from(["-1", "65536", "12x", "999999", ""]))
+        return (profile, "doh_header",
+                f"HTTP/1.1 200 OK\r\ncontent-length: {length}\r\n\r\n".encode(), None)
+    payload = draw(st.one_of(st.sampled_from(_valid_payloads()), payloads))
+    return (profile, "dns",
+            doh_response(payload) if profile == "doh" else frame_dns(payload), payload)
+
+
+def expected_client_drop(kind: str, unit: bytes, payload):
+    """The one drop counter the resolver should raise per unit, or ``None``."""
+    if kind == "record":
+        # Before the handshake every known record but an alert aborts the client.
+        if unit[0] == ALERT:
+            return None
+        return "tls.aborts" if unit[0] in KNOWN_RECORDS else "tls.malformed"
+    if kind == "doh_header":
+        return "dns.malformed"
+    return "dns.malformed" if rejects(DNSMessage.decode, payload) else None
+
+
+def serve_garbage(testbed, kind: str, pieces: list[bytes]) -> list[int]:
+    """Make the nameserver's listeners answer with ``pieces``: raw, in place
+    of every handshake reply, or inside the channel to every query but the
+    world's first, which gets its genuine answer (so the second lookup
+    reuses or resumes a stream).  Returns ``[units sent]``."""
+    nameserver = testbed.nameserver
+    server = nameserver.stream_transport
+    sent, genuine = [0], [True]
+
+    def answer(send) -> None:
+        sent[0] += 1
+        for piece in pieces:
+            send(piece)
+
+    def raw(conn) -> None:
+        def on_hello(_data) -> None:
+            conn.on_data = None  # one unit per connection
+            answer(conn.send)
+        conn.on_data = on_hello
+
+    def in_channel(conn, port) -> None:
+        label = {DNS_PORT: "tcp", DOT_PORT: "dot", DOH_PORT: "doh"}[port]
+        socket = (PlainStreamSocket(conn) if label == "tcp" else SecureChannel.server(
+            conn, testbed.simulator.rng, identity=server.identity or nameserver.name,
+            cert_key=server.cert_key, ticket_store=server.ticket_store))
+
+        def on_query(data) -> None:
+            if genuine[0]:
+                genuine[0] = False
+                [wire] = stream_decoder(label).feed(data)
+                response = nameserver.answer_query(DNSMessage.decode(wire)).encode()
+                socket.send(doh_response(response) if label == "doh" else frame_dns(response))
+            else:
+                answer(socket.send)
+        socket.on_data = on_query
+
+    for port, listener in nameserver.tcp.listeners.items():
+        listener.on_connection = (raw if kind == "record"
+                                  else lambda conn, port=port: in_channel(conn, port))
+    return sent
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit=upstream_input(), cuts=st.lists(st.integers(0, 1 << 16), max_size=4))
+@example(unit=("dot", "record", transport._frame_record(99, b"?"), None), cuts=[1])
+@example(unit=("dot_0rtt", "dns", frame_dns(b"\x00" * 5), b"\x00" * 5), cuts=[])
+@example(unit=("doh", "doh_header",
+               b"HTTP/1.1 200 OK\r\ncontent-length: x\r\n\r\n", None), cuts=[9])
+def test_upstream_stream_inputs_never_stop_the_simulation(unit, cuts):
+    profile, kind, data, payload = unit
+    with obs.capture(trace=False) as observed:
+        # 30 records make the UDP answer truncate in the ``tcp`` world.
+        testbed = build_testbed(TestbedConfig(seed=5, with_attacker=False,
+                                              records_per_response=30,
+                                              **TRANSPORT_PROFILES[profile]))
+    sent = serve_garbage(testbed, kind, chunks(data, cuts))
+    simulator, resolver = testbed.simulator, testbed.resolver
+    # Two lookups: the second reuses the pooled stream, or resumes with
+    # 0-RTT after the 5 s idle close.
+    simulator.schedule_at(0.0, lambda: resolver.trigger_lookup(ZONE))
+    simulator.schedule_at(9.999, resolver.cache.flush)
+    simulator.schedule_at(10.0, lambda: resolver.trigger_lookup(ZONE))
+    simulator.run(until=30.0)
+    expected = expected_client_drop(kind, data, payload)
+    assert sent[0] >= 1
+    assert stream_drops(observed) == {name: sent[0] * (name == expected)
+                                      for name in STREAM_DROPS}, (profile, kind)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from _counters import count, observed_simulator
 
 from repro.experiments.matrix import DEFAULT_ATTACKS, DEFAULT_STACKS, run_defense_matrix
 from repro.faults import Duplicate, FaultInjector, FaultPlan, LinkLoss, ReorderJitter
@@ -100,7 +101,7 @@ def raw_udp(src: str, dst: str, payload: bytes, ip_id: int = 1) -> IPPacket:
 
 
 def sink_network(latency: float = 0.01, seed: int = 3) -> tuple[Simulator, Network, Sink]:
-    simulator = Simulator(seed=seed)
+    simulator = observed_simulator(seed)
     network = Network(simulator, default_link=LinkProperties(latency=latency))
     return simulator, network, Sink(network, "10.0.0.9")
 
@@ -109,11 +110,11 @@ def test_back_to_back_packets_share_one_event_and_keep_transmit_order():
     simulator, network, sink = sink_network()
     for index in range(5):
         network.inject(raw_udp("10.0.0.1", sink.address, bytes([index]), ip_id=index + 1))
-    assert network.packets_sent == 5
+    assert count(simulator, "net.packets_sent") == 5
     simulator.run()
     assert [payload for _, _, payload in sink.received] == [bytes([i]) for i in range(5)]
     assert {time for time, _, _ in sink.received} == {0.01}
-    assert simulator.events_processed == 1
+    assert count(simulator, "sim.events_executed") == 1
 
 
 def test_fault_jitter_duplicates_and_loss_keep_every_delivery_in_place():
@@ -140,13 +141,14 @@ def test_fault_jitter_duplicates_and_loss_keep_every_delivery_in_place():
     simulator.run()
     log = hashlib.sha256(repr(sink.received).encode()).hexdigest()
     # Recorded with one simulator event per delivered packet.
-    assert (len(sink.received), network.packets_sent, network.packets_dropped,
-            network.packets_duplicated, log) == (
+    assert (len(sink.received), count(simulator, "net.packets_sent"),
+            count(simulator, "net.packets_dropped"),
+            count(simulator, "net.packets_duplicated"), log) == (
         110, 96, 5, 19,
         "e219f6f28d6b0f94f50d600fc24c0c3ba0904c2b0b4f456eba5ab320f70147c5")
     times = [time for time, _, _ in sink.received]
     assert times == sorted(times)
-    assert simulator.events_processed < len(sink.received)
+    assert count(simulator, "sim.events_executed") < len(sink.received)
 
 
 def test_an_event_scheduled_between_two_injections_keeps_its_place():
@@ -165,7 +167,7 @@ def test_an_event_scheduled_between_two_injections_keeps_its_place():
     simulator.run()
     assert order == ["first", "tap", "second", "third"]
     # first | tap | second + third
-    assert simulator.events_processed == 3
+    assert count(simulator, "sim.events_executed") == 3
 
 
 def test_a_packet_sent_after_its_instant_fired_gets_a_new_event():
@@ -176,4 +178,4 @@ def test_a_packet_sent_after_its_instant_fired_gets_a_new_event():
     network.inject(raw_udp("10.0.0.1", sink.address, b"late", ip_id=2))
     simulator.run()
     assert [payload for _, _, payload in sink.received] == [b"early", b"late"]
-    assert simulator.events_processed == 2
+    assert count(simulator, "sim.events_executed") == 2

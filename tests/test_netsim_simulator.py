@@ -5,6 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.netsim.simulator import SimulationError, Simulator
+from repro.obs import Observability
+
+
+def executed(sim: Simulator) -> int:
+    return sim.obs.metrics.counter("sim.events_executed").value
 
 
 def test_initial_time_defaults_to_zero():
@@ -141,11 +146,11 @@ def test_max_events_limits_processing():
 
 
 def test_events_processed_counter():
-    sim = Simulator()
+    sim = Simulator(obs=Observability())
     for i in range(5):
         sim.schedule(float(i), lambda: None)
     sim.run()
-    assert sim.events_processed == 5
+    assert executed(sim) == 5
 
 
 def test_peek_next_time_skips_cancelled():
@@ -210,7 +215,7 @@ def test_events_cancelled_counter_counts_dead_entries_only():
 
 
 def test_mass_cancellation_compacts_the_heap_automatically():
-    sim = Simulator()
+    sim = Simulator(obs=Observability())
     handles = [sim.schedule(float(i + 1), lambda: None) for i in range(200)]
     assert sim.queue_length == 200
     for handle in handles[:150]:
@@ -222,7 +227,7 @@ def test_mass_cancellation_compacts_the_heap_automatically():
     assert sim.pending_events == 50
     assert sim.events_cancelled == 150
     sim.run()
-    assert sim.events_processed == 50
+    assert executed(sim) == 50
 
 
 def test_explicit_compact_drops_cancelled_entries():

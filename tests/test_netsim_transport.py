@@ -12,6 +12,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from _counters import count
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -278,13 +279,16 @@ def test_blind_data_injection_rejected_by_sequence_check():
                                 spoofed=True))
         simulator.run(until=2.0)
     assert received == []
-    assert server_conn.injections_rejected == 1
-    # Stack-wide: no other connection on either host rejected a segment.
+    # The server's connection rejected it, and nothing else rejected a segment.
+    [rejected] = [event for event in observed.trace.events()
+                  if event.name == "tcp.injection_rejected"]
+    assert (rejected.arg("host"), rejected.arg("port")) == ("10.0.0.2", 4000)
     assert observed.metrics.snapshot().counter("tcp.injections_rejected") == 1
 
 
 def test_blind_rst_rejected_without_sequence_knowledge():
-    simulator, network, client, server = make_pair()
+    with obs.capture(trace=False) as observed:
+        simulator, network, client, server = make_pair()
     serve_echo(server, 4000, [])
     conn = client.tcp.connect("10.0.0.2", 4000)
     PlainStreamSocket(conn)
@@ -296,11 +300,12 @@ def test_blind_rst_rejected_without_sequence_knowledge():
                             spoofed=True))
     simulator.run(until=2.0)
     assert conn.established
-    assert conn.injections_rejected == 1
+    assert count(observed, "tcp.injections_rejected") == 1
 
 
 def test_spoofed_synack_with_wrong_ack_rejected():
-    simulator, network, client, server = make_pair()
+    with obs.capture(trace=False) as observed:
+        simulator, network, client, server = make_pair()
     conn = client.tcp.connect("10.0.0.2", 4000, timeout=10.0)
     spoofed = TCPSegment(src_port=4000, dst_port=conn.local_port,
                          seq=999, ack=(conn.iss + 2) % 2**32,
@@ -310,7 +315,7 @@ def test_spoofed_synack_with_wrong_ack_rejected():
                             spoofed=True))
     simulator.run(until=1.0)
     assert conn.state is ConnectionState.SYN_SENT
-    assert conn.injections_rejected == 1
+    assert count(observed, "tcp.injections_rejected") == 1
 
 
 # -- listener backlog (SYN flood) ------------------------------------------------

@@ -9,6 +9,7 @@ its deliberate security downside, asserted here alongside the upside.
 from __future__ import annotations
 
 import pytest
+from _counters import count, observed_simulator
 
 from repro.dns.cache import DNSCache
 from repro.dns.records import RecordType, a_record
@@ -21,7 +22,6 @@ from repro.dns.resolver import (
 from repro.dns.nameserver import PoolNTPNameserver
 from repro.faults import FaultInjector, FaultPlan
 from repro.netsim.network import Host, LinkProperties, Network
-from repro.netsim.simulator import Simulator
 from repro.ntp.clock import SystemClock
 from repro.ntp.query import NTPQuerier
 
@@ -36,7 +36,7 @@ class StubHost(Host):
 
 
 def build_world(policy=None, seed=5, faults=()):
-    simulator = Simulator(seed=seed)
+    simulator = observed_simulator(seed)
     network = Network(simulator, default_link=LinkProperties(latency=0.01))
     nameserver = PoolNTPNameserver(network, "192.0.2.53", zone_name="pool.ntp.org",
                                    pool_servers=[f"10.0.0.{i + 1}" for i in range(20)])
@@ -139,7 +139,7 @@ def test_late_answer_during_backoff_still_resolves_the_query():
     client.dns.lookup("pool.ntp.org", answers.append)
     simulator.run(until=30.0)
     assert answers and answers[0]
-    assert resolver.timeouts >= 1
+    assert count(simulator, "dns.query_timeouts") >= 1
     assert nameserver.queries_received == 1   # answered before any retransmit
 
 
@@ -163,7 +163,7 @@ def test_stale_answer_served_during_outage_with_clamped_ttl():
     simulator.run(until=430.0)
     assert messages and [r.rdata for r in messages[0].answers] == first[0]
     assert all(r.ttl == STALE_ANSWER_TTL for r in messages[0].answers)
-    assert resolver.stale_answers == 1
+    assert count(simulator, "dns.stale_answers") == 1
     assert resolver.cache.stats.stale_hits == 1
 
 
@@ -179,12 +179,12 @@ def test_stale_answer_triggers_background_refresh_when_upstream_returns():
     # and the background refresh reaches the recovered nameserver.
     client.dns.lookup("pool.ntp.org", lambda a: None)
     simulator.run(until=410.0)
-    assert resolver.stale_answers == 1
+    assert count(simulator, "dns.stale_answers") == 1
     assert nameserver.queries_received == 2   # original + background refresh
     # The refresh re-primed the cache: the next lookup is a fresh hit.
     client.dns.lookup("pool.ntp.org", lambda a: None)
     simulator.run(until=420.0)
-    assert resolver.stale_answers == 1
+    assert count(simulator, "dns.stale_answers") == 1
     assert resolver.queries_answered_from_cache == 1
 
 
@@ -199,7 +199,7 @@ def test_no_duplicate_background_refresh_while_one_is_in_flight():
     client.dns.lookup("pool.ntp.org", lambda a: None)
     client.dns.lookup("pool.ntp.org", lambda a: None)   # before refresh times out
     simulator.run(until=400.5)
-    assert resolver.stale_answers == 2
+    assert count(simulator, "dns.stale_answers") == 2
     assert resolver.queries_forwarded == 2    # original + ONE refresh
 
 
@@ -213,7 +213,7 @@ def test_entry_past_the_stale_window_is_a_full_miss():
     answers = []
     client.dns.lookup("pool.ntp.org", answers.append)
     simulator.run(until=410.0)
-    assert resolver.stale_answers == 0
+    assert count(simulator, "dns.stale_answers") == 0
     assert nameserver.queries_received == 2
     assert answers and answers[0]
 
@@ -233,7 +233,7 @@ def test_serve_stale_prolongs_a_poisoned_entry_past_its_ttl():
     client.dns.lookup("pool.ntp.org", answers.append)
     simulator.run(until=130.0)
     assert answers == [["198.51.100.66"]]    # stale poison, still served
-    assert resolver.stale_answers == 1
+    assert count(simulator, "dns.stale_answers") == 1
 
 
 def test_cache_lookup_stale_window_semantics():
@@ -274,7 +274,7 @@ class NTPClientHost(Host):
 def test_ntp_retries_recover_a_sample_through_a_server_outage():
     from repro.ntp.server import NTPServer
 
-    simulator = Simulator(seed=21)
+    simulator = observed_simulator(21)
     network = Network(simulator, default_link=LinkProperties(latency=0.01))
     NTPServer(network, "192.0.2.10", SystemClock(simulator))
     client = NTPClientHost(network, "192.0.2.200", timeout=1.0, retries=3,
@@ -286,12 +286,12 @@ def test_ntp_retries_recover_a_sample_through_a_server_outage():
     client.querier.query("192.0.2.10", samples.append)
     simulator.run(until=30.0)
     assert len(samples) == 1 and samples[0] is not None
-    assert client.querier.retries_sent >= 1
-    assert client.querier.timeouts >= 1
+    assert count(simulator, "ntp.query_retries") >= 1
+    assert count(simulator, "ntp.query_timeouts") >= 1
 
 
 def test_ntp_retries_exhausted_reports_failure_once():
-    simulator = Simulator(seed=22)
+    simulator = observed_simulator(22)
     network = Network(simulator, default_link=LinkProperties(latency=0.01))
     client = NTPClientHost(network, "192.0.2.200", timeout=1.0, retries=2,
                            retry_backoff=0.25, retry_jitter=0.1)
@@ -299,21 +299,21 @@ def test_ntp_retries_exhausted_reports_failure_once():
     client.querier.query("192.0.2.250", outcomes.append)   # nobody home
     simulator.run(until=60.0)
     assert outcomes == [None]
-    assert client.querier.queries_sent == 3
-    assert client.querier.retries_sent == 2
-    assert client.querier.timeouts == 3
+    assert count(simulator, "ntp.queries_sent") == 3
+    assert count(simulator, "ntp.query_retries") == 2
+    assert count(simulator, "ntp.query_timeouts") == 3
 
 
 def test_ntp_querier_without_retries_keeps_classic_single_shot():
-    simulator = Simulator(seed=23)
+    simulator = observed_simulator(23)
     network = Network(simulator, default_link=LinkProperties(latency=0.01))
     client = NTPClientHost(network, "192.0.2.200", timeout=1.0)
     outcomes = []
     client.querier.query("192.0.2.250", outcomes.append)
     simulator.run(until=30.0)
     assert outcomes == [None]
-    assert client.querier.queries_sent == 1
-    assert client.querier.retries_sent == 0
+    assert count(simulator, "ntp.queries_sent") == 1
+    assert count(simulator, "ntp.query_retries") == 0
 
 
 # -- defense-stack surfacing --------------------------------------------------

@@ -6,7 +6,8 @@ failures with strict and opportunistic policies, a mid-pipeline reset on a
 reused stream and 0-RTT resumption — while a network tap records every
 packet.  The digest covers each packet's send time, addresses, IP id,
 protocol, fragment fields and payload bytes, plus the final resolver and
-upstream-transport counters and the cached answer.  The pins were recorded
+upstream-transport counters (read from the run's ``repro.obs`` snapshot)
+and the cached answer.  The pins were recorded
 before the stream paths were unified, so any refactor of
 :mod:`repro.dns.transport` must reproduce the old wire behaviour packet for
 packet.
@@ -20,7 +21,9 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from _counters import total
 
+from repro import obs
 from repro.defenses.transport import EncryptedTransport
 from repro.dns.records import RecordType
 from repro.experiments import TestbedConfig, build_testbed
@@ -29,16 +32,28 @@ from repro.netsim.transport import FLAG_RST, TCPSegment
 
 ZONE = "pool.ntp.org"
 
-TRANSPORT_COUNTERS = (
-    "encrypted_queries", "encrypted_failures", "downgraded_queries",
-    "tcp_retries", "connections_reused", "reconnects", "zero_rtt_queries",
-    "pipelined_max_in_flight",
-)
-RESOLVER_COUNTERS = (
-    "queries_answered_from_cache", "queries_forwarded", "responses_rejected",
-    "poisoned_responses_accepted", "truncated_responses", "timeouts",
-    "retries", "stale_answers",
-)
+#: The pinned final counters, in pin order: the upstream transport's and
+#: the resolver's, each the sum of its ``repro.obs`` counters.  The
+#: pipelining high-water mark is the largest ``dns.pool.pipelined_in_flight``.
+TRANSPORT_COUNTERS = {
+    "encrypted_queries": ("dns.encrypted_queries",),
+    "encrypted_failures": ("dns.encrypted_failures",),
+    "downgraded_queries": ("dns.downgraded_queries",),
+    "tcp_retries": ("dns.pool.connections_opened{protocol=tcp}",),
+    "connections_reused": ("dns.pool.connections_reused",),
+    "reconnects": ("dns.pool.reconnects",),
+    "zero_rtt_queries": ("dns.pool.zero_rtt_queries",),
+}
+RESOLVER_COUNTERS = {
+    "queries_answered_from_cache": ("dns.cache_hits",),
+    "queries_forwarded": ("dns.queries_forwarded",),
+    "responses_rejected": ("dns.responses_rejected", "dns.responses_unmatched"),
+    "poisoned_responses_accepted": ("dns.cache_writes{poisoned=True}",),
+    "truncated_responses": ("dns.responses_truncated",),
+    "timeouts": ("dns.query_timeouts",),
+    "retries": ("dns.query_retries",),
+    "stale_answers": ("dns.stale_answers",),
+}
 
 
 def build(defenses=(), transports=(), udp_limit=None, seed=5):
@@ -170,14 +185,16 @@ def trace_digest(case) -> str:
         testbed.network.add_tap(tap)
         return testbed
 
-    testbed = case(record)
-    resolver = testbed.resolver
-    upstream = resolver.upstream_transport
-    entry = resolver.cache.peek(ZONE, RecordType.A)
+    with obs.capture(trace=False) as observed:
+        testbed = case(record)
+    snapshot = observed.metrics.snapshot()
+    in_flight = max((value for (name, _), value in snapshot.gauges.items()
+                     if name == "dns.pool.pipelined_in_flight"), default=0)
+    entry = testbed.resolver.cache.peek(ZONE, RecordType.A)
     final = (
-        tuple(getattr(resolver, name) for name in RESOLVER_COUNTERS),
-        tuple(getattr(upstream, name) for name in TRANSPORT_COUNTERS)
-        if upstream is not None else None,
+        tuple(total(snapshot, keys) for keys in RESOLVER_COUNTERS.values()),
+        (*(total(snapshot, keys) for keys in TRANSPORT_COUNTERS.values()), in_flight)
+        if testbed.resolver.upstream_transport is not None else None,
         None if entry is None else (
             entry.inserted_at, tuple(record.rdata for record in entry.records)),
     )
