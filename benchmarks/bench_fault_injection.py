@@ -16,7 +16,7 @@ from conftest import emit
 
 from repro.experiments.pins import CHAOS_GRID_DIGEST, chaos_grid_digest
 from repro.faults import FaultInjector, FaultPlan, LinkLoss
-from repro.netsim.network import Host, LinkProperties, Network
+from repro.netsim.network import Host, Network
 from repro.netsim.packets import UDPDatagram
 from repro.netsim.simulator import Simulator
 
@@ -34,7 +34,7 @@ def _pump(plan_events) -> int:
     """Send a burst through a two-host network, optionally with a plan armed;
     returns how many datagrams the receiver handled."""
     simulator = Simulator(seed=1)
-    network = Network(simulator, default_link=LinkProperties(latency=0.001))
+    network = Network(simulator, latency=0.001)
     _Sink(network, "10.0.0.1")
     sink = _Sink(network, "10.0.0.2")
     if plan_events is not None:

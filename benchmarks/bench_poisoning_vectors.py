@@ -12,7 +12,7 @@ from repro.dns.message import DNSMessage
 from repro.dns.nameserver import PoolNTPNameserver
 from repro.dns.records import RecordType, a_record
 from repro.dns.resolver import RecursiveResolver, ResolverPolicy
-from repro.netsim.network import LinkProperties, Network
+from repro.netsim.network import Network
 from repro.netsim.simulator import Simulator
 
 
@@ -22,7 +22,7 @@ def run_both_vectors():
 
     # Vector 1: BGP hijack.
     simulator = Simulator(seed=3)
-    network = Network(simulator, default_link=LinkProperties(latency=0.01))
+    network = Network(simulator, latency=0.01)
     nameserver = PoolNTPNameserver(network, "192.0.2.53", zone_name="pool.ntp.org",
                                    pool_servers=[f"10.0.0.{i + 1}" for i in range(60)])
     resolver = RecursiveResolver(network, "192.0.2.1",
@@ -41,7 +41,7 @@ def run_both_vectors():
 
     # Vector 2: defragmentation-cache injection against a fragmenting server.
     simulator = Simulator(seed=3)
-    network = Network(simulator, default_link=LinkProperties(latency=0.01))
+    network = Network(simulator, latency=0.01)
     nameserver = PoolNTPNameserver(network, "192.0.2.53", zone_name="pool.ntp.org",
                                    pool_servers=[f"10.0.0.{i + 1}" for i in range(60)],
                                    records_per_response=40, min_supported_mtu=548)

@@ -39,19 +39,6 @@ class CacheEntry:
         return max(0, int(self.expires_at() - now))
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/poisoning counters for experiment reporting."""
-
-    hits: int = 0
-    misses: int = 0
-    insertions: int = 0
-    poisoned_insertions: int = 0
-    expirations: int = 0
-    #: Lookups answered from an expired entry inside the serve-stale window.
-    stale_hits: int = 0
-
-
 class DNSCache:
     """A per-resolver cache keyed by (normalised name, record type).
 
@@ -66,7 +53,6 @@ class DNSCache:
         #: :meth:`lookup_stale` (0 = classic immediate-eviction behaviour).
         self.serve_stale_window = serve_stale_window
         self._entries: dict[tuple[str, RecordType], CacheEntry] = {}
-        self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -85,9 +71,6 @@ class DNSCache:
         ttl = min(record.ttl for record in records)
         entry = CacheEntry(records=list(records), inserted_at=now, ttl=ttl, poisoned=poisoned)
         self._entries[self._key(name, rtype)] = entry
-        self.stats.insertions += 1
-        if poisoned:
-            self.stats.poisoned_insertions += 1
         return entry
 
     def lookup(self, name: str, rtype: RecordType, now: float) -> Optional[CacheEntry]:
@@ -100,15 +83,11 @@ class DNSCache:
         key = self._key(name, rtype)
         entry = self._entries.get(key)
         if entry is None:
-            self.stats.misses += 1
             return None
         if entry.is_expired(now):
             if now >= entry.expires_at() + self.serve_stale_window:
                 del self._entries[key]
-                self.stats.expirations += 1
-            self.stats.misses += 1
             return None
-        self.stats.hits += 1
         return entry
 
     def lookup_stale(self, name: str, rtype: RecordType, now: float) -> Optional[CacheEntry]:
@@ -124,13 +103,11 @@ class DNSCache:
             return None
         if now >= entry.expires_at() + self.serve_stale_window:
             del self._entries[key]
-            self.stats.expirations += 1
             return None
-        self.stats.stale_hits += 1
         return entry
 
     def peek(self, name: str, rtype: RecordType) -> Optional[CacheEntry]:
-        """Return the entry without affecting statistics or expiring it."""
+        """Return the entry without expiring it."""
         return self._entries.get(self._key(name, rtype))
 
     def flush(self) -> None:
@@ -140,7 +117,3 @@ class DNSCache:
     def evict(self, name: str, rtype: RecordType) -> None:
         """Remove one entry if present."""
         self._entries.pop(self._key(name, rtype), None)
-
-    def poisoned_names(self) -> list[str]:
-        """Names currently served from poisoned entries."""
-        return [name for (name, _), entry in self._entries.items() if entry.poisoned]

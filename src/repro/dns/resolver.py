@@ -372,6 +372,8 @@ class RecursiveResolver(Host):
                 delay, lambda k=key: self._retransmit(k))
             return
         del self._pending[key]
+        if pending.sent_via == "stream":
+            self.upstream_transport.abandon(key)
         if pending.client_address is not None and pending.client_query is not None:
             response = pending.client_query.make_response([], rcode=ResponseCode.SERVFAIL)
             self._reply_to_client(pending.client_address, pending.client_port, response)

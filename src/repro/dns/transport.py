@@ -569,6 +569,13 @@ class ResolverUpstreamTransport:
             stream.send_query(key, pending)
         self._note_in_flight(stream, obs)
 
+    def abandon(self, key: tuple[int, str]) -> None:
+        """Forget a query the resolver has timed out; a pooled stream left
+        with nothing in flight starts its idle timer."""
+        for stream in self._pool.values():
+            if stream.in_flight.pop(key, None) is not None and not stream.in_flight:
+                stream._arm_idle_timer()
+
     def _cache_ticket(self, address: str, ticket: SessionTicket) -> None:
         self._tickets[address] = ticket
 

@@ -30,7 +30,7 @@ from ..dns.nameserver import POOL_NTP_ORG_TTL, POOL_RECORDS_PER_RESPONSE, PoolNT
 from ..dns.records import SECONDS_PER_DAY
 from ..dns.resolver import RecursiveResolver, ResolverPolicy
 from ..netsim.addresses import AddressAllocator
-from ..netsim.network import LinkProperties, Network
+from ..netsim.network import Network
 from ..netsim.simulator import Simulator
 from ..ntp.server import NTPServer
 
@@ -172,7 +172,7 @@ class TestbedBuilder:
         stack = DefenseStack.from_spec(cfg.defenses)
         stack.configure_testbed(cfg)
         simulator = Simulator(seed=cfg.seed, start_time=cfg.start_time)
-        network = Network(simulator, default_link=LinkProperties(latency=cfg.latency))
+        network = Network(simulator, latency=cfg.latency)
         fault_injector = None
         if cfg.faults:
             # Imported lazily: pristine worlds (the overwhelming default)

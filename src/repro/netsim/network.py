@@ -9,12 +9,16 @@ attacks care about:
 1. *Routing* — normally straight to the host owning the destination address,
    but a :class:`repro.netsim.bgp.RoutingTable` can divert a prefix to a
    hijacker.
-2. *Fragmentation* — the sending host's path MTU (per destination, or a
-   default) decides whether the datagram is split; the receiving host's
+2. *Fragmentation* — the sending host's path MTU (set per source, else
+   1,500 bytes) decides whether the datagram is split; the receiving host's
    :class:`repro.netsim.fragmentation.ReassemblyBuffer` reassembles, which is
    where spoofed fragments get glued in.
-3. *Delivery* — after a configurable latency (plus jitter drawn from the
-   simulator's RNG), the destination host's ``handle_datagram`` runs.
+3. *Delivery* — after the network's one-way latency, the destination host's
+   ``handle_datagram`` runs.
+
+Every impairment — loss, extra latency, jitter, duplication, outages — comes
+from an armed :class:`repro.faults.FaultPlan` (see :attr:`Network.faults`),
+so a pristine network draws nothing from the simulator's RNG.
 
 Off-path attackers cannot observe traffic (the network never copies packets
 to them) but can inject raw IP packets with arbitrary source addresses via
@@ -25,7 +29,6 @@ needs.  On-path attackers are modelled with taps.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Optional
 
@@ -40,16 +43,6 @@ if TYPE_CHECKING:  # imported lazily at runtime; see Host.tcp
 
 class NetworkError(RuntimeError):
     """Raised for misconfiguration of the simulated network."""
-
-
-@dataclass
-class LinkProperties:
-    """Per-destination link behaviour."""
-
-    latency: float = 0.02
-    jitter: float = 0.0
-    loss_rate: float = 0.0
-    mtu: int = DEFAULT_MTU
 
 
 #: A tap sees (packet, simulated-time) for every packet traversing the network.
@@ -155,18 +148,17 @@ class Host:
 class Network:
     """Connects hosts and delivers packets under the simulator's clock."""
 
-    def __init__(self, simulator: Simulator, default_link: Optional[LinkProperties] = None,
-                 routing_table: Optional[RoutingTable] = None) -> None:
+    def __init__(self, simulator: Simulator, latency: float = 0.02) -> None:
         self.simulator = simulator
         #: Observability snapshot; packet delivery is a hot path, so the
         #: facade is cached here rather than re-read through the simulator.
         self._obs = simulator.obs
-        self.default_link = default_link or LinkProperties()
-        self.routing_table = routing_table or RoutingTable()
+        #: One-way latency of every packet (a fault plan may add to it).
+        self.latency = latency
+        self.routing_table = RoutingTable()
         self._hosts: dict[str, Host] = {}
         #: Pool addresses not built yet: address -> (builder, pool name).
         self._pending: dict[str, tuple[Callable[[str], Host], str]] = {}
-        self._links: dict[tuple[str, str], LinkProperties] = {}
         self._path_mtu: dict[str, int] = {}
         self._taps: list[Tap] = []
         self._next_ip_id: dict[str, int] = {}
@@ -209,10 +201,6 @@ class Network:
                 self._obs.metrics.counter("net.hosts_built", pool=pool).inc()
         return host
 
-    def set_link(self, src: str, dst: str, properties: LinkProperties) -> None:
-        """Configure link behaviour for the (src, dst) direction."""
-        self._links[(src, dst)] = properties
-
     def set_path_mtu(self, src: str, mtu: int) -> None:
         """Set the path MTU used for datagrams originating at ``src``.
 
@@ -226,13 +214,9 @@ class Network:
         """Attach an on-path observer (MitM models, trace recording)."""
         self._taps.append(tap)
 
-    def link_for(self, src: str, dst: str) -> LinkProperties:
-        return self._links.get((src, dst), self.default_link)
-
-    def effective_mtu(self, src: str, dst: str) -> int:
-        """The MTU governing ``src``'s packets towards ``dst``: the smaller
-        of the per-source path MTU and the (src, dst) link MTU."""
-        return min(self._path_mtu.get(src, DEFAULT_MTU), self.link_for(src, dst).mtu)
+    def effective_mtu(self, src: str) -> int:
+        """The MTU governing ``src``'s packets: its path MTU, else 1,500."""
+        return self._path_mtu.get(src, DEFAULT_MTU)
 
     # -- sending -----------------------------------------------------------
     def next_ip_id(self, src: str) -> int:
@@ -249,7 +233,7 @@ class Network:
     def send_datagram(self, datagram: UDPDatagram) -> None:
         """Fragment (if needed) and deliver a UDP datagram."""
         datagram = datagram.with_valid_checksum()
-        mtu = self.effective_mtu(datagram.src_ip, datagram.dst_ip)
+        mtu = self.effective_mtu(datagram.src_ip)
         ip_id = self.next_ip_id(datagram.src_ip)
         fragments = fragment_datagram(datagram, ip_id=ip_id, mtu=mtu)
         if len(fragments) > 1 and self._obs.enabled:
@@ -284,7 +268,7 @@ class Network:
         self._transmit(packet)
 
     def _transmit(self, packet: IPPacket) -> None:
-        """Taps, faults, loss and routing see one packet; then it is delivered."""
+        """Taps, faults and routing see one packet; then it is delivered."""
         obs = self._obs
         if obs.enabled:
             obs.metrics.counter("net.packets_sent").inc()
@@ -300,17 +284,11 @@ class Network:
             if fault_reason is not None:
                 self._drop(packet, fault_reason)
                 return
-        link = self.link_for(packet.src_ip, packet.dst_ip)
-        if link.loss_rate > 0 and self.simulator.rng.random() < link.loss_rate:
-            self._drop(packet, "loss")
-            return
         destination = self.host_for(packet.dst_ip)
         if destination is None:
             self._drop(packet, "no-host")
             return
-        latency = link.latency + extra_latency
-        if link.jitter > 0:
-            latency += self.simulator.rng.uniform(0, link.jitter)
+        latency = self.latency + extra_latency
         self._deliver_after(latency, destination, packet)
         if duplicate_delay is not None:
             if obs.enabled:

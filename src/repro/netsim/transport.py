@@ -190,7 +190,7 @@ class Connection:
         self._connect_timer = None
         self._connect_timeout = CONNECT_TIMEOUT
         self._opened = state is not ConnectionState.SYN_SENT
-        self.mss = stack.mss_for(remote_ip)
+        self.mss = stack.mss()
 
     @property
     def key(self) -> ConnectionKey:
@@ -406,7 +406,7 @@ class Listener:
         key = (src_ip, segment.src_port, self.port)
         connection = Connection(
             self.stack,
-            local_port=self.port,
+            self.port,
             remote_ip=src_ip,
             remote_port=segment.src_port,
             isn=self.stack.rng.getrandbits(32),
@@ -463,9 +463,9 @@ class TCPStack:
     def rng(self):
         return self.network.simulator.rng
 
-    def mss_for(self, remote_ip: str) -> int:
-        """Largest segment payload that never IP-fragments on the path."""
-        mtu = self.network.effective_mtu(self.host.address, remote_ip)
+    def mss(self) -> int:
+        """Largest segment payload that never IP-fragments on this host's path."""
+        mtu = self.network.effective_mtu(self.host.address)
         return max(mtu - IPV4_HEADER_SIZE - TCP_HEADER_SIZE, MIN_MSS)
 
     # -- active/passive open ---------------------------------------------------
@@ -481,17 +481,14 @@ class TCPStack:
         return listener
 
     def connect(self, remote_ip: str, remote_port: int,
-                local_port: Optional[int] = None,
                 timeout: float = CONNECT_TIMEOUT) -> Connection:
         """Open a connection (SYN goes out immediately); returns it in
         ``SYN_SENT`` so the caller can attach callbacks before any reply."""
-        connection = self.create_connection(remote_ip, remote_port,
-                                            local_port=local_port, timeout=timeout)
+        connection = self.create_connection(remote_ip, remote_port, timeout=timeout)
         connection.open()
         return connection
 
     def create_connection(self, remote_ip: str, remote_port: int,
-                          local_port: Optional[int] = None,
                           timeout: float = CONNECT_TIMEOUT) -> Connection:
         """Allocate a ``SYN_SENT`` connection without emitting the SYN.
 
@@ -501,21 +498,16 @@ class TCPStack:
         and :meth:`Connection.open` are split.  Port and ISN draws happen
         here, in :meth:`connect`'s order, keeping seeded runs bit-identical.
         """
-        if local_port is None:
-            local_port = self._ephemeral_port(remote_ip, remote_port)
         connection = Connection(
             self,
-            local_port=local_port,
+            self._ephemeral_port(remote_ip, remote_port),
             remote_ip=remote_ip,
             remote_port=remote_port,
             isn=self.rng.getrandbits(32),
             state=ConnectionState.SYN_SENT,
         )
         connection._connect_timeout = timeout
-        key = connection.key
-        if key in self.connections:
-            raise TransportError(f"connection {key} already exists")
-        self.connections[key] = connection
+        self.connections[connection.key] = connection
         return connection
 
     def _ephemeral_port(self, remote_ip: str, remote_port: int) -> int:

@@ -48,39 +48,23 @@ class _PendingQuery:
     origin_time: float
     callback: SampleCallback
     timeout_handle: object
-    #: Which retransmission this attempt is (0 = the original request).
-    attempt: int = 0
 
 
 class NTPQuerier:
     """Issues NTP client requests from a host and collects samples.
 
-    ``retries`` > 0 re-queries a timed-out server with exponential backoff
-    (base ``retry_backoff``, multiplied by ``retry_backoff_factor`` per
-    attempt, plus uniform jitter drawn from the simulator RNG).  Each retry
-    is a fresh exchange — new origin timestamp, new source port — and the
-    caller's callback fires exactly once, on the final outcome.
+    Each query is one exchange: a server that does not answer within
+    ``timeout`` seconds yields ``None``.
     """
 
-    def __init__(self, host: Host, clock: SystemClock, timeout: float = 2.0,
-                 retries: int = 0, retry_backoff: float = 0.5,
-                 retry_backoff_factor: float = 2.0,
-                 retry_jitter: float = 0.0) -> None:
+    def __init__(self, host: Host, clock: SystemClock, timeout: float = 2.0) -> None:
         self.host = host
         self.clock = clock
         self.timeout = timeout
-        self.retries = retries
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_factor = retry_backoff_factor
-        self.retry_jitter = retry_jitter
         self._pending: dict[tuple[str, int], _PendingQuery] = {}
 
     def query(self, server_address: str, callback: SampleCallback) -> None:
         """Send one request to ``server_address``; callback fires exactly once."""
-        self._send_attempt(server_address, callback, attempt=0)
-
-    def _send_attempt(self, server_address: str, callback: SampleCallback,
-                      attempt: int) -> None:
         origin_time = self.clock.now()
         request = NTPPacket.client_request(transmit_time=origin_time)
         port = self.host.network.simulator.rng.randrange(20000, 60000)
@@ -97,8 +81,7 @@ class NTPQuerier:
             key = (server_address, port)
         handle = self.host.network.simulator.schedule(
             self.timeout, lambda k=key: self._on_timeout(k))
-        self._pending[key] = _PendingQuery(server_address, origin_time, callback,
-                                           handle, attempt=attempt)
+        self._pending[key] = _PendingQuery(server_address, origin_time, callback, handle)
         obs = self.host.network.simulator.obs
         if obs.enabled:
             obs.metrics.counter("ntp.queries_sent").inc()
@@ -121,21 +104,6 @@ class NTPQuerier:
             obs.metrics.counter("ntp.query_timeouts").inc()
             obs.trace.instant("ntp.timeout", category="ntp",
                               client=self.host.address, server=pending.server)
-        if pending.attempt < self.retries:
-            rng = self.host.network.simulator.rng
-            delay = self.retry_backoff * self.retry_backoff_factor ** pending.attempt
-            if self.retry_jitter > 0.0:
-                delay += rng.uniform(0.0, self.retry_jitter)
-            if obs.enabled:
-                obs.metrics.counter("ntp.query_retries").inc()
-                obs.trace.instant("ntp.query.retry", category="ntp",
-                                  client=self.host.address, server=pending.server,
-                                  attempt=pending.attempt + 1)
-            self.host.network.simulator.schedule(
-                delay,
-                lambda p=pending: self._send_attempt(p.server, p.callback,
-                                                     attempt=p.attempt + 1))
-            return
         pending.callback(None)
 
     def handle_datagram(self, datagram: UDPDatagram) -> bool:

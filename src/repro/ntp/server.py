@@ -26,11 +26,10 @@ class NTPServer(Host):
 
     def __init__(self, network: Network, address: str, clock: Optional[SystemClock] = None,
                  stratum: int = 2, name: Optional[str] = None,
-                 clock_error: float = 0.0, response_loss: float = 0.0) -> None:
+                 clock_error: float = 0.0) -> None:
         super().__init__(network, address, name=name or f"ntp-{address}")
         self.clock = clock or SystemClock(network.simulator, offset=clock_error)
         self.stratum = stratum
-        self.response_loss = response_loss
 
     # -- behaviour hooks ------------------------------------------------------
     def served_time(self) -> float:
@@ -54,8 +53,6 @@ class NTPServer(Host):
         obs = self.network.simulator.obs
         if obs.enabled:
             obs.metrics.counter("ntp.requests_received").inc()
-        if self.response_loss and self.network.simulator.rng.random() < self.response_loss:
-            return
         receive_time = self.served_time()
         transmit_time = self.served_time()
         reply = request.server_reply(

@@ -15,7 +15,7 @@ import pytest
 from repro.dns.nameserver import PoolNTPNameserver
 from repro.dns.resolver import RecursiveResolver, ResolverPolicy
 from repro.netsim.addresses import AddressAllocator
-from repro.netsim.network import LinkProperties, Network
+from repro.netsim.network import Network
 from repro.netsim.simulator import Simulator
 from repro.ntp.server import NTPServer
 
@@ -29,7 +29,7 @@ def simulator() -> Simulator:
 @pytest.fixture
 def network(simulator: Simulator) -> Network:
     """A network with a small fixed latency and no loss."""
-    return Network(simulator, default_link=LinkProperties(latency=0.01))
+    return Network(simulator, latency=0.01)
 
 
 @dataclass

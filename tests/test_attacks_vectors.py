@@ -17,7 +17,7 @@ from repro.dns.message import DNSMessage
 from repro.dns.nameserver import PoolNTPNameserver
 from repro.dns.records import RecordType, a_record
 from repro.dns.resolver import RecursiveResolver, ResolverPolicy
-from repro.netsim.network import LinkProperties, Network
+from repro.netsim.network import Network
 from repro.netsim.simulator import Simulator
 from repro.ntp.server import MaliciousNTPServer
 
@@ -25,7 +25,7 @@ from repro.ntp.server import MaliciousNTPServer
 def build_world(resolver_policy=None, nameserver_mtu=1500, records_per_response=4,
                 attacker_servers=None, seed=17, defenses=None):
     simulator = Simulator(seed=seed)
-    network = Network(simulator, default_link=LinkProperties(latency=0.01))
+    network = Network(simulator, latency=0.01)
     pool_servers = [f"10.0.0.{i + 1}" for i in range(60)]
     nameserver = PoolNTPNameserver(network, "192.0.2.53", zone_name="pool.ntp.org",
                                    pool_servers=pool_servers,

@@ -11,7 +11,7 @@ from repro.defenses import DefenseStack, HighTTLDiscard, PerResponseAddressCap
 from repro.dns.nameserver import PoolNTPNameserver
 from repro.dns.resolver import RecursiveResolver, ResolverPolicy
 from repro.netsim.addresses import AddressAllocator
-from repro.netsim.network import LinkProperties, Network
+from repro.netsim.network import Network
 from repro.netsim.simulator import Simulator
 from repro.ntp.server import NTPServer
 
@@ -19,7 +19,7 @@ from repro.ntp.server import NTPServer
 def build_world(server_count=100, policy=None, chronos_config=None, seed=9,
                 records_per_response=4, defenses=()):
     simulator = Simulator(seed=seed)
-    network = Network(simulator, default_link=LinkProperties(latency=0.01))
+    network = Network(simulator, latency=0.01)
     allocator = AddressAllocator("10.50.0.0/16")
     servers = [NTPServer(network, allocator.allocate()) for _ in range(server_count)]
     nameserver = PoolNTPNameserver(network, "192.0.2.53", zone_name="pool.ntp.org",

@@ -38,7 +38,7 @@ from repro.experiments import (
     get_scenario,
     run_scenario,
 )
-from repro.netsim.network import LinkProperties, Network
+from repro.netsim.network import Network
 from repro.netsim.packets import UDPDatagram
 from repro.netsim.simulator import Simulator
 from repro.ntp.query import TimeSample
@@ -142,7 +142,7 @@ def build_predictable_world(defenses=()):
     """A resolver with sequential TXIDs and a fixed source port — the
     pre-RFC 5452 resolver a blind off-path spoofer could actually beat."""
     simulator = Simulator(seed=11)
-    network = Network(simulator, default_link=LinkProperties(latency=0.01))
+    network = Network(simulator, latency=0.01)
     nameserver = PoolNTPNameserver(network, "192.0.2.53", zone_name="pool.ntp.org",
                                    pool_servers=[f"10.0.0.{i + 1}" for i in range(8)])
     resolver = RecursiveResolver(

@@ -10,7 +10,7 @@ from repro.dns.message import DNSMessage
 from repro.dns.nameserver import DNS_PORT, AuthoritativeNameserver, PoolNTPNameserver
 from repro.dns.records import RecordType
 from repro.dns.resolver import DNSStub, RecursiveResolver, ResolverPolicy
-from repro.netsim.network import Host, LinkProperties, Network
+from repro.netsim.network import Host, Network
 from repro.netsim.packets import UDPDatagram
 from repro.netsim.simulator import Simulator
 
@@ -29,7 +29,7 @@ class StubHost(Host):
 def build_world(records_per_response=4, server_count=20, policy=None, seed=5,
                 defenses=None):
     simulator = Simulator(seed=seed)
-    network = Network(simulator, default_link=LinkProperties(latency=0.01))
+    network = Network(simulator, latency=0.01)
     pool_servers = [f"10.0.0.{i + 1}" for i in range(server_count)]
     nameserver = PoolNTPNameserver(network, "192.0.2.53", zone_name="pool.ntp.org",
                                    pool_servers=pool_servers,

@@ -21,7 +21,7 @@ from repro.faults import (
     ReorderJitter,
 )
 from repro.faults.plan import event_from_spec, event_to_spec, window_scale
-from repro.netsim.network import Host, LinkProperties, Network
+from repro.netsim.network import Host, Network
 from repro.netsim.packets import UDPDatagram
 
 
@@ -38,7 +38,7 @@ class Sink(Host):
 
 def build_net(seed=1, latency=0.01):
     sim = observed_simulator(seed)
-    net = Network(sim, default_link=LinkProperties(latency=latency))
+    net = Network(sim, latency=latency)
     a = Sink(net, "10.0.0.1")
     b = Sink(net, "10.0.0.2")
     return sim, net, a, b

@@ -18,7 +18,8 @@ Four gates:
   record sent raw in place of the handshake reply, or with a drawn DNS
   payload or DoH header inside a valid channel (on a reused or 0-RTT
   resumed stream where the world has one): each unit sent raises exactly
-  one stream drop counter when the resolver rejects it, and none otherwise.
+  one stream drop counter when the resolver rejects it, and none otherwise;
+  a pooled stream whose query the resolver timed out still idles out.
 """
 
 from __future__ import annotations
@@ -459,3 +460,21 @@ def test_upstream_stream_inputs_never_stop_the_simulation(unit, cuts):
     assert sent[0] >= 1
     assert stream_drops(observed) == {name: sent[0] * (name == expected)
                                       for name in STREAM_DROPS}, (profile, kind)
+
+
+def test_a_timed_out_query_leaves_its_pooled_stream_to_idle_out():
+    """An upstream that answers with a valid but unmatched message: once the
+    resolver times the query out, its 0-RTT stream has nothing in flight
+    and closes after the 5 s idle timeout instead of staying open."""
+    testbed = build_testbed(TestbedConfig(seed=5, with_attacker=False,
+                                          **TRANSPORT_PROFILES["dot_0rtt"]))
+    unmatched = _valid_payloads()[1]   # an answer to txid 0x1234
+    sent = serve_garbage(testbed, "dns", [frame_dns(unmatched)])
+    simulator, resolver = testbed.simulator, testbed.resolver
+    simulator.schedule_at(0.0, lambda: resolver.trigger_lookup(ZONE))
+    simulator.schedule_at(9.999, resolver.cache.flush)
+    simulator.schedule_at(10.0, lambda: resolver.trigger_lookup(ZONE))
+    simulator.run(until=100.0)
+    assert sent[0] == 1
+    assert resolver._pending == {}
+    assert resolver.upstream_transport._pool == {}

@@ -21,7 +21,7 @@ from _counters import count, observed_simulator
 
 from repro.experiments.matrix import DEFAULT_ATTACKS, DEFAULT_STACKS, run_defense_matrix
 from repro.faults import Duplicate, FaultInjector, FaultPlan, LinkLoss, ReorderJitter
-from repro.netsim.network import Host, LinkProperties, Network
+from repro.netsim.network import Host, Network
 from repro.netsim.fragmentation import fragment_datagram
 from repro.netsim.packets import DEFAULT_MTU, IPPacket, UDPDatagram
 from repro.netsim.simulator import Simulator
@@ -102,7 +102,7 @@ def raw_udp(src: str, dst: str, payload: bytes, ip_id: int = 1) -> IPPacket:
 
 def sink_network(latency: float = 0.01, seed: int = 3) -> tuple[Simulator, Network, Sink]:
     simulator = observed_simulator(seed)
-    network = Network(simulator, default_link=LinkProperties(latency=latency))
+    network = Network(simulator, latency=latency)
     return simulator, network, Sink(network, "10.0.0.9")
 
 

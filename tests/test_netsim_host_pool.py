@@ -21,7 +21,7 @@ from repro.experiments import TestbedConfig, build_testbed, run_scenario
 from repro.experiments.matrix import DEFAULT_ATTACKS, DEFAULT_STACKS, run_defense_matrix
 from repro.experiments.pins import FULL_GRID_DIGEST
 from repro.experiments.testbed import TestbedBuilder
-from repro.netsim.network import Host, LinkProperties, Network, NetworkError
+from repro.netsim.network import Host, Network, NetworkError
 from repro.netsim.packets import UDPDatagram
 from repro.ntp.clock import SystemClock
 from repro.ntp.query import NTPQuerier
@@ -47,7 +47,7 @@ class QuerierHost(Host):
 
 def make_network():
     simulator = observed_simulator(5)
-    return simulator, Network(simulator, default_link=LinkProperties(latency=0.01))
+    return simulator, Network(simulator, latency=0.01)
 
 
 # -- eager and lazy worlds agree ---------------------------------------------------

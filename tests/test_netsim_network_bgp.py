@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 from _counters import count, observed_simulator
 
+from repro.faults import FaultInjector, FaultPlan, LatencyRamp, LinkLoss
 from repro.netsim.bgp import BGPHijack, RoutingTable
-from repro.netsim.network import Host, LinkProperties, Network, NetworkError
+from repro.netsim.network import Host, Network, NetworkError
 from repro.netsim.packets import IPPacket, UDPDatagram
 
 
@@ -21,9 +22,9 @@ class RecordingHost(Host):
         self.inbox.append(datagram)
 
 
-def make_network(latency=0.01, loss=0.0):
+def make_network(latency=0.01):
     simulator = observed_simulator(99)
-    network = Network(simulator, default_link=LinkProperties(latency=latency, loss_rate=loss))
+    network = Network(simulator, latency=latency)
     return simulator, network
 
 
@@ -55,13 +56,18 @@ def test_datagram_to_unknown_destination_dropped():
 
 
 def test_loss_rate_drops_packets():
-    simulator, network = make_network(loss=1.0)
-    RecordingHost(network, "10.0.0.1")
-    receiver = RecordingHost(network, "10.0.0.2")
+    simulator, network = make_network()
+    a = RecordingHost(network, "10.0.0.1")
+    b = RecordingHost(network, "10.0.0.2")
+    # A link-loss event with no endpoints matches every link.
+    FaultInjector(network, FaultPlan(events=(
+        LinkLoss(start=0.0, end=100.0, loss_rate=1.0),
+    ))).arm()
     network.send_datagram(UDPDatagram("10.0.0.1", "10.0.0.2", 1111, 53, b"x"))
+    network.send_datagram(UDPDatagram("10.0.0.2", "10.0.0.1", 53, 1111, b"y"))
     simulator.run()
-    assert receiver.inbox == []
-    assert count(simulator, "net.packets_dropped") == 1
+    assert a.inbox == [] and b.inbox == []
+    assert count(simulator, "net.packets_dropped", reason="loss") == 2
 
 
 def test_low_path_mtu_causes_fragmentation_and_reassembly():
@@ -151,23 +157,28 @@ def test_ip_id_counter_wraps_without_zero():
     assert network.next_ip_id("10.0.0.1") == 1  # wrapped past zero
 
 
-def test_per_link_properties_override_default():
+def test_latency_ramp_delays_one_direction_only():
     simulator, network = make_network(latency=0.01)
-    RecordingHost(network, "10.0.0.1")
-    receiver = RecordingHost(network, "10.0.0.2")
-    network.set_link("10.0.0.1", "10.0.0.2", LinkProperties(latency=2.0))
+    a = RecordingHost(network, "10.0.0.1")
+    b = RecordingHost(network, "10.0.0.2")
+    FaultInjector(network, FaultPlan(events=(
+        LatencyRamp(start=0.0, end=100.0, extra_latency=2.0,
+                    src="10.0.0.1", dst="10.0.0.2"),
+    ))).arm()
     network.send_datagram(UDPDatagram("10.0.0.1", "10.0.0.2", 1111, 53, b"x"))
+    network.send_datagram(UDPDatagram("10.0.0.2", "10.0.0.1", 53, 1111, b"y"))
     simulator.run(until=1.0)
-    assert receiver.inbox == []
+    assert b.inbox == []
+    assert len(a.inbox) == 1          # the reverse direction keeps 0.01 s
     simulator.run(until=2.5)
-    assert len(receiver.inbox) == 1
+    assert len(b.inbox) == 1
 
 
-def test_link_override_is_directional_and_mtu_aware():
+def test_path_mtu_is_per_source_and_fragments_one_direction():
     simulator, network = make_network()
     a = RecordingHost(network, "10.0.0.1")
     b = RecordingHost(network, "10.0.0.2")
-    network.set_link("10.0.0.1", "10.0.0.2", LinkProperties(mtu=548))
+    network.set_path_mtu("10.0.0.1", 548)
     payload = b"Z" * 1200
     network.send_datagram(UDPDatagram("10.0.0.1", "10.0.0.2", 1111, 53, payload))
     simulator.run()
@@ -179,16 +190,14 @@ def test_link_override_is_directional_and_mtu_aware():
     assert len(a.inbox) == 1 and len(b.inbox) == 1
 
 
-def test_effective_mtu_combines_path_mtu_and_link_mtu():
+def test_effective_mtu_follows_the_source_path_mtu():
     _, network = make_network()
-    assert network.effective_mtu("10.0.0.1", "10.0.0.2") == 1500
-    network.set_link("10.0.0.1", "10.0.0.2", LinkProperties(mtu=1200))
-    assert network.effective_mtu("10.0.0.1", "10.0.0.2") == 1200
+    assert network.effective_mtu("10.0.0.1") == 1500
     network.set_path_mtu("10.0.0.1", 548)
-    assert network.effective_mtu("10.0.0.1", "10.0.0.2") == 548
-    # The path MTU follows the *source*, the link override the (src, dst) pair.
-    assert network.effective_mtu("10.0.0.1", "10.0.0.9") == 548
-    assert network.effective_mtu("10.0.0.2", "10.0.0.1") == 1500
+    assert network.effective_mtu("10.0.0.1") == 548
+    assert network.effective_mtu("10.0.0.2") == 1500
+    network.set_path_mtu("10.0.0.1", 1200)   # a later setting replaces it
+    assert network.effective_mtu("10.0.0.1") == 1200
 
 
 def test_set_path_mtu_applies_per_source_not_per_destination():

@@ -21,7 +21,7 @@ from repro.experiments import TestbedConfig, build_testbed, run_defense_matrix
 from repro.experiments.pins import FULL_GRID_DIGEST
 from repro.experiments.scenarios import time_lookups
 from repro.netsim import transport
-from repro.netsim.network import Host, LinkProperties, Network
+from repro.netsim.network import Host, Network
 from repro.netsim.packets import PROTO_TCP, IPPacket, PacketError
 from repro.netsim.simulator import Simulator
 from repro.netsim.transport import (
@@ -48,7 +48,7 @@ class Node(Host):
 
 def make_pair(latency=0.01, seed=11):
     simulator = Simulator(seed=seed)
-    network = Network(simulator, default_link=LinkProperties(latency=latency))
+    network = Network(simulator, latency=latency)
     return simulator, network, Node(network, "10.0.0.1"), Node(network, "10.0.0.2")
 
 
@@ -216,6 +216,14 @@ def test_isns_are_rng_drawn_and_deterministic():
 
     assert run(1) == run(1)
     assert run(1) != run(2)
+
+
+def test_connections_to_one_remote_port_get_distinct_local_ports():
+    simulator, network, client, server = make_pair()
+    server.tcp.listen(4000, lambda conn: None)
+    conns = [client.tcp.connect("10.0.0.2", 4000) for _ in range(50)]
+    assert len({conn.local_port for conn in conns}) == 50
+    assert len(client.tcp.connections) == 50
 
 
 def test_mss_segmentation_and_in_order_reassembly():

@@ -8,7 +8,8 @@ from _counters import count
 from repro import obs
 from repro.dns.nameserver import PoolNTPNameserver
 from repro.dns.resolver import RecursiveResolver, ResolverPolicy
-from repro.netsim.network import Host, LinkProperties, Network
+from repro.faults import FaultInjector, FaultPlan, LinkLoss
+from repro.netsim.network import Host, Network
 from repro.netsim.packets import UDPDatagram
 from repro.netsim.simulator import Simulator
 from repro.ntp.client import TraditionalNTPClient
@@ -32,7 +33,7 @@ class QuerierHost(Host):
 
 def build(latency=0.02, seed=1):
     simulator = Simulator(seed=seed)
-    network = Network(simulator, default_link=LinkProperties(latency=latency))
+    network = Network(simulator, latency=latency)
     return simulator, network
 
 
@@ -148,8 +149,13 @@ def test_client_clock_error_reflected_in_measured_offset():
 
 def test_lossy_server_leads_to_timeout():
     simulator, network = build()
-    NTPServer(network, "10.0.0.1", response_loss=1.0)
+    NTPServer(network, "10.0.0.1")
     client = QuerierHost(network, "192.0.2.100")
+    # Every reply is lost on its way back; the request itself arrives.
+    FaultInjector(network, FaultPlan(events=(
+        LinkLoss(start=0.0, end=100.0, loss_rate=1.0,
+                 src="10.0.0.1", dst="192.0.2.100"),
+    ))).arm()
     samples = []
     client.querier.query("10.0.0.1", samples.append)
     simulator.run(until=10.0)

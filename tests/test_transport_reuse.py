@@ -27,7 +27,7 @@ from repro.experiments.matrix import (
     run_defense_matrix,
 )
 from repro.experiments.pins import SERVING_MATRIX_DIGEST
-from repro.netsim.network import Host, LinkProperties, Network
+from repro.netsim.network import Host, Network
 from repro.netsim.packets import PROTO_TCP, IPPacket
 from repro.netsim.simulator import Simulator
 from repro.netsim.transport import (
@@ -104,7 +104,7 @@ class Node(Host):
 
 def make_pair(seed=11):
     simulator = Simulator(seed=seed)
-    network = Network(simulator, default_link=LinkProperties(latency=0.01))
+    network = Network(simulator, latency=0.01)
     return simulator, network, Node(network, "10.0.0.1"), Node(network, "10.0.0.2")
 
 
