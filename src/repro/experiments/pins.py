@@ -49,6 +49,14 @@ CHAOS_FAULTS = (
      "start": 0.0, "end": 9e9},
 )
 
+#: ``DEFAULT_ATTACKS`` × ``RESILIENCE_STACKS`` at seeds (1, 2) through
+#: :func:`~repro.experiments.matrix.run_defense_matrix`, first as is and then
+#: with every attack row's params under ``"faults": CHAOS_FAULTS`` (label
+#: suffixed ``_chaos``).  Together they retry upstream queries and serve
+#: stale answers, so both resilience paths are pinned.
+RESILIENCE_GRID_DIGEST = "98edccddedd5acf2ef16e57e0c27662934e5b0e945f1879f0a9ad655d0dbf369"
+RESILIENCE_CHAOS_GRID_DIGEST = "7e932a371829cd28b3fb82364d961c24af8e866d8c0b388093997f6c0304f9f6"
+
 
 def chaos_grid_specs() -> list[ExperimentSpec]:
     """Both poisoning vectors under :data:`CHAOS_FAULTS` (``frag_poisoning``

@@ -328,3 +328,34 @@ def test_resilience_stacks_are_not_in_the_pinned_default_grid():
 
     default_names = {stack.name for stack in DEFAULT_STACKS}
     assert {stack.name for stack in RESILIENCE_STACKS}.isdisjoint(default_names)
+
+
+def test_resilience_grid_digests_are_pinned():
+    """Both resilience grids, plain and under the chaos fault plan, hold
+    their pins; together they exercise the retry and the stale-answer path."""
+    from dataclasses import replace
+
+    from repro.experiments.matrix import (
+        DEFAULT_ATTACKS,
+        RESILIENCE_STACKS,
+        run_defense_matrix,
+    )
+    from repro.experiments.pins import (
+        CHAOS_FAULTS,
+        RESILIENCE_CHAOS_GRID_DIGEST,
+        RESILIENCE_GRID_DIGEST,
+    )
+
+    chaos_attacks = tuple(
+        replace(attack, label=f"{attack.label}_chaos",
+                params={**attack.params, "faults": CHAOS_FAULTS})
+        for attack in DEFAULT_ATTACKS)
+    plain = run_defense_matrix(DEFAULT_ATTACKS, RESILIENCE_STACKS, seeds=(1, 2),
+                               collect_metrics=True)
+    chaos = run_defense_matrix(chaos_attacks, RESILIENCE_STACKS, seeds=(1, 2),
+                               collect_metrics=True)
+    assert plain.digest() == RESILIENCE_GRID_DIGEST
+    assert chaos.digest() == RESILIENCE_CHAOS_GRID_DIGEST
+    metrics = [grid.sweep_stats.metrics for grid in (plain, chaos)]
+    assert sum(m.counter_total("dns.query_retries") for m in metrics) == 40
+    assert sum(m.counter_total("dns.stale_answers") for m in metrics) == 166
