@@ -2,27 +2,32 @@
 
 These columns answer a different question than the RFC 5452 set.  Classic
 defenses reduce an attacker's per-response success odds; the resilience
-knobs keep the *resolver answering at all* when the network misbehaves —
+defenses keep the *resolver answering at all* when the network misbehaves —
 which is exactly the regime the fault-injection matrix explores
 (:mod:`repro.faults`).  Both are deliberately double-edged:
 
-* **serve_stale** (RFC 8767) answers from expired cache entries while the
-  authoritative path is unreachable.  Under a nameserver outage it preserves
-  availability — but if the expired entry is *poisoned*, staleness prolongs
-  the attacker's tenancy beyond the record TTL the attacker paid for;
-* **upstream_retries** retransmits timed-out upstream queries with
-  exponential backoff.  Under loss it recovers queries that would have
-  SERVFAILed — but every retransmission is one more transaction a blind
-  spoofer can race, so the defense *increases* the classic §III-A attack
-  surface in proportion to the loss rate.
+* **serve_stale** (RFC 8767) answers from expired cache entries for up to
+  an hour past expiry while the authoritative path is unreachable.  Under a
+  nameserver outage it preserves availability — but if the expired entry is
+  *poisoned*, staleness prolongs the attacker's tenancy beyond the record
+  TTL the attacker paid for;
+* **upstream_retries** retransmits a timed-out upstream query twice, after
+  0.25 s and 0.5 s of backoff plus up to 0.05 s of jitter each.  Under loss
+  it recovers queries that would have SERVFAILed — but every retransmission
+  is one more transaction a blind spoofer can race, so the defense
+  *increases* the classic §III-A attack surface in proportion to the loss
+  rate.
 
-Surfacing them as matrix columns lets the sweep quantify both edges.
+Each defense is one switch on :class:`~repro.dns.resolver.ResolverPolicy`;
+the schedule and the window are constants of :mod:`repro.dns.resolver` and
+:mod:`repro.dns.cache`.  Surfacing them as matrix columns lets the sweep
+quantify both edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .base import Defense
 from .registry import register_defense
@@ -35,50 +40,22 @@ if TYPE_CHECKING:
 class ServeStale(Defense):
     """RFC 8767 serve-stale: answer from expired entries on upstream failure.
 
-    ``window`` is how long past expiry an entry remains usable.  The resolver
-    serves the stale answer with a short TTL and refreshes in the background,
-    so availability survives a nameserver outage window — at the price that
-    a poisoned entry also outlives its TTL.
+    The resolver serves the stale answer with a short TTL and refreshes in
+    the background, so availability survives a nameserver outage window —
+    at the price that a poisoned entry also outlives its TTL.
     """
 
     name = "serve_stale"
 
-    def __init__(self, window: float = 3600.0) -> None:
-        self.window = window
-
     def configure_testbed(self, config: TestbedConfig) -> None:
-        config.resolver_policy = replace(
-            config.resolver_policy,
-            serve_stale=True,
-            serve_stale_window=self.window,
-        )
+        config.resolver_policy = replace(config.resolver_policy, serve_stale=True)
 
 
 @register_defense
 class UpstreamRetries(Defense):
-    """Retry timed-out upstream queries with exponential backoff + jitter.
-
-    ``budget`` caps total retransmissions per resolver lifetime (``None`` =
-    unbounded), bounding the extra spoofing surface the retries open.
-    """
+    """Retry timed-out upstream queries with exponential backoff + jitter."""
 
     name = "upstream_retries"
 
-    def __init__(self, retries: int = 2, backoff: float = 0.25,
-                 factor: float = 2.0, jitter: float = 0.05,
-                 budget: Optional[int] = None) -> None:
-        self.retries = retries
-        self.backoff = backoff
-        self.factor = factor
-        self.jitter = jitter
-        self.budget = budget
-
     def configure_testbed(self, config: TestbedConfig) -> None:
-        config.resolver_policy = replace(
-            config.resolver_policy,
-            query_retries=self.retries,
-            retry_backoff=self.backoff,
-            retry_backoff_factor=self.factor,
-            retry_jitter=self.jitter,
-            retry_budget=self.budget,
-        )
+        config.resolver_policy = replace(config.resolver_policy, query_retries=2)

@@ -3,10 +3,11 @@
 The serving-layer counterpart of the client-side defenses: instead of
 hardening the resolver's queries, RRL hardens the *nameserver's* answer
 rate.  A per-source-prefix token bucket (BIND's ``rate-limit`` block)
-caps how many UDP responses any /24 receives per second; over-limit
-responses are dropped, except that every ``slip``-th one goes out
+lets any /24 receive one UDP response per second after a burst of two;
+over-limit responses are dropped, except that every second one goes out
 truncated (TC=1) to push legitimate resolvers onto TCP where the limiter
-does not apply.
+does not apply.  Nothing leaks through at full size.  The bucket is fixed:
+:class:`~repro.dns.nameserver.ResponseRateLimiter` holds its constants.
 
 Against this paper's attacks the interaction is two-sided:
 
@@ -41,25 +42,10 @@ class ResponseRateLimit(Defense):
 
     name = "response_rate_limit"
 
-    def __init__(self, rate: float = 1.0, burst: int = 2, slip: int = 2,
-                 leak: int = 0, prefix_len: int = 24) -> None:
-        #: Sustained tokens per second per source prefix.
-        self.rate = rate
-        #: Bucket depth — responses a cold prefix gets before throttling.
-        self.burst = burst
-        #: Every ``slip``-th suppressed response goes out TC=1 (0 = never).
-        self.slip = slip
-        #: Every ``leak``-th suppressed response escapes full-size (0 = never).
-        self.leak = leak
-        #: Aggregation width for the per-source buckets.
-        self.prefix_len = prefix_len
-
     def configure_testbed(self, config: TestbedConfig) -> None:
         # The TC=1 slip path needs a stream listener to land on.
         config.nameserver_transports = tuple(
             dict.fromkeys((*config.nameserver_transports, "tcp")))
 
     def attach_testbed(self, testbed: Testbed) -> None:
-        testbed.nameserver.rate_limiter = ResponseRateLimiter(
-            rate=self.rate, burst=self.burst, slip=self.slip,
-            leak=self.leak, prefix_len=self.prefix_len)
+        testbed.nameserver.rate_limiter = ResponseRateLimiter()

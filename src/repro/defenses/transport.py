@@ -16,7 +16,9 @@ the paper flags: the defense only exists where both ends deploy it, and the
   the sustained 24-hour hijack: the attacker can deny resolution, but can
   no longer answer it.
 * ``encrypted_transport_opportunistic`` — prefer DoT, fall back to
-  plaintext UDP when the encrypted transport fails.  Availability is
+  plaintext UDP when the encrypted transport fails (connecting gives up
+  after one second) and stay on plaintext to that nameserver for ten
+  minutes.  Availability is
   preserved, but an attacker who can *make* the transport fail (SYN-flood
   the nameserver's listeners, blackhole 853 behind a hijack) re-opens the
   entire plaintext attack surface — measured by the ``downgrade`` attack
@@ -52,10 +54,9 @@ class EncryptedTransport(Defense):
     strict = True
 
     def __init__(self, **knobs) -> None:
-        #: The knobs (``connect_timeout``, ``holddown``,
-        #: ``reuse_connections``, ``idle_timeout``, ``zero_rtt``) and their
-        #: defaults are declared once, on the policy; unknown keywords
-        #: raise ``TypeError`` there.
+        #: The knobs (``reuse_connections``, ``idle_timeout``,
+        #: ``zero_rtt``) and their defaults are declared once, on the
+        #: policy; unknown keywords raise ``TypeError`` there.
         self.policy = EncryptedTransportPolicy(
             protocol=self.protocol, strict=self.strict, **knobs)
 

@@ -19,6 +19,10 @@ from typing import Optional
 from .records import RecordType, ResourceRecord
 from .wire import normalise_name
 
+#: RFC 8767 serve-stale: how long past expiry an entry stays servable
+#: (the RFC suggests 1-3 days; an hour keeps experiments snappy).
+SERVE_STALE_WINDOW = 3600.0
+
 
 @dataclass
 class CacheEntry:
@@ -48,10 +52,11 @@ class DNSCache:
     the TTLs before they are cached.
     """
 
-    def __init__(self, serve_stale_window: float = 0.0) -> None:
-        #: RFC 8767: how long past expiry an entry remains retrievable via
-        #: :meth:`lookup_stale` (0 = classic immediate-eviction behaviour).
-        self.serve_stale_window = serve_stale_window
+    def __init__(self, serve_stale: bool = False) -> None:
+        #: RFC 8767: whether an expired entry stays retrievable via
+        #: :meth:`lookup_stale` for :data:`SERVE_STALE_WINDOW` seconds
+        #: (``False`` = classic immediate eviction).
+        self.serve_stale = serve_stale
         self._entries: dict[tuple[str, RecordType], CacheEntry] = {}
 
     def __len__(self) -> int:
@@ -85,7 +90,7 @@ class DNSCache:
         if entry is None:
             return None
         if entry.is_expired(now):
-            if now >= entry.expires_at() + self.serve_stale_window:
+            if self._past_stale_window(entry, now):
                 del self._entries[key]
             return None
         return entry
@@ -101,10 +106,14 @@ class DNSCache:
         entry = self._entries.get(key)
         if entry is None or not entry.is_expired(now):
             return None
-        if now >= entry.expires_at() + self.serve_stale_window:
+        if self._past_stale_window(entry, now):
             del self._entries[key]
             return None
         return entry
+
+    def _past_stale_window(self, entry: CacheEntry, now: float) -> bool:
+        """Whether an expired entry can no longer be served stale."""
+        return not self.serve_stale or now >= entry.expires_at() + SERVE_STALE_WINDOW
 
     def peek(self, name: str, rtype: RecordType) -> Optional[CacheEntry]:
         """Return the entry without expiring it."""

@@ -31,23 +31,24 @@ DNS_PORT = 53
 POOL_NTP_ORG_TTL = 150
 #: Number of A records per pool.ntp.org response.
 POOL_RECORDS_PER_RESPONSE = 4
+#: Response-rate limiting: sustained UDP responses per second per source
+#: /24, the bucket depth a cold prefix starts with, and the cadence at which
+#: suppressed responses slip out truncated (every second one).
+RRL_RATE = 1.0
+RRL_BURST = 2.0
+RRL_SLIP = 2
 
 
 class ResponseRateLimiter:
     """BIND-style response-rate limiting (RRL) for UDP answers.
 
-    Token bucket per source *prefix* (default /24, matching BIND's
-    ``responses-per-second`` aggregation): each UDP response costs one
-    token; buckets refill at ``rate`` tokens per second up to ``burst``.
-    When a bucket is empty the response is normally **dropped**, except:
-
-    * every ``slip``-th suppressed response goes out *truncated* (TC=1,
-      empty sections) instead — small, unspoofable-to-amplify, and it
-      tells a legitimate resolver to retry over TCP where RRL does not
-      apply.  ``slip=0`` disables slipping (pure drops).
-    * every ``leak``-th suppressed response escapes at full size
-      (BIND's ``leak-rate`` escape hatch for lossy paths).  ``leak=0``
-      — the default — never leaks.
+    Token bucket per source /24 (BIND's ``responses-per-second``
+    aggregation): each UDP response costs one token; buckets refill at
+    :data:`RRL_RATE` tokens per second up to :data:`RRL_BURST`.  When a
+    bucket is empty the response is **dropped**, except that every
+    :data:`RRL_SLIP`-th suppressed response goes out *truncated* (TC=1,
+    empty sections) instead — small, unspoofable-to-amplify, and it tells a
+    legitimate resolver to retry over TCP where RRL does not apply.
 
     Entirely deterministic: no RNG, state is a pure function of the
     response timeline, so digests are identical across worker counts.
@@ -56,39 +57,26 @@ class ResponseRateLimiter:
     off-path attacker cannot race.
     """
 
-    def __init__(self, rate: float = 1.0, burst: int = 2, slip: int = 2,
-                 leak: int = 0, prefix_len: int = 24) -> None:
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self.slip = int(slip)
-        self.leak = int(leak)
-        self.prefix_len = int(prefix_len)
-        #: prefix -> (tokens, last-refill timestamp)
+    def __init__(self) -> None:
+        #: /24 prefix -> (tokens, last-refill timestamp)
         self._buckets: dict[str, tuple[float, float]] = {}
-        #: prefix -> suppressed-response count (drives slip/leak cadence)
+        #: /24 prefix -> suppressed-response count (drives the slip cadence)
         self._suppressed: dict[str, int] = {}
         self.responses_dropped = 0
         self.responses_slipped = 0
 
-    def _prefix(self, address: str) -> str:
-        octets = address.split(".")
-        keep = max(1, min(len(octets), self.prefix_len // 8))
-        return ".".join(octets[:keep]) + f"/{self.prefix_len}"
-
     def check(self, address: str, now: float) -> str:
         """Classify one UDP response: ``"send"``, ``"slip"`` or ``"drop"``."""
-        prefix = self._prefix(address)
-        tokens, last = self._buckets.get(prefix, (self.burst, now))
-        tokens = min(self.burst, tokens + (now - last) * self.rate)
+        prefix = address.rsplit(".", 1)[0]
+        tokens, last = self._buckets.get(prefix, (RRL_BURST, now))
+        tokens = min(RRL_BURST, tokens + (now - last) * RRL_RATE)
         if tokens >= 1.0:
             self._buckets[prefix] = (tokens - 1.0, now)
             return "send"
         self._buckets[prefix] = (tokens, now)
         count = self._suppressed.get(prefix, 0) + 1
         self._suppressed[prefix] = count
-        if self.leak and count % self.leak == 0:
-            return "send"
-        if self.slip and count % self.slip == 0:
+        if count % RRL_SLIP == 0:
             self.responses_slipped += 1
             return "slip"
         self.responses_dropped += 1

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..defenses.base import QueryContext, ResponseContext
 from ..defenses.classic import RandomSourcePort, RandomTransactionID, ResponseMatching
@@ -40,6 +40,9 @@ from .nameserver import DNS_PORT
 from .records import RecordType
 from .wire import WireFormatError, normalise_name, note_malformed
 
+if TYPE_CHECKING:
+    from .transport import PooledConnection
+
 #: Callback invoked with the answer addresses (possibly empty on failure).
 LookupCallback = Callable[[list[str]], None]
 
@@ -47,6 +50,11 @@ LookupCallback = Callable[[list[str]], None]
 #: RFC 8767 §4's recommendation that stale data be served with a TTL low
 #: enough that clients re-ask soon.
 STALE_ANSWER_TTL = 30
+#: Backoff before a query's first retransmission; it doubles per retry, and
+#: each wait adds uniform jitter up to ``RETRY_JITTER`` seconds drawn from
+#: the simulator's RNG (deterministic per seed, decorrelated per query).
+RETRY_BACKOFF = 0.25
+RETRY_JITTER = 0.05
 
 
 @dataclass
@@ -77,11 +85,16 @@ class PendingUpstreamQuery:
     #: transport re-sent it over a fresh connection (bounded; see
     #: :meth:`ResolverUpstreamTransport._connection_gone`).
     pool_redispatches: int = 0
+    #: The stream the query was last sent on, if any (see
+    #: :meth:`~repro.dns.transport.PooledConnection.abandon`).
+    stream: Optional[PooledConnection] = None
 
 
 @dataclass
 class ResolverPolicy:
-    """Caching, retry and reachability knobs (validation is the defense stack)."""
+    """Reachability and timeout knobs, plus one switch per resilience
+    defense (``upstream_retries``, ``serve_stale``); the retry schedule and
+    the stale window are constants.  Validation is the defense stack."""
 
     #: Randomise the resolver's source port per query (RFC 5452).
     randomise_source_port: bool = True
@@ -90,29 +103,14 @@ class ResolverPolicy:
     open_resolver: bool = False
     #: Query timeout in seconds before reporting failure to the client.
     query_timeout: float = 5.0
-    #: Upstream retransmissions after a query timeout (0 = the classic
-    #: fail-fast resolver every pinned experiment was run against).
+    #: Upstream retransmissions of a UDP query after it times out, with
+    #: exponential backoff (0 = the classic fail-fast resolver).
     query_retries: int = 0
-    #: Backoff before the first retransmission; doubles (by default) per
-    #: subsequent retry.
-    retry_backoff: float = 0.5
-    retry_backoff_factor: float = 2.0
-    #: Upper bound of uniform jitter added to each backoff.  Drawn from the
-    #: simulator's RNG, so retry schedules stay deterministic per seed while
-    #: still decorrelating concurrent queries.
-    retry_jitter: float = 0.0
-    #: Resolver-wide cap on total retransmissions (``None`` = unlimited) —
-    #: the budget that keeps a long upstream outage from turning every
-    #: client query into a retry storm.
-    retry_budget: Optional[int] = None
     #: RFC 8767 serve-stale: on a cache miss whose entry merely *expired*,
     #: answer with the stale records (TTL-clamped) and refresh in the
     #: background.  Deliberately double-edged — stale poisoned records are
     #: prolonged exactly the same way.
     serve_stale: bool = False
-    #: How long past expiry an entry stays servable (RFC 8767 suggests
-    #: 1-3 days; an hour keeps experiments snappy).
-    serve_stale_window: float = 3600.0
 
 
 class RecursiveResolver(Host):
@@ -137,8 +135,7 @@ class RecursiveResolver(Host):
         #: zone suffix (normalised) -> authoritative nameserver address
         self.nameserver_map = {normalise_name(zone): ns for zone, ns in nameserver_map.items()}
         self.policy = policy or ResolverPolicy()
-        self.cache = DNSCache(serve_stale_window=(self.policy.serve_stale_window
-                                                  if self.policy.serve_stale else 0.0))
+        self.cache = DNSCache(serve_stale=self.policy.serve_stale)
         self.allowed_clients = set(allowed_clients) if allowed_clients else None
         randomised = ([RandomTransactionID(), RandomSourcePort()]
                       if self.policy.randomise_source_port else [])
@@ -150,11 +147,10 @@ class RecursiveResolver(Host):
         #: ``encrypted_transport`` defense attaches a policy-bearing one.
         self.upstream_transport = None
         # Counters a result or the benchmark reads; every other event is
-        # counted in ``repro.obs`` only.  ``retries`` is the retry budget.
+        # counted in ``repro.obs`` only.
         self.queries_answered_from_cache = 0
         self.queries_forwarded = 0
         self.responses_rejected = 0
-        self.retries = 0
 
     # -- helpers ---------------------------------------------------------------
     def nameserver_for(self, qname: str) -> Optional[str]:
@@ -350,19 +346,14 @@ class RecursiveResolver(Host):
             self._obs.metrics.counter("dns.query_timeouts").inc()
             self._obs.trace.instant("dns.query.timeout", category="dns",
                                     qname=key[1], txid=key[0])
-        policy = self.policy
-        if (pending.attempts < policy.query_retries and pending.sent_via == "udp"
-                and (policy.retry_budget is None or self.retries < policy.retry_budget)):
+        if pending.attempts < self.policy.query_retries and pending.sent_via == "udp":
             # Exponential backoff with deterministic jitter, then re-send the
             # *same* query (same txid, same source port): the pending entry
             # stays keyed so a slow genuine answer arriving during the
             # backoff still resolves the query.
             pending.attempts += 1
-            self.retries += 1
-            delay = (policy.retry_backoff
-                     * policy.retry_backoff_factor ** (pending.attempts - 1))
-            if policy.retry_jitter > 0:
-                delay += self.network.simulator.rng.uniform(0, policy.retry_jitter)
+            delay = (RETRY_BACKOFF * 2.0 ** (pending.attempts - 1)
+                     + self.network.simulator.rng.uniform(0, RETRY_JITTER))
             if self._obs.enabled:
                 self._obs.metrics.counter("dns.query_retries").inc()
                 self._obs.trace.instant("dns.query.retry", category="dns",
@@ -373,7 +364,7 @@ class RecursiveResolver(Host):
             return
         del self._pending[key]
         if pending.sent_via == "stream":
-            self.upstream_transport.abandon(key)
+            pending.stream.abandon(key)
         if pending.client_address is not None and pending.client_query is not None:
             response = pending.client_query.make_response([], rcode=ResponseCode.SERVFAIL)
             self._reply_to_client(pending.client_address, pending.client_port, response)

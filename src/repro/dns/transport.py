@@ -19,8 +19,8 @@ the cost of a changed trust model.  This module provides both halves:
   that routes queries over DoT/DoH — *strict* (never fall back; resolution
   fails rather than degrade) or *opportunistic* (fall back to plaintext UDP
   when the encrypted transport fails, remembering the failure for
-  ``holddown`` seconds).  Opportunistic mode is deliberately exploitable:
-  an attacker who can make the encrypted connection fail — a
+  :data:`DOWNGRADE_HOLDDOWN` seconds).  Opportunistic mode is deliberately
+  exploitable: an attacker who can make the encrypted connection fail — a
   spoofed-source SYN flood on the nameserver's listeners, or a hijack that
   blackholes port 853 — pushes the resolver back onto UDP and then runs
   the classic poisoning race.  See :mod:`repro.attacks.downgrade`.
@@ -94,6 +94,14 @@ DOH_PORT = 443
 STREAM_PORTS = {"tcp": DNS_PORT, "dot": DOT_PORT, "doh": DOH_PORT}
 #: Transport names accepted by :class:`DNSServerTransport` and the testbed.
 STREAM_TRANSPORTS = tuple(STREAM_PORTS)
+
+#: Seconds before an unanswered DoT/DoH connection attempt fails.  Kept well
+#: under the resolver's query timeout so an opportunistic fallback still
+#: answers the original query in time.
+ENCRYPTED_CONNECT_TIMEOUT = 1.0
+#: Seconds an opportunistic resolver speaks plaintext to a nameserver whose
+#: encrypted transport failed.
+DOWNGRADE_HOLDDOWN = 600.0
 
 
 def frame_dns(wire: bytes) -> bytes:
@@ -211,7 +219,6 @@ class DNSServerTransport:
                  transports: tuple[str, ...] = ("tcp",),
                  cert_key: Optional[str] = None,
                  identity: Optional[str] = None,
-                 backlog: Optional[int] = None,
                  session_resumption: bool = False) -> None:
         unknown = set(transports) - set(STREAM_TRANSPORTS)
         if unknown:
@@ -226,12 +233,11 @@ class DNSServerTransport:
         #: path (and its RNG draws) exactly as before, which is what holds
         #: the pinned digests with the serving layer merged.
         self.ticket_store = ResumptionTicketStore() if session_resumption else None
-        kwargs = {} if backlog is None else {"backlog": backlog}
         for label, port in STREAM_PORTS.items():
             if label in transports:
                 nameserver.tcp.listen(
                     port, lambda conn, label=label: self._serve(conn, label),
-                    fast_open=session_resumption and label != "tcp", **kwargs)
+                    fast_open=session_resumption and label != "tcp")
         nameserver.stream_transport = self
 
     def _serve(self, connection: Connection, label: str) -> None:
@@ -269,9 +275,10 @@ class EncryptedTransportPolicy:
     ``strict`` resolvers never speak plaintext: when the encrypted transport
     fails, the query fails (and the off-path attacker gets nothing).
     Opportunistic resolvers prefer encryption but fall back to plaintext UDP
-    on failure, remembering the failed nameserver for ``holddown`` seconds —
-    the RFC 7435 trade-off whose downgrade-ability
-    :mod:`repro.attacks.downgrade` makes measurable.
+    on failure, remembering the failed nameserver for
+    :data:`DOWNGRADE_HOLDDOWN` seconds — the RFC 7435 trade-off whose
+    downgrade-ability :mod:`repro.attacks.downgrade` makes measurable.
+    Every connection attempt fails after :data:`ENCRYPTED_CONNECT_TIMEOUT`.
 
     This is the only declaration of the knobs: the ``encrypted_transport``
     defenses take them as keywords and hold one policy.
@@ -279,12 +286,6 @@ class EncryptedTransportPolicy:
 
     protocol: str = "dot"
     strict: bool = True
-    #: Seconds before an unanswered encrypted connection attempt fails.
-    #: Kept well under the resolver's query timeout so an opportunistic
-    #: fallback still answers the original query in time.
-    connect_timeout: float = 1.0
-    #: Opportunistic only: seconds a failed nameserver stays plaintext.
-    holddown: float = 600.0
     #: RFC 7766 §6.2 — keep upstream streams open and pipeline queries
     #: instead of paying the handshake per query.
     reuse_connections: bool = False
@@ -321,7 +322,8 @@ class PooledConnection:
       failure or peer close hands the in-flight queries back to the
       transport for re-dispatch over a fresh connection.
     * **single use** (``idle_timeout=None``) — closed as soon as its one
-      query is answered, before the answer is delivered.  A failure is
+      query is answered, before the answer is delivered, or once the
+      resolver times that query out.  A failure is
       reported to the transport but never re-dispatched; a peer close
       leaves the query to the resolver's timeout.
     """
@@ -364,6 +366,7 @@ class PooledConnection:
         """Track a query whose bytes already left (the 0-RTT first flight)."""
         self._idle_deadline = None
         self.in_flight[key] = pending
+        pending.stream = self
         self.queries_sent += 1
         self.max_in_flight = max(self.max_in_flight, len(self.in_flight))
 
@@ -412,6 +415,17 @@ class PooledConnection:
             return
         if self.transport._simulator.now >= self._idle_deadline:
             self.close("idle timeout")
+
+    def abandon(self, key: tuple[int, str]) -> None:
+        """Forget a query the resolver has timed out.  Once nothing is in
+        flight, a single-use stream closes and a pooled one starts its idle
+        timer."""
+        if self.in_flight.pop(key, None) is None or self.in_flight:
+            return
+        if self.single_use:
+            self.close("abandoned")
+        else:
+            self._arm_idle_timer()
 
     def close(self, reason: str = "closed") -> None:
         if self.closed:
@@ -542,10 +556,10 @@ class ResolverUpstreamTransport:
                 # 0-RTT: compose the first flight before the SYN leaves so
                 # the resumption hello and the encrypted query ride the SYN.
                 connection = stack.create_connection(
-                    address, policy.port, timeout=policy.connect_timeout)
+                    address, policy.port, timeout=ENCRYPTED_CONNECT_TIMEOUT)
             else:
                 connection = stack.connect(
-                    address, policy.port, timeout=policy.connect_timeout)
+                    address, policy.port, timeout=ENCRYPTED_CONNECT_TIMEOUT)
             socket = SecureChannel.client(
                 connection, self._simulator.rng,
                 expected_identity=self.expected_identity or "",
@@ -568,13 +582,6 @@ class ResolverUpstreamTransport:
         else:
             stream.send_query(key, pending)
         self._note_in_flight(stream, obs)
-
-    def abandon(self, key: tuple[int, str]) -> None:
-        """Forget a query the resolver has timed out; a pooled stream left
-        with nothing in flight starts its idle timer."""
-        for stream in self._pool.values():
-            if stream.in_flight.pop(key, None) is not None and not stream.in_flight:
-                stream._arm_idle_timer()
 
     def _cache_ticket(self, address: str, ticket: SessionTicket) -> None:
         self._tickets[address] = ticket
@@ -634,7 +641,7 @@ class ResolverUpstreamTransport:
             # remember the failure.  This is the downgrade the attack
             # scenario exploits.
             self._plaintext_until[orphan.nameserver_address] = (
-                self._simulator.now + self.policy.holddown)
+                self._simulator.now + DOWNGRADE_HOLDDOWN)
             self._downgrade(orphan)
 
     def _downgrade(self, pending: PendingUpstreamQuery) -> None:

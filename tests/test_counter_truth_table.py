@@ -11,11 +11,10 @@ obs total.
 The runs: one seed-1 cell per ``DEFAULT_ATTACKS`` row under the
 ``classic``, ``dot_strict`` and ``dot_opportunistic`` stacks; every
 ``TRANSPORT_PROFILES`` world through ``time_lookups``; the chaos grid's
-cells; and three extras so that no row goes unexercised (none of the
-others rate-limits, retries an upstream query or panics a Chronos
-client): the serving attacks under ``rrl``, a fragmentation race under
-``upstream_retries`` whose nameserver is down for the first 3 s, and the
-seed-3 Chronos time shift of ``tests/test_scenario_metrics_gate.py``.
+cells; and two extras so that no row goes unexercised (none of the
+others rate-limits or panics a Chronos client): the serving attacks under
+``rrl`` and the seed-3 Chronos time shift of
+``tests/test_scenario_metrics_gate.py``.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ TRUTH_TABLE = {
         "queries_forwarded": ("dns.queries_forwarded",),
         "responses_rejected": ("dns.responses_rejected", "dns.responses_unmatched"),
         "queries_answered_from_cache": ("dns.cache_hits",),
-        "retries": ("dns.query_retries",),
     },
     "repro.dns.transport:ResolverUpstreamTransport": {
         "connections_opened": ("dns.pool.connections_opened",),
@@ -134,9 +132,6 @@ RUNS = {
        for index, spec in enumerate(chaos_grid_specs())},
     **{f"extra:rrl/{attack.label}": _cell(attack, SERVING_STACKS[0])
        for attack in SERVING_ATTACKS},
-    "extra:upstream_retries": lambda: run_scenario("frag_poisoning", seed=1, params={
-        "defenses": ("upstream_retries",),
-        "faults": ({"kind": "host_outage", "host": "@nameserver", "start": 0.0, "end": 3.0},)}),
     "extra:chronos_panic": lambda: run_scenario("chronos_pool_attack", seed=3,
                                                 params={"benign_server_count": 120}),
 }

@@ -176,6 +176,9 @@ def test_encrypted_transport_knobs_live_on_one_frozen_policy():
     assert OpportunisticEncryptedTransport().policy.strict is False
     with pytest.raises(TypeError):
         EncryptedTransport(idle_timout=5.0)
+    # The connect timeout and the downgrade hold-down are constants.
+    with pytest.raises(TypeError):
+        EncryptedTransport(holddown=5)
     with pytest.raises(ValueError, match="unknown encrypted protocol"):
         EncryptedTransportPolicy(protocol="quic")
     with pytest.raises(FrozenInstanceError):

@@ -462,12 +462,17 @@ def test_upstream_stream_inputs_never_stop_the_simulation(unit, cuts):
                                       for name in STREAM_DROPS}, (profile, kind)
 
 
-def test_a_timed_out_query_leaves_its_pooled_stream_to_idle_out():
+@pytest.mark.parametrize("profile", ["dot_0rtt", "tcp", "dot", "doh"])
+def test_a_timed_out_query_leaves_its_pooled_stream_to_idle_out(profile):
     """An upstream that answers with a valid but unmatched message: once the
     resolver times the query out, its 0-RTT stream has nothing in flight
-    and closes after the 5 s idle timeout instead of staying open."""
+    and closes after the 5 s idle timeout, and a single-use stream (the TC
+    retry's TCP, per-query DoT or DoH) closes at once.  Either way no
+    connection is left open on either end."""
+    # 30 records make the UDP answer truncate in the ``tcp`` world.
     testbed = build_testbed(TestbedConfig(seed=5, with_attacker=False,
-                                          **TRANSPORT_PROFILES["dot_0rtt"]))
+                                          records_per_response=30,
+                                          **TRANSPORT_PROFILES[profile]))
     unmatched = _valid_payloads()[1]   # an answer to txid 0x1234
     sent = serve_garbage(testbed, "dns", [frame_dns(unmatched)])
     simulator, resolver = testbed.simulator, testbed.resolver
@@ -478,3 +483,5 @@ def test_a_timed_out_query_leaves_its_pooled_stream_to_idle_out():
     assert sent[0] == 1
     assert resolver._pending == {}
     assert resolver.upstream_transport._pool == {}
+    assert resolver.tcp.connections == {}
+    assert testbed.nameserver.tcp.connections == {}

@@ -11,15 +11,17 @@ from __future__ import annotations
 import pytest
 from _counters import count, observed_simulator
 
-from repro.dns.cache import DNSCache
+from repro.dns.cache import SERVE_STALE_WINDOW, DNSCache
+from repro.dns.nameserver import PoolNTPNameserver
 from repro.dns.records import RecordType, a_record
 from repro.dns.resolver import (
+    RETRY_BACKOFF,
+    RETRY_JITTER,
     STALE_ANSWER_TTL,
     DNSStub,
     RecursiveResolver,
     ResolverPolicy,
 )
-from repro.dns.nameserver import PoolNTPNameserver
 from repro.faults import FaultInjector, FaultPlan
 from repro.netsim.network import Host, Network
 from repro.ntp.clock import SystemClock
@@ -58,14 +60,13 @@ def test_retries_recover_a_query_through_an_upstream_outage():
     # (query_retries=0) SERVFAILs.
     outage = ({"kind": "host_outage", "host": "192.0.2.53",
                "start": 0.0, "end": 2.5},)
-    policy = ResolverPolicy(query_timeout=1.0, query_retries=3,
-                            retry_backoff=0.2)
+    policy = ResolverPolicy(query_timeout=1.0, query_retries=3)
     simulator, _, nameserver, resolver, client = build_world(policy, faults=outage)
     answers = []
     client.dns.lookup("pool.ntp.org", answers.append)
     simulator.run(until=30.0)
     assert answers and answers[0]
-    assert resolver.retries >= 1
+    assert count(simulator, "dns.query_retries") >= 1
     assert nameserver.queries_received >= 1
 
 
@@ -78,14 +79,12 @@ def test_classic_policy_still_fails_fast_through_the_same_outage():
     client.dns.lookup("pool.ntp.org", answers.append)
     simulator.run(until=30.0)
     assert answers == [[]]
-    assert resolver.retries == 0
+    assert count(simulator, "dns.query_retries") == 0
 
 
 def test_retry_backoff_schedule_is_exponential_and_deterministic():
     def timeline(seed):
-        policy = ResolverPolicy(query_timeout=1.0, query_retries=3,
-                                retry_backoff=0.5, retry_backoff_factor=2.0,
-                                retry_jitter=0.25)
+        policy = ResolverPolicy(query_timeout=1.0, query_retries=3)
         simulator, network, _, resolver, client = build_world(
             policy, seed=seed,
             faults=({"kind": "host_outage", "host": "192.0.2.53",
@@ -103,34 +102,21 @@ def test_retry_backoff_schedule_is_exponential_and_deterministic():
         return sent
 
     first = timeline(seed=9)
-    # initial send, then 1 s timeout + ~0.5/1/2 s backoffs (plus jitter).
+    # initial send, then 1 s timeout + 0.25/0.5/1 s backoffs (plus jitter).
+    assert (RETRY_BACKOFF, RETRY_JITTER) == (0.25, 0.05)
     assert len(first) == 4
     gaps = [round(b - a, 6) for a, b in zip(first, first[1:])]
-    assert gaps[0] >= 1.5 and gaps[1] >= 2.0 and gaps[2] >= 3.0
-    assert gaps[0] <= 1.75 and gaps[1] <= 2.25 and gaps[2] <= 3.25
+    for gap, backoff in zip(gaps, (0.25, 0.5, 1.0)):
+        assert 1.0 + backoff <= gap <= 1.0 + backoff + 0.05
     assert timeline(seed=9) == first          # same seed, same schedule
     assert timeline(seed=10) != first         # jitter is seed-dependent
-
-
-def test_retry_budget_caps_total_retransmissions():
-    policy = ResolverPolicy(query_timeout=0.5, query_retries=5, retry_backoff=0.1,
-                            retry_budget=3)
-    simulator, _, _, resolver, client = build_world(
-        policy,
-        faults=({"kind": "host_outage", "host": "192.0.2.53",
-                 "start": 0.0, "end": 9e9},))
-    for name in ("pool.ntp.org", "0.pool.ntp.org", "1.pool.ntp.org"):
-        resolver.nameserver_map.setdefault("pool.ntp.org", "192.0.2.53")
-        client.dns.lookup(name, lambda a: None)
-    simulator.run(until=120.0)
-    assert resolver.retries == 3              # budget, not 3 queries x 5 retries
 
 
 def test_late_answer_during_backoff_still_resolves_the_query():
     # Latency ramp pushes the upstream RTT past the query timeout: the
     # first attempt "times out", but the pending entry survives into the
     # backoff window, so the slow genuine answer still lands and resolves.
-    policy = ResolverPolicy(query_timeout=1.0, query_retries=2, retry_backoff=2.0)
+    policy = ResolverPolicy(query_timeout=1.0, query_retries=2)
     simulator, _, nameserver, resolver, client = build_world(
         policy,
         faults=({"kind": "latency_ramp", "extra_latency": 0.6,
@@ -145,9 +131,8 @@ def test_late_answer_during_backoff_still_resolves_the_query():
 
 # -- serve-stale --------------------------------------------------------------
 
-def stale_policy(window=3600.0):
-    return ResolverPolicy(query_timeout=1.0, serve_stale=True,
-                          serve_stale_window=window)
+def stale_policy():
+    return ResolverPolicy(query_timeout=1.0, serve_stale=True)
 
 
 def test_stale_answer_served_during_outage_with_clamped_ttl():
@@ -203,15 +188,15 @@ def test_no_duplicate_background_refresh_while_one_is_in_flight():
 
 
 def test_entry_past_the_stale_window_is_a_full_miss():
-    simulator, _, nameserver, resolver, client = build_world(
-        stale_policy(window=100.0))
+    simulator, _, nameserver, resolver, client = build_world(stale_policy())
     client.dns.lookup("pool.ntp.org", lambda a: None)
     simulator.run(until=5.0)
-    # TTL 150 + window 100 < 400: the entry is unservable and evicted.
-    simulator.run(until=400.0)
+    # TTL 150 + window 3600 s < 3800: the entry is unservable and evicted.
+    assert SERVE_STALE_WINDOW == 3600.0
+    simulator.run(until=3800.0)
     answers = []
     client.dns.lookup("pool.ntp.org", answers.append)
-    simulator.run(until=410.0)
+    simulator.run(until=3810.0)
     assert count(simulator, "dns.stale_answers") == 0
     assert nameserver.queries_received == 2
     assert answers and answers[0]
@@ -236,7 +221,7 @@ def test_serve_stale_prolongs_a_poisoned_entry_past_its_ttl():
 
 
 def test_cache_lookup_stale_window_semantics():
-    cache = DNSCache(serve_stale_window=100.0)
+    cache = DNSCache(serve_stale=True)
     cache.insert("x.example", RecordType.A,
                  [a_record("x.example", "203.0.113.1", ttl=50)], now=0.0)
     # Live: normal hit, no stale involvement.
@@ -246,14 +231,21 @@ def test_cache_lookup_stale_window_semantics():
     assert cache.lookup("x.example", RecordType.A, now=60.0) is None
     assert cache.peek("x.example", RecordType.A) is not None
     assert cache.lookup_stale("x.example", RecordType.A, now=60.0) is not None
+    # Still inside the window one second before it closes.
+    assert cache.lookup_stale("x.example", RecordType.A, now=3649.0) is not None
     # Past the window: evicted by either path.
-    assert cache.lookup_stale("x.example", RecordType.A, now=200.0) is None
+    assert cache.lookup_stale("x.example", RecordType.A, now=3650.0) is None
     assert cache.peek("x.example", RecordType.A) is None
 
 
 def test_without_serve_stale_the_window_is_zero():
     simulator, _, _, resolver, _ = build_world(ResolverPolicy())
-    assert resolver.cache.serve_stale_window == 0.0
+    cache = resolver.cache
+    assert cache.serve_stale is False
+    cache.insert("x.example", RecordType.A,
+                 [a_record("x.example", "203.0.113.1", ttl=50)], now=0.0)
+    assert cache.lookup_stale("x.example", RecordType.A, now=50.0) is None
+    assert cache.peek("x.example", RecordType.A) is None
 
 
 # -- NTP client timeouts ------------------------------------------------------
@@ -311,7 +303,8 @@ def test_serve_stale_defense_rewrites_resolver_policy():
     cfg = TestbedConfig(seed=1, defenses=("serve_stale",))
     testbed = build_testbed(cfg)
     assert testbed.resolver.policy.serve_stale is True
-    assert testbed.resolver.cache.serve_stale_window > 0
+    assert testbed.resolver.policy.query_retries == 0
+    assert testbed.resolver.cache.serve_stale is True
 
 
 def test_upstream_retries_defense_rewrites_resolver_policy():
@@ -320,7 +313,17 @@ def test_upstream_retries_defense_rewrites_resolver_policy():
     cfg = TestbedConfig(seed=1, defenses=("upstream_retries",))
     testbed = build_testbed(cfg)
     assert testbed.resolver.policy.query_retries == 2
-    assert testbed.resolver.policy.retry_backoff == pytest.approx(0.25)
+    assert testbed.resolver.policy.serve_stale is False
+    assert testbed.resolver.cache.serve_stale is False
+
+
+def test_resilience_defenses_take_no_knobs():
+    from repro.defenses.resilience import ServeStale, UpstreamRetries
+
+    with pytest.raises(TypeError):
+        ServeStale(window=60.0)
+    with pytest.raises(TypeError):
+        UpstreamRetries(retries=3)
 
 
 def test_resilience_stacks_are_not_in_the_pinned_default_grid():
