@@ -338,20 +338,29 @@ class FragPoisoningScenario(FragRaceWorld):
         super().__init__(config, "10.40.0.0/16", accept_fragments=config.accept_fragments)
 
     def run(self) -> dict[str, Any]:
-        """Returns the ``frag_poisoning`` registry metrics dict."""
+        """Returns the ``frag_poisoning`` registry metrics dict.
+
+        Each race evicts the cached answer, so its trigger is a fresh miss
+        against the *live* nameserver — what a response-rate limiter
+        throttles; a suppressed UDP response times out (drop) or comes back
+        TC=1 (slip) and retries over TCP, where the splice cannot reach.
+        The run ends 10 s after the last trigger, so the single-shot vector
+        is one race with 10 s spacing.
+        """
         count = self.config.trigger_count
-        if count is None or count <= 1:
-            # The classic single-shot race, kept event-for-event identical
-            # to the pre-sustained-load scenario (pinned digests).
+        races, spacing = ((count, self.config.trigger_interval) if count is not None and count > 1
+                          else (1, 10.0))
+        races_poisoned = 0
+        for _ in range(races):
+            self.resolver.cache.evict(self.config.zone, RecordType.A)
             self.poisoner.plant_fragments(self.expected_response(),
                                           starting_ipid=self.config.starting_ipid)
             self.resolver.trigger_lookup(self.config.zone)
-            self.simulator.run(until=self.simulator.now + 10.0)
-            poisoned = self.poisoner.verify_poisoning()
-            races_run, races_poisoned = 1, int(poisoned)
-        else:
-            races_run, races_poisoned = count, self._run_sustained(count)
-            poisoned = self.poisoner.verify_poisoning() or races_poisoned > 0
+            triggered_at = self.simulator.now
+            self.simulator.run(until=triggered_at + spacing)
+            races_poisoned += self.poisoner.verify_poisoning()
+        self.simulator.run(until=triggered_at + 10.0)
+        poisoned = self.poisoner.verify_poisoning() or races_poisoned > 0
         records_cached, poisoned_cached = self.attacker.cached_records(self.resolver,
                                                                        self.config.zone)
         metrics = {
@@ -366,31 +375,9 @@ class FragPoisoningScenario(FragRaceWorld):
         if count is not None:
             limiter = self.nameserver.rate_limiter
             metrics.update({
-                "races_run": races_run,
+                "races_run": races,
                 "races_poisoned": races_poisoned,
                 "rrl_dropped": limiter.responses_dropped if limiter else 0,
                 "rrl_slipped": limiter.responses_slipped if limiter else 0,
             })
         return metrics
-
-    def _run_sustained(self, count: int) -> int:
-        """Re-race every ``trigger_interval`` seconds, ``count`` times, and
-        return how many races left attacker records in the cache.
-
-        Each race is independent: the previous cache entry is evicted so the
-        trigger is a fresh cache-miss race against the *live* nameserver —
-        which is exactly what a response-rate limiter throttles.  A race
-        whose UDP response is suppressed either times out (drop) or comes
-        back TC=1 (slip) and retries over TCP, where the splice cannot reach.
-        """
-        races_poisoned = 0
-        for _ in range(count):
-            self.resolver.cache.evict(self.config.zone, RecordType.A)
-            self.poisoner.plant_fragments(self.expected_response(),
-                                          starting_ipid=self.config.starting_ipid)
-            self.resolver.trigger_lookup(self.config.zone)
-            self.simulator.run(until=self.simulator.now + self.config.trigger_interval)
-            if self.poisoner.verify_poisoning():
-                races_poisoned += 1
-        self.simulator.run(until=self.simulator.now + 10.0)
-        return races_poisoned

@@ -38,7 +38,6 @@ from the cache reports the same merged metrics as an uninterrupted one.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
@@ -338,13 +337,6 @@ class RunCache:
                 self._shards[shard] = kept
         self.stats.invalidated += removed
         return removed
-
-    def clear(self) -> None:
-        """Remove every shard file (the directory itself is kept)."""
-        for shard in list(self._shard_names_on_disk()):
-            with contextlib.suppress(OSError):
-                self._shard_path(shard).unlink()
-        self._shards.clear()
 
     # -- introspection -------------------------------------------------------
     def __len__(self) -> int:

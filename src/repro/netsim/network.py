@@ -1,4 +1,4 @@
-"""The simulated network: hosts, links and packet delivery.
+"""The simulated network: hosts and packet delivery.
 
 Hosts register with a :class:`Network` under one or more IPv4 addresses and
 exchange UDP datagrams.  A pool of addresses (:meth:`Network.add_pool`) gets
@@ -33,7 +33,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from .bgp import RoutingTable
-from .fragmentation import OverlapPolicy, ReassemblyBuffer, fragment_datagram
+from .fragmentation import ReassemblyBuffer, fragment_datagram
 from .packets import DEFAULT_MTU, PROTO_TCP, IPPacket, UDPDatagram
 from .simulator import EventHandle, Simulator
 
@@ -59,18 +59,17 @@ class Host:
     """Base class for every simulated endpoint (resolvers, servers, clients).
 
     Subclasses override :meth:`handle_datagram`.  Each host owns a
-    defragmentation cache; its overlap policy is an experiment knob because
-    the fragmentation-poisoning vector depends on it.  A pool host
+    defragmentation cache, where the fragmentation-poisoning vector splices
+    its planted fragments.  A pool host
     (:meth:`Network.add_pool`) is built on its first packet, so its state
     must not depend on when it is built.
     """
 
-    def __init__(self, network: Network, address: str, name: Optional[str] = None,
-                 overlap_policy: OverlapPolicy = OverlapPolicy.FIRST_WINS) -> None:
+    def __init__(self, network: Network, address: str, name: Optional[str] = None) -> None:
         self.network = network
         self.address = address
         self.name = name or f"host-{address}"
-        self.reassembly = ReassemblyBuffer(overlap_policy=overlap_policy)
+        self.reassembly = ReassemblyBuffer()
         #: Whether the datagram currently being handled was assembled from a
         #: spoofed fragment; application layers (the DNS resolver) consult it
         #: to tag cache entries for experiment reporting.
@@ -116,7 +115,7 @@ class Host:
         result = self.reassembly.add_fragment(packet, self.network.simulator.now)
         if result.datagram is None:
             return
-        if not result.datagram.checksum_valid() and not result.checksum_compensated:
+        if not result.checksum_ok and not result.checksum_compensated:
             # A reassembled datagram whose UDP checksum no longer matches is
             # silently dropped — the failure mode of a sloppy fragment spoof
             # that did not compensate the checksum.
@@ -232,7 +231,6 @@ class Network:
 
     def send_datagram(self, datagram: UDPDatagram) -> None:
         """Fragment (if needed) and deliver a UDP datagram."""
-        datagram = datagram.with_valid_checksum()
         mtu = self.effective_mtu(datagram.src_ip)
         ip_id = self.next_ip_id(datagram.src_ip)
         fragments = fragment_datagram(datagram, ip_id=ip_id, mtu=mtu)
@@ -248,7 +246,7 @@ class Network:
         """Send a fully-formed, non-UDP IP packet (TCP segments) from a host.
 
         No fragmentation is applied: stream transports size their segments
-        to the effective MTU (see ``TCPStack.mss_for``), so a segment never
+        to the effective MTU (see ``TCPStack.mss``), so a segment never
         needs to fragment — which is itself part of why encrypted transports
         kill the defragmentation-splice vector.
         """

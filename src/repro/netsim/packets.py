@@ -9,7 +9,10 @@ are modelled faithfully:
 * fragmentation metadata (fragment offset, more-fragments flag) — the basis
   of the Herzberg/Shulman poisoning technique the paper builds on;
 * the UDP checksum — which covers the whole datagram and therefore must still
-  validate after the attacker's fragment replaces part of the payload.
+  validate after the attacker's fragment replaces part of the payload.  It
+  travels only in the UDP header bytes, as on the wire:
+  :func:`repro.netsim.fragmentation.fragment_datagram` writes it and
+  :func:`repro.netsim.fragmentation.parse_udp_wire` checks it.
 
 Payloads are ``bytes``; the DNS and NTP layers encode/decode real wire
 formats, so sizes (and therefore "does this response fragment at MTU 1500 /
@@ -18,8 +21,7 @@ formats, so sizes (and therefore "does this response fragment at MTU 1500 /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 from .addresses import ip_to_int
 
@@ -83,7 +85,6 @@ class UDPDatagram:
     src_port: int
     dst_port: int
     payload: bytes
-    checksum: Optional[int] = None
 
     def __post_init__(self) -> None:
         for port in (self.src_port, self.dst_port):
@@ -94,22 +95,6 @@ class UDPDatagram:
     def size(self) -> int:
         """Total UDP datagram size (header + payload) in bytes."""
         return UDP_HEADER_SIZE + len(self.payload)
-
-    def with_valid_checksum(self) -> UDPDatagram:
-        """Return a copy whose checksum field is correctly computed."""
-        value = udp_checksum(self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.payload)
-        return replace(self, checksum=value)
-
-    def checksum_valid(self) -> bool:
-        """Whether the stored checksum matches the payload.
-
-        A datagram with no checksum recorded (``None``) is treated as valid,
-        mirroring UDP's optional-checksum behaviour over IPv4.
-        """
-        if self.checksum is None:
-            return True
-        expected = udp_checksum(self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.payload)
-        return expected == self.checksum
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,14 @@ Three layers, each usable on its own:
   length-prefixed framer (DNS streams use it too), splits the records;
   dispatch stops at the first record that closes the connection.
 
-Simplifications, stated up front: there is no retransmission (experiments
-run stream transports over lossless links), no flow control, and closing is
-a single FIN with immediate teardown.  Segments addressed to no matching
+Simplifications, stated up front: there is no retransmission, no flow
+control, and closing is a single FIN with immediate teardown.  So under a
+:class:`~repro.faults.FaultPlan` that drops packets, a lost segment is never
+resent: a lost client FIN leaves the server side ``ESTABLISHED`` for the
+rest of the run.  Servers get no idle timeout to reap such connections,
+because its FIN would take the next value of the nameserver's per-source
+IP-ID counter, which the fragmentation attacker predicts, and so move the
+outcomes the chaos grid pins.  Segments addressed to no matching
 connection or listener are dropped silently rather than RST'd — real stacks
 answer RST, but silent drop both denies off-path attackers a scan oracle
 and models the BGP-hijack case, where diverted segments arrive at a host

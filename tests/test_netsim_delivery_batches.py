@@ -95,7 +95,7 @@ class Sink(Host):
 def raw_udp(src: str, dst: str, payload: bytes, ip_id: int = 1) -> IPPacket:
     """An unfragmented UDP packet with a valid checksum."""
     datagram = UDPDatagram(src_ip=src, dst_ip=dst, src_port=1000, dst_port=2000,
-                           payload=payload).with_valid_checksum()
+                           payload=payload)
     [packet] = fragment_datagram(datagram, ip_id=ip_id, mtu=DEFAULT_MTU)
     return packet
 

@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.netsim.fragmentation import (
-    OverlapPolicy,
+    REASSEMBLY_CAPACITY,
+    REASSEMBLY_TIMEOUT,
     ReassemblyBuffer,
     fragment_datagram,
     parse_udp_wire,
 )
-from repro.netsim.packets import IPPacket, PacketError, UDPDatagram
+from repro.netsim.packets import IPPacket, PacketError, UDPDatagram, udp_checksum
 
 
 def make_datagram(size=1200, src="192.0.2.53", dst="192.0.2.1"):
     payload = bytes((i * 7) % 256 for i in range(size))
     return UDPDatagram(src_ip=src, dst_ip=dst, src_port=53, dst_port=4242,
-                       payload=payload).with_valid_checksum()
+                       payload=payload)
 
 
 def test_small_datagram_not_fragmented():
@@ -67,11 +70,12 @@ def test_too_small_mtu_rejected():
 def test_parse_udp_wire_roundtrip():
     datagram = make_datagram(size=64)
     fragments = fragment_datagram(datagram, ip_id=1, mtu=1500)
-    parsed = parse_udp_wire(datagram.src_ip, datagram.dst_ip, fragments[0].payload)
-    assert parsed.payload == datagram.payload
-    assert parsed.src_port == datagram.src_port
-    assert parsed.dst_port == datagram.dst_port
-    assert parsed.checksum == datagram.checksum
+    wire = fragments[0].payload
+    parsed, checksum_ok = parse_udp_wire(datagram.src_ip, datagram.dst_ip, wire)
+    assert parsed == datagram
+    assert checksum_ok
+    assert int.from_bytes(wire[6:8], "big") == udp_checksum(
+        datagram.src_ip, datagram.dst_ip, datagram.src_port, datagram.dst_port, datagram.payload)
 
 
 def reassemble_all(fragments, buffer=None, now=0.0):
@@ -90,7 +94,7 @@ def test_reassembly_in_order():
     result = reassemble_all(fragments)
     assert result.datagram is not None
     assert result.datagram.payload == datagram.payload
-    assert result.datagram.checksum_valid()
+    assert result.checksum_ok
     assert not result.poisoned
 
 
@@ -134,16 +138,18 @@ def test_different_ip_ids_do_not_mix():
 def test_expiry_clears_stale_entries():
     datagram = make_datagram(size=1500)
     fragments = fragment_datagram(datagram, ip_id=1, mtu=548)
-    buffer = ReassemblyBuffer(timeout=30.0)
+    buffer = ReassemblyBuffer()
     buffer.add_fragment(fragments[0], now=0.0)
-    buffer.expire(now=31.0)
+    buffer.expire(now=REASSEMBLY_TIMEOUT)
+    assert len(buffer) == 1
+    buffer.expire(now=REASSEMBLY_TIMEOUT + 1.0)
     assert len(buffer) == 0
 
 
 def test_stale_entry_does_not_complete_after_timeout():
     datagram = make_datagram(size=1500)
     fragments = fragment_datagram(datagram, ip_id=1, mtu=548)
-    buffer = ReassemblyBuffer(timeout=30.0)
+    buffer = ReassemblyBuffer()
     buffer.add_fragment(fragments[0], now=0.0)
     # the rest arrive after the timeout: the first fragment is gone
     result = None
@@ -153,12 +159,16 @@ def test_stale_entry_does_not_complete_after_timeout():
 
 
 def test_capacity_eviction_of_oldest():
-    buffer = ReassemblyBuffer(capacity=2)
-    datagram = make_datagram(size=1500)
-    for ip_id, when in ((1, 0.0), (2, 1.0), (3, 2.0)):
-        fragments = fragment_datagram(datagram, ip_id=ip_id, mtu=548)
-        buffer.add_fragment(fragments[0], now=when)
-    assert len(buffer) == 2
+    buffer = ReassemblyBuffer()
+    first_fragment = fragment_datagram(make_datagram(size=1500), ip_id=0, mtu=548)[0]
+    for ip_id in range(REASSEMBLY_CAPACITY + 1):
+        buffer.add_fragment(replace(first_fragment, ip_id=ip_id), now=ip_id * 0.001)
+    assert len(buffer) == REASSEMBLY_CAPACITY
+    # The oldest entry (IP-ID 0) was evicted: its tail now starts a fresh
+    # reassembly instead of completing one.
+    tail = fragment_datagram(make_datagram(size=1500), ip_id=0, mtu=548)[1]
+    assert buffer.add_fragment(tail, now=2.0).datagram is None
+    assert len(buffer) == REASSEMBLY_CAPACITY
 
 
 def test_spoofed_fragment_marks_result_poisoned():
@@ -197,7 +207,7 @@ def test_first_wins_overlap_keeps_planted_data():
         more_fragments=genuine_tail.more_fragments,
         spoofed=True,
     )
-    buffer = ReassemblyBuffer(overlap_policy=OverlapPolicy.FIRST_WINS)
+    buffer = ReassemblyBuffer()
     buffer.add_fragment(forged_tail, 0.0)
     result = None
     for fragment in fragments:
@@ -211,42 +221,9 @@ def test_first_wins_overlap_keeps_planted_data():
     start = genuine_tail.fragment_offset - 8
     assert result.datagram.payload[start:start + len(forged_payload)] == forged_payload
     assert result.poisoned
-
-
-def test_drop_policy_discards_overlapping_reassembly():
-    datagram = make_datagram(size=1500)
-    fragments = fragment_datagram(datagram, ip_id=5, mtu=548)
-    duplicate_tail = fragments[1]
-    buffer = ReassemblyBuffer(overlap_policy=OverlapPolicy.DROP)
-    buffer.add_fragment(duplicate_tail, 0.0)
-    results = [buffer.add_fragment(fragment, 0.1) for fragment in fragments]
-    assert all(result.datagram is None for result in results)
-
-
-def test_last_wins_overlap_overwrites():
-    datagram = make_datagram(size=1500)
-    fragments = fragment_datagram(datagram, ip_id=5, mtu=548)
-    genuine_tail = fragments[1]
-    forged_payload = bytes(b ^ 0xAA for b in genuine_tail.payload)
-    forged_tail = IPPacket(
-        src_ip=genuine_tail.src_ip,
-        dst_ip=genuine_tail.dst_ip,
-        ip_id=genuine_tail.ip_id,
-        payload=forged_payload,
-        fragment_offset=genuine_tail.fragment_offset,
-        more_fragments=genuine_tail.more_fragments,
-        spoofed=True,
-    )
-    buffer = ReassemblyBuffer(overlap_policy=OverlapPolicy.LAST_WINS)
-    # genuine tail first, forged second: LAST_WINS keeps the forged bytes
-    buffer.add_fragment(genuine_tail, 0.0)
-    buffer.add_fragment(forged_tail, 0.0)
-    result = buffer.add_fragment(fragments[0], 0.1)
-    for fragment in fragments[2:]:
-        if result.datagram is None:
-            result = buffer.add_fragment(fragment, 0.1)
-    assert result.datagram is not None
-    assert result.poisoned
+    # The genuine header's checksum does not cover the forged bytes.
+    assert not result.checksum_ok
+    assert not result.checksum_compensated
 
 
 def test_completed_counter_increments():

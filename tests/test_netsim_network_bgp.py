@@ -89,7 +89,7 @@ def test_checksum_validated_after_reassembly():
     receiver = RecordingHost(network, "10.0.0.2")
     # Hand-build two fragments whose combined payload does not match the
     # UDP checksum carried in the header bytes of the first fragment.
-    good = UDPDatagram("10.0.0.1", "10.0.0.2", 1111, 53, b"A" * 1200).with_valid_checksum()
+    good = UDPDatagram("10.0.0.1", "10.0.0.2", 1111, 53, b"A" * 1200)
     from repro.netsim.fragmentation import fragment_datagram
 
     fragments = fragment_datagram(good, ip_id=9, mtu=548)
@@ -125,15 +125,11 @@ def test_tap_sees_all_packets():
 def test_inject_spoofed_packet_reaches_destination():
     simulator, network = make_network()
     receiver = RecordingHost(network, "10.0.0.2")
-    packet = IPPacket(src_ip="10.0.0.99", dst_ip="10.0.0.2", ip_id=7,
-                      payload=UDPDatagram("10.0.0.99", "10.0.0.2", 5, 6, b"spoof")
-                      .with_valid_checksum().payload)
     # inject raw wire bytes: build via fragment_datagram to get UDP header
     from repro.netsim.fragmentation import fragment_datagram
 
     [wire_packet] = fragment_datagram(
-        UDPDatagram("10.0.0.99", "10.0.0.2", 5, 6, b"spoof").with_valid_checksum(),
-        ip_id=7, mtu=1500)
+        UDPDatagram("10.0.0.99", "10.0.0.2", 5, 6, b"spoof"), ip_id=7, mtu=1500)
     network.inject(wire_packet)
     simulator.run()
     assert len(receiver.inbox) == 1

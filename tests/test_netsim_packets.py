@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.netsim.fragmentation import fragment_datagram, parse_udp_wire
 from repro.netsim.packets import (
     DEFAULT_MTU,
     IPV4_HEADER_SIZE,
@@ -60,27 +61,37 @@ def test_checksum_never_zero():
         assert udp_checksum("0.0.0.0", "0.0.0.0", 0, 0, payload) != 0
 
 
-def test_with_valid_checksum_roundtrip():
-    datagram = make_datagram().with_valid_checksum()
-    assert datagram.checksum is not None
-    assert datagram.checksum_valid()
+def encode(datagram):
+    """The datagram's UDP wire bytes (header, checksum included, + payload)."""
+    [packet] = fragment_datagram(datagram, ip_id=1, mtu=DEFAULT_MTU)
+    return packet.payload
+
+
+def test_header_checksum_roundtrip():
+    datagram = make_datagram()
+    wire = encode(datagram)
+    assert int.from_bytes(wire[6:8], "big") == udp_checksum(
+        datagram.src_ip, datagram.dst_ip, datagram.src_port, datagram.dst_port, datagram.payload)
+    assert parse_udp_wire(datagram.src_ip, datagram.dst_ip, wire) == (datagram, True)
 
 
 def test_checksum_invalid_after_payload_tamper():
-    datagram = make_datagram(b"original payload").with_valid_checksum()
-    tampered = UDPDatagram(
-        src_ip=datagram.src_ip,
-        dst_ip=datagram.dst_ip,
-        src_port=datagram.src_port,
-        dst_port=datagram.dst_port,
-        payload=b"tampered payload",
-        checksum=datagram.checksum,
-    )
-    assert not tampered.checksum_valid()
+    datagram = make_datagram(b"original payload")
+    wire = bytearray(encode(datagram))
+    wire[UDP_HEADER_SIZE] ^= 0x01
+    parsed, checksum_ok = parse_udp_wire(datagram.src_ip, datagram.dst_ip, bytes(wire))
+    assert parsed.payload != datagram.payload
+    assert not checksum_ok
 
 
-def test_missing_checksum_is_treated_as_valid():
-    assert make_datagram().checksum_valid()
+def test_zero_checksum_means_none_and_is_accepted():
+    # RFC 768: a transmitted checksum of 0 means the sender computed none.
+    datagram = make_datagram(b"original payload")
+    wire = bytearray(encode(datagram))
+    wire[6:8] = b"\x00\x00"
+    wire[UDP_HEADER_SIZE] ^= 0x01
+    _, checksum_ok = parse_udp_wire(datagram.src_ip, datagram.dst_ip, bytes(wire))
+    assert checksum_ok
 
 
 def test_ip_packet_total_size():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from repro.dns.records import a_record
 from repro.dns.wire import decode_name, encode_name
 from repro.netsim.addresses import int_to_ip, ip_to_int
 from repro.netsim.fragmentation import ReassemblyBuffer, fragment_datagram
-from repro.netsim.packets import UDPDatagram
+from repro.netsim.packets import UDPDatagram, udp_checksum
 from repro.ntp.packet import NTPMode, NTPPacket
 from repro.ntp.timestamps import ntp_to_unix, unix_to_ntp
 
@@ -107,21 +108,43 @@ def test_ntp_packet_roundtrip_and_origin_echo(origin, shift):
 
 @given(size=st.integers(min_value=0, max_value=4000),
        mtu=st.sampled_from([296, 548, 576, 1280, 1500]),
-       ip_id=st.integers(min_value=0, max_value=0xFFFF))
+       ip_id=st.integers(min_value=0, max_value=0xFFFF),
+       compensated=st.booleans(),
+       data=st.data())
 @settings(max_examples=60)
-def test_fragmentation_reassembly_roundtrip(size, mtu, ip_id):
+def test_fragmentation_reassembly_roundtrip(size, mtu, ip_id, compensated, data):
     payload = bytes(i % 251 for i in range(size))
-    datagram = UDPDatagram("10.0.0.1", "10.0.0.2", 53, 9999, payload).with_valid_checksum()
+    datagram = UDPDatagram("10.0.0.1", "10.0.0.2", 53, 9999, payload)
     fragments = fragment_datagram(datagram, ip_id=ip_id, mtu=mtu)
     assert all(f.total_size <= mtu for f in fragments)
+    header_checksum = int.from_bytes(fragments[0].payload[6:8], "big")
+    assert header_checksum == udp_checksum("10.0.0.1", "10.0.0.2", 53, 9999, payload)
+    assert header_checksum != 0
+    order = data.draw(st.permutations(fragments))
     buffer = ReassemblyBuffer()
-    result = None
-    for fragment in fragments:
-        result = buffer.add_fragment(fragment, now=0.0)
-    assert result.datagram is not None
-    assert result.datagram.payload == payload
-    assert result.datagram.checksum_valid()
+    results = [buffer.add_fragment(fragment, now=0.0) for fragment in order]
+    assert all(result.datagram is None for result in results[:-1])
+    result = results[-1]
+    assert result.datagram == datagram
+    assert result.checksum_ok
     assert not result.poisoned
+    if len(fragments) == 1:
+        return
+    # One changed byte in a trailing fragment that arrives first survives
+    # reassembly (first wins) and fails the genuine header's checksum.
+    target = fragments[data.draw(st.integers(min_value=1, max_value=len(fragments) - 1))]
+    tampered = bytearray(target.payload)
+    tampered[data.draw(st.integers(min_value=0, max_value=len(tampered) - 1))] ^= \
+        data.draw(st.integers(min_value=1, max_value=0xFF))
+    planted = replace(target, payload=bytes(tampered), spoofed=True,
+                      checksum_compensated=compensated)
+    buffer = ReassemblyBuffer()
+    results = [buffer.add_fragment(fragment, now=0.0) for fragment in (planted, *order)]
+    [result] = [result for result in results if result.datagram is not None]
+    assert result.datagram.payload != payload
+    assert result.poisoned
+    assert not result.checksum_ok
+    assert result.checksum_compensated == compensated
 
 
 # -- Chronos selection invariants -------------------------------------------------------------------
