@@ -226,6 +226,48 @@ def test_first_wins_overlap_keeps_planted_data():
     assert not result.checksum_compensated
 
 
+def test_duplicate_fragment_overlap_still_reassembles():
+    # An exact duplicate of a fragment overlaps it fully; first-wins keeps
+    # the same bytes and the reassembly completes instead of being dropped.
+    datagram = make_datagram(size=1500)
+    fragments = fragment_datagram(datagram, ip_id=5, mtu=548)
+    buffer = ReassemblyBuffer()
+    buffer.add_fragment(fragments[1], 0.0)
+    results = [buffer.add_fragment(fragment, 0.1) for fragment in fragments]
+    completed = [result for result in results if result.datagram is not None]
+    assert len(completed) == 1
+    assert completed[0].datagram == datagram
+    assert completed[0].checksum_ok
+    assert not completed[0].poisoned
+    assert len(buffer) == 0
+
+
+def test_later_forged_overlap_does_not_overwrite():
+    datagram = make_datagram(size=1500)
+    fragments = fragment_datagram(datagram, ip_id=5, mtu=548)
+    genuine_tail = fragments[1]
+    forged_tail = IPPacket(
+        src_ip=genuine_tail.src_ip,
+        dst_ip=genuine_tail.dst_ip,
+        ip_id=genuine_tail.ip_id,
+        payload=bytes(b ^ 0xAA for b in genuine_tail.payload),
+        fragment_offset=genuine_tail.fragment_offset,
+        more_fragments=genuine_tail.more_fragments,
+        spoofed=True,
+    )
+    buffer = ReassemblyBuffer()
+    # genuine tail first, forged second: first-wins keeps the genuine bytes
+    buffer.add_fragment(genuine_tail, 0.0)
+    buffer.add_fragment(forged_tail, 0.0)
+    result = buffer.add_fragment(fragments[0], 0.1)
+    for fragment in fragments[2:]:
+        if result.datagram is None:
+            result = buffer.add_fragment(fragment, 0.1)
+    assert result.datagram is not None
+    assert result.datagram.payload == datagram.payload
+    assert result.checksum_ok
+
+
 def test_completed_counter_increments():
     datagram = make_datagram(size=1500)
     buffer = ReassemblyBuffer()
