@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from conftest import emit
@@ -30,7 +31,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "examples"))
 from campaign_study import reduced_manifest  # noqa: E402
 
 SEEDS = 2
-PRIME_TASKS = 5
 
 
 def _run(directory: Path, manifest: CampaignManifest):
@@ -38,25 +38,25 @@ def _run(directory: Path, manifest: CampaignManifest):
 
 
 def _prime_partial(directory: Path, manifest: CampaignManifest) -> int:
-    """Persist the first few matrix cells, as a killed run would have.
+    """Persist a few matrix cells, as a killed run would have.
 
-    Drives the first sweep's tasks directly through a scheduler that
-    shares the campaign directory's cache, stopping after
-    ``PRIME_TASKS`` cells — the same on-disk situation a SIGKILL at task
-    N leaves behind (journal absent/mid-step, cache partially filled).
+    Runs a sub-spec of the first sweep's first row (its first seed under
+    every stack) through a scheduler that shares the campaign directory's
+    cache — the same on-disk situation a SIGKILL part-way through the
+    sweep leaves behind (journal absent/mid-step, cache partially filled).
+    Returns how many cells it persisted.
     """
     from repro.experiments.cache import RunCache
     from repro.experiments.matrix import matrix_specs
-    from repro.experiments.runner import resolve_spec_tasks
     from repro.experiments.scheduler import SweepScheduler
 
     sweep = manifest.sweep("grid")
-    specs = matrix_specs(sweep.attacks, sweep.stacks, sweep.seeds)
-    tasks = [task for spec in specs for task in resolve_spec_tasks(spec)]
+    first_row = matrix_specs(sweep.attacks, sweep.stacks, sweep.seeds)[0]
+    primer = replace(first_row, seeds=first_row.seeds[:1])
     cache = RunCache(directory / "cache")
     scheduler = SweepScheduler(workers=1, cache=cache, collect_metrics=True)
-    scheduler.run_tasks(tasks[:PRIME_TASKS])
-    return PRIME_TASKS
+    _, stats = scheduler.run_specs([primer])
+    return stats.executed
 
 
 def _artifact_bytes(result) -> dict[str, bytes]:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from conftest import emit
 
-from repro.experiments import ExperimentRunner, run_scenario
+from repro.experiments import ExperimentSpec, SweepScheduler, run_scenario
 from repro.experiments.pins import DOWNGRADE_SWEEP_DIGEST
 from repro.experiments.scenarios import TRANSPORT_PROFILES
 
@@ -54,12 +54,14 @@ def test_encrypted_transport_gates(benchmark):
     def workload():
         timings = {label: resolve_many(label, QUERIES)
                    for label in TRANSPORT_PROFILES}
-        sequential, parallel = (ExperimentRunner(
-            "downgrade", seeds=range(1, SEED_COUNT + 1),
-            param_sets=[{"defenses": ()},
+        spec = ExperimentSpec(
+            "downgrade", seeds=tuple(range(1, SEED_COUNT + 1)),
+            param_sets=({"defenses": ()},
                         {"defenses": ("encrypted_transport",)},
-                        {"defenses": ("encrypted_transport_opportunistic",)}],
-            workers=workers).run() for workers in (1, 4))
+                        {"defenses": ("encrypted_transport_opportunistic",)}))
+        sequential, parallel = (
+            SweepScheduler(workers=workers).run_specs([spec])[0][0]
+            for workers in (1, 4))
         return timings, sequential, parallel
 
     timings, sequential, parallel = benchmark.pedantic(workload, rounds=1,

@@ -16,15 +16,16 @@ import os
 
 from conftest import emit, usable_cpus
 
-from repro.experiments import ExperimentRunner
+from repro.experiments import ExperimentSpec, SweepScheduler
 
 SEEDS = tuple(range(1, 17))
 PARAMS = {"poison_at_query": 3, "run_time_shift": False}
 
 
 def _sweep(workers: int):
-    return ExperimentRunner("chronos_pool_attack", seeds=SEEDS,
-                            base_params=PARAMS, workers=workers).run()
+    (result,), _ = SweepScheduler(workers=workers).run_specs([ExperimentSpec(
+        "chronos_pool_attack", seeds=SEEDS, base_params=PARAMS)])
+    return result
 
 
 def run_pair():

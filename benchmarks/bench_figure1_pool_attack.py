@@ -2,7 +2,7 @@
 
 Regenerates the figure's arithmetic — 4·11 = 44 benign vs 89 malicious
 addresses, a two-thirds attacker majority — both from the closed form and
-from the packet-level simulation (driven through the experiment runner), and
+from the packet-level simulation (driven through the sweep scheduler), and
 reports the end-to-end time shift the attacker subsequently achieves.
 """
 
@@ -12,17 +12,18 @@ from conftest import emit
 
 from repro.analysis.pool_composition import figure1_report
 from repro.attacks import analytic_pool_composition
-from repro.experiments import ExperimentResult, ExperimentRunner
+from repro.experiments import ExperimentResult, ExperimentSpec, SweepScheduler
 
 
 def run_figure1(poison_at_query: int = 3, seed: int = 7) -> ExperimentResult:
-    return ExperimentRunner(
+    (result,), _ = SweepScheduler().run_specs([ExperimentSpec(
         "chronos_pool_attack",
-        seeds=[seed],
+        seeds=(seed,),
         base_params={"poison_at_query": poison_at_query,
                      "target_shift": 600.0,
                      "update_rounds": 5},
-    ).run()
+    )])
+    return result
 
 
 def test_figure1_pool_attack(benchmark):

@@ -1,14 +1,15 @@
 """E9: the shift actually achieved on the victim clock, across victims and targets.
 
-Each victim row is an :class:`ExperimentRunner` sweep over the target-shift
-grid; the victims themselves are addressed through the scenario registry.
+Each victim row is an :class:`ExperimentSpec` over the target-shift grid, and
+all rows run as one :meth:`SweepScheduler.run_specs` stream; the victims
+themselves are addressed through the scenario registry.
 """
 
 from __future__ import annotations
 
 from conftest import emit
 
-from repro.experiments import ExperimentRunner
+from repro.experiments import ExperimentSpec, SweepScheduler
 
 TARGETS = (0.1, 600.0)  # the paper's 100 ms reference and a ten-minute shift
 
@@ -24,14 +25,12 @@ VICTIMS = (
 
 
 def run_matrix():
+    results, _ = SweepScheduler().run_specs([
+        ExperimentSpec(scenario, seeds=(19,), base_params=base_params,
+                       grid={"target_shift": TARGETS})
+        for _, scenario, base_params, _ in VICTIMS])
     rows = []
-    for label, scenario, base_params, success_key in VICTIMS:
-        result = ExperimentRunner(
-            scenario,
-            seeds=[19],
-            base_params=base_params,
-            grid={"target_shift": list(TARGETS)},
-        ).run()
+    for (label, _, _, success_key), result in zip(VICTIMS, results):
         rows.extend((label, record.params["target_shift"],
                      record.metrics["achieved_shift"],
                      record.metrics[success_key])

@@ -20,15 +20,12 @@ from __future__ import annotations
 import sys
 
 from repro.analysis import VectorFeasibilityRow, mtu_sweep
-from repro.experiments import ExperimentRunner
+from repro.experiments import ExperimentSpec, SweepScheduler
 
 
 def main(seed_count: int = 8, workers: int = 1) -> None:
-    result = ExperimentRunner(
-        "dns_measurement",
-        seeds=range(seed_count),
-        workers=workers,
-    ).run()
+    (result,), _ = SweepScheduler(workers=workers).run_specs([ExperimentSpec(
+        "dns_measurement", seeds=tuple(range(seed_count)))])
 
     print(f"== §II measurement study: {len(result)} synthetic populations "
           f"({result.elapsed_seconds:.2f}s, workers={workers}) ==")

@@ -40,7 +40,6 @@ from repro.experiments import (
     TestbedConfig,
     build_testbed,
 )
-from repro.experiments.runner import resolve_spec_tasks
 from repro.experiments.scenarios import time_lookups
 
 ZONE = "pool.ntp.org"
@@ -89,30 +88,24 @@ def _progress(done: int, total: int) -> None:
 def act_two_and_three(seed_count: int) -> None:
     print("\n== 2+3. every off-path vector × transport policy ==")
     seeds = tuple(range(1, seed_count + 1))
-    # One flat task stream for the whole grid on a single shared scheduler
-    # (rather than one ExperimentRunner per cell) so progress is reported
-    # over the entire sweep and nothing idles at per-cell barriers.
-    tasks = [task
+    # One spec per cell, all run as one stream on a single scheduler, so
+    # progress is reported over the entire grid and nothing idles at
+    # per-cell barriers.
+    specs = [ExperimentSpec(scenario=attack, seeds=seeds,
+                            base_params={**params, "defenses": defenses})
              for attack, params in ATTACKS
-             for _, defenses in STACKS
-             for task in resolve_spec_tasks(ExperimentSpec(
-                 scenario=attack, seeds=seeds,
-                 base_params={**params, "defenses": defenses}))]
-    scheduler = SweepScheduler(on_progress=_progress)
-    records, stats = scheduler.run_tasks(tasks)
+             for _, defenses in STACKS]
+    results, stats = SweepScheduler(on_progress=_progress).run_specs(specs)
     print(f"  {stats.formatted()}", file=sys.stderr)
 
     width = max(len(name) for name, _ in ATTACKS)
     header = " " * width + "".join(f" {label:>20}" for label, _ in STACKS)
     print(header)
-    cursor = 0
+    cells = iter(results)
     for attack, _ in ATTACKS:
         row = f"{attack:<{width}}"
         for _ in STACKS:
-            cell = records[cursor:cursor + len(seeds)]
-            cursor += len(seeds)
-            rate = sum(1 for r in cell if r.metrics["attack_succeeded"]) / len(cell)
-            row += f" {rate:>20.2f}"
+            row += f" {next(cells).success_rate():>20.2f}"
         print(row)
     print("\nstrict DoT clears every row (the 24h-hijack residual included);")
     print("opportunistic DoT falls to every attack that can force a downgrade.")

@@ -27,7 +27,7 @@ from repro.analysis import (
     dns_attack_comparison,
     shift_effort_table,
 )
-from repro.experiments import ExperimentRunner
+from repro.experiments import ExperimentSpec, SweepScheduler
 
 SEEDS = (11, 12, 13)
 TARGET_SHIFT = 600.0  # seconds
@@ -39,8 +39,8 @@ def run_victim(title: str, scenario: str, base_params: dict,
     # already shift-based, while for Chronos the end-to-end outcome this
     # comparison is about is the time-shifting phase, not the pool majority.
     print(f"== {title} ==")
-    result = ExperimentRunner(scenario, seeds=SEEDS,
-                              base_params=base_params).run()
+    (result,), _ = SweepScheduler().run_specs([ExperimentSpec(
+        scenario, seeds=SEEDS, base_params=base_params)])
     rate = result.success_rate(success_key)
     interval = result.success_interval(success_key)
     print(f"  seeds swept:                  {len(SEEDS)}")

@@ -25,7 +25,7 @@ from __future__ import annotations
 import sys
 
 from repro.attacks import analytic_pool_composition
-from repro.experiments import ExperimentRunner
+from repro.experiments import ExperimentSpec, SweepScheduler
 
 SEEDS = tuple(range(1, 11))
 TARGET_SHIFT = 600.0  # ten minutes
@@ -41,14 +41,13 @@ def main(poison_at_query: int = 3, workers: int = 1) -> None:
     print(f"  attacker fraction:   {analytic.malicious_fraction:.3f}")
     print(f"  attacker >= 2/3:     {analytic.attacker_has_two_thirds}\n")
 
-    result = ExperimentRunner(
+    (result,), _ = SweepScheduler(workers=workers).run_specs([ExperimentSpec(
         "chronos_pool_attack",
         seeds=SEEDS,
         base_params={"poison_at_query": poison_at_query,
                      "target_shift": TARGET_SHIFT,
                      "update_rounds": 6},
-        workers=workers,
-    ).run()
+    )])
 
     print(f"packet-level sweep over {len(SEEDS)} seeds "
           f"(workers={workers}, {result.elapsed_seconds:.2f}s):")

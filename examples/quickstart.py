@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Quickstart: run Chronos in a benign simulated Internet via the runner.
+"""Quickstart: run Chronos in a benign simulated Internet via the scheduler.
 
 Every experiment in this repo goes through the same engine: pick a scenario
-from the registry, hand :class:`repro.experiments.ExperimentRunner` a seed
-list and a parameter dict, and read the aggregate.  Here the attacker is
-disabled (``poison_at_query=None``), so the sweep simply shows a healthy
-Chronos client across several randomized worlds.
+from the registry, describe the sweep as an
+:class:`repro.experiments.ExperimentSpec` (seeds and a parameter dict), run
+it with :meth:`repro.experiments.SweepScheduler.run_specs`, and read the
+aggregate.  Here the attacker is disabled (``poison_at_query=None``), so
+the sweep simply shows a healthy Chronos client across several randomized
+worlds.
 
 Run with:  python examples/quickstart.py
 """
 
 from __future__ import annotations
 
-from repro.experiments import ExperimentRunner, available_scenarios
+from repro.experiments import ExperimentSpec, SweepScheduler, available_scenarios
 
 
 def main() -> None:
@@ -21,12 +23,12 @@ def main() -> None:
         print(f"  {name:<28} {description}")
 
     print("\n== benign Chronos, 4-seed sweep (no attacker) ==")
-    result = ExperimentRunner(
+    (result,), _ = SweepScheduler().run_specs([ExperimentSpec(
         "chronos_pool_attack",
-        seeds=[42, 43, 44, 45],
+        seeds=(42, 43, 44, 45),
         base_params={"poison_at_query": None, "target_shift": 0.0,
                      "update_rounds": 6},
-    ).run()
+    )])
     for record in result.records:
         print(f"  seed {record.seed}: pool size {record.metrics['pool_size']}, "
               f"{record.metrics['benign']} benign / "

@@ -16,14 +16,15 @@ The package is organised by subsystem:
 * :mod:`repro.analysis` — per-experiment sweeps and tables (experiments
   E1–E9, see the README);
 * :mod:`repro.experiments` — declarative testbeds, the scenario registry,
-  and the parallel multi-seed experiment runner.
+  and the parallel multi-seed sweep scheduler.
 
 Quick start::
 
-    from repro.experiments import ExperimentRunner
+    from repro.experiments import ExperimentSpec, SweepScheduler
 
-    result = ExperimentRunner("chronos_pool_attack", seeds=range(8),
-                              base_params={"poison_at_query": 3}).run()
+    spec = ExperimentSpec("chronos_pool_attack", seeds=tuple(range(8)),
+                          base_params={"poison_at_query": 3})
+    (result,), stats = SweepScheduler().run_specs([spec])
     print(result.success_rate(), result.success_interval().formatted())
 """
 

@@ -8,26 +8,27 @@ Three layers, composable but independently usable:
 * :mod:`~repro.experiments.registry` — the :class:`Scenario` protocol and
   the by-name registry that makes any scenario runnable from a config dict;
 * :mod:`~repro.experiments.runner` / :mod:`~repro.experiments.results` —
-  parallel multi-seed sweeps (:class:`ExperimentRunner`) with deterministic,
+  declarative multi-seed sweeps (:class:`ExperimentSpec`) with deterministic,
   order-preserving aggregation (:class:`ExperimentResult`);
 * :mod:`~repro.experiments.scheduler` / :mod:`~repro.experiments.cache` —
-  the sweep-execution layer: a single shared worker pool across any number
-  of sweeps (:class:`SweepScheduler`) and a persistent content-addressed
-  run cache (:class:`RunCache`) that makes re-runs incremental;
+  the sweep-execution layer: :meth:`SweepScheduler.run_specs`, the one way
+  to run cells, on a single shared worker pool across any number of specs,
+  and a persistent content-addressed run cache (:class:`RunCache`) that
+  makes re-runs incremental;
 * :mod:`~repro.experiments.matrix` — the attack × defense-stack grid
   (:func:`run_defense_matrix`), reproducing the paper's countermeasure
   analysis as one deterministic sweep.
 
 Quick start::
 
-    from repro.experiments import ExperimentRunner
+    from repro.experiments import ExperimentSpec, SweepScheduler
 
-    result = ExperimentRunner(
+    spec = ExperimentSpec(
         "chronos_pool_attack",
-        seeds=range(16),
+        seeds=tuple(range(16)),
         base_params={"poison_at_query": 3},
-        workers=4,
-    ).run()
+    )
+    (result,), stats = SweepScheduler(workers=4).run_specs([spec])
     print(result.success_rate(), result.success_interval().formatted())
 """
 
@@ -64,7 +65,7 @@ from .results import (
     mean_interval,
     wilson_interval,
 )
-from .runner import ExperimentRunner, ExperimentSpec, run_scenario
+from .runner import ExperimentSpec, run_scenario
 from .scheduler import (
     SweepError,
     SweepScheduler,
@@ -111,7 +112,6 @@ __all__ = [
     "RunRecord",
     "mean_interval",
     "wilson_interval",
-    "ExperimentRunner",
     "ExperimentSpec",
     "run_scenario",
     "DEFAULT_ZONE",

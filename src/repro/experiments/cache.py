@@ -101,7 +101,7 @@ class CacheStats:
     """Hit/miss/write accounting for one :class:`RunCache` instance."""
 
     __slots__ = ("hits", "misses", "writes", "corrupt_lines", "duplicate_lines",
-                 "invalidated", "write_errors")
+                 "write_errors")
 
     def __init__(self) -> None:
         self.hits = 0
@@ -109,7 +109,6 @@ class CacheStats:
         self.writes = 0
         self.corrupt_lines = 0
         self.duplicate_lines = 0
-        self.invalidated = 0
         self.write_errors = 0
 
     @property
@@ -300,43 +299,6 @@ class RunCache:
             shard = self._shards.get(key[:2])
             if shard is not None:
                 shard[key] = (entry, metrics)
-
-    # -- maintenance ---------------------------------------------------------
-    def invalidate_stale(self) -> int:
-        """Rewrite every shard dropping entries with outdated fingerprints.
-
-        Stale entries (whose scenario fingerprint no longer matches the
-        registered scenario) can never be *hit* — their keys are not derivable
-        any more — but they still occupy disk; this reclaims them.  Entries
-        for scenarios that are no longer registered are dropped too.  Returns
-        the number of entries removed.
-        """
-        removed = 0
-        current: dict[str, Optional[str]] = {}
-        for shard in list(self._shard_names_on_disk()):
-            entries = self._load_shard(shard)
-            kept: Shard = {}
-            for key, (entry, snapshot) in entries.items():
-                name = entry["record"]["scenario"]
-                if name not in current:
-                    try:
-                        current[name] = self.fingerprint(name)
-                    except KeyError:
-                        current[name] = None
-                if entry.get("fingerprint") == current[name]:
-                    kept[key] = (entry, snapshot)
-                else:
-                    removed += 1
-            if len(kept) != len(entries):
-                shard_path = self._shard_path(shard)
-                tmp_path = shard_path.with_suffix(".jsonl.tmp")
-                payload = b"".join(canonical_json(entry).encode() + b"\n"
-                                   for entry, _ in kept.values())
-                tmp_path.write_bytes(payload)
-                tmp_path.replace(shard_path)
-                self._shards[shard] = kept
-        self.stats.invalidated += removed
-        return removed
 
     # -- introspection -------------------------------------------------------
     def __len__(self) -> int:

@@ -1,8 +1,8 @@
 """Scenario registry: every attack scenario is runnable by name with a dict.
 
 The registry decouples *what* an experiment runs from *how* it is swept:
-:class:`repro.experiments.runner.ExperimentRunner` only ever sees a scenario
-name, a seed and a parameter dict, all of which are picklable and travel to
+:meth:`repro.experiments.scheduler.SweepScheduler.run_specs` only ever sees
+a scenario name, a seed and a parameter dict, all of which are picklable and travel to
 multiprocessing workers by value.  The built-in scenarios (the five attack
 scenarios plus the measurement scenarios) live in
 :mod:`repro.experiments.scenarios` and :mod:`repro.population.scenario` and

@@ -150,21 +150,6 @@ class ExperimentResult:
     def mean_interval(self, key: str, confidence: float = 0.95) -> ConfidenceInterval:
         return mean_interval(self.numeric_values(key), confidence)
 
-    # -- grouping --------------------------------------------------------------
-    def group_by(self, *param_keys: str) -> dict[tuple[Any, ...], ExperimentResult]:
-        """Split the result per grid point, keyed by the given parameter values.
-
-        Insertion order follows first appearance in ``records``, which is the
-        runner's deterministic task order.
-        """
-        groups: dict[tuple[Any, ...], ExperimentResult] = {}
-        for record in self.records:
-            key = tuple(record.params.get(name) for name in param_keys)
-            if key not in groups:
-                groups[key] = ExperimentResult(scenario=self.scenario)
-            groups[key].records.append(record)
-        return groups
-
     # -- canonical encoding -----------------------------------------------------
     def to_json(self) -> str:
         """Canonical JSON encoding of the ordered records (digest input)."""

@@ -1,10 +1,13 @@
-"""Parallel multi-seed experiment execution over the scenario registry.
+"""Declarative multi-seed sweeps over the scenario registry.
 
-An :class:`ExperimentSpec` describes a sweep declaratively — one scenario, a
-set of seeds, and either a cartesian parameter ``grid`` or an explicit list
-of ``param_sets`` — and :class:`ExperimentRunner` fans it out through the
-shared :class:`~repro.experiments.scheduler.SweepScheduler`.  Tasks are pure
-(scenario name, seed, params) tuples, workers return
+An :class:`ExperimentSpec` describes a sweep — one scenario, a set of seeds,
+and either a cartesian parameter ``grid`` or an explicit list of
+``param_sets`` — and :meth:`~repro.experiments.scheduler.SweepScheduler.
+run_specs` runs any list of them::
+
+    (result,), stats = SweepScheduler(workers=4).run_specs([spec])
+
+Tasks are pure (scenario name, seed, resolved params) tuples, workers return
 :class:`~repro.experiments.results.RunRecord` values, and the scheduler
 reassembles them in submission order, so the result of a sweep is
 byte-identical no matter how many workers executed it.
@@ -15,13 +18,10 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import product
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from .registry import get_scenario, merge_params, optional_params
-from .results import ExperimentResult, RunRecord
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .cache import RunCache
+from .results import RunRecord
 
 #: A unit of work: (scenario name, seed, fully-resolved parameter dict).
 Task = tuple[str, int, dict[str, Any]]
@@ -29,7 +29,7 @@ Task = tuple[str, int, dict[str, Any]]
 
 def run_scenario(name: str, seed: int,
                  params: Optional[Mapping[str, Any]] = None) -> dict[str, Any]:
-    """Run one scenario once by registry name; the runner's building block.
+    """Run one scenario once by registry name; every sweep task's building block.
 
     Also the recommended way for analysis code to drive a single packet-level
     run without constructing scenario objects by hand.
@@ -106,54 +106,3 @@ class ExperimentSpec:
         return [(self.scenario, seed, params)
                 for params in self.parameter_sets()
                 for seed in self.seeds]
-
-
-class ExperimentRunner:
-    """Fans a scenario out over seeds and a parameter grid, optionally in
-    parallel, and aggregates the runs into an :class:`ExperimentResult`.
-
-    Execution is delegated to :class:`~repro.experiments.scheduler.
-    SweepScheduler`: ``workers=1`` — or any sweep with no more tasks than
-    workers, where forking a pool would idle workers and cost more than the
-    tasks — runs inline, larger sweeps share a ``multiprocessing`` pool with
-    guided (decreasing) chunk sizes so long-tailed runs load-balance.
-    Because every run is fully determined by ``(scenario, seed, params)`` and
-    results are reassembled in task order, the aggregate is byte-identical
-    across worker counts.  Passing a :class:`~repro.experiments.cache.
-    RunCache` makes re-runs incremental: previously-computed cells replay
-    from disk.
-    """
-
-    def __init__(self, scenario: Optional[str] = None, *,
-                 seeds: Sequence[int] = (1,),
-                 base_params: Optional[Mapping[str, Any]] = None,
-                 grid: Optional[Mapping[str, Sequence[Any]]] = None,
-                 param_sets: Optional[Sequence[Mapping[str, Any]]] = None,
-                 workers: int = 1,
-                 cache: Optional["RunCache"] = None,
-                 spec: Optional[ExperimentSpec] = None) -> None:
-        if (spec is None) == (scenario is None):
-            raise ValueError("pass either a scenario name or a prebuilt spec")
-        if spec is None:
-            spec = ExperimentSpec(
-                scenario=scenario,
-                seeds=tuple(seeds),
-                base_params=dict(base_params or {}),
-                grid=dict(grid) if grid is not None else None,
-                param_sets=tuple(dict(overlay) for overlay in param_sets)
-                if param_sets is not None else None,
-            )
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        self.spec = spec
-        self.workers = workers
-        self.cache = cache
-
-    def run(self) -> ExperimentResult:
-        # Imported here (not at module top) because the scheduler imports
-        # this module for the picklable task/worker definitions.
-        from .scheduler import SweepScheduler
-
-        scheduler = SweepScheduler(workers=self.workers, cache=self.cache)
-        (result,), _ = scheduler.run_specs([self.spec])
-        return result

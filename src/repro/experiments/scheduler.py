@@ -1,14 +1,13 @@
-"""Shared sweep-execution layer: one worker pool for any number of sweeps.
+"""Shared sweep-execution layer: the one way to run scenario cells.
 
-:class:`~repro.experiments.runner.ExperimentRunner` executes one spec;
-the defense matrix is five of them, and the pre-scheduler implementation
-fanned each row through its *own* ``multiprocessing.Pool`` — paying the pool
-spawn cost five times and idling every worker at the barrier between rows.
-:class:`SweepScheduler` instead flattens all cells of any list of
+:meth:`SweepScheduler.run_specs` is the single entry point, for one sweep
+or many: it flattens the resolved cells of any list of
 :class:`~repro.experiments.runner.ExperimentSpec`\\ s into a single task
 stream, executes it on one shared pool, and reassembles the per-spec
 :class:`~repro.experiments.results.ExperimentResult`\\ s in deterministic
-order.
+order.  A defense matrix is one spec per row; fanning each row through its
+own ``multiprocessing.Pool`` would pay the spawn cost per row and idle
+every worker at the barrier between rows.
 
 Guarantees:
 
@@ -35,7 +34,7 @@ Guarantees:
   everything it finished.
 * **Crash isolation** — a task whose scenario raises comes back as a
   :class:`TaskFailure` marker instead of poisoning its whole chunk; failed
-  tasks are retried inline (``task_retries`` immediate attempts), and only
+  tasks are retried inline (:data:`TASK_RETRIES` immediate attempts), and only
   permanent failures raise :class:`SweepError` — after the rest of the
   stream has completed and been persisted.
 * **Pool-loss degradation** — a watchdog (``task_timeout`` seconds with no
@@ -62,6 +61,10 @@ from ..obs.metrics import MetricsSnapshot
 from .cache import RunCache
 from .results import ExperimentResult, RunRecord
 from .runner import ExperimentSpec, Task, _execute_task, resolve_spec_tasks
+
+#: How many times a task whose scenario raised is re-attempted (inline, in
+#: the parent) before it counts as a permanent failure.
+TASK_RETRIES = 1
 
 
 def guided_chunk_sizes(task_count: int, workers: int) -> list[int]:
@@ -184,9 +187,6 @@ class SweepStats:
     #: Summed wall-time of every executed task (the work the pool's worker
     #: lanes actually did; cache replays contribute nothing).
     task_seconds_total: float = 0.0
-    #: Wall-time of the slowest chunk (pooled) or task (inline) — the long
-    #: tail that guided chunking exists to keep off the critical path.
-    task_seconds_max: float = 0.0
     #: Merged per-task metrics (``collect_metrics=True`` only), folded in
     #: task-stream order — deterministic across worker counts and chunk
     #: completion order.  Cache replays contribute their *stored* snapshots
@@ -280,7 +280,7 @@ class SweepScheduler:
         Maximum worker processes.  ``1`` always runs inline.
     cache:
         Optional :class:`RunCache`; hits skip execution, misses are written
-        back after the stream completes.
+        back as they complete.
     on_progress:
         Optional callback invoked with ``(done, total)`` as tasks complete —
         once after cache replay, then per task inline or per completed chunk
@@ -294,9 +294,6 @@ class SweepScheduler:
         ``SweepStats.metrics`` (shipped back through the pool one snapshot
         per task).  Records are byte-identical either way; the
         default keeps the hot path free of the capture.
-    task_retries:
-        How many times a task whose scenario raised is re-attempted (inline,
-        in the parent) before it counts as a permanent failure.
     task_timeout:
         Watchdog: seconds to wait for *any* chunk to complete before the
         pool is declared lost and the remaining chunks re-run inline.
@@ -306,30 +303,36 @@ class SweepScheduler:
 
     def __init__(self, workers: int = 1, cache: Optional[RunCache] = None,
                  on_progress: Optional[ProgressCallback] = None,
-                 collect_metrics: bool = False, task_retries: int = 1,
+                 collect_metrics: bool = False,
                  task_timeout: Optional[float] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if task_retries < 0:
-            raise ValueError("task_retries must be non-negative")
         self.workers = workers
         self.cache = cache
         self.on_progress = on_progress
         self.collect_metrics = collect_metrics
-        self.task_retries = task_retries
         self.task_timeout = task_timeout
         self._done = 0
         self._total = 0
         self._stats = SweepStats()
 
-    # -- task-level API ------------------------------------------------------
-    def run_tasks(self, tasks: Sequence[Task]) -> tuple[list[RunRecord], SweepStats]:
-        """Execute fully-resolved tasks, returning records in task order.
+    def run_specs(self, specs: Sequence[ExperimentSpec]
+                  ) -> tuple[list[ExperimentResult], SweepStats]:
+        """Run every spec's cells as one flattened stream; one result per spec.
 
-        Raises :class:`SweepError` when any task still fails after every
-        retry; by then the rest of the stream has completed and (with a
-        cache attached) been persisted.
+        Each returned :class:`ExperimentResult` carries the records of its
+        spec, in that spec's own task order; ``elapsed_seconds`` is the
+        shared wall-clock of the whole stream (the per-spec share is not
+        meaningful under a shared pool).  Raises :class:`SweepError` when
+        any task still fails after every retry; by then the rest of the
+        stream has completed and (with a cache attached) been persisted.
         """
+        tasks: list[Task] = []
+        boundaries: list[tuple[int, int]] = []
+        for spec in specs:
+            resolved = resolve_spec_tasks(spec)
+            boundaries.append((len(tasks), len(tasks) + len(resolved)))
+            tasks.extend(resolved)
         start_time = time.perf_counter()
         stats = SweepStats(tasks_total=len(tasks), workers=self.workers)
         records: list[Optional[RunRecord]] = [None] * len(tasks)
@@ -376,7 +379,13 @@ class SweepScheduler:
         if failures:
             stats.tasks_failed = len(failures)
             raise SweepError(failures, stats)
-        return list(records), stats  # type: ignore[arg-type]
+        results = [
+            ExperimentResult(scenario=spec.scenario,
+                             records=records[start:stop],  # type: ignore[arg-type]
+                             elapsed_seconds=stats.elapsed_seconds)
+            for spec, (start, stop) in zip(specs, boundaries)
+        ]
+        return results, stats
 
     def _report_progress(self, newly_done: int) -> None:
         self._done += newly_done
@@ -437,7 +446,6 @@ class SweepScheduler:
                 snapshots[index] = snapshot
             finished.add(start)
             stats.task_seconds_total += task_seconds
-            stats.task_seconds_max = max(stats.task_seconds_max, task_seconds)
             self._report_progress(len(chunk_records))
 
         pool = None
@@ -493,7 +501,7 @@ class SweepScheduler:
         for index, failure in enumerate(results):
             if not isinstance(failure, TaskFailure):
                 continue
-            for _ in range(self.task_retries):
+            for _ in range(TASK_RETRIES):
                 stats.tasks_retried += 1
                 retried, duration, snapshot = _execute_task_guarded(
                     failure.task, self.collect_metrics)
@@ -509,27 +517,3 @@ class SweepScheduler:
             else:
                 results[index] = failure
 
-    # -- spec-level API ------------------------------------------------------
-    def run_specs(self, specs: Sequence[ExperimentSpec]
-                  ) -> tuple[list[ExperimentResult], SweepStats]:
-        """Run every spec's cells as one flattened stream; one result per spec.
-
-        Each returned :class:`ExperimentResult` carries the records of its
-        spec, in that spec's own task order; ``elapsed_seconds`` is the
-        shared wall-clock of the whole stream (the per-spec share is not
-        meaningful under a shared pool).
-        """
-        all_tasks: list[Task] = []
-        boundaries: list[tuple[int, int]] = []
-        for spec in specs:
-            resolved = resolve_spec_tasks(spec)
-            boundaries.append((len(all_tasks), len(all_tasks) + len(resolved)))
-            all_tasks.extend(resolved)
-        records, stats = self.run_tasks(all_tasks)
-        results = [
-            ExperimentResult(scenario=spec.scenario,
-                             records=records[start:stop],
-                             elapsed_seconds=stats.elapsed_seconds)
-            for spec, (start, stop) in zip(specs, boundaries)
-        ]
-        return results, stats

@@ -154,11 +154,10 @@ class ReassemblyBuffer:
             entry = _ReassemblyEntry(created_at=now)
             self._entries[key] = entry
 
-        self._store_non_overlapping(entry, fragment.fragment_offset, fragment.payload)
-        if fragment.spoofed:
-            entry.poisoned = True
-        if fragment.checksum_compensated:
-            entry.checksum_compensated = True
+        if self._store_non_overlapping(entry, fragment.fragment_offset, fragment.payload):
+            # Only a fragment whose bytes first-wins kept can splice the datagram.
+            entry.poisoned |= fragment.spoofed
+            entry.checksum_compensated |= fragment.checksum_compensated
         if not fragment.more_fragments:
             end = fragment.fragment_offset + len(fragment.payload)
             if entry.total_length is None or end > entry.total_length:
@@ -173,11 +172,15 @@ class ReassemblyBuffer:
                                 checksum_ok=checksum_ok)
 
     @staticmethod
-    def _store_non_overlapping(entry: _ReassemblyEntry, offset: int, payload: bytes) -> None:
-        """Insert only the byte ranges no earlier fragment covered (first wins)."""
+    def _store_non_overlapping(entry: _ReassemblyEntry, offset: int, payload: bytes) -> bool:
+        """Insert only the byte ranges no earlier fragment covered (first wins).
+
+        Returns whether any byte of ``payload`` was stored.
+        """
         covered = sorted((o, o + len(c)) for o, c in entry.chunks.items())
         position = offset
         end = offset + len(payload)
+        stored = False
         for cov_start, cov_end in covered:
             if cov_end <= position:
                 continue
@@ -185,9 +188,12 @@ class ReassemblyBuffer:
                 break
             if cov_start > position:
                 entry.chunks[position] = payload[position - offset:cov_start - offset]
+                stored = True
             position = max(position, cov_end)
         if position < end:
             entry.chunks[position] = payload[position - offset:]
+            stored = True
+        return stored
 
     def _try_complete(self, key: tuple, entry: _ReassemblyEntry) -> Optional[bytes]:
         """Return the reassembled wire bytes if the byte range is fully covered."""

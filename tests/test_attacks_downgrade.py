@@ -7,7 +7,7 @@ from _counters import count
 from repro import obs
 from repro.attacks.downgrade import DowngradeConfig, DowngradeScenario
 from repro.dns.records import RecordType
-from repro.experiments import ExperimentRunner, run_scenario
+from repro.experiments import ExperimentSpec, SweepScheduler, run_scenario
 from repro.experiments.pins import DOWNGRADE_SWEEP_DIGEST
 
 #: The downgrade sweep's policy axis: plaintext, strict DoT, opportunistic DoT.
@@ -73,8 +73,8 @@ def test_downgrade_scenario_via_registry_is_deterministic():
 
 
 def test_downgrade_sweep_digest_is_pinned():
-    sweep = ExperimentRunner("downgrade", seeds=range(1, 9),
-                             param_sets=POLICY_PARAM_SETS).run()
+    (sweep,), _ = SweepScheduler().run_specs([ExperimentSpec(
+        "downgrade", seeds=tuple(range(1, 9)), param_sets=POLICY_PARAM_SETS)])
     assert sweep.digest() == DOWNGRADE_SWEEP_DIGEST
 
 

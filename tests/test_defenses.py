@@ -32,7 +32,8 @@ from repro.dns.nameserver import DNS_PORT, PoolNTPNameserver
 from repro.dns.records import RecordType, a_record
 from repro.dns.resolver import RecursiveResolver, ResolverPolicy
 from repro.experiments import (
-    ExperimentRunner,
+    ExperimentSpec,
+    SweepScheduler,
     TestbedConfig,
     build_testbed,
     get_scenario,
@@ -99,11 +100,12 @@ def test_every_resolver_stack_opens_with_the_classic_defenses():
 def test_fragment_acceptance_sweep_is_pinned():
     # accept_fragments=False is the fragment_rejection defense; every run's
     # record (rejection counts included) is pinned.
-    result = ExperimentRunner("frag_poisoning", seeds=(1, 2, 3, 4), param_sets=[
-        {"accept_fragments": False},
-        {"accept_fragments": False, "defenses": ("dns_0x20", "ttl_discard")},
-        {"accept_fragments": True},
-    ]).run()
+    (result,), _ = SweepScheduler().run_specs([ExperimentSpec(
+        "frag_poisoning", seeds=(1, 2, 3, 4), param_sets=(
+            {"accept_fragments": False},
+            {"accept_fragments": False, "defenses": ("dns_0x20", "ttl_discard")},
+            {"accept_fragments": True},
+        ))])
     assert result.digest() == ("3b654327378e263c3f1d1727478df81e75ae544ff4770ed64d"
                                "1057261a343488")
 

@@ -14,7 +14,6 @@ import multiprocessing
 import pytest
 
 from repro.experiments import (
-    ExperimentRunner,
     ExperimentSpec,
     RunCache,
     RunRecord,
@@ -117,16 +116,6 @@ def test_fingerprint_change_invalidates_entries(cache, synthetic_scenario):
     changed = RunCache(cache.path)  # fresh instance: no memoised fingerprint
     assert changed.get_entry("synthetic", 7, record.params) is None  # silent miss
     assert len(changed) == 1  # the stale entry still occupies the store
-    assert changed.invalidate_stale() == 1
-    assert len(changed) == 0
-    assert changed.stats.invalidated == 1
-
-
-def test_invalidate_stale_keeps_current_entries(cache):
-    cache.put(make_record(seed=1))
-    cache.put(make_record(seed=2))
-    assert cache.invalidate_stale() == 0
-    assert len(cache) == 2
 
 
 # -- corruption tolerance ------------------------------------------------------
@@ -251,14 +240,13 @@ def test_parallel_writers_produce_a_consistent_store(cache, tmp_path):
         assert merged.get_entry("synthetic", seed, make_record(seed=seed).params) is not None
 
 
-# -- end-to-end through the runner ---------------------------------------------
+# -- end-to-end through the scheduler ------------------------------------------
 
 def test_runner_warm_cache_replays_digest_identically(tmp_path):
-    kwargs = {"seeds": (1, 2), "base_params": CHEAP}
-    cold = ExperimentRunner("bgp_hijack", workers=1,
-                            cache=RunCache(tmp_path / "rc"), **kwargs).run()
+    spec = ExperimentSpec("bgp_hijack", seeds=(1, 2), base_params=CHEAP)
+    (cold,), _ = SweepScheduler(cache=RunCache(tmp_path / "rc")).run_specs([spec])
     warm_cache = RunCache(tmp_path / "rc")
-    warm = ExperimentRunner("bgp_hijack", workers=1, cache=warm_cache, **kwargs).run()
+    (warm,), _ = SweepScheduler(cache=warm_cache).run_specs([spec])
     assert cold.digest() == warm.digest()
     assert cold.to_json() == warm.to_json()
     assert warm_cache.stats.hits == 2 and warm_cache.stats.misses == 0

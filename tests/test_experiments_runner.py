@@ -21,9 +21,9 @@ import repro
 
 from repro.experiments import (
     ExperimentResult,
-    ExperimentRunner,
     ExperimentSpec,
     RunRecord,
+    SweepScheduler,
     TestbedConfig,
     available_scenarios,
     build_testbed,
@@ -115,36 +115,36 @@ def test_every_scenario_runs_by_name_with_a_config_dict():
 # -- runner determinism ------------------------------------------------------------
 
 def test_parallel_two_seed_sweep_matches_sequential_bit_for_bit():
-    kwargs = {"seeds": (3, 4), "base_params": FAST_POOL_PARAMS}
-    sequential = ExperimentRunner("chronos_pool_attack", workers=1, **kwargs).run()
-    parallel = ExperimentRunner("chronos_pool_attack", workers=2, **kwargs).run()
+    spec = ExperimentSpec("chronos_pool_attack", seeds=(3, 4),
+                          base_params=FAST_POOL_PARAMS)
+    (sequential,), _ = SweepScheduler(workers=1).run_specs([spec])
+    (parallel,), _ = SweepScheduler(workers=2).run_specs([spec])
     assert sequential.records == parallel.records
     assert sequential.digest() == parallel.digest()
     assert sequential.to_json() == parallel.to_json()
 
 
 def test_parallel_sweep_equals_two_single_seed_runs():
-    singles = [
-        ExperimentRunner("chronos_pool_attack", seeds=(seed,),
-                         base_params=FAST_POOL_PARAMS).run()
-        for seed in (3, 4)
-    ]
-    swept = ExperimentRunner("chronos_pool_attack", seeds=(3, 4),
-                             base_params=FAST_POOL_PARAMS, workers=2).run()
+    singles, _ = SweepScheduler().run_specs([
+        ExperimentSpec("chronos_pool_attack", seeds=(seed,),
+                       base_params=FAST_POOL_PARAMS)
+        for seed in (3, 4)])
+    (swept,), _ = SweepScheduler(workers=2).run_specs([ExperimentSpec(
+        "chronos_pool_attack", seeds=(3, 4), base_params=FAST_POOL_PARAMS)])
     assert swept.records == singles[0].records + singles[1].records
 
 
 def test_same_spec_runs_are_reproducible():
     """Regression for the randomness audit: nothing outside the seeded RNGs."""
     spec = ExperimentSpec(scenario="traditional_client_attack", seeds=(5, 6, 7))
-    first = ExperimentRunner(spec=spec).run()
-    second = ExperimentRunner(spec=spec).run()
+    (first,), _ = SweepScheduler().run_specs([spec])
+    (second,), _ = SweepScheduler().run_specs([spec])
     assert first.digest() == second.digest()
 
 
 def test_records_carry_fully_resolved_params():
-    result = ExperimentRunner("bgp_hijack", seeds=(1,),
-                              base_params={"hijack_duration": 10.0}).run()
+    (result,), _ = SweepScheduler().run_specs([ExperimentSpec(
+        "bgp_hijack", seeds=(1,), base_params={"hijack_duration": 10.0})])
     record = result.records[0]
     assert record.params["hijack_duration"] == 10.0
     # Defaults are materialised into the record, not left implicit.
@@ -177,7 +177,7 @@ def test_param_sets_and_grid_are_mutually_exclusive():
 ])
 def test_runner_rejects_bad_seed_lists(seeds, match):
     with pytest.raises(ValueError, match=match):
-        ExperimentRunner("bgp_hijack", seeds=seeds)
+        ExperimentSpec("bgp_hijack", seeds=seeds)
 
 
 @pytest.mark.parametrize("shape", [
@@ -187,20 +187,17 @@ def test_runner_rejects_bad_seed_lists(seeds, match):
 ])
 def test_sweep_expanding_to_zero_parameter_sets_is_rejected(shape):
     with pytest.raises(ValueError, match="zero parameter sets"):
-        ExperimentRunner("bgp_hijack", seeds=(1,), **shape)
+        ExperimentSpec("bgp_hijack", seeds=(1,), **shape)
 
 
-def test_grid_grouping_by_parameter():
-    result = ExperimentRunner(
-        "bgp_hijack", seeds=(1, 2),
-        grid={"hijack_duration": [0.0, 30.0]},
-        base_params={"benign_server_count": 10},
-    ).run()
-    groups = result.group_by("hijack_duration")
-    assert list(groups) == [(0.0,), (30.0,)]
+def test_hijack_window_decides_the_bgp_outcome():
+    results, _ = SweepScheduler().run_specs([
+        ExperimentSpec("bgp_hijack", seeds=(1, 2),
+                       base_params={"benign_server_count": 10,
+                                    "hijack_duration": duration})
+        for duration in (0.0, 30.0)])
     # No hijack window -> the benign lookup cannot be poisoned.
-    assert groups[(0.0,)].success_rate() == 0.0
-    assert groups[(30.0,)].success_rate() == 1.0
+    assert [result.success_rate() for result in results] == [0.0, 1.0]
 
 
 # -- aggregates --------------------------------------------------------------------

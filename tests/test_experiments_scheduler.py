@@ -15,7 +15,6 @@ import pytest
 from repro.experiments import (
     AttackSpec,
     DefenseStackSpec,
-    ExperimentRunner,
     ExperimentSpec,
     RunCache,
     SweepError,
@@ -74,7 +73,7 @@ def _two_specs():
 
 def test_run_specs_matches_individual_runners_bit_for_bit():
     shared, stats = SweepScheduler(workers=1).run_specs(_two_specs())
-    individual = [ExperimentRunner(spec=spec, workers=1).run()
+    individual = [SweepScheduler(workers=1).run_specs([spec])[0][0]
                   for spec in _two_specs()]
     assert stats.tasks_total == 4
     assert [result.scenario for result in shared] == ["bgp_hijack", "frag_poisoning"]
@@ -203,7 +202,7 @@ def test_interrupted_sweep_persists_completed_records(tmp_path):
     assert len(excinfo.value.failures) == 1
     assert excinfo.value.failures[0].task[0] == "chronos_pool_attack"
     assert excinfo.value.stats.tasks_failed == 1
-    assert excinfo.value.stats.tasks_retried == 1  # default task_retries=1
+    assert excinfo.value.stats.tasks_retried == 1  # TASK_RETRIES = 1
     survivor = RunCache(tmp_path / "rc")
     assert len(survivor) == 1  # the completed first task reached disk
 

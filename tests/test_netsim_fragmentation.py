@@ -266,6 +266,7 @@ def test_later_forged_overlap_does_not_overwrite():
     assert result.datagram is not None
     assert result.datagram.payload == datagram.payload
     assert result.checksum_ok
+    assert result.poisoned is False
 
 
 def test_completed_counter_increments():

@@ -7,7 +7,9 @@ from repro.attacks.frag_poisoning import FragPoisoningConfig, FragPoisoningScena
 from repro.experiments import (
     LEGACY_ATTACKS,
     LEGACY_STACKS,
+    ExperimentSpec,
     SweepScheduler,
+    get_scenario,
     run_defense_matrix,
 )
 from repro.obs.timeline import (
@@ -137,12 +139,15 @@ def test_matrix_digest_identical_with_worker_metrics():
 
 
 def test_scheduler_ships_metrics_through_the_pool():
-    tasks = [("frag_poisoning", seed, {}) for seed in (1, 2, 3)]
-    inline, inline_stats = SweepScheduler(
-        workers=1, collect_metrics=True).run_tasks(tasks)
-    pooled, pooled_stats = SweepScheduler(
-        workers=2, collect_metrics=True).run_tasks(tasks)
-    assert [r.canonical() for r in inline] == [r.canonical() for r in pooled]
+    spec = ExperimentSpec("frag_poisoning", seeds=(1, 2, 3))
+    (inline,), inline_stats = SweepScheduler(
+        workers=1, collect_metrics=True).run_specs([spec])
+    (pooled,), pooled_stats = SweepScheduler(
+        workers=2, collect_metrics=True).run_specs([spec])
+    assert not pooled_stats.executed_inline
+    defaults = get_scenario("frag_poisoning").default_params()
+    assert all(set(defaults) <= set(record.params) for record in inline.records)
+    assert inline.to_json() == pooled.to_json()
     assert inline_stats.metrics.to_dict() == pooled_stats.metrics.to_dict()
     assert inline_stats.task_seconds_total > 0
     assert 0.0 <= inline_stats.worker_utilization <= 1.0

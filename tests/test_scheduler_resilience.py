@@ -132,21 +132,13 @@ def test_permanent_failure_raises_sweep_error_with_failures_attached(tmp_path):
     spec = ExperimentSpec(scenario="flaky_probe", seeds=(1,),
                           base_params={"marker_dir": str(tmp_path / "missing" / "x")})
     with pytest.raises(SweepError) as excinfo:
-        SweepScheduler(workers=1, task_retries=2).run_specs([spec])
+        SweepScheduler(workers=1).run_specs([spec])
     error = excinfo.value
     assert len(error.failures) == 1
     assert isinstance(error.failures[0], TaskFailure)
-    assert error.failures[0].attempts == 3      # initial + 2 retries
-    assert error.stats.tasks_retried == 2
+    assert error.failures[0].attempts == 2      # initial + TASK_RETRIES
+    assert error.stats.tasks_retried == 1
     assert error.stats.tasks_failed == 1
-
-
-def test_task_retries_zero_disables_the_retry_pass(tmp_path):
-    spec = ExperimentSpec(scenario="flaky_probe", seeds=(1,),
-                          base_params={"marker_dir": str(tmp_path)})
-    with pytest.raises(SweepError) as excinfo:
-        SweepScheduler(workers=1, task_retries=0).run_specs([spec])
-    assert excinfo.value.stats.tasks_retried == 0
 
 
 def test_failing_task_does_not_poison_its_chunk_mates(tmp_path):
