@@ -200,6 +200,17 @@ def test_hijack_window_decides_the_bgp_outcome():
     assert [result.success_rate() for result in results] == [0.0, 1.0]
 
 
+def test_grid_spec_runs_every_cell_with_seeds_innermost():
+    (result,), stats = SweepScheduler().run_specs([ExperimentSpec(
+        "bgp_hijack", seeds=(1, 2), grid={"hijack_duration": [0.0, 30.0]},
+        base_params={"benign_server_count": 10})])
+    assert stats.tasks_total == 4
+    assert [(record.params["hijack_duration"], record.seed)
+            for record in result.records] == [(0.0, 1), (0.0, 2), (30.0, 1), (30.0, 2)]
+    assert [record.metrics["attack_succeeded"] for record in result.records] == [
+        False, False, True, True]
+
+
 # -- aggregates --------------------------------------------------------------------
 
 def _synthetic_result() -> ExperimentResult:

@@ -269,6 +269,50 @@ def test_later_forged_overlap_does_not_overwrite():
     assert result.poisoned is False
 
 
+def test_later_compensated_duplicate_flags_nothing():
+    # A forged, checksum-compensated copy that arrives after the genuine
+    # fragment keeps none of its bytes, so neither flag may reach the result.
+    datagram = make_datagram(size=1500)
+    fragments = fragment_datagram(datagram, ip_id=5, mtu=548)
+    forged_copy = replace(fragments[1], spoofed=True, checksum_compensated=True)
+    buffer = ReassemblyBuffer()
+    buffer.add_fragment(fragments[1], 0.0)
+    buffer.add_fragment(forged_copy, 0.0)
+    result = buffer.add_fragment(fragments[0], 0.1)
+    for fragment in fragments[2:]:
+        if result.datagram is None:
+            result = buffer.add_fragment(fragment, 0.1)
+    assert result.datagram == datagram
+    assert result.checksum_ok
+    assert result.poisoned is False
+    assert result.checksum_compensated is False
+
+
+def test_forged_fragment_kept_only_in_a_gap_still_poisons():
+    # The forged fragment spans the first two fragments' range; the genuine
+    # second fragment is already held, so first-wins keeps only the forged
+    # bytes of the gap before it, and that part alone splices the datagram.
+    datagram = make_datagram(size=1500)
+    fragments = fragment_datagram(datagram, ip_id=5, mtu=548)
+    head, second = fragments[0], fragments[1]
+    genuine_span = head.payload + second.payload
+    forged_span = genuine_span[:8] + bytes(b ^ 0x55 for b in genuine_span[8:])
+    forged = replace(head, payload=forged_span, spoofed=True)
+    buffer = ReassemblyBuffer()
+    buffer.add_fragment(second, 0.0)
+    buffer.add_fragment(forged, 0.0)
+    result = buffer.add_fragment(head, 0.1)
+    for fragment in fragments[2:]:
+        if result.datagram is None:
+            result = buffer.add_fragment(fragment, 0.1)
+    assert result.datagram is not None
+    gap = len(head.payload) - 8  # application bytes the forged head supplied
+    assert result.datagram.payload[:gap] == forged_span[8:len(head.payload)]
+    assert result.datagram.payload[gap:] == datagram.payload[gap:]
+    assert result.poisoned is True
+    assert not result.checksum_ok
+
+
 def test_completed_counter_increments():
     datagram = make_datagram(size=1500)
     buffer = ReassemblyBuffer()
