@@ -123,10 +123,13 @@ def _text_digest(lines: list[str]) -> str:
 class CampaignRunner:
     """Drive one campaign directory: state journal, cache and report.
 
-    :meth:`run` is the only place a step changes state in the journal.
-    A running sweep's live ``done`` count is saved at most every
-    ``progress_interval`` seconds, so ``campaign status`` in another
-    process can follow it.
+    :meth:`run` is the only place a step changes state in the journal and
+    the only place it is saved: (a) when a sweep first reports a cell still
+    to run after cache replay, so ``campaign status`` reads ``running`` as
+    soon as real work starts; (b) at most every ``progress_interval``
+    seconds while cells execute; (c) when a step that executed cells
+    completes; (d) when a step fails; (e) once when the run ends.  A warm
+    re-run, which executes no cell, writes the journal once.
     """
 
     def __init__(self, manifest: CampaignManifest, directory: Path,
@@ -144,7 +147,6 @@ class CampaignRunner:
                                    manifest.name, manifest.fingerprint(),
                                    [step.name for step in self.steps])
         self.cache = RunCache(self.directory / "cache")
-        self._saved_at = 0.0
 
     def _report_progress(self, step_name: str, done: int, total: int) -> None:
         if self.on_progress is not None:
@@ -160,7 +162,7 @@ class CampaignRunner:
         for step in self.steps:
             total = step.payload.cell_count if step.kind == "sweep" else 1
             state.step_started(step.name, total)
-            started = self._saved_at = time.monotonic()
+            started = time.monotonic()
             self._report_progress(step.name, 0, total)
             try:
                 if step.kind == "sweep":
@@ -173,6 +175,7 @@ class CampaignRunner:
                     outcome, report_dir = self._run_report(step, outcomes)
             except Exception as exc:
                 state.step_failed(step.name, f"{type(exc).__name__}: {exc}")
+                state.save()
                 self._report_progress(step.name, state.step(step.name)["done"], total)
                 raise CampaignError(step.name, exc) from exc
             outcome.telemetry["wall_seconds"] = time.monotonic() - started
@@ -180,21 +183,27 @@ class CampaignRunner:
                 step.name, outcome.digest, metrics=outcome.metrics,
                 seeds=step.payload.seeds if step.kind == "sweep" else None,
                 telemetry=outcome.telemetry)
+            if outcome.telemetry.get("executed"):
+                state.save()
             outcome.previous_digest = state.previous_digest(step.name)
             outcome.expected_digest = self.manifest.expected_digests.get(step.name)
             outcomes.append(outcome)
             self._report_progress(step.name, total, total)
+        state.save()
         return CampaignResult(manifest=self.manifest, directory=self.directory,
                               outcomes=outcomes, report_dir=report_dir)
 
     def _run_sweep(self, step: Step, results: dict[str, Any]) -> StepOutcome:
         sweep = step.payload
+        saved_at = float("-inf")
 
         def cell_progress(done: int, _total: int) -> None:
+            nonlocal saved_at
             self.state.step_progress(step.name, done)
+            # Save points (a) and (b); completion (c) saves the final count.
             moment = time.monotonic()
-            if moment - self._saved_at >= self.progress_interval:
-                self._saved_at = moment
+            if done < sweep.cell_count and moment - saved_at >= self.progress_interval:
+                saved_at = moment
                 self.state.save()
             self._report_progress(step.name, done, sweep.cell_count)
 

@@ -1,15 +1,16 @@
 """Atomic checkpoint journal for campaign runs.
 
-The state file is a single JSON document written atomically (tmp file +
-``Path.replace``) at every step transition, so a SIGKILL at any instant
-leaves either the previous or the next consistent journal on disk — never
-a torn one.  Each save re-encodes only the step entry that changed, and
-the bytes equal ``json.dumps(data, indent=2)``.  If the file *is* damaged
-some other way (disk corruption, manual edits, a wrongly shaped document),
-:meth:`CampaignState.load` degrades to a fresh journal and
-the campaign recomputes through the :class:`~repro.experiments.cache.RunCache`,
-which remains the cell-level source of truth.  Losing the journal costs
-bookkeeping, never results.
+The state file is a single JSON document, ``json.dumps(data, indent=2)``,
+written atomically (tmp file + ``Path.replace``) whenever the runner saves,
+so a SIGKILL at any instant leaves either the previous or the next
+consistent journal on disk — never a torn one.  Transitions only change
+the in-memory document; :class:`~repro.campaign.runner.CampaignRunner`
+decides when to write it, so a warm re-run that executes no cell writes it
+once.  If the file *is* damaged some other way (disk corruption, manual
+edits, a wrongly shaped document), :meth:`CampaignState.load` degrades to
+a fresh journal and the campaign recomputes through the
+:class:`~repro.experiments.cache.RunCache`, which remains the cell-level
+source of truth.  Losing the journal costs bookkeeping, never results.
 
 Per step the journal records status, live ``done``/``total_tasks``
 progress, the digest and seed range it completed with, the merged
@@ -39,26 +40,27 @@ FAILED = "failed"
 STALE = "stale"
 
 
-def _atomic_write_json(path: Path, payload: dict[str, Any] | str) -> None:
+def _atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
     """Write *payload* so readers always see a complete JSON document.
 
-    A string is written as is: already the ``json.dumps(indent=2)`` text.
     Key order is preserved (steps stay in pipeline order for human
     readers); the document is bookkeeping, not digest input.
     """
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     tmp.replace(path)
 
 
 class CampaignState:
     """The persisted journal for one campaign directory.
 
-    Every transition saves immediately, so the in-memory dict mirrors the
-    on-disk document at every step boundary; :meth:`step_progress` leaves
-    the save to the caller's throttle.  Step entries change only through
-    these helpers, which drop the entry's cached encoding.
+    The transitions (:meth:`begin_run`, :meth:`step_started`,
+    :meth:`step_progress`, :meth:`step_completed`, :meth:`step_failed`)
+    change only the in-memory dict; :meth:`save` writes it.  The runner
+    saves at five points: when a sweep first reports a cell still to run
+    after cache replay, at most every ``progress_interval`` seconds while
+    cells execute, when a step that executed cells completes, when a step
+    fails, and once when the run ends.
     """
 
     def __init__(self, path: Path, name: str, fingerprint: str,
@@ -71,8 +73,6 @@ class CampaignState:
             loaded = {"version": STATE_VERSION, "campaign": name,
                       "fingerprint": fingerprint, "runs": 0, "steps": {}}
         self.data = loaded
-        #: Step name -> that entry's encoding, nested at its depth in the file.
-        self._step_texts: dict[str, str] = {}
         self._reconcile(name, fingerprint, step_names)
 
     # -- loading -------------------------------------------------------------
@@ -156,28 +156,23 @@ class CampaignState:
     # -- transitions ---------------------------------------------------------
     def begin_run(self) -> int:
         self.data["runs"] = self.runs + 1
-        self.save()
         return self.runs
 
     def step_started(self, name: str, total_tasks: int) -> None:
-        self._step_texts.pop(name, None)
         entry = self.step(name)
         entry["status"] = RUNNING
         entry["total_tasks"] = total_tasks
         entry["done"] = 0
         entry.pop("error", None)
-        self.save()
 
     def step_progress(self, name: str, done: int) -> None:
-        """Record a running step's completed-task count; the caller saves."""
-        self._step_texts.pop(name, None)
+        """Record a running step's completed-task count."""
         self.step(name)["done"] = done
 
     def step_completed(self, name: str, digest: str, *,
                        seeds: Optional[list[int]] = None,
                        metrics: Optional[dict[str, Any]] = None,
                        telemetry: Optional[dict[str, Any]] = None) -> None:
-        self._step_texts.pop(name, None)
         entry = self.step(name)
         entry["status"] = DONE
         entry["digest"] = digest
@@ -194,35 +189,14 @@ class CampaignState:
                         "fingerprint": self.data.get("fingerprint")})
         # The history is a drift record, not an unbounded log.
         del history[:-20]
-        self.save()
 
     def step_failed(self, name: str, error: str) -> None:
-        self._step_texts.pop(name, None)
         entry = self.step(name)
         entry["status"] = FAILED
         entry["error"] = error
-        self.save()
 
     def save(self) -> None:
-        """Write ``json.dumps(self.data, indent=2) + "\\n"``, byte for byte.
-
-        Only entries changed since the last save are encoded.  ``json.dumps``
-        escapes newlines inside strings, so nesting a text is a replace.
-        """
-        steps, texts = self.data["steps"], self._step_texts
-        for name in steps.keys() - texts.keys():
-            texts[name] = (f"    {json.dumps(name)}: "
-                           + json.dumps(steps[name], indent=2).replace("\n", "\n    "))
-        members = []
-        for key, value in self.data.items():
-            if key != "steps":
-                text = json.dumps(value, indent=2).replace("\n", "\n  ")
-            elif steps:
-                text = "{\n" + ",\n".join(texts[name] for name in steps) + "\n  }"
-            else:
-                text = "{}"
-            members.append(f"  {json.dumps(key)}: {text}")
-        _atomic_write_json(self.path, "{\n" + ",\n".join(members) + "\n}\n")
+        _atomic_write_json(self.path, self.data)
 
 
 def _is_int(value: Any) -> bool:

@@ -19,12 +19,12 @@ Guarantees:
   (``remaining / (2 * workers)``, floor 1): early chunks are large to
   amortise IPC, late chunks shrink to single tasks so one slow scenario
   cannot leave the other workers idle at the end of the stream.
-* **No idle workers** — when the (post-cache) pending task count does not
-  exceed the worker count, no pool is forked: forking a pool that runs one
-  task per worker costs more than the tasks themselves for the
-  packet-level scenarios in this reproduction.  The stream then runs
-  inline as one-task chunks through the same loop that recovers a lost
-  pool's chunks.
+* **No idle workers** — the pool never outnumbers the usable CPUs, and
+  when the (post-cache) pending task count does not exceed the worker
+  count, no pool is forked: a pool that runs one task per worker costs
+  more than the tasks themselves for this reproduction's scenarios.  The
+  stream then runs inline as one-task chunks through the same loop that
+  recovers a lost pool's chunks.
 * **Incremental re-runs** — with a :class:`~repro.experiments.cache.RunCache`
   attached, previously-computed cells are replayed from disk and only the
   genuinely new ``(scenario, seed, params)`` combinations reach the pool;
@@ -50,6 +50,7 @@ Guarantees:
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -65,6 +66,14 @@ from .runner import ExperimentSpec, Task, _execute_task, resolve_spec_tasks
 #: How many times a task whose scenario raised is re-attempted (inline, in
 #: the parent) before it counts as a permanent failure.
 TASK_RETRIES = 1
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 def guided_chunk_sizes(task_count: int, workers: int) -> list[int]:
@@ -277,7 +286,8 @@ class SweepScheduler:
     Parameters
     ----------
     workers:
-        Maximum worker processes.  ``1`` always runs inline.
+        Maximum worker processes, capped at :func:`usable_cpus`.  ``1``
+        always runs inline.
     cache:
         Optional :class:`RunCache`; hits skip execution, misses are written
         back as they complete.
@@ -307,7 +317,7 @@ class SweepScheduler:
                  task_timeout: Optional[float] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        self.workers = workers
+        self.workers = min(workers, usable_cpus())
         self.cache = cache
         self.on_progress = on_progress
         self.collect_metrics = collect_metrics

@@ -21,6 +21,18 @@ from repro.ntp.server import NTPServer
 
 
 @pytest.fixture
+def pool_cpus(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Let a pooled-path test fork its pool on any host.
+
+    The scheduler caps its pool at the usable CPUs; with eight of them seen,
+    the worker counts the tests ask for (2 and 4) are never cut.
+    """
+    import repro.experiments.scheduler as scheduler_module
+
+    monkeypatch.setattr(scheduler_module, "usable_cpus", lambda: 8)
+
+
+@pytest.fixture
 def simulator() -> Simulator:
     """A fresh deterministic simulator."""
     return Simulator(seed=1234)

@@ -277,6 +277,7 @@ class TestState:
         state = CampaignState(path, "c", "fp", ["x"])
         state.begin_run()
         state.step_started("x", 4)
+        state.save()
         state.step_progress("x", 3)
         assert json.loads(path.read_text(encoding="utf-8"))["steps"]["x"]["done"] == 0
         state.save()
@@ -290,6 +291,7 @@ class TestState:
         first.begin_run()
         first.step_started("x", 4)
         first.step_completed("x", "d" * 64)
+        first.save()
         second = CampaignState(path, "c", "fp2", ["x"])
         assert second.stale_checkpoint
         assert second.status("x") == "stale"
@@ -301,6 +303,7 @@ class TestState:
         first = CampaignState(path, "c", "fp", ["x"])
         first.begin_run()
         first.step_started("x", 4)
+        first.save()
         second = CampaignState(path, "c", "fp", ["x"])
         assert second.status("x") == "pending"
 
@@ -313,6 +316,14 @@ class TestState:
         state.begin_run()
         state.step_completed("x", "b" * 64)
         assert state.previous_digest("x") == "a" * 64
+
+    def test_history_keeps_the_last_20_runs(self, tmp_path):
+        state = CampaignState(tmp_path / "state.json", "c", "fp", ["x"])
+        for run in range(25):
+            state.begin_run()
+            state.step_completed("x", f"{run:064x}")
+        history = state.step("x")["history"]
+        assert [entry["run"] for entry in history] == list(range(6, 26))
 
 
 # -- figures -----------------------------------------------------------------
@@ -423,26 +434,62 @@ class TestCampaignEndToEnd:
     def test_status_on_missing_directory(self, tmp_path):
         assert "no readable campaign state" in campaign_status(tmp_path)
 
-    def test_journal_is_the_only_file_written_atomically(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _record_writes(monkeypatch) -> list:
+        """Record every journal write as ``(path, expected text, text on disk)``."""
         import repro.campaign.state as state_module
 
-        directory = tmp_path / "c"
         writes: list = []
         write = state_module._atomic_write_json
 
         def recording(path, payload):
-            writes.append(path)
+            expected = json.dumps(payload, indent=2) + "\n"
             write(path, payload)
+            writes.append((path, expected, path.read_text(encoding="utf-8")))
 
         monkeypatch.setattr(state_module, "_atomic_write_json", recording)
-        # An infinite interval leaves only the transitions: one run start,
-        # then each step's start and completion.
-        for _ in range(2):  # cold, then warm
+        return writes
+
+    def test_journal_is_the_only_file_written_atomically(self, tmp_path, monkeypatch):
+        directory = tmp_path / "c"
+        writes = self._record_writes(monkeypatch)
+        # An infinite interval leaves the fixed save points.  Cold: each of
+        # the two sweeps saves at its first executed cell and at its
+        # completion, then the run's end saves once.  Warm: only the end.
+        for expected_writes in (5, 1):
             writes.clear()
-            runner = CampaignRunner(CampaignManifest.from_spec(TINY_SPEC),
-                                    directory, progress_interval=float("inf"))
-            runner.run()
-            assert writes == [directory / "state.json"] * (1 + 2 * len(runner.steps))
+            CampaignRunner(CampaignManifest.from_spec(TINY_SPEC), directory,
+                           progress_interval=float("inf")).run()
+            assert [path for path, _, _ in writes] == (
+                [directory / "state.json"] * expected_writes)
+            assert all(on_disk == expected for _, expected, on_disk in writes)
+
+    def test_warm_rerun_writes_the_journal_once(self, tmp_path, monkeypatch):
+        directory = tmp_path / "c"
+        run_campaign(TINY_SPEC, directory)
+        writes = self._record_writes(monkeypatch)
+        # Even the most eager throttle: a replayed sweep has no cell to run.
+        CampaignRunner(CampaignManifest.from_spec(TINY_SPEC), directory,
+                       progress_interval=0.0).run()
+        assert [path for path, _, _ in writes] == [directory / "state.json"]
+        journal = json.loads(writes[0][2])
+        assert journal["runs"] == 2
+        assert {entry["status"] for entry in journal["steps"].values()} == {"done"}
+
+    def test_cold_sweep_journal_reads_running_after_its_first_cell(self, tmp_path):
+        directory = tmp_path / "c"
+        on_disk: list[tuple[int, str, int]] = []
+
+        def watch(step: str, done: int, total: int) -> None:
+            if step == "sweep:grid" and 0 < done < total:
+                entry = json.loads((directory / "state.json").read_text(
+                    encoding="utf-8"))["steps"]["sweep:grid"]
+                on_disk.append((done, entry["status"], entry["done"]))
+
+        CampaignRunner(CampaignManifest.from_spec(TINY_SPEC), directory,
+                       on_progress=watch, progress_interval=float("inf")).run()
+        # Saved at the first executed cell, not again until the step ends.
+        assert on_disk == [(1, "running", 1), (2, "running", 1), (3, "running", 1)]
 
     def test_pin_mismatch_is_highlighted(self, tmp_path):
         result = run_campaign(TINY_SPEC, tmp_path / "c")

@@ -10,8 +10,11 @@ cache runs.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
+import repro.experiments.scheduler as scheduler_module
 from repro.experiments import (
     AttackSpec,
     DefenseStackSpec,
@@ -23,6 +26,9 @@ from repro.experiments import (
     matrix_specs,
     run_defense_matrix,
 )
+
+# The pooled-path tests must not depend on the host's CPU count.
+pytestmark = pytest.mark.usefixtures("pool_cpus")
 
 CHEAP_BGP = {"benign_server_count": 10}
 CHEAP_FRAG = {"benign_server_count": 40}
@@ -105,6 +111,34 @@ def test_inline_fallback_when_workers_would_idle():
     _, stats = SweepScheduler(workers=2).run_specs([spec])
     assert not stats.executed_inline
     assert stats.chunks >= 2
+
+
+def test_pool_never_exceeds_the_usable_cpus(monkeypatch):
+    started: list[int] = []
+
+    class RecordingMP:
+        TimeoutError = multiprocessing.TimeoutError
+
+        @staticmethod
+        def Pool(processes):
+            started.append(processes)
+            return multiprocessing.Pool(processes=processes)
+
+    monkeypatch.setattr(scheduler_module, "multiprocessing", RecordingMP)
+    spec = ExperimentSpec(scenario="bgp_hijack", seeds=tuple(range(1, 7)),
+                          base_params=CHEAP_BGP)
+    # 8 workers asked for on 2 usable CPUs: a 2-process pool, and 6 tasks
+    # are more than 2 workers, so the stream pools.
+    monkeypatch.setattr(scheduler_module, "usable_cpus", lambda: 2)
+    (pooled,), stats = SweepScheduler(workers=8).run_specs([spec])
+    assert started == [2]
+    assert stats.workers == 2 and not stats.executed_inline
+    # One usable CPU: no pool at all.
+    monkeypatch.setattr(scheduler_module, "usable_cpus", lambda: 1)
+    (inline,), stats = SweepScheduler(workers=8).run_specs([spec])
+    assert started == [2]
+    assert stats.workers == 1 and stats.executed_inline
+    assert inline.digest() == pooled.digest()
 
 
 def test_scheduler_rejects_bad_worker_count():

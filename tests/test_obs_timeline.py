@@ -138,7 +138,7 @@ def test_matrix_digest_identical_with_worker_metrics():
     assert merged.counter("sim.events_executed") > 0
 
 
-def test_scheduler_ships_metrics_through_the_pool():
+def test_scheduler_ships_metrics_through_the_pool(pool_cpus):
     spec = ExperimentSpec("frag_poisoning", seeds=(1, 2, 3))
     (inline,), inline_stats = SweepScheduler(
         workers=1, collect_metrics=True).run_specs([spec])

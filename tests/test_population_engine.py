@@ -325,7 +325,7 @@ def test_population_specs_cover_the_fleet_in_cohorts():
     assert len(spec.tasks()) == 6  # 3 cohorts x 2 seeds
 
 
-def test_sharded_sweep_digest_is_worker_count_stable():
+def test_sharded_sweep_digest_is_worker_count_stable(pool_cpus):
     base = {"resolvers": 7, "update_rounds": 2, "backend": "python"}
     specs = population_specs(clients=120, cohort_size=30, seeds=(3,),
                              base_params=base)

@@ -33,6 +33,9 @@ from repro.experiments.scheduler import (
     _execute_chunk,
 )
 
+# The pooled-path tests must not depend on the host's CPU count.
+pytestmark = pytest.mark.usefixtures("pool_cpus")
+
 # -- test-only scenarios ------------------------------------------------------
 # Registered at module import; the pool's forked workers inherit them.
 
