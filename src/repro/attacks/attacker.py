@@ -35,6 +35,8 @@ from ..ntp.server import MaliciousNTPServer
 #: TTL the paper's attacker uses: anything comfortably above 24 hours keeps
 #: every later pool-generation query inside the cache.
 DEFAULT_MALICIOUS_TTL = 2 * SECONDS_PER_DAY
+#: The block the attacker's malicious NTP servers are allocated from.
+ATTACKER_ADDRESS_BLOCK = "198.51.100.0/24"
 
 
 class ImpersonatingNameserver(AuthoritativeNameserver):
@@ -142,7 +144,6 @@ class AttackerInfrastructure:
 
 
 def build_attacker_infrastructure(network: Network, qname: str = "pool.ntp.org",
-                                  address_block: str = "198.51.100.0/24",
                                   server_count: Optional[int] = None,
                                   time_shift: float = 0.0,
                                   malicious_ttl: int = DEFAULT_MALICIOUS_TTL,
@@ -156,7 +157,7 @@ def build_attacker_infrastructure(network: Network, qname: str = "pool.ntp.org",
         server_count = max_a_records_for_payload(qname, MAX_UNFRAGMENTED_UDP_PAYLOAD)
     return AttackerInfrastructure(
         network=network,
-        ntp_addresses=tuple(AddressAllocator(address_block).allocate_many(server_count)),
+        ntp_addresses=tuple(AddressAllocator(ATTACKER_ADDRESS_BLOCK).allocate_many(server_count)),
         malicious_ttl=malicious_ttl,
         time_shift=time_shift,
     )

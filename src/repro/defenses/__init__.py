@@ -14,23 +14,29 @@ Quick start::
     metrics = run_scenario("bgp_hijack", seed=1,
                            params={"defenses": ("multi_vantage",)})
 
-The built-in defenses span both protocol layers:
+The built-in defenses span both protocol layers.  Each is one fixed rule,
+switched on by its name; only the three ``encrypted_transport*`` policies
+take knobs (``EncryptedTransport(reuse_connections=True)``, passed as an
+instance):
 
 ========================  =====================================================
 ``random_txid``           random DNS transaction ids (classic, RFC 5452)
 ``random_source_port``    random resolver source ports (classic, RFC 5452)
 ``response_matching``     source-address + question echo validation (classic)
 ``fragment_rejection``    refuse responses reassembled from spoofed fragments
-``response_record_cap``   resolver-side cap on records accepted per response
-``cache_ttl_cap``         resolver-side cap on cached TTLs
+``response_record_cap``   resolver-side cap: ≤4 records accepted per response
+``cache_ttl_cap``         resolver-side cap: no entry cached beyond 3,600 s
 ``dns_0x20``              query-name case randomisation + echo verification
 ``dns_cookies``           RFC 7873-style cookie echo verification
-``pmtu_floor``            nameserver refuses to fragment responses
+``pmtu_floor``            nameserver refuses to fragment below 1,500 bytes
 ``response_signing``      DNSSEC-style RRset signing + validation
+``response_rate_limit``   nameserver-side response rate limiting (RRL)
+``serve_stale``           RFC 8767 stale answers while upstream fails
+``upstream_retries``      retry timed-out upstream queries with backoff
 ``address_cap``           §V mitigation 1: ≤4 addresses per response (pool;
                           the fleet engine's closed form accepts it too)
-``ttl_discard``           §V mitigation 2: discard high-TTL responses (pool;
-                          the fleet engine's closed form accepts it too)
+``ttl_discard``           §V mitigation 2: discard responses with a TTL above
+                          3,600 s (pool; the fleet's closed form accepts it too)
 ``multi_vantage``         cross-check responses/pool/samples against vantage
                           observations of the zone profile and true time
 ``encrypted_transport``   strict DNS-over-TLS upstream (fail closed)

@@ -43,6 +43,13 @@ if TYPE_CHECKING:  # only for annotations; keeps this module import-cycle-free
     from ..netsim.packets import UDPDatagram
     from ..ntp.query import TimeSample
 
+#: §V mitigation 1: the most addresses one DNS response may contribute
+#: (``address_cap`` in the pool, ``response_record_cap`` in the resolver).
+MAX_ADDRESSES = 4
+#: §V mitigation 2: the highest TTL in seconds a response may carry
+#: (``ttl_discard`` in the pool, ``cache_ttl_cap`` in the resolver).
+MAX_TTL = 3600
+
 
 @dataclass
 class QueryContext:

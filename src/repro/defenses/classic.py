@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .base import Defense, QueryContext, ResponseContext
+from .base import MAX_ADDRESSES, MAX_TTL, Defense, QueryContext, ResponseContext
 from .registry import register_defense
 
 
@@ -79,20 +79,17 @@ class FragmentedResponseRejection(Defense):
 
 @register_defense
 class ResponseRecordCap(Defense):
-    """Accept at most ``limit`` records from a single response (resolver side)."""
+    """Accept at most 4 records from a single response (resolver side)."""
 
     name = "response_record_cap"
 
-    def __init__(self, limit: int = 4) -> None:
-        self.limit = limit
-
     def on_incoming_response(self, ctx: ResponseContext) -> Optional[str]:
-        ctx.answers = ctx.answers[: self.limit]
+        ctx.answers = ctx.answers[:MAX_ADDRESSES]
 
 
 @register_defense
 class CacheTTLCap(Defense):
-    """Cap the TTL under which any response is cached (resolver side).
+    """Cache no response for longer than 3,600 s (resolver side).
 
     A cap below the 24-hour pool-generation window bounds how long a single
     poisoned entry can starve the hourly queries — one of the §V directions.
@@ -100,11 +97,8 @@ class CacheTTLCap(Defense):
 
     name = "cache_ttl_cap"
 
-    def __init__(self, max_ttl: int = 3600) -> None:
-        self.max_ttl = max_ttl
-
     def on_incoming_response(self, ctx: ResponseContext) -> Optional[str]:
-        ctx.answers = [record if record.ttl <= self.max_ttl
-                       else record.with_ttl(self.max_ttl)
+        ctx.answers = [record if record.ttl <= MAX_TTL
+                       else record.with_ttl(MAX_TTL)
                        for record in ctx.answers]
 

@@ -107,11 +107,11 @@ class PMTUFloor(Defense):
 
     name = "pmtu_floor"
 
-    def __init__(self, floor: int = 1500) -> None:
-        self.floor = floor
+    #: Smallest MTU, in bytes, the nameserver fragments responses to.
+    FLOOR = 1500
 
     def configure_testbed(self, config: TestbedConfig) -> None:
-        config.nameserver_min_mtu = max(config.nameserver_min_mtu, self.floor)
+        config.nameserver_min_mtu = max(config.nameserver_min_mtu, self.FLOOR)
 
 
 @register_defense

@@ -3,10 +3,11 @@
 The paper's §V proposes two changes to Chronos' pool generation — accept at
 most 4 addresses from any single DNS response, and discard responses whose
 TTL is suspiciously high.  Each is one :class:`Defense` here, switched on by
-its registry name (``address_cap``, ``ttl_discard``) or passed as a
-parameterised instance.  The packet-level pool generator and the fleet's
-closed form (:meth:`repro.population.batch.FleetPolicy.accepted`) run the
-same instances, so both engines share one definition of each mitigation.
+its registry name (``address_cap``, ``ttl_discard``); both numbers are the
+constants of :mod:`repro.defenses.base`.  The packet-level pool generator and
+the fleet's closed form (:meth:`repro.population.batch.FleetPolicy.accepted`)
+run the same classes, so both engines share one definition of each
+mitigation.
 
 :class:`MultiVantageCrossCheck` goes further than §V: it validates responses
 (and pool admissions, and NTP samples) against what independent vantage
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..dns.records import RecordType
-from .base import Defense, PoolAcceptContext, ResponseContext
+from .base import MAX_ADDRESSES, MAX_TTL, Defense, PoolAcceptContext, ResponseContext
 from .registry import register_defense
 
 if TYPE_CHECKING:
@@ -32,20 +33,17 @@ if TYPE_CHECKING:
 
 @register_defense
 class PerResponseAddressCap(Defense):
-    """§V mitigation 1: accept at most ``limit`` addresses per DNS response."""
+    """§V mitigation 1: accept at most 4 addresses per DNS response."""
 
     name = "address_cap"
 
-    def __init__(self, limit: int = 4) -> None:
-        self.limit = limit
-
     def on_pool_accept(self, ctx: PoolAcceptContext) -> None:
-        ctx.addresses = ctx.addresses[: self.limit]
+        ctx.addresses = ctx.addresses[:MAX_ADDRESSES]
 
 
 @register_defense
 class HighTTLDiscard(Defense):
-    """§V mitigation 2: discard responses whose minimum TTL exceeds a bound.
+    """§V mitigation 2: discard responses whose minimum TTL exceeds 3,600 s.
 
     The attack *needs* a TTL longer than the remaining generation window so
     that later hourly queries starve from cache; a response whose TTL dwarfs
@@ -54,11 +52,8 @@ class HighTTLDiscard(Defense):
 
     name = "ttl_discard"
 
-    def __init__(self, max_ttl: int = 3600) -> None:
-        self.max_ttl = max_ttl
-
     def on_pool_accept(self, ctx: PoolAcceptContext) -> None:
-        if ctx.min_ttl is not None and ctx.min_ttl > self.max_ttl:
+        if ctx.min_ttl is not None and ctx.min_ttl > MAX_TTL:
             ctx.discard(self.name, "high-ttl")
 
 
@@ -73,10 +68,11 @@ class MultiVantageCrossCheck(Defense):
     The defense captures that profile from the built testbed (standing in
     for out-of-band vantage queries) and rejects:
 
-    * responses carrying more addresses than the profile, or TTLs far above
-      it — which kills the 89-record / 2-day-TTL flood of §IV;
-    * NTP samples whose offset exceeds ``max_sample_offset`` — a vantage
-      majority would contradict them.
+    * responses carrying more addresses than the profile, or a TTL above
+      both ``TTL_TOLERANCE`` times the profile's and ``TTL_FLOOR`` seconds —
+      which kills the 89-record / 2-day-TTL flood of §IV;
+    * NTP samples whose offset exceeds ``MAX_SAMPLE_OFFSET`` seconds — a
+      vantage majority would contradict them.
 
     It deliberately does *not* authenticate content, so a profile-mimicking
     attacker under a sustained hijack walks through — the residual attack.
@@ -84,11 +80,11 @@ class MultiVantageCrossCheck(Defense):
 
     name = "multi_vantage"
 
-    def __init__(self, ttl_tolerance: float = 4.0, ttl_floor: int = 600,
-                 max_sample_offset: float = 60.0) -> None:
-        self.ttl_tolerance = ttl_tolerance
-        self.ttl_floor = ttl_floor
-        self.max_sample_offset = max_sample_offset
+    TTL_TOLERANCE = 4.0
+    TTL_FLOOR = 600
+    MAX_SAMPLE_OFFSET = 60.0
+
+    def __init__(self) -> None:
         self._expected_count: Optional[int] = None
         self._expected_ttl: Optional[int] = None
 
@@ -100,7 +96,7 @@ class MultiVantageCrossCheck(Defense):
     def max_plausible_ttl(self) -> Optional[int]:
         if self._expected_ttl is None:
             return None
-        return max(int(self._expected_ttl * self.ttl_tolerance), self.ttl_floor)
+        return max(int(self._expected_ttl * self.TTL_TOLERANCE), self.TTL_FLOOR)
 
     def _profile_violation(self, count: int, highest_ttl: Optional[int]) -> Optional[str]:
         if self._expected_count is not None and count > self._expected_count:
@@ -136,7 +132,7 @@ class MultiVantageCrossCheck(Defense):
             ctx.discard(self.name, reason)
 
     def on_ntp_sample(self, sample: TimeSample) -> Optional[str]:
-        if abs(sample.offset) > self.max_sample_offset:
+        if abs(sample.offset) > self.MAX_SAMPLE_OFFSET:
             return (f"sample offset {sample.offset:.1f}s contradicts the "
                     f"vantage reference clocks")
         return None

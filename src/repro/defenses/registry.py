@@ -2,11 +2,11 @@
 
 Experiment configs carry defenses as plain name tuples (picklable, hashable,
 JSON-encodable), and the testbed builder materialises fresh instances per
-run via :func:`build_defense` — defenses hold per-run state (verification
-nonces, rejection counts), so instances are never shared across runs.  The
-built-in modules are imported lazily on first lookup, through the same
-:class:`~repro.lazy_registry.LazyRegistry` as the scenario registry, so this
-module stays import-cycle-free.
+run via :func:`build_defense` — defenses hold per-run state (cookie salts,
+zone profiles, signing keys), so a name never shares an instance across
+runs.  The built-in modules are imported lazily on first lookup, through the
+same :class:`~repro.lazy_registry.LazyRegistry` as the scenario registry, so
+this module stays import-cycle-free.
 """
 
 from __future__ import annotations
@@ -32,8 +32,11 @@ def register_defense(factory: DefenseFactory) -> DefenseFactory:
     """Register a defense class (or zero-argument factory) under its name.
 
     Unlike scenarios, defenses are registered as *factories*: every lookup
-    constructs a fresh instance with that defense's default parameters.
-    Parameterised variants are passed to stacks as instances instead.
+    constructs a fresh instance.  Every defense is one fixed rule built by
+    name; only the ``encrypted_transport*`` policies take knobs, and a
+    configured one is passed to a stack as an instance instead.  An instance
+    in a spec is shared by every run built from that spec, so it must hold
+    no per-run state.
     """
     name = getattr(factory, "name", None)
     if not isinstance(name, str) or not name:

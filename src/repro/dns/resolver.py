@@ -55,6 +55,8 @@ STALE_ANSWER_TTL = 30
 #: the simulator's RNG (deterministic per seed, decorrelated per query).
 RETRY_BACKOFF = 0.25
 RETRY_JITTER = 0.05
+#: Seconds a :class:`DNSStub` waits for the resolver before reporting failure.
+STUB_QUERY_TIMEOUT = 10.0
 
 
 @dataclass
@@ -496,14 +498,14 @@ class DNSStub:
     """Client-side DNS component attached to a host (Chronos / NTP client).
 
     It sends queries to a configured recursive resolver and invokes the
-    caller's callback with the list of answer addresses.  The owning host
-    must offer incoming datagrams via :meth:`handle_datagram`.
+    caller's callback with the list of answer addresses, or with no answer
+    after ``STUB_QUERY_TIMEOUT`` seconds.  The owning host must offer
+    incoming datagrams via :meth:`handle_datagram`.
     """
 
-    def __init__(self, host: Host, resolver_address: str, query_timeout: float = 10.0) -> None:
+    def __init__(self, host: Host, resolver_address: str) -> None:
         self.host = host
         self.resolver_address = resolver_address
-        self.query_timeout = query_timeout
         self._pending: dict[tuple[int, int], tuple[DNSMessage, Callable, object, bool]] = {}
 
     def lookup(self, name: str, callback: LookupCallback,
@@ -527,7 +529,7 @@ class DNSStub:
         port = rng.randrange(20000, 60000)
         query = DNSMessage.query(txid, name, qtype)
         handle = self.host.network.simulator.schedule(
-            self.query_timeout, lambda key=(txid, port): self._on_timeout(key))
+            STUB_QUERY_TIMEOUT, lambda key=(txid, port): self._on_timeout(key))
         self._pending[(txid, port)] = (query, callback, handle, wants_message)
         self.host.send_datagram(
             UDPDatagram(

@@ -45,6 +45,9 @@ DEFAULT_ZONE = "pool.ntp.org"
 #: Default fully-wired MTU (no fragmentation anywhere on the path).
 DEFAULT_MTU = 1500
 
+#: Standard deviation, in seconds, of a benign server's clock error.
+BENIGN_CLOCK_ERROR_STDDEV = 0.005
+
 
 @dataclass
 class TestbedConfig:
@@ -64,7 +67,6 @@ class TestbedConfig:
     # -- benign pool.ntp.org infrastructure ---------------------------------
     benign_server_count: int = 200
     benign_address_block: str = "10.10.0.0/16"
-    benign_clock_error_stddev: float = 0.005
     records_per_response: int = POOL_RECORDS_PER_RESPONSE
     benign_ttl: int = POOL_NTP_ORG_TTL
     nameserver_address: str = "192.0.2.53"
@@ -110,7 +112,6 @@ class TestbedConfig:
 
     # -- attacker infrastructure ---------------------------------------------
     with_attacker: bool = True
-    attacker_address_block: str = "198.51.100.0/24"
     #: Malicious NTP servers / injected A records (``None`` = the maximum
     #: that fits in one unfragmented response, i.e. the 89 of §IV).
     attacker_record_count: Optional[int] = None
@@ -188,7 +189,7 @@ class TestbedBuilder:
 
         allocator = AddressAllocator(cfg.benign_address_block)
         benign_clock_errors = {
-            allocator.allocate(): simulator.rng.gauss(0.0, cfg.benign_clock_error_stddev)
+            allocator.allocate(): simulator.rng.gauss(0.0, BENIGN_CLOCK_ERROR_STDDEV)
             for _ in range(cfg.benign_server_count)
         }
 
@@ -250,7 +251,6 @@ class TestbedBuilder:
             testbed.attacker = build_attacker_infrastructure(
                 network,
                 qname=cfg.zone,
-                address_block=cfg.attacker_address_block,
                 server_count=cfg.attacker_record_count,
                 malicious_ttl=cfg.malicious_ttl,
             )

@@ -8,8 +8,9 @@ package makes the testbed's network *imperfect on purpose* — and exactly
 reproducibly so:
 
 * a :class:`FaultPlan` is a declarative, picklable description of what goes
-  wrong and when (loss and latency ramps, link flaps, partitions, packet
-  duplication, reorder jitter, host outage/restart windows);
+  wrong and when (loss and latency ramps, link flaps, packet duplication,
+  reorder jitter, host outage/restart windows — a host cut off from
+  everyone is an outage);
 * a :class:`FaultInjector` arms the plan against one
   :class:`~repro.netsim.network.Network`: window transitions are scheduled
   on the simulator clock and per-packet decisions draw from the simulator's
@@ -32,7 +33,6 @@ from .plan import (
     LatencyRamp,
     LinkFlap,
     LinkLoss,
-    Partition,
     ReorderJitter,
 )
 from .plan import FaultPlan
@@ -48,6 +48,5 @@ __all__ = [
     "LatencyRamp",
     "LinkFlap",
     "LinkLoss",
-    "Partition",
     "ReorderJitter",
 ]

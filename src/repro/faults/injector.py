@@ -27,7 +27,6 @@ from .plan import (
     LatencyRamp,
     LinkFlap,
     LinkLoss,
-    Partition,
     ReorderJitter,
     window_scale,
 )
@@ -43,14 +42,6 @@ TransmitVerdict = tuple[Optional[str], float, Optional[float]]
 
 def _match(spec: str, address: str) -> bool:
     return spec == "*" or spec == address
-
-
-def _separates(a: frozenset, b: frozenset, src: str, dst: str) -> bool:
-    """Whether a partition of groups ``a``/``b`` blocks src -> dst."""
-    if b:
-        return (src in a and dst in b) or (src in b and dst in a)
-    # Empty b: group a is cut off from everyone outside it.
-    return (src in a) != (dst in a)
 
 
 @dataclass
@@ -97,7 +88,6 @@ class FaultInjector:
         self._latency: list[LatencyRamp] = []
         self._reorder: list[ReorderJitter] = []
         self._duplicate: list[Duplicate] = []
-        self._partitions: list[tuple[frozenset, frozenset]] = []
         self._down_links: list[tuple[str, str]] = []
         self._down_hosts: dict[str, int] = {}
 
@@ -113,10 +103,6 @@ class FaultInjector:
                 f"{', '.join(sorted(self.aliases)) or 'none'}") from None
 
     def _resolve(self, event: FaultEvent) -> FaultEvent:
-        if isinstance(event, Partition):
-            return replace(event,
-                           a=tuple(self._resolve_address(addr) for addr in event.a),
-                           b=tuple(self._resolve_address(addr) for addr in event.b))
         if isinstance(event, HostOutage):
             return replace(event, host=self._resolve_address(event.host))
         return replace(event,
@@ -191,8 +177,6 @@ class FaultInjector:
             self._reorder.append(event)
         elif isinstance(event, Duplicate):
             self._duplicate.append(event)
-        elif isinstance(event, Partition):
-            self._partitions.append((frozenset(event.a), frozenset(event.b)))
         elif isinstance(event, HostOutage):
             self._down_hosts[event.host] = self._down_hosts.get(event.host, 0) + 1
         self._note_transition("activate", event)
@@ -206,8 +190,6 @@ class FaultInjector:
             self._reorder.remove(event)
         elif isinstance(event, Duplicate):
             self._duplicate.remove(event)
-        elif isinstance(event, Partition):
-            self._partitions.remove((frozenset(event.a), frozenset(event.b)))
         elif isinstance(event, HostOutage):
             remaining = self._down_hosts.get(event.host, 0) - 1
             if remaining > 0:
@@ -224,18 +206,15 @@ class FaultInjector:
     def on_transmit(self, packet: IPPacket) -> TransmitVerdict:
         """Decide one packet's fate; called by ``Network._transmit``.
 
-        Hard faults (outage, partition, flap) are checked before
-        probabilistic ones so a downed link consumes no RNG draws — keeping
-        the RNG stream of everything else in the run unperturbed by
-        windows the packet never raced against.
+        Hard faults (outage, flap) are checked before probabilistic ones so
+        a downed link consumes no RNG draws — keeping the RNG stream of
+        everything else in the run unperturbed by windows the packet never
+        raced against.
         """
         src = packet.src_ip
         dst = packet.dst_ip
         if self._down_hosts and (src in self._down_hosts or dst in self._down_hosts):
             return self._drop("outage")
-        for a, b in self._partitions:
-            if _separates(a, b, src, dst):
-                return self._drop("partition")
         for link_src, link_dst in self._down_links:
             if _match(link_src, src) and _match(link_dst, dst):
                 return self._drop("flap")

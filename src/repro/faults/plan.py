@@ -7,10 +7,10 @@ parameter dicts, multiprocessing workers and the content-addressed run
 cache exactly like every other scenario knob; :meth:`FaultPlan.from_spec`
 and :meth:`FaultPlan.to_spec` convert between the two forms.
 
-Address fields (``src``/``dst``/``host``/group members) accept a concrete
-IPv4 address, the wildcard ``"*"``, or a testbed alias (``"@nameserver"``,
-``"@resolver"``) resolved when the plan is armed — so one plan spec applies
-to any scenario's address layout.
+Address fields (``src``/``dst``/``host``) accept a concrete IPv4 address,
+the wildcard ``"*"``, or a testbed alias (``"@nameserver"``, ``"@resolver"``)
+resolved when the plan is armed — so one plan spec applies to any scenario's
+address layout.
 """
 
 from __future__ import annotations
@@ -124,27 +124,6 @@ class LinkFlap(_Windowed):
 
 
 @dataclass(frozen=True)
-class Partition(_Windowed):
-    """No packets cross between address groups ``a`` and ``b`` (both ways).
-
-    An empty ``b`` partitions group ``a`` from everyone else — the classic
-    "the resolver loses its upstream" shape.
-    """
-
-    kind: ClassVar[str] = "partition"
-
-    a: tuple[str, ...] = ()
-    b: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.a:
-            raise FaultPlanError("a partition needs at least one address in group 'a'")
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
-
-
-@dataclass(frozen=True)
 class Duplicate(_Windowed):
     """Probabilistic packet duplication with a fixed duplicate delay."""
 
@@ -197,13 +176,13 @@ class HostOutage(_Windowed):
             raise FaultPlanError("a host outage needs a host address (or alias)")
 
 
-FaultEvent = Union[LinkLoss, LatencyRamp, LinkFlap, Partition, Duplicate,
-                   ReorderJitter, HostOutage]
+FaultEvent = Union[LinkLoss, LatencyRamp, LinkFlap, Duplicate, ReorderJitter,
+                   HostOutage]
 
 _EVENT_KINDS: dict[str, type] = {
     cls.kind: cls
-    for cls in (LinkLoss, LatencyRamp, LinkFlap, Partition, Duplicate,
-                ReorderJitter, HostOutage)
+    for cls in (LinkLoss, LatencyRamp, LinkFlap, Duplicate, ReorderJitter,
+                HostOutage)
 }
 
 
@@ -224,9 +203,6 @@ def event_from_spec(spec: Any) -> FaultEvent:
     if unknown:
         raise FaultPlanError(f"unknown field(s) for {kind!r}: {', '.join(sorted(unknown))}; "
                              f"accepted: {', '.join(sorted(accepted))}")
-    for group in ("a", "b"):
-        if group in payload:
-            payload[group] = tuple(payload[group])
     try:
         return cls(**payload)
     except TypeError as exc:
@@ -235,11 +211,7 @@ def event_from_spec(spec: Any) -> FaultEvent:
 
 def event_to_spec(event: FaultEvent) -> dict[str, Any]:
     """One event's canonical dict form (JSON-able, cache-key-stable)."""
-    spec: dict[str, Any] = {"kind": event.kind}
-    for f in fields(event):
-        value = getattr(event, f.name)
-        spec[f.name] = list(value) if isinstance(value, tuple) else value
-    return spec
+    return {"kind": event.kind, **{f.name: getattr(event, f.name) for f in fields(event)}}
 
 
 @dataclass(frozen=True)

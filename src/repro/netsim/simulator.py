@@ -237,10 +237,8 @@ class Simulator:
             return True
         return False
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` have been processed.  ``max_events`` counts events,
-        and one delivery event may carry several packets due at one instant.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run events until the queue drains or ``until`` is reached.
 
         ``until`` is inclusive: events scheduled exactly at ``until`` run.
         When the run stops because of ``until``, the clock is advanced to
@@ -250,23 +248,19 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
-        processed = 0
         try:
             while True:
-                if max_events is not None and processed >= max_events:
-                    return
                 next_time = self.peek_next_time()
                 if next_time is None:
                     break
                 if until is not None and next_time > until:
                     break
                 self.step()
-                processed += 1
             if until is not None and until > self._now:
                 self._now = until
         finally:
             self._running = False
 
-    def run_for(self, duration: float, max_events: Optional[int] = None) -> None:
+    def run_for(self, duration: float) -> None:
         """Run for ``duration`` simulated seconds from the current time."""
-        self.run(until=self._now + duration, max_events=max_events)
+        self.run(until=self._now + duration)

@@ -383,14 +383,10 @@ class Listener:
 
     def __init__(self, stack: TCPStack, port: int,
                  on_connection: Callable[[Connection], None],
-                 backlog: int = DEFAULT_BACKLOG,
-                 syn_timeout: float = SYN_TIMEOUT,
                  fast_open: bool = False) -> None:
         self.stack = stack
         self.port = port
         self.on_connection = on_connection
-        self.backlog = backlog
-        self.syn_timeout = syn_timeout
         #: Accept TFO-style data on the SYN itself: the connection is
         #: promoted before the final ACK and the first-flight bytes are
         #: delivered immediately.  This is what makes 0-RTT replayable —
@@ -399,7 +395,7 @@ class Listener:
         self.half_open: dict[ConnectionKey, Connection] = {}
 
     def handle_syn(self, src_ip: str, segment: TCPSegment) -> None:
-        if len(self.half_open) >= self.backlog:
+        if len(self.half_open) >= DEFAULT_BACKLOG:
             self.stack.syns_dropped += 1
             obs = self.stack.obs
             if obs.enabled:
@@ -431,7 +427,7 @@ class Listener:
                 connection.on_data(first_flight)
             return
         self.stack.simulator.schedule(
-            self.syn_timeout, lambda c=connection: self._expire_half_open(c))
+            SYN_TIMEOUT, lambda c=connection: self._expire_half_open(c))
 
     def _expire_half_open(self, connection: Connection) -> None:
         if connection.state is ConnectionState.SYN_RECEIVED:
@@ -475,13 +471,10 @@ class TCPStack:
 
     # -- active/passive open ---------------------------------------------------
     def listen(self, port: int, on_connection: Callable[[Connection], None],
-               backlog: int = DEFAULT_BACKLOG,
-               syn_timeout: float = SYN_TIMEOUT,
                fast_open: bool = False) -> Listener:
         if port in self.listeners:
             raise TransportError(f"port {port} already has a listener")
-        listener = Listener(self, port, on_connection, backlog=backlog,
-                            syn_timeout=syn_timeout, fast_open=fast_open)
+        listener = Listener(self, port, on_connection, fast_open=fast_open)
         self.listeners[port] = listener
         return listener
 

@@ -38,6 +38,9 @@ class TimeSample:
         return 0.0 <= self.delay <= 16.0
 
 
+#: Seconds a query waits for the server's reply before it yields ``None``.
+QUERY_TIMEOUT = 2.0
+
 #: Callback receiving the sample, or ``None`` when the query timed out.
 SampleCallback = Callable[[Optional[TimeSample]], None]
 
@@ -54,13 +57,12 @@ class NTPQuerier:
     """Issues NTP client requests from a host and collects samples.
 
     Each query is one exchange: a server that does not answer within
-    ``timeout`` seconds yields ``None``.
+    ``QUERY_TIMEOUT`` seconds yields ``None``.
     """
 
-    def __init__(self, host: Host, clock: SystemClock, timeout: float = 2.0) -> None:
+    def __init__(self, host: Host, clock: SystemClock) -> None:
         self.host = host
         self.clock = clock
-        self.timeout = timeout
         self._pending: dict[tuple[str, int], _PendingQuery] = {}
 
     def query(self, server_address: str, callback: SampleCallback) -> None:
@@ -80,7 +82,7 @@ class NTPQuerier:
             port = self.host.network.simulator.rng.randrange(20000, 60000)
             key = (server_address, port)
         handle = self.host.network.simulator.schedule(
-            self.timeout, lambda k=key: self._on_timeout(k))
+            QUERY_TIMEOUT, lambda k=key: self._on_timeout(k))
         self._pending[key] = _PendingQuery(server_address, origin_time, callback, handle)
         obs = self.host.network.simulator.obs
         if obs.enabled:

@@ -24,12 +24,13 @@ ShiftSchedule = Callable[[float], float]
 class NTPServer(Host):
     """An NTP server answering mode-3 requests from its local clock."""
 
+    #: The stratum every reply reports, malicious servers' included.
+    STRATUM = 2
+
     def __init__(self, network: Network, address: str, clock: Optional[SystemClock] = None,
-                 stratum: int = 2, name: Optional[str] = None,
-                 clock_error: float = 0.0) -> None:
+                 name: Optional[str] = None, clock_error: float = 0.0) -> None:
         super().__init__(network, address, name=name or f"ntp-{address}")
         self.clock = clock or SystemClock(network.simulator, offset=clock_error)
-        self.stratum = stratum
 
     # -- behaviour hooks ------------------------------------------------------
     def served_time(self) -> float:
@@ -58,7 +59,7 @@ class NTPServer(Host):
         reply = request.server_reply(
             receive_time=receive_time,
             transmit_time=transmit_time,
-            stratum=self.stratum,
+            stratum=self.STRATUM,
             reference_time=receive_time - 1.0,
             leap=self.leap_indicator(),
         )
@@ -83,9 +84,8 @@ class MaliciousNTPServer(NTPServer):
 
     def __init__(self, network: Network, address: str, time_shift: float = 0.0,
                  shift_schedule: Optional[ShiftSchedule] = None,
-                 stratum: int = 2, name: Optional[str] = None) -> None:
-        super().__init__(network, address, stratum=stratum,
-                         name=name or f"evil-ntp-{address}")
+                 name: Optional[str] = None) -> None:
+        super().__init__(network, address, name=name or f"evil-ntp-{address}")
         self.time_shift = time_shift
         self.shift_schedule = shift_schedule
 

@@ -181,9 +181,9 @@ def poisoning_races(events: Sequence[TraceEvent]) -> list[QueryRace]:
             or any(entry.detail.get("poisoned") for entry in race.entries)]
 
 
-def format_races(events: Sequence[TraceEvent], contested_only: bool = True) -> str:
-    """A printable report of every (contested) race in a trace."""
-    races = poisoning_races(events) if contested_only else build_race_timelines(events)
+def format_races(events: Sequence[TraceEvent]) -> str:
+    """A printable report of every contested race in a trace."""
+    races = poisoning_races(events)
     if not races:
         return "no races recorded"
     blocks = ["\n".join(race.formatted()) for race in races]

@@ -172,12 +172,12 @@ class Tracer:
                 handle.write(event.to_json() + "\n")
 
     # -- Chrome trace-event export ---------------------------------------------
-    def chrome_trace(self, process_name: str = "repro") -> dict:
-        return chrome_trace(self._events, process_name=process_name)
+    def chrome_trace(self) -> dict:
+        return chrome_trace(self._events)
 
-    def write_chrome_trace(self, path: str, process_name: str = "repro") -> None:
+    def write_chrome_trace(self, path: str) -> None:
         with Path(path).open("w") as handle:
-            json.dump(self.chrome_trace(process_name=process_name), handle)
+            json.dump(self.chrome_trace(), handle)
 
 
 def events_from_jsonl(text: str) -> list[TraceEvent]:
@@ -186,17 +186,17 @@ def events_from_jsonl(text: str) -> list[TraceEvent]:
             for line in text.splitlines() if line.strip()]
 
 
-def chrome_trace(events: Iterable[TraceEvent], process_name: str = "repro") -> dict:
+def chrome_trace(events: Iterable[TraceEvent]) -> dict:
     """Render events as a Chrome trace-event JSON object.
 
-    Categories map to threads (one Perfetto track per category, named via
-    ``thread_name`` metadata); simulated seconds map to microseconds, the
-    unit the format requires.  Open the resulting file directly in
-    https://ui.perfetto.dev.
+    The one process is named ``repro``; categories map to threads (one
+    Perfetto track per category, named via ``thread_name`` metadata);
+    simulated seconds map to microseconds, the unit the format requires.
+    Open the resulting file directly in https://ui.perfetto.dev.
     """
     trace_events: list[dict] = [{
         "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-        "args": {"name": process_name},
+        "args": {"name": "repro"},
     }]
     tids: dict[str, int] = {}
     for event in events:

@@ -13,7 +13,6 @@ from repro.attacks.chronos_pool_attack import (
 from repro.attacks.ntp_shift import OfflineShiftModel, chronos_round_offset, ntpd_round_offset
 from repro.core.pool_generation import PoolComposition
 from repro.core.security_analysis import shift_reached
-from repro.defenses import HighTTLDiscard, PerResponseAddressCap
 from repro.population.batch import FleetPolicy
 
 
@@ -163,20 +162,20 @@ def test_max_records_mitigation_alone_still_leaves_attacker_majority():
     """The record cap limits the flood to 4 addresses, but the poisoned
     entry's >24 h TTL still starves every later query from cache, so the
     tiny pool remains attacker-dominated — the cap alone is insufficient."""
-    _, result = run_scenario(1, defenses=(PerResponseAddressCap(4),))
+    _, result = run_scenario(1, defenses=("address_cap",))
     assert result["malicious"] <= 4
     assert result["benign"] == 0
     assert result["attack_succeeded"]
 
 
 def test_both_mitigations_block_single_poisoning():
-    _, result = run_scenario(1, defenses=(HighTTLDiscard(3600), PerResponseAddressCap(4)))
+    _, result = run_scenario(1, defenses=("ttl_discard", "address_cap"))
     assert result["malicious"] == 0
     assert not result["attack_succeeded"]
 
 
 def test_ttl_mitigation_blocks_single_poisoning():
-    _, result = run_scenario(1, defenses=(HighTTLDiscard(3600),))
+    _, result = run_scenario(1, defenses=("ttl_discard",))
     assert result["malicious"] == 0
     assert not result["attack_succeeded"]
 
@@ -184,7 +183,7 @@ def test_ttl_mitigation_blocks_single_poisoning():
 def test_full_day_hijack_defeats_both_mitigations():
     """The §V residual attack: mitigations do not help against a 24 h hijack."""
     config = PoolAttackConfig(seed=5, poison_at_query=1,
-                              defenses=(HighTTLDiscard(3600), PerResponseAddressCap(4)),
+                              defenses=("ttl_discard", "address_cap"),
                               hijack_duration=24 * 3600.0 + 1200.0, malicious_ttl=300)
     scenario = ChronosPoolAttackScenario(config)
     result = scenario.run_pool_generation()

@@ -7,8 +7,8 @@ import pytest
 from repro.core.chronos_client import ChronosClient, UpdateOutcome
 from repro.core.pool_generation import PoolComposition, PoolGenerationPolicy
 from repro.core.selection import ChronosConfig
-from repro.defenses import DefenseStack, HighTTLDiscard, PerResponseAddressCap
-from repro.dns.nameserver import PoolNTPNameserver
+from repro.defenses import DefenseStack
+from repro.dns.nameserver import POOL_NTP_ORG_TTL, PoolNTPNameserver
 from repro.dns.resolver import RecursiveResolver, ResolverPolicy
 from repro.netsim.addresses import AddressAllocator
 from repro.netsim.network import Network
@@ -17,20 +17,20 @@ from repro.ntp.server import NTPServer
 
 
 def build_world(server_count=100, policy=None, chronos_config=None, seed=9,
-                records_per_response=4, defenses=()):
+                records_per_response=4, ttl=POOL_NTP_ORG_TTL, defenses=()):
     simulator = Simulator(seed=seed)
     network = Network(simulator, latency=0.01)
     allocator = AddressAllocator("10.50.0.0/16")
     servers = [NTPServer(network, allocator.allocate()) for _ in range(server_count)]
     nameserver = PoolNTPNameserver(network, "192.0.2.53", zone_name="pool.ntp.org",
                                    pool_servers=[s.address for s in servers],
-                                   records_per_response=records_per_response)
+                                   records_per_response=records_per_response, ttl=ttl)
     resolver = RecursiveResolver(network, "192.0.2.1",
                                  nameserver_map={"pool.ntp.org": nameserver.address},
                                  policy=ResolverPolicy())
     client = ChronosClient(network, "192.0.2.100", resolver_address=resolver.address,
                            config=chronos_config or ChronosConfig(),
-                           pool_policy=policy, defenses=DefenseStack(defenses))
+                           pool_policy=policy, defenses=DefenseStack.from_spec(defenses))
     return simulator, network, nameserver, resolver, client
 
 
@@ -103,24 +103,27 @@ def test_pool_generation_with_small_zone_dedupes_hard():
 
 
 def test_address_cap_defense_limits_each_response():
-    simulator, _, _, _, client = build_world(server_count=400, records_per_response=4,
-                                             defenses=[PerResponseAddressCap(2)])
+    simulator, _, _, _, client = build_world(server_count=400, records_per_response=8,
+                                             defenses=["address_cap"])
     pools = []
     client.pool_generator.generate(pools.append)
     simulator.run(until=24 * 3600 + 300)
     pool = pools[0]
-    assert all(len(record.accepted_addresses) <= 2 for record in pool.queries)
-    assert pool.size <= 48
+    assert all(len(record.addresses) == 8 for record in pool.queries)
+    assert all(record.accepted_addresses == record.addresses[:4] for record in pool.queries)
+    assert pool.size <= 96
 
 
 def test_high_ttl_filter_rejects_responses():
-    # 100 s is below the zone's 150 s TTL.
-    simulator, _, _, _, client = build_world(defenses=[HighTTLDiscard(100)])
+    # A two-day zone TTL: even the cached answers of the last hourly query
+    # still carry more than the 3,600 s the defense allows.
+    simulator, _, _, _, client = build_world(ttl=2 * 86400, defenses=["ttl_discard"])
     pools = []
     client.pool_generator.generate(pools.append)
     simulator.run(until=24 * 3600 + 300)
     pool = pools[0]
     assert pool.size == 0
+    assert all(record.addresses for record in pool.queries)
     assert all(record.rejected_by == "ttl_discard" for record in pool.queries if record.addresses)
 
 

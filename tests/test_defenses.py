@@ -20,12 +20,12 @@ from repro.attacks import FragPoisoningConfig, FragPoisoningScenario
 from repro.defenses import (
     DefenseStack,
     HighTTLDiscard,
-    MultiVantageCrossCheck,
     PerResponseAddressCap,
     PoolAcceptContext,
     available_defenses,
     build_defense,
 )
+from repro.defenses.base import MAX_ADDRESSES, MAX_TTL
 from repro.defenses.registry import register_defense
 from repro.dns.message import DNSMessage
 from repro.dns.nameserver import DNS_PORT, PoolNTPNameserver
@@ -57,6 +57,15 @@ def test_every_builtin_defense_is_listed_with_a_description():
     assert all(listing[name] for name in expected)
 
 
+@pytest.mark.parametrize("name", sorted(
+    name for name in available_defenses() if not name.startswith("encrypted_transport")))
+def test_every_defense_but_encrypted_transport_is_one_fixed_rule(name):
+    # Built by name only: a defense's numbers are constants, not knobs.
+    defense = build_defense(name)
+    with pytest.raises(TypeError):
+        type(defense)(1)
+
+
 def test_unknown_defense_name_is_rejected():
     with pytest.raises(KeyError, match="unknown defense"):
         build_defense("no_such_defense")
@@ -79,7 +88,7 @@ def test_stack_builds_fresh_instances_and_preserves_order():
     second = DefenseStack.from_spec(("ttl_discard", "address_cap"))
     assert first.names == second.names == ("ttl_discard", "address_cap")
     assert first.defenses[0] is not second.defenses[0]
-    mixed = DefenseStack.from_spec((PerResponseAddressCap(limit=2), "ttl_discard"))
+    mixed = DefenseStack.from_spec((PerResponseAddressCap(), "ttl_discard"))
     assert mixed.names == ("address_cap", "ttl_discard")
 
 
@@ -112,7 +121,7 @@ def test_fragment_acceptance_sweep_is_pinned():
 
 def test_stack_pool_hooks_run_in_order_and_account_rejections():
     # Discard-then-cap: a high-TTL response never reaches the cap.
-    stack = DefenseStack([HighTTLDiscard(3600), PerResponseAddressCap(4)])
+    stack = DefenseStack.from_spec(("ttl_discard", "address_cap"))
     poisoned = PoolAcceptContext(addresses=[f"198.51.100.{i}" for i in range(10)],
                                  min_ttl=172800)
     stack.on_pool_accept(poisoned)
@@ -128,8 +137,13 @@ def test_stack_pool_hooks_run_in_order_and_account_rejections():
 def test_section5_defense_names_build_the_paper_parameters():
     defenses = list(DefenseStack.from_spec(("ttl_discard", "address_cap")))
     assert [type(d) for d in defenses] == [HighTTLDiscard, PerResponseAddressCap]
-    assert defenses[0].max_ttl == 3600
-    assert defenses[1].limit == 4
+    assert (MAX_TTL, MAX_ADDRESSES) == (3600, 4)
+    at_bound = PoolAcceptContext(addresses=[f"10.0.0.{i}" for i in range(5)], min_ttl=3600)
+    DefenseStack(defenses).on_pool_accept(at_bound)
+    assert len(at_bound.addresses) == 4
+    above = PoolAcceptContext(addresses=["10.0.0.1"], min_ttl=3601)
+    DefenseStack(defenses).on_pool_accept(above)
+    assert above.rejected_by == "ttl_discard"
 
 
 def test_every_scenario_accepts_a_defenses_key():
@@ -346,7 +360,7 @@ def make_sample(offset):
 
 
 def test_multi_vantage_vetoes_implausible_ntp_samples():
-    stack = DefenseStack([MultiVantageCrossCheck(max_sample_offset=60.0)])
+    stack = DefenseStack.from_spec(("multi_vantage",))
     assert stack.on_ntp_sample(make_sample(0.005))
     assert not stack.on_ntp_sample(make_sample(600.0))
     assert stack.rejections == {"multi_vantage": 1}

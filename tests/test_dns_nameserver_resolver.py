@@ -5,9 +5,14 @@ from __future__ import annotations
 from _counters import count, observed_simulator
 
 from repro import obs
-from repro.defenses import CacheTTLCap, DefenseStack, ResponseRecordCap
+from repro.defenses import DefenseStack
 from repro.dns.message import DNSMessage
-from repro.dns.nameserver import DNS_PORT, AuthoritativeNameserver, PoolNTPNameserver
+from repro.dns.nameserver import (
+    DNS_PORT,
+    POOL_NTP_ORG_TTL,
+    AuthoritativeNameserver,
+    PoolNTPNameserver,
+)
 from repro.dns.records import RecordType
 from repro.dns.resolver import DNSStub, RecursiveResolver, ResolverPolicy
 from repro.netsim.network import Host, Network
@@ -27,13 +32,13 @@ class StubHost(Host):
 
 
 def build_world(records_per_response=4, server_count=20, policy=None, seed=5,
-                defenses=None):
+                defenses=None, ttl=POOL_NTP_ORG_TTL):
     simulator = Simulator(seed=seed)
     network = Network(simulator, latency=0.01)
     pool_servers = [f"10.0.0.{i + 1}" for i in range(server_count)]
     nameserver = PoolNTPNameserver(network, "192.0.2.53", zone_name="pool.ntp.org",
                                    pool_servers=pool_servers,
-                                   records_per_response=records_per_response)
+                                   records_per_response=records_per_response, ttl=ttl)
     resolver = RecursiveResolver(network, "192.0.2.1",
                                  nameserver_map={"pool.ntp.org": nameserver.address},
                                  policy=policy or ResolverPolicy(), defenses=defenses)
@@ -212,27 +217,28 @@ def test_resolver_refuses_disallowed_clients():
 
 
 def test_response_record_cap_defense_caps_cache():
-    stack = DefenseStack([ResponseRecordCap(2)])
-    simulator, _, _, resolver, client = build_world(records_per_response=4, defenses=stack)
+    stack = DefenseStack.from_spec(("response_record_cap",))
+    simulator, _, _, resolver, client = build_world(records_per_response=8, defenses=stack)
     answers = []
     client.dns.lookup("pool.ntp.org", answers.append)
     simulator.run(until=5.0)
-    assert len(answers[0]) == 2
+    assert len(answers[0]) == 4
     entry = resolver.cache.peek("pool.ntp.org", RecordType.A)
-    assert len(entry.records) == 2
+    assert len(entry.records) == 4
 
 
 def test_cache_ttl_cap_caps_entry_lifetime():
-    simulator, _, nameserver, resolver, client = build_world(defenses=[CacheTTLCap(60)])
+    stack = DefenseStack.from_spec(("cache_ttl_cap",))
+    simulator, _, nameserver, resolver, client = build_world(defenses=stack, ttl=7200)
     answers = []
     client.dns.lookup_message("pool.ntp.org", answers.append)
     simulator.run(until=5.0)
     assert answers[0].answers
-    assert all(record.ttl <= 60 for record in answers[0].answers)  # zone TTL is 150 s
-    simulator.run(until=120.0)
+    assert all(record.ttl == 3600 for record in answers[0].answers)  # zone TTL is 7,200 s
+    simulator.run(until=3700.0)
     client.dns.lookup("pool.ntp.org", lambda a: None)
-    simulator.run(until=125.0)
-    assert nameserver.queries_received == 2  # capped entry expired after 60 s
+    simulator.run(until=3705.0)
+    assert nameserver.queries_received == 2  # capped entry expired after 3,600 s
 
 
 def test_trigger_lookup_populates_cache_without_client():

@@ -17,7 +17,6 @@ from repro.faults import (
     LatencyRamp,
     LinkFlap,
     LinkLoss,
-    Partition,
     ReorderJitter,
 )
 from repro.faults.plan import event_from_spec, event_to_spec, window_scale
@@ -56,7 +55,6 @@ def test_every_event_kind_roundtrips_through_spec_form():
         LinkLoss(start=0.0, end=10.0, loss_rate=0.5, src="a", dst="b", ramp=2.0),
         LatencyRamp(start=1.0, end=5.0, extra_latency=0.2),
         LinkFlap(start=0.0, end=30.0, down_time=2.0, up_time=3.0),
-        Partition(start=0.0, end=9.0, a=("x",), b=("y", "z")),
         Duplicate(start=0.0, end=4.0, probability=0.3, delay=0.05),
         ReorderJitter(start=0.0, end=8.0, jitter=0.1),
         HostOutage(start=2.0, end=3.0, host="@nameserver"),
@@ -74,9 +72,6 @@ def test_event_to_spec_includes_kind_and_all_fields():
     assert spec["kind"] == "link_loss"
     assert spec["loss_rate"] == 0.25
     assert spec["src"] == "*" and spec["dst"] == "*"
-    # Tuples (partition groups) flatten to lists for JSON.
-    part = event_to_spec(Partition(start=0.0, end=1.0, a=("x",)))
-    assert part["a"] == ["x"] and part["b"] == []
 
 
 @pytest.mark.parametrize("bad_spec, match", [
@@ -95,7 +90,6 @@ def test_malformed_event_specs_are_rejected(bad_spec, match):
     lambda: LinkLoss(start=-1.0, end=5.0, loss_rate=0.1),    # negative start
     lambda: LinkLoss(start=0.0, end=1.0, loss_rate=1.5),     # rate > 1
     lambda: LinkFlap(start=0.0, end=1.0, down_time=0.0),     # degenerate flap
-    lambda: Partition(start=0.0, end=1.0, a=()),             # empty group
     lambda: HostOutage(start=0.0, end=1.0, host=""),         # no host
     lambda: Duplicate(start=0.0, end=1.0, probability=0.5, delay=-1.0),
     lambda: ReorderJitter(start=0.0, end=1.0, jitter=-0.1),
@@ -184,34 +178,6 @@ def test_outage_window_closes_and_host_recovers():
     sim.schedule(6.0, lambda: send(net, "10.0.0.1", "10.0.0.2"))
     sim.run(until=10.0)
     assert len(b.delivered) == 1                 # the post-restart packet
-
-
-def test_partition_with_empty_b_cuts_group_from_everyone():
-    sim, net, a, b = build_net(seed=5)
-    c = Sink(net, "10.0.0.3")
-    injector = FaultInjector(net, FaultPlan(events=(
-        Partition(start=0.0, end=100.0, a=("10.0.0.1",)),
-    ))).arm()
-    send(net, "10.0.0.1", "10.0.0.2")   # crosses the cut: dropped
-    send(net, "10.0.0.2", "10.0.0.1")   # crosses the cut: dropped
-    send(net, "10.0.0.2", "10.0.0.3")   # both outside group a: passes
-    sim.run(until=1.0)
-    assert a.delivered == [] and b.delivered == []
-    assert len(c.delivered) == 1
-    assert injector.stats.drops == {"partition": 2}
-
-
-def test_two_sided_partition_only_blocks_cross_group_traffic():
-    sim, net, a, b = build_net(seed=5)
-    c = Sink(net, "10.0.0.3")
-    FaultInjector(net, FaultPlan(events=(
-        Partition(start=0.0, end=100.0, a=("10.0.0.1",), b=("10.0.0.2",)),
-    ))).arm()
-    send(net, "10.0.0.1", "10.0.0.2")   # a -> b: dropped
-    send(net, "10.0.0.1", "10.0.0.3")   # a -> outside: passes
-    sim.run(until=1.0)
-    assert b.delivered == []
-    assert len(c.delivered) == 1
 
 
 def test_link_flap_square_wave_timeline():

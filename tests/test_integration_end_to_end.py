@@ -11,7 +11,6 @@ from repro.attacks import (
 )
 from repro.core.security_analysis import cumulative_shift_bound, shift_attack_bound
 from repro.core.selection import ChronosConfig
-from repro.defenses import HighTTLDiscard, PerResponseAddressCap
 
 
 def test_paper_narrative_end_to_end():
@@ -64,7 +63,7 @@ def test_dns_attack_easier_against_chronos_than_plain_ntp():
 
 def test_mitigated_chronos_survives_single_poisoning_but_not_full_hijack():
     """E8 in executable form."""
-    mitigated = (HighTTLDiscard(3600), PerResponseAddressCap(4))
+    mitigated = ("ttl_discard", "address_cap")
     single = ChronosPoolAttackScenario(PoolAttackConfig(seed=33, poison_at_query=1,
                                                         defenses=mitigated))
     single_result = single.run_pool_generation()

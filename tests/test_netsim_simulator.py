@@ -136,15 +136,6 @@ def test_events_scheduled_during_run_are_processed():
     assert fired == [1.0, 2.0, 3.0]
 
 
-def test_max_events_limits_processing():
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.schedule(float(i + 1), lambda i=i: fired.append(i))
-    sim.run(max_events=4)
-    assert len(fired) == 4
-
-
 def test_events_processed_counter():
     sim = Simulator(obs=Observability())
     for i in range(5):

@@ -25,11 +25,13 @@ from repro.netsim.network import Host, Network
 from repro.netsim.packets import PROTO_TCP, IPPacket, PacketError
 from repro.netsim.simulator import Simulator
 from repro.netsim.transport import (
+    DEFAULT_BACKLOG,
     DH_GENERATOR,
     DH_PRIME,
     FLAG_ACK,
     FLAG_RST,
     FLAG_SYN,
+    SYN_TIMEOUT,
     ConnectionState,
     PlainStreamSocket,
     ResumptionTicketStore,
@@ -341,11 +343,11 @@ def flood_listener(network, dst, port, count, rng):
 def test_syn_flood_fills_backlog_and_drops_genuine_syn():
     simulator, network, client, server = make_pair()
     accepted = []
-    listener = server.tcp.listen(4000, accepted.append, backlog=8, syn_timeout=30.0)
-    flood_listener(network, "10.0.0.2", 4000, 20, simulator.rng)
+    listener = server.tcp.listen(4000, accepted.append)
+    flood_listener(network, "10.0.0.2", 4000, 40, simulator.rng)
     simulator.run(until=0.5)
-    assert len(listener.half_open) == 8
-    assert server.tcp.syns_dropped == 12
+    assert len(listener.half_open) == DEFAULT_BACKLOG == 16
+    assert server.tcp.syns_dropped == 24
     failures = []
     conn = client.tcp.connect("10.0.0.2", 4000, timeout=1.0)
     conn.on_failure = failures.append
@@ -357,15 +359,15 @@ def test_syn_flood_fills_backlog_and_drops_genuine_syn():
 def test_half_open_entries_expire_and_listener_recovers():
     simulator, network, client, server = make_pair()
     accepted = []
-    listener = server.tcp.listen(4000, accepted.append, backlog=4, syn_timeout=2.0)
-    flood_listener(network, "10.0.0.2", 4000, 4, simulator.rng)
+    listener = server.tcp.listen(4000, accepted.append)
+    flood_listener(network, "10.0.0.2", 4000, 16, simulator.rng)
     simulator.run(until=0.5)
-    assert len(listener.half_open) == 4
-    simulator.run(until=5.0)  # past the SYN timeout
+    assert len(listener.half_open) == 16
+    simulator.run(until=SYN_TIMEOUT + 1.0)  # past the 10 s SYN timeout
     assert listener.half_open == {}
     conn = client.tcp.connect("10.0.0.2", 4000)
     PlainStreamSocket(conn)
-    simulator.run(until=6.0)
+    simulator.run(until=SYN_TIMEOUT + 2.0)
     assert conn.established
     assert len(accepted) == 1
 

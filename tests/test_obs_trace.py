@@ -92,13 +92,15 @@ def test_chrome_trace_schema(tmp_path):
     with tracer.span("resolve", category="dns"):
         pass
     path = tmp_path / "trace.json"
-    tracer.write_chrome_trace(str(path), process_name="repro-test")
+    tracer.write_chrome_trace(str(path))
     document = json.loads(path.read_text())
 
     assert set(document) == {"traceEvents", "displayTimeUnit"}
     events = document["traceEvents"]
     metadata = [e for e in events if e["ph"] == "M"]
     assert {"process_name", "thread_name"} <= {e["name"] for e in metadata}
+    (process,) = [e for e in metadata if e["name"] == "process_name"]
+    assert process["args"]["name"] == "repro"
     # one thread (tid) per category, named by thread_name metadata
     names = {e["tid"]: e["args"]["name"] for e in metadata if e["name"] == "thread_name"}
     assert set(names.values()) == {"dns", "attack"}

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.defenses import PerResponseAddressCap
 from repro.experiments.pins import FLEET_GATE_DIGEST as GATE_DIGEST
 from repro.population.equivalence import (
     GATE_CLIENTS,
@@ -75,7 +74,7 @@ def test_backend_env_variable_controls_the_fleet_path(monkeypatch):
 
 @pytest.mark.parametrize("variant", [
     {"malicious_ttl": 9000},             # entry expires after 2 cache hits
-    {"defenses": (PerResponseAddressCap(64),)},    # §V response-size cap
+    {"defenses": ("address_cap",)},                # §V response-size cap
     {"defenses": ("ttl_discard",)},                # §V TTL discard
     {"defenses": ("ttl_discard", "address_cap")},  # both, as the paper proposes
 ])

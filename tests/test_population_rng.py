@@ -144,14 +144,14 @@ def test_batch_composition_expands_distinct_indices():
 
 @pytest.mark.parametrize("k", [0, 5])
 def test_dedupe_pool_under_ttl_discard_admits_no_benign_server(k):
-    # The zone's 150 s TTL is above the bound, so the packet path admits no
+    # A zone TTL above the 3,600 s bound: the packet path admits no
     # response at all (test_high_ttl_filter_rejects_responses).
-    policy = FleetPolicy(dedupe=True, defenses=(HighTTLDiscard(100),))
+    policy = FleetPolicy(benign_ttl=7200, dedupe=True, defenses=("ttl_discard",))
     assert compose_client(policy, k).benign == 0
 
 
 def test_fleet_defenses_are_the_pool_defenses_by_name_or_instance():
-    policy = FleetPolicy(defenses=("address_cap", HighTTLDiscard(3600)))
+    policy = FleetPolicy(defenses=("address_cap", HighTTLDiscard()))
     assert policy.accepted(89, 150) == 4
     assert policy.accepted(89, 3601) == 0
     assert FleetPolicy().accepted(89, 2 * 86400) == 89

@@ -8,7 +8,6 @@ its deliberate security downside, asserted here alongside the upside.
 
 from __future__ import annotations
 
-import pytest
 from _counters import count, observed_simulator
 
 from repro.dns.cache import SERVE_STALE_WINDOW, DNSCache
@@ -251,10 +250,9 @@ def test_without_serve_stale_the_window_is_zero():
 # -- NTP client timeouts ------------------------------------------------------
 
 class NTPClientHost(Host):
-    def __init__(self, network, address, timeout):
+    def __init__(self, network, address):
         super().__init__(network, address)
-        self.querier = NTPQuerier(self, SystemClock(network.simulator),
-                                  timeout=timeout)
+        self.querier = NTPQuerier(self, SystemClock(network.simulator))
 
     def handle_datagram(self, datagram):
         self.querier.handle_datagram(datagram)
@@ -263,7 +261,7 @@ class NTPClientHost(Host):
 def test_ntp_querier_without_retries_keeps_classic_single_shot():
     simulator = observed_simulator(23)
     network = Network(simulator, latency=0.01)
-    client = NTPClientHost(network, "192.0.2.200", timeout=1.0)
+    client = NTPClientHost(network, "192.0.2.200")
     outcomes = []
     client.querier.query("192.0.2.250", outcomes.append)
     simulator.run(until=30.0)
@@ -278,7 +276,7 @@ def test_ntp_query_during_a_server_outage_fails_once_and_a_later_one_recovers():
     simulator = observed_simulator(21)
     network = Network(simulator, latency=0.01)
     NTPServer(network, "192.0.2.10", SystemClock(simulator))
-    client = NTPClientHost(network, "192.0.2.200", timeout=1.0)
+    client = NTPClientHost(network, "192.0.2.200")
     FaultInjector(network, FaultPlan.from_spec((
         {"kind": "host_outage", "host": "192.0.2.10", "start": 0.0, "end": 2.0},
     ))).arm()
@@ -315,15 +313,6 @@ def test_upstream_retries_defense_rewrites_resolver_policy():
     assert testbed.resolver.policy.query_retries == 2
     assert testbed.resolver.policy.serve_stale is False
     assert testbed.resolver.cache.serve_stale is False
-
-
-def test_resilience_defenses_take_no_knobs():
-    from repro.defenses.resilience import ServeStale, UpstreamRetries
-
-    with pytest.raises(TypeError):
-        ServeStale(window=60.0)
-    with pytest.raises(TypeError):
-        UpstreamRetries(retries=3)
 
 
 def test_resilience_stacks_are_not_in_the_pinned_default_grid():
