@@ -34,7 +34,7 @@ def run_both_vectors():
     simulator.run(until=5.0)
     entry = resolver.cache.peek("pool.ntp.org", RecordType.A)
     outcomes["bgp"] = {
-        "poisoned": hijacker.poisoning_succeeded(resolver),
+        "poisoned": attacker.cached_records(resolver, "pool.ntp.org")[1] > 0,
         "records": len(entry.records) if entry else 0,
         "ttl": entry.ttl if entry else 0,
     }

@@ -18,7 +18,6 @@ from .bgp_hijack import (
     BGPHijackConfig,
     BGPHijackPoisoner,
     BGPHijackScenario,
-    HijackWindow,
 )
 from .chronos_pool_attack import (
     DEFAULT_ZONE,
@@ -41,12 +40,7 @@ from .frag_poisoning import (
     FragRaceWorld,
     fragmentation_attack_success_probability,
 )
-from .ntp_shift import (
-    OfflineShiftModel,
-    chronos_round_offset,
-    ntpd_round_offset,
-)
-from .query_trigger import QueryTrigger, SMTPTriggerServer, TriggerRecord
+from .query_trigger import SMTPTriggerServer, TriggerRecord
 
 __all__ = [
     "DEFAULT_MALICIOUS_TTL",
@@ -58,7 +52,6 @@ __all__ = [
     "BGPHijackConfig",
     "BGPHijackPoisoner",
     "BGPHijackScenario",
-    "HijackWindow",
     "DEFAULT_ZONE",
     "ChronosPoolAttackScenario",
     "PoolAttackConfig",
@@ -74,10 +67,6 @@ __all__ = [
     "FragPoisoningScenario",
     "FragRaceWorld",
     "fragmentation_attack_success_probability",
-    "OfflineShiftModel",
-    "chronos_round_offset",
-    "ntpd_round_offset",
-    "QueryTrigger",
     "SMTPTriggerServer",
     "TriggerRecord",
 ]

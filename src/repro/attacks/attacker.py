@@ -121,7 +121,6 @@ class AttackerInfrastructure:
 
     def _build_server(self, address: str) -> MaliciousNTPServer:
         server = MaliciousNTPServer(self.network, address, time_shift=self.time_shift)
-        assert server.clock.drift_ppm == 0  # drift would count from the build
         self._built.append(server)
         return server
 

@@ -17,18 +17,9 @@ from typing import Any, Optional
 
 from ..defenses.stack import DefenseSpec, defense_rejections
 from ..dns.records import RecordType
-from ..dns.resolver import RecursiveResolver
 from ..experiments.testbed import DEFAULT_ZONE, build_testbed, testbed_config
 from ..netsim.network import Network
 from .attacker import DEFAULT_MALICIOUS_TTL, AttackerInfrastructure, ImpersonatingNameserver
-
-
-@dataclass
-class HijackWindow:
-    """Record of one hijack interval for experiment reporting."""
-
-    announced_at: float
-    withdrawn_at: Optional[float] = None
 
 
 class BGPHijackPoisoner:
@@ -41,7 +32,6 @@ class BGPHijackPoisoner:
         self.attacker = attacker
         self.target_nameserver = target_nameserver
         self.zone_name = zone_name
-        self.windows: list[HijackWindow] = []
         self._active = False
         records = attacker.malicious_answer_records(zone_name)
         self.nameserver = ImpersonatingNameserver(
@@ -51,10 +41,6 @@ class BGPHijackPoisoner:
             zone_name=zone_name,
             records=records,
         )
-
-    @property
-    def active(self) -> bool:
-        return self._active
 
     def hijack_prefix(self) -> str:
         """The more-specific prefix (/32 here) covering the target nameserver."""
@@ -66,9 +52,7 @@ class BGPHijackPoisoner:
             return
         if not self.attacker.can_hijack_bgp:
             raise PermissionError("attacker model does not include BGP hijacking")
-        self.network.routing_table.announce(self.hijack_prefix(), self.nameserver.address,
-                                            legitimate=False)
-        self.windows.append(HijackWindow(announced_at=self.network.simulator.now))
+        self.network.routing_table.announce(self.hijack_prefix(), self.nameserver.address)
         self._active = True
         obs = self.network.simulator.obs
         if obs.enabled:
@@ -82,7 +66,6 @@ class BGPHijackPoisoner:
         if not self._active:
             return
         self.network.routing_table.withdraw(self.hijack_prefix(), self.nameserver.address)
-        self.windows[-1].withdrawn_at = self.network.simulator.now
         self._active = False
 
     def schedule_window(self, start_in: float, duration: float) -> None:
@@ -95,10 +78,6 @@ class BGPHijackPoisoner:
         simulator = self.network.simulator
         simulator.schedule(start_in, self.announce)
         simulator.schedule(start_in + duration, self.withdraw)
-
-    def poisoning_succeeded(self, resolver: RecursiveResolver) -> bool:
-        """Whether the resolver currently caches attacker addresses for the zone."""
-        return self.attacker.cached_records(resolver, self.zone_name)[1] > 0
 
 
 @dataclass

@@ -6,7 +6,10 @@ query at a convenient moment — it can make some other system that uses the
 same resolver look the name up (the companion study found 14 % of web-client
 resolvers reachable this way via SMTP servers or open resolvers).  Triggering
 matters for the fragmentation vector, where the attacker wants to plant
-spoofed fragments immediately before a query it knows is coming.
+spoofed fragments immediately before a query it knows is coming.  This
+module models the SMTP avenue: the attacker sends a port-25 datagram naming
+the domain, and :class:`SMTPTriggerServer` looks it up through the shared
+resolver.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..dns.resolver import DNSStub, RecursiveResolver
+from ..dns.resolver import DNSStub
 from ..netsim.network import Host, Network
 from ..netsim.packets import UDPDatagram
 
@@ -56,45 +59,3 @@ class SMTPTriggerServer(Host):
                                            triggered_at=self.network.simulator.now))
         self.dns.lookup(domain, lambda addresses: None)
 
-
-class QueryTrigger:
-    """Attacker-side helper that fires resolver queries via available avenues."""
-
-    def __init__(self, network: Network, resolver: RecursiveResolver,
-                 smtp_server: Optional[SMTPTriggerServer] = None,
-                 attacker_address: str = "198.51.100.250") -> None:
-        self.network = network
-        self.resolver = resolver
-        self.smtp_server = smtp_server
-        self.attacker_address = attacker_address
-        self.records: list[TriggerRecord] = []
-
-    def trigger_via_open_resolver(self, name: str) -> bool:
-        """Query the resolver directly; works only if it is an open resolver."""
-        if not self.resolver.policy.open_resolver:
-            return False
-        self.resolver.trigger_lookup(name)
-        self.records.append(TriggerRecord(via="open-resolver", name=name,
-                                          triggered_at=self.network.simulator.now))
-        return True
-
-    def trigger_via_smtp(self, name: str) -> bool:
-        """Send a message to the SMTP server naming the target domain."""
-        if self.smtp_server is None:
-            return False
-        self.network.send_datagram(
-            UDPDatagram(
-                src_ip=self.attacker_address,
-                dst_ip=self.smtp_server.address,
-                src_port=40000,
-                dst_port=SMTP_PORT,
-                payload=name.encode("ascii"),
-            )
-        )
-        self.records.append(TriggerRecord(via="smtp", name=name,
-                                          triggered_at=self.network.simulator.now))
-        return True
-
-    def trigger(self, name: str) -> bool:
-        """Use whichever avenue is available (open resolver first, then SMTP)."""
-        return self.trigger_via_open_resolver(name) or self.trigger_via_smtp(name)

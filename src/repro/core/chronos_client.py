@@ -25,7 +25,7 @@ from ..defenses.stack import DefenseStack
 from ..dns.resolver import DNSStub
 from ..netsim.network import Host, Network
 from ..netsim.packets import UDPDatagram
-from ..ntp.clock import ClockErrorTrace, SystemClock
+from ..ntp.clock import SystemClock
 from ..ntp.query import NTPQuerier, TimeSample
 from .pool_generation import ChronosPoolGenerator, GeneratedPool, PoolGenerationPolicy
 from .selection import ChronosConfig, ChronosSelectionResult, chronos_select, panic_select
@@ -77,7 +77,6 @@ class ChronosClient(Host):
         self.hostname = hostname
         self.pool: Optional[GeneratedPool] = None
         self.update_history: list[ChronosUpdateRecord] = []
-        self.error_trace = ClockErrorTrace()
         self.panic_count = 0
         self.started = False
         self._last_update_time: Optional[float] = None
@@ -190,7 +189,7 @@ class ChronosClient(Host):
 
     def _apply_offset(self, record: ChronosUpdateRecord, offset: float) -> None:
         record.applied_offset = offset
-        self.clock.adjust(offset, source="chronos")
+        self.clock.adjust(offset)
 
     def _complete_update(self, record: ChronosUpdateRecord) -> None:
         obs = self.network.simulator.obs
@@ -200,7 +199,6 @@ class ChronosClient(Host):
         self._current = None
         self._last_update_time = self.network.simulator.now
         self.update_history.append(record)
-        self.error_trace.record(self.clock)
         self.network.simulator.schedule(self.config.poll_interval, self._begin_update)
 
     # -- datagram dispatch -------------------------------------------------------

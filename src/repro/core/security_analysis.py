@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
 
 SECONDS_PER_YEAR = 365.25 * 24 * 3600.0
 
@@ -100,29 +99,21 @@ class ShiftAttackBound:
     def expected_years_to_success(self) -> float:
         return self.expected_seconds_to_success / SECONDS_PER_YEAR
 
-    def probability_within(self, duration_seconds: float) -> float:
-        """Probability of at least one successful round within ``duration_seconds``."""
-        if self.per_round_probability <= 0.0:
-            return 0.0
-        rounds = max(int(duration_seconds // self.poll_interval), 0)
-        return 1.0 - (1.0 - self.per_round_probability) ** rounds
-
 
 def shift_attack_bound(pool_size: int, malicious_servers: int, sample_size: int,
-                       poll_interval: float = 900.0,
-                       threshold: Optional[int] = None) -> ShiftAttackBound:
+                       poll_interval: float = 900.0) -> ShiftAttackBound:
     """Compute the Chronos shift-attack bound for a pool composition.
 
     Parameters mirror the Chronos analysis: ``pool_size`` servers of which
     ``malicious_servers`` are attacker-controlled, ``sample_size`` drawn per
-    update round, one round every ``poll_interval`` seconds.
+    update round, one round every ``poll_interval`` seconds; a round is won
+    with :func:`attack_threshold` attacker samples.
     """
     if malicious_servers > pool_size:
         raise AnalysisError("malicious_servers cannot exceed pool_size")
     if sample_size > pool_size:
         sample_size = pool_size
-    if threshold is None:
-        threshold = attack_threshold(sample_size)
+    threshold = attack_threshold(sample_size)
     probability = hypergeometric_tail(pool_size, malicious_servers, sample_size, threshold)
     return ShiftAttackBound(
         pool_size=pool_size,
@@ -132,13 +123,6 @@ def shift_attack_bound(pool_size: int, malicious_servers: int, sample_size: int,
         per_round_probability=probability,
         poll_interval=poll_interval,
     )
-
-
-def years_of_effort(pool_size: int, malicious_servers: int, sample_size: int = 15,
-                    poll_interval: float = 900.0) -> float:
-    """Convenience wrapper returning the expected years to a successful shift."""
-    return shift_attack_bound(pool_size, malicious_servers, sample_size,
-                              poll_interval).expected_years_to_success
 
 
 def sweep_malicious_fraction(pool_size: int, sample_size: int,
@@ -238,14 +222,3 @@ def cumulative_shift_bound(pool_size: int, malicious_servers: int, sample_size: 
         panic_controlled=panic_mode_controlled(pool_size, malicious_servers),
     )
 
-
-def mitm_reference_bound(pool_size: int = 500, sample_size: int = 15,
-                         poll_interval: float = 900.0,
-                         malicious_fraction: float = 1.0 / 3.0 - 1e-9) -> ShiftAttackBound:
-    """The "strong MitM needs decades" reference configuration from §III.
-
-    The strongest attacker Chronos claims to tolerate controls just under a
-    third of the pool; this helper evaluates the bound there.
-    """
-    malicious = int(pool_size * malicious_fraction)
-    return shift_attack_bound(pool_size, malicious, sample_size, poll_interval)

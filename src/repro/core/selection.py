@@ -80,16 +80,6 @@ class ChronosConfig:
         """How far the surviving average may be from the local clock."""
         return self.err + self.drift_ppm * 1e-6 * max(elapsed_since_update, 0.0)
 
-    @property
-    def attack_threshold(self) -> int:
-        """Minimum number of attacker samples needed to control an update.
-
-        To fully control the trimmed average the attacker must survive the
-        trimming *and* dominate the survivors, which requires controlling at
-        least two-thirds of the sampled servers.
-        """
-        return self.sample_size - self.trim_count
-
 
 class SelectionStatus(enum.Enum):
     """Outcome of a single Chronos sampling attempt."""
@@ -130,16 +120,14 @@ def trim_offsets(offsets: Sequence[float], trim_count: int) -> tuple[list[float]
 
 
 def chronos_select(offsets: Sequence[float], config: ChronosConfig,
-                   elapsed_since_update: float = 0.0,
-                   enforce_checks: bool = True) -> ChronosSelectionResult:
+                   elapsed_since_update: float = 0.0) -> ChronosSelectionResult:
     """Apply the Chronos selection rule to offsets measured this round.
 
     ``offsets`` are clock offsets relative to the local clock (what the NTP
     exchange computes), so the "agreement with the local clock" check is a
-    bound on the surviving average's absolute value.
-
-    ``enforce_checks=False`` gives the *panic-mode* behaviour: the trimmed
-    average is adopted regardless of the agreement checks.
+    bound on the surviving average's absolute value.  The trimmed average
+    is adopted only if both agreement checks pass; :func:`panic_select` is
+    the unchecked last resort.
     """
     minimum_required = 2 * config.trim_count + 1
     if len(offsets) < minimum_required:
@@ -148,14 +136,13 @@ def chronos_select(offsets: Sequence[float], config: ChronosConfig,
     if not survivors:
         return ChronosSelectionResult(SelectionStatus.TOO_FEW_SAMPLES, None, (), tuple(offsets))
     average = mean(survivors)
-    if enforce_checks:
-        spread = max(survivors) - min(survivors)
-        if spread > config.agreement_window:
-            return ChronosSelectionResult(SelectionStatus.WIDE_SPREAD, None,
-                                          tuple(survivors), tuple(discarded))
-        if abs(average) > config.local_bound(elapsed_since_update):
-            return ChronosSelectionResult(SelectionStatus.FAR_FROM_LOCAL, None,
-                                          tuple(survivors), tuple(discarded))
+    spread = max(survivors) - min(survivors)
+    if spread > config.agreement_window:
+        return ChronosSelectionResult(SelectionStatus.WIDE_SPREAD, None,
+                                      tuple(survivors), tuple(discarded))
+    if abs(average) > config.local_bound(elapsed_since_update):
+        return ChronosSelectionResult(SelectionStatus.FAR_FROM_LOCAL, None,
+                                      tuple(survivors), tuple(discarded))
     return ChronosSelectionResult(SelectionStatus.OK, average,
                                   tuple(survivors), tuple(discarded))
 

@@ -213,9 +213,11 @@ class RunCache:
                     raise TypeError("malformed cache entry")
                 obs = entry.get("obs")
                 snapshot = MetricsSnapshot.from_dict(obs) if obs is not None else None
-            except Exception:  # noqa: PERF203 — per-line corruption tolerance
+            except (ValueError, KeyError, TypeError, RecursionError):  # noqa: PERF203
                 # Torn write, truncation, or foreign garbage: the line is
-                # worth one recomputation, not a crash.
+                # worth one recomputation, not a crash.  json.loads raises
+                # ValueError, or RecursionError on absurdly deep nesting;
+                # MetricsSnapshot.from_dict raises only ValueError.
                 self.stats.corrupt_lines += 1
                 continue
             # Repeated keys (a crash-looped writer re-appending the same

@@ -10,7 +10,8 @@ of (or before) the legitimate owner — not BGP's path-vector mechanics.
 The routing table maps prefixes to the simulated host that currently receives
 traffic for them.  Announcing a more-specific prefix wins by longest-prefix
 match, exactly the property real-world hijacks (e.g. the MyEtherWallet /
-Amazon Route 53 incident cited by the paper) exploit.
+Amazon Route 53 incident cited by the paper) exploit; a hijack is simply an
+announcement the hijacker later withdraws.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class RouteAnnouncement:
 
     prefix: Prefix
     origin: str
-    legitimate: bool = True
 
 
 @dataclass
@@ -35,16 +35,10 @@ class RoutingTable:
     """Longest-prefix-match forwarding state shared by the simulated network."""
 
     announcements: list[RouteAnnouncement] = field(default_factory=list)
-    #: history of hijacks, useful for experiment reporting
-    hijacks: list[RouteAnnouncement] = field(default_factory=list)
 
-    def announce(self, prefix: str, origin: str, legitimate: bool = True) -> RouteAnnouncement:
-        """Add an announcement.  Illegitimate announcements are recorded as hijacks."""
-        announcement = RouteAnnouncement(Prefix.parse(prefix), origin, legitimate)
-        self.announcements.append(announcement)
-        if not legitimate:
-            self.hijacks.append(announcement)
-        return announcement
+    def announce(self, prefix: str, origin: str) -> None:
+        """Add an announcement of ``prefix`` by ``origin``."""
+        self.announcements.append(RouteAnnouncement(Prefix.parse(prefix), origin))
 
     def withdraw(self, prefix: str, origin: str) -> None:
         """Remove announcements of ``prefix`` by ``origin`` (no-op if absent)."""
@@ -71,36 +65,3 @@ class RoutingTable:
                 best = announcement
                 best_index = index
         return best.origin if best else None
-
-    def hijacked_destinations(self) -> dict[str, str]:
-        """Map of hijacked prefixes (as strings) to the hijacker origin."""
-        return {str(a.prefix): a.origin for a in self.hijacks}
-
-
-class BGPHijack:
-    """Context-manager helper for a temporary prefix hijack.
-
-    Example
-    -------
-    >>> table = RoutingTable()
-    >>> table.announce("203.0.113.0/24", "203.0.113.53")
-    ... # doctest: +ELLIPSIS
-    RouteAnnouncement(...)
-    >>> with BGPHijack(table, "203.0.113.0/25", hijacker="198.51.100.66"):
-    ...     table.lookup("203.0.113.53")
-    '198.51.100.66'
-    >>> table.lookup("203.0.113.53")
-    '203.0.113.53'
-    """
-
-    def __init__(self, table: RoutingTable, prefix: str, hijacker: str) -> None:
-        self.table = table
-        self.prefix = prefix
-        self.hijacker = hijacker
-
-    def __enter__(self) -> BGPHijack:
-        self.table.announce(self.prefix, self.hijacker, legitimate=False)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.table.withdraw(self.prefix, self.hijacker)

@@ -1,7 +1,7 @@
 """NTP substrate: packet format, timestamps, clocks, servers, traditional client."""
 
 from .client import DEFAULT_MAX_SERVERS, DEFAULT_POLL_INTERVAL, PollRecord, TraditionalNTPClient
-from .clock import DEFAULT_EPOCH, ClockAdjustment, ClockErrorTrace, SystemClock
+from .clock import DEFAULT_EPOCH, SystemClock
 from .packet import (
     NTP_PACKET_SIZE,
     NTP_PORT,
@@ -39,8 +39,6 @@ __all__ = [
     "PollRecord",
     "TraditionalNTPClient",
     "DEFAULT_EPOCH",
-    "ClockAdjustment",
-    "ClockErrorTrace",
     "SystemClock",
     "NTP_PACKET_SIZE",
     "NTP_PORT",

@@ -21,7 +21,7 @@ from ..defenses.stack import DefenseStack
 from ..dns.resolver import DNSStub
 from ..netsim.network import Host, Network
 from ..netsim.packets import UDPDatagram
-from .clock import ClockErrorTrace, SystemClock
+from .clock import SystemClock
 from .query import NTPQuerier, TimeSample
 from .selection import SelectionResult, ntpd_select
 
@@ -47,7 +47,6 @@ class TraditionalNTPClient(Host):
                  max_servers: int = DEFAULT_MAX_SERVERS,
                  poll_interval: float = DEFAULT_POLL_INTERVAL,
                  clock: Optional[SystemClock] = None,
-                 max_adjustment: Optional[float] = None,
                  name: Optional[str] = None,
                  defenses: Optional[DefenseStack] = None) -> None:
         super().__init__(network, address, name=name or f"ntp-client-{address}")
@@ -59,12 +58,8 @@ class TraditionalNTPClient(Host):
         self.hostname = hostname
         self.max_servers = max_servers
         self.poll_interval = poll_interval
-        #: Optional cap on the per-poll adjustment ("panic threshold" in
-        #: ntpd terms); None applies the computed offset unconditionally.
-        self.max_adjustment = max_adjustment
         self.servers: list[str] = []
         self.poll_history: list[PollRecord] = []
-        self.error_trace = ClockErrorTrace()
         self.started = False
         self._current_poll: Optional[PollRecord] = None
         self._outstanding = 0
@@ -115,13 +110,10 @@ class TraditionalNTPClient(Host):
             record.result = result
             if result.succeeded:
                 offset = result.offset
-                if self.max_adjustment is not None and abs(offset) > self.max_adjustment:
-                    offset = 0.0
                 record.applied_offset = offset
                 if offset:
-                    self.clock.adjust(offset, source="ntpd")
+                    self.clock.adjust(offset)
         self.poll_history.append(record)
-        self.error_trace.record(self.clock)
         self.network.simulator.schedule(self.poll_interval, self._poll)
 
     # -- datagram dispatch ---------------------------------------------------------

@@ -8,7 +8,7 @@ operate on these structures.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .timestamps import from_short_format, ntp_to_unix, short_format, unix_to_ntp
 
@@ -99,25 +99,7 @@ class NTPPacket:
             transmit_time=transmit_time,
         )
 
-    def shifted(self, shift: float) -> NTPPacket:
-        """Copy with server-side timestamps shifted by ``shift`` seconds.
-
-        This is what a malicious (or MitM-rewritten) server reply looks like:
-        the origin timestamp still echoes the client's nonce, but receive and
-        transmit claim a different time of day.
-        """
-        return replace(
-            self,
-            receive_time=self.receive_time + shift,
-            transmit_time=self.transmit_time + shift,
-            reference_time=self.reference_time + shift,
-        )
-
     # -- validity ------------------------------------------------------------
-    @property
-    def kiss_of_death(self) -> bool:
-        return self.stratum == 0 and self.mode == NTPMode.SERVER
-
     def valid_server_reply_to(self, origin_time: float) -> bool:
         """The anti-spoofing check: the reply must echo our transmit time.
 

@@ -1,7 +1,7 @@
 """NTP servers: honest time sources and attacker-controlled ones.
 
 An honest server replies with its own (approximately correct) clock.  A
-malicious server replies with a constant or attacker-scripted shift — the
+malicious server replies with its clock plus a constant shift — the
 behaviour the Chronos threat model calls a "corrupted server" and the
 behaviour every address the attacker injects into the Chronos pool exhibits
 once the time-shifting phase of the attack starts.
@@ -9,17 +9,12 @@ once the time-shifting phase of the attack starts.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from typing import Optional
 
 from ..netsim.network import Host, Network
 from ..netsim.packets import UDPDatagram
 from .clock import SystemClock
 from .packet import NTP_PORT, LeapIndicator, NTPMode, NTPPacket, PacketFormatError, note_malformed
-
-#: Scripted shift: maps true time to the shift (seconds) the server applies.
-ShiftSchedule = Callable[[float], float]
-
 
 class NTPServer(Host):
     """An NTP server answering mode-3 requests from its local clock."""
@@ -75,24 +70,14 @@ class NTPServer(Host):
 
 
 class MaliciousNTPServer(NTPServer):
-    """An attacker-controlled NTP server serving shifted time.
-
-    ``time_shift`` is the constant shift in seconds; alternatively a
-    ``shift_schedule`` callable lets experiments model gradually increasing
-    shifts (the strategy used to stay inside per-update acceptance windows).
-    """
+    """An attacker-controlled NTP server serving time shifted by the
+    constant ``time_shift`` seconds (the attacker may change it between
+    rounds)."""
 
     def __init__(self, network: Network, address: str, time_shift: float = 0.0,
-                 shift_schedule: Optional[ShiftSchedule] = None,
                  name: Optional[str] = None) -> None:
         super().__init__(network, address, name=name or f"evil-ntp-{address}")
         self.time_shift = time_shift
-        self.shift_schedule = shift_schedule
-
-    def current_shift(self) -> float:
-        if self.shift_schedule is not None:
-            return self.shift_schedule(self.clock.true_time())
-        return self.time_shift
 
     def served_time(self) -> float:
-        return self.clock.now() + self.current_shift()
+        return self.clock.now() + self.time_shift

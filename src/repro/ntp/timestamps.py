@@ -91,7 +91,3 @@ class ExchangeTimestamps:
     def delay(self) -> float:
         """Round-trip network delay of the exchange."""
         return (self.destination - self.origin) - (self.transmit - self.receive)
-
-    def is_plausible(self, max_delay: float = 16.0) -> bool:
-        """Basic sanity: non-negative, bounded round-trip delay."""
-        return 0 <= self.delay <= max_delay

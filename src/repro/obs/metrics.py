@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, NoReturn, Optional
 
 #: A fully-resolved instrument key: (name, ((label, value), ...)).
 MetricKey = tuple[str, tuple[tuple[str, str], ...]]
@@ -246,17 +246,23 @@ class MetricsSnapshot:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> MetricsSnapshot:
+    def from_dict(cls, data: dict) -> MetricsSnapshot:
+        """Inverse of :meth:`to_dict` for decoded JSON; any malformed part
+        raises ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError("metrics snapshot is not a JSON object")
+        counters = data.get("counters", {})
+        gauges = data.get("gauges", {})
+        histograms = data.get("histograms", {})
+        if not (isinstance(counters, dict) and isinstance(gauges, dict)
+                and isinstance(histograms, dict)):
+            raise ValueError("metrics sections must be JSON objects")
         return cls(
-            counters={parse_key(k): v for k, v in data.get("counters", {}).items()},
-            gauges={parse_key(k): v for k, v in data.get("gauges", {}).items()},
-            histograms={
-                parse_key(k): HistogramSnapshot(
-                    bounds=tuple(h["bounds"]), counts=tuple(h["counts"]),
-                    count=h["count"], total=h["total"],
-                    minimum=h["min"], maximum=h["max"])
-                for k, h in data.get("histograms", {}).items()
-            },
+            counters={parse_key(k): v for k, v in counters.items()
+                      if type(v) in _NUMBERS or _not_a_number(v)},
+            gauges={parse_key(k): v for k, v in gauges.items()
+                    if type(v) in _NUMBERS or _not_a_number(v)},
+            histograms={parse_key(k): _histogram(h) for k, h in histograms.items()},
         )
 
     def to_json(self) -> str:
@@ -272,6 +278,34 @@ class MetricsSnapshot:
 
 
 MetricsSnapshot.EMPTY = MetricsSnapshot()
+
+
+#: The value types a metric may hold (exact types: a bool is not a metric value).
+_NUMBERS = (int, float)
+
+
+def _not_a_number(value: Any) -> NoReturn:
+    raise ValueError(f"metric value {value!r} is not a number")
+
+
+def _number(value: Any) -> Any:
+    return value if type(value) in _NUMBERS else _not_a_number(value)
+
+
+def _histogram(data: Any) -> HistogramSnapshot:
+    try:
+        bounds = tuple(_number(bound) for bound in data["bounds"])
+        counts = tuple(_number(count) for count in data["counts"])
+        snapshot = HistogramSnapshot(
+            bounds=bounds, counts=counts,
+            count=_number(data["count"]), total=_number(data["total"]),
+            minimum=None if data["min"] is None else _number(data["min"]),
+            maximum=None if data["max"] is None else _number(data["max"]))
+    except (KeyError, TypeError) as error:
+        raise ValueError(f"malformed histogram: {error!r}") from None
+    if len(counts) != len(bounds) + 1:
+        raise ValueError("histogram needs one count per bound plus overflow")
+    return snapshot
 
 
 def parse_key(rendered: str) -> MetricKey:

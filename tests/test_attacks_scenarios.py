@@ -10,9 +10,11 @@ from repro.attacks.chronos_pool_attack import (
     PoolAttackConfig,
     analytic_pool_composition,
 )
-from repro.attacks.ntp_shift import OfflineShiftModel, chronos_round_offset, ntpd_round_offset
 from repro.core.pool_generation import PoolComposition
 from repro.core.security_analysis import shift_reached
+from repro.core.selection import ChronosConfig, chronos_select, panic_select
+from repro.ntp.query import TimeSample
+from repro.ntp.selection import ntpd_select
 from repro.population.batch import FleetPolicy
 
 
@@ -252,22 +254,29 @@ def test_baseline_unpoisoned_client_keeps_correct_time():
     assert abs(result["achieved_shift"]) < 0.1
 
 
-# -- offline single-round shift models ---------------------------------------------------------
+# -- one shift round under a given sample mix --------------------------------------------------
 
-def test_offline_chronos_round_needs_two_thirds():
-    minority = OfflineShiftModel(sample_size=15, malicious_samples=5, shift=10.0)
-    majority = OfflineShiftModel(sample_size=15, malicious_samples=10, shift=10.0)
-    assert abs(chronos_round_offset(minority) or 0.0) < 0.01
-    assert chronos_round_offset(majority) == pytest.approx(10.0)
+def mixed_offsets(sample_size, malicious, shift=10.0):
+    """``malicious`` samples at ``shift``, the rest honest within 1 ms."""
+    return [0.001 * ((i % 3) - 1) for i in range(sample_size - malicious)] + [shift] * malicious
 
 
-def test_offline_ntpd_round_falls_to_simple_majority():
-    majority = OfflineShiftModel(sample_size=4, malicious_samples=3, shift=10.0)
-    offset = ntpd_round_offset(majority)
-    assert offset is not None and offset > 5.0
+def test_chronos_round_needs_two_thirds():
+    config = ChronosConfig()
+    minority = chronos_select(mixed_offsets(15, 5), config)
+    assert minority.accepted and abs(minority.offset) < 0.01
+    majority = mixed_offsets(15, 10)
+    # Ten of fifteen own the trimmed mean; only the agreement checks stop
+    # the round, and unchecked panic mode adopts the shift.
+    assert not chronos_select(majority, config).accepted
+    assert panic_select(majority, config).offset == pytest.approx(10.0)
 
 
-def test_offline_ntpd_round_resists_minority():
-    minority = OfflineShiftModel(sample_size=4, malicious_samples=1, shift=10.0)
-    offset = ntpd_round_offset(minority)
-    assert offset is not None and abs(offset) < 0.1
+@pytest.mark.parametrize("malicious, adopted", [(3, True), (1, False)])
+def test_ntpd_round_falls_to_simple_majority(malicious, adopted):
+    samples = [TimeSample(server=f"s{index}", offset=offset, delay=0.02, stratum=2,
+                          root_dispersion=0.01, completed_at=0.0)
+               for index, offset in enumerate(mixed_offsets(4, malicious))]
+    result = ntpd_select(samples)
+    assert result.succeeded
+    assert (result.offset > 5.0) if adopted else (abs(result.offset) < 0.1)

@@ -191,7 +191,7 @@ def test_chronos_client_start_generates_pool_then_updates():
 
 def test_chronos_client_corrects_initial_clock_error():
     simulator, network, _, _, client = build_world(server_count=300, seed=21)
-    client.clock.adjust(0.05, source="initial-error")
+    client.clock.adjust(0.05)
     client.start()
     simulator.run(until=24 * 3600 + 4 * client.config.poll_interval)
     assert abs(client.clock_error) < 0.02

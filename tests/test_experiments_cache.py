@@ -150,9 +150,11 @@ def test_foreign_garbage_lines_are_skipped(cache, tmp_path):
         with shard.open("ab") as handle:
             handle.write(b"not json at all\n")
             handle.write(b'{"valid_json": "wrong shape"}\n')
+            # Too deep for json.loads, which raises RecursionError.
+            handle.write(b"[" * 100_000 + b"]" * 100_000 + b"\n")
     damaged = RunCache(tmp_path / "store")
     assert damaged.get_entry("synthetic", 11, record.params) is not None
-    assert damaged.stats.corrupt_lines == 2
+    assert damaged.stats.corrupt_lines == 3
 
 
 def test_duplicated_lines_collapse_to_a_single_entry(cache, tmp_path):
@@ -196,9 +198,20 @@ def _obs_counters_number(entry):
     entry["obs"] = {"counters": 5}
 
 
+def _obs_counter_string(entry):
+    # Valid JSON, but MetricsSnapshot.merge cannot add a string to a count.
+    entry["obs"] = {"counters": {"dns.queries_forwarded": "lots"}}
+
+
+def _obs_histogram_without_overflow(entry):
+    entry["obs"] = {"histograms": {"h": {"bounds": [1.0], "counts": [1], "count": 1,
+                                         "total": 1.0, "min": 1.0, "max": 1.0}}}
+
+
 @pytest.mark.parametrize("collect_metrics", [False, True])
 @pytest.mark.parametrize("damage", [_drop_seed, _drop_scenario, _obs_garbage,
-                                    _obs_number, _obs_counters_number])
+                                    _obs_number, _obs_counters_number,
+                                    _obs_counter_string, _obs_histogram_without_overflow])
 def test_wrongly_shaped_valid_json_line_costs_one_recomputation(
         tmp_path, damage, collect_metrics):
     spec = ExperimentSpec(scenario="bgp_hijack", seeds=(1,), base_params=CHEAP)

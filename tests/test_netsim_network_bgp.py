@@ -6,7 +6,7 @@ import pytest
 from _counters import count, observed_simulator
 
 from repro.faults import FaultInjector, FaultPlan, LatencyRamp, LinkLoss
-from repro.netsim.bgp import BGPHijack, RoutingTable
+from repro.netsim.bgp import RoutingTable
 from repro.netsim.network import Host, Network, NetworkError
 from repro.netsim.packets import IPPacket, UDPDatagram
 
@@ -281,18 +281,9 @@ def test_routing_table_lookup_without_route_is_none():
 def test_hijack_announce_and_withdraw():
     table = RoutingTable()
     table.announce("203.0.113.0/24", "203.0.113.53")
-    table.announce("203.0.113.53/32", "198.51.100.66", legitimate=False)
+    table.announce("203.0.113.53/32", "198.51.100.66")
     assert table.lookup("203.0.113.53") == "198.51.100.66"
-    assert table.hijacked_destinations() == {"203.0.113.53/32": "198.51.100.66"}
     table.withdraw("203.0.113.53/32", "198.51.100.66")
-    assert table.lookup("203.0.113.53") == "203.0.113.53"
-
-
-def test_hijack_context_manager_restores_route():
-    table = RoutingTable()
-    table.announce("203.0.113.0/24", "203.0.113.53")
-    with BGPHijack(table, "203.0.113.0/25", hijacker="198.51.100.66"):
-        assert table.lookup("203.0.113.53") == "198.51.100.66"
     assert table.lookup("203.0.113.53") == "203.0.113.53"
 
 
@@ -308,7 +299,7 @@ def test_network_routing_diverts_to_hijacker_host():
     legitimate = RecordingHost(network, "192.0.2.53")
     hijacker = RecordingHost(network, "198.51.100.66")
     RecordingHost(network, "192.0.2.1")
-    network.routing_table.announce("192.0.2.53/32", hijacker.address, legitimate=False)
+    network.routing_table.announce("192.0.2.53/32", hijacker.address)
     network.send_datagram(UDPDatagram("192.0.2.1", "192.0.2.53", 1111, 53, b"query"))
     simulator.run()
     assert len(hijacker.inbox) == 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.netsim.simulator import Simulator
-from repro.ntp.clock import ClockErrorTrace, SystemClock
+from repro.ntp.clock import SystemClock
 from repro.ntp.query import TimeSample
 from repro.ntp.selection import (
     cluster_survivors,
@@ -34,30 +34,13 @@ def test_clock_initial_offset_is_reported_as_error():
     assert clock.error == pytest.approx(0.25)
 
 
-def test_adjust_moves_clock_and_records_history():
+def test_adjust_moves_clock_both_ways():
     sim = Simulator()
     clock = SystemClock(sim)
-    clock.adjust(0.5, source="test")
+    clock.adjust(0.5)
     assert clock.error == pytest.approx(0.5)
-    assert len(clock.adjustments) == 1
-    assert clock.adjustments[0].source == "test"
-    clock.adjust(-0.5, source="test")
+    clock.adjust(-0.5)
     assert clock.error == pytest.approx(0.0)
-
-
-def test_set_offset_absolute():
-    sim = Simulator()
-    clock = SystemClock(sim, offset=0.2)
-    clock.set_offset(1.0)
-    assert clock.error == pytest.approx(1.0)
-
-
-def test_drift_accumulates_over_time():
-    sim = Simulator()
-    clock = SystemClock(sim, drift_ppm=100.0)  # 100 ppm
-    sim.schedule(10000.0, lambda: None)
-    sim.run()
-    assert clock.error == pytest.approx(1.0, rel=1e-6)  # 10000 s * 1e-4
 
 
 def test_true_time_immune_to_adjustments():
@@ -66,25 +49,6 @@ def test_true_time_immune_to_adjustments():
     before = clock.true_time()
     clock.adjust(1000.0)
     assert clock.true_time() == pytest.approx(before)
-
-
-def test_error_trace_records_max_and_final():
-    sim = Simulator()
-    clock = SystemClock(sim)
-    trace = ClockErrorTrace()
-    trace.record(clock)
-    clock.adjust(2.0)
-    trace.record(clock)
-    clock.adjust(-1.5)
-    trace.record(clock)
-    assert trace.max_abs_error == pytest.approx(2.0)
-    assert trace.final_error == pytest.approx(0.5)
-
-
-def test_empty_error_trace_defaults():
-    trace = ClockErrorTrace()
-    assert trace.max_abs_error == 0.0
-    assert trace.final_error == 0.0
 
 
 # -- selection helpers -----------------------------------------------------------------

@@ -73,7 +73,6 @@ def test_offset_and_delay_symmetric_path():
                                   destination=100.10)
     assert exchange.offset == pytest.approx(0.5, abs=1e-9)
     assert exchange.delay == pytest.approx(0.08, abs=1e-9)
-    assert exchange.is_plausible()
 
 
 def test_offset_zero_when_clocks_agree():
@@ -81,12 +80,6 @@ def test_offset_zero_when_clocks_agree():
                                   destination=10.03)
     assert exchange.offset == pytest.approx(0.0, abs=1e-9)
     assert exchange.delay == pytest.approx(0.02, abs=1e-9)
-
-
-def test_implausible_delay_detected():
-    exchange = ExchangeTimestamps(origin=10.0, receive=10.0, transmit=10.0,
-                                  destination=40.0)
-    assert not exchange.is_plausible(max_delay=16.0)
 
 
 # -- packets -----------------------------------------------------------------------
@@ -159,23 +152,6 @@ def test_negative_precision_roundtrip():
                        transmit_time=1609459200.0)
     decoded = NTPPacket.decode(packet.encode())
     assert decoded.precision == -20
-
-
-def test_shifted_moves_server_timestamps_only():
-    request = NTPPacket.client_request(transmit_time=100.0)
-    reply = request.server_reply(receive_time=100.0, transmit_time=100.0, stratum=2,
-                                 reference_time=99.0)
-    shifted = reply.shifted(600.0)
-    assert shifted.receive_time == pytest.approx(700.0)
-    assert shifted.transmit_time == pytest.approx(700.0)
-    assert shifted.origin_time == reply.origin_time  # nonce untouched
-
-
-def test_kiss_of_death_detection():
-    kod = NTPPacket(mode=NTPMode.SERVER, stratum=0)
-    normal = NTPPacket(mode=NTPMode.SERVER, stratum=2)
-    assert kod.kiss_of_death
-    assert not normal.kiss_of_death
 
 
 @given(payload=st.binary(min_size=NTP_PACKET_SIZE, max_size=NTP_PACKET_SIZE))

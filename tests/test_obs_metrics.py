@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -93,6 +94,23 @@ def test_merge_semantics(a, b):
 @given(a=snapshots)
 def test_serialisation_roundtrip(a):
     assert MetricsSnapshot.from_dict(a.to_dict()).to_dict() == a.to_dict()
+
+
+_HISTOGRAM = {"bounds": [1.0], "counts": [0, 1], "count": 1, "total": 2.0,
+              "min": 2.0, "max": 2.0}
+
+
+@pytest.mark.parametrize("data", [
+    [], "counters", {"counters": 5}, {"gauges": []},
+    {"counters": {"c": "lots"}}, {"counters": {"c": None}}, {"gauges": {"g": True}},
+    {"histograms": {"h": []}}, {"histograms": {"h": {**_HISTOGRAM, "counts": [1]}}},
+    {"histograms": {"h": {**_HISTOGRAM, "bounds": "1"}}},
+    {"histograms": {"h": {**_HISTOGRAM, "total": "2"}}},
+    {"histograms": {"h": {key: value for key, value in _HISTOGRAM.items() if key != "min"}}},
+])
+def test_from_dict_rejects_malformed_snapshots_with_value_error(data):
+    with pytest.raises(ValueError):
+        MetricsSnapshot.from_dict(data)
 
 
 # -- keys --------------------------------------------------------------------------------
