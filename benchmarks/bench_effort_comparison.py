@@ -20,15 +20,15 @@ from repro.attacks import (
 def run_comparison():
     comparison = dns_attack_comparison()
     success = end_to_end_success_table()
-    baseline = TraditionalClientAttackScenario(BaselineAttackConfig(seed=13)).run(600.0)
-    chronos_scenario = ChronosPoolAttackScenario(PoolAttackConfig(seed=13, poison_at_query=4))
-    chronos_pool = chronos_scenario.run_pool_generation()
-    chronos_shift = chronos_scenario.run_time_shift(600.0, update_rounds=5)
-    return comparison, success, baseline, chronos_pool, chronos_shift
+    baseline = TraditionalClientAttackScenario(
+        BaselineAttackConfig(seed=13, target_shift=600.0)).run()
+    chronos = ChronosPoolAttackScenario(PoolAttackConfig(
+        seed=13, poison_at_query=4, target_shift=600.0, update_rounds=5)).run()
+    return comparison, success, baseline, chronos
 
 
 def test_effort_comparison(benchmark):
-    comparison, success, baseline, chronos_pool, chronos_shift = benchmark.pedantic(
+    comparison, success, baseline, chronos = benchmark.pedantic(
         run_comparison, rounds=1, iterations=1)
     lines = [DNSAttackComparisonRow.header()]
     lines += [row.formatted() for row in comparison]
@@ -41,8 +41,8 @@ def test_effort_comparison(benchmark):
     lines.append(f"end-to-end, poisoned traditional client: shift achieved = "
                  f"{baseline['attack_succeeded']} (err {baseline['achieved_shift']:.1f} s)")
     lines.append(f"end-to-end, poisoned Chronos client:     shift achieved = "
-                 f"{chronos_shift['shift_achieved']} (err {chronos_shift['achieved_shift']:.1f} s, "
-                 f"pool {chronos_pool['benign']}/{chronos_pool['malicious']})")
+                 f"{chronos['shift_achieved']} (err {chronos['achieved_shift']:.1f} s, "
+                 f"pool {chronos['benign']}/{chronos['malicious']})")
     emit("E6 — attack-surface and effort comparison, plain NTP vs Chronos", lines)
     assert all(row["chronos_overall"] >= row["traditional_overall"] for row in success)
-    assert baseline["attack_succeeded"] and chronos_shift["shift_achieved"]
+    assert baseline["attack_succeeded"] and chronos["shift_achieved"]

@@ -37,7 +37,7 @@ from repro import obs
 from repro.experiments import AttackSpec, run_scenario
 from repro.experiments.matrix import SERVING_ATTACKS, SERVING_STACKS, run_defense_matrix
 from repro.experiments.pins import SERVING_MATRIX_DIGEST
-from repro.experiments.scenarios import time_lookups
+from repro.experiments.scenarios import TransportOverheadConfig, time_lookups
 
 SEED_COUNT = 2
 QUERIES = int(os.environ.get("SERVING_QUERY_COUNT", "50"))
@@ -55,11 +55,11 @@ def serve(label, queries):
     count the pool's work on an identical run with metrics on (so the wall
     figures never include metrics collection)."""
     started = time.perf_counter()
-    _, answer_times = time_lookups(label, 42, queries)
+    _, answer_times = time_lookups(TransportOverheadConfig(label, queries=queries), 42)
     wall = time.perf_counter() - started
     assert None not in answer_times, f"{label}: unanswered queries {answer_times}"
     with obs.capture(trace=False) as observed:
-        time_lookups(label, 42, queries)
+        time_lookups(TransportOverheadConfig(label, queries=queries), 42)
     snapshot = observed.metrics.snapshot()
     return {
         "simulated_time_to_answer": sum(answer_times) / len(answer_times),

@@ -40,7 +40,7 @@ from repro.experiments import (
     TestbedConfig,
     build_testbed,
 )
-from repro.experiments.scenarios import time_lookups
+from repro.experiments.scenarios import TransportOverheadConfig, time_lookups
 
 ZONE = "pool.ntp.org"
 
@@ -117,7 +117,7 @@ def act_four(queries: int = 20) -> None:
           f"{'reused':>7} {'0-rtt':>6}")
     for label in ("udp", "dot", "dot_reused", "dot_0rtt"):
         with obs.capture(trace=False) as observed:
-            _, times = time_lookups(label, 42, queries)
+            _, times = time_lookups(TransportOverheadConfig(label, queries=queries), 42)
         pool = observed.metrics.snapshot()
         print(f"{label:<12} {sum(times) / len(times) * 1000:>10.1f}ms "
               f"{pool.counter_total('dns.pool.connections_opened'):>6} "

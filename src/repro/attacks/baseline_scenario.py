@@ -17,13 +17,13 @@ returns the ``traditional_client_attack`` registry metrics dict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core.security_analysis import shift_reached
 from ..defenses.stack import DefenseSpec, defense_rejections
-from ..dns.nameserver import POOL_NTP_ORG_TTL, POOL_RECORDS_PER_RESPONSE
-from ..experiments.testbed import Testbed, build_testbed, testbed_config
+from ..experiments.registry import OPT_IN
+from ..experiments.testbed import DEFAULT_ZONE, Testbed, build_testbed, testbed_config
 from ..ntp.client import TraditionalNTPClient
 
 
@@ -32,10 +32,7 @@ class BaselineAttackConfig:
     """Configuration of the traditional-client attack scenario."""
 
     seed: int = 1
-    zone: str = "pool.ntp.org"
     benign_server_count: int = 50
-    records_per_response: int = POOL_RECORDS_PER_RESPONSE
-    benign_ttl: int = POOL_NTP_ORG_TTL
     #: Whether the attacker manages to poison the client's single start-up
     #: DNS resolution (the one race it gets).
     poison_startup_lookup: bool = True
@@ -43,13 +40,14 @@ class BaselineAttackConfig:
     #: client only uses the first ``max_servers`` of them anyway.
     attacker_record_count: int = 4
     malicious_ttl: int = 2 * 86400
-    poll_interval: float = 64.0
     max_servers: int = 4
     #: Extra countermeasures stacked on the resolver and the NTP sampling.
     defenses: DefenseSpec = ()
     #: Declarative fault plan injected into the network (see :mod:`repro.faults`).
-    faults: tuple = ()
-    latency: float = 0.01
+    faults: tuple = field(default=(), metadata=OPT_IN)
+    #: The shift the attacker's servers serve, and how many polls the run lasts.
+    target_shift: float = 600.0
+    poll_rounds: int = 4
 
 
 class TraditionalClientAttackScenario:
@@ -73,17 +71,17 @@ class TraditionalClientAttackScenario:
             testbed.network,
             "192.0.2.110",
             resolver_address=testbed.resolver.address,
-            hostname=self.config.zone,
+            hostname=DEFAULT_ZONE,
             max_servers=self.config.max_servers,
-            poll_interval=self.config.poll_interval,
             defenses=testbed.defenses,
         )
 
-    def run(self, target_shift: float, poll_rounds: int = 4) -> dict[str, Any]:
+    def run(self) -> dict[str, Any]:
         """Run the start-up resolution (poisoned or not) and ``poll_rounds`` polls.
 
         Returns the ``traditional_client_attack`` registry metrics dict.
         """
+        target_shift = self.config.target_shift
         if self.config.poison_startup_lookup:
             # The attacker wins the single race: the hijack is active exactly
             # when the client resolves the pool name at start-up.
@@ -91,7 +89,7 @@ class TraditionalClientAttackScenario:
             self.simulator.schedule(30.0, self.hijacker.withdraw)
         self.attacker.set_time_shift(target_shift)
         self.client.start()
-        self.simulator.run_for(poll_rounds * self.config.poll_interval + 30.0)
+        self.simulator.run_for(self.config.poll_rounds * self.client.poll_interval + 30.0)
         malicious = set(self.attacker.ntp_addresses)
         return {
             "attack_succeeded": shift_reached(self.client.clock.error, target_shift),

@@ -12,11 +12,12 @@ the forged records (many addresses, huge TTL) enter the cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..defenses.stack import DefenseSpec, defense_rejections
 from ..dns.records import RecordType
+from ..experiments.registry import OPT_IN
 from ..experiments.testbed import DEFAULT_ZONE, build_testbed, testbed_config
 from ..netsim.network import Network
 from .attacker import DEFAULT_MALICIOUS_TTL, AttackerInfrastructure, ImpersonatingNameserver
@@ -85,7 +86,6 @@ class BGPHijackConfig:
     """Configuration of the standalone hijack-poisoning scenario."""
 
     seed: int = 1
-    zone: str = DEFAULT_ZONE
     benign_server_count: int = 60
     #: Malicious A records injected (``None`` = the 89 of §IV).
     attacker_record_count: Optional[int] = None
@@ -99,8 +99,7 @@ class BGPHijackConfig:
     #: Extra countermeasures stacked on the victim resolver.
     defenses: DefenseSpec = ()
     #: Declarative fault plan injected into the network (see :mod:`repro.faults`).
-    faults: tuple = ()
-    latency: float = 0.01
+    faults: tuple = field(default=(), metadata=OPT_IN)
 
 
 class BGPHijackScenario:
@@ -123,11 +122,11 @@ class BGPHijackScenario:
         if cfg.hijack_duration > 0:
             self.hijacker.schedule_window(cfg.hijack_start, cfg.hijack_duration)
         self.simulator.schedule(cfg.lookup_time,
-                                lambda: self.resolver.trigger_lookup(cfg.zone))
+                                lambda: self.resolver.trigger_lookup(DEFAULT_ZONE))
         horizon = cfg.hijack_start + cfg.hijack_duration + cfg.lookup_time + 30.0
         self.simulator.run(until=horizon)
-        entry = self.resolver.cache.peek(cfg.zone, RecordType.A)
-        _, malicious_cached = self.attacker.cached_records(self.resolver, cfg.zone)
+        entry = self.resolver.cache.peek(DEFAULT_ZONE, RecordType.A)
+        _, malicious_cached = self.attacker.cached_records(self.resolver, DEFAULT_ZONE)
         return {
             "attack_succeeded": malicious_cached > 0,
             "defense_rejections": defense_rejections(self.resolver.defenses),

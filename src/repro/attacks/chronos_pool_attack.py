@@ -27,11 +27,15 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core.chronos_client import ChronosClient
-from ..core.pool_generation import GeneratedPool, PoolComposition, PoolGenerationPolicy
+from ..core.pool_generation import (
+    GeneratedPool,
+    PoolComposition,
+    PoolGenerationPolicy,
+    reject_retired_pool_params,
+)
 from ..core.security_analysis import shift_reached
-from ..core.selection import ChronosConfig
 from ..defenses.stack import DefenseSpec, defense_rejections
-from ..dns.nameserver import POOL_NTP_ORG_TTL, POOL_RECORDS_PER_RESPONSE
+from ..experiments.registry import OPT_IN
 from ..experiments.testbed import DEFAULT_ZONE, Testbed, build_testbed, testbed_config
 from ..population.batch import FleetPolicy, compose_client
 
@@ -45,16 +49,11 @@ class PoolAttackConfig:
     """Configuration of the end-to-end pool attack scenario."""
 
     seed: int = 1
-    zone: str = DEFAULT_ZONE
     #: Size of the benign volunteer-server population behind pool.ntp.org.
     benign_server_count: int = 200
-    #: Addresses per benign DNS response (4 for pool.ntp.org).
-    records_per_response: int = POOL_RECORDS_PER_RESPONSE
-    #: TTL of benign pool.ntp.org records (150 s in the real zone).
-    benign_ttl: int = POOL_NTP_ORG_TTL
     #: 1-indexed pool-generation query at which the poisoning lands
     #: (``None`` = no attack).
-    poison_at_query: Optional[int] = 1
+    poison_at_query: Optional[int] = 3
     #: How long the hijack window stays open (seconds).  The attack needs it
     #: open only around one query.
     hijack_duration: float = 600.0
@@ -63,17 +62,22 @@ class PoolAttackConfig:
     attacker_record_count: Optional[int] = None
     #: TTL of the poisoned records (seconds); the paper uses > 24 h.
     malicious_ttl: int = 2 * 86400
-    #: Chronos algorithm parameters.
-    chronos: ChronosConfig = field(default_factory=ChronosConfig)
-    #: Pool-generation policy (the §V mitigations are ``defenses``).
-    pool_policy: PoolGenerationPolicy = field(default_factory=PoolGenerationPolicy)
+    #: Whether the pool generation keeps only unique addresses.
+    dedupe: bool = True
     #: Extra countermeasures (registry names and/or instances) stacked on the
     #: resolver, the pool generation and the NTP sampling.
     defenses: DefenseSpec = ()
     #: Declarative fault plan injected into the network (see :mod:`repro.faults`).
-    faults: tuple = ()
-    #: Mean one-way network latency (seconds).
-    latency: float = 0.01
+    faults: tuple = field(default=(), metadata=OPT_IN)
+    #: Phase 2: whether :meth:`ChronosPoolAttackScenario.run` goes on to
+    #: shift the clock, by how much, over how many Chronos updates.
+    run_time_shift: bool = True
+    target_shift: float = 600.0
+    update_rounds: int = 5
+    #: The retired pool knobs (``RETIRED_POOL_PARAMS``): anything but
+    #: ``None`` is rejected.
+    max_addresses_per_response: None = None
+    max_accepted_ttl: None = None
 
 
 class ChronosPoolAttackScenario:
@@ -81,6 +85,8 @@ class ChronosPoolAttackScenario:
 
     def __init__(self, config: Optional[PoolAttackConfig] = None) -> None:
         self.config = config or PoolAttackConfig()
+        reject_retired_pool_params(vars(self.config))
+        self.pool_policy = PoolGenerationPolicy(dedupe=self.config.dedupe)
         self.testbed = build_testbed(
             testbed_config(self.config, benign_address_block="10.10.0.0/16"),
             victim_factory=self._build_client,
@@ -96,9 +102,8 @@ class ChronosPoolAttackScenario:
             testbed.network,
             "192.0.2.100",
             resolver_address=testbed.resolver.address,
-            hostname=self.config.zone,
-            config=self.config.chronos,
-            pool_policy=self.config.pool_policy,
+            hostname=DEFAULT_ZONE,
+            pool_policy=self.pool_policy,
             defenses=testbed.defenses,
         )
 
@@ -107,11 +112,11 @@ class ChronosPoolAttackScenario:
         if self.config.poison_at_query is None:
             return
         index = self.config.poison_at_query
-        if index < 1 or index > self.config.pool_policy.query_count:
+        if index < 1 or index > self.pool_policy.query_count:
             raise ValueError(
-                f"poison_at_query must be in 1..{self.config.pool_policy.query_count}")
+                f"poison_at_query must be in 1..{self.pool_policy.query_count}")
         # Query i (1-indexed) is issued (i - 1) * interval seconds after start.
-        query_time = (index - 1) * self.config.pool_policy.query_interval
+        query_time = (index - 1) * self.pool_policy.query_interval
         start = max(query_time - self.config.hijack_duration / 2.0, 0.0)
         self.hijacker.schedule_window(start, self.config.hijack_duration)
 
@@ -125,8 +130,8 @@ class ChronosPoolAttackScenario:
         self._schedule_poisoning()
         completed: list[GeneratedPool] = []
         self.client.pool_generator.generate(completed.append)
-        total_window = (self.config.pool_policy.query_count
-                        * self.config.pool_policy.query_interval + 300.0)
+        total_window = (self.pool_policy.query_count
+                        * self.pool_policy.query_interval + 300.0)
         self.simulator.run(until=total_window)
         if not completed:
             raise RuntimeError("pool generation did not complete within the window")
@@ -146,7 +151,15 @@ class ChronosPoolAttackScenario:
                                  if not malicious.isdisjoint(record.accepted_addresses)],
         }
 
-    def run_time_shift(self, target_shift: float, update_rounds: int = 8) -> dict[str, Any]:
+    def run(self) -> dict[str, Any]:
+        """Both phases as the config asks; the ``chronos_pool_attack`` registry dict."""
+        metrics = self.run_pool_generation()
+        if self.config.run_time_shift:
+            metrics.update(self.run_time_shift(self.config.target_shift,
+                                               self.config.update_rounds))
+        return metrics
+
+    def run_time_shift(self, target_shift: float, update_rounds: int) -> dict[str, Any]:
         """Phase 2: attacker NTP servers serve shifted time; run Chronos updates.
 
         Returns the time-shift half of the ``chronos_pool_attack`` registry dict.
@@ -156,7 +169,7 @@ class ChronosPoolAttackScenario:
         self.attacker.set_time_shift(target_shift)
         # Begin the Chronos update loop on the already-generated pool.
         self.client.begin_updates()
-        duration = update_rounds * self.config.chronos.poll_interval + 60.0
+        duration = update_rounds * self.client.config.poll_interval + 60.0
         self.simulator.run_for(duration)
         return {
             "achieved_shift": self.client.clock_error,

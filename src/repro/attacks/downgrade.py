@@ -30,11 +30,12 @@ plaintext anyway and the scenario degenerates to the fragmentation race.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..defenses.stack import DefenseSpec, defense_rejections
 from ..dns.transport import STREAM_PORTS
+from ..experiments.registry import OPT_IN
 from ..experiments.testbed import DEFAULT_ZONE
 from ..netsim.network import Network
 from ..netsim.packets import PROTO_TCP, IPPacket
@@ -102,7 +103,6 @@ class DowngradeConfig:
     """Configuration of the downgrade-then-poison scenario."""
 
     seed: int = 1
-    zone: str = DEFAULT_ZONE
     benign_server_count: int = 60
     #: Records per benign response; enough that the (post-downgrade) UDP
     #: answer spills into the trailing fragments the attacker substitutes.
@@ -127,8 +127,7 @@ class DowngradeConfig:
     #: (the downgrade works).
     defenses: DefenseSpec = ()
     #: Declarative fault plan injected into the network (see :mod:`repro.faults`).
-    faults: tuple = ()
-    latency: float = 0.01
+    faults: tuple = field(default=(), metadata=OPT_IN)
 
 
 class DowngradeScenario(FragRaceWorld):
@@ -160,12 +159,12 @@ class DowngradeScenario(FragRaceWorld):
             max(cfg.lookup_time - 0.5, 0.0),
             lambda: self.poisoner.plant_fragments(self.expected_response()))
         self.simulator.schedule(cfg.lookup_time,
-                                lambda: self.resolver.trigger_lookup(cfg.zone))
+                                lambda: self.resolver.trigger_lookup(DEFAULT_ZONE))
         self.simulator.run(until=cfg.lookup_time + 15.0)
         poisoned = self.poisoner.verify_poisoning()
         transport = self.resolver.upstream_transport
         report = self.poisoner.reports[-1] if self.poisoner.reports else None
-        _, poisoned_cached = self.attacker.cached_records(self.resolver, cfg.zone)
+        _, poisoned_cached = self.attacker.cached_records(self.resolver, DEFAULT_ZONE)
         return {
             "attack_succeeded": poisoned,
             "defense_rejections": defense_rejections(self.resolver.defenses),

@@ -27,16 +27,17 @@ in the trailing fragment(s).  :meth:`FragPoisoningScenario.run` returns the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from ..defenses.classic import FragmentedResponseRejection
 from ..defenses.hardening import DNSCookies
 from ..defenses.stack import DefenseSpec, defense_rejections
 from ..dns.message import DNSMessage
-from ..dns.nameserver import DNS_PORT, POOL_NTP_ORG_TTL, PoolNTPNameserver
+from ..dns.nameserver import DNS_PORT, PoolNTPNameserver
 from ..dns.records import RecordType, a_record, signature_record
 from ..dns.resolver import RecursiveResolver
+from ..experiments.registry import OPT_IN
 from ..experiments.testbed import DEFAULT_ZONE, build_testbed, testbed_config
 from ..netsim.fragmentation import fragment_datagram
 from ..netsim.network import Network
@@ -238,9 +239,9 @@ class FragRaceWorld:
     the :class:`FragmentationPoisoner` aimed at its resolver.  The
     ``frag_poisoning`` and ``downgrade`` scenarios both race here, so the
     two rows model the same attacker in the same world.  ``config`` must
-    carry ``zone``, ``records_per_response``, ``ipid_window`` and
-    ``checksum_oracle``.  A resolver that does not ``accept_fragments``
-    runs the ``fragment_rejection`` defense ahead of the config's own.
+    carry ``records_per_response``, ``ipid_window`` and ``checksum_oracle``.
+    A resolver that does not ``accept_fragments`` runs the
+    ``fragment_rejection`` defense ahead of the config's own.
     """
 
     def __init__(self, config: Any, address_block: str,
@@ -260,7 +261,6 @@ class FragRaceWorld:
             self.attacker,
             self.resolver,
             self.nameserver,
-            zone_name=config.zone,
             ipid_window=config.ipid_window,
             checksum_oracle=config.checksum_oracle,
         )
@@ -277,12 +277,12 @@ class FragRaceWorld:
         first fragment, and the forged signature value is simply wrong (the
         attacker holds no zone key).
         """
-        zone = self.config.zone
         addresses = self.nameserver.pool_servers[:self.config.records_per_response]
-        answers = [a_record(zone, address, self.nameserver.ttl) for address in addresses]
+        answers = [a_record(DEFAULT_ZONE, address, self.nameserver.ttl)
+                   for address in addresses]
         if self.testbed.config.zone_key is not None:
-            answers.append(signature_record("attacker-forged-key", zone, answers))
-        message = DNSMessage.query(0, zone).make_response(answers)
+            answers.append(signature_record("attacker-forged-key", DEFAULT_ZONE, answers))
+        message = DNSMessage.query(0, DEFAULT_ZONE).make_response(answers)
         if any(isinstance(defense, DNSCookies) for defense in self.resolver.defenses):
             message = replace(message, cookie=0)
         return message
@@ -293,12 +293,10 @@ class FragPoisoningConfig:
     """Configuration of the standalone defragmentation-poisoning scenario."""
 
     seed: int = 17
-    zone: str = DEFAULT_ZONE
     benign_server_count: int = 60
     #: Records per benign response; enough that the answer section spills
     #: into the trailing fragment(s) the attacker substitutes.
     records_per_response: int = 40
-    benign_ttl: int = POOL_NTP_ORG_TTL
     #: Path MTU towards the resolver (548 matches the companion study's
     #: fragmenting nameservers; 1500 makes the vector infeasible).
     nameserver_min_mtu: int = 548
@@ -313,17 +311,18 @@ class FragPoisoningConfig:
     #: Extra countermeasures stacked on the victim resolver.
     defenses: DefenseSpec = ()
     #: Declarative fault plan injected into the network (see :mod:`repro.faults`).
-    faults: tuple = ()
-    latency: float = 0.01
+    faults: tuple = field(default=(), metadata=OPT_IN)
     #: Number of poisoning races to run back-to-back.  ``None`` is the
     #: classic single-shot vector and its classic metrics; a count also
     #: reports the sustained-load keys (``races_run``, ``races_poisoned``,
     #: ``rrl_dropped``, ``rrl_slipped``), and a count above 1 models a
     #: *sustained-load* attacker re-racing at ``trigger_interval`` spacing —
     #: the offered-load profile response-rate limiting is designed to throttle.
-    trigger_count: Optional[int] = None
+    #: Opt-in, like ``trigger_interval``, so single-race runs keep their
+    #: pinned digests; the ``sustained_load`` matrix row sets both.
+    trigger_count: Optional[int] = field(default=None, metadata=OPT_IN)
     #: Seconds between races when ``trigger_count > 1``.
-    trigger_interval: float = 0.25
+    trigger_interval: float = field(default=0.25, metadata=OPT_IN)
 
 
 class FragPoisoningScenario(FragRaceWorld):
@@ -352,17 +351,17 @@ class FragPoisoningScenario(FragRaceWorld):
                           else (1, 10.0))
         races_poisoned = 0
         for _ in range(races):
-            self.resolver.cache.evict(self.config.zone, RecordType.A)
+            self.resolver.cache.evict(DEFAULT_ZONE, RecordType.A)
             self.poisoner.plant_fragments(self.expected_response(),
                                           starting_ipid=self.config.starting_ipid)
-            self.resolver.trigger_lookup(self.config.zone)
+            self.resolver.trigger_lookup(DEFAULT_ZONE)
             triggered_at = self.simulator.now
             self.simulator.run(until=triggered_at + spacing)
             races_poisoned += self.poisoner.verify_poisoning()
         self.simulator.run(until=triggered_at + 10.0)
         poisoned = self.poisoner.verify_poisoning() or races_poisoned > 0
         records_cached, poisoned_cached = self.attacker.cached_records(self.resolver,
-                                                                       self.config.zone)
+                                                                       DEFAULT_ZONE)
         metrics = {
             "attack_succeeded": poisoned,
             "defense_rejections": defense_rejections(self.resolver.defenses),

@@ -18,6 +18,10 @@ from typing import Any, Protocol, runtime_checkable
 
 from ..lazy_registry import LazyRegistry
 
+#: ``dataclasses.field`` metadata marking a scenario config field as an
+#: opt-in parameter: accepted, but absent from ``default_params()``.
+OPT_IN = {"opt_in": True}
+
 
 @runtime_checkable
 class Scenario(Protocol):
@@ -26,14 +30,17 @@ class Scenario(Protocol):
     ``run`` must be a pure function of ``(seed, params)`` returning a flat
     dict of picklable metrics (bools, numbers, strings, small lists) so that
     sweeps are reproducible and results can travel across process
-    boundaries.  ``default_params`` enumerates every accepted parameter;
-    unknown keys are rejected by :func:`merge_params`.
+    boundaries.  ``default_params`` and ``optional_params`` enumerate every
+    accepted parameter; unknown keys are rejected by :func:`merge_params`.
     """
 
     name: str
     description: str
 
     def default_params(self) -> dict[str, Any]:
+        ...
+
+    def optional_params(self) -> tuple[str, ...]:
         ...
 
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
@@ -72,6 +79,9 @@ def merge_params(defaults: Mapping[str, Any], params: Mapping[str, Any],
 
     Scenario configs are flat dicts; a typo'd key silently falling through
     would make a sweep measure the wrong thing, so unknown keys are errors.
+    So are the two misshapen values a sequence parameter invites: a single
+    defense name for ``defenses`` (a string iterates as its characters) and
+    a single fault event for ``faults`` (a dict iterates as its keys).
 
     ``optional`` names extra accepted keys that have *no* default: they
     appear in the merged dict only when explicitly supplied.  This is how a
@@ -84,16 +94,11 @@ def merge_params(defaults: Mapping[str, Any], params: Mapping[str, Any],
     if unknown:
         raise ValueError(f"unknown scenario parameter(s): {', '.join(sorted(unknown))}; "
                          f"accepted: {', '.join(sorted(accepted))}")
+    if isinstance(params.get("defenses"), str):
+        raise ValueError("defenses must be a sequence of defense names, "
+                         f"not the string {params['defenses']!r}")
+    if isinstance(params.get("faults"), Mapping):
+        raise ValueError("faults must be a sequence of fault events, not a single event")
     merged = dict(defaults)
     merged.update(params)
     return merged
-
-
-def optional_params(scenario: Scenario) -> tuple[str, ...]:
-    """The scenario's declared opt-in parameter names (``()`` by default).
-
-    Declared via an ``optional_params()`` method on the scenario; optional
-    precisely so that existing third-party scenarios keep working unchanged.
-    """
-    declare = getattr(scenario, "optional_params", None)
-    return tuple(declare()) if declare is not None else ()

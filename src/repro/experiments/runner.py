@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Optional
 
-from .registry import get_scenario, merge_params, optional_params
+from .registry import get_scenario, merge_params
 from .results import RunRecord
 
 #: A unit of work: (scenario name, seed, fully-resolved parameter dict).
@@ -63,7 +63,7 @@ def resolve_spec_tasks(spec: ExperimentSpec) -> list[Task]:
     """
     scenario = get_scenario(spec.scenario)
     defaults = scenario.default_params()
-    optional = optional_params(scenario)
+    optional = scenario.optional_params()
     return [(name, seed, merge_params(defaults, params, optional))
             for name, seed, params in spec.tasks()]
 

@@ -1,15 +1,14 @@
-"""Registry adapters exposing the attack scenarios as named experiments.
+"""The built-in scenarios: five attacks and two measurements, by registry name.
 
-Each adapter translates a flat, picklable parameter dict into the scenario's
-config dataclass and runs the scenario, whose ``run`` returns the very
-metrics dict the registry records.  The config dataclass is the one place an
-attack's parameters and their defaults are declared: an adapter names the
-fields it exposes (plus any explicit default overrides and the run-phase
-knobs that are not config fields), and both ``default_params()`` and the
-config construction are derived from the dataclass fields.  The two
-measurement scenarios (``dns_measurement``, ``transport_overhead``) derive
-theirs the same way, from every field of their config.  Conventions shared
-by the attack scenarios' dicts so sweeps aggregate uniformly:
+Each scenario's parameter schema is its config dataclass: every field but
+``seed`` is a parameter with the dataclass default, so the direct path
+(``FragPoisoningScenario(FragPoisoningConfig(seed=1)).run()``) and the
+registry path (``run_scenario("frag_poisoning", 1)``) run the same thing.
+A field marked :data:`~repro.experiments.registry.OPT_IN` (``faults``,
+``trigger_count``, ``trigger_interval``) is accepted but left out of
+``default_params()``, so sweeps that never set it keep their resolved
+params, digests and cache keys.  Conventions shared by the attack
+scenarios' metric dicts so sweeps aggregate uniformly:
 
 * ``attack_succeeded`` — the scenario's headline success criterion (bool);
 * ``achieved_shift`` — the clock error reached on the victim, where the
@@ -18,14 +17,14 @@ by the attack scenarios' dicts so sweeps aggregate uniformly:
   names (see :mod:`repro.defenses`) stacked onto the victim, and reports
   ``defense_rejections`` (defense name -> rejected responses/samples).
 
-Importing this module registers the adapters; the registry does so lazily on
-first lookup.
+Importing this module registers the scenarios; the registry does so lazily
+on first lookup.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Optional
 
 from ..attacks.baseline_scenario import BaselineAttackConfig, TraditionalClientAttackScenario
@@ -33,192 +32,103 @@ from ..attacks.bgp_hijack import BGPHijackConfig, BGPHijackScenario
 from ..attacks.chronos_pool_attack import ChronosPoolAttackScenario, PoolAttackConfig
 from ..attacks.downgrade import DowngradeConfig, DowngradeScenario
 from ..attacks.frag_poisoning import FragPoisoningConfig, FragPoisoningScenario
-from ..core.pool_generation import (
-    RETIRED_POOL_PARAMS,
-    PoolGenerationPolicy,
-    reject_retired_pool_params,
-)
 from ..defenses.transport import EncryptedTransport
 from ..dns.records import RecordType
-from .registry import merge_params, register_scenario
+from .registry import OPT_IN, merge_params, register_scenario
 from .testbed import Testbed, TestbedConfig, build_testbed
 
-#: The opt-in parameter every attack adapter accepts without defaulting:
-#: a fault-plan spec (see :mod:`repro.faults`).  Declared optional so a
-#: fault-free sweep's resolved params — and therefore its digests and
-#: cache keys — are byte-identical to the pre-fault-subsystem era.
-ATTACK_OPTIONAL_PARAMS: tuple[str, ...] = ("faults",)
 
-#: The :class:`PoolGenerationPolicy` fields the pool-attack adapter exposes.
-POOL_POLICY_PARAMS = ("dedupe",)
+class ConfigScenario:
+    """A registry scenario whose parameter schema is its ``config_class``.
 
-
-def field_defaults(config_class: type, names: tuple[str, ...]) -> dict[str, Any]:
-    """The dataclass defaults of the named fields of ``config_class``."""
-    defaults = config_class()
-    return {name: getattr(defaults, name) for name in names}
-
-
-class AttackAdapter:
-    """An adapter whose parameter schema is its scenario's config dataclass.
-
-    ``params`` names the config fields the adapter exposes; their defaults
-    come from the dataclass unless ``overrides`` says otherwise.
-    ``run_params`` are the run-phase knobs with their defaults: they are
-    not config fields.  Optional keys (``faults`` plus any the adapter adds)
-    take the dataclass default when absent, and never appear in
-    ``default_params()``.
+    An attack scenario also names its ``scenario_class``, built from the
+    config and run with no arguments; a measurement scenario overrides
+    ``run``.
     """
 
     config_class: ClassVar[type]
-    params: ClassVar[tuple[str, ...]]
-    overrides: ClassVar[Mapping[str, Any]] = {}
-    run_params: ClassVar[Mapping[str, Any]] = {}
-    optional: ClassVar[tuple[str, ...]] = ATTACK_OPTIONAL_PARAMS
+    scenario_class: ClassVar[type]
 
     def __init__(self) -> None:
-        self._defaults = {**field_defaults(self.config_class, self.params),
-                          **self.overrides, **self.run_params}
-        self._config_fields = frozenset(spec.name for spec in fields(self.config_class))
+        specs = [spec for spec in fields(self.config_class) if spec.name != "seed"]
+        defaults = self.config_class()
+        self._seeded = len(specs) < len(fields(self.config_class))
+        self._optional = tuple(spec.name for spec in specs if spec.metadata == OPT_IN)
+        self._defaults = {spec.name: getattr(defaults, spec.name)
+                          for spec in specs if spec.name not in self._optional}
 
     def default_params(self) -> dict[str, Any]:
         return dict(self._defaults)
 
     def optional_params(self) -> tuple[str, ...]:
-        return self.optional
+        return self._optional
 
-    def resolve(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        """The defaults overlaid with ``params`` (unknown keys rejected)."""
-        return merge_params(self._defaults, params, optional=self.optional)
+    def config(self, seed: int, params: Mapping[str, Any]) -> Any:
+        """The config of one run: ``params`` over the defaults, unknown keys rejected."""
+        p = merge_params(self._defaults, params, self._optional)
+        if "defenses" in p:
+            p["defenses"] = tuple(p["defenses"])
+        if "faults" in p:
+            p["faults"] = tuple(p["faults"] or ())
+        return self.config_class(seed=seed, **p) if self._seeded else self.config_class(**p)
 
-    def build_config(self, seed: int, p: Mapping[str, Any], **extra: Any) -> Any:
-        """The config dataclass for resolved params ``p``.
-
-        Every resolved key that names a config field is passed through;
-        ``extra`` supplies fields the adapter derives from run-phase knobs.
-        """
-        values = {name: value for name, value in p.items() if name in self._config_fields}
-        values["defenses"] = tuple(values["defenses"])
-        if "faults" in values:
-            values["faults"] = tuple(values["faults"] or ())
-        return self.config_class(seed=seed, **values, **extra)
+    def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
+        return self.scenario_class(self.config(seed, params)).run()
 
 
 @register_scenario
-class ChronosPoolAttackExperiment(AttackAdapter):
+class ChronosPoolAttackExperiment(ConfigScenario):
     """Figure 1 end to end: poison the pool generation, then shift the clock."""
 
     name = "chronos_pool_attack"
     description = ("DNS poisoning of Chronos' 24-query pool generation "
                    "followed by the time-shifting phase (§IV)")
     config_class = PoolAttackConfig
-    params = ("poison_at_query", "benign_server_count", "attacker_record_count",
-              "malicious_ttl", "hijack_duration", "defenses")
-    overrides = {"poison_at_query": 3}
-    run_params = {
-        **field_defaults(PoolGenerationPolicy, POOL_POLICY_PARAMS),
-        **dict.fromkeys(RETIRED_POOL_PARAMS),
-        "run_time_shift": True,
-        "target_shift": 600.0,
-        "update_rounds": 5,
-    }
-
-    def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        p = self.resolve(params)
-        reject_retired_pool_params(p)
-        policy = PoolGenerationPolicy(**{name: p[name] for name in POOL_POLICY_PARAMS})
-        scenario = ChronosPoolAttackScenario(self.build_config(seed, p, pool_policy=policy))
-        metrics = scenario.run_pool_generation()
-        if p["run_time_shift"]:
-            metrics.update(scenario.run_time_shift(p["target_shift"],
-                                                   update_rounds=p["update_rounds"]))
-        return metrics
+    scenario_class = ChronosPoolAttackScenario
 
 
 @register_scenario
-class TraditionalClientAttackExperiment(AttackAdapter):
+class TraditionalClientAttackExperiment(ConfigScenario):
     """The baseline comparison: poison a plain NTP client's one DNS lookup."""
 
     name = "traditional_client_attack"
     description = ("DNS poisoning of a traditional NTP client's start-up "
                    "resolution followed by time shifting (E6/E9 baseline)")
     config_class = BaselineAttackConfig
-    params = ("poison_startup_lookup", "benign_server_count", "attacker_record_count",
-              "malicious_ttl", "max_servers", "defenses")
-    run_params = {"target_shift": 600.0, "poll_rounds": 4}
-
-    def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        p = self.resolve(params)
-        scenario = TraditionalClientAttackScenario(self.build_config(seed, p))
-        return scenario.run(p["target_shift"], poll_rounds=p["poll_rounds"])
+    scenario_class = TraditionalClientAttackScenario
 
 
 @register_scenario
-class BGPHijackExperiment(AttackAdapter):
+class BGPHijackExperiment(ConfigScenario):
     """The prefix-hijack poisoning vector on its own (§II)."""
 
     name = "bgp_hijack"
     description = ("cache poisoning of the victim resolver via a BGP "
                    "more-specific hijack of the nameserver prefix (§II)")
     config_class = BGPHijackConfig
-    params = ("benign_server_count", "attacker_record_count", "malicious_ttl",
-              "hijack_start", "hijack_duration", "lookup_time", "defenses")
-
-    def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        return BGPHijackScenario(self.build_config(seed, self.resolve(params))).run()
+    scenario_class = BGPHijackScenario
 
 
 @register_scenario
-class FragPoisoningExperiment(AttackAdapter):
+class FragPoisoningExperiment(ConfigScenario):
     """The defragmentation-cache injection poisoning vector (§II.A)."""
 
     name = "frag_poisoning"
     description = ("cache poisoning via spoofed trailing IPv4 fragments "
                    "spliced into the nameserver's fragmented response (§II.A)")
     config_class = FragPoisoningConfig
-    params = ("benign_server_count", "records_per_response", "nameserver_min_mtu",
-              "accept_fragments", "checksum_oracle", "ipid_window", "starting_ipid",
-              "attacker_record_count", "malicious_ttl", "defenses")
-    # trigger_count/trigger_interval opt into the sustained-load profile
-    # (the ``sustained_load`` matrix row) and its metrics; leaving them out
-    # keeps the classic single-race run — and its pinned digests — untouched.
-    optional = (*ATTACK_OPTIONAL_PARAMS, "trigger_count", "trigger_interval")
-
-    def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        return FragPoisoningScenario(self.build_config(seed, self.resolve(params))).run()
+    scenario_class = FragPoisoningScenario
 
 
 @register_scenario
-class DowngradeAttackExperiment(AttackAdapter):
+class DowngradeAttackExperiment(ConfigScenario):
     """The encrypted-transport downgrade vector: force plaintext, then poison."""
 
     name = "downgrade"
     description = ("SYN-flood downgrade of opportunistic encrypted DNS "
                    "followed by the classic fragmentation poisoning race")
     config_class = DowngradeConfig
-    params = ("benign_server_count", "records_per_response", "nameserver_min_mtu",
-              "syns_per_port", "flood_bursts", "flood_interval", "lookup_time",
-              "ipid_window", "checksum_oracle", "attacker_record_count",
-              "malicious_ttl", "defenses")
-
-    def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        return DowngradeScenario(self.build_config(seed, self.resolve(params))).run()
-
-
-class MeasurementAdapter:
-    """A non-attack scenario whose parameters are the fields of its config.
-
-    ``default_params()`` is derived from the dataclass defaults, as the
-    attack adapters' is.  No key is optional, so ``faults`` is rejected.
-    """
-
-    config_class: ClassVar[type]
-
-    def default_params(self) -> dict[str, Any]:
-        return asdict(self.config_class())
-
-    def build_config(self, params: Mapping[str, Any]) -> Any:
-        return self.config_class(**merge_params(self.default_params(), params))
+    scenario_class = DowngradeScenario
 
 
 @dataclass(frozen=True)
@@ -233,7 +143,7 @@ class DNSMeasurementConfig:
 
 
 @register_scenario
-class DNSMeasurementExperiment(MeasurementAdapter):
+class DNSMeasurementExperiment(ConfigScenario):
     """The §II DNS ecosystem study (E4) as a registry experiment.
 
     Not an attack: one run generates a synthetic nameserver + resolver
@@ -258,7 +168,7 @@ class DNSMeasurementExperiment(MeasurementAdapter):
         )
         from ..measurement.resolver_study import run_resolver_study
 
-        config = self.build_config(params)
+        config = self.config(seed, params)
         nameservers = generate_nameserver_population(
             seed=seed, total=config.nameserver_total,
             fragmenting=config.nameserver_fragmenting)
@@ -294,25 +204,34 @@ TRANSPORT_PROFILES: dict[str, dict[str, Any]] = {
 }
 
 
-def time_lookups(transport: str, seed: int, queries: int,
-                 benign_server_count: int = 50,
-                 records_per_response: int = 30) -> tuple[Testbed, list[Optional[float]]]:
-    """Build the attacker-free world for ``transport`` and time ``queries``
-    cache-bypassing pool lookups, 10 simulated seconds apart.  Returns the
-    testbed and each lookup's time from trigger to cache insertion (``None``
-    when unanswered within 9 s)."""
+@dataclass(frozen=True)
+class TransportOverheadConfig:
+    """One world of :data:`TRANSPORT_PROFILES` and the lookups timed in it."""
+
+    transport: str = "udp"
+    queries: int = 5
+    benign_server_count: int = 50
+    records_per_response: int = 30
+
+
+def time_lookups(config: TransportOverheadConfig,
+                 seed: int) -> tuple[Testbed, list[Optional[float]]]:
+    """Build the attacker-free world for ``config.transport`` and time
+    ``config.queries`` cache-bypassing pool lookups, 10 simulated seconds
+    apart.  Returns the testbed and each lookup's time from trigger to cache
+    insertion (``None`` when unanswered within 9 s)."""
     try:
-        overrides = TRANSPORT_PROFILES[transport]
+        overrides = TRANSPORT_PROFILES[config.transport]
     except KeyError:
-        raise ValueError(f"unknown transport {transport!r}; one of "
+        raise ValueError(f"unknown transport {config.transport!r}; one of "
                          f"{sorted(TRANSPORT_PROFILES)}") from None
     testbed = build_testbed(TestbedConfig(
-        seed=seed, benign_server_count=benign_server_count,
-        records_per_response=records_per_response, with_attacker=False,
+        seed=seed, benign_server_count=config.benign_server_count,
+        records_per_response=config.records_per_response, with_attacker=False,
         **overrides))
     resolver, simulator = testbed.resolver, testbed.simulator
     answer_times: list[Optional[float]] = []
-    for index in range(queries):
+    for index in range(config.queries):
         at = index * 10.0
         # trigger_lookup bypasses the cache, so every query reaches the
         # nameserver; inserted_at >= at proves *this* query was answered
@@ -325,18 +244,8 @@ def time_lookups(transport: str, seed: int, queries: int,
     return testbed, answer_times
 
 
-@dataclass(frozen=True)
-class TransportOverheadConfig:
-    """One world of :data:`TRANSPORT_PROFILES` and the lookups timed in it."""
-
-    transport: str = "udp"
-    queries: int = 5
-    benign_server_count: int = 50
-    records_per_response: int = 30
-
-
 @register_scenario
-class TransportOverheadExperiment(MeasurementAdapter):
+class TransportOverheadExperiment(ConfigScenario):
     """Per-transport time-to-answer of cache-missing pool lookups.
 
     Not an attack: the measurement behind the report's transport-overhead
@@ -352,11 +261,8 @@ class TransportOverheadExperiment(MeasurementAdapter):
     config_class = TransportOverheadConfig
 
     def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        config = self.build_config(params)
-        testbed, times = time_lookups(
-            config.transport, seed, config.queries,
-            benign_server_count=config.benign_server_count,
-            records_per_response=config.records_per_response)
+        config = self.config(seed, params)
+        testbed, times = time_lookups(config, seed)
         answer_times = [time for time in times if time is not None]
         mean = (sum(answer_times) / len(answer_times)) if answer_times else 0.0
         return {

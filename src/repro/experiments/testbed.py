@@ -276,11 +276,11 @@ def testbed_config(scenario_config: Any, **world: Any) -> TestbedConfig:
     """The :class:`TestbedConfig` of an attack scenario's config dataclass.
 
     Every field the scenario config shares by name with :class:`TestbedConfig`
-    (seed, zone, latency, population sizes, attacker records, defenses,
-    faults, ...) is copied over; ``world`` supplies the per-scenario knobs
+    (seed, population sizes, attacker records, defenses, faults, ...) is
+    copied over; ``world`` supplies the per-scenario knobs
     that are not config fields (address block, hijacker).
     Values are read with ``getattr``, not ``dataclasses.asdict``, which
-    would deep-copy nested policy objects.
+    would deep-copy defense instances.
     """
     shared = {spec.name: getattr(scenario_config, spec.name)
               for spec in fields(scenario_config) if spec.name in _TESTBED_FIELDS}

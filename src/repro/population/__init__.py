@@ -27,7 +27,6 @@ from .batch import (
     BatchSelection,
     FleetPolicy,
     batch_chronos_select,
-    batch_pool_composition,
 )
 from .engine import FleetConfig, FleetEngine
 from .equivalence import equivalence_digests, population_digest
@@ -42,7 +41,6 @@ __all__ = [
     "FleetPolicy",
     "HypergeomSampler",
     "batch_chronos_select",
-    "batch_pool_composition",
     "equivalence_digests",
     "population_digest",
     "population_specs",

@@ -10,10 +10,9 @@ Two pieces of the packet-level model vectorize exactly:
   every later query within the malicious TTL is a cache hit that re-delivers
   (and re-absorbs) the same records.  This is the one declaration of the
   pool arithmetic: the §IV sweep counts the flood once on top of it, and the
-  §V table evaluates it per defense-matrix cell.
-  :func:`batch_pool_composition` evaluates that form for a whole population
-  at once, including the TTL-expiry regime and the §V defenses the packet
-  pool generator runs (:meth:`FleetPolicy.accepted`).
+  §V table evaluates it per defense-matrix cell.  :func:`compose_client`
+  evaluates it for one client, including the TTL-expiry regime and the §V
+  defenses the packet pool generator runs (:meth:`FleetPolicy.accepted`).
   The deduplicating mode is the one place the batch layer is *approximate*
   (an expected-distinct estimate); the equivalence gate therefore runs
   ``dedupe=False``, where the closed form is packet-exact.
@@ -162,22 +161,6 @@ def compose_client(policy: FleetPolicy, poison_at_query: int) -> ClientCompositi
     poisoned_count = deliveries if accepted > 0 else 0
     return ClientComposition(benign, malicious, poison_at_query=k, cache_hits=hits,
                              poisoned_query_count=poisoned_count)
-
-
-def batch_pool_composition(policy: FleetPolicy,
-                           poison_queries: Sequence[int]) -> list[ClientComposition]:
-    """Compositions for a population of per-client poisoning indices.
-
-    The distinct values of ``poison_queries`` number at most
-    ``query_count + 1``, so the closed form is evaluated once per distinct
-    index and fanned out — integer outputs, identical on every backend.
-    """
-    by_k = {}
-    for k in poison_queries:
-        key = int(k)
-        if key not in by_k:
-            by_k[key] = compose_client(policy, key)
-    return [by_k[int(k)] for k in poison_queries]
 
 
 @dataclass

@@ -19,7 +19,7 @@ event loop with three vectorizable stages:
 
 2. **Pool composition.**  Each client's effective poison query ``k`` follows
    from its start and its resolver's poison time; the composition is the
-   closed form of :func:`repro.population.batch.batch_pool_composition`.
+   closed form of :func:`repro.population.batch.compose_client`.
 
 3. **Update rounds.**  The time-shift phase collapses to a two-point offset
    model: every benign sample reads ``-S`` (the shift applied so far) and

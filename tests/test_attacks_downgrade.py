@@ -9,6 +9,7 @@ from repro.attacks.downgrade import DowngradeConfig, DowngradeScenario
 from repro.dns.records import RecordType
 from repro.experiments import ExperimentSpec, SweepScheduler, run_scenario
 from repro.experiments.pins import DOWNGRADE_SWEEP_DIGEST
+from repro.experiments.testbed import DEFAULT_ZONE
 
 #: The downgrade sweep's policy axis: plaintext, strict DoT, opportunistic DoT.
 POLICY_PARAM_SETS = ({"defenses": ()},
@@ -38,7 +39,7 @@ def test_strict_dot_fails_closed_under_the_flood():
     assert result["syns_dropped"] > 0          # the flood did land...
     assert result["poisoned_records_cached"] == 0  # ...but bought nothing
     # Fail-closed means fail: the lookup produced no answer at all.
-    assert scenario.resolver.cache.peek(scenario.config.zone, RecordType.A) is None
+    assert scenario.resolver.cache.peek(DEFAULT_ZONE, RecordType.A) is None
 
 
 def test_opportunistic_dot_downgrades_and_gets_poisoned():

@@ -196,7 +196,7 @@ def test_full_day_hijack_defeats_both_mitigations():
 def test_time_shift_requires_pool_generation_first():
     scenario = ChronosPoolAttackScenario(PoolAttackConfig())
     with pytest.raises(RuntimeError):
-        scenario.run_time_shift(1.0)
+        scenario.run_time_shift(1.0, update_rounds=1)
 
 
 def test_time_shift_succeeds_after_successful_pool_attack():
@@ -240,7 +240,7 @@ def test_small_shift_on_benign_pool_also_filtered():
 
 def test_baseline_poisoned_client_follows_attacker():
     scenario = TraditionalClientAttackScenario(BaselineAttackConfig(seed=6))
-    result = scenario.run(target_shift=600.0)
+    result = scenario.run()
     assert result["malicious_servers_used"] == result["servers_used"] == 4
     assert result["attack_succeeded"]
 
@@ -248,7 +248,7 @@ def test_baseline_poisoned_client_follows_attacker():
 def test_baseline_unpoisoned_client_keeps_correct_time():
     scenario = TraditionalClientAttackScenario(
         BaselineAttackConfig(seed=6, poison_startup_lookup=False))
-    result = scenario.run(target_shift=600.0)
+    result = scenario.run()
     assert result["malicious_servers_used"] == 0
     assert not result["attack_succeeded"]
     assert abs(result["achieved_shift"]) < 0.1

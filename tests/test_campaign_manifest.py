@@ -10,6 +10,7 @@ from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_campaign import TINY_SPEC
@@ -65,6 +66,17 @@ def test_editing_the_spec_after_compiling_moves_nothing():
         TINY_SPEC | {"sweeps": {**TINY_SPEC["sweeps"], "pairs": {
             "kind": "grid", "scenario": "bgp_hijack",
             "grid": {"defenses": STACK_PAIRS}}}}).fingerprint()
+
+
+@pytest.mark.parametrize("base_params", [
+    {"defenses": "dns_0x20"},
+    {"faults": {"kind": "host_outage", "start": 0.0, "end": 9e9, "host": "@nameserver"}},
+])
+def test_a_bare_defense_name_or_fault_event_fails_to_compile(base_params):
+    with pytest.raises(ValueError, match="must be a sequence"):
+        CampaignManifest.from_spec({"name": "probe", "sweeps": {"g": {
+            "kind": "grid", "scenario": "bgp_hijack", "base_params": base_params,
+            "grid": {"hijack_duration": [0.0, 30.0]}, "seeds": [1]}}})
 
 
 # -- any JSON anywhere: compiles or raises ValueError ------------------------

@@ -35,7 +35,7 @@ from repro.experiments.matrix import (
     run_defense_matrix,
 )
 from repro.experiments.pins import chaos_grid_specs
-from repro.experiments.scenarios import TRANSPORT_PROFILES, time_lookups
+from repro.experiments.scenarios import TRANSPORT_PROFILES, TransportOverheadConfig, time_lookups
 from repro.experiments.scheduler import SweepScheduler
 
 #: ``module:Class`` -> {attribute: obs counters whose sum it must equal};
@@ -126,7 +126,8 @@ def _cell(attack, stack):
 RUNS = {
     **{f"grid:{attack.label}/{stack.name}": _cell(attack, stack)
        for attack in DEFAULT_ATTACKS for stack in GRID_STACKS},
-    **{f"serving:{transport}": (lambda transport=transport: time_lookups(transport, 1, 3))
+    **{f"serving:{transport}": (lambda transport=transport: time_lookups(
+        TransportOverheadConfig(transport, queries=3), 1))
        for transport in TRANSPORT_PROFILES},
     **{f"chaos:{index}": (lambda spec=spec: SweepScheduler(workers=1).run_specs([spec]))
        for index, spec in enumerate(chaos_grid_specs())},

@@ -44,6 +44,9 @@ class _SyntheticScenario:
     def default_params(self):
         return dict(self._defaults)
 
+    def optional_params(self):
+        return ()
+
     def run(self, seed, params):  # pragma: no cover - never executed here
         return {"attack_succeeded": False}
 

@@ -10,7 +10,6 @@ from repro.attacks import (
     analytic_pool_composition,
 )
 from repro.core.security_analysis import cumulative_shift_bound, shift_attack_bound
-from repro.core.selection import ChronosConfig
 
 
 def test_paper_narrative_end_to_end():
@@ -52,7 +51,7 @@ def test_dns_attack_easier_against_chronos_than_plain_ntp():
     assert opportunities == list(range(1, 13))
 
     baseline = TraditionalClientAttackScenario(BaselineAttackConfig(seed=32))
-    baseline_result = baseline.run(target_shift=600.0)
+    baseline_result = baseline.run()
     assert baseline_result["attack_succeeded"]
 
     chronos = ChronosPoolAttackScenario(PoolAttackConfig(seed=32, poison_at_query=12,
@@ -81,9 +80,7 @@ def test_mitigated_chronos_survives_single_poisoning_but_not_full_hijack():
 def test_chronos_panic_mode_is_controlled_after_pool_attack():
     """§III/§IV interplay: with 2/3 of the pool the attacker controls panic
     mode too, so the large shift lands even though the per-round checks fire."""
-    scenario = ChronosPoolAttackScenario(
-        PoolAttackConfig(seed=34, poison_at_query=1,
-                         chronos=ChronosConfig(max_retries=1)))
+    scenario = ChronosPoolAttackScenario(PoolAttackConfig(seed=34, poison_at_query=1))
     pool = scenario.run_pool_generation()
     assert pool["attack_succeeded"]
     shift = scenario.run_time_shift(target_shift=3600.0, update_rounds=6)

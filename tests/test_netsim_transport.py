@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.experiments import TestbedConfig, build_testbed, run_defense_matrix
 from repro.experiments.pins import FULL_GRID_DIGEST
-from repro.experiments.scenarios import time_lookups
+from repro.experiments.scenarios import TransportOverheadConfig, time_lookups
 from repro.netsim import transport
 from repro.netsim.network import Host, Network
 from repro.netsim.packets import PROTO_TCP, IPPacket, PacketError
@@ -631,7 +631,7 @@ def test_replayed_server_hello_falls_back_to_pow():
 def test_honest_serving_never_calls_variable_base_pow(label):
     transport._SHARE_EXPONENTS.clear()
     with counted_pow() as bases:
-        testbed, answer_times = time_lookups(label, 42, 20)
+        testbed, answer_times = time_lookups(TransportOverheadConfig(label, queries=20), 42)
     assert None not in answer_times
     assert bases == []
     assert transport._SHARE_EXPONENTS == {}

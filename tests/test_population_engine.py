@@ -18,7 +18,7 @@ import pytest
 
 from repro.experiments import SweepScheduler
 from repro.experiments.pins import FLEET_SWEEP_DIGEST, FLEET_SWEEP_METRICS_DIGEST
-from repro.experiments.registry import get_scenario, merge_params, optional_params
+from repro.experiments.registry import get_scenario, merge_params
 from repro.experiments.runner import run_scenario
 from repro.population.batch import FleetPolicy
 from repro.population.engine import (
@@ -303,7 +303,7 @@ def test_population_scenario_runs_by_name():
 def test_population_scenario_takes_defenses_like_every_attack():
     scenario = get_scenario("population_sweep")
     assert "defenses" not in scenario.default_params()
-    assert optional_params(scenario) == ("defenses",)
+    assert scenario.optional_params() == ("defenses",)
     base = {"clients": 50, "resolvers": 7, "update_rounds": 2, "backend": "python"}
     undefended = run_scenario("population_sweep", 5, base)
     assert undefended["pool_malicious_total"] > 0

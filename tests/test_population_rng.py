@@ -21,7 +21,6 @@ from repro.population.batch import (
     FleetPolicy,
     batch_chronos_select,
     batch_panic_select,
-    batch_pool_composition,
     compose_client,
 )
 from repro.population.rng import (
@@ -134,12 +133,11 @@ def test_hypergeom_sampler_memoisation():
 
 # -- batch pool composition --------------------------------------------------
 
-def test_batch_composition_expands_distinct_indices():
+def test_composition_past_the_last_query_is_never_poisoned():
     policy = FleetPolicy()
-    comps = batch_pool_composition(policy, [0, 3, 3, 25, 1])
-    assert comps[1] == comps[2] == compose_client(policy, 3)
-    assert comps[0] == comps[3] == compose_client(policy, 0)  # 25 > Q: never
-    assert comps[4].benign == 0 and comps[4].malicious == 89 * 24
+    assert compose_client(policy, 25) == compose_client(policy, 0)  # 25 > Q: never
+    first = compose_client(policy, 1)
+    assert first.benign == 0 and first.malicious == 89 * 24
 
 
 @pytest.mark.parametrize("k", [0, 5])

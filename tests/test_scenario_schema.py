@@ -1,10 +1,11 @@
 """The scenario parameter schema is a cross-release contract.
 
 A scenario's ``default_params()`` feeds its :func:`scenario_fingerprint`,
-which is folded into every run-cache key.  The attack adapters derive their
-schema from their config dataclasses, so the fingerprints are pinned: a
-changed dataclass default, or a config field leaking into the accepted
-parameters, fails here before it can orphan a cache or move a digest.
+which is folded into every run-cache key.  The built-in scenarios derive
+their schema from their config dataclasses, so the fingerprints are pinned:
+a changed dataclass default, or a config field added to or dropped from
+the accepted parameters, fails here before it can orphan a cache or move a
+digest.
 """
 
 from __future__ import annotations
@@ -13,8 +14,19 @@ from dataclasses import fields
 
 import pytest
 
+from repro.attacks import (
+    BaselineAttackConfig,
+    BGPHijackConfig,
+    BGPHijackScenario,
+    ChronosPoolAttackScenario,
+    DowngradeConfig,
+    DowngradeScenario,
+    FragPoisoningConfig,
+    FragPoisoningScenario,
+    PoolAttackConfig,
+    TraditionalClientAttackScenario,
+)
 from repro.experiments import get_scenario, run_scenario, scenario_fingerprint
-from repro.experiments.registry import optional_params
 
 #: 16-hex prefixes of every registered scenario's fingerprint.
 FINGERPRINTS = {
@@ -61,21 +73,39 @@ def test_config_only_fields_are_rejected_as_unknown_params(name):
             run_scenario(name, 1, {key: None})
 
 
+@pytest.mark.parametrize("name", ATTACKS + MEASUREMENTS)
+def test_schema_is_exactly_its_config_minus_seed(name):
+    scenario = get_scenario(name)
+    config_fields = {spec.name for spec in fields(scenario.config_class)}
+    accepted = set(scenario.default_params()) | set(scenario.optional_params())
+    assert accepted == config_fields - {"seed"}
+    if name in MEASUREMENTS:
+        assert scenario.optional_params() == ()
+        with pytest.raises(ValueError, match="unknown scenario parameter"):
+            run_scenario(name, 1, {"faults": ()})
+
+
+#: Each attack scenario's direct path: its class and config dataclass.
+DIRECT = {
+    "bgp_hijack": (BGPHijackScenario, BGPHijackConfig),
+    "chronos_pool_attack": (ChronosPoolAttackScenario, PoolAttackConfig),
+    "downgrade": (DowngradeScenario, DowngradeConfig),
+    "frag_poisoning": (FragPoisoningScenario, FragPoisoningConfig),
+    "traditional_client_attack": (TraditionalClientAttackScenario, BaselineAttackConfig),
+}
+
+
 @pytest.mark.parametrize("name", ATTACKS)
-def test_attack_schema_is_a_subset_of_its_config_plus_run_knobs(name):
-    adapter = get_scenario(name)
-    config_fields = {spec.name for spec in fields(adapter.config_class)}
-    accepted = set(adapter.default_params()) | set(optional_params(adapter))
-    # Exposed config fields are exactly the declared ones; everything else
-    # accepted is a declared run-phase knob.
-    assert accepted & config_fields == set(adapter.params) | set(adapter.optional)
-    assert accepted - config_fields == set(adapter.run_params)
+def test_direct_and_registry_paths_run_the_same_attack(name):
+    scenario_class, config_class = DIRECT[name]
+    assert scenario_class(config_class(seed=1)).run() == run_scenario(name, 1)
 
 
-@pytest.mark.parametrize("name", MEASUREMENTS)
-def test_measurement_schema_is_exactly_its_config(name):
-    adapter = get_scenario(name)
-    assert list(adapter.default_params()) == [spec.name for spec in fields(adapter.config_class)]
-    assert optional_params(adapter) == ()
-    with pytest.raises(ValueError, match="unknown scenario parameter"):
-        run_scenario(name, 1, {"faults": ()})
+@pytest.mark.parametrize("name, params", [
+    ("bgp_hijack", {"defenses": "dns_0x20"}),
+    ("population_sweep", {"defenses": "address_cap"}),
+    ("frag_poisoning", {"faults": {"kind": "loss", "rate": 0.1}}),
+])
+def test_a_bare_defense_name_or_fault_event_is_rejected(name, params):
+    with pytest.raises(ValueError, match="(defenses|faults) must be a sequence"):
+        run_scenario(name, 1, params)

@@ -40,8 +40,13 @@ pytestmark = pytest.mark.usefixtures("pool_cpus")
 # Registered at module import; the pool's forked workers inherit them.
 
 
+class _Probe:
+    def optional_params(self) -> tuple[str, ...]:
+        return ()
+
+
 @register_scenario
-class SleepProbeScenario:
+class SleepProbeScenario(_Probe):
     """Test-only: sleeps, then returns a seed-pure metric (chaos timing pad)."""
 
     name = "sleep_probe"
@@ -57,7 +62,7 @@ class SleepProbeScenario:
 
 
 @register_scenario
-class FlakyProbeScenario:
+class FlakyProbeScenario(_Probe):
     """Test-only: fails until its per-seed marker file exists, then succeeds.
 
     The marker lives on disk so the flakiness is consistent across the pool's
@@ -81,7 +86,7 @@ class FlakyProbeScenario:
 
 
 @register_scenario
-class MeteredProbeScenario:
+class MeteredProbeScenario(_Probe):
     """Test-only: records seed-derived metrics into the ambient capture."""
 
     name = "metered_probe"
