@@ -18,6 +18,7 @@ from ..attacks.frag_poisoning import (
     fragmentation_attack_success_probability,
 )
 from ..dns.message import response_size_for_a_records
+from ..dns.nameserver import DEFAULT_ZONE
 from ..measurement.population import NameserverProfile, ResolverProfile
 
 
@@ -45,7 +46,7 @@ class VectorFeasibilityRow:
 
 def feasibility_row(nameserver: NameserverProfile, resolver: ResolverProfile,
                     probe_record_count: int = 40,
-                    qname: str = "pool.ntp.org") -> VectorFeasibilityRow:
+                    qname: str = DEFAULT_ZONE) -> VectorFeasibilityRow:
     """Evaluate the fragmentation vector for one measured pair."""
     response_size = response_size_for_a_records(qname, probe_record_count)
     conditions = FragmentationAttackConditions(
@@ -67,7 +68,7 @@ def feasibility_row(nameserver: NameserverProfile, resolver: ResolverProfile,
 
 def mtu_sweep(mtus: Sequence[int] = (1500, 1400, 1280, 548, 296, 68),
               probe_record_count: int = 40,
-              qname: str = "pool.ntp.org") -> list[VectorFeasibilityRow]:
+              qname: str = DEFAULT_ZONE) -> list[VectorFeasibilityRow]:
     """Feasibility of the fragmentation vector versus nameserver MTU behaviour."""
     resolver = ResolverProfile(identifier="victim", min_accepted_fragment_mtu=68,
                                triggerable_via_smtp=True, open_resolver=False)

@@ -19,6 +19,7 @@ from ..dns.message import (
     max_a_records_for_payload,
     response_size_for_a_records,
 )
+from ..dns.nameserver import DEFAULT_ZONE
 from ..dns.records import a_record
 from ..netsim.packets import IPV4_HEADER_SIZE, UDP_HEADER_SIZE
 
@@ -49,7 +50,7 @@ class CapacityRow:
                 f"{self.max_a_records:>14} {self.exact_response_size:>15}")
 
 
-def capacity_row(payload_limit: int, qname: str = "pool.ntp.org") -> CapacityRow:
+def capacity_row(payload_limit: int, qname: str = DEFAULT_ZONE) -> CapacityRow:
     """Capacity and exact encoded size for one payload budget."""
     count = max_a_records_for_payload(qname, payload_limit)
     size = response_size_for_a_records(qname, count)
@@ -62,17 +63,17 @@ def capacity_row(payload_limit: int, qname: str = "pool.ntp.org") -> CapacityRow
 
 
 def capacity_table(payload_limits: Sequence[int] = INTERESTING_PAYLOAD_LIMITS,
-                   qname: str = "pool.ntp.org") -> list[CapacityRow]:
+                   qname: str = DEFAULT_ZONE) -> list[CapacityRow]:
     """The full capacity table for the E5 benchmark."""
     return [capacity_row(limit, qname) for limit in payload_limits]
 
 
-def paper_capacity_claim(qname: str = "pool.ntp.org") -> int:
+def paper_capacity_claim(qname: str = DEFAULT_ZONE) -> int:
     """The number the paper quotes (89) for a non-fragmented response."""
     return max_a_records_for_payload(qname, MAX_UNFRAGMENTED_UDP_PAYLOAD)
 
 
-def verify_capacity_by_encoding(qname: str = "pool.ntp.org",
+def verify_capacity_by_encoding(qname: str = DEFAULT_ZONE,
                                 payload_limit: int = MAX_UNFRAGMENTED_UDP_PAYLOAD) -> dict:
     """Cross-check the analytic capacity against an actually-encoded message.
 

@@ -18,12 +18,12 @@ question) with a TTL longer than the 24-hour pool-generation window.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from ..dns.message import MAX_UNFRAGMENTED_UDP_PAYLOAD, DNSMessage, max_a_records_for_payload
-from ..dns.nameserver import DNS_PORT, AuthoritativeNameserver
+from ..dns.nameserver import DEFAULT_ZONE, DNS_PORT, AuthoritativeNameserver
 from ..dns.records import SECONDS_PER_DAY, RecordType, ResourceRecord, a_record
 from ..dns.resolver import RecursiveResolver
 from ..dns.wire import WireFormatError, note_malformed
@@ -49,17 +49,11 @@ class ImpersonatingNameserver(AuthoritativeNameserver):
     """
 
     def __init__(self, network: Network, address: str, impersonated_address: str,
-                 zone_name: str, records: Sequence[ResourceRecord],
-                 name: Optional[str] = None) -> None:
+                 attacker: AttackerInfrastructure, name: Optional[str] = None) -> None:
         super().__init__(network, address, zone={}, name=name or f"attacker-ns-{address}")
         self.impersonated_address = impersonated_address
-        self.zone_name = zone_name
-        self.malicious_records = list(records)
+        self.attacker = attacker
         self.hijacked_queries_answered = 0
-        # qname -> prepared answer records; the malicious record set is fixed
-        # at construction, so a sustained hijack answering thousands of
-        # queries need not rebuild the (up to 89-entry) answer list each time.
-        self._answers_by_qname: dict = {}
 
     def handle_datagram(self, datagram: UDPDatagram) -> None:
         if datagram.dst_port != DNS_PORT:
@@ -71,12 +65,7 @@ class ImpersonatingNameserver(AuthoritativeNameserver):
             return
         if query.is_response or query.question.qtype != RecordType.A:
             return
-        answers = self._answers_by_qname.get(query.question.name)
-        if answers is None:
-            answers = [ResourceRecord(name=query.question.name, rtype=RecordType.A,
-                                      ttl=record.ttl, rdata=record.rdata)
-                       for record in self.malicious_records]
-            self._answers_by_qname[query.question.name] = answers
+        answers = self.attacker.malicious_answer_records(query.question.name)
         response = query.make_response(answers)
         self.hijacked_queries_answered += 1
         obs = self.network.simulator.obs
@@ -86,15 +75,9 @@ class ImpersonatingNameserver(AuthoritativeNameserver):
                               impersonating=self.impersonated_address,
                               victim=datagram.src_ip,
                               records=len(answers))
-        self.send_datagram(
-            UDPDatagram(
-                src_ip=self.impersonated_address,
-                dst_ip=datagram.src_ip,
-                src_port=DNS_PORT,
-                dst_port=datagram.src_port,
-                payload=response.encode(),
-            )
-        )
+        # The one host that sends from an address it does not own.
+        self.network.send_datagram(UDPDatagram(self.impersonated_address, datagram.src_ip,
+                                               DNS_PORT, datagram.src_port, response.encode()))
 
 
 @dataclass
@@ -130,9 +113,9 @@ class AttackerInfrastructure:
         for server in self._built:
             server.time_shift = shift_seconds
 
-    def malicious_answer_records(self, qname: str) -> list[ResourceRecord]:
+    def malicious_answer_records(self, qname: str) -> tuple[ResourceRecord, ...]:
         """The A records the attacker injects for ``qname``."""
-        return [a_record(qname, address, self.malicious_ttl) for address in self.ntp_addresses]
+        return _answer_records(qname, self.ntp_addresses, self.malicious_ttl)
 
     def cached_records(self, resolver: RecursiveResolver, zone: str) -> tuple[int, int]:
         """(A records ``resolver`` caches for ``zone``, how many are the attacker's)."""
@@ -142,7 +125,14 @@ class AttackerInfrastructure:
         return len(records), sum(record.rdata in malicious for record in records)
 
 
-def build_attacker_infrastructure(network: Network, qname: str = "pool.ntp.org",
+@lru_cache(maxsize=64)
+def _answer_records(qname: str, addresses: tuple[str, ...],
+                    ttl: int) -> tuple[ResourceRecord, ...]:
+    """One A record per address: built once per answer, not once per world."""
+    return tuple(a_record(qname, address, ttl) for address in addresses)
+
+
+def build_attacker_infrastructure(network: Network, qname: str = DEFAULT_ZONE,
                                   server_count: Optional[int] = None,
                                   time_shift: float = 0.0,
                                   malicious_ttl: int = DEFAULT_MALICIOUS_TTL,

@@ -27,21 +27,15 @@ class BGPHijackPoisoner:
     """Poison a resolver's cache for a zone by hijacking its nameserver prefix."""
 
     def __init__(self, network: Network, attacker: AttackerInfrastructure,
-                 target_nameserver: str, zone_name: str = "pool.ntp.org",
+                 target_nameserver: str,
                  attacker_nameserver_address: str = "198.51.100.253") -> None:
         self.network = network
         self.attacker = attacker
         self.target_nameserver = target_nameserver
-        self.zone_name = zone_name
         self._active = False
-        records = attacker.malicious_answer_records(zone_name)
         self.nameserver = ImpersonatingNameserver(
-            network,
-            attacker_nameserver_address,
-            impersonated_address=target_nameserver,
-            zone_name=zone_name,
-            records=records,
-        )
+            network, attacker_nameserver_address, impersonated_address=target_nameserver,
+            attacker=attacker)
 
     def hijack_prefix(self) -> str:
         """The more-specific prefix (/32 here) covering the target nameserver."""

@@ -96,7 +96,7 @@ class FragmentationPoisoner:
 
     def __init__(self, network: Network, attacker: AttackerInfrastructure,
                  resolver: RecursiveResolver, nameserver: PoolNTPNameserver,
-                 zone_name: str = "pool.ntp.org",
+                 zone_name: str = DEFAULT_ZONE,
                  ipid_window: int = 16,
                  checksum_oracle: bool = True) -> None:
         self.network = network

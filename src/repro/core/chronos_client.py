@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..defenses.stack import DefenseStack
+from ..dns.nameserver import DEFAULT_ZONE
 from ..dns.resolver import DNSStub
 from ..netsim.network import Host, Network
 from ..netsim.packets import UDPDatagram
@@ -57,7 +58,7 @@ class ChronosClient(Host):
     """A Chronos-enhanced NTP client running on the simulated network."""
 
     def __init__(self, network: Network, address: str, resolver_address: str,
-                 hostname: str = "pool.ntp.org",
+                 hostname: str = DEFAULT_ZONE,
                  config: Optional[ChronosConfig] = None,
                  pool_policy: Optional[PoolGenerationPolicy] = None,
                  clock: Optional[SystemClock] = None,

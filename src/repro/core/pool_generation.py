@@ -29,6 +29,7 @@ from typing import Any, Optional
 from ..defenses.base import PoolAcceptContext
 from ..defenses.stack import DefenseStack
 from ..dns.message import DNSMessage
+from ..dns.nameserver import DEFAULT_ZONE
 from ..dns.records import RecordType
 from ..dns.resolver import DNSStub
 
@@ -136,7 +137,7 @@ class ChronosPoolGenerator:
     and every other pool-side countermeasure act.
     """
 
-    def __init__(self, dns: DNSStub, hostname: str = "pool.ntp.org",
+    def __init__(self, dns: DNSStub, hostname: str = DEFAULT_ZONE,
                  policy: Optional[PoolGenerationPolicy] = None,
                  defenses: Optional[DefenseStack] = None) -> None:
         self.dns = dns

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING, Optional
 
+from ..dns.nameserver import DEFAULT_ZONE
 from ..dns.records import RecordType, rrset_signature
 from ..dns.wire import letter_count
 from .base import Defense, QueryContext, ResponseContext
@@ -133,7 +134,7 @@ class ResponseSigning(Defense):
 
     def configure_testbed(self, config: TestbedConfig) -> None:
         if config.zone_key is None:
-            config.zone_key = f"zsk|{config.zone}|{config.seed}"
+            config.zone_key = f"zsk|{DEFAULT_ZONE}|{config.seed}"
         self._zone_key = config.zone_key
 
     def attach_testbed(self, testbed: Testbed) -> None:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..dns.nameserver import DEFAULT_ZONE
 from ..dns.transport import EncryptedTransportPolicy, ResolverUpstreamTransport
 from .base import Defense
 from .registry import register_defense
@@ -62,7 +63,7 @@ class EncryptedTransport(Defense):
 
     def configure_testbed(self, config: TestbedConfig) -> None:
         if config.transport_cert_key is None:
-            config.transport_cert_key = f"tls|{config.zone}|{config.seed}"
+            config.transport_cert_key = f"tls|{DEFAULT_ZONE}|{config.seed}"
         wanted = ("tcp", self.protocol)
         config.nameserver_transports = tuple(
             dict.fromkeys((*config.nameserver_transports, *wanted)))
@@ -74,7 +75,7 @@ class EncryptedTransport(Defense):
             testbed.resolver,
             policy=self.policy,
             trust_anchor=testbed.config.transport_cert_key,
-            expected_identity=testbed.config.zone,
+            expected_identity=DEFAULT_ZONE,
         ))
 
 

@@ -9,11 +9,14 @@ get another chance to contribute servers to the pool.
 The cache therefore tracks, per entry, the simulated insertion time, the
 original TTL and whether the entry was produced by a poisoned response, so
 experiments can report exactly which pool members were attacker-controlled.
+An entry keeps its encoded answer section split at the TTL fields, so a hit
+re-serves stored wire (:meth:`~repro.dns.message.DNSMessage.encode_cached_answer`);
+it lives on the entry, so a re-inserted name never serves an old template.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .records import RecordType, ResourceRecord
@@ -28,10 +31,13 @@ SERVE_STALE_WINDOW = 3600.0
 class CacheEntry:
     """All records cached for one (name, type) key, from one response."""
 
-    records: list[ResourceRecord]
+    records: tuple[ResourceRecord, ...]
     inserted_at: float
     ttl: int
     poisoned: bool = False
+    #: Answer-section start offset -> the records' encoded answer section,
+    #: split at the TTL fields (filled on the first hit at that offset).
+    answer_templates: dict[int, tuple[bytes, ...]] = field(default_factory=dict, repr=False)
 
     def expires_at(self) -> float:
         return self.inserted_at + self.ttl
@@ -74,7 +80,7 @@ class DNSCache:
         if not records:
             raise ValueError("cannot cache an empty record set")
         ttl = min(record.ttl for record in records)
-        entry = CacheEntry(records=list(records), inserted_at=now, ttl=ttl, poisoned=poisoned)
+        entry = CacheEntry(records=tuple(records), inserted_at=now, ttl=ttl, poisoned=poisoned)
         self._entries[self._key(name, rtype)] = entry
         return entry
 

@@ -12,7 +12,9 @@ The codec is memoized process-wide on everything but the transaction id (a
 sweep's stack columns replay the same seeded world), in two LRU caches of
 4096 entries: :func:`_decoded_fields` and :func:`_encoded_body`.  A failure
 raises before it can be stored, so garbage raises on every call and every
-drop is counted.
+drop is counted.  A resolver's cache hit bypasses the encode memo (its TTL
+changes every second): :meth:`DNSMessage.encode_cached_answer` joins the
+cache entry's answer template, split at the TTL fields, with the new TTL.
 """
 
 from __future__ import annotations
@@ -208,6 +210,22 @@ class DNSMessage:
             self.flags(), self.question, self.cookie, self.case_nonce,
             self.answers, self.authority, self.additional)
 
+    def encode_cached_answer(self, entry, ttl: int) -> bytes:
+        """The wire of ``self.make_response([r.with_ttl(ttl) for r in
+        entry.records], authoritative=False)``.  Every record of a cache hit
+        carries one TTL (RFC 2181 §5.2), so the answer section is the entry's
+        records, encoded once per section offset (a cookie moves it; 0x20 only
+        re-cases the question) and split at the TTL fields, joined by the TTL."""
+        response = self.make_response((), authoritative=False)
+        head, compression = _encode_head(response.flags(), self.question, self.cookie,
+                                         self.case_nonce, (len(entry.records), 0, 1))
+        chunks = entry.answer_templates.get(len(head))
+        if chunks is None:
+            chunks = entry.answer_templates[len(head)] = _split_at_ttls(
+                entry.records, compression, len(head))
+        return (self.transaction_id.to_bytes(2, "big") + head[2:]
+                + ttl.to_bytes(4, "big").join(chunks) + _OPT_WIRE)
+
     @property
     def wire_size(self) -> int:
         """Size of the encoded message in bytes."""
@@ -227,12 +245,11 @@ class DNSMessage:
         return message
 
 
-@lru_cache(maxsize=4096)
-def _encoded_body(flags, question, cookie, case_nonce, answers, authority, additional) -> bytes:
-    """A message's wire after its transaction id.  Memoizing it is exact:
-    record equality covers every field the record encoder reads."""
+def _encode_head(flags, question, cookie, case_nonce, counts) -> tuple[bytearray, dict]:
+    """Header (id zeroed), question and cookie block, and the compression
+    map the records after them continue."""
     try:
-        out = bytearray(_HEADER.pack(0, flags, 1, len(answers), len(authority), len(additional)))
+        out = bytearray(_HEADER.pack(0, flags, 1, *counts))
         compression: dict = {}
         name = encode_name(question.name, compression, DNS_HEADER_SIZE)
         if case_nonce:
@@ -245,8 +262,34 @@ def _encoded_body(flags, question, cookie, case_nonce, answers, authority, addit
         raise WireFormatError(f"header field out of range: {exc}") from None
     if cookie is not None:
         out += cookie.to_bytes(COOKIE_SIZE, "big")
+    return out, compression
+
+
+@lru_cache(maxsize=4096)
+def _encoded_body(flags, question, cookie, case_nonce, answers, authority, additional) -> bytes:
+    """A message's wire after its transaction id.  Memoizing it is exact:
+    record equality covers every field the record encoder reads."""
+    out, compression = _encode_head(flags, question, cookie, case_nonce,
+                                    (len(answers), len(authority), len(additional)))
     out += encode_records(answers + authority + additional, compression, len(out))
     return bytes(out[2:])
+
+
+def _split_at_ttls(records, compression: dict, offset: int) -> tuple[bytes, ...]:
+    """``records`` encoded from wire ``offset`` on, cut around each 4-byte
+    TTL field (which sits just before RDLENGTH and RDATA)."""
+    chunks, wire, start = [], bytearray(), 0
+    for record in records:
+        wire += encode_records((record,), compression, offset + len(wire))
+        ttl_at = len(wire) - len(record.rdata_bytes()) - 6
+        chunks.append(bytes(wire[start:ttl_at]))
+        start = ttl_at + 4
+    chunks.append(bytes(wire[start:]))
+    return tuple(chunks)
+
+
+#: The EDNS OPT record every response carries last (see :meth:`DNSMessage.make_response`).
+_OPT_WIRE = encode_records((opt_record(),), {}, 0)
 
 
 @lru_cache(maxsize=4096)

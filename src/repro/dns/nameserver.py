@@ -27,6 +27,8 @@ from .records import RecordType, a_record, signature_record
 from .wire import WireFormatError, normalise_name, note_malformed
 
 DNS_PORT = 53
+#: The zone every experiment resolves, matching the paper.
+DEFAULT_ZONE = "pool.ntp.org"
 #: TTL used by the real pool.ntp.org zone for A records.
 POOL_NTP_ORG_TTL = 150
 #: Number of A records per pool.ntp.org response.
@@ -191,15 +193,7 @@ class AuthoritativeNameserver(Host):
                 response = replace(response, answers=(), authority=(),
                                    truncated=True)
         self.note_response(response)
-        self.send_datagram(
-            UDPDatagram(
-                src_ip=self.address,
-                dst_ip=datagram.src_ip,
-                src_port=DNS_PORT,
-                dst_port=datagram.src_port,
-                payload=response.encode(),
-            )
-        )
+        self.send_udp(datagram.src_ip, DNS_PORT, datagram.src_port, response.encode())
 
 
 class PoolNTPNameserver(AuthoritativeNameserver):

@@ -94,13 +94,9 @@ class ResourceRecord:
         return self.rtype == RecordType.A
 
     def with_ttl(self, ttl: int) -> ResourceRecord:
-        """Copy of this record with a different TTL (cache decrementing).
-
-        The copy skips ``__post_init__`` (the name is already normalised) but
-        keeps the TTL check, and shares this record's RDATA wire bytes: a
-        resolver answering from cache re-encodes the same (up to 89-record)
-        answer on every hit.
-        """
+        """Copy of this record with a different TTL.  The copy skips
+        ``__post_init__`` (the name is already normalised) but keeps the TTL
+        check, and shares this record's RDATA wire bytes."""
         _check_ttl(ttl)
         copy = object.__new__(ResourceRecord)
         state = copy.__dict__

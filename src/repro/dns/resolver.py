@@ -234,9 +234,8 @@ class RecursiveResolver(Host):
                 self._obs.metrics.counter("dns.cache_hits").inc()
             # One TTL per RRset (RFC 2181 §5.2): the entry's, read once.
             ttl = cached.remaining_ttl(self.network.simulator.now)
-            answers = [record.with_ttl(ttl) for record in cached.records]
-            response = query.make_response(answers, authoritative=False)
-            self._reply_to_client(datagram.src_ip, datagram.src_port, response)
+            self.send_udp(datagram.src_ip, DNS_PORT, datagram.src_port,
+                          query.encode_cached_answer(cached, ttl))
             return
         if self.policy.serve_stale:
             stale = self.cache.lookup_stale(query.question.name, query.question.qtype,
@@ -251,9 +250,8 @@ class RecursiveResolver(Host):
                     self._obs.trace.instant("dns.cache.stale_answer", category="dns",
                                             qname=query.question.name,
                                             poisoned=stale.poisoned)
-                answers = [record.with_ttl(STALE_ANSWER_TTL) for record in stale.records]
-                response = query.make_response(answers, authoritative=False)
-                self._reply_to_client(datagram.src_ip, datagram.src_port, response)
+                self.send_udp(datagram.src_ip, DNS_PORT, datagram.src_port,
+                              query.encode_cached_answer(stale, STALE_ANSWER_TTL))
                 self._refresh_if_idle(query.question.name, query.question.qtype)
                 return
         self._forward_upstream(query, datagram.src_ip, datagram.src_port)
@@ -267,15 +265,7 @@ class RecursiveResolver(Host):
         self._forward_upstream(synthetic, None, None)
 
     def _reply_to_client(self, client_address: str, client_port: int, response: DNSMessage) -> None:
-        self.send_datagram(
-            UDPDatagram(
-                src_ip=self.address,
-                dst_ip=client_address,
-                src_port=DNS_PORT,
-                dst_port=client_port,
-                payload=response.encode(),
-            )
-        )
+        self.send_udp(client_address, DNS_PORT, client_port, response.encode())
 
     # -- upstream side -------------------------------------------------------------
     def _forward_upstream(self, client_query: DNSMessage, client_address: Optional[str],
@@ -330,15 +320,8 @@ class RecursiveResolver(Host):
     def _send_upstream_datagram(self, pending: PendingUpstreamQuery) -> None:
         """The classic plaintext-UDP upstream query (the attack surface)."""
         pending.sent_via = "udp"
-        self.send_datagram(
-            UDPDatagram(
-                src_ip=self.address,
-                dst_ip=pending.nameserver_address,
-                src_port=pending.source_port,
-                dst_port=DNS_PORT,
-                payload=pending.upstream_query.encode(),
-            )
-        )
+        self.send_udp(pending.nameserver_address, pending.source_port, DNS_PORT,
+                      pending.upstream_query.encode())
 
     def _on_timeout(self, key: tuple[int, str]) -> None:
         pending = self._pending.get(key)
@@ -531,15 +514,7 @@ class DNSStub:
         handle = self.host.network.simulator.schedule(
             STUB_QUERY_TIMEOUT, lambda key=(txid, port): self._on_timeout(key))
         self._pending[(txid, port)] = (query, callback, handle, wants_message)
-        self.host.send_datagram(
-            UDPDatagram(
-                src_ip=self.host.address,
-                dst_ip=self.resolver_address,
-                src_port=port,
-                dst_port=DNS_PORT,
-                payload=query.encode(),
-            )
-        )
+        self.host.send_udp(self.resolver_address, port, DNS_PORT, query.encode())
 
     def _on_timeout(self, key: tuple[int, int]) -> None:
         entry = self._pending.pop(key, None)

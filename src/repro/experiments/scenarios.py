@@ -35,7 +35,7 @@ from ..attacks.frag_poisoning import FragPoisoningConfig, FragPoisoningScenario
 from ..defenses.transport import EncryptedTransport
 from ..dns.records import RecordType
 from .registry import OPT_IN, merge_params, register_scenario
-from .testbed import Testbed, TestbedConfig, build_testbed
+from .testbed import DEFAULT_ZONE, LATENCY, Testbed, TestbedConfig, build_testbed
 
 
 class ConfigScenario:
@@ -236,9 +236,9 @@ def time_lookups(config: TransportOverheadConfig,
         # trigger_lookup bypasses the cache, so every query reaches the
         # nameserver; inserted_at >= at proves *this* query was answered
         # (peek would happily serve the previous query's entry).
-        simulator.schedule_at(at, lambda: resolver.trigger_lookup("pool.ntp.org"))
+        simulator.schedule_at(at, lambda: resolver.trigger_lookup(DEFAULT_ZONE))
         simulator.run(until=at + 9.0)
-        entry = resolver.cache.peek("pool.ntp.org", RecordType.A)
+        entry = resolver.cache.peek(DEFAULT_ZONE, RecordType.A)
         answered = entry is not None and entry.inserted_at >= at
         answer_times.append(entry.inserted_at - at if answered else None)
     return testbed, answer_times
@@ -272,5 +272,5 @@ class TransportOverheadExperiment(ConfigScenario):
             "mean_time_to_answer": mean,
             "max_time_to_answer": max(answer_times, default=0.0),
             # RTT multiples strip the latency constant out of the figure.
-            "round_trips": mean / (2 * testbed.config.latency) if mean else 0.0,
+            "round_trips": mean / (2 * LATENCY) if mean else 0.0,
         }

@@ -26,7 +26,12 @@ from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..defenses.stack import DefenseSpec, DefenseStack
-from ..dns.nameserver import POOL_NTP_ORG_TTL, POOL_RECORDS_PER_RESPONSE, PoolNTPNameserver
+from ..dns.nameserver import (
+    DEFAULT_ZONE,
+    POOL_NTP_ORG_TTL,
+    POOL_RECORDS_PER_RESPONSE,
+    PoolNTPNameserver,
+)
 from ..dns.records import SECONDS_PER_DAY
 from ..dns.resolver import RecursiveResolver, ResolverPolicy
 from ..netsim.addresses import AddressAllocator
@@ -39,8 +44,8 @@ if TYPE_CHECKING:  # imported lazily in build() to avoid a package cycle
     from ..attacks.bgp_hijack import BGPHijackPoisoner
     from ..faults import FaultInjector
 
-#: The zone every experiment resolves, matching the paper.
-DEFAULT_ZONE = "pool.ntp.org"
+#: One-way latency of every link in the world, in seconds.
+LATENCY = 0.01
 
 #: Default fully-wired MTU (no fragmentation anywhere on the path).
 DEFAULT_MTU = 1500
@@ -60,8 +65,6 @@ class TestbedConfig:
     __test__ = False  # "Test*" name; keep pytest from collecting it
 
     seed: int = 1
-    zone: str = DEFAULT_ZONE
-    latency: float = 0.01
     start_time: float = 0.0
 
     # -- benign pool.ntp.org infrastructure ---------------------------------
@@ -173,7 +176,7 @@ class TestbedBuilder:
         stack = DefenseStack.from_spec(cfg.defenses)
         stack.configure_testbed(cfg)
         simulator = Simulator(seed=cfg.seed, start_time=cfg.start_time)
-        network = Network(simulator, latency=cfg.latency)
+        network = Network(simulator, latency=LATENCY)
         fault_injector = None
         if cfg.faults:
             # Imported lazily: pristine worlds (the overwhelming default)
@@ -200,7 +203,7 @@ class TestbedBuilder:
         nameserver = PoolNTPNameserver(
             network,
             cfg.nameserver_address,
-            zone_name=cfg.zone,
+            zone_name=DEFAULT_ZONE,
             pool_servers=list(benign_clock_errors),
             records_per_response=cfg.records_per_response,
             ttl=cfg.benign_ttl,
@@ -220,13 +223,13 @@ class TestbedBuilder:
                 nameserver,
                 transports=cfg.nameserver_transports,
                 cert_key=cfg.transport_cert_key,
-                identity=cfg.zone,
+                identity=DEFAULT_ZONE,
                 session_resumption=cfg.nameserver_session_resumption,
             )
         resolver = RecursiveResolver(
             network,
             cfg.resolver_address,
-            nameserver_map={cfg.zone: nameserver.address},
+            nameserver_map={DEFAULT_ZONE: nameserver.address},
             policy=cfg.resolver_policy,
             defenses=stack,
         )
@@ -248,18 +251,14 @@ class TestbedBuilder:
         if cfg.with_attacker:
             testbed.attacker = build_attacker_infrastructure(
                 network,
-                qname=cfg.zone,
+                qname=DEFAULT_ZONE,
                 server_count=cfg.attacker_record_count,
                 malicious_ttl=cfg.malicious_ttl,
             )
             if cfg.with_hijacker:
                 testbed.hijacker = BGPHijackPoisoner(
-                    network,
-                    testbed.attacker,
-                    target_nameserver=nameserver.address,
-                    zone_name=cfg.zone,
-                    attacker_nameserver_address=cfg.attacker_nameserver_address,
-                )
+                    network, testbed.attacker, target_nameserver=nameserver.address,
+                    attacker_nameserver_address=cfg.attacker_nameserver_address)
         return testbed
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from ..attacks.frag_poisoning import FragmentationAttackConditions
 from ..dns.message import response_size_for_a_records
+from ..dns.nameserver import DEFAULT_ZONE
 from .population import STUDY_MTU_THRESHOLD, NameserverProfile
 
 
@@ -54,7 +55,7 @@ class NameserverStudyReport:
 
 def probe_nameserver(profile: NameserverProfile,
                      probe_record_count: int = 40,
-                     qname: str = "pool.ntp.org",
+                     qname: str = DEFAULT_ZONE,
                      study_mtu: int = STUDY_MTU_THRESHOLD) -> NameserverProbeResult:
     """Probe one nameserver profile the way the measurement script would.
 

@@ -15,6 +15,11 @@ first" effective.  The predecessor attack on NTP itself ([1] in the paper)
 depended on a *specific* overlap-resolution behaviour not present in modern
 operating systems — one of the reasons the paper argues the DNS route is
 more practical.
+
+:func:`fragment_datagram`, the one UDP serialiser, writes the checksum into
+every header, so a datagram no spoofed byte reached always matches it:
+reassembly verifies only an unfragmented spoofed packet or a datagram that
+first-wins spliced from a spoofed fragment.
 """
 
 from __future__ import annotations
@@ -69,10 +74,12 @@ def fragment_datagram(datagram: UDPDatagram, ip_id: int, mtu: int) -> list[IPPac
             for offset in range(0, len(wire), step)]
 
 
-def parse_udp_wire(src_ip: str, dst_ip: str, wire: bytes) -> tuple[UDPDatagram, bool]:
+def parse_udp_wire(src_ip: str, dst_ip: str, wire: bytes,
+                   verify: bool = True) -> tuple[UDPDatagram, bool]:
     """Parse reassembled UDP wire bytes into a :class:`UDPDatagram` and
     whether its header checksum holds (a checksum of 0 means the sender
-    computed none, which RFC 768 allows over IPv4)."""
+    computed none, which RFC 768 allows over IPv4).  ``verify=False`` takes
+    the checksum as holding: the caller knows no spoofed byte is in ``wire``."""
     if len(wire) < UDP_HEADER_SIZE:
         raise PacketError("truncated UDP datagram")
     src_port = int.from_bytes(wire[0:2], "big")
@@ -80,7 +87,8 @@ def parse_udp_wire(src_ip: str, dst_ip: str, wire: bytes) -> tuple[UDPDatagram, 
     length = int.from_bytes(wire[4:6], "big")
     checksum = int.from_bytes(wire[6:8], "big")
     payload = wire[UDP_HEADER_SIZE:length] if length >= UDP_HEADER_SIZE else b""
-    valid = not checksum or checksum == udp_checksum(src_ip, dst_ip, src_port, dst_port, payload)
+    valid = (not verify or not checksum
+             or checksum == udp_checksum(src_ip, dst_ip, src_port, dst_port, payload))
     return UDPDatagram(src_ip, dst_ip, src_port, dst_port, payload), valid
 
 
@@ -134,11 +142,13 @@ class ReassemblyBuffer:
     def add_fragment(self, fragment: IPPacket, now: float) -> ReassemblyResult:
         """Offer a fragment; returns a completed datagram when reassembly finishes.
 
-        Non-fragment packets pass straight through.
+        Non-fragment packets pass straight through.  The checksum is checked
+        only when the packet, or a fragment whose bytes first-wins kept, was
+        spoofed: every other byte came from :func:`fragment_datagram`.
         """
         if not fragment.is_fragment:
             datagram, checksum_ok = parse_udp_wire(fragment.src_ip, fragment.dst_ip,
-                                                   fragment.payload)
+                                                   fragment.payload, fragment.spoofed)
             return ReassemblyResult(datagram=datagram, poisoned=fragment.spoofed,
                                     checksum_ok=checksum_ok)
 
@@ -166,7 +176,8 @@ class ReassemblyBuffer:
         wire = self._try_complete(key, entry)
         if wire is None:
             return ReassemblyResult(datagram=None)
-        datagram, checksum_ok = parse_udp_wire(fragment.src_ip, fragment.dst_ip, wire)
+        datagram, checksum_ok = parse_udp_wire(fragment.src_ip, fragment.dst_ip, wire,
+                                               entry.poisoned)
         return ReassemblyResult(datagram=datagram, poisoned=entry.poisoned,
                                 checksum_compensated=entry.checksum_compensated,
                                 checksum_ok=checksum_ok)

@@ -94,9 +94,9 @@ class Host:
         return self._tcp
 
     # -- sending -----------------------------------------------------------
-    def send_datagram(self, datagram: UDPDatagram) -> None:
-        """Send a UDP datagram into the network from this host."""
-        self.network.send_datagram(datagram)
+    def send_udp(self, dst_ip: str, src_port: int, dst_port: int, payload: bytes) -> None:
+        """Send ``payload`` in one UDP datagram from this host's address."""
+        self.network.send_datagram(UDPDatagram(self.address, dst_ip, src_port, dst_port, payload))
 
     # -- receiving ---------------------------------------------------------
     def deliver_packet(self, packet: IPPacket) -> None:

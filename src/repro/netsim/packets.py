@@ -11,12 +11,16 @@ are modelled faithfully:
 * the UDP checksum — which covers the whole datagram and therefore must still
   validate after the attacker's fragment replaces part of the payload.  It
   travels only in the UDP header bytes, as on the wire:
-  :func:`repro.netsim.fragmentation.fragment_datagram` writes it and
-  :func:`repro.netsim.fragmentation.parse_udp_wire` checks it.
+  :func:`repro.netsim.fragmentation.fragment_datagram` writes it, and
+  reassembly verifies it only where a spoofed packet's bytes landed.
 
 Payloads are ``bytes``; the DNS and NTP layers encode/decode real wire
 formats, so sizes (and therefore "does this response fragment at MTU 1500 /
 548 / 68?") are exact.
+
+Packets are plain dataclass values, not frozen (a frozen one costs 3x to
+build): the constructor validates, ``dataclasses.replace`` copies, no code
+assigns a field, and equality and hash ignore ``spoofed``/``checksum_compensated``.
 """
 
 from __future__ import annotations
@@ -43,16 +47,9 @@ class PacketError(ValueError):
 
 
 def udp_checksum(src_ip: str, dst_ip: str, src_port: int, dst_port: int, payload: bytes) -> int:
-    """Compute a UDP checksum over the pseudo-header and payload.
-
-    This is the real ones'-complement Internet checksum.  The attacks rely on
-    it in a specific way: the checksum covers the *entire* reassembled UDP
-    datagram, so an attacker replacing the second fragment must choose spoofed
-    content whose contribution keeps the checksum valid (or know the original
-    content well enough to compensate).  The fragmentation-poisoning attack
-    code models both the "attacker compensates correctly" and "checksum
-    mismatch, datagram dropped" outcomes using this function.
-    """
+    """The real ones'-complement Internet checksum over the UDP pseudo-header
+    and payload: it covers the *entire* datagram, so a spliced fragment must
+    compensate it or the datagram is dropped."""
     length = UDP_HEADER_SIZE + len(payload)
     data = (
         ip_to_int(src_ip).to_bytes(4, "big")
@@ -76,7 +73,7 @@ def udp_checksum(src_ip: str, dst_ip: str, src_port: int, dst_port: int, payload
     return checksum or 0xFFFF
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class UDPDatagram:
     """A UDP datagram as seen by application-layer code (DNS, NTP)."""
 
@@ -97,7 +94,7 @@ class UDPDatagram:
         return UDP_HEADER_SIZE + len(self.payload)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class IPPacket:
     """An IPv4 packet (possibly a fragment) carrying part of a UDP datagram.
 

@@ -116,7 +116,7 @@ class TransportError(RuntimeError):
     """Raised when a stream transport is driven in an inconsistent way."""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TCPSegment:
     """A TCP segment; encodes to the real 20-byte header layout.
 
@@ -793,13 +793,13 @@ class SecureChannel(StreamSocket):
     Client side::
 
         channel = SecureChannel.client(connection, rng,
-                                       expected_identity="pool.ntp.org",
+                                       expected_identity=DEFAULT_ZONE,
                                        trust_anchor=cert_key)
 
     Server side (inside a listener's ``on_connection``)::
 
         channel = SecureChannel.server(connection, rng,
-                                       identity="pool.ntp.org",
+                                       identity=DEFAULT_ZONE,
                                        cert_key=cert_key)
 
     Handshake cost is one round trip on top of the TCP handshake

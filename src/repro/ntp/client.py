@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..defenses.stack import DefenseStack
+from ..dns.nameserver import DEFAULT_ZONE
 from ..dns.resolver import DNSStub
 from ..netsim.network import Host, Network
 from ..netsim.packets import UDPDatagram
@@ -43,7 +44,7 @@ class TraditionalNTPClient(Host):
     """An ntpd-style client using up to four servers from one DNS lookup."""
 
     def __init__(self, network: Network, address: str, resolver_address: str,
-                 hostname: str = "pool.ntp.org",
+                 hostname: str = DEFAULT_ZONE,
                  max_servers: int = DEFAULT_MAX_SERVERS,
                  poll_interval: float = DEFAULT_POLL_INTERVAL,
                  clock: Optional[SystemClock] = None,

@@ -87,15 +87,7 @@ class NTPQuerier:
         obs = self.host.network.simulator.obs
         if obs.enabled:
             obs.metrics.counter("ntp.queries_sent").inc()
-        self.host.send_datagram(
-            UDPDatagram(
-                src_ip=self.host.address,
-                dst_ip=server_address,
-                src_port=port,
-                dst_port=NTP_PORT,
-                payload=request.encode(),
-            )
-        )
+        self.host.send_udp(server_address, port, NTP_PORT, request.encode())
 
     def _on_timeout(self, key: tuple[str, int]) -> None:
         pending = self._pending.pop(key, None)

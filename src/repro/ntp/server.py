@@ -58,15 +58,7 @@ class NTPServer(Host):
             reference_time=receive_time - 1.0,
             leap=self.leap_indicator(),
         )
-        self.send_datagram(
-            UDPDatagram(
-                src_ip=self.address,
-                dst_ip=datagram.src_ip,
-                src_port=NTP_PORT,
-                dst_port=datagram.src_port,
-                payload=reply.encode(),
-            )
-        )
+        self.send_udp(datagram.src_ip, NTP_PORT, datagram.src_port, reply.encode())
 
 
 class MaliciousNTPServer(NTPServer):

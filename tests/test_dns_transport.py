@@ -32,7 +32,8 @@ from repro.netsim.transport import SecureChannel
 ZONE = "pool.ntp.org"
 
 
-def build(transports=(), udp_limit=None, defenses=(), cert_key=None, **overrides):
+def build(transports=(), udp_limit=None, defenses=(), cert_key=None, latency=None,
+          **overrides):
     overrides.setdefault("records_per_response", 40)
     config = TestbedConfig(
         seed=5,
@@ -44,7 +45,11 @@ def build(transports=(), udp_limit=None, defenses=(), cert_key=None, **overrides
         with_attacker=False,
         **overrides,
     )
-    return build_testbed(config)
+    testbed = build_testbed(config)
+    if latency is not None:
+        # A slower world than the testbed's fixed one; no packet is out yet.
+        testbed.network.latency = latency
+    return testbed
 
 
 def cached_records(testbed):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.netsim.fragmentation import fragment_datagram, parse_udp_wire
@@ -15,6 +17,7 @@ from repro.netsim.packets import (
     UDPDatagram,
     udp_checksum,
 )
+from repro.netsim.transport import TCPSegment
 
 
 def make_datagram(payload=b"hello", src="10.0.0.1", dst="10.0.0.2"):
@@ -141,3 +144,48 @@ def test_spoofed_flag_does_not_affect_equality():
     a = IPPacket(src_ip="10.0.0.1", dst_ip="10.0.0.2", ip_id=1, payload=b"x")
     b = IPPacket(src_ip="10.0.0.1", dst_ip="10.0.0.2", ip_id=1, payload=b"x", spoofed=True)
     assert a == b
+
+
+#: One value of each wire class, and a field change that makes another value.
+VALUES = [
+    (IPPacket("10.0.0.1", "10.0.0.2", ip_id=1, payload=b"x", fragment_offset=8,
+              more_fragments=True), {"ip_id": 2}),
+    (UDPDatagram("10.0.0.1", "10.0.0.2", 1234, 53, b"query"), {"dst_port": 54}),
+    (TCPSegment(40000, 853, seq=1, ack=2, flags=0x18, payload=b"data"), {"seq": 3}),
+]
+
+
+@pytest.mark.parametrize(("value", "change"), VALUES,
+                         ids=["IPPacket", "UDPDatagram", "TCPSegment"])
+def test_wire_objects_are_hashable_values(value, change):
+    twin = replace(value)
+    assert twin == value and twin is not value
+    assert hash(twin) == hash(value)
+    other = replace(value, **change)
+    assert other != value
+    assert value == replace(other, **{name: getattr(value, name) for name in change})
+    # replace() leaves the original as it was.
+    assert all(getattr(value, name) != new for name, new in change.items())
+    assert len({value, twin, other}) == 2
+
+
+def test_attacker_annotations_stay_out_of_equality_and_hash():
+    genuine = IPPacket("10.0.0.1", "10.0.0.2", ip_id=5, payload=b"answer")
+    forged = replace(genuine, spoofed=True, checksum_compensated=True)
+    assert forged == genuine and hash(forged) == hash(genuine)
+    assert (genuine.spoofed, genuine.checksum_compensated) == (False, False)
+    assert {genuine: "kept"}[forged] == "kept"
+
+
+@pytest.mark.parametrize("bad", [{"ip_id": -1}, {"ip_id": 0x10000}, {"fragment_offset": 12},
+                                 {"fragment_offset": -8}])
+def test_replace_validates_a_packet_like_the_constructor(bad):
+    packet = IPPacket("10.0.0.1", "10.0.0.2", ip_id=1, payload=b"x")
+    with pytest.raises(PacketError):
+        replace(packet, **bad)
+
+
+@pytest.mark.parametrize("port", [{"src_port": -1}, {"dst_port": 0x10000}])
+def test_replace_validates_a_datagram_like_the_constructor(port):
+    with pytest.raises(PacketError):
+        replace(make_datagram(), **port)
