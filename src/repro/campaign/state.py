@@ -26,6 +26,7 @@ trusting them.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Optional
 
@@ -47,8 +48,35 @@ def _atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
     readers); the document is bookkeeping, not digest input.
     """
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    tmp.write_text(_indented(payload) + "\n", encoding="utf-8")
     tmp.replace(path)
+
+
+def _indented(value: Any, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, in a fraction of the
+    time: the json module indents only with its pure-Python encoder.  Lists
+    and dicts are laid out here; strings, ints and every other scalar come
+    from the json module's C code."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    inner = newline + "  "
+    if kind is list and value:
+        items = [_indented(item, inner) for item in value]
+    elif kind is dict and value:
+        try:
+            items = [f"{encode_basestring_ascii(key)}: {_indented(item, inner)}"
+                     for key, item in value.items()]
+        except TypeError:  # a key json would coerce to a string
+            return json.dumps(value, indent=2).replace("\n", newline)
+    else:  # empty, a tuple or a subclass: json's own layout
+        return json.dumps(value, indent=2).replace("\n", newline)
+    opening, closing = ("[", "]") if kind is list else ("{", "}")
+    return opening + inner + ("," + inner).join(items) + newline + closing
 
 
 class CampaignState:

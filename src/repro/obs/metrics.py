@@ -23,6 +23,7 @@ Prometheus-flavoured: ``dns.responses{verdict=rejected}``.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -198,25 +199,25 @@ class MetricsSnapshot:
     EMPTY: "MetricsSnapshot" = None  # type: ignore[assignment] # set below
 
     def merge(self, other: MetricsSnapshot) -> MetricsSnapshot:
-        counters = dict(self.counters)
-        for key, value in other.counters.items():
-            counters[key] = counters.get(key, 0) + value
-        gauges = dict(self.gauges)
-        for key, value in other.gauges.items():
-            gauges[key] = max(gauges.get(key, value), value)
-        histograms = dict(self.histograms)
-        for key, value in other.histograms.items():
-            histograms[key] = (histograms[key].merge(value)
-                               if key in histograms else value)
-        return MetricsSnapshot(counters=counters, gauges=gauges, histograms=histograms)
+        return MetricsSnapshot.merge_all((self, other))
 
     @staticmethod
     def merge_all(snapshots: Iterable[Optional["MetricsSnapshot"]]) -> MetricsSnapshot:
-        merged = MetricsSnapshot()
+        """Every snapshot merged in order into one set of dicts (``None``s skipped)."""
+        counters: dict[MetricKey, int] = {}
+        gauges: dict[MetricKey, float] = {}
+        histograms: dict[MetricKey, HistogramSnapshot] = {}
         for snapshot in snapshots:
-            if snapshot is not None:
-                merged = merged.merge(snapshot)
-        return merged
+            if snapshot is None:
+                continue
+            for key, value in snapshot.counters.items():
+                counters[key] = counters.get(key, 0) + value
+            for key, value in snapshot.gauges.items():
+                gauges[key] = max(gauges.get(key, value), value)
+            for key, value in snapshot.histograms.items():
+                histograms[key] = (histograms[key].merge(value)
+                                   if key in histograms else value)
+        return MetricsSnapshot(counters=counters, gauges=gauges, histograms=histograms)
 
     # -- convenience accessors -------------------------------------------------
     def counter(self, name: str, **labels: object) -> int:
@@ -308,8 +309,10 @@ def _histogram(data: Any) -> HistogramSnapshot:
     return snapshot
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_key(rendered: str) -> MetricKey:
-    """Inverse of :func:`render_key`."""
+    """Inverse of :func:`render_key`; memoized, as a run cache's sidecars
+    repeat the same few keys on every line."""
     if "{" not in rendered:
         return (rendered, ())
     name, _, rest = rendered.partition("{")

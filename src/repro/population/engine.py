@@ -363,8 +363,8 @@ def _run_group_shift(config: FleetConfig, comp: ClientComposition,
                     if degenerate:
                         mal = sampler.low
                     else:
-                        uniform = rng.uniform_at(base + rnd * attempts + attempt)
-                        mal = sampler.sample_from([uniform])[0]
+                        mal = sampler.sample_at(
+                            rng.uniform_at(base + rnd * attempts + attempt))
                     means = gains[mal] - shift
                     if spread_ok[mal] and abs(means) <= bound:
                         shift += means

@@ -130,8 +130,8 @@ class CounterRNG:
         return [(word >> 11) * 2.0 ** -53 for word in words]
 
     def uniform_at(self, counter: int) -> float:
-        """One uniform by absolute counter (python float on both backends)."""
-        return float(self.uniforms([counter])[0])
+        """One uniform by absolute counter, as :meth:`uniforms` draws it."""
+        return (_finalize_py((counter * _GOLDEN + self.key) & MASK64) >> 11) * 2.0 ** -53
 
 
 class HypergeomSampler:
@@ -165,6 +165,10 @@ class HypergeomSampler:
         self.cdf = cdf
         self._cdf_np: Optional[Any] = None
 
+    def sample_at(self, uniform: float) -> int:
+        """The count one uniform maps to (:meth:`sample_from` for one draw)."""
+        return self.low + bisect_right(self.cdf, uniform)
+
     def sample_from(self, uniforms: Sequence[float], np: Optional[Any] = None) -> Any:
         """Map uniforms to counts; a degenerate support costs no arithmetic."""
         if self.low == self.high:
@@ -175,8 +179,7 @@ class HypergeomSampler:
             if self._cdf_np is None:
                 self._cdf_np = np.asarray(self.cdf, dtype=np.float64)
             return np.searchsorted(self._cdf_np, uniforms, side="right") + self.low
-        cdf = self.cdf
-        return [self.low + bisect_right(cdf, u) for u in uniforms]
+        return [self.sample_at(u) for u in uniforms]
 
 
 _SAMPLER_CACHE: dict = {}

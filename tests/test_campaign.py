@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     CampaignManifest,
@@ -19,6 +21,7 @@ from repro.campaign.figures import (
     render_heatmap_svg,
     sequential_color,
 )
+from repro.campaign.state import _indented
 from repro.experiments.matrix import DEFAULT_ATTACKS, LEGACY_STACKS
 
 #: A deliberately tiny but representative study: one 2x2 matrix sweep, one
@@ -284,6 +287,25 @@ class TestState:
         assert json.loads(path.read_text(encoding="utf-8"))["steps"]["x"]["done"] == 3
         state.step_completed("x", "d" * 64)
         assert state.step("x")["done"] == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text()
+        | st.floats(allow_nan=True, allow_infinity=True),
+        lambda children: st.lists(children, max_size=4)
+        | st.tuples(children, children)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+        | st.dictionaries(st.integers() | st.floats(allow_nan=False) | st.none(),
+                          children, max_size=3),
+        max_leaves=20))
+    def test_journal_layout_is_json_dumps_indent_2(self, document):
+        assert _indented(document) == json.dumps(document, indent=2)
+
+    def test_journal_layout_of_a_real_journal(self, tmp_path):
+        directory = tmp_path / "c"
+        run_campaign(TINY_SPEC, directory)
+        journal = json.loads((directory / "state.json").read_text(encoding="utf-8"))
+        assert _indented(journal) == json.dumps(journal, indent=2)
 
     def test_fingerprint_drift_marks_steps_stale(self, tmp_path):
         path = tmp_path / "state.json"
