@@ -11,7 +11,7 @@ from repro.attacks.frag_poisoning import FragmentationPoisoner
 from repro.dns.message import DNSMessage
 from repro.dns.nameserver import PoolNTPNameserver
 from repro.dns.records import RecordType, a_record
-from repro.dns.resolver import RecursiveResolver, ResolverPolicy
+from repro.dns.resolver import RecursiveResolver
 from repro.netsim.network import Network
 from repro.netsim.simulator import Simulator
 
@@ -47,8 +47,7 @@ def run_both_vectors():
                                    records_per_response=40, min_supported_mtu=548)
     network.set_path_mtu(nameserver.address, 548)
     resolver = RecursiveResolver(network, "192.0.2.1",
-                                 nameserver_map={"pool.ntp.org": nameserver.address},
-                                 policy=ResolverPolicy())
+                                 nameserver_map={"pool.ntp.org": nameserver.address})
     attacker = build_attacker_infrastructure(network)
     poisoner = FragmentationPoisoner(network, attacker, resolver, nameserver,
                                      checksum_oracle=True)

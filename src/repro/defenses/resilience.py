@@ -18,22 +18,17 @@ which is exactly the regime the fault-injection matrix explores
   *increases* the classic §III-A attack surface in proportion to the loss
   rate.
 
-Each defense is one switch on :class:`~repro.dns.resolver.ResolverPolicy`;
-the schedule and the window are constants of :mod:`repro.dns.resolver` and
-:mod:`repro.dns.cache`.  Surfacing them as matrix columns lets the sweep
-quantify both edges.
+Each defense is one switch: the resolver reads it from its own stack when
+it is built (:class:`~repro.dns.resolver.RecursiveResolver`), so a testbed
+and a hand-built resolver behave the same.  The schedule and the window are
+constants of :mod:`repro.dns.resolver` and :mod:`repro.dns.cache`.
+Surfacing them as matrix columns lets the sweep quantify both edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import TYPE_CHECKING
-
 from .base import Defense
 from .registry import register_defense
-
-if TYPE_CHECKING:
-    from ..experiments.testbed import TestbedConfig
 
 
 @register_defense
@@ -47,15 +42,9 @@ class ServeStale(Defense):
 
     name = "serve_stale"
 
-    def configure_testbed(self, config: TestbedConfig) -> None:
-        config.resolver_policy = replace(config.resolver_policy, serve_stale=True)
-
 
 @register_defense
 class UpstreamRetries(Defense):
     """Retry timed-out upstream queries with exponential backoff + jitter."""
 
     name = "upstream_retries"
-
-    def configure_testbed(self, config: TestbedConfig) -> None:
-        config.resolver_policy = replace(config.resolver_policy, query_retries=2)

@@ -53,6 +53,10 @@ class DefenseStack:
     def names(self) -> tuple[str, ...]:
         return tuple(defense.name for defense in self.defenses)
 
+    def has(self, kind: type[Defense]) -> bool:
+        """Whether any defense in the stack is a ``kind``."""
+        return any(isinstance(defense, kind) for defense in self.defenses)
+
     # -- lifecycle dispatch -----------------------------------------------------
     def configure_testbed(self, config: TestbedConfig) -> None:
         for defense in self.defenses:

@@ -113,7 +113,6 @@ class DNSMessage:
     recursion_available: bool = False
     authoritative: bool = False
     truncated: bool = False
-    dnssec_ok: bool = False
     #: DNS-cookie block (RFC 7873 model): a 64-bit value a client attaches to
     #: its query and the server must echo.  The simulation encodes it right
     #: after the question — alongside the transaction id in the *first*
@@ -138,24 +137,20 @@ class DNSMessage:
     # -- constructors --------------------------------------------------------
     @classmethod
     def query(cls, transaction_id: int, name: str, qtype: RecordType = RecordType.A,
-              edns_payload: int = 4096, dnssec_ok: bool = False,
               cookie: Optional[int] = None, case_nonce: Optional[int] = None) -> DNSMessage:
-        """Build a standard recursive query with an EDNS OPT record."""
-        additional = (opt_record(edns_payload),) if edns_payload else ()
+        """Build a standard recursive query with the EDNS OPT record."""
         return cls(
             transaction_id=transaction_id,
             question=Question(name=name, qtype=qtype),
             is_response=False,
-            additional=additional,
-            dnssec_ok=dnssec_ok,
+            additional=_OPT_ADDITIONAL,
             cookie=cookie,
             case_nonce=case_nonce,
         )
 
     def make_response(self, answers: list[ResourceRecord],
                       rcode: ResponseCode = ResponseCode.NOERROR,
-                      authoritative: bool = True,
-                      edns_payload: int = 4096) -> DNSMessage:
+                      authoritative: bool = True) -> DNSMessage:
         """Build a response to this query, echoing id and question.
 
         Copies this (already validated) query and sets the response fields.
@@ -164,7 +159,7 @@ class DNSMessage:
         state = response.__dict__
         state.update(self.__dict__)
         state.update(is_response=True, answers=tuple(answers), authority=(),
-                     additional=(opt_record(edns_payload),) if edns_payload else (),
+                     additional=_OPT_ADDITIONAL,
                      rcode=rcode, authoritative=authoritative, recursion_available=True)
         return response
 
@@ -288,8 +283,10 @@ def _split_at_ttls(records, compression: dict, offset: int) -> tuple[bytes, ...]
     return tuple(chunks)
 
 
-#: The EDNS OPT record every response carries last (see :meth:`DNSMessage.make_response`).
-_OPT_WIRE = encode_records((opt_record(),), {}, 0)
+#: The EDNS OPT record (4096-byte payload) every query and response carries
+#: last, and its wire.
+_OPT_ADDITIONAL = (opt_record(),)
+_OPT_WIRE = encode_records(_OPT_ADDITIONAL, {}, 0)
 
 
 @lru_cache(maxsize=4096)
@@ -332,35 +329,33 @@ def _decoded_fields(body: bytes) -> dict:
                 recursion_desired=bool(flags & 0x0100),
                 recursion_available=bool(flags & 0x0080),
                 authoritative=bool(flags & 0x0400), truncated=bool(flags & 0x0200),
-                dnssec_ok=False, cookie=cookie,
+                cookie=cookie,
                 # All-lowercase decodes to None so that cookie-less, case-less
                 # messages round-trip to objects equal to their originals.
                 case_nonce=nonce or None)
 
 
-def response_size_for_a_records(qname: str, record_count: int, with_edns: bool = True) -> int:
+def response_size_for_a_records(qname: str, record_count: int) -> int:
     """Wire size of a response to ``qname`` carrying ``record_count`` A records.
 
     Computed analytically from the layout (and cross-checked against the real
     encoder in the test suite).
     """
     question_size = len(encode_name(qname)) + 4
-    size = DNS_HEADER_SIZE + question_size + record_count * COMPRESSED_A_RECORD_SIZE
-    if with_edns:
-        size += OPT_RECORD_SIZE
-    return size
+    return (DNS_HEADER_SIZE + question_size + record_count * COMPRESSED_A_RECORD_SIZE
+            + OPT_RECORD_SIZE)
 
 
-def max_a_records_for_payload(qname: str, payload_limit: int = MAX_UNFRAGMENTED_UDP_PAYLOAD,
-                              with_edns: bool = True) -> int:
+def max_a_records_for_payload(qname: str, payload_limit: int = MAX_UNFRAGMENTED_UDP_PAYLOAD
+                              ) -> int:
     """Maximum number of A records that fit in a response of ``payload_limit`` bytes.
 
-    With the pool.ntp.org question name, EDNS enabled and the conventional
+    With the pool.ntp.org question name and the conventional
     1472-byte unfragmented UDP budget this evaluates to 89 — the figure the
     paper quotes for the attacker's single-response pool flood.
     """
     question_size = len(encode_name(qname)) + 4
-    fixed = DNS_HEADER_SIZE + question_size + (OPT_RECORD_SIZE if with_edns else 0)
+    fixed = DNS_HEADER_SIZE + question_size + OPT_RECORD_SIZE
     if payload_limit < fixed:
         return 0
     return (payload_limit - fixed) // COMPRESSED_A_RECORD_SIZE

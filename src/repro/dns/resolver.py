@@ -1,15 +1,17 @@
 """Recursive resolver and stub-resolver components.
 
 The recursive resolver is the victim of the cache-poisoning attack.  Its
-protections are a :class:`~repro.defenses.stack.DefenseStack`: the classic
-off-path defences — random transaction id, random source port, and
-source-address/question matching on responses — open every stack, and
-experiments append hardening defenses (fragment rejection, DNS-0x20,
-cookies, signing validation, vantage cross-checks) on top.  The paper's
-attacker goes *around* the classic set: the spoofed content arrives in the
-second IPv4 fragment while all the validated fields live in the genuine
-first fragment sent by the real nameserver (fragmentation vector), or the
-attacker simply receives the query itself after a BGP hijack.
+defense stack (a :class:`~repro.defenses.stack.DefenseStack`) is its only
+configuration: the classic off-path defences — random transaction id,
+random source port, and source-address/question matching on responses —
+open every stack, and experiments append hardening defenses (fragment
+rejection, DNS-0x20, cookies, signing validation, vantage cross-checks) and
+the resilience switches (``serve_stale``, ``upstream_retries``) on top.
+The paper's attacker goes *around* the classic set: the spoofed content
+arrives in the second IPv4 fragment while all the validated fields live in
+the genuine first fragment sent by the real nameserver (fragmentation
+vector), or the attacker simply receives the query itself after a BGP
+hijack.
 
 The resolver is also deliberately *shared*: the paper notes that resolvers
 are typically shared by many systems, which lets the attacker trigger the DNS
@@ -31,6 +33,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..defenses.base import QueryContext, ResponseContext
 from ..defenses.classic import RandomSourcePort, RandomTransactionID, ResponseMatching
+from ..defenses.resilience import ServeStale, UpstreamRetries
 from ..defenses.stack import DefenseStack
 from ..netsim.network import Host, Network
 from ..netsim.packets import UDPDatagram
@@ -50,6 +53,12 @@ LookupCallback = Callable[[list[str]], None]
 #: RFC 8767 §4's recommendation that stale data be served with a TTL low
 #: enough that clients re-ask soon.
 STALE_ANSWER_TTL = 30
+#: Seconds the resolver waits for an upstream answer before it retries or
+#: answers its client SERVFAIL.
+QUERY_TIMEOUT = 5.0
+#: Retransmissions of a timed-out UDP query under the ``upstream_retries``
+#: defense (without it the resolver fails fast).
+QUERY_RETRIES = 2
 #: Backoff before a query's first retransmission; it doubles per retry, and
 #: each wait adds uniform jitter up to ``RETRY_JITTER`` seconds drawn from
 #: the simulator's RNG (deterministic per seed, decorrelated per query).
@@ -71,8 +80,8 @@ class PendingUpstreamQuery:
     client_query: Optional[DNSMessage]
     sent_at: float
     timeout_handle: object = None
-    #: Retransmissions already spent on this query (see
-    #: ``ResolverPolicy.query_retries``).
+    #: Retransmissions already spent on this query (at most
+    #: :attr:`RecursiveResolver.query_retries`).
     attempts: int = 0
     #: The defense-stack context carrying per-query verification state.
     context: Optional[QueryContext] = None
@@ -92,58 +101,31 @@ class PendingUpstreamQuery:
     stream: Optional[PooledConnection] = None
 
 
-@dataclass
-class ResolverPolicy:
-    """Reachability and timeout knobs, plus one switch per resilience
-    defense (``upstream_retries``, ``serve_stale``); the retry schedule and
-    the stale window are constants.  Validation is the defense stack."""
-
-    #: Randomise the resolver's source port per query (RFC 5452).
-    randomise_source_port: bool = True
-    #: Whether this resolver answers queries from any client (an "open
-    #: resolver"), which is one of the query-triggering avenues in §II.
-    open_resolver: bool = False
-    #: Query timeout in seconds before reporting failure to the client.
-    query_timeout: float = 5.0
-    #: Upstream retransmissions of a UDP query after it times out, with
-    #: exponential backoff (0 = the classic fail-fast resolver).
-    query_retries: int = 0
-    #: RFC 8767 serve-stale: on a cache miss whose entry merely *expired*,
-    #: answer with the stale records (TTL-clamped) and refresh in the
-    #: background.  Deliberately double-edged — stale poisoned records are
-    #: prolonged exactly the same way.
-    serve_stale: bool = False
-
-
 class RecursiveResolver(Host):
-    """A caching recursive resolver whose validation is a defense stack.
+    """A caching recursive resolver configured by its defense stack alone.
 
-    The stack is ``random_txid`` then ``random_source_port`` (both absent
-    for the pre-RFC 5452 resolver without source-port randomisation), then
-    ``response_matching``, then the experiment's ``defenses``, in order:
-    seeded RNG streams and matching-before-capping depend on it.
+    The stack is ``random_txid``, ``random_source_port`` and
+    ``response_matching``, then the given ``defenses``, in order: seeded RNG
+    streams and matching-before-capping depend on it.  A ``serve_stale`` or
+    ``upstream_retries`` defense in it turns on RFC 8767 stale answers or
+    :data:`QUERY_RETRIES` retransmissions, however the resolver was built.
     """
 
     def __init__(self, network: Network, address: str,
                  nameserver_map: dict[str, str],
-                 policy: Optional[ResolverPolicy] = None,
-                 name: Optional[str] = None,
-                 allowed_clients: Optional[list[str]] = None,
                  defenses: Optional[DefenseStack] = None) -> None:
-        super().__init__(network, address, name=name or f"resolver-{address}")
+        super().__init__(network, address, name=f"resolver-{address}")
         #: Observability facade, cached off the simulator (response handling
         #: is the hottest application-layer path in a poisoning sweep).
         self._obs = network.simulator.obs
         #: zone suffix (normalised) -> authoritative nameserver address
         self.nameserver_map = {normalise_name(zone): ns for zone, ns in nameserver_map.items()}
-        self.policy = policy or ResolverPolicy()
-        self.cache = DNSCache(serve_stale=self.policy.serve_stale)
-        self.allowed_clients = set(allowed_clients) if allowed_clients else None
-        randomised = ([RandomTransactionID(), RandomSourcePort()]
-                      if self.policy.randomise_source_port else [])
-        self.defenses = DefenseStack([*randomised, ResponseMatching(), *(defenses or ())])
+        self.defenses = DefenseStack([RandomTransactionID(), RandomSourcePort(),
+                                      ResponseMatching(), *(defenses or ())])
+        self.cache = DNSCache(serve_stale=self.defenses.has(ServeStale))
+        #: Retransmissions of a timed-out UDP query (0 = fail fast).
+        self.query_retries = QUERY_RETRIES if self.defenses.has(UpstreamRetries) else 0
         self._pending: dict[tuple[int, str], PendingUpstreamQuery] = {}
-        self._next_txid = 1
         #: Stream/encrypted upstream transport manager; ``None`` until the
         #: first truncated response (lazy plain-TCP fallback) or until the
         #: ``encrypted_transport`` defense attaches a policy-bearing one.
@@ -168,19 +150,11 @@ class RecursiveResolver(Host):
     def _allocate_txid(self) -> int:
         """Transaction id for a synthetic client query (see trigger_lookup).
 
-        Upstream queries get their id from the defense stack; this mirrors
-        the same randomise-or-sequential behaviour for the synthetic query a
-        triggered lookup wraps, keeping the RNG stream identical to the
-        pre-stack resolver.
+        Upstream queries get their id from the defense stack; this draws the
+        synthetic query's id from the same RNG, keeping the RNG stream
+        identical to the pre-stack resolver.
         """
-        if self.policy.randomise_source_port:
-            return self.network.simulator.rng.randrange(0, 0x10000)
-        return self._next_sequential_txid()
-
-    def _next_sequential_txid(self) -> int:
-        txid = self._next_txid
-        self._next_txid = (self._next_txid + 1) & 0xFFFF
-        return txid
+        return self.network.simulator.rng.randrange(0, 0x10000)
 
     def use_upstream_transport(self, transport) -> None:
         """Attach a :class:`~repro.dns.transport.ResolverUpstreamTransport`.
@@ -221,11 +195,6 @@ class RecursiveResolver(Host):
 
     # -- client side -------------------------------------------------------------
     def _handle_client_query(self, datagram: UDPDatagram, query: DNSMessage) -> None:
-        if (self.allowed_clients is not None and not self.policy.open_resolver
-                and datagram.src_ip not in self.allowed_clients):
-            response = query.make_response([], rcode=ResponseCode.REFUSED)
-            self._reply_to_client(datagram.src_ip, datagram.src_port, response)
-            return
         cached = self.cache.lookup(query.question.name, query.question.qtype,
                                    self.network.simulator.now)
         if cached is not None:
@@ -237,7 +206,7 @@ class RecursiveResolver(Host):
             self.send_udp(datagram.src_ip, DNS_PORT, datagram.src_port,
                           query.encode_cached_answer(cached, ttl))
             return
-        if self.policy.serve_stale:
+        if self.cache.serve_stale:
             stale = self.cache.lookup_stale(query.question.name, query.question.qtype,
                                             self.network.simulator.now)
             if stale is not None:
@@ -276,14 +245,13 @@ class RecursiveResolver(Host):
                 response = client_query.make_response([], rcode=ResponseCode.SERVFAIL)
                 self._reply_to_client(client_address, client_port, response)
             return
-        # Defaults an entirely defense-less resolver would use: sequential
-        # transaction ids and a fixed source port.  The stack's hardening
-        # hooks (random txid/port, 0x20 case, cookies) then rewrite them.
+        # Placeholders: the stack's hardening hooks (random txid/port, 0x20
+        # case, cookies) rewrite them.
         question = client_query.question
         context = QueryContext(
             question=question,
-            transaction_id=self._next_sequential_txid(),
-            source_port=33333,
+            transaction_id=0,
+            source_port=0,
             nameserver_address=nameserver,
             rng=self.network.simulator.rng,
         )
@@ -304,7 +272,7 @@ class RecursiveResolver(Host):
         key = (context.transaction_id, normalise_name(client_query.question.name))
         self._pending[key] = pending
         pending.timeout_handle = self.network.simulator.schedule(
-            self.policy.query_timeout, lambda k=key: self._on_timeout(k))
+            QUERY_TIMEOUT, lambda k=key: self._on_timeout(k))
         self.queries_forwarded += 1
         if self._obs.enabled:
             self._obs.metrics.counter("dns.queries_forwarded").inc()
@@ -331,7 +299,7 @@ class RecursiveResolver(Host):
             self._obs.metrics.counter("dns.query_timeouts").inc()
             self._obs.trace.instant("dns.query.timeout", category="dns",
                                     qname=key[1], txid=key[0])
-        if pending.attempts < self.policy.query_retries and pending.sent_via == "udp":
+        if pending.attempts < self.query_retries and pending.sent_via == "udp":
             # Exponential backoff with deterministic jitter, then re-send the
             # *same* query (same txid, same source port): the pending entry
             # stays keyed so a slow genuine answer arriving during the
@@ -359,7 +327,7 @@ class RecursiveResolver(Host):
         if pending is None:  # answered during the backoff
             return
         pending.timeout_handle = self.network.simulator.schedule(
-            self.policy.query_timeout, lambda k=key: self._on_timeout(k))
+            QUERY_TIMEOUT, lambda k=key: self._on_timeout(k))
         self._send_upstream_datagram(pending)
 
     def _handle_upstream_response(self, datagram: UDPDatagram, response: DNSMessage,

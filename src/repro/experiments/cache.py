@@ -69,6 +69,17 @@ def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def _copied(values: Mapping[str, Any]) -> dict[str, Any]:
+    """``values`` with each list or dict value copied.  The ``Scenario``
+    contract allows only scalars or small containers of scalars, so a
+    record built on the copy shares nothing a caller can edit."""
+    copied = dict(values)
+    for key, value in values.items():
+        if isinstance(value, (list, dict)):
+            copied[key] = value.copy()
+    return copied
+
+
 def scenario_fingerprint(scenario_name: str) -> str:
     """Hash of the scenario's schema: its name and full default parameters.
 
@@ -253,7 +264,8 @@ class RunCache:
         entry, snapshot = found
         record = entry["record"]
         return (RunRecord(scenario=record["scenario"], seed=record["seed"],
-                          params=record["params"], metrics=record["metrics"]),
+                          params=_copied(record["params"]),
+                          metrics=_copied(record["metrics"])),
                 snapshot)
 
     def put(self, record: RunRecord,
@@ -269,7 +281,9 @@ class RunCache:
         entry = {
             "key": key,
             "fingerprint": self.fingerprint(record.scenario),
-            "record": record.canonical(),
+            # Copied, so a caller's later edit of ``record`` is not replayed.
+            "record": {**record.canonical(), "params": _copied(record.params),
+                       "metrics": _copied(record.metrics)},
         }
         if metrics is not None and not metrics.is_empty():
             entry["obs"] = metrics.to_dict()

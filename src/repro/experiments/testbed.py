@@ -33,7 +33,7 @@ from ..dns.nameserver import (
     PoolNTPNameserver,
 )
 from ..dns.records import SECONDS_PER_DAY
-from ..dns.resolver import RecursiveResolver, ResolverPolicy
+from ..dns.resolver import RecursiveResolver
 from ..netsim.addresses import AddressAllocator
 from ..netsim.network import Network
 from ..netsim.simulator import Simulator
@@ -93,7 +93,6 @@ class TestbedConfig:
 
     # -- victim-side resolver ------------------------------------------------
     resolver_address: str = "192.0.2.1"
-    resolver_policy: ResolverPolicy = field(default_factory=ResolverPolicy)
 
     # -- defenses --------------------------------------------------------------
     #: Extra countermeasures, by registry name and/or instance; composed (in
@@ -230,7 +229,6 @@ class TestbedBuilder:
             network,
             cfg.resolver_address,
             nameserver_map={DEFAULT_ZONE: nameserver.address},
-            policy=cfg.resolver_policy,
             defenses=stack,
         )
         testbed = Testbed(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.dns.nameserver import PoolNTPNameserver
-from repro.dns.resolver import RecursiveResolver, ResolverPolicy
+from repro.dns.resolver import RecursiveResolver
 from repro.netsim.addresses import AddressAllocator
 from repro.netsim.network import Network
 from repro.netsim.simulator import Simulator
@@ -71,7 +71,6 @@ def small_internet(simulator: Simulator, network: Network) -> SmallInternet:
         network,
         "192.0.2.1",
         nameserver_map={"pool.ntp.org": nameserver.address},
-        policy=ResolverPolicy(),
     )
     return SmallInternet(
         simulator=simulator,

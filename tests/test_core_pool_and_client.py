@@ -9,7 +9,7 @@ from repro.core.pool_generation import PoolComposition, PoolGenerationPolicy
 from repro.core.selection import ChronosConfig
 from repro.defenses import DefenseStack
 from repro.dns.nameserver import POOL_NTP_ORG_TTL, PoolNTPNameserver
-from repro.dns.resolver import RecursiveResolver, ResolverPolicy
+from repro.dns.resolver import RecursiveResolver
 from repro.netsim.addresses import AddressAllocator
 from repro.netsim.network import Network
 from repro.netsim.simulator import Simulator
@@ -26,8 +26,7 @@ def build_world(server_count=100, policy=None, chronos_config=None, seed=9,
                                    pool_servers=[s.address for s in servers],
                                    records_per_response=records_per_response, ttl=ttl)
     resolver = RecursiveResolver(network, "192.0.2.1",
-                                 nameserver_map={"pool.ntp.org": nameserver.address},
-                                 policy=ResolverPolicy())
+                                 nameserver_map={"pool.ntp.org": nameserver.address})
     client = ChronosClient(network, "192.0.2.100", resolver_address=resolver.address,
                            config=chronos_config or ChronosConfig(),
                            pool_policy=policy, defenses=DefenseStack.from_spec(defenses))
@@ -149,8 +148,7 @@ def test_generation_cannot_run_twice_concurrently():
 def test_generation_with_unresolvable_zone_marks_failures():
     simulator = Simulator(seed=3)
     network = Network(simulator)
-    resolver = RecursiveResolver(network, "192.0.2.1", nameserver_map={},
-                                 policy=ResolverPolicy(query_timeout=2.0))
+    resolver = RecursiveResolver(network, "192.0.2.1", nameserver_map={})
     client = ChronosClient(network, "192.0.2.100", resolver_address=resolver.address,
                            pool_policy=PoolGenerationPolicy(query_count=3,
                                                             query_interval=10.0))

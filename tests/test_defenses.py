@@ -30,7 +30,7 @@ from repro.defenses.registry import register_defense
 from repro.dns.message import DNSMessage
 from repro.dns.nameserver import DNS_PORT, PoolNTPNameserver
 from repro.dns.records import RecordType, a_record
-from repro.dns.resolver import RecursiveResolver, ResolverPolicy
+from repro.dns.resolver import RecursiveResolver
 from repro.experiments import (
     ExperimentSpec,
     SweepScheduler,
@@ -98,9 +98,6 @@ CLASSIC = ("random_txid", "random_source_port", "response_matching")
 def test_every_resolver_stack_opens_with_the_classic_defenses():
     network = Network(Simulator(seed=1))
     assert RecursiveResolver(network, "192.0.2.1", {}).defenses.names == CLASSIC
-    predictable = RecursiveResolver(network, "192.0.2.2", {},
-                                    policy=ResolverPolicy(randomise_source_port=False))
-    assert predictable.defenses.names == ("response_matching",)
     scenario = FragPoisoningScenario(FragPoisoningConfig(accept_fragments=False,
                                                          defenses=("dns_0x20",)))
     assert scenario.resolver.defenses.names == (*CLASSIC, "fragment_rejection", "dns_0x20")
@@ -154,33 +151,26 @@ def test_every_scenario_accepts_a_defenses_key():
 
 # -- blind spoofing: what the classic + entropy defenses are for ---------------------
 
-def build_predictable_world(defenses=()):
-    """A resolver with sequential TXIDs and a fixed source port — the
-    pre-RFC 5452 resolver a blind off-path spoofer could actually beat."""
+def blind_spoof_attempt(defenses=()):
+    """Race the genuine response with a forged one that carries the query's
+    transaction id and source port, read off the resolver's pending query:
+    a spoofer that beat RFC 5452's txid and port entropy."""
     simulator = Simulator(seed=11)
     network = Network(simulator, latency=0.01)
     nameserver = PoolNTPNameserver(network, "192.0.2.53", zone_name="pool.ntp.org",
                                    pool_servers=[f"10.0.0.{i + 1}" for i in range(8)])
-    resolver = RecursiveResolver(
-        network, "192.0.2.1",
-        nameserver_map={"pool.ntp.org": nameserver.address},
-        policy=ResolverPolicy(randomise_source_port=False),
-        defenses=DefenseStack.from_spec(defenses),
-    )
-    return simulator, network, nameserver, resolver
-
-
-def blind_spoof_attempt(defenses=()):
-    """Race the genuine response with a blindly forged one (txid/port known)."""
-    simulator, network, nameserver, resolver = build_predictable_world(defenses)
+    resolver = RecursiveResolver(network, "192.0.2.1",
+                                 nameserver_map={"pool.ntp.org": nameserver.address},
+                                 defenses=DefenseStack.from_spec(defenses))
     resolver.trigger_lookup("pool.ntp.org")
-    forged = DNSMessage.query(2, "pool.ntp.org").make_response(
+    ((txid, _), pending), = resolver._pending.items()
+    forged = DNSMessage.query(txid, "pool.ntp.org").make_response(
         [a_record("pool.ntp.org", "198.51.100.99", 172800)])
 
     def inject():
         network.send_datagram(UDPDatagram(
             src_ip=nameserver.address, dst_ip=resolver.address,
-            src_port=DNS_PORT, dst_port=33333, payload=forged.encode()))
+            src_port=DNS_PORT, dst_port=pending.source_port, payload=forged.encode()))
 
     # Injected right after the query leaves, so the forgery (one latency
     # away) beats the genuine answer (two latencies away) to the resolver.
@@ -191,11 +181,10 @@ def blind_spoof_attempt(defenses=()):
     return any(record.rdata == "198.51.100.99" for record in entry.records), resolver
 
 
-def test_predictable_resolver_falls_to_blind_spoofing():
-    # txid 1 goes to the synthetic trigger query, txid 2 upstream — the
-    # attacker "predicts" both the sequential id and the fixed port.
-    poisoned, _ = blind_spoof_attempt()
+def test_classic_resolver_falls_to_a_spoofer_that_knows_txid_and_port():
+    poisoned, resolver = blind_spoof_attempt()
     assert poisoned
+    assert not resolver.defenses.rejections
 
 
 def test_dns_0x20_stops_blind_spoofing():

@@ -90,7 +90,6 @@ def messages(draw):
         recursion_available=draw(st.booleans()),
         authoritative=draw(st.booleans()),
         truncated=draw(st.booleans()),
-        dnssec_ok=draw(st.booleans()),
         cookie=draw(st.one_of(st.none(), st.integers(min_value=0, max_value=2 ** 64 - 1))),
         case_nonce=draw(st.one_of(st.none(), st.integers(min_value=0, max_value=2 ** 40))),
         **sections,
@@ -122,7 +121,7 @@ def canon(message) -> tuple:
             tuple(tuple(record(rr) for rr in section)
                   for section in (message.answers, message.authority, message.additional)),
             int(message.rcode), message.recursion_desired, message.recursion_available,
-            message.authoritative, message.truncated, message.dnssec_ok, message.cookie,
+            message.authoritative, message.truncated, message.cookie,
             message.case_nonce)
 
 

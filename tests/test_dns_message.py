@@ -37,11 +37,6 @@ def test_query_constructor_defaults():
     assert len(query.additional) == 1  # EDNS OPT record
 
 
-def test_query_without_edns_has_no_additional():
-    query = DNSMessage.query(1, "pool.ntp.org", edns_payload=0)
-    assert query.additional == ()
-
-
 def test_transaction_id_range_enforced():
     with pytest.raises(WireFormatError):
         DNSMessage.query(0x10000, "pool.ntp.org")

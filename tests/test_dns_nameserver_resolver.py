@@ -14,7 +14,7 @@ from repro.dns.nameserver import (
     PoolNTPNameserver,
 )
 from repro.dns.records import RecordType
-from repro.dns.resolver import DNSStub, RecursiveResolver, ResolverPolicy
+from repro.dns.resolver import DNSStub, RecursiveResolver
 from repro.netsim.network import Host, Network
 from repro.netsim.packets import UDPDatagram
 from repro.netsim.simulator import Simulator
@@ -31,7 +31,7 @@ class StubHost(Host):
         self.dns.handle_datagram(datagram)
 
 
-def build_world(records_per_response=4, server_count=20, policy=None, seed=5,
+def build_world(records_per_response=4, server_count=20, seed=5,
                 defenses=None, ttl=POOL_NTP_ORG_TTL):
     simulator = Simulator(seed=seed)
     network = Network(simulator, latency=0.01)
@@ -41,7 +41,7 @@ def build_world(records_per_response=4, server_count=20, policy=None, seed=5,
                                    records_per_response=records_per_response, ttl=ttl)
     resolver = RecursiveResolver(network, "192.0.2.1",
                                  nameserver_map={"pool.ntp.org": nameserver.address},
-                                 policy=policy or ResolverPolicy(), defenses=defenses)
+                                 defenses=defenses)
     client = StubHost(network, "192.0.2.100", resolver.address)
     return simulator, network, nameserver, resolver, client
 
@@ -180,8 +180,7 @@ def test_resolver_timeout_reports_failure_to_client():
     network = Network(simulator)
     # nameserver address points at nothing
     resolver = RecursiveResolver(network, "192.0.2.1",
-                                 nameserver_map={"pool.ntp.org": "192.0.2.250"},
-                                 policy=ResolverPolicy(query_timeout=2.0))
+                                 nameserver_map={"pool.ntp.org": "192.0.2.250"})
     client = StubHost(network, "192.0.2.100", resolver.address)
     answers = []
     client.dns.lookup("pool.ntp.org", answers.append)
@@ -196,24 +195,6 @@ def test_resolver_servfail_for_unknown_zone():
     client.dns.lookup("unknown.zone.example", answers.append)
     simulator.run(until=5.0)
     assert answers == [[]]
-
-
-def test_resolver_refuses_disallowed_clients():
-    simulator = Simulator(seed=3)
-    network = Network(simulator)
-    nameserver = PoolNTPNameserver(network, "192.0.2.53", zone_name="pool.ntp.org",
-                                   pool_servers=["10.0.0.1"])
-    resolver = RecursiveResolver(network, "192.0.2.1",
-                                 nameserver_map={"pool.ntp.org": nameserver.address},
-                                 allowed_clients=["192.0.2.100"])
-    allowed = StubHost(network, "192.0.2.100", resolver.address)
-    outsider = StubHost(network, "198.51.100.77", resolver.address)
-    got_allowed, got_outsider = [], []
-    allowed.dns.lookup("pool.ntp.org", got_allowed.append)
-    outsider.dns.lookup("pool.ntp.org", got_outsider.append)
-    simulator.run(until=15.0)
-    assert got_allowed and len(got_allowed[0]) > 0
-    assert got_outsider == [[]]
 
 
 def test_response_record_cap_defense_caps_cache():

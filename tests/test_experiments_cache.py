@@ -108,6 +108,28 @@ def test_cache_persists_across_instances(cache, tmp_path):
     assert len(reopened) == 1
 
 
+def test_editing_a_stored_or_replayed_record_never_changes_the_next_replay(cache):
+    def fresh():
+        return RunRecord(scenario="synthetic", seed=6,
+                         params={"knob": 6, "defenses": ["a"]},
+                         metrics={"l": [1], "d": {"k": 1}, "m": 0})
+
+    params = fresh().params
+    assert cache.get_entry("synthetic", 6, params) is None   # loads the shard
+    stored = fresh()
+    cache.put(stored)
+    stored.metrics["l"].append(9)
+    stored.params["defenses"].append("z")
+    replayed, _ = cache.get_entry("synthetic", 6, params)
+    assert replayed == fresh()
+    replayed.metrics["m"] = 99
+    replayed.metrics["l"].append(2)
+    replayed.metrics["d"]["k"] = 2
+    replayed.params["defenses"].append("b")
+    again, _ = cache.get_entry("synthetic", 6, params)
+    assert again == fresh()
+
+
 # -- fingerprint invalidation -------------------------------------------------
 
 def test_fingerprint_change_invalidates_entries(cache, synthetic_scenario):

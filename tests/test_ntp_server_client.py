@@ -7,7 +7,7 @@ from _counters import count
 
 from repro import obs
 from repro.dns.nameserver import PoolNTPNameserver
-from repro.dns.resolver import RecursiveResolver, ResolverPolicy
+from repro.dns.resolver import RecursiveResolver
 from repro.faults import FaultInjector, FaultPlan, LinkLoss
 from repro.netsim.network import Host, Network
 from repro.netsim.packets import UDPDatagram
@@ -175,8 +175,7 @@ def build_full_world(client_offset=0.0, server_error=0.0, seed=1):
     nameserver = PoolNTPNameserver(network, "192.0.2.53", zone_name="pool.ntp.org",
                                    pool_servers=[s.address for s in servers])
     resolver = RecursiveResolver(network, "192.0.2.1",
-                                 nameserver_map={"pool.ntp.org": nameserver.address},
-                                 policy=ResolverPolicy())
+                                 nameserver_map={"pool.ntp.org": nameserver.address})
     client = TraditionalNTPClient(network, "192.0.2.100", resolver_address=resolver.address,
                                   poll_interval=64.0,
                                   clock=SystemClock(simulator, offset=client_offset))
@@ -217,8 +216,7 @@ def test_traditional_client_retries_failed_resolution():
     simulator, network = build()
     # resolver exists but has no route to any nameserver → lookups fail
     resolver = RecursiveResolver(network, "192.0.2.1",
-                                 nameserver_map={},
-                                 policy=ResolverPolicy(query_timeout=2.0))
+                                 nameserver_map={})
     client = TraditionalNTPClient(network, "192.0.2.100", resolver_address=resolver.address)
     lookups = []  # the stub's queries to the resolver, as seen on the wire
     network.add_tap(lambda packet, now: packet.src_ip == client.address

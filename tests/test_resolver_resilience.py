@@ -10,16 +10,18 @@ from __future__ import annotations
 
 from _counters import count, observed_simulator
 
+from repro.defenses import DefenseStack
 from repro.dns.cache import SERVE_STALE_WINDOW, DNSCache
 from repro.dns.nameserver import PoolNTPNameserver
 from repro.dns.records import RecordType, a_record
 from repro.dns.resolver import (
+    QUERY_RETRIES,
+    QUERY_TIMEOUT,
     RETRY_BACKOFF,
     RETRY_JITTER,
     STALE_ANSWER_TTL,
     DNSStub,
     RecursiveResolver,
-    ResolverPolicy,
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.netsim.network import Host, Network
@@ -36,14 +38,14 @@ class StubHost(Host):
         self.dns.handle_datagram(datagram)
 
 
-def build_world(policy=None, seed=5, faults=()):
+def build_world(defenses=(), seed=5, faults=()):
     simulator = observed_simulator(seed)
     network = Network(simulator, latency=0.01)
     nameserver = PoolNTPNameserver(network, "192.0.2.53", zone_name="pool.ntp.org",
                                    pool_servers=[f"10.0.0.{i + 1}" for i in range(20)])
     resolver = RecursiveResolver(network, "192.0.2.1",
                                  nameserver_map={"pool.ntp.org": nameserver.address},
-                                 policy=policy or ResolverPolicy())
+                                 defenses=DefenseStack.from_spec(defenses))
     client = StubHost(network, "192.0.2.100", resolver.address)
     if faults:
         FaultInjector(network, FaultPlan.from_spec(faults)).arm()
@@ -52,28 +54,26 @@ def build_world(policy=None, seed=5, faults=()):
 
 # -- upstream query retries ---------------------------------------------------
 
+#: The nameserver is dark past the first query's 5 s timeout; the first
+#: retransmission (after 5 s + 0.25 s of backoff) finds it back.
+OUTAGE = ({"kind": "host_outage", "host": "192.0.2.53", "start": 0.0, "end": 5.1},)
+
+
 def test_retries_recover_a_query_through_an_upstream_outage():
-    # The nameserver is dark for 2.5 s; with a 1 s timeout and three
-    # retries the resolver's retransmissions straddle the outage and the
-    # client still gets an answer — where the classic fail-fast resolver
-    # (query_retries=0) SERVFAILs.
-    outage = ({"kind": "host_outage", "host": "192.0.2.53",
-               "start": 0.0, "end": 2.5},)
-    policy = ResolverPolicy(query_timeout=1.0, query_retries=3)
-    simulator, _, nameserver, resolver, client = build_world(policy, faults=outage)
+    # The client still gets an answer — where the classic fail-fast
+    # resolver SERVFAILs.
+    simulator, _, nameserver, resolver, client = build_world(("upstream_retries",),
+                                                             faults=OUTAGE)
     answers = []
     client.dns.lookup("pool.ntp.org", answers.append)
     simulator.run(until=30.0)
     assert answers and answers[0]
-    assert count(simulator, "dns.query_retries") >= 1
-    assert nameserver.queries_received >= 1
+    assert count(simulator, "dns.query_retries") == 1
+    assert nameserver.queries_received == 1
 
 
-def test_classic_policy_still_fails_fast_through_the_same_outage():
-    outage = ({"kind": "host_outage", "host": "192.0.2.53",
-               "start": 0.0, "end": 2.5},)
-    policy = ResolverPolicy(query_timeout=1.0)
-    simulator, _, _, resolver, client = build_world(policy, faults=outage)
+def test_classic_resolver_still_fails_fast_through_the_same_outage():
+    simulator, _, _, resolver, client = build_world(faults=OUTAGE)
     answers = []
     client.dns.lookup("pool.ntp.org", answers.append)
     simulator.run(until=30.0)
@@ -83,9 +83,8 @@ def test_classic_policy_still_fails_fast_through_the_same_outage():
 
 def test_retry_backoff_schedule_is_exponential_and_deterministic():
     def timeline(seed):
-        policy = ResolverPolicy(query_timeout=1.0, query_retries=3)
         simulator, network, _, resolver, client = build_world(
-            policy, seed=seed,
+            ("upstream_retries",), seed=seed,
             faults=({"kind": "host_outage", "host": "192.0.2.53",
                      "start": 0.0, "end": 9e9},))
         sent = []
@@ -101,24 +100,25 @@ def test_retry_backoff_schedule_is_exponential_and_deterministic():
         return sent
 
     first = timeline(seed=9)
-    # initial send, then 1 s timeout + 0.25/0.5/1 s backoffs (plus jitter).
+    # initial send, then 5 s timeout + 0.25/0.5 s backoffs (plus jitter).
+    assert (QUERY_TIMEOUT, QUERY_RETRIES) == (5.0, 2)
     assert (RETRY_BACKOFF, RETRY_JITTER) == (0.25, 0.05)
-    assert len(first) == 4
+    assert len(first) == 3
     gaps = [round(b - a, 6) for a, b in zip(first, first[1:])]
-    for gap, backoff in zip(gaps, (0.25, 0.5, 1.0)):
-        assert 1.0 + backoff <= gap <= 1.0 + backoff + 0.05
+    for gap, backoff in zip(gaps, (0.25, 0.5)):
+        assert 5.0 + backoff <= gap <= 5.0 + backoff + 0.05
     assert timeline(seed=9) == first          # same seed, same schedule
     assert timeline(seed=10) != first         # jitter is seed-dependent
 
 
 def test_late_answer_during_backoff_still_resolves_the_query():
-    # Latency ramp pushes the upstream RTT past the query timeout: the
-    # first attempt "times out", but the pending entry survives into the
-    # backoff window, so the slow genuine answer still lands and resolves.
-    policy = ResolverPolicy(query_timeout=1.0, query_retries=2)
+    # Extra latency on the nameserver's answers pushes the upstream RTT
+    # (5.02 s) past the query timeout: the first attempt "times out", but the
+    # pending entry survives into the backoff window, so the slow genuine
+    # answer still lands and resolves.
     simulator, _, nameserver, resolver, client = build_world(
-        policy,
-        faults=({"kind": "latency_ramp", "extra_latency": 0.6,
+        ("upstream_retries",),
+        faults=({"kind": "latency_ramp", "extra_latency": 5.0, "src": "192.0.2.53",
                  "start": 0.0, "end": 9e9},))
     answers = []
     client.dns.lookup("pool.ntp.org", answers.append)
@@ -130,13 +130,12 @@ def test_late_answer_during_backoff_still_resolves_the_query():
 
 # -- serve-stale --------------------------------------------------------------
 
-def stale_policy():
-    return ResolverPolicy(query_timeout=1.0, serve_stale=True)
+STALE = ("serve_stale",)
 
 
 def test_stale_answer_served_during_outage_with_clamped_ttl():
     simulator, _, nameserver, resolver, client = build_world(
-        stale_policy(),
+        STALE,
         faults=({"kind": "host_outage", "host": "192.0.2.53",
                  "start": 10.0, "end": 9e9},))
     first, messages = [], []
@@ -152,7 +151,7 @@ def test_stale_answer_served_during_outage_with_clamped_ttl():
 
 def test_stale_answer_triggers_background_refresh_when_upstream_returns():
     simulator, _, nameserver, resolver, client = build_world(
-        stale_policy(),
+        STALE,
         faults=({"kind": "host_outage", "host": "192.0.2.53",
                  "start": 10.0, "end": 395.0},))
     client.dns.lookup("pool.ntp.org", lambda a: None)
@@ -173,7 +172,7 @@ def test_stale_answer_triggers_background_refresh_when_upstream_returns():
 
 def test_no_duplicate_background_refresh_while_one_is_in_flight():
     simulator, _, nameserver, resolver, client = build_world(
-        stale_policy(),
+        STALE,
         faults=({"kind": "host_outage", "host": "192.0.2.53",
                  "start": 10.0, "end": 9e9},))
     client.dns.lookup("pool.ntp.org", lambda a: None)
@@ -187,7 +186,7 @@ def test_no_duplicate_background_refresh_while_one_is_in_flight():
 
 
 def test_entry_past_the_stale_window_is_a_full_miss():
-    simulator, _, nameserver, resolver, client = build_world(stale_policy())
+    simulator, _, nameserver, resolver, client = build_world(STALE)
     client.dns.lookup("pool.ntp.org", lambda a: None)
     simulator.run(until=5.0)
     # TTL 150 + window 3600 s < 3800: the entry is unservable and evicted.
@@ -205,7 +204,7 @@ def test_serve_stale_prolongs_a_poisoned_entry_past_its_ttl():
     """The defense's dark side, asserted on purpose: an attacker's record
     outlives the TTL it paid for whenever the upstream path is down."""
     simulator, _, _, resolver, client = build_world(
-        stale_policy(),
+        STALE,
         faults=({"kind": "host_outage", "host": "192.0.2.53",
                  "start": 0.0, "end": 9e9},))
     resolver.cache.insert("pool.ntp.org", RecordType.A,
@@ -238,7 +237,7 @@ def test_cache_lookup_stale_window_semantics():
 
 
 def test_without_serve_stale_the_window_is_zero():
-    simulator, _, _, resolver, _ = build_world(ResolverPolicy())
+    simulator, _, _, resolver, _ = build_world()
     cache = resolver.cache
     assert cache.serve_stale is False
     cache.insert("x.example", RecordType.A,
@@ -295,24 +294,41 @@ def test_ntp_query_during_a_server_outage_fails_once_and_a_later_one_recovers():
 
 # -- defense-stack surfacing --------------------------------------------------
 
-def test_serve_stale_defense_rewrites_resolver_policy():
+def test_serve_stale_defense_switches_the_testbed_resolver():
     from repro.experiments.testbed import TestbedConfig, build_testbed
 
-    cfg = TestbedConfig(seed=1, defenses=("serve_stale",))
-    testbed = build_testbed(cfg)
-    assert testbed.resolver.policy.serve_stale is True
-    assert testbed.resolver.policy.query_retries == 0
+    testbed = build_testbed(TestbedConfig(seed=1, defenses=("serve_stale",)))
     assert testbed.resolver.cache.serve_stale is True
+    assert testbed.resolver.query_retries == 0
 
 
-def test_upstream_retries_defense_rewrites_resolver_policy():
+def test_upstream_retries_defense_switches_the_testbed_resolver():
     from repro.experiments.testbed import TestbedConfig, build_testbed
 
-    cfg = TestbedConfig(seed=1, defenses=("upstream_retries",))
-    testbed = build_testbed(cfg)
-    assert testbed.resolver.policy.query_retries == 2
-    assert testbed.resolver.policy.serve_stale is False
+    testbed = build_testbed(TestbedConfig(seed=1, defenses=("upstream_retries",)))
+    assert testbed.resolver.query_retries == QUERY_RETRIES
     assert testbed.resolver.cache.serve_stale is False
+
+
+def test_a_hand_built_resolver_reads_the_resilience_switches_from_its_stack():
+    dark = {"kind": "host_outage", "host": "192.0.2.53", "end": 9e9}
+    simulator, _, _, _, client = build_world(STALE, faults=(dict(dark, start=10.0),))
+    client.dns.lookup("pool.ntp.org", lambda a: None)
+    simulator.run(until=400.0)               # TTL 150 s: entry expired, ns down
+    answers = []
+    client.dns.lookup("pool.ntp.org", answers.append)
+    simulator.run(until=410.0)
+    assert answers and answers[0]
+    assert count(simulator, "dns.stale_answers") == 1
+
+    simulator, network, _, _, client = build_world(("upstream_retries",),
+                                                   faults=(dict(dark, start=0.0),))
+    sent = []
+    network.add_tap(lambda packet, now: packet.dst_ip == "192.0.2.53" and sent.append(now))
+    client.dns.lookup("pool.ntp.org", lambda a: None)
+    simulator.run(until=30.0)
+    assert len(sent) == 1 + QUERY_RETRIES == 3
+    assert count(simulator, "dns.query_timeouts") == 3
 
 
 def test_resilience_stacks_are_not_in_the_pinned_default_grid():

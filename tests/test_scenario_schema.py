@@ -49,8 +49,7 @@ ATTACKS = ("bgp_hijack", "chronos_pool_attack", "downgrade", "frag_poisoning",
 CONFIG_ONLY = {
     **{name: ("seed", "zone", "latency") for name in FINGERPRINTS},
     "chronos_pool_attack": ("seed", "zone", "latency", "benign_ttl",
-                            "records_per_response", "chronos", "pool_policy",
-                            "resolver_policy"),
+                            "records_per_response", "chronos", "pool_policy"),
     "traditional_client_attack": ("seed", "zone", "latency", "benign_ttl",
                                   "records_per_response", "poll_interval"),
     "bgp_hijack": ("seed", "zone", "latency", "benign_ttl", "records_per_response"),
