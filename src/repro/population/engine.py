@@ -31,9 +31,11 @@ event loop with three vectorizable stages:
 
 Backend parity: all randomness is counter-addressed
 (:class:`repro.population.rng.CounterRNG`, keyed by global client id so
-cohort sharding cannot change any draw), integer aggregates are exact, the
-shift sum is summed exactly over each group's ``(distinct shift, clients)``
-pairs and rounded once, and the per-group attacker-fraction terms go through
+cohort sharding cannot change any draw), a hypergeometric draw reads its
+count from the guide table both backends share (an exact CDF search only
+where its bucket straddles a step), integer aggregates are exact, the shift
+sum is summed exactly over each group's ``(distinct shift, clients)`` pairs
+and rounded once, and the per-group attacker-fraction terms go through
 :func:`math.fsum` — all order-independent, so the numpy and pure-python paths
 produce identical metrics, and so do different worker counts over the same
 cohorts.  The numpy path keeps clients in arrays: groups are slices of one
@@ -316,17 +318,18 @@ def _run_group_shift(config: FleetConfig, comp: ClientComposition,
     rng = CounterRNG(config.seed, STREAM_SELECT, backend=np)
     sampler = None if too_few else hypergeom_sampler(pool, comp.malicious, m_eff)
     degenerate = sampler is not None and sampler.low == sampler.high
-    # The trimmed mean and the spread verdict per malicious count.
+    # The trimmed mean per malicious count; NaN where the spread check fails,
+    # so the local-bound comparison rejects it.
     survs = [min(max(mal - trim, 0), survivors)
              for mal in range(0 if sampler is None else sampler.high + 1)]
-    gains = [surv * target / survivors for surv in survs]
-    spread_ok = [not mixed_fails or surv in (0, survivors) for surv in survs]
+    gains = [surv * target / survivors if not mixed_fails or surv in (0, survivors)
+             else math.nan for surv in survs]
 
     if np is not None:
         # Draw (gid, round, attempt) sits at counter (gid * rounds + round) *
         # attempts + attempt; a retry draws only for the unresolved clients.
         base = (indices + config.client_offset).astype(np.uint64) * (rounds * attempts)
-        gains, spread_ok = np.asarray(gains), np.asarray(spread_ok, dtype=bool)
+        gains = np.asarray(gains)
         shift = np.zeros(members)
         panic_count = np.zeros(members, dtype=np.int64)
         for rnd in range(rounds):
@@ -335,13 +338,10 @@ def _run_group_shift(config: FleetConfig, comp: ClientComposition,
             for attempt in range(0 if too_few else attempts):
                 if not active.size:
                     break
-                if degenerate:
-                    mal = sampler.low
-                else:
-                    counters = base[active] + (rnd * attempts + attempt)
-                    mal = sampler.sample_from(rng.uniforms(counters), np=np)
+                mal = sampler.low if degenerate else sampler.sample_from(
+                    rng.words(base[active] + (rnd * attempts + attempt)), np=np)
                 means = gains[mal] - shift[active]
-                ok = (np.abs(means) <= bound) & spread_ok[mal]
+                ok = np.abs(means) <= bound
                 taken = active[ok]
                 shift[taken] += means[ok]
                 active = active[~ok]
@@ -357,20 +357,14 @@ def _run_group_shift(config: FleetConfig, comp: ClientComposition,
         base = ((config.client_offset + index) * rounds) * attempts
         for rnd in range(rounds):
             bound = chronos.local_bound(0.0 if rnd == 0 else chronos.poll_interval)
-            resolved = False
-            if not too_few:
-                for attempt in range(attempts):
-                    if degenerate:
-                        mal = sampler.low
-                    else:
-                        mal = sampler.sample_at(
-                            rng.uniform_at(base + rnd * attempts + attempt))
-                    means = gains[mal] - shift
-                    if spread_ok[mal] and abs(means) <= bound:
-                        shift += means
-                        resolved = True
-                        break
-            if not resolved:
+            for attempt in range(0 if too_few else attempts):
+                mal = sampler.low if degenerate else sampler.sample_word(
+                    rng.word_at(base + rnd * attempts + attempt))
+                means = gains[mal] - shift
+                if abs(means) <= bound:
+                    shift += means
+                    break
+            else:
                 shift = panic_target
                 panics += 1
         shift_list[pos] = shift

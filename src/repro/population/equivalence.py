@@ -37,7 +37,6 @@ import json
 from collections.abc import Mapping, Sequence
 from typing import Any, Optional
 
-from ..core.selection import ChronosConfig
 from ..defenses.stack import DefenseSpec
 from ..experiments.runner import run_scenario
 from .batch import FleetPolicy
@@ -86,10 +85,8 @@ def gate_fleet_config(seed: int, *, clients: int = GATE_CLIENTS,
         seed=seed,
         explicit_starts=tuple(i * GATE_INTERVAL for i in range(clients)),
         policy=policy,
-        chronos=ChronosConfig(),
         hijack_start=GATE_HIJACK_START,
         hijack_duration=GATE_HIJACK_DURATION,
-        run_time_shift=True,
         target_shift=target_shift,
         update_rounds=update_rounds,
         backend=backend,

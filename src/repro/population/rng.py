@@ -17,17 +17,21 @@ derived from them) agree bit for bit.
 Hypergeometric sampling — "how many of the ``m`` sampled servers are
 attacker-controlled" — goes through :class:`HypergeomSampler`: an explicit
 inverse-CDF table built *once in pure python* (exact ``math.comb`` ratios,
-sequential float summation) and then shared by both backends, where
-``bisect_right`` and ``numpy.searchsorted(side='right')`` agree by
-construction.
+sequential float summation) plus a guide table indexed by each word's top
+16 bits, both shared by both backends.  The guide invariant: a draw whose
+bucket straddles no CDF step reads its count from the guide, any other
+searches the CDF with its exact 53-bit uniform, so every count is the one
+``bisect_right`` gives on that uniform.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
+from functools import cache, cached_property
 from typing import Any, Optional
 
 MASK64 = (1 << 64) - 1
@@ -92,16 +96,12 @@ def derive_key(seed: int, stream: int) -> int:
 
 
 class CounterRNG:
-    """Uniform floats in ``[0, 1)`` addressed by ``(seed, stream, counter)``.
-
-    ``uniforms(counters)`` accepts a python sequence of counters (or a numpy
-    integer array on the numpy backend) and returns the matching uniforms —
-    one float per counter, independent of call batching.
+    """64-bit words (and uniforms in ``[0, 1)``) addressed by ``(seed,
+    stream, counter)``: one per counter of a python sequence (or, on the numpy
+    backend, a numpy integer array), independent of call batching.
     """
 
     def __init__(self, seed: int, stream: int = 0, backend: Optional[Any] = None) -> None:
-        self.seed = seed
-        self.stream = stream
         self.key = derive_key(seed, stream)
         self.np = backend
 
@@ -117,8 +117,11 @@ class CounterRNG:
             z *= np.uint64(_MIX2)
             z ^= z >> np.uint64(31)
             return z
-        key = self.key
-        return [_finalize_py((counter * _GOLDEN + key) & MASK64) for counter in counters]
+        return [self.word_at(counter) for counter in counters]
+
+    def word_at(self, counter: int) -> int:
+        """One word by absolute counter, as :meth:`words` draws it."""
+        return _finalize_py((counter * _GOLDEN + self.key) & MASK64)
 
     # -- uniforms ----------------------------------------------------------
     def uniforms(self, counters: Sequence[int]) -> Any:
@@ -129,9 +132,10 @@ class CounterRNG:
             return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
         return [(word >> 11) * 2.0 ** -53 for word in words]
 
-    def uniform_at(self, counter: int) -> float:
-        """One uniform by absolute counter, as :meth:`uniforms` draws it."""
-        return (_finalize_py((counter * _GOLDEN + self.key) & MASK64) >> 11) * 2.0 ** -53
+
+#: Guide bucket ``j`` holds the words whose top 16 bits are ``j``, which are
+#: exactly the uniforms ``[j * 2**-16, (j + 1) * 2**-16)``.
+GUIDE_BITS = 16
 
 
 class HypergeomSampler:
@@ -141,7 +145,8 @@ class HypergeomSampler:
     ``m`` servers from a pool of ``N`` containing ``K`` malicious — the only
     random quantity a Chronos update round depends on.  The CDF table is
     built in exact integer arithmetic (``math.comb``) and summed sequentially
-    in python so both backends consume *the same floats*.
+    in python so both backends consume *the same floats*.  A word ``w``
+    draws the count ``low + bisect_right(cdf, (w >> 11) * 2**-53)``.
     """
 
     def __init__(self, pool: int, malicious: int, sample: int) -> None:
@@ -160,36 +165,41 @@ class HypergeomSampler:
         for j in range(self.low, self.high + 1):
             weight = math.comb(malicious, j) * math.comb(pool - malicious, sample - j)
             acc += weight / total
-            cdf.append(acc)
-        cdf[-1] = 1.0  # guard against summation residue at the top
+            cdf.append(min(acc, 1.0))
+        cdf[-1] = 1.0  # summation residue may end the sum off 1.0 either way
         self.cdf = cdf
-        self._cdf_np: Optional[Any] = None
 
-    def sample_at(self, uniform: float) -> int:
-        """The count one uniform maps to (:meth:`sample_from` for one draw)."""
-        return self.low + bisect_right(self.cdf, uniform)
+    @cached_property
+    def guide(self) -> array:
+        """Each bucket's count, or ``-1`` where a CDF step falls strictly inside
+        it, in the narrowest signed typecode holding ``high``; built one run per
+        count, ``low + i`` running up to bucket ``ceil(cdf[i] * 2**16)``."""
+        code = next(code for code in "bhiq" if self.high < 1 << 8 * array(code).itemsize - 1)
+        table = array(code)
+        for count, step in enumerate(self.cdf, self.low):
+            table.extend(array(code, [count]) * (math.ceil(step * 2 ** GUIDE_BITS) - len(table)))
+        for step in self.cdf:
+            if step * 2 ** GUIDE_BITS % 1:
+                table[int(step * 2 ** GUIDE_BITS)] = -1
+        return table
 
-    def sample_from(self, uniforms: Sequence[float], np: Optional[Any] = None) -> Any:
-        """Map uniforms to counts; a degenerate support costs no arithmetic."""
-        if self.low == self.high:
-            if np is not None:
-                return np.full(len(uniforms), self.low, dtype=np.int64)
-            return [self.low] * len(uniforms)
-        if np is not None:
-            if self._cdf_np is None:
-                self._cdf_np = np.asarray(self.cdf, dtype=np.float64)
-            return np.searchsorted(self._cdf_np, uniforms, side="right") + self.low
-        return [self.sample_at(u) for u in uniforms]
+    def sample_word(self, word: int) -> int:
+        """The count one word maps to (:meth:`sample_from` for one draw)."""
+        count = self.guide[word >> 64 - GUIDE_BITS]
+        if count < 0:
+            count = self.low + bisect_right(self.cdf, (word >> 11) * 2.0 ** -53)
+        return count
+
+    def sample_from(self, words: Any, np: Any) -> Any:
+        """:meth:`sample_word` over a numpy ``uint64`` array, as a guide-typed array."""
+        buckets = (words >> np.uint64(64 - GUIDE_BITS)).view(np.int64)
+        counts = np.take(np.frombuffer(self.guide, dtype=self.guide.typecode), buckets)
+        if (counts < 0).any():
+            straddled = np.flatnonzero(counts < 0)
+            uniforms = (words[straddled] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+            counts[straddled] = np.searchsorted(self.cdf, uniforms, side="right") + self.low
+        return counts
 
 
-_SAMPLER_CACHE: dict = {}
-
-
-def hypergeom_sampler(pool: int, malicious: int, sample: int) -> HypergeomSampler:
-    """Memoised :class:`HypergeomSampler` (tables are tiny and reusable)."""
-    key: tuple[int, int, int] = (pool, malicious, sample)
-    sampler = _SAMPLER_CACHE.get(key)
-    if sampler is None:
-        sampler = HypergeomSampler(pool, malicious, sample)
-        _SAMPLER_CACHE[key] = sampler
-    return sampler
+#: Memoised :class:`HypergeomSampler` (tables are tiny and reusable).
+hypergeom_sampler = cache(HypergeomSampler)

@@ -2,14 +2,20 @@
 
 The load-bearing contracts: every draw is a pure function of
 ``(seed, stream, counter)`` with bit-identical numpy and pure-python paths,
-hypergeometric sampling shares one exact CDF table across backends, and the
-batched Chronos selection matches the scalar rule element-wise — including
-at decision boundaries, which the property tests probe deliberately.
+hypergeometric sampling shares one exact CDF table and one guide table across
+backends, and every count it draws is the one ``bisect_right`` gives on the
+draw's exact uniform; the batched Chronos selection matches the scalar rule
+element-wise.  Both differential gates probe decision boundaries
+deliberately: bucket edges, CDF steps and their neighbouring floats.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+from array import array
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +23,8 @@ from hypothesis import strategies as st
 
 from repro.core.selection import ChronosConfig, chronos_select, panic_select
 from repro.defenses import HighTTLDiscard
+from repro.experiments import SweepScheduler
+from repro.experiments.pins import FLEET_SWEEP_METRICS_DIGEST
 from repro.population.batch import (
     FleetPolicy,
     batch_chronos_select,
@@ -25,6 +33,8 @@ from repro.population.batch import (
 )
 from repro.population.rng import (
     BACKEND_ENV,
+    GUIDE_BITS,
+    MASK64,
     BackendError,
     CounterRNG,
     HypergeomSampler,
@@ -32,6 +42,7 @@ from repro.population.rng import (
     numpy_or_none,
     resolve_backend,
 )
+from repro.population.scenario import population_specs
 
 numpy = numpy_or_none()
 needs_numpy = pytest.mark.skipif(numpy is None, reason="numpy not installed")
@@ -41,11 +52,13 @@ needs_numpy = pytest.mark.skipif(numpy is None, reason="numpy not installed")
 
 def test_uniforms_are_pure_functions_of_the_counter():
     rng = CounterRNG(seed=7, stream=2)
-    batched = rng.uniforms([5, 1, 9])
-    assert batched == [rng.uniform_at(5), rng.uniform_at(1), rng.uniform_at(9)]
-    assert all(0.0 <= u < 1.0 for u in batched)
+    batched = rng.words([5, 1, 9])
+    assert batched == [rng.word_at(5), rng.word_at(1), rng.word_at(9)]
+    assert all(0 <= word <= MASK64 for word in batched)
+    assert rng.uniforms([5, 1, 9]) == [(word >> 11) * 2.0 ** -53 for word in batched]
+    assert all(0.0 <= u < 1.0 for u in rng.uniforms([5, 1, 9]))
     # Re-keying with the same (seed, stream) reproduces the stream exactly.
-    assert CounterRNG(seed=7, stream=2).uniforms([5, 1, 9]) == batched
+    assert CounterRNG(seed=7, stream=2).words([5, 1, 9]) == batched
 
 
 def test_seeds_and_streams_decorrelate():
@@ -99,36 +112,131 @@ def test_hypergeom_cdf_is_exact():
     assert sampler.cdf[-1] == 1.0
 
 
+def _word(uniform):
+    """The lowest word whose uniform is ``uniform`` (a multiple of 2**-53)."""
+    return int(uniform * 2 ** 53) << 11
+
+
+def _reference(sampler, words):
+    """The inverse-CDF count of each word: ``bisect_right`` on its uniform."""
+    return [sampler.low + bisect_right(sampler.cdf, (word >> 11) * 2.0 ** -53)
+            for word in words]
+
+
+def _boundary_words(sampler):
+    """0.0 and 1 - 2**-53, and around each CDF step: the step itself and the
+    floats one ulp either side, rounded down and up to the uniform grid, plus
+    the edges of the buckets next to the step."""
+    words = {0, MASK64}
+    for step in sampler.cdf:
+        for value in (math.nextafter(step, -1.0), step, math.nextafter(step, 2.0)):
+            grid = value * 2 ** 53
+            for point in (math.floor(grid), math.ceil(grid)):
+                if 0 <= point < 2 ** 53:
+                    words.update((point << 11, point << 11 | 0x7FF))
+        bucket = int(step * 2 ** GUIDE_BITS)
+        for edge in range(max(bucket - 1, 1), min(bucket + 3, 2 ** GUIDE_BITS)):
+            words.update((edge << 64 - GUIDE_BITS, (edge << 64 - GUIDE_BITS) - 1))
+    return sorted(words)
+
+
+def _assert_guide_is_bisect(sampler, words):
+    expected = _reference(sampler, words)
+    assert [sampler.sample_word(word) for word in words] == expected
+    if numpy is not None:
+        vectorized = sampler.sample_from(numpy.asarray(words, dtype=numpy.uint64), np=numpy)
+        assert vectorized.tolist() == expected
+
+
 def test_hypergeom_support_bounds():
     sampler = HypergeomSampler(pool=10, malicious=8, sample=5)
     assert (sampler.low, sampler.high) == (3, 5)  # at most 2 benign available
-    counts = sampler.sample_from([0.0, 0.5, 0.999999])
+    counts = [sampler.sample_word(word) for word in (0, _word(0.5), MASK64)]
+    assert counts[0] == 3 and counts[-1] == 5
     assert all(3 <= c <= 5 for c in counts)
 
 
 def test_hypergeom_degenerate_support():
     all_malicious = HypergeomSampler(pool=9, malicious=9, sample=4)
-    assert all_malicious.sample_from([0.1, 0.9]) == [4, 4]
     none_malicious = HypergeomSampler(pool=9, malicious=0, sample=4)
-    assert none_malicious.sample_from([0.1, 0.9]) == [0, 0]
+    words = [0, _word(0.1), _word(0.9), MASK64]
+    assert [all_malicious.sample_word(word) for word in words] == [4] * 4
+    assert [none_malicious.sample_word(word) for word in words] == [0] * 4
+    assert set(all_malicious.guide) == {4}  # every bucket is pure
     if numpy is not None:
-        out = all_malicious.sample_from(numpy.asarray([0.1, 0.9]), np=numpy)
-        assert out.tolist() == [4, 4]
+        out = all_malicious.sample_from(numpy.asarray(words, dtype=numpy.uint64), np=numpy)
+        assert out.tolist() == [4] * 4
 
 
-@needs_numpy
+#: The fleet's own tables: one per poison query, (pool, malicious, 15) under
+#: the default policy, which the 10**6-client sweep builds (k = 0 and k = 1
+#: are the degenerate all-benign and all-malicious pools).
+FLEET_SAMPLERS = [HypergeomSampler(comp.total, comp.malicious,
+                                   min(ChronosConfig().sample_size, comp.total))
+                  for comp in (compose_client(FleetPolicy(), k) for k in range(25))]
+
+
 def test_hypergeom_backend_parity_including_cdf_boundaries():
-    sampler = HypergeomSampler(pool=96, malicious=64, sample=15)
-    # Probe exactly at CDF steps (inclusive/exclusive edges) plus a sweep.
-    uniforms = list(sampler.cdf[:-1]) + [0.0, 1.0 - 2**-53] + [
-        i / 97.0 for i in range(97)]
-    py = sampler.sample_from(uniforms)
-    vec = sampler.sample_from(numpy.asarray(uniforms), np=numpy)
-    assert vec.tolist() == py
+    # Every bucket edge (each bucket's first and last word), each CDF step
+    # and the floats one ulp either side, and the words of 0.0 and 1 - 2**-53.
+    shift = 64 - GUIDE_BITS
+    edges = [bucket << shift | low for bucket in range(2 ** GUIDE_BITS)
+             for low in (0, (1 << shift) - 1)]
+    assert sum(sampler.low != sampler.high for sampler in FLEET_SAMPLERS) == 23
+    for sampler in FLEET_SAMPLERS:
+        _assert_guide_is_bisect(sampler, edges + _boundary_words(sampler))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), pool=st.integers(min_value=1, max_value=600))
+def test_guide_lookup_is_bisect_on_the_exact_uniform(data, pool):
+    sampler = HypergeomSampler(pool, data.draw(st.integers(0, pool)),
+                               data.draw(st.integers(0, pool)))
+    assert len(sampler.guide) == 2 ** GUIDE_BITS
+    words = data.draw(st.lists(st.integers(0, MASK64), max_size=64))
+    _assert_guide_is_bisect(sampler, _boundary_words(sampler) + words)
+
+
+@pytest.mark.parametrize("pool, malicious, sample", [
+    (1, 0, 1), (1, 1, 1), (9, 9, 4), (9, 0, 4), (5, 2, 0), (5, 2, 5),  # degenerate
+    (2, 1, 1), (10, 1, 3), (10, 9, 1), (600, 599, 300), (600, 1, 300)])  # two-point
+def test_guide_lookup_is_bisect_on_degenerate_and_two_point_supports(pool, malicious,
+                                                                     sample):
+    sampler = HypergeomSampler(pool, malicious, sample)
+    assert sampler.high - sampler.low <= 1
+    _assert_guide_is_bisect(sampler, _boundary_words(sampler))
+
+
+@pytest.mark.parametrize("pool, malicious, sample, typecode", [
+    (300, 150, 100, "b"), (600, 300, 127, "b"), (600, 300, 128, "h"),
+    (600, 300, 200, "h")])
+def test_guide_typecode_holds_the_widest_count(pool, malicious, sample, typecode):
+    # A count that wrapped to a negative value would read as a straddle, or as
+    # a wrong count; the typecode widens with the support instead.
+    sampler = HypergeomSampler(pool, malicious, sample)
+    assert sampler.guide.typecode == typecode
+    assert max(sampler.guide) <= sampler.high
+    _assert_guide_is_bisect(sampler, _boundary_words(sampler))
+
+
+@pytest.mark.parametrize("backend", ["python"] + (["numpy"] if numpy else []))
+def test_fleet_sweep_with_every_draw_falling_back_is_pinned(backend, monkeypatch):
+    # With every bucket straddling, each draw searches the CDF: the reduced
+    # seed-1 fleet sweep still reproduces its pinned metrics digest.
+    straddled = array("b", [-1]) * 2 ** GUIDE_BITS
+    monkeypatch.setattr(HypergeomSampler, "guide", property(lambda sampler: straddled))
+    specs = population_specs(clients=10_000, cohort_size=2_500, seeds=(1,), base_params={
+        "resolvers": 1024, "stagger_window": 86400.0, "update_rounds": 5,
+        "backend": backend})
+    (result,), _ = SweepScheduler(workers=1).run_specs(specs)
+    metrics = json.dumps([record.metrics for record in result.records], sort_keys=True)
+    assert hashlib.sha256(metrics.encode()).hexdigest() == FLEET_SWEEP_METRICS_DIGEST
 
 
 def test_hypergeom_sampler_memoisation():
     assert hypergeom_sampler(30, 10, 5) is hypergeom_sampler(30, 10, 5)
+    sampler = hypergeom_sampler(30, 10, 5)
+    assert sampler.guide is sampler.guide  # built once, on first use
 
 
 # -- batch pool composition --------------------------------------------------
