@@ -280,7 +280,7 @@ class FragRaceWorld:
         addresses = self.nameserver.pool_servers[:self.config.records_per_response]
         answers = [a_record(DEFAULT_ZONE, address, self.nameserver.ttl)
                    for address in addresses]
-        if self.testbed.config.zone_key is not None:
+        if self.nameserver.zone_key is not None:
             answers.append(signature_record("attacker-forged-key", DEFAULT_ZONE, answers))
         message = DNSMessage.query(0, DEFAULT_ZONE).make_response(answers)
         if any(isinstance(defense, DNSCookies) for defense in self.resolver.defenses):

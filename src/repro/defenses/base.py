@@ -11,11 +11,11 @@ composes them deterministically.
 
 A defense may participate at any subset of five points:
 
-* ``configure_testbed`` — before the world is built, adjust the declarative
-  :class:`~repro.experiments.testbed.TestbedConfig` (e.g. a PMTU floor stops
-  the nameserver from fragmenting; response signing provisions a zone key);
-* ``attach_testbed`` — after the world is built, capture whatever the defense
-  needs at runtime (e.g. the zone's published response profile);
+* ``attach_testbed`` — once the world is built, set up the defense's own end
+  of it (e.g. a PMTU floor stops the nameserver from fragmenting, response
+  signing gives the zone a key, encrypted transport opens the nameserver's
+  listeners and the resolver's upstream streams) and capture what it needs
+  at runtime (e.g. the zone's published response profile);
 * ``on_outgoing_query`` — harden a resolver's upstream query (randomise the
   transaction id / source port, add 0x20 case encoding, attach a cookie);
 * ``on_incoming_response`` — validate a response before it is accepted into
@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # only for annotations; keeps this module import-cycle-free
 
     from ..dns.message import DNSMessage, Question
     from ..dns.records import ResourceRecord
-    from ..experiments.testbed import Testbed, TestbedConfig
+    from ..experiments.testbed import Testbed
     from ..netsim.packets import UDPDatagram
     from ..ntp.query import TimeSample
 
@@ -115,11 +115,8 @@ class Defense:
     name = "defense"
 
     # -- testbed lifecycle ---------------------------------------------------
-    def configure_testbed(self, config: TestbedConfig) -> None:
-        """Adjust the declarative world description before it is built."""
-
     def attach_testbed(self, testbed: Testbed) -> None:
-        """Capture runtime state from the built world."""
+        """Set up this defense's end of the built world."""
 
     # -- resolver-side hooks ---------------------------------------------------
     def on_outgoing_query(self, ctx: QueryContext) -> None:

@@ -26,7 +26,7 @@ from .base import Defense, QueryContext, ResponseContext
 from .registry import register_defense
 
 if TYPE_CHECKING:
-    from ..experiments.testbed import Testbed, TestbedConfig
+    from ..experiments.testbed import Testbed
 
 
 @register_defense
@@ -111,18 +111,22 @@ class PMTUFloor(Defense):
     #: Smallest MTU, in bytes, the nameserver fragments responses to.
     FLOOR = 1500
 
-    def configure_testbed(self, config: TestbedConfig) -> None:
-        config.nameserver_min_mtu = max(config.nameserver_min_mtu, self.FLOOR)
+    def attach_testbed(self, testbed: Testbed) -> None:
+        nameserver = testbed.nameserver
+        if nameserver.min_supported_mtu < self.FLOOR:
+            nameserver.min_supported_mtu = self.FLOOR
+            testbed.network.set_path_mtu(nameserver.address, self.FLOOR)
 
 
 @register_defense
 class ResponseSigning(Defense):
     """Zone signing plus resolver-side validation (the DNSSEC model).
 
-    ``configure_testbed`` provisions a zone key (the nameserver then appends
-    a signature record over each answer RRset); ``on_incoming_response``
-    recomputes and checks it.  A hijacker cannot sign, and a fragment splice
-    changes the records the genuine signature covered — so this is the one
+    ``attach_testbed`` gives the nameserver a zone key, a function of the
+    seed (it then appends a signature record over each answer RRset);
+    ``on_incoming_response`` recomputes and checks it.  A hijacker cannot
+    sign, and a fragment splice changes the records the genuine signature
+    covered — so this is the one
     hardening that stops both vectors, at the price the paper notes: it only
     helps where both zone and resolver deploy it.
     """
@@ -132,13 +136,9 @@ class ResponseSigning(Defense):
     def __init__(self) -> None:
         self._zone_key: Optional[str] = None
 
-    def configure_testbed(self, config: TestbedConfig) -> None:
-        if config.zone_key is None:
-            config.zone_key = f"zsk|{DEFAULT_ZONE}|{config.seed}"
-        self._zone_key = config.zone_key
-
     def attach_testbed(self, testbed: Testbed) -> None:
-        self._zone_key = testbed.config.zone_key
+        self._zone_key = f"zsk|{DEFAULT_ZONE}|{testbed.config.seed}"
+        testbed.nameserver.zone_key = self._zone_key
 
     def on_incoming_response(self, ctx: ResponseContext) -> Optional[str]:
         if self._zone_key is None:

@@ -29,11 +29,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..dns.nameserver import ResponseRateLimiter
+from ..dns.transport import DNSServerTransport
 from .base import Defense
 from .registry import register_defense
 
 if TYPE_CHECKING:
-    from ..experiments.testbed import Testbed, TestbedConfig
+    from ..experiments.testbed import Testbed
 
 
 @register_defense
@@ -42,10 +43,7 @@ class ResponseRateLimit(Defense):
 
     name = "response_rate_limit"
 
-    def configure_testbed(self, config: TestbedConfig) -> None:
-        # The TC=1 slip path needs a stream listener to land on.
-        config.nameserver_transports = tuple(
-            dict.fromkeys((*config.nameserver_transports, "tcp")))
-
     def attach_testbed(self, testbed: Testbed) -> None:
+        # The TC=1 slip path needs a stream listener to land on.
+        DNSServerTransport.of(testbed.nameserver).listen(("tcp",))
         testbed.nameserver.rate_limiter = ResponseRateLimiter()

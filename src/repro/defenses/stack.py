@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional, Union
 from .base import Defense, PoolAcceptContext, QueryContext, ResponseContext
 
 if TYPE_CHECKING:
-    from ..experiments.testbed import Testbed, TestbedConfig
+    from ..experiments.testbed import Testbed
     from ..ntp.query import TimeSample
 
 #: What a stack can be built from: registry names and/or ready instances.
@@ -58,10 +58,6 @@ class DefenseStack:
         return any(isinstance(defense, kind) for defense in self.defenses)
 
     # -- lifecycle dispatch -----------------------------------------------------
-    def configure_testbed(self, config: TestbedConfig) -> None:
-        for defense in self.defenses:
-            defense.configure_testbed(config)
-
     def attach_testbed(self, testbed: Testbed) -> None:
         for defense in self.defenses:
             defense.attach_testbed(testbed)

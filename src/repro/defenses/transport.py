@@ -26,24 +26,28 @@ the paper flags: the defense only exists where both ends deploy it, and the
 * ``encrypted_transport_doh`` — strict DNS-over-HTTPS; same guarantees as
   strict DoT behind HTTP framing on 443.
 
-``configure_testbed`` provisions the zone's certificate key and the
-nameserver's stream listeners (plain TCP is always included so the TC-bit
-fallback has a target); ``attach_testbed`` pins the resolver to the zone
-identity and routes its upstream queries through a
-:class:`~repro.dns.transport.ResolverUpstreamTransport`.
+``attach_testbed`` sets up both ends on the built world.  On the
+nameserver it opens the policy's stream listener beside plain TCP (so the
+TC-bit fallback has a target), with session resumption when the policy
+sends 0-RTT.  On the resolver it routes upstream queries through a
+:class:`~repro.dns.transport.ResolverUpstreamTransport` pinned to the zone
+identity and to the certificate key the nameserver's listeners present.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..dns.nameserver import DEFAULT_ZONE
-from ..dns.transport import EncryptedTransportPolicy, ResolverUpstreamTransport
+from ..dns.transport import (
+    DNSServerTransport,
+    EncryptedTransportPolicy,
+    ResolverUpstreamTransport,
+)
 from .base import Defense
 from .registry import register_defense
 
 if TYPE_CHECKING:
-    from ..experiments.testbed import Testbed, TestbedConfig
+    from ..experiments.testbed import Testbed
 
 
 @register_defense
@@ -61,21 +65,14 @@ class EncryptedTransport(Defense):
         self.policy = EncryptedTransportPolicy(
             protocol=self.protocol, strict=self.strict, **knobs)
 
-    def configure_testbed(self, config: TestbedConfig) -> None:
-        if config.transport_cert_key is None:
-            config.transport_cert_key = f"tls|{DEFAULT_ZONE}|{config.seed}"
-        wanted = ("tcp", self.protocol)
-        config.nameserver_transports = tuple(
-            dict.fromkeys((*config.nameserver_transports, *wanted)))
-        if self.policy.zero_rtt:
-            config.nameserver_session_resumption = True
-
     def attach_testbed(self, testbed: Testbed) -> None:
+        server = DNSServerTransport.of(testbed.nameserver)
+        server.listen(("tcp", self.protocol), session_resumption=self.policy.zero_rtt)
         testbed.resolver.use_upstream_transport(ResolverUpstreamTransport(
             testbed.resolver,
             policy=self.policy,
-            trust_anchor=testbed.config.transport_cert_key,
-            expected_identity=DEFAULT_ZONE,
+            trust_anchor=server.cert_key,
+            expected_identity=server.identity,
         ))
 
 

@@ -90,14 +90,13 @@ class AuthoritativeNameserver(Host):
 
     def __init__(self, network: Network, address: str, zone: dict[str, list[str]],
                  ttl: int = 300, name: Optional[str] = None,
-                 zone_key: Optional[str] = None,
                  udp_payload_limit: Optional[int] = None) -> None:
         super().__init__(network, address, name=name or f"ns-{address}")
         self.zone = {normalise_name(owner): list(addresses) for owner, addresses in zone.items()}
         self.ttl = ttl
         #: When set, every answer RRset is signed (appended signature record);
-        #: provisioned by the ``response_signing`` defense via the testbed.
-        self.zone_key = zone_key
+        #: set by the ``response_signing`` defense.
+        self.zone_key: Optional[str] = None
         #: Largest UDP response payload this server sends (``None`` = no
         #: limit).  Responses that would exceed it go out *truncated* —
         #: empty answer section, TC=1 — telling the resolver to retry over a
@@ -211,12 +210,11 @@ class PoolNTPNameserver(AuthoritativeNameserver):
                  ttl: int = POOL_NTP_ORG_TTL,
                  name: Optional[str] = None,
                  min_supported_mtu: int = 1500,
-                 zone_key: Optional[str] = None,
                  udp_payload_limit: Optional[int] = None) -> None:
         zone = {zone_name: list(pool_servers)}
         super().__init__(network, address, zone=zone, ttl=ttl,
                          name=name or f"pool-ns-{address}",
-                         zone_key=zone_key, udp_payload_limit=udp_payload_limit)
+                         udp_payload_limit=udp_payload_limit)
         self.zone_name = normalise_name(zone_name)
         self.pool_servers = list(pool_servers)
         self.records_per_response = records_per_response

@@ -55,8 +55,8 @@ one of two lifecycles:
   handshake yields a ticket, and later connections put the resumption
   hello *and* the encrypted query on the SYN itself (TFO-style).  That
   collapses DoT's extra round trips to UDP parity on warm paths, at the
-  faithful cost that 0-RTT early data is replayable unless the server
-  burns tickets.
+  faithful cost that 0-RTT early data is replayable: the server never
+  burns a ticket.
 
 ``benchmarks/bench_serving_throughput.py`` measures per-query, pooled and
 0-RTT streams side by side.
@@ -79,7 +79,7 @@ from ..netsim.transport import (
     StreamSocket,
 )
 from .message import DNSMessage
-from .nameserver import DNS_PORT, AuthoritativeNameserver
+from .nameserver import DEFAULT_ZONE, DNS_PORT, AuthoritativeNameserver
 from .wire import WireFormatError, normalise_name, note_malformed
 
 if TYPE_CHECKING:
@@ -212,33 +212,46 @@ class DNSServerTransport:
     Each accepted connection gets its own framing decoder; every decoded
     query is answered through the nameserver's ``answer_query`` — the same
     logic as UDP, so cookies, 0x20 case patterns and signatures are echoed
-    identically — and stream responses are never truncated.
+    identically — and stream responses are never truncated.  The secure
+    listeners present the zone's identity, signed with :attr:`cert_key`, a
+    function of the simulator seed; a resolver pins it as its trust anchor.
     """
 
-    def __init__(self, nameserver: AuthoritativeNameserver,
-                 transports: tuple[str, ...] = ("tcp",),
-                 cert_key: Optional[str] = None,
-                 identity: Optional[str] = None,
-                 session_resumption: bool = False) -> None:
-        unknown = set(transports) - set(STREAM_TRANSPORTS)
+    identity = DEFAULT_ZONE
+
+    def __init__(self, nameserver: AuthoritativeNameserver) -> None:
+        self.nameserver = nameserver
+        self.cert_key = f"tls|{DEFAULT_ZONE}|{nameserver.network.simulator.seed}"
+        #: Session cache for 0-RTT resumption, made by the first
+        #: ``listen(..., session_resumption=True)``; ``None`` keeps the
+        #: handshake path (and its RNG draws) free of tickets.
+        self.ticket_store: Optional[ResumptionTicketStore] = None
+        nameserver.stream_transport = self
+
+    @classmethod
+    def of(cls, nameserver: AuthoritativeNameserver) -> DNSServerTransport:
+        """The nameserver's stream transport, attached on first use."""
+        return nameserver.stream_transport or cls(nameserver)
+
+    def listen(self, labels: tuple[str, ...], session_resumption: bool = False) -> None:
+        """Serve each of ``labels`` ("tcp", "dot", "doh"), opening a port at
+        most once however often it is asked for.  ``session_resumption``
+        issues tickets and accepts 0-RTT first flights on every secure port.
+        Neither draws a random number nor schedules an event."""
+        unknown = set(labels) - set(STREAM_TRANSPORTS)
         if unknown:
             raise ValueError(f"unknown stream transport(s): {sorted(unknown)}; "
                              f"supported: {STREAM_TRANSPORTS}")
-        if ("dot" in transports or "doh" in transports) and cert_key is None:
-            raise ValueError("encrypted transports need a certificate key")
-        self.nameserver = nameserver
-        self.cert_key = cert_key
-        self.identity = identity
-        #: Session cache for 0-RTT resumption; ``None`` keeps the handshake
-        #: path (and its RNG draws) exactly as before, which is what holds
-        #: the pinned digests with the serving layer merged.
-        self.ticket_store = ResumptionTicketStore() if session_resumption else None
-        for label, port in STREAM_PORTS.items():
-            if label in transports:
-                nameserver.tcp.listen(
-                    port, lambda conn, label=label: self._serve(conn, label),
-                    fast_open=session_resumption and label != "tcp")
-        nameserver.stream_transport = self
+        if session_resumption and self.ticket_store is None:
+            self.ticket_store = ResumptionTicketStore()
+        tcp = self.nameserver.tcp
+        for label in labels:
+            if STREAM_PORTS[label] not in tcp.listeners:
+                tcp.listen(STREAM_PORTS[label],
+                           lambda conn, label=label: self._serve(conn, label))
+        for port in (DOT_PORT, DOH_PORT):
+            if port in tcp.listeners:
+                tcp.listeners[port].fast_open = self.ticket_store is not None
 
     def _serve(self, connection: Connection, label: str) -> None:
         """Answer DNS queries on one accepted ``label`` connection."""
@@ -247,8 +260,7 @@ class DNSServerTransport:
         else:
             socket = SecureChannel.server(
                 connection, self.nameserver.network.simulator.rng,
-                identity=self.identity or self.nameserver.name,
-                cert_key=self.cert_key,
+                identity=self.identity, cert_key=self.cert_key,
                 ticket_store=self.ticket_store)
         decoder = stream_decoder(label)
         frame = doh_response if label == "doh" else frame_dns
@@ -608,8 +620,8 @@ class ResolverUpstreamTransport:
                                max_in_flight=stream.max_in_flight,
                                resumed=stream.resumed, reason=reason)
         if reason == "unknown session ticket":
-            # The server no longer honours our ticket (expired, or burned by
-            # a single-use anti-replay store): next open is a full handshake.
+            # The server does not honour our ticket (it never issued it):
+            # next open is a full handshake.
             self._tickets.pop(stream.address, None)
         orphans = list(stream.in_flight.items())
         stream.in_flight.clear()

@@ -19,31 +19,28 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-def _z_value(confidence: float) -> float:
-    """Two-sided normal quantile for a confidence level (0 < confidence < 1)."""
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be strictly between 0 and 1")
-    return statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
+#: Confidence level of every interval this module reports.
+CONFIDENCE = 0.95
+#: Two-sided normal quantile for :data:`CONFIDENCE` (about 1.96).
+_Z = statistics.NormalDist().inv_cdf(0.5 + CONFIDENCE / 2.0)
 
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
-    """A two-sided interval at the given confidence level."""
+    """A two-sided interval at the :data:`CONFIDENCE` level."""
 
     low: float
     high: float
-    confidence: float
 
     @property
     def width(self) -> float:
         return self.high - self.low
 
     def formatted(self) -> str:
-        return f"[{self.low:.3f}, {self.high:.3f}] @ {self.confidence:.0%}"
+        return f"[{self.low:.3f}, {self.high:.3f}] @ {CONFIDENCE:.0%}"
 
 
-def wilson_interval(successes: int, trials: int,
-                    confidence: float = 0.95) -> ConfidenceInterval:
+def wilson_interval(successes: int, trials: int) -> ConfidenceInterval:
     """Wilson score interval for a binomial proportion.
 
     Preferred over the normal approximation because attack sweeps routinely
@@ -54,7 +51,7 @@ def wilson_interval(successes: int, trials: int,
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    z = _z_value(confidence)
+    z = _Z
     n = float(trials)
     p = successes / n
     denom = 1.0 + z * z / n
@@ -64,19 +61,18 @@ def wilson_interval(successes: int, trials: int,
     # floating-point residue from centre - margin does not leak through.
     low = 0.0 if successes == 0 else max(0.0, centre - margin)
     high = 1.0 if successes == trials else min(1.0, centre + margin)
-    return ConfidenceInterval(low, high, confidence)
+    return ConfidenceInterval(low, high)
 
 
-def mean_interval(values: Sequence[float],
-                  confidence: float = 0.95) -> ConfidenceInterval:
+def mean_interval(values: Sequence[float]) -> ConfidenceInterval:
     """Normal-approximation interval for a sample mean (degenerate for n < 2)."""
     if not values:
         raise ValueError("cannot compute a mean interval of no values")
     mean = statistics.fmean(values)
     if len(values) < 2:
-        return ConfidenceInterval(mean, mean, confidence)
-    margin = _z_value(confidence) * statistics.stdev(values) / math.sqrt(len(values))
-    return ConfidenceInterval(mean - margin, mean + margin, confidence)
+        return ConfidenceInterval(mean, mean)
+    margin = _Z * statistics.stdev(values) / math.sqrt(len(values))
+    return ConfidenceInterval(mean - margin, mean + margin)
 
 
 @dataclass(frozen=True)
@@ -133,12 +129,11 @@ class ExperimentResult:
             raise KeyError(f"no record carries the metric {key!r}")
         return self.success_count(key) / len(values)
 
-    def success_interval(self, key: str = "attack_succeeded",
-                         confidence: float = 0.95) -> ConfidenceInterval:
+    def success_interval(self, key: str = "attack_succeeded") -> ConfidenceInterval:
         values = self.values(key)
         if not values:
             raise KeyError(f"no record carries the metric {key!r}")
-        return wilson_interval(self.success_count(key), len(values), confidence)
+        return wilson_interval(self.success_count(key), len(values))
 
     # -- scalar aggregates -----------------------------------------------------
     def mean(self, key: str) -> float:
@@ -147,8 +142,8 @@ class ExperimentResult:
     def median(self, key: str) -> float:
         return statistics.median(self.numeric_values(key))
 
-    def mean_interval(self, key: str, confidence: float = 0.95) -> ConfidenceInterval:
-        return mean_interval(self.numeric_values(key), confidence)
+    def mean_interval(self, key: str) -> ConfidenceInterval:
+        return mean_interval(self.numeric_values(key))
 
     # -- canonical encoding -----------------------------------------------------
     def to_json(self) -> str:

@@ -9,6 +9,13 @@ hand-built that world; now the world is described by a
 :class:`TestbedConfig` and materialised by :class:`TestbedBuilder`, and a
 scenario only adds its victim on top.
 
+The builder reads the config and never writes it (``testbed.config`` is the
+caller's object).  It builds the plain world those fields describe, then
+hands it to the config's defense stack: each defense sets up its own end —
+the nameserver's stream listeners, zone and certificate keys, MTU floor and
+rate limiter, the resolver's upstream transport — in
+:meth:`~repro.defenses.base.Defense.attach_testbed`.
+
 Randomness discipline: the only random draws during construction are the
 benign servers' clock errors, taken from the simulator-owned
 ``random.Random`` — so a testbed is a pure function of its config, and two
@@ -16,13 +23,13 @@ builds from the same config are identical event-for-event.  The errors are
 drawn now, in address order; every NTP server (benign and malicious) is a
 pool host, built on its first packet with its error already drawn
 (:meth:`~repro.netsim.network.Network.add_pool`), and building one neither
-draws nor schedules anything.
+draws nor schedules anything; nor does setting up a defense.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..defenses.stack import DefenseSpec, DefenseStack
@@ -60,12 +67,14 @@ class TestbedConfig:
 
     The defaults describe the Figure-1 topology; scenarios override only the
     knobs they care about (address blocks, population sizes, policies).
+    Every field is the caller's: what a defense adds to the world (stream
+    listeners, zone and certificate keys, an MTU floor, a rate limiter) is
+    a function of the seed and the stack, set up on the built world.
     """
 
     __test__ = False  # "Test*" name; keep pytest from collecting it
 
     seed: int = 1
-    start_time: float = 0.0
 
     # -- benign pool.ntp.org infrastructure ---------------------------------
     benign_server_count: int = 200
@@ -80,29 +89,19 @@ class TestbedConfig:
     #: goes out truncated with TC=1 (``None`` = no limit, the legacy
     #: behaviour every fragmentation experiment relies on).
     nameserver_udp_payload_limit: Optional[int] = None
-    #: Stream transports the nameserver serves ("tcp", "dot", "doh");
-    #: normally provisioned by the ``encrypted_transport`` defense.
+    #: Stream transports the nameserver serves ("tcp", "dot", "doh") on top
+    #: of those its defenses open (the TC-fallback worlds set "tcp").
     nameserver_transports: tuple[str, ...] = ()
-    #: Certificate key for the encrypted transports (the zone's TLS
-    #: identity); provisioned by the ``encrypted_transport`` defense.
-    transport_cert_key: Optional[str] = None
-    #: Issue session-resumption tickets and accept 0-RTT first flights on
-    #: the secure listeners; provisioned by the ``encrypted_transport``
-    #: defense when its ``zero_rtt`` knob is on.
-    nameserver_session_resumption: bool = False
 
     # -- victim-side resolver ------------------------------------------------
     resolver_address: str = "192.0.2.1"
 
     # -- defenses --------------------------------------------------------------
     #: Extra countermeasures, by registry name and/or instance; composed (in
-    #: order) on top of the resolver's classic defenses.  The stack's
-    #: ``configure_testbed`` hooks may rewrite other fields of this config
-    #: (on the builder's private copy) before the world is materialised.
+    #: order) on top of the resolver's classic defenses.  A defense that
+    #: changes the nameserver (listeners, keys, MTU floor, rate limit) does
+    #: so on the built world; it never rewrites this config.
     defenses: DefenseSpec = ()
-    #: Zone-signing key; ``None`` leaves the zone unsigned.  Normally
-    #: provisioned by the ``response_signing`` defense rather than by hand.
-    zone_key: Optional[str] = None
 
     # -- fault injection -------------------------------------------------------
     #: Declarative fault plan (a :meth:`repro.faults.FaultPlan.to_spec`
@@ -168,13 +167,9 @@ class TestbedBuilder:
         from ..attacks.attacker import build_attacker_infrastructure
         from ..attacks.bgp_hijack import BGPHijackPoisoner
 
-        # The defense stack may rewrite config fields (PMTU floor, zone key);
-        # work on a shallow copy so the caller's config object stays pristine
-        # and reusable across builds.
-        cfg = replace(self.config)
+        cfg = self.config
         stack = DefenseStack.from_spec(cfg.defenses)
-        stack.configure_testbed(cfg)
-        simulator = Simulator(seed=cfg.seed, start_time=cfg.start_time)
+        simulator = Simulator(seed=cfg.seed)
         network = Network(simulator, latency=LATENCY)
         fault_injector = None
         if cfg.faults:
@@ -207,24 +202,16 @@ class TestbedBuilder:
             records_per_response=cfg.records_per_response,
             ttl=cfg.benign_ttl,
             min_supported_mtu=cfg.nameserver_min_mtu,
-            zone_key=cfg.zone_key,
             udp_payload_limit=cfg.nameserver_udp_payload_limit,
         )
         if cfg.nameserver_min_mtu < DEFAULT_MTU:
             network.set_path_mtu(nameserver.address, cfg.nameserver_min_mtu)
         if cfg.nameserver_transports:
             # Imported lazily: stream transports only exist in worlds that
-            # asked for them (the encrypted_transport defense, TC fallback
-            # experiments), keeping datagram-only builds untouched.
+            # asked for them, keeping datagram-only builds untouched.
             from ..dns.transport import DNSServerTransport
 
-            DNSServerTransport(
-                nameserver,
-                transports=cfg.nameserver_transports,
-                cert_key=cfg.transport_cert_key,
-                identity=DEFAULT_ZONE,
-                session_resumption=cfg.nameserver_session_resumption,
-            )
+            DNSServerTransport.of(nameserver).listen(cfg.nameserver_transports)
         resolver = RecursiveResolver(
             network,
             cfg.resolver_address,
@@ -241,8 +228,8 @@ class TestbedBuilder:
             defenses=stack,
             faults=fault_injector,
         )
-        # Runtime attachment happens before the victim exists: defenses
-        # capture world state (zone profile, keys), not victim state.
+        # Defenses set up their end of the world before the victim exists:
+        # nameserver listeners, keys and limits, resolver transports.
         stack.attach_testbed(testbed)
         if victim_factory is not None:
             testbed.victim = victim_factory(testbed)

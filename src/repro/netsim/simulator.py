@@ -98,10 +98,8 @@ class Simulator:
         that need randomness (packet loss, server rotation, attacker
         spoofing races) must draw from :attr:`rng` so that the whole
         experiment is reproducible from a single seed.
-    start_time:
-        Initial simulated time in seconds.  Experiments that care about
-        wall-clock-like values (NTP timestamps) typically start at a large
-        epoch value; the default of ``0.0`` is fine for everything else.
+
+    Simulated time starts at 0 seconds.
     """
 
     #: Compaction trigger: once at least this many cancelled events are
@@ -110,9 +108,8 @@ class Simulator:
     #: large enough that compaction cost is amortised over many cancels.
     COMPACT_THRESHOLD = 64
 
-    def __init__(self, seed: int = 0, start_time: float = 0.0,
-                 obs: Optional[Observability] = None) -> None:
-        self._now = float(start_time)
+    def __init__(self, seed: int = 0, obs: Optional[Observability] = None) -> None:
+        self._now = 0.0
         self._queue: list[_HeapEntry] = []
         self._sequence = itertools.count()
         self._running = False

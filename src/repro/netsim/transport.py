@@ -711,22 +711,18 @@ class SessionTicket:
 class ResumptionTicketStore:
     """Server-side session cache mapping ticket nonces to PSKs.
 
-    ``single_use`` models anti-replay ticket burning: each ticket redeems at
-    most once, which defeats 0-RTT replay at the cost of one full handshake
-    per replay-suspected connection.  The default (reusable tickets) is the
-    deployed-reality configuration the attacker row exploits.
+    A ticket redeems any number of times, as deployed servers without
+    anti-replay state allow: a recorded 0-RTT first flight replays.
     """
 
-    def __init__(self, single_use: bool = False) -> None:
-        self.single_use = single_use
+    def __init__(self) -> None:
         self._tickets: dict[bytes, bytes] = {}
 
     def issue(self, nonce: bytes, psk: bytes) -> None:
         self._tickets[nonce] = psk
 
     def redeem(self, nonce: bytes) -> Optional[bytes]:
-        return (self._tickets.pop(nonce, None) if self.single_use
-                else self._tickets.get(nonce))
+        return self._tickets.get(nonce)
 
 
 def certificate_signature(cert_key: str, subject: str, share: int,

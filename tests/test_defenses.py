@@ -14,6 +14,8 @@ Three contracts:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.attacks import FragPoisoningConfig, FragPoisoningScenario
@@ -360,19 +362,20 @@ def test_multi_vantage_vetoes_implausible_ntp_samples():
 def test_pmtu_floor_configures_the_testbed_without_mutating_the_caller_config():
     config = TestbedConfig(seed=1, benign_server_count=5, nameserver_min_mtu=548,
                            with_attacker=False, defenses=("pmtu_floor",))
+    before = replace(config)
     testbed = build_testbed(config)
     assert testbed.nameserver.min_supported_mtu == 1500
-    assert testbed.config.nameserver_min_mtu == 1500
-    # The caller's config object is untouched and reusable.
-    assert config.nameserver_min_mtu == 548
+    assert testbed.network.effective_mtu(testbed.nameserver.address) == 1500
+    # The build reads the caller's config object and never writes it.
+    assert testbed.config is config
+    assert config == before and config.nameserver_min_mtu == 548
 
 
 def test_response_signing_provisions_a_zone_key_and_signed_answers():
     testbed = build_testbed(TestbedConfig(seed=1, benign_server_count=5,
                                           with_attacker=False,
                                           defenses=("response_signing",)))
-    assert testbed.config.zone_key is not None
-    assert testbed.nameserver.zone_key == testbed.config.zone_key
+    assert testbed.nameserver.zone_key == "zsk|pool.ntp.org|1"
     testbed.resolver.trigger_lookup("pool.ntp.org")
     testbed.simulator.run(until=5.0)
     entry = testbed.resolver.cache.peek("pool.ntp.org", RecordType.A)

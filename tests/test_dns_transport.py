@@ -17,6 +17,7 @@ from repro.dns.message import DNSMessage
 from repro.dns.records import RecordType
 from repro.dns.transport import (
     DOH_PORT,
+    STREAM_PORTS,
     DNSFrameDecoder,
     DNSServerTransport,
     DoHMessageDecoder,
@@ -32,15 +33,13 @@ from repro.netsim.transport import SecureChannel
 ZONE = "pool.ntp.org"
 
 
-def build(transports=(), udp_limit=None, defenses=(), cert_key=None, latency=None,
-          **overrides):
+def build(transports=(), udp_limit=None, defenses=(), latency=None, **overrides):
     overrides.setdefault("records_per_response", 40)
     config = TestbedConfig(
         seed=5,
         benign_server_count=50,
         nameserver_transports=tuple(transports),
         nameserver_udp_payload_limit=udp_limit,
-        transport_cert_key=cert_key,
         defenses=defenses,
         with_attacker=False,
         **overrides,
@@ -164,12 +163,10 @@ def test_tc_triggers_tcp_retry_and_full_answer():
 
 # -- server transports -----------------------------------------------------------
 
-def test_server_transport_rejects_unknown_and_keyless_encrypted():
+def test_server_transport_rejects_an_unknown_label():
     testbed = build()
     with pytest.raises(ValueError, match="unknown stream transport"):
-        DNSServerTransport(testbed.nameserver, transports=("quic",))
-    with pytest.raises(ValueError, match="certificate key"):
-        DNSServerTransport(testbed.nameserver, transports=("dot",))
+        DNSServerTransport.of(testbed.nameserver).listen(("quic",))
 
 
 def test_encrypted_transport_knobs_live_on_one_frozen_policy():
@@ -197,7 +194,7 @@ def test_encrypted_transport_knobs_live_on_one_frozen_policy():
 def test_encrypted_transport_resolves_over_tls(defense, label):
     with obs.capture() as ob:
         testbed = build(defenses=defense)
-        assert label in testbed.config.nameserver_transports
+        assert STREAM_PORTS[label] in testbed.nameserver.tcp.listeners
         testbed.resolver.trigger_lookup(ZONE)
         testbed.simulator.run(until=5.0)
     assert len(cached_records(testbed)) == 40

@@ -16,8 +16,10 @@ def test_initial_time_defaults_to_zero():
     assert Simulator().now == 0.0
 
 
-def test_initial_time_can_be_set():
-    assert Simulator(start_time=100.0).now == 100.0
+def test_run_until_advances_an_idle_clock():
+    sim = Simulator()
+    sim.run(until=100.0)
+    assert sim.now == 100.0
 
 
 def test_schedule_and_run_single_event():
@@ -55,7 +57,8 @@ def test_negative_delay_rejected():
 
 
 def test_schedule_at_absolute_time():
-    sim = Simulator(start_time=10.0)
+    sim = Simulator()
+    sim.run(until=10.0)
     fired = []
     sim.schedule_at(15.0, lambda: fired.append(sim.now))
     sim.run()
@@ -83,7 +86,8 @@ def test_run_until_is_inclusive():
 
 
 def test_run_for_advances_relative_to_now():
-    sim = Simulator(start_time=100.0)
+    sim = Simulator()
+    sim.run(until=100.0)
     fired = []
     sim.schedule(2.0, lambda: fired.append(sim.now))
     sim.run_for(5.0)

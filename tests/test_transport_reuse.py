@@ -64,15 +64,8 @@ def test_ticket_store_redeems_issued_tickets_and_rejects_unknown_ones():
     store = ResumptionTicketStore()
     store.issue(b"nonce", b"psk")
     assert store.redeem(b"nonce") == b"psk"
-    assert store.redeem(b"nonce") == b"psk"  # mutable store: replayable
+    assert store.redeem(b"nonce") == b"psk"  # replayable
     assert store.redeem(b"other") is None
-
-
-def test_single_use_ticket_store_burns_tickets():
-    store = ResumptionTicketStore(single_use=True)
-    store.issue(b"nonce", b"psk")
-    assert store.redeem(b"nonce") == b"psk"
-    assert store.redeem(b"nonce") is None  # burned by the first redemption
 
 
 def test_rrl_token_bucket_slip_and_prefix():
@@ -159,51 +152,45 @@ def test_zero_rtt_resumption_answers_in_one_round_trip():
 
 def test_zero_rtt_first_flight_replay_by_off_path_attacker():
     """The modelled 0-RTT caveat: a captured first flight replays cleanly
-    against a mutable ticket store, and is refused by a single-use one."""
-    for single_use in (False, True):
-        simulator, network, client, server = make_pair()
-        store = ResumptionTicketStore(single_use=single_use)
-        received = []
-        ticketed_server(server, store, received)
+    against the ticket store."""
+    simulator, network, client, server = make_pair()
+    store = ResumptionTicketStore()
+    received = []
+    ticketed_server(server, store, received)
 
-        tickets = []
-        conn = client.tcp.connect("10.0.0.2", 853)
-        SecureChannel.client(conn, simulator.rng, expected_identity=ZONE,
-                             trust_anchor="zone-key", on_ticket=tickets.append)
-        simulator.run(until=1.0)
-        conn.close()
-        simulator.run(until=2.0)
+    tickets = []
+    conn = client.tcp.connect("10.0.0.2", 853)
+    SecureChannel.client(conn, simulator.rng, expected_identity=ZONE,
+                         trust_anchor="zone-key", on_ticket=tickets.append)
+    simulator.run(until=1.0)
+    conn.close()
+    simulator.run(until=2.0)
 
-        # The attacker taps the resumed connection's SYN — the first flight
-        # carrying the resumption hello and the encrypted early data.
-        captured = []
+    # The attacker taps the resumed connection's SYN — the first flight
+    # carrying the resumption hello and the encrypted early data.
+    captured = []
 
-        def tap(packet, now, captured=captured):
-            if packet.protocol != PROTO_TCP:
-                return
-            segment = TCPSegment.decode(packet.payload)
-            if segment.flags & FLAG_SYN and segment.payload:
-                captured.append(packet)
-        network.add_tap(tap)
+    def tap(packet, now):
+        if packet.protocol != PROTO_TCP:
+            return
+        segment = TCPSegment.decode(packet.payload)
+        if segment.flags & FLAG_SYN and segment.payload:
+            captured.append(packet)
+    network.add_tap(tap)
 
-        conn2, channel2 = open_resumed(client, simulator, tickets[0], b"query")
-        simulator.run(until=3.0)
-        assert len(captured) == 1
-        processed_before = len(received)
-        conn2.close()
-        simulator.run(until=4.0)
+    conn2, channel2 = open_resumed(client, simulator, tickets[0], b"query")
+    simulator.run(until=3.0)
+    assert len(captured) == 1
+    processed_before = len(received)
+    conn2.close()
+    simulator.run(until=4.0)
 
-        # Off-path replay of the captured bytes, verbatim.
-        network.inject(replace(captured[0], spoofed=True))
-        simulator.run(until=5.0)
-        if single_use:
-            # Anti-replay: the first redemption burned the ticket.
-            assert len(received) == processed_before
-            assert store.redeem(tickets[0].nonce) is None
-        else:
-            # Replayable 0-RTT: the server decrypts and answers again.
-            assert len(received) == processed_before + 1
-            assert received[-1] == b"query"
+    # Off-path replay of the captured bytes, verbatim: the server decrypts
+    # and answers again.
+    network.inject(replace(captured[0], spoofed=True))
+    simulator.run(until=5.0)
+    assert len(received) == processed_before + 1
+    assert received[-1] == b"query"
 
 
 # -- pooled connection: demux, idle, reset ----------------------------------------
